@@ -318,24 +318,30 @@ impl BundleWriter {
         Ok(())
     }
 
-    /// Seal the bundle with a commit payload (run summary, digests). A
-    /// reader treats a bundle without a commit line as torn.
-    pub fn commit(self, payload: &str) -> io::Result<WriteStats> {
-        check_payload(payload)?;
-        let mut m = self.manifest.into_inner().unwrap();
-        writeln!(m.file, "{}", frame(&format!("c{US}{payload}")))?;
-        m.file.flush()?;
-        m.file.get_ref().sync_all()?;
-        let b = self.blobs.into_inner().unwrap();
-        let mut file = b.file;
-        file.flush()?;
-        file.get_ref().sync_all()?;
-        Ok(WriteStats {
+    /// This writer's counters so far.
+    pub fn stats(&self) -> WriteStats {
+        let b = self.blobs.lock().unwrap();
+        WriteStats {
             entries: self.entries.load(Ordering::Relaxed),
             blobs_written: b.written,
             blob_bytes: b.bytes,
             dedup_hits: b.dedup,
-        })
+        }
+    }
+
+    /// Seal the bundle with a commit payload (run summary, digests). A
+    /// reader treats a bundle without a commit line as torn.
+    pub fn commit(self, payload: &str) -> io::Result<WriteStats> {
+        check_payload(payload)?;
+        let stats = self.stats();
+        let mut m = self.manifest.into_inner().unwrap();
+        writeln!(m.file, "{}", frame(&format!("c{US}{payload}")))?;
+        m.file.flush()?;
+        m.file.get_ref().sync_all()?;
+        let mut file = self.blobs.into_inner().unwrap().file;
+        file.flush()?;
+        file.get_ref().sync_all()?;
+        Ok(stats)
     }
 }
 

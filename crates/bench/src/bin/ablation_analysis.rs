@@ -17,14 +17,14 @@ fn main() {
 
     let mut table = TextTable::new("analysis-method ablation (detector sites found)");
     table.header(&["pipeline", "sites", "vs combined"]);
-    let combined = passive.count(|s| s.site.union_true());
+    let combined = passive.count(|_, site| site.union_true());
     let rows = [
-        ("static only", passive.count(|s| s.site.static_true)),
-        ("dynamic only", passive.count(|s| s.site.dynamic_true)),
+        ("static only", passive.count(|_, site| site.static_true)),
+        ("dynamic only", passive.count(|_, site| site.dynamic_true)),
         ("combined (the paper's choice)", combined),
-        ("dynamic w/o honey filter (incl. iterator FPs)", passive.count(|s| s.site.dynamic_identified)),
-        ("combined + interaction (HLISA-style)", interactive.count(|s| s.site.union_true())),
-        ("dynamic + interaction", interactive.count(|s| s.site.dynamic_true)),
+        ("dynamic w/o honey filter (incl. iterator FPs)", passive.count(|_, site| site.dynamic_identified)),
+        ("combined + interaction (HLISA-style)", interactive.count(|_, site| site.union_true())),
+        ("dynamic + interaction", interactive.count(|_, site| site.dynamic_true)),
     ];
     for (label, count) in rows {
         table.row(&[

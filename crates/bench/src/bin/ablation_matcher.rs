@@ -167,9 +167,9 @@ fn main() {
     }
     let front_counts = |r: &gullible::ScanReport| {
         (
-            r.count(|s| s.front.static_true),
-            r.count(|s| s.front.dynamic_true),
-            r.count(|s| s.front.union_true()),
+            r.count(|front, _| front.static_true),
+            r.count(|front, _| front.dynamic_true),
+            r.count(|front, _| front.union_true()),
         )
     };
     if front_counts(&naive_report) != front_counts(&auto_report) {

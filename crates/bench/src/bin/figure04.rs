@@ -20,9 +20,9 @@ fn main() {
             "#".repeat((counts[1] as usize * 40 / bucket.max(1) as usize).min(60))
         );
     }
-    let s = report.count(|x| x.front.static_true);
-    let d = report.count(|x| x.front.dynamic_true);
-    let u = report.count(|x| x.front.union_true());
+    let s = report.count(|front, _| front.static_true);
+    let d = report.count(|front, _| front.dynamic_true);
+    let u = report.count(|front, _| front.union_true());
     println!(
         "\nfront pages: static {} dynamic {} union {} (paper: 11,897 / 12,208 / 13,989 at 100K; \
          both methods find similar per-bucket volumes but do not fully overlap)",

@@ -7,11 +7,12 @@
 //! GULLIBLE_SITES=100000 cargo run --release -p bench --bin repro
 //! ```
 //!
-//! Set `GULLIBLE_CHECKPOINT=/path/to/file` to journal per-site scan results;
-//! an interrupted run resumes from the checkpoint and produces aggregates
-//! identical to an uninterrupted one. `GULLIBLE_FAULT_*` injects crawl
-//! faults (see `bench` crate docs); the coverage line under the scan tables
-//! reports the resulting completion rate.
+//! Set `GULLIBLE_BUNDLE=/path/to/dir` to stream the scan into a crawl
+//! bundle there: records are flushed and dropped as they complete (memory
+//! stays O(workers)), an interrupted run resumes from the bundle, and the
+//! tables come out identical to an uninterrupted run. `GULLIBLE_FAULT_*`
+//! injects crawl faults (see `bench` crate docs); the coverage line under
+//! the scan tables reports the resulting completion rate.
 
 #![deny(deprecated)]
 
@@ -28,11 +29,11 @@ fn main() {
     println!("--- running the Tranco scan (Sec. 4) ---");
     let scan = {
         let mut builder = Scan::new(bench::scan_config());
-        if let Some(path) = bench::env::checkpoint() {
-            builder = builder.checkpoint(&path);
+        if let Some(dir) = bench::env::bundle() {
+            builder = builder.stream_to(&dir);
         }
         builder.run().unwrap_or_else(|e| {
-            eprintln!("error: checkpoint file: {e}");
+            eprintln!("error: crawl bundle: {e}");
             std::process::exit(2);
         })
     };
@@ -66,10 +67,10 @@ fn main() {
     let (fp_incl, tp_incl) = scan.inclusion_totals();
     println!("  inclusions: first-party {} third-party {} (paper: 3,867 / 21,325)\n", thousands(fp_incl as u64), thousands(tp_incl as u64));
 
-    let front_u = scan.count(|s| s.front.union_true());
+    let front_u = scan.count(|front, _| front.union_true());
     println!("[Table 11/Fig 3] front pages: static {} dynamic {} union {} ({} of sites)",
-        thousands(scan.count(|s| s.front.static_true) as u64),
-        thousands(scan.count(|s| s.front.dynamic_true) as u64),
+        thousands(scan.count(|front, _| front.static_true) as u64),
+        thousands(scan.count(|front, _| front.dynamic_true) as u64),
         thousands(front_u as u64),
         pct(front_u as u64, scan.n_sites as u64));
     println!("  incl. subpages: union {} ({}); paper 13,989 (14.0%) -> 18,714 (18.7%)\n",

@@ -8,9 +8,9 @@ use gullible::Scan;
 fn main() {
     bench::banner("Table 11: webdriver probing on front pages vs prior work");
     let report = Scan::new(bench::scan_config()).run().expect("scan");
-    let front_static = report.count(|s| s.front.static_true);
-    let front_dynamic = report.count(|s| s.front.dynamic_true);
-    let front_union = report.count(|s| s.front.union_true());
+    let front_static = report.count(|front, _| front.static_true);
+    let front_dynamic = report.count(|front, _| front.dynamic_true);
+    let front_union = report.count(|front, _| front.union_true());
     let n = report.n_sites as u64;
     let mut table = TextTable::new("Table 11 — front-page webdriver detectors across studies");
     table.header(&["study", "when", "analysis", "corpus", "# sites", "%"]);

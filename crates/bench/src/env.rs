@@ -10,7 +10,6 @@
 //! | `GULLIBLE_SITES`          | u32   | 20,000         | population size (paper scale: 100,000) |
 //! | `GULLIBLE_SEED`           | u64   | 42             | population seed |
 //! | `GULLIBLE_WORKERS`        | usize | CPU count      | crawl worker threads |
-//! | `GULLIBLE_CHECKPOINT`     | path  | unset          | journal per-site scan results; resume on restart |
 //! | `GULLIBLE_TRACE`          | path  | unset          | stream the JSONL telemetry journal here |
 //! | `GULLIBLE_TRACE_WALL`     | bool  | 0              | add `wall_ms` to journal lines (breaks byte-identity) |
 //! | `GULLIBLE_STATS`          | bool  | 0              | print the `[stats]` crawl summary after each run |
@@ -25,7 +24,7 @@
 //! | `GULLIBLE_COMPILE_SHARDS` | usize | 16             | mutex stripes in the compile cache (set before first use) |
 //! | `GULLIBLE_ENGINE`         | enum  | `vm`           | MiniJS execution backend: `vm` (bytecode) or `tree` (reference oracle); the `--engine=tree\|vm` CLI flag wins |
 //! | `GULLIBLE_MATCHER`        | enum  | `automaton`    | static-pattern match engine: `automaton` (compiled multi-pattern) or `naive` (per-pattern oracle); the `--matcher=naive\|automaton` CLI flag wins |
-//! | `GULLIBLE_BUNDLE`         | path  | unset          | crawl-bundle directory for `archive_record`/`archive_replay` (positional arg wins) |
+//! | `GULLIBLE_BUNDLE`         | path  | unset          | crawl-bundle directory for `archive_record`/`archive_replay` (positional arg wins); `repro` streams its scan there and resumes it on restart |
 //! | `GULLIBLE_PROF`           | mode  | off            | phase profiler: `1` on, `collapsed` also prints a flamegraph-ready collapsed-stack dump |
 //! | `GULLIBLE_PROF_SLOW_US`   | u64   | 0              | slow-visit threshold in µs; visits at/above it dump a forensic record (`0` disables) |
 //! | `GULLIBLE_FORENSICS`      | path  | unset          | append flight-recorder forensic dumps (JSONL) here; arms the profiler |
@@ -80,11 +79,6 @@ pub fn workers() -> usize {
         "GULLIBLE_WORKERS",
         std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(4),
     ) as usize
-}
-
-/// `GULLIBLE_CHECKPOINT` — per-site result journal for resumable scans.
-pub fn checkpoint() -> Option<PathBuf> {
-    path_knob("GULLIBLE_CHECKPOINT")
 }
 
 /// `GULLIBLE_TRACE` — destination for the JSONL telemetry journal.
@@ -149,7 +143,8 @@ pub fn matcher() -> detect::MatcherKind {
     }
 }
 
-/// `GULLIBLE_BUNDLE` — crawl-bundle directory for the archive binaries.
+/// `GULLIBLE_BUNDLE` — crawl-bundle directory for the archive binaries
+/// and `repro`'s streamed scan.
 pub fn bundle() -> Option<PathBuf> {
     path_knob("GULLIBLE_BUNDLE")
 }

@@ -7,12 +7,14 @@
 //! configurations. Following Hantke et al.'s *Web Execution Bundles*,
 //! this module pins a crawl to disk:
 //!
-//! * **Record** — `Scan::new(cfg).record(dir)` runs a normal scan while a
-//!   [`Recorder`] hook archives, per site: every served script body
-//!   (deduplicated through the FNV-64 content store), the page structure
-//!   (URLs, CSP, dwell, static subresources), the typed
-//!   [`VisitOutcome`], the attempt count, and a [`StoreCapture`]
-//!   fingerprint of every instrument record the visit produced.
+//! * **Record** — `Scan::new(cfg).record(dir)` (or `.stream_to(dir)`)
+//!   runs a scan while a recorder hook archives, per site: every
+//!   served script body (deduplicated through the FNV-64 content store),
+//!   the page structure (URLs, CSP, dwell, static subresources), the
+//!   typed [`VisitOutcome`], the attempt count, and a [`StoreCapture`]
+//!   fingerprint of every instrument record the visit produced. Each
+//!   entry is acknowledged by a checkpoint line, so the same bundle is
+//!   the crawl's output, its checkpoint and a later replay's input.
 //! * **Replay** — `Scan::new(cfg).replay(dir)` re-runs the *entire*
 //!   pipeline (jsengine execution, instruments, detect static+dynamic
 //!   classification, supervisor fault weather) with `webgen` bypassed:
@@ -41,15 +43,15 @@ use openwpm::{
     CrashInjector, CrawlSummary, FailureReason, FaultPlan, KillPoint, PageScript, RetryPolicy,
     StoreCapture, VisitOutcome, VisitSpec,
 };
-use webgen::{Category, Population};
+use webgen::Category;
 
 use crate::scan::{
-    decode_site_record, encode_site_record, site_visit, ScanConfig, ScanReport, SiteScanRecord,
-    SiteVisit,
+    decode_site_record, encode_site_record, join_list, split_list, ScanConfig, SiteScanRecord,
+    SiteVisit, StreamStats,
 };
 
 // Separators. The bundle layer reserves `\n` and US (`\x1f`); the
-// checkpoint encoding inside site records uses RS/GS/FS (`\x1e`..`\x1c`).
+// site-record encoding uses RS/GS/FS (`\x1e`..`\x1c`).
 // The archive's own nesting levels take the low control characters, which
 // cannot occur in generated domains, URLs, script bodies or properties.
 const F: char = '\x01'; // between site-entry fields
@@ -150,7 +152,7 @@ impl CommitInfo {
 // thread; the supervisor invokes `on_complete` on that same thread, inside
 // the still-open visit scope, immediately after the final attempt. A
 // thread-local cell is therefore a race-free channel from the visit body
-// to the Recorder/Verifier hook without widening every signature in
+// to the recorder/verifier hook without widening every signature in
 // between.
 
 thread_local! {
@@ -186,14 +188,6 @@ pub(crate) fn fold_captures(pages: &[StoreCapture]) -> StoreCapture {
 }
 
 // --- encodings -------------------------------------------------------------
-
-fn join_list<T>(items: &[T], f: impl Fn(&T) -> String) -> String {
-    items.iter().map(f).collect::<Vec<String>>().join(&LIST.to_string())
-}
-
-fn split_list(s: &str) -> Vec<&str> {
-    if s.is_empty() { Vec::new() } else { s.split(LIST).collect() }
-}
 
 fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
@@ -329,8 +323,8 @@ fn decode_page(s: &str, reader: &BundleReader) -> Option<VisitSpec> {
     Some(spec)
 }
 
-/// The four result fields shared by the Recorder (what gets written) and
-/// the Verifier (what the replayed outcome is compared against):
+/// The four result fields shared by the recorder (what gets written) and
+/// the verifier (what the replayed outcome is compared against):
 /// `attempts F status F payload F capture`.
 fn result_fields(
     outcome: &VisitOutcome<SiteScanRecord>,
@@ -348,121 +342,25 @@ fn result_fields(
         }
         VisitOutcome::Interrupted => ("interrupted", String::new(), String::new()),
     };
-    result_fields_of(status, &payload, &cap, attempts)
+    format!("{attempts}{F}{status}{F}{payload}{F}{cap}")
 }
 
-fn result_fields_of(status: &str, payload: &str, cap: &str, attempts: u32) -> String {
-    format!("{attempts}{F}{status}{F}{payload}{F}{cap}")
+fn archive_stats(w: ::archive::WriteStats) -> ArchiveStats {
+    ArchiveStats {
+        sites: w.entries,
+        blobs_written: w.blobs_written,
+        blob_bytes: w.blob_bytes,
+        dedup_hits: w.dedup_hits,
+    }
 }
 
 // --- recording -------------------------------------------------------------
 
-/// Archives one scan into a bundle. Created by `Scan::record`; its hook
-/// runs on worker threads, so all state is behind locks. I/O errors are
-/// latched and surfaced at [`Recorder::finish`] (the `on_complete`
-/// channel has no error path).
-pub(crate) struct Recorder {
-    writer: BundleWriter,
-    pop: Population,
-    include_subpages: bool,
-    line_hashes: Mutex<Vec<Option<u64>>>,
-    err: Mutex<Option<io::Error>>,
-}
-
-impl Recorder {
-    pub(crate) fn create(dir: &Path, cfg: &ScanConfig) -> io::Result<Recorder> {
-        let writer = BundleWriter::create(dir, &encode_config(cfg))?;
-        Ok(Recorder {
-            writer,
-            pop: cfg.population(),
-            include_subpages: cfg.include_subpages,
-            line_hashes: Mutex::new(vec![None; cfg.n_sites as usize]),
-            err: Mutex::new(None),
-        })
-    }
-
-    /// Record one determined site (the `on_complete` hook).
-    pub(crate) fn record(
-        &self,
-        rank: usize,
-        outcome: &VisitOutcome<SiteScanRecord>,
-        attempts: u32,
-    ) {
-        let rf = result_fields(outcome, attempts, take_capture());
-        if let Err(e) = self.try_record(rank, &rf) {
-            self.err.lock().unwrap().get_or_insert(e);
-        }
-    }
-
-    fn try_record(&self, rank: usize, rf: &str) -> io::Result<()> {
-        // Re-materialise the pages the visit served: generation is
-        // deterministic in (population, rank) and bodies are memoised, so
-        // this is what the browser saw, at Arc-clone cost.
-        let visit = site_visit(&self.pop.plan(rank as u32), self.include_subpages);
-        let mut pages = Vec::with_capacity(visit.pages.len());
-        for spec in &visit.pages {
-            pages.push(encode_page(spec, &self.writer)?);
-        }
-        let payload = format!(
-            "{rank}{F}{}{F}{}{F}{}{F}{rf}{F}{}",
-            visit.domain,
-            join_list(&visit.categories, |c| c.name().to_string()),
-            visit.flaky as u8,
-            pages.join(&PAGE.to_string())
-        );
-        self.writer.append_entry(&payload)?;
-        self.line_hashes.lock().unwrap()[rank] = Some(obs::fnv1a(payload.as_bytes()));
-        Ok(())
-    }
-
-    /// Seal the bundle with the run summary and return archive stats.
-    pub(crate) fn finish(self, report: &ScanReport) -> io::Result<ArchiveStats> {
-        if let Some(e) = self.err.into_inner().unwrap() {
-            return Err(e);
-        }
-        let hashes = self.line_hashes.into_inner().unwrap();
-        let mut digest = String::new();
-        for (rank, h) in hashes.iter().enumerate() {
-            let h = h.ok_or_else(|| {
-                invalid(format!("bundle incomplete: site {rank} was never recorded"))
-            })?;
-            digest.push_str(&format!("{h:016x}"));
-        }
-        let info = CommitInfo {
-            completed: report.completion.completed,
-            failed: report.completion.failed,
-            interrupted: report.completion.interrupted,
-            table5: report.table5(),
-            records_digest: obs::fnv1a(digest.as_bytes()),
-            telemetry_digest: obs::registry().snapshot().digest(),
-            stats_enabled: obs::stats_enabled(),
-        };
-        let stats = self.writer.commit(&info.encode())?;
-        Ok(ArchiveStats {
-            sites: stats.entries,
-            blobs_written: stats.blobs_written,
-            blob_bytes: stats.blob_bytes,
-            dedup_hits: stats.dedup_hits,
-        })
-    }
-}
-
-// --- streaming -------------------------------------------------------------
-
-/// The determined outcome a stream flush persists: either a completed
-/// record (borrowed — it is dropped right after the flush) or a typed
-/// failure. Interruptions are never flushed; an interrupted rank simply
-/// has no checkpoint line and is re-visited on resume.
-pub(crate) enum StreamOutcome<'a> {
-    Ok(&'a SiteScanRecord),
-    Failed(&'a FailureReason),
-}
-
-/// The config identity a stream bundle carries. `visit_budget` is a
-/// run-level interruption knob — "stop after N sites this run" — not part
-/// of the experiment: a budgeted partial stream must be resumable (and
+/// The config identity a bundle carries. `visit_budget` is a run-level
+/// interruption knob — "stop after N sites this run" — not part of the
+/// experiment: a budgeted partial bundle must be resumable (and
 /// comparable) without it.
-fn stream_config(cfg: &ScanConfig) -> String {
+fn bundle_config(cfg: &ScanConfig) -> String {
     encode_config(&ScanConfig { visit_budget: None, ..*cfg })
 }
 
@@ -478,12 +376,12 @@ struct StreamState {
 /// instant the durable state is `trusted bundle prefix + (maybe) one torn
 /// tail`. Worker threads flush concurrently; the entry-append → line-write
 /// pair is serialised so high-water marks are monotone in checkpoint-file
-/// order. Locks recover from poisoning (`into_inner`) because an injected
-/// crash unwinds through them by design.
+/// order. Its hook runs on worker threads and has no error path, so I/O
+/// errors are latched and surfaced at [`StreamRecorder::finish`]. Locks
+/// recover from poisoning (`into_inner`) because an injected crash unwinds
+/// through them by design.
 pub(crate) struct StreamRecorder {
     writer: BundleWriter,
-    pop: Population,
-    include_subpages: bool,
     injector: Option<CrashInjector>,
     state: Mutex<StreamState>,
     err: Mutex<Option<io::Error>>,
@@ -496,13 +394,13 @@ impl StreamRecorder {
         ckpt: File,
         injector: Option<CrashInjector>,
     ) -> io::Result<StreamRecorder> {
-        let writer = BundleWriter::create(dir, &stream_config(cfg))?;
-        Ok(Self::with_writer(writer, cfg, ckpt, vec![None; cfg.n_sites as usize], injector))
+        let writer = BundleWriter::create(dir, &bundle_config(cfg))?;
+        Ok(Self::with_writer(writer, ckpt, vec![None; cfg.n_sites as usize], injector))
     }
 
     /// Reopen a partial bundle for appending, truncating everything past
     /// the checkpointed high-water mark, with the trusted entries' hashes
-    /// pre-seeded so the final commit digest covers replayed ranks too.
+    /// pre-seeded so the final commit digest covers adopted ranks too.
     pub(crate) fn resume(
         dir: &Path,
         cfg: &ScanConfig,
@@ -511,21 +409,18 @@ impl StreamRecorder {
         line_hashes: Vec<Option<u64>>,
         injector: Option<CrashInjector>,
     ) -> io::Result<StreamRecorder> {
-        let writer = BundleWriter::append_to(dir, &stream_config(cfg), truncate_to)?;
-        Ok(Self::with_writer(writer, cfg, ckpt, line_hashes, injector))
+        let writer = BundleWriter::append_to(dir, &bundle_config(cfg), truncate_to)?;
+        Ok(Self::with_writer(writer, ckpt, line_hashes, injector))
     }
 
     fn with_writer(
         writer: BundleWriter,
-        cfg: &ScanConfig,
         ckpt: File,
         line_hashes: Vec<Option<u64>>,
         injector: Option<CrashInjector>,
     ) -> StreamRecorder {
         StreamRecorder {
             writer,
-            pop: cfg.population(),
-            include_subpages: cfg.include_subpages,
             injector,
             state: Mutex::new(StreamState {
                 ckpt: BufWriter::new(ckpt),
@@ -536,9 +431,22 @@ impl StreamRecorder {
         }
     }
 
-    /// Durably persist one determined visit (the `on_complete` hook).
-    pub(crate) fn flush(&self, rank: u32, outcome: StreamOutcome<'_>, attempts: u32, delta: &str) {
-        if let Err(e) = self.try_flush(rank, outcome, attempts, delta) {
+    /// Durably persist one determined visit of the pages in `visit` (the
+    /// completion hook). Interruptions are never flushed: an interrupted
+    /// rank simply has no checkpoint line and is re-visited on resume.
+    pub(crate) fn flush(
+        &self,
+        rank: u32,
+        visit: &SiteVisit,
+        outcome: &VisitOutcome<SiteScanRecord>,
+        attempts: u32,
+        delta: &str,
+        capture: Option<StoreCapture>,
+    ) {
+        if let VisitOutcome::Interrupted = outcome {
+            return;
+        }
+        if let Err(e) = self.try_flush(rank, visit, outcome, attempts, delta, capture) {
             self.err
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
@@ -549,9 +457,11 @@ impl StreamRecorder {
     fn try_flush(
         &self,
         rank: u32,
-        outcome: StreamOutcome<'_>,
+        visit: &SiteVisit,
+        outcome: &VisitOutcome<SiteScanRecord>,
         attempts: u32,
         delta: &str,
+        capture: Option<StoreCapture>,
     ) -> io::Result<()> {
         let _flush_ph = obs::prof::enter(&obs::prof::ARCHIVE_FLUSH);
         if let Some(inj) = &self.injector {
@@ -562,18 +472,9 @@ impl StreamRecorder {
             }
         }
         let encode_ph = obs::prof::enter(&obs::prof::ARCHIVE_ENCODE);
-        let (status, payload, cap) = match outcome {
-            StreamOutcome::Ok(rec) => (
-                "ok",
-                encode_site_record(rec),
-                take_capture().unwrap_or_default().encode(),
-            ),
-            StreamOutcome::Failed(reason) => ("failed", reason.as_str().to_string(), String::new()),
-        };
-        let rf = result_fields_of(status, &payload, &cap, attempts);
-        // Page re-materialisation and blob writes happen outside the
-        // serialising lock — the blob store has its own dedup lock.
-        let visit = site_visit(&self.pop.plan(rank), self.include_subpages);
+        let rf = result_fields(outcome, attempts, capture);
+        // Page encoding and blob writes happen outside the serialising
+        // lock — the blob store has its own dedup lock.
         let mut pages = Vec::with_capacity(visit.pages.len());
         for spec in &visit.pages {
             pages.push(encode_page(spec, &self.writer)?);
@@ -588,8 +489,8 @@ impl StreamRecorder {
         let hash = obs::fnv1a(entry.as_bytes());
         drop(encode_ph);
         let (line_status, line_payload) = match outcome {
-            StreamOutcome::Ok(_) => ("flushed", format!("{hash:016x}")),
-            StreamOutcome::Failed(reason) => ("failed", reason.as_str().to_string()),
+            VisitOutcome::Failed { reason, .. } => ("failed", reason.as_str().to_string()),
+            _ => ("flushed", format!("{hash:016x}")),
         };
         // Death is always delivered while still holding the lock: the
         // unwind releases it, and every other worker's next `begin_flush`
@@ -623,26 +524,28 @@ impl StreamRecorder {
         Ok(())
     }
 
-    /// Seal the bundle if every rank was flushed or replayed; a
-    /// budget-interrupted stream stays uncommitted so a later resume can
-    /// complete it. Returns `(archive stats if committed, records flushed
-    /// this run)`.
+    /// Seal the bundle if every rank was flushed or adopted; a
+    /// budget-interrupted run leaves it uncommitted so a later resume can
+    /// complete it. Records this run's flush count and whether the bundle
+    /// was sealed in `stats`, and returns the writer's statistics.
     pub(crate) fn finish(
         self,
         completion: &CrawlSummary,
         table5: [(u32, u32); 3],
-    ) -> io::Result<(Option<ArchiveStats>, u64)> {
+        stats: &mut StreamStats,
+    ) -> io::Result<ArchiveStats> {
         if let Some(e) = self.err.into_inner().unwrap_or_else(|e| e.into_inner()) {
             return Err(e);
         }
         let st = self.state.into_inner().unwrap_or_else(|e| e.into_inner());
-        let flushed = st.flushed;
-        if st.line_hashes.iter().any(|h| h.is_none()) {
-            return Ok((None, flushed));
+        stats.records_flushed = st.flushed;
+        stats.committed = st.line_hashes.iter().all(Option::is_some);
+        if !stats.committed {
+            return Ok(archive_stats(self.writer.stats()));
         }
         let mut digest = String::new();
-        for h in &st.line_hashes {
-            digest.push_str(&format!("{:016x}", h.unwrap()));
+        for h in st.line_hashes.iter().flatten() {
+            digest.push_str(&format!("{h:016x}"));
         }
         let info = CommitInfo {
             completed: completion.completed,
@@ -653,16 +556,7 @@ impl StreamRecorder {
             telemetry_digest: obs::registry().snapshot().digest(),
             stats_enabled: obs::stats_enabled(),
         };
-        let stats = self.writer.commit(&info.encode())?;
-        Ok((
-            Some(ArchiveStats {
-                sites: stats.entries,
-                blobs_written: stats.blobs_written,
-                blob_bytes: stats.blob_bytes,
-                dedup_hits: stats.dedup_hits,
-            }),
-            flushed,
-        ))
+        Ok(archive_stats(self.writer.commit(&info.encode())?))
     }
 }
 
@@ -692,11 +586,11 @@ pub(crate) fn harvest_stream(dir: &Path, cfg: &ScanConfig, max_hwm: u64) -> io::
     let reader = BundleReader::open(dir)?;
     if reader.commit.is_some() {
         return Err(invalid(format!(
-            "{}: bundle is already committed — streaming resume refuses to append to a sealed bundle",
+            "{}: bundle is already committed — resume refuses to append to a sealed bundle",
             dir.display()
         )));
     }
-    if reader.config != stream_config(cfg) {
+    if reader.config != bundle_config(cfg) {
         return Err(invalid(format!(
             "{}: bundle was recorded under a different configuration — refusing to resume into it",
             dir.display()
@@ -911,8 +805,8 @@ impl ReplayBundle {
     }
 }
 
-/// Compares replayed outcomes against recorded ones (the `on_complete`
-/// hook of a replay run).
+/// Compares replayed outcomes against recorded ones (the completion hook
+/// of a replay run).
 pub(crate) struct Verifier {
     bundle: Arc<ReplayBundle>,
     sites: AtomicU64,
@@ -929,10 +823,11 @@ impl Verifier {
         rank: usize,
         outcome: &VisitOutcome<SiteScanRecord>,
         attempts: u32,
+        capture: Option<StoreCapture>,
     ) {
         self.sites.fetch_add(1, Ordering::Relaxed);
         obs::add("archive.replay.sites", 1);
-        let live = result_fields(outcome, attempts, take_capture());
+        let live = result_fields(outcome, attempts, capture);
         let recorded = self.bundle.site(rank as u32).result_fields();
         if live != recorded {
             self.divergences.fetch_add(1, Ordering::Relaxed);

@@ -48,8 +48,6 @@ pub use archive::{
     diff_bundles, ArchiveStats, BundleDiff, CommitInfo, ReplayBundle, ReplayStats, SiteDelta,
 };
 pub use compare::{run_compare, Client, CompareConfig, CompareReport};
-#[allow(deprecated)]
-pub use scan::{run_scan, run_scan_supervised, run_scan_with_checkpoint};
 pub use scan::{
     scan_site_visit, site_visit, Scan, ScanAggregates, ScanConfig, ScanReport, SiteScanRecord,
     SiteVisit, StreamStats, CHECKPOINT_FORMAT_VERSION, STREAM_CHECKPOINT_FILE,

@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, HashSet};
 use std::io::Write;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -17,15 +17,15 @@ use detect::DynamicClass;
 use netsim::url::etld1_of;
 use netsim::Url;
 use openwpm::{
-    run_supervised_fallible, run_supervised_folding, Browser, BrowserConfig, CrashInjector,
-    CrashPlan, CrawlHistoryRecord, CrawlSummary, FailureReason, FaultPlan, ItemMeta, RetryPolicy,
-    SiteResponse, SupervisorConfig, VisitOutcome, VisitSpec,
+    run_supervised, Browser, BrowserConfig, CrashInjector, CrashPlan, CrawlHistoryRecord,
+    CrawlSummary, FailureReason, FaultPlan, ItemMeta, RetryPolicy, SiteResponse,
+    SupervisorConfig, VisitOutcome, VisitSpec,
 };
 use webgen::{visit_spec, Category, PageKind, Population, SitePlan};
 
 use crate::archive::{
-    harvest_stream, ArchiveStats, Recorder, ReplayBundle, ReplayStats, StreamOutcome,
-    StreamRecorder, Verifier,
+    harvest_stream, take_capture, ArchiveStats, ReplayBundle, ReplayStats, StreamRecorder,
+    Verifier,
 };
 
 /// Scan configuration.
@@ -197,7 +197,7 @@ pub fn scan_site(
 /// Scan one materialised [`SiteVisit`] (live or replayed). With `capture`
 /// set, a folded [`openwpm::StoreCapture`] fingerprint of every record the
 /// visit produced is parked in the worker's capture slot for the
-/// archive Recorder/Verifier hook to collect.
+/// bundle recorder and replay verifier to collect.
 pub fn scan_site_visit(
     browser: &mut Browser,
     visit: &SiteVisit,
@@ -261,7 +261,7 @@ fn classify_page(
     // process.
     let mut static_by_url: BTreeMap<&str, detect::StaticFinding> = BTreeMap::new();
     for script in &store.saved_scripts {
-        let body_hash = fnv1a(script.body.as_bytes());
+        let body_hash = obs::fnv1a(script.body.as_bytes());
         record.script_hashes.push(body_hash);
         let verdict = detect::classify_memo(&script.body, body_hash);
         let finding = verdict.finding;
@@ -308,16 +308,6 @@ fn classify_page(
     flags
 }
 
-/// FNV-1a over bytes — the script-identity hash of the corpus statistics.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h
-}
-
 fn attribute_script(script_url: &str, site_etld1: &str, record: &mut SiteScanRecord) {
     let Some(u) = Url::parse(script_url) else { return };
     let host_etld1 = u.etld1();
@@ -352,37 +342,43 @@ pub fn first_party_origin_of(url: &str) -> &'static str {
 }
 
 /// Whole-scan report.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct ScanReport {
     pub n_sites: u32,
-    /// Records of sites whose visits completed. Failed or interrupted
-    /// sites contribute no record — they are accounted in `completion`
-    /// and `history` instead, and every printed table must carry the
-    /// coverage denominator (the paper's completeness lesson).
+    /// Records of sites whose visits completed, in rank order. Every scan
+    /// keeps them except [`Scan::stream_to`], which drops each record once
+    /// it is flushed. Failed or interrupted sites contribute no record —
+    /// they are accounted in `completion` and `history` instead, and every
+    /// printed table must carry the coverage denominator (the paper's
+    /// completeness lesson).
     pub sites: Vec<SiteScanRecord>,
     /// Crawl completeness rollup.
     pub completion: CrawlSummary,
     /// Per-site `crawl_history` rows (ok / failed / interrupted).
     pub history: Vec<CrawlHistoryRecord>,
-    /// Bundle statistics when the scan was recorded (`Scan::record`).
+    /// Bundle statistics of this run's writes when the scan had a bundle
+    /// sink ([`Scan::record`] or [`Scan::stream_to`]).
     pub archive: Option<ArchiveStats>,
     /// Verification statistics when the scan was replayed (`Scan::replay`).
     pub replay: Option<ReplayStats>,
-    /// Pre-folded table state when the scan was streamed
-    /// ([`Scan::stream_to`]): records are flushed to disk and dropped as
-    /// they complete, so `sites` stays empty and every table method reads
-    /// from here instead.
+    /// Table state, folded from every completed record as it completed;
+    /// every table method reads from here. Always `Some` in a report
+    /// returned by [`Scan::run`].
     pub aggregates: Option<ScanAggregates>,
-    /// Crash-recovery and memory statistics for a streamed scan.
+    /// Crash-recovery and memory statistics when the scan had a bundle
+    /// sink.
     pub stream: Option<StreamStats>,
 }
 
 impl ScanReport {
-    /// Count completed sites matching `f`. In streaming mode per-record
-    /// state is gone by the time the report exists — use the
-    /// pre-aggregated tables instead.
-    pub fn count(&self, f: impl Fn(&SiteScanRecord) -> bool) -> u32 {
-        self.sites.iter().filter(|s| f(s)).count() as u32
+    fn agg(&self) -> &ScanAggregates {
+        self.aggregates.as_ref().expect("Scan::run folds every report's aggregates")
+    }
+
+    /// Count completed sites whose `(front page, whole site)` detection
+    /// flags satisfy `f`.
+    pub fn count(&self, f: impl Fn(&PageFlags, &PageFlags) -> bool) -> u32 {
+        self.agg().count(f)
     }
 
     /// The coverage statement printed under every table.
@@ -393,77 +389,25 @@ impl ScanReport {
     /// Table 5 rows: (static, dynamic, union) × (identified, true), over
     /// front + subpages.
     pub fn table5(&self) -> [(u32, u32); 3] {
-        if let Some(agg) = &self.aggregates {
-            return agg.table5();
-        }
-        [
-            (
-                self.count(|s| s.site.static_identified),
-                self.count(|s| s.site.static_true),
-            ),
-            (
-                self.count(|s| s.site.dynamic_identified),
-                self.count(|s| s.site.dynamic_true),
-            ),
-            (
-                self.count(|s| s.site.union_identified()),
-                self.count(|s| s.site.union_true()),
-            ),
-        ]
+        self.agg().table5()
     }
 
     /// Table 6: OpenWPM-specific probes per provider domain × property.
     pub fn table6(&self) -> BTreeMap<String, BTreeMap<String, u32>> {
-        if let Some(agg) = &self.aggregates {
-            return agg.table6.clone();
-        }
-        let mut out: BTreeMap<String, BTreeMap<String, u32>> = BTreeMap::new();
-        for site in &self.sites {
-            let mut per_site: Vec<&(String, String)> = site.openwpm_probes.iter().collect();
-            per_site.sort();
-            per_site.dedup();
-            for (provider, prop) in per_site {
-                *out.entry(provider.clone()).or_default().entry(prop.clone()).or_insert(0) += 1;
-            }
-        }
-        out
+        self.agg().table6.clone()
     }
 
     /// Table 7: third-party hosting domains by inclusion count (1/site).
     pub fn table7(&self) -> Vec<(String, u32)> {
-        let tally: BTreeMap<String, u32> = match &self.aggregates {
-            Some(agg) => agg.table7.clone(),
-            None => {
-                let mut tally: BTreeMap<String, u32> = BTreeMap::new();
-                for site in &self.sites {
-                    for d in &site.third_party_domains {
-                        *tally.entry(d.clone()).or_insert(0) += 1;
-                    }
-                }
-                tally
-            }
-        };
-        let mut v: Vec<(String, u32)> = tally.into_iter().collect();
+        let mut v: Vec<(String, u32)> =
+            self.agg().table7.iter().map(|(d, n)| (d.clone(), *n)).collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v
     }
 
     /// Table 12: first-party origin clusters.
     pub fn table12(&self) -> BTreeMap<&'static str, u32> {
-        if let Some(agg) = &self.aggregates {
-            return agg.table12.clone();
-        }
-        let mut out: BTreeMap<&'static str, u32> = BTreeMap::new();
-        for site in &self.sites {
-            let mut origins: Vec<&'static str> =
-                site.first_party_urls.iter().map(|u| first_party_origin_of(u)).collect();
-            origins.sort();
-            origins.dedup();
-            for o in origins {
-                *out.entry(o).or_insert(0) += 1;
-            }
-        }
-        out
+        self.agg().table12.clone()
     }
 
     /// Fig. 3/4 series: per-1K-rank-bucket counts of
@@ -471,24 +415,14 @@ impl ScanReport {
     pub fn rank_buckets(&self, bucket: u32) -> Vec<[u32; 4]> {
         let nb = self.n_sites.div_ceil(bucket);
         let mut out = vec![[0u32; 4]; nb as usize];
-        let flags: Box<dyn Iterator<Item = (u32, PageFlags, PageFlags)> + '_> =
-            match &self.aggregates {
-                Some(agg) => Box::new(agg.flags.iter().copied()),
-                None => Box::new(self.sites.iter().map(|s| (s.rank, s.front, s.site))),
-            };
-        for (rank, front, site) in flags {
-            let b = (rank / bucket) as usize;
-            if front.static_true {
-                out[b][0] += 1;
-            }
-            if front.dynamic_true {
-                out[b][1] += 1;
-            }
-            if site.static_true {
-                out[b][2] += 1;
-            }
-            if site.dynamic_true {
-                out[b][3] += 1;
+        for (rank, front, site) in &self.agg().flags {
+            let b = &mut out[(rank / bucket) as usize];
+            for (i, hit) in
+                [front.static_true, front.dynamic_true, site.static_true, site.dynamic_true]
+                    .into_iter()
+                    .enumerate()
+            {
+                b[i] += hit as u32;
             }
         }
         out
@@ -497,60 +431,32 @@ impl ScanReport {
     /// Fig. 5: category tallies for first-party vs third-party detector
     /// sites.
     pub fn category_tallies(&self) -> (BTreeMap<&'static str, u32>, BTreeMap<&'static str, u32>) {
-        if let Some(agg) = &self.aggregates {
-            return (agg.cat_first.clone(), agg.cat_third.clone());
-        }
-        let mut first: BTreeMap<&'static str, u32> = BTreeMap::new();
-        let mut third: BTreeMap<&'static str, u32> = BTreeMap::new();
-        for s in &self.sites {
-            if !s.site.union_true() {
-                continue;
-            }
-            let target = if s.first_party_urls.is_empty() { &mut third } else { &mut first };
-            for c in &s.categories {
-                *target.entry(c.name()).or_insert(0) += 1;
-            }
-        }
-        (first, third)
+        let agg = self.agg();
+        (agg.cat_first.clone(), agg.cat_third.clone())
     }
 
     /// Corpus statistics: `(scripts collected, unique bodies)` — the paper
     /// collected 1,535,306 unique scripts over its crawl.
     pub fn script_stats(&self) -> (u64, u64) {
-        if let Some(agg) = &self.aggregates {
-            return (agg.scripts_total, agg.script_hashes.len() as u64);
-        }
-        let mut total = 0u64;
-        let mut seen = std::collections::HashSet::new();
-        for site in &self.sites {
-            total += site.script_hashes.len() as u64;
-            seen.extend(site.script_hashes.iter().copied());
-        }
-        (total, seen.len() as u64)
+        let agg = self.agg();
+        (agg.scripts_total, agg.script_hashes.len() as u64)
     }
 
     /// Total first-party vs third-party detector inclusions (Sec. 4.3).
     pub fn inclusion_totals(&self) -> (u32, u32) {
-        if let Some(agg) = &self.aggregates {
-            return (agg.first_party_inclusions, agg.third_party_inclusions);
-        }
-        let first = self.sites.iter().map(|s| s.first_party_urls.len() as u32).sum();
-        let third = self.sites.iter().map(|s| s.third_party_domains.len() as u32).sum();
-        (first, third)
+        let agg = self.agg();
+        (agg.first_party_inclusions, agg.third_party_inclusions)
     }
 }
 
-/// Streaming-mode table state, folded one record at a time so completed
-/// [`SiteScanRecord`]s can be dropped the moment they are flushed to
-/// disk. `add` mirrors the per-site logic of the [`ScanReport`] table
-/// methods exactly (including per-site dedup), so a streamed scan and a
-/// classic scan of the same config produce identical tables.
+/// Table state, folded one completed record at a time so a scan can drop
+/// each [`SiteScanRecord`] the moment it is flushed to disk. `add` applies
+/// the per-site dedup of every table, so the tables do not depend on
+/// whether the records themselves were kept.
 #[derive(Clone, Debug, Default)]
 pub struct ScanAggregates {
-    /// Completed-site count (the Table-5 denominator).
-    pub completed: u32,
-    /// `(rank, front, site)` flags per completed site — 17 bytes/site,
-    /// the only per-site residue streaming keeps (for `rank_buckets`).
+    /// `(rank, front, site)` flags per completed site — 12 bytes/site,
+    /// the only per-site residue (for `count` and `rank_buckets`).
     flags: Vec<(u32, PageFlags, PageFlags)>,
     table6: BTreeMap<String, BTreeMap<String, u32>>,
     table7: BTreeMap<String, u32>,
@@ -561,33 +467,12 @@ pub struct ScanAggregates {
     script_hashes: HashSet<u64>,
     first_party_inclusions: u32,
     third_party_inclusions: u32,
-    table5_identified: [u32; 3],
-    table5_true: [u32; 3],
 }
 
 impl ScanAggregates {
     /// Fold one completed site into every table.
     pub fn add(&mut self, s: &SiteScanRecord) {
-        self.completed += 1;
         self.flags.push((s.rank, s.front, s.site));
-        if s.site.static_identified {
-            self.table5_identified[0] += 1;
-        }
-        if s.site.static_true {
-            self.table5_true[0] += 1;
-        }
-        if s.site.dynamic_identified {
-            self.table5_identified[1] += 1;
-        }
-        if s.site.dynamic_true {
-            self.table5_true[1] += 1;
-        }
-        if s.site.union_identified() {
-            self.table5_identified[2] += 1;
-        }
-        if s.site.union_true() {
-            self.table5_true[2] += 1;
-        }
         let mut per_site: Vec<&(String, String)> = s.openwpm_probes.iter().collect();
         per_site.sort();
         per_site.dedup();
@@ -622,16 +507,29 @@ impl ScanAggregates {
         self.third_party_inclusions += s.third_party_domains.len() as u32;
     }
 
+    fn count(&self, f: impl Fn(&PageFlags, &PageFlags) -> bool) -> u32 {
+        self.flags.iter().filter(|(_, front, site)| f(front, site)).count() as u32
+    }
+
     pub fn table5(&self) -> [(u32, u32); 3] {
         [
-            (self.table5_identified[0], self.table5_true[0]),
-            (self.table5_identified[1], self.table5_true[1]),
-            (self.table5_identified[2], self.table5_true[2]),
+            (
+                self.count(|_, s| s.static_identified),
+                self.count(|_, s| s.static_true),
+            ),
+            (
+                self.count(|_, s| s.dynamic_identified),
+                self.count(|_, s| s.dynamic_true),
+            ),
+            (
+                self.count(|_, s| s.union_identified()),
+                self.count(|_, s| s.union_true()),
+            ),
         ]
     }
 }
 
-/// Recovery and memory statistics for a streamed scan.
+/// Recovery and memory statistics for a scan with a bundle sink.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StreamStats {
     /// A prior checkpoint was found and at least one line survived.
@@ -656,49 +554,50 @@ pub struct StreamStats {
     pub committed: bool,
 }
 
-/// One configured scan session — the single entrypoint for plain,
-/// supervised and checkpointed scans:
+/// One configured scan session — the single entry point for every scan.
+/// A scan reads its sites from a *source* (the generator, or a recorded
+/// bundle after [`Scan::replay`]) and may write them to a bundle *sink*
+/// ([`Scan::record`] or [`Scan::stream_to`]):
 ///
 /// ```ignore
-/// // Plain scan:
+/// // In memory:
 /// let report = Scan::new(cfg).run()?;
-/// // Resumable scan with a completion callback:
+/// // Streamed to a crash-consistent bundle, resumable by running again:
 /// let report = Scan::new(cfg)
-///     .checkpoint("scan.ckpt")
+///     .stream_to("bundle")
 ///     .on_complete(|rank, outcome, attempts| { /* progress */ })
 ///     .run()?;
+/// // Re-measured from the bundle:
+/// let report = Scan::new(cfg).replay("bundle").run()?;
 /// ```
 ///
-/// `run` only returns `Err` for checkpoint I/O failures; a scan without
-/// [`Scan::checkpoint`] cannot fail.
+/// `run` only returns `Err` for bundle I/O failures, a damaged bundle or
+/// checkpoint, or crash injection without a bundle sink; a scan without a
+/// source or sink directory cannot fail.
 pub struct Scan<'a> {
     cfg: ScanConfig,
-    checkpoint: Option<std::path::PathBuf>,
-    record_dir: Option<std::path::PathBuf>,
-    replay_dir: Option<std::path::PathBuf>,
-    stream_dir: Option<std::path::PathBuf>,
+    replay_dir: Option<PathBuf>,
+    sink: Option<BundleSink>,
     crash: Option<CrashPlan>,
     engine: Option<jsengine::Engine>,
-    prior: Vec<Option<VisitOutcome<SiteScanRecord>>>,
-    prior_attempts: Vec<u32>,
     #[allow(clippy::type_complexity)]
     on_complete: Option<Box<dyn Fn(usize, &VisitOutcome<SiteScanRecord>, u32) + Sync + 'a>>,
 }
 
+/// The bundle a scan writes, and whether its report also keeps every
+/// record in memory.
+struct BundleSink {
+    dir: PathBuf,
+    keep_records: bool,
+}
+
+/// What the outcome vector keeps of a completed site: the record when the
+/// report keeps records, nothing when the sink dropped it.
+type Kept = Option<Box<SiteScanRecord>>;
+
 impl<'a> Scan<'a> {
     pub fn new(cfg: ScanConfig) -> Scan<'a> {
-        Scan {
-            cfg,
-            checkpoint: None,
-            record_dir: None,
-            replay_dir: None,
-            stream_dir: None,
-            crash: None,
-            engine: None,
-            prior: Vec::new(),
-            prior_attempts: Vec::new(),
-            on_complete: None,
-        }
+        Scan { cfg, replay_dir: None, sink: None, crash: None, engine: None, on_complete: None }
     }
 
     /// Select the MiniJS execution backend for this scan's realms
@@ -711,80 +610,55 @@ impl<'a> Scan<'a> {
         self
     }
 
-    /// Record the scan into a crawl bundle at `dir`: every served script
-    /// body (content-deduplicated), page structure, typed outcome and
-    /// record fingerprint is archived, and the bundle is sealed with the
-    /// run's Table 5 and telemetry digest. Incompatible with
-    /// [`Scan::checkpoint`]/[`Scan::resume_from`] (replayed priors skip
-    /// the completion hook, which would leave holes in the bundle).
-    pub fn record(mut self, dir: impl Into<std::path::PathBuf>) -> Scan<'a> {
-        self.record_dir = Some(dir.into());
-        self
-    }
-
-    /// Re-run the whole measurement pipeline from the bundle at `dir`
-    /// instead of generating sites: the recorded scan configuration is
-    /// adopted (only `workers` is kept from this scan's config), pages are
-    /// served from the archive, and every re-derived outcome is verified
-    /// against the recorded one ([`ScanReport::replay`]). Incompatible
-    /// with checkpoint/record/resume_from.
-    pub fn replay(mut self, dir: impl Into<std::path::PathBuf>) -> Scan<'a> {
+    /// Read sites from the committed bundle at `dir` instead of generating
+    /// them: the recorded scan configuration is adopted (only `workers` is
+    /// kept from this scan's config), pages are served from the archive,
+    /// and every re-derived outcome is verified against the recorded one
+    /// ([`ScanReport::replay`]). Combines with a sink: `.replay(a).record(b)`
+    /// re-records `a` into `b`.
+    pub fn replay(mut self, dir: impl Into<PathBuf>) -> Scan<'a> {
         self.replay_dir = Some(dir.into());
         self
     }
 
-    /// Checkpoint to `path`: previously-determined sites are loaded and
-    /// replayed, every newly-determined site is appended as soon as it
-    /// completes. Interrupt the process (or set `cfg.visit_budget`) and
-    /// run again with the same path to resume; the final aggregates are
-    /// identical to an uninterrupted run. Overrides [`Scan::resume_from`].
-    pub fn checkpoint(mut self, path: impl Into<std::path::PathBuf>) -> Scan<'a> {
-        self.checkpoint = Some(path.into());
+    /// Write the scan into the crawl bundle at `dir` exactly like
+    /// [`Scan::stream_to`], and also keep every record in
+    /// [`ScanReport::sites`].
+    pub fn record(mut self, dir: impl Into<PathBuf>) -> Scan<'a> {
+        self.sink = Some(BundleSink { dir: dir.into(), keep_records: true });
         self
     }
 
-    /// Crash-consistent streaming mode: archive the scan into the bundle
-    /// at `dir`, flushing every completed record to disk the moment it is
-    /// determined and then *dropping it* — peak record memory is bounded
-    /// by the worker count, not the site count. The bundle doubles as the
-    /// checkpoint: each flushed record is acknowledged by one line in
-    /// `<dir>/scan.ckpt` carrying the bundle's high-water mark, so a
-    /// killed crawl resumes by trusting exactly the acknowledged prefix,
-    /// discarding any torn tail, and re-visiting only in-flight sites.
-    /// The resumed run's per-site records, tables and telemetry digest
-    /// are byte-identical to an uninterrupted run. Incompatible with
-    /// checkpoint/record/replay/resume_from — streaming manages its own
-    /// checkpoint inside `dir`.
-    pub fn stream_to(mut self, dir: impl Into<std::path::PathBuf>) -> Scan<'a> {
-        self.stream_dir = Some(dir.into());
+    /// Write the scan into the crawl bundle at `dir`: every served script
+    /// body (content-deduplicated), page structure, typed outcome and
+    /// record fingerprint is archived, flushing each completed record the
+    /// moment it is determined and then *dropping it* — peak record memory
+    /// is bounded by the worker count, not the site count. The bundle
+    /// doubles as the checkpoint: each flushed record is acknowledged by
+    /// one line in `<dir>/scan.ckpt` carrying the bundle's high-water
+    /// mark. Whenever `dir` already holds a checkpoint, the run resumes:
+    /// it trusts exactly the acknowledged prefix, discards any torn tail,
+    /// and re-visits only in-flight sites. The resumed run's per-site
+    /// records, tables and telemetry digest are byte-identical to an
+    /// uninterrupted run. Once every site is determined the bundle is
+    /// sealed with the run's Table 5 and telemetry digest; a sealed bundle
+    /// refuses further writes.
+    pub fn stream_to(mut self, dir: impl Into<PathBuf>) -> Scan<'a> {
+        self.sink = Some(BundleSink { dir: dir.into(), keep_records: false });
         self
     }
 
     /// Chaos testing: kill this process (by unwinding with a recognisable
     /// panic — see [`openwpm::catch_crash`]) at the planned kill point
-    /// during streaming flushes. Only meaningful with [`Scan::stream_to`];
-    /// `run` rejects the combination otherwise.
+    /// during bundle flushes. Only meaningful with a bundle sink; `run`
+    /// rejects it otherwise.
     pub fn inject_crash(mut self, plan: CrashPlan) -> Scan<'a> {
         self.crash = Some(plan);
         self
     }
 
-    /// Resume from in-memory state: `prior[rank] = Some(outcome)` replays
-    /// a previously-determined outcome without re-visiting, and
-    /// `prior_attempts[rank]` carries its original attempt count (used by
-    /// the aggregated crawl history).
-    pub fn resume_from(
-        mut self,
-        prior: Vec<Option<VisitOutcome<SiteScanRecord>>>,
-        prior_attempts: Vec<u32>,
-    ) -> Scan<'a> {
-        self.prior = prior;
-        self.prior_attempts = prior_attempts;
-        self
-    }
-
     /// Completion callback: fires once per newly-determined site (not for
-    /// replayed priors), from worker threads.
+    /// sites a resumed run adopts from its bundle), from worker threads.
     pub fn on_complete(
         mut self,
         f: impl Fn(usize, &VisitOutcome<SiteScanRecord>, u32) + Sync + 'a,
@@ -793,374 +667,169 @@ impl<'a> Scan<'a> {
         self
     }
 
-    /// Execute the session. `Err` only for checkpoint/bundle I/O failures
-    /// or an invalid mode combination.
+    /// Execute the session. `Err` only for bundle/checkpoint I/O failures,
+    /// damaged bundles or checkpoints, or crash injection without a sink.
     pub fn run(self) -> std::io::Result<ScanReport> {
         if let Some(engine) = self.engine {
             // Workers build realms via `Interp::new`/`clone_realm`, which
-            // read the process default — one write here covers every mode.
+            // read the process default.
             jsengine::set_default_engine(engine);
         }
-        if self.stream_dir.is_some() {
-            return self.run_stream();
-        }
-        if self.crash.is_some() {
+        if self.crash.is_some() && self.sink.is_none() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
-                "Scan::inject_crash requires Scan::stream_to (kill points live in the \
-                 streaming flush path)",
+                "Scan::inject_crash requires a bundle sink (Scan::record or Scan::stream_to): \
+                 kill points live in the bundle flush path",
             ));
         }
-        if self.replay_dir.is_some() {
-            return self.run_replay();
-        }
-        if self.record_dir.is_some() {
-            return self.run_record();
-        }
-        let cfg = self.cfg;
-        let source = ScanSource::live(&cfg);
-        let user = self.on_complete;
-        let Some(path) = self.checkpoint else {
-            let report = match &user {
-                Some(f) => {
-                    run_scan_inner(cfg, &source, self.prior, &self.prior_attempts, f, false)
-                }
-                None => run_scan_inner(
-                    cfg,
-                    &source,
-                    self.prior,
-                    &self.prior_attempts,
-                    &|_, _, _| {},
-                    false,
-                ),
-            };
-            return Ok(report);
-        };
-        let (prior, prior_attempts, dropped) = match std::fs::read_to_string(&path) {
-            Ok(contents) => load_checkpoint(checkpoint_body(&contents, &path)?, cfg.n_sites),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                ((0..cfg.n_sites).map(|_| None).collect(), vec![0u32; cfg.n_sites as usize], 0)
+        let (cfg, source, verifier) = match &self.replay_dir {
+            Some(dir) => {
+                let bundle = Arc::new(ReplayBundle::open(dir)?);
+                // The recorded experiment defines the configuration; only
+                // the degree of parallelism stays the caller's (results
+                // are worker-count independent).
+                let cfg = bundle.scan_config(self.cfg.workers);
+                (cfg, ScanSource::Replay(Arc::clone(&bundle)), Some(Verifier::new(bundle)))
             }
-            Err(e) => return Err(e),
+            None => (self.cfg, ScanSource::live(&self.cfg), None),
         };
-        let replayed = prior.iter().filter(|p| p.is_some()).count();
-        obs::emit(
-            obs::Event::new(0, "checkpoint_load")
-                .attr("replayed", replayed)
-                .attr("dropped", dropped),
-        );
-        let needs_header = match std::fs::metadata(&path) {
-            Ok(m) => m.len() == 0,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => true,
-            Err(e) => return Err(e),
-        };
-        if needs_header {
-            // Fresh file: stamp the format version so a future (or past)
-            // build can refuse it loudly instead of mis-parsing. Written
-            // to a temp file and renamed into place — a kill mid-header
-            // can truncate an ordinary write, and a torn header would
-            // hard-error every later resume.
-            write_checkpoint_header_atomic(&path)?;
-        }
-        let file = std::fs::OpenOptions::new().append(true).open(&path)?;
-        let writer = Mutex::new(std::io::BufWriter::new(file));
-        let mut report =
-            run_scan_inner(cfg, &source, prior, &prior_attempts, &|rank, outcome, attempts| {
-                if let Some(line) = checkpoint_line(rank as u32, outcome, attempts) {
-                    let mut w = writer.lock().unwrap();
-                    // Write-and-flush per site keeps the checkpoint durable
-                    // at the cost of one syscall per site — negligible next
-                    // to a visit, and a kill loses at most the in-flight
-                    // line.
-                    let _ = writeln!(w, "{line}");
-                    let _ = w.flush();
-                    drop(w);
-                    obs::add("checkpoint.writes", 1);
-                    // Emitted inside the visit scope the supervisor holds
-                    // open during `on_complete`, so it lands in this site's
-                    // trace.
-                    obs::emit(obs::Event::new(0, "checkpoint_write").attr("rank", rank));
-                }
-                if let Some(f) = &user {
-                    f(rank, outcome, attempts);
-                }
-            }, false);
-        report.completion.checkpoint_lines_dropped = dropped;
-        Ok(report)
-    }
+        let keep = self.sink.as_ref().is_none_or(|s| s.keep_records);
 
-    fn run_record(self) -> std::io::Result<ScanReport> {
-        if self.checkpoint.is_some() || !self.prior.is_empty() {
-            // Replayed priors skip `on_complete`, which would leave holes
-            // in the bundle — a recording run must determine every site.
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "Scan::record cannot be combined with checkpoint/resume_from",
-            ));
-        }
-        let cfg = self.cfg;
-        let dir = self.record_dir.expect("run_record requires record_dir");
-        let recorder = Recorder::create(&dir, &cfg)?;
-        let user = self.on_complete;
-        let source = ScanSource::live(&cfg);
-        let prior = (0..cfg.n_sites).map(|_| None).collect();
-        let mut report = run_scan_inner(
-            cfg,
-            &source,
-            prior,
-            &[],
-            &|rank, outcome, attempts| {
-                recorder.record(rank, outcome, attempts);
-                if let Some(f) = &user {
-                    f(rank, outcome, attempts);
-                }
-            },
-            true,
-        );
-        report.archive = Some(recorder.finish(&report)?);
-        Ok(report)
-    }
-
-    fn run_replay(self) -> std::io::Result<ScanReport> {
-        if self.checkpoint.is_some() || self.record_dir.is_some() || !self.prior.is_empty() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "Scan::replay cannot be combined with checkpoint/record/resume_from",
-            ));
-        }
-        let dir = self.replay_dir.expect("run_replay requires replay_dir");
-        let bundle = Arc::new(ReplayBundle::open(&dir)?);
-        // The recorded experiment defines the configuration; only the
-        // degree of parallelism stays the caller's (results are
-        // worker-count independent).
-        let cfg = bundle.scan_config(self.cfg.workers);
-        let verifier = Verifier::new(Arc::clone(&bundle));
-        let user = self.on_complete;
-        let source = ScanSource::Replay(bundle);
-        let prior = (0..cfg.n_sites).map(|_| None).collect();
-        let mut report = run_scan_inner(
-            cfg,
-            &source,
-            prior,
-            &[],
-            &|rank, outcome, attempts| {
-                verifier.check(rank, outcome, attempts);
-                if let Some(f) = &user {
-                    f(rank, outcome, attempts);
-                }
-            },
-            true,
-        );
-        report.replay = Some(verifier.stats());
-        Ok(report)
-    }
-
-    fn run_stream(self) -> std::io::Result<ScanReport> {
-        if self.checkpoint.is_some()
-            || self.record_dir.is_some()
-            || self.replay_dir.is_some()
-            || !self.prior.is_empty()
-        {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "Scan::stream_to cannot be combined with checkpoint/record/replay/resume_from \
-                 (streaming manages its own checkpoint at <dir>/scan.ckpt)",
-            ));
-        }
-        let cfg = self.cfg;
-        let n = cfg.n_sites as usize;
-        let dir = self.stream_dir.expect("run_stream requires stream_dir");
-        std::fs::create_dir_all(&dir)?;
-        let ckpt_path = dir.join(STREAM_CHECKPOINT_FILE);
-
-        // Per-visit registry deltas are captured for the checkpoint lines
-        // so a resume can restore exactly the metrics the replayed visits
-        // emitted. The guard turns capture back off even when an injected
-        // crash unwinds through the scan.
-        obs::set_scope_metrics(true);
-        let _scope_guard = ScopeMetricsGuard;
-
-        let ckpt_contents = match std::fs::read_to_string(&ckpt_path) {
-            Ok(c) => Some(c),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(e) => return Err(e),
-        };
-        let (lines, ckpt_dropped) = match &ckpt_contents {
-            Some(c) => {
-                let body = checkpoint_body(c, &ckpt_path)?;
-                load_stream_checkpoint(body, cfg.n_sites)
+        // With a sink, per-visit registry deltas are captured for the
+        // checkpoint lines so a resume can restore exactly the metrics the
+        // adopted visits emitted. The guard turns capture back off even
+        // when an injected crash unwinds through the scan.
+        let _scope_guard = self.sink.as_ref().map(|_| ScopeMetricsGuard::arm());
+        let (recorder, prior, prior_attempts, agg, stream) = match &self.sink {
+            Some(sink) => {
+                let s = open_sink(&sink.dir, &cfg, keep, self.crash.map(CrashInjector::new))?;
+                (Some(s.recorder), s.prior, s.prior_attempts, s.agg, Some(s.stats))
             }
-            None => (Vec::new(), 0),
+            None => (None, Vec::new(), Vec::new(), ScanAggregates::default(), None),
         };
-        let resumed = !lines.is_empty();
-        if ckpt_dropped > 0 {
-            obs::add("crash.lines_dropped", ckpt_dropped as u64);
-        }
-
-        let mut prior: Vec<Option<VisitOutcome<()>>> = (0..n).map(|_| None).collect();
-        let mut prior_attempts = vec![0u32; n];
-        let mut line_hashes: Vec<Option<u64>> = vec![None; n];
-        let mut agg = ScanAggregates::default();
-        let mut stream_stats = StreamStats {
-            resumed,
-            checkpoint_lines_dropped: ckpt_dropped as u64,
-            ..StreamStats::default()
-        };
-        let injector = self.crash.map(CrashInjector::new);
-
-        let recorder = if resumed {
-            // The highest manifest offset any surviving line acknowledged
-            // bounds what the bundle is trusted for; everything past it
-            // is an unacknowledged (possibly torn) tail.
-            let max_hwm = lines.iter().map(|l| l.hwm).max().expect("resumed => non-empty");
-            let harvest = harvest_stream(&dir, &cfg, max_hwm)?;
-            let mut consumed: HashSet<u32> = HashSet::new();
-            for line in &lines {
-                let Some(entry) = harvest.trusted.get(&line.rank) else {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!(
-                            "{}: checkpoint line for rank {} has no bundle entry inside the \
-                             trusted prefix — checkpoint and bundle disagree",
-                            dir.display(),
-                            line.rank
-                        ),
-                    ));
-                };
-                match (&line.failed, entry.status.as_str()) {
-                    (None, "ok") => {
-                        if line.entry_hash != Some(entry.hash) {
-                            return Err(std::io::Error::new(
-                                std::io::ErrorKind::InvalidData,
-                                format!(
-                                    "{}: bundle entry for rank {} does not match its checkpoint \
-                                     line (entry hash {:016x}, line acknowledges {:016x})",
-                                    dir.display(),
-                                    line.rank,
-                                    entry.hash,
-                                    line.entry_hash.unwrap_or(0)
-                                ),
-                            ));
-                        }
-                        let rec = decode_site_record(&entry.payload).ok_or_else(|| {
-                            std::io::Error::new(
-                                std::io::ErrorKind::InvalidData,
-                                format!(
-                                    "{}: corrupt site record for rank {} inside the trusted \
-                                     prefix",
-                                    dir.display(),
-                                    line.rank
-                                ),
-                            )
-                        })?;
-                        agg.add(&rec);
-                        prior[line.rank as usize] = Some(VisitOutcome::Completed(()));
-                    }
-                    (Some(reason), "failed") => {
-                        prior[line.rank as usize] = Some(VisitOutcome::Failed {
-                            reason: reason.clone(),
-                            attempts: line.attempts,
-                        });
-                    }
-                    (_, other) => {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!(
-                                "{}: status mismatch for rank {} — checkpoint says {}, bundle \
-                                 entry says {other}",
-                                dir.display(),
-                                line.rank,
-                                if line.failed.is_some() { "failed" } else { "flushed" },
-                            ),
-                        ));
-                    }
-                }
-                prior_attempts[line.rank as usize] = line.attempts;
-                line_hashes[line.rank as usize] = Some(entry.hash);
-                obs::restore_metrics(&line.delta);
-                consumed.insert(line.rank);
-                stream_stats.records_replayed += 1;
-            }
-            let revisits = harvest.orphan_ranks.len() as u64
-                + harvest.trusted.keys().filter(|r| !consumed.contains(r)).count() as u64;
-            stream_stats.bundle_tail_dropped = harvest.tail_dropped;
-            stream_stats.revisits = revisits;
-            obs::add("crash.resume", 1);
-            obs::add("crash.tail_dropped", harvest.tail_dropped);
-            obs::add("crash.revisits", revisits);
-            obs::emit(
-                obs::Event::new(0, "stream_resume")
-                    .attr("replayed", stream_stats.records_replayed as usize)
-                    .attr("lines_dropped", ckpt_dropped)
-                    .attr("tail_dropped", harvest.tail_dropped as usize)
-                    .attr("revisits", revisits as usize),
-            );
-            let ckpt = std::fs::OpenOptions::new().append(true).open(&ckpt_path)?;
-            StreamRecorder::resume(&dir, &cfg, max_hwm, ckpt, line_hashes, injector)?
-        } else {
-            // Nothing trusted — a fresh directory, or a checkpoint whose
-            // every line was torn. Start clean: recreate both files (the
-            // bundle too, so a stale partial bundle can't leak in).
-            let ckpt = create_stream_checkpoint(&ckpt_path)?;
-            StreamRecorder::create(&dir, &cfg, ckpt, injector)?
-        };
-
+        let capture = recorder.is_some() || verifier.is_some();
         let agg = Mutex::new(agg);
         let gauge = Arc::new(InFlight::default());
         let user = self.on_complete;
-        let source = ScanSource::live(&cfg);
-        let hook = |rank: usize, outcome: &VisitOutcome<TrackedRecord>, attempts: u32| {
-            // Capture the visit's registry delta first: everything the
-            // visit emitted, and none of the flush's own (digest-excluded)
+        let complete = |rank: usize, outcome: VisitOutcome<(SiteScanRecord, Live)>, attempts| {
+            // Take the visit's registry delta first: everything the visit
+            // emitted, and none of the flush's own (digest-excluded)
             // bookkeeping below.
             let delta = obs::take_scope_metrics().map(|m| m.encode()).unwrap_or_default();
+            let site_capture = take_capture();
+            // The liveness token stays alive until the record has been
+            // flushed and either kept or dropped.
+            let mut live = None;
+            let outcome = outcome.map(|(rec, token)| {
+                live = Some(token);
+                rec
+            });
+            if let VisitOutcome::Completed(rec) = &outcome {
+                agg.lock().unwrap_or_else(|e| e.into_inner()).add(rec);
+            }
+            if let Some(v) = &verifier {
+                v.check(rank, &outcome, attempts, site_capture);
+            }
+            if let Some(r) = &recorder {
+                let visit = source.site_visit(rank as u32);
+                r.flush(rank as u32, &visit, &outcome, attempts, &delta, site_capture);
+            }
+            if let Some(f) = &user {
+                f(rank, &outcome, attempts);
+            }
+            outcome.map(|rec| keep.then(|| Box::new(rec)))
+        };
+
+        let seed = cfg.seed;
+        let interact = cfg.simulate_interaction;
+        let phase = obs::phase("scan.visits");
+        let crawl = run_supervised(
+            (0..cfg.n_sites).collect(),
+            cfg.workers,
+            cfg.supervisor(),
+            |rank: &u32| source.meta(*rank),
+            move |worker| {
+                // Every worker gets the *same* config seed: per-visit
+                // event-id seeds are keyed by site rank (`set_visit_key`
+                // below), so a site's records are identical no matter which
+                // worker visits it — the property the telemetry determinism
+                // tests pin down.
+                let mut config = BrowserConfig::scanner(seed);
+                config.simulate_interaction = interact;
+                Browser::new(config).with_instance(worker as u32)
+            },
+            |browser, _idx, rank: &u32| {
+                browser.set_visit_key(*rank as u64);
+                let visit = source.site_visit(*rank);
+                scan_site_visit(browser, &visit, capture).map(|rec| (rec, Live::new(&gauge)))
+            },
+            prior,
+            complete,
+        );
+        drop(phase);
+        let _phase = obs::phase("scan.aggregate");
+        let mut sites = Vec::new();
+        let mut history = Vec::with_capacity(crawl.outcomes.len());
+        for (i, outcome) in crawl.outcomes.into_iter().enumerate() {
+            let rank = i as u32;
+            let url = source.front_url(rank);
+            // Adopted sites report 0 attempts this run; fall back to the
+            // checkpointed count so a resumed history matches the original.
+            let attempts = if crawl.attempts[i] > 0 {
+                crawl.attempts[i]
+            } else {
+                prior_attempts.get(i).copied().unwrap_or(1)
+            };
             match outcome {
-                VisitOutcome::Completed(t) => {
-                    agg.lock().unwrap_or_else(|e| e.into_inner()).add(&t.rec);
-                    recorder.flush(rank as u32, StreamOutcome::Ok(&t.rec), attempts, &delta);
-                    if let Some(f) = &user {
-                        // The user hook keeps the classic signature; the
-                        // clone only costs when a hook is installed.
-                        f(rank, &VisitOutcome::Completed(t.rec.clone()), attempts);
-                    }
+                VisitOutcome::Completed(kept) => {
+                    history.push(CrawlHistoryRecord::ok(rank as u64, &url, attempts));
+                    sites.extend(kept.map(|rec| *rec));
                 }
-                VisitOutcome::Failed { reason, attempts: a } => {
-                    recorder.flush(rank as u32, StreamOutcome::Failed(reason), attempts, &delta);
-                    if let Some(f) = &user {
-                        f(rank, &VisitOutcome::Failed { reason: reason.clone(), attempts: *a }, attempts);
-                    }
+                VisitOutcome::Failed { reason, attempts } => {
+                    history.push(CrawlHistoryRecord::failed(
+                        rank as u64,
+                        &url,
+                        reason.as_str(),
+                        attempts,
+                    ));
                 }
                 VisitOutcome::Interrupted => {
-                    if let Some(f) = &user {
-                        f(rank, &VisitOutcome::Interrupted, attempts);
-                    }
+                    history.push(CrawlHistoryRecord::interrupted(rank as u64, &url));
                 }
             }
-        };
-        let (summary, history) = run_stream_scan(cfg, &source, prior, &prior_attempts, &gauge, &hook);
-
-        let mut completion = summary;
-        completion.checkpoint_lines_dropped = ckpt_dropped;
+        }
         let agg = agg.into_inner().unwrap_or_else(|e| e.into_inner());
-        let table5 = agg.table5();
-        let (archive_stats, flushed) = recorder.finish(&completion, table5)?;
-        stream_stats.records_flushed = flushed;
-        stream_stats.peak_records_in_flight = gauge.peak.load(Ordering::Relaxed);
-        stream_stats.committed = archive_stats.is_some();
+        let mut completion = crawl.summary;
+        let (archive, stream) = match (recorder, stream) {
+            (Some(recorder), Some(mut stats)) => {
+                completion.checkpoint_lines_dropped = stats.checkpoint_lines_dropped as usize;
+                stats.peak_records_in_flight = gauge.peak.load(Ordering::Relaxed);
+                let archive = recorder.finish(&completion, agg.table5(), &mut stats)?;
+                (Some(archive), Some(stats))
+            }
+            _ => (None, None),
+        };
         Ok(ScanReport {
             n_sites: cfg.n_sites,
-            sites: Vec::new(),
+            sites,
             completion,
             history,
-            archive: archive_stats,
-            replay: None,
+            archive,
+            replay: verifier.map(|v| v.stats()),
             aggregates: Some(agg),
-            stream: Some(stream_stats),
+            stream,
         })
     }
 }
 
 struct ScopeMetricsGuard;
+
+impl ScopeMetricsGuard {
+    fn arm() -> ScopeMetricsGuard {
+        obs::set_scope_metrics(true);
+        ScopeMetricsGuard
+    }
+}
 
 impl Drop for ScopeMetricsGuard {
     fn drop(&mut self) {
@@ -1168,33 +837,135 @@ impl Drop for ScopeMetricsGuard {
     }
 }
 
-/// Run the full scan under the supervised executor (no checkpointing).
-#[deprecated(note = "use the `Scan` builder: `Scan::new(cfg).run()`")]
-pub fn run_scan(cfg: ScanConfig) -> ScanReport {
-    Scan::new(cfg).run().expect("scan without checkpoint cannot fail")
+/// A bundle sink opened for one run: its recorder, plus everything the run
+/// adopts from a resumed bundle's trusted prefix instead of re-visiting.
+struct OpenSink {
+    recorder: StreamRecorder,
+    prior: Vec<Option<VisitOutcome<Kept>>>,
+    prior_attempts: Vec<u32>,
+    agg: ScanAggregates,
+    stats: StreamStats,
 }
 
-/// Supervised scan with explicit resume state and a completion callback.
-#[deprecated(
-    note = "use the `Scan` builder: `Scan::new(cfg).resume_from(prior, attempts).on_complete(f).run()`"
-)]
-pub fn run_scan_supervised(
-    cfg: ScanConfig,
-    prior: Vec<Option<VisitOutcome<SiteScanRecord>>>,
-    prior_attempts: &[u32],
-    on_complete: &(impl Fn(usize, &VisitOutcome<SiteScanRecord>, u32) + Sync),
-) -> ScanReport {
-    Scan::new(cfg)
-        .resume_from(prior, prior_attempts.to_vec())
-        .on_complete(on_complete)
-        .run()
-        .expect("scan without checkpoint cannot fail")
+/// Open the bundle sink at `dir`, resuming whenever it already holds a
+/// checkpoint with at least one intact line.
+fn open_sink(
+    dir: &Path,
+    cfg: &ScanConfig,
+    keep: bool,
+    injector: Option<CrashInjector>,
+) -> std::io::Result<OpenSink> {
+    let n = cfg.n_sites as usize;
+    std::fs::create_dir_all(dir)?;
+    let ckpt_path = dir.join(STREAM_CHECKPOINT_FILE);
+    let ckpt_contents = match std::fs::read_to_string(&ckpt_path) {
+        Ok(c) => Some(c),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+        Err(e) => return Err(e),
+    };
+    let (lines, ckpt_dropped) = match &ckpt_contents {
+        Some(c) => load_stream_checkpoint(checkpoint_body(c, &ckpt_path)?, cfg.n_sites),
+        None => (Vec::new(), 0),
+    };
+    if ckpt_dropped > 0 {
+        obs::add("crash.lines_dropped", ckpt_dropped as u64);
+    }
+    let mut prior: Vec<Option<VisitOutcome<Kept>>> = (0..n).map(|_| None).collect();
+    let mut prior_attempts = vec![0u32; n];
+    let mut agg = ScanAggregates::default();
+    let mut stats = StreamStats {
+        resumed: !lines.is_empty(),
+        checkpoint_lines_dropped: ckpt_dropped as u64,
+        ..StreamStats::default()
+    };
+    if lines.is_empty() {
+        // Nothing trusted — a fresh directory, or a checkpoint whose every
+        // line was torn. Start clean: recreate both files (the bundle too,
+        // so a stale partial bundle can't leak in).
+        let ckpt = create_stream_checkpoint(&ckpt_path)?;
+        let recorder = StreamRecorder::create(dir, cfg, ckpt, injector)?;
+        return Ok(OpenSink { recorder, prior, prior_attempts, agg, stats });
+    }
+
+    // The highest manifest offset any surviving line acknowledged bounds
+    // what the bundle is trusted for; everything past it is an
+    // unacknowledged (possibly torn) tail.
+    let max_hwm = lines.iter().map(|l| l.hwm).max().expect("resumed => non-empty");
+    let harvest = harvest_stream(dir, cfg, max_hwm)?;
+    let mut line_hashes: Vec<Option<u64>> = vec![None; n];
+    let mut consumed: HashSet<u32> = HashSet::new();
+    let disagree = |what: String| {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{}: {what}", dir.display()))
+    };
+    for line in &lines {
+        let rank = line.rank as usize;
+        let Some(entry) = harvest.trusted.get(&line.rank) else {
+            return Err(disagree(format!(
+                "checkpoint line for rank {} has no bundle entry inside the trusted prefix — \
+                 checkpoint and bundle disagree",
+                line.rank
+            )));
+        };
+        match (&line.failed, entry.status.as_str()) {
+            (None, "ok") => {
+                if line.entry_hash != Some(entry.hash) {
+                    return Err(disagree(format!(
+                        "bundle entry for rank {} does not match its checkpoint line (entry \
+                         hash {:016x}, line acknowledges {:016x})",
+                        line.rank,
+                        entry.hash,
+                        line.entry_hash.unwrap_or(0)
+                    )));
+                }
+                let rec = decode_site_record(&entry.payload).ok_or_else(|| {
+                    disagree(format!(
+                        "corrupt site record for rank {} inside the trusted prefix",
+                        line.rank
+                    ))
+                })?;
+                agg.add(&rec);
+                prior[rank] = Some(VisitOutcome::Completed(keep.then(|| Box::new(rec))));
+            }
+            (Some(reason), "failed") => {
+                prior[rank] =
+                    Some(VisitOutcome::Failed { reason: reason.clone(), attempts: line.attempts });
+            }
+            (_, other) => {
+                return Err(disagree(format!(
+                    "status mismatch for rank {} — checkpoint says {}, bundle entry says {other}",
+                    line.rank,
+                    if line.failed.is_some() { "failed" } else { "flushed" },
+                )));
+            }
+        }
+        prior_attempts[rank] = line.attempts;
+        line_hashes[rank] = Some(entry.hash);
+        obs::restore_metrics(&line.delta);
+        consumed.insert(line.rank);
+        stats.records_replayed += 1;
+    }
+    let revisits = harvest.orphan_ranks.len() as u64
+        + harvest.trusted.keys().filter(|r| !consumed.contains(r)).count() as u64;
+    stats.bundle_tail_dropped = harvest.tail_dropped;
+    stats.revisits = revisits;
+    obs::add("crash.resume", 1);
+    obs::add("crash.tail_dropped", harvest.tail_dropped);
+    obs::add("crash.revisits", revisits);
+    obs::emit(
+        obs::Event::new(0, "stream_resume")
+            .attr("replayed", stats.records_replayed as usize)
+            .attr("lines_dropped", ckpt_dropped)
+            .attr("tail_dropped", harvest.tail_dropped as usize)
+            .attr("revisits", revisits as usize),
+    );
+    let ckpt = std::fs::OpenOptions::new().append(true).open(&ckpt_path)?;
+    let recorder = StreamRecorder::resume(dir, cfg, max_hwm, ckpt, line_hashes, injector)?;
+    Ok(OpenSink { recorder, prior, prior_attempts, agg, stats })
 }
 
 /// Where a scan's site content comes from: the deterministic generator
-/// (live) or a recorded crawl bundle (replay). `run_scan_inner` is
-/// source-agnostic — the supervisor, browser, instruments and detection
-/// pipeline run identically either way.
+/// (live) or a recorded crawl bundle (replay). The supervisor, browser,
+/// instruments and detection pipeline run identically either way.
 pub(crate) enum ScanSource {
     Live { pop: Population, include_subpages: bool },
     Replay(Arc<ReplayBundle>),
@@ -1239,6 +1010,10 @@ impl ScanSource {
         }
     }
 
+    /// The pages a site serves. Live generation is deterministic in
+    /// (population, rank) and bodies are memoised, so calling this again
+    /// after the visit (the bundle sink does) yields what the browser saw,
+    /// at Arc-clone cost.
     fn site_visit(&self, rank: u32) -> SiteVisit {
         match self {
             ScanSource::Live { pop, include_subpages } => {
@@ -1251,209 +1026,59 @@ impl ScanSource {
     }
 }
 
-/// The supervised scan core shared by every [`Scan`] flavour.
-fn run_scan_inner(
-    cfg: ScanConfig,
-    source: &ScanSource,
-    prior: Vec<Option<VisitOutcome<SiteScanRecord>>>,
-    prior_attempts: &[u32],
-    on_complete: &(dyn Fn(usize, &VisitOutcome<SiteScanRecord>, u32) + Sync),
-    capture: bool,
-) -> ScanReport {
-    let ranks: Vec<u32> = (0..cfg.n_sites).collect();
-    let seed = cfg.seed;
-    let interact = cfg.simulate_interaction;
-    let phase = obs::phase("scan.visits");
-    let crawl = run_supervised_fallible(
-        ranks,
-        cfg.workers,
-        cfg.supervisor(),
-        |rank: &u32| source.meta(*rank),
-        move |worker| {
-            // Every worker gets the *same* config seed: per-visit event-id
-            // seeds are keyed by site rank (`set_visit_key` below), so a
-            // site's records are identical no matter which worker visits
-            // it — the property the telemetry determinism tests pin down.
-            let mut config = BrowserConfig::scanner(seed);
-            config.simulate_interaction = interact;
-            Browser::new(config).with_instance(worker as u32)
-        },
-        move |browser, _idx, rank: &u32| {
-            browser.set_visit_key(*rank as u64);
-            let visit = source.site_visit(*rank);
-            scan_site_visit(browser, &visit, capture)
-        },
-        prior,
-        on_complete,
-    );
-    drop(phase);
-    let _phase = obs::phase("scan.aggregate");
-    let mut sites = Vec::new();
-    let mut history = Vec::with_capacity(crawl.outcomes.len());
-    for (i, outcome) in crawl.outcomes.into_iter().enumerate() {
-        let rank = i as u32;
-        let url = source.front_url(rank);
-        // Replayed priors report 0 attempts this run; fall back to the
-        // checkpointed count so a resumed history matches the original.
-        let attempts = if crawl.attempts[i] > 0 {
-            crawl.attempts[i]
-        } else {
-            prior_attempts.get(i).copied().unwrap_or(1)
-        };
-        match outcome {
-            VisitOutcome::Completed(rec) => {
-                history.push(CrawlHistoryRecord::ok(rank as u64, &url, attempts));
-                sites.push(rec);
-            }
-            VisitOutcome::Failed { reason, attempts } => {
-                history.push(CrawlHistoryRecord::failed(
-                    rank as u64,
-                    &url,
-                    reason.as_str(),
-                    attempts,
-                ));
-            }
-            VisitOutcome::Interrupted => {
-                history.push(CrawlHistoryRecord::interrupted(rank as u64, &url));
-            }
-        }
-    }
-    ScanReport {
-        n_sites: cfg.n_sites,
-        sites,
-        completion: crawl.summary,
-        history,
-        archive: None,
-        replay: None,
-        aggregates: None,
-        stream: None,
-    }
-}
-
-/// Gauge of completed [`SiteScanRecord`]s currently alive in memory.
-/// Streaming's core claim — peak record memory is O(workers), not
+/// Gauge of completed [`SiteScanRecord`]s currently alive in memory. A
+/// bundle sink's core claim — peak record memory is O(workers), not
 /// O(sites) — is asserted against `peak` by the chaos bench.
 #[derive(Debug, Default)]
-pub(crate) struct InFlight {
+struct InFlight {
     cur: AtomicU64,
-    pub(crate) peak: AtomicU64,
+    peak: AtomicU64,
 }
 
-/// A completed record plus its liveness gauge. The `Drop` impl (rather
-/// than an explicit decrement in the fold hook) keeps the gauge exact on
-/// every exit path — including the supervisor's tab-crash branch, which
-/// discards an `Ok` record without ever reaching the fold.
-pub(crate) struct TrackedRecord {
-    pub(crate) rec: SiteScanRecord,
-    gauge: Arc<InFlight>,
-}
+/// One completed record's liveness, paired with the record from the moment
+/// the visit returns it. The `Drop` impl (rather than an explicit
+/// decrement in the completion hook) keeps the gauge exact on every exit
+/// path — including the supervisor's tab-crash branch, which discards an
+/// `Ok` record without ever reaching the hook.
+struct Live(Arc<InFlight>);
 
-impl TrackedRecord {
-    fn new(rec: SiteScanRecord, gauge: Arc<InFlight>) -> TrackedRecord {
+impl Live {
+    fn new(gauge: &Arc<InFlight>) -> Live {
         let cur = gauge.cur.fetch_add(1, Ordering::Relaxed) + 1;
         gauge.peak.fetch_max(cur, Ordering::Relaxed);
-        TrackedRecord { rec, gauge }
+        Live(Arc::clone(gauge))
     }
 }
 
-impl Drop for TrackedRecord {
+impl Drop for Live {
     fn drop(&mut self) {
-        self.gauge.cur.fetch_sub(1, Ordering::Relaxed);
+        self.0.cur.fetch_sub(1, Ordering::Relaxed);
     }
-}
-
-/// The streaming counterpart of [`run_scan_inner`]: identical visit
-/// pipeline, but records are folded to `()` the moment the flush hook
-/// returns, so the outcome vector never holds site payloads and memory
-/// stays bounded by the in-flight window.
-fn run_stream_scan(
-    cfg: ScanConfig,
-    source: &ScanSource,
-    prior: Vec<Option<VisitOutcome<()>>>,
-    prior_attempts: &[u32],
-    gauge: &Arc<InFlight>,
-    on_complete: &(dyn Fn(usize, &VisitOutcome<TrackedRecord>, u32) + Sync),
-) -> (CrawlSummary, Vec<CrawlHistoryRecord>) {
-    let ranks: Vec<u32> = (0..cfg.n_sites).collect();
-    let seed = cfg.seed;
-    let interact = cfg.simulate_interaction;
-    let g = Arc::clone(gauge);
-    let phase = obs::phase("scan.visits");
-    let crawl = run_supervised_folding(
-        ranks,
-        cfg.workers,
-        cfg.supervisor(),
-        |rank: &u32| source.meta(*rank),
-        move |worker| {
-            let mut config = BrowserConfig::scanner(seed);
-            config.simulate_interaction = interact;
-            Browser::new(config).with_instance(worker as u32)
-        },
-        move |browser, _idx, rank: &u32| {
-            browser.set_visit_key(*rank as u64);
-            let visit = source.site_visit(*rank);
-            scan_site_visit(browser, &visit, true)
-                .map(|rec| TrackedRecord::new(rec, Arc::clone(&g)))
-        },
-        prior,
-        on_complete,
-        |_, _rec, _| (),
-    );
-    drop(phase);
-    let _phase = obs::phase("scan.aggregate");
-    let mut history = Vec::with_capacity(crawl.outcomes.len());
-    for (i, outcome) in crawl.outcomes.into_iter().enumerate() {
-        let rank = i as u32;
-        let url = source.front_url(rank);
-        let attempts = if crawl.attempts[i] > 0 {
-            crawl.attempts[i]
-        } else {
-            prior_attempts.get(i).copied().unwrap_or(1)
-        };
-        match outcome {
-            VisitOutcome::Completed(()) => {
-                history.push(CrawlHistoryRecord::ok(rank as u64, &url, attempts));
-            }
-            VisitOutcome::Failed { reason, attempts } => {
-                history.push(CrawlHistoryRecord::failed(
-                    rank as u64,
-                    &url,
-                    reason.as_str(),
-                    attempts,
-                ));
-            }
-            VisitOutcome::Interrupted => {
-                history.push(CrawlHistoryRecord::interrupted(rank as u64, &url));
-            }
-        }
-    }
-    (crawl.summary, history)
 }
 
 // --- checkpoint serialisation ---------------------------------------------
 //
-// One line per determined site, ASCII control characters as separators
-// (they cannot occur in generated domains, URLs or property names):
-// US (\x1f) between top-level fields, RS (\x1e) between record fields,
-// GS (\x1d) between list elements, FS (\x1c) inside pairs.
+// The checkpoint a bundle sink keeps next to its manifest holds one line
+// per determined site. ASCII control characters separate fields (they
+// cannot occur in generated domains, URLs or property names): US (\x1f)
+// between top-level fields, RS (\x1e) between record fields, GS (\x1d)
+// between list elements, FS (\x1c) inside pairs.
 //
-// v3 lines carry six US-separated body fields plus a checksum:
+// Each line carries six US-separated body fields plus a checksum:
 //
 //   <rank> US <status> US <attempts> US <payload> US <hwm> US <delta> US <checksum>
 //
 // where status/payload is one of
 //
-//   ok      <encoded SiteScanRecord>   (classic checkpoint; hwm+delta empty)
+//   flushed <fnv1a of the bundle entry, 016x>
 //   failed  <failure reason>
-//   flushed <fnv1a of the bundle entry, 016x>   (streaming only)
 //
 // `hwm` is the bundle-manifest high-water mark (016x) the line
-// acknowledges and `delta` the visit's captured registry metrics —
-// both only written by streaming mode; classic lines leave them empty.
+// acknowledges and `delta` the visit's captured registry metrics.
 //
 // Interrupted sites are not written — resuming re-visits them. A torn
-// final line (crawl killed mid-write) fails to parse and is skipped, so
-// that site is simply re-visited too.
+// final line (crawl killed mid-write) fails its checksum and is skipped,
+// so that site is simply re-visited too.
 
 const US: char = '\x1f';
 const RS: char = '\x1e';
@@ -1461,12 +1086,11 @@ const GS: char = '\x1d';
 const FS: char = '\x1c';
 
 /// Checkpoint file format version. Bumped whenever the line encoding
-/// changes incompatibly; v2 introduced the header line itself, v3 the
-/// high-water-mark and metrics-delta fields that make streaming resume
-/// possible. A version mismatch is a hard error — before the header
-/// existed, an old-format file would silently parse as "all lines torn"
-/// and the crawl would quietly start over, exactly the kind of silent
-/// degradation the paper warns about.
+/// changes incompatibly; v3 introduced the high-water-mark and
+/// metrics-delta fields that make resume possible. A version mismatch is a
+/// hard error — a file of another format would otherwise parse as "all
+/// lines torn" and the crawl would quietly start over, exactly the kind
+/// of silent degradation the paper warns about.
 pub const CHECKPOINT_FORMAT_VERSION: u32 = 3;
 
 const CHECKPOINT_MAGIC: &str = "gullible-checkpoint v";
@@ -1540,11 +1164,11 @@ fn flags_decode(s: &str) -> Option<PageFlags> {
     })
 }
 
-fn join_list<T, F: Fn(&T) -> String>(items: &[T], f: F) -> String {
+pub(crate) fn join_list<T>(items: &[T], f: impl Fn(&T) -> String) -> String {
     items.iter().map(f).collect::<Vec<String>>().join(&GS.to_string())
 }
 
-fn split_list(s: &str) -> Vec<&str> {
+pub(crate) fn split_list(s: &str) -> Vec<&str> {
     if s.is_empty() {
         Vec::new()
     } else {
@@ -1552,7 +1176,7 @@ fn split_list(s: &str) -> Vec<&str> {
     }
 }
 
-/// Serialise a completed site record for the checkpoint file.
+/// Serialise a completed site record (the payload of its bundle entry).
 pub fn encode_site_record(r: &SiteScanRecord) -> String {
     let fields = [
         r.rank.to_string(),
@@ -1599,42 +1223,11 @@ pub fn decode_site_record(s: &str) -> Option<SiteScanRecord> {
     })
 }
 
-/// FNV-1a over a checkpoint line body. A torn write can truncate a line at
-/// a point where the prefix still *parses* (e.g. mid-way through the final
-/// hash list), so every line carries its own checksum.
-fn line_checksum(body: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in body.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// One checkpoint line for a determined outcome (`None` for interrupted
-/// sites, which must be re-visited on resume). Classic mode: the
-/// high-water-mark and delta fields stay empty.
-pub fn checkpoint_line(
-    rank: u32,
-    outcome: &VisitOutcome<SiteScanRecord>,
-    attempts: u32,
-) -> Option<String> {
-    let body = match outcome {
-        VisitOutcome::Completed(rec) => {
-            format!("{rank}{US}ok{US}{attempts}{US}{}{US}{US}", encode_site_record(rec))
-        }
-        VisitOutcome::Failed { reason, attempts } => {
-            format!("{rank}{US}failed{US}{attempts}{US}{}{US}{US}", reason.as_str())
-        }
-        VisitOutcome::Interrupted => return None,
-    };
-    let sum = line_checksum(&body);
-    Some(format!("{body}{US}{sum:016x}"))
-}
-
-/// One streaming checkpoint line acknowledging the bundle append that
-/// ended at manifest offset `hwm`, carrying the visit's captured
-/// registry-metrics delta.
+/// One checkpoint line acknowledging the bundle append that ended at
+/// manifest offset `hwm`, carrying the visit's captured registry-metrics
+/// delta. A torn write can truncate a line at a point where the prefix
+/// still *parses* (e.g. mid-way through the delta), so every line ends
+/// with an FNV-1a checksum of its body.
 pub(crate) fn stream_checkpoint_line(
     rank: u32,
     status: &str,
@@ -1644,12 +1237,11 @@ pub(crate) fn stream_checkpoint_line(
     delta: &str,
 ) -> String {
     let body = format!("{rank}{US}{status}{US}{attempts}{US}{payload}{US}{hwm:016x}{US}{delta}");
-    let sum = line_checksum(&body);
-    format!("{body}{US}{sum:016x}")
+    format!("{body}{US}{:016x}", obs::fnv1a(body.as_bytes()))
 }
 
-/// The six body fields of a checksum-verified v3 checkpoint line. None of
-/// the payload encodings ever contain US, so a plain split is exact.
+/// The six body fields of a checksum-verified checkpoint line. None of the
+/// payload encodings ever contain US, so a plain split is exact.
 struct CheckpointFields<'s> {
     rank: u32,
     status: &'s str,
@@ -1661,7 +1253,7 @@ struct CheckpointFields<'s> {
 
 fn checkpoint_fields(line: &str) -> Option<CheckpointFields<'_>> {
     let (body, sum) = line.rsplit_once(US)?;
-    if u64::from_str_radix(sum, 16).ok()? != line_checksum(body) {
+    if u64::from_str_radix(sum, 16).ok()? != obs::fnv1a(body.as_bytes()) {
         return None;
     }
     let parts: Vec<&str> = body.split(US).collect();
@@ -1678,74 +1270,10 @@ fn checkpoint_fields(line: &str) -> Option<CheckpointFields<'_>> {
     })
 }
 
-/// Parse one checkpoint line into `(rank, outcome, attempts)`. Streaming
-/// `flushed` lines return `None` — their payload is a bundle-entry hash,
-/// not a record; resolving them requires the bundle
-/// ([`Scan::stream_to`]'s resume path does that internally).
-pub fn parse_checkpoint_line(
-    line: &str,
-) -> Option<(u32, VisitOutcome<SiteScanRecord>, u32)> {
-    let f = checkpoint_fields(line)?;
-    let outcome = match f.status {
-        "ok" => VisitOutcome::Completed(decode_site_record(f.payload)?),
-        "failed" => VisitOutcome::Failed {
-            reason: FailureReason::decode(f.payload),
-            attempts: f.attempts,
-        },
-        _ => return None,
-    };
-    Some((f.rank, outcome, f.attempts))
-}
-
-/// Load checkpoint file contents into resume state for an `n_sites` scan.
-/// Malformed lines (e.g. a torn final write) and out-of-range ranks are
-/// skipped — those sites are simply re-visited — but *counted*: the third
-/// element reports how many lines were dropped, which flows into
-/// [`CrawlSummary::checkpoint_lines_dropped`] and the coverage line, so a
-/// corrupted checkpoint can't silently masquerade as a clean resume.
-pub fn load_checkpoint(
-    contents: &str,
-    n_sites: u32,
-) -> (Vec<Option<VisitOutcome<SiteScanRecord>>>, Vec<u32>, usize) {
-    let mut prior: Vec<Option<VisitOutcome<SiteScanRecord>>> =
-        (0..n_sites).map(|_| None).collect();
-    let mut attempts = vec![0u32; n_sites as usize];
-    let mut dropped = 0usize;
-    for (lineno, line) in contents.lines().enumerate() {
-        match parse_checkpoint_line(line) {
-            Some((rank, outcome, att)) if (rank as usize) < prior.len() => {
-                attempts[rank as usize] = att;
-                prior[rank as usize] = Some(outcome);
-            }
-            Some((rank, _, _)) => {
-                dropped += 1;
-                obs::add("checkpoint.lines_dropped", 1);
-                obs::emit(
-                    obs::Event::new(0, "checkpoint_dropped_line")
-                        .attr("line", lineno + 1)
-                        .attr("cause", "rank_out_of_range")
-                        .attr("rank", rank),
-                );
-            }
-            None => {
-                dropped += 1;
-                obs::add("checkpoint.lines_dropped", 1);
-                obs::add("crash.checkpoint.torn", 1);
-                obs::emit(
-                    obs::Event::new(0, "checkpoint_dropped_line")
-                        .attr("line", lineno + 1)
-                        .attr("cause", "torn_or_corrupt"),
-                );
-            }
-        }
-    }
-    (prior, attempts, dropped)
-}
-
-/// The checkpoint file a streamed scan keeps inside its bundle directory.
+/// The checkpoint file a bundle sink keeps inside its bundle directory.
 pub const STREAM_CHECKPOINT_FILE: &str = "scan.ckpt";
 
-/// One surviving line of a streaming checkpoint.
+/// One surviving line of a checkpoint.
 struct StreamLine {
     rank: u32,
     /// `None` for a flushed (completed) record, `Some` for a typed failure.
@@ -1759,10 +1287,9 @@ struct StreamLine {
     delta: String,
 }
 
-/// Load a streaming checkpoint body. Lines that are torn, corrupt,
-/// out-of-range, classic-format, or carry an undecodable metrics delta
-/// are dropped and counted — the affected sites are re-visited; nothing
-/// is trusted on spec.
+/// Load a checkpoint body. Lines that are torn, corrupt, out-of-range, or
+/// carry an undecodable metrics delta are dropped and counted — the
+/// affected sites are re-visited; nothing is trusted on spec.
 fn load_stream_checkpoint(contents: &str, n_sites: u32) -> (Vec<StreamLine>, usize) {
     let mut lines = Vec::new();
     let mut dropped = 0usize;
@@ -1822,19 +1349,13 @@ fn write_checkpoint_header_atomic(path: &Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Create (or reset) a streaming checkpoint and open it for appending.
+/// Create (or reset) a checkpoint and open it for appending.
 /// Always truncates: this path is only taken when nothing in the
 /// directory is trusted, and a stale torn checkpoint must not survive
 /// into the fresh run.
 fn create_stream_checkpoint(path: &Path) -> std::io::Result<std::fs::File> {
     write_checkpoint_header_atomic(path)?;
     std::fs::OpenOptions::new().append(true).open(path)
-}
-
-/// Run a scan with durable checkpointing.
-#[deprecated(note = "use the `Scan` builder: `Scan::new(cfg).checkpoint(path).run()`")]
-pub fn run_scan_with_checkpoint(cfg: ScanConfig, path: &Path) -> std::io::Result<ScanReport> {
-    Scan::new(cfg).checkpoint(path).run()
 }
 
 #[cfg(test)]
@@ -1861,9 +1382,9 @@ mod tests {
     fn static_and_dynamic_have_exclusive_findings() {
         let report = small_scan();
         let static_only =
-            report.count(|s| s.site.static_true && !s.site.dynamic_true);
+            report.count(|_, site| site.static_true && !site.dynamic_true);
         let dynamic_only =
-            report.count(|s| s.site.dynamic_true && !s.site.static_true);
+            report.count(|_, site| site.dynamic_true && !site.static_true);
         assert!(static_only > 0, "hover-gated detectors must be static-only");
         assert!(dynamic_only > 0, "constructed probes must be dynamic-only");
     }
@@ -1871,12 +1392,12 @@ mod tests {
     #[test]
     fn subpages_increase_detection() {
         let report = small_scan();
-        let front = report.count(|s| s.front.union_true());
-        let site = report.count(|s| s.site.union_true());
+        let front = report.count(|front, _| front.union_true());
+        let site = report.count(|_, site| site.union_true());
         assert!(site > front, "subpage scan must add detector sites: {front} vs {site}");
         // Paper: ≥ 37% more sites with active (dynamic) detectors.
-        let front_dyn = report.count(|s| s.front.dynamic_true);
-        let site_dyn = report.count(|s| s.site.dynamic_true);
+        let front_dyn = report.count(|front, _| front.dynamic_true);
+        let site_dyn = report.count(|_, site| site.dynamic_true);
         assert!(
             site_dyn as f64 >= front_dyn as f64 * 1.15,
             "dynamic uplift too small: {front_dyn} -> {site_dyn}"
@@ -1946,16 +1467,16 @@ mod tests {
             simulate_interaction: true,
             ..ScanConfig::new(600, 11)
         }).run().expect("scan");
-        let passive_dyn = passive.count(|s| s.site.dynamic_true);
-        let active_dyn = active.count(|s| s.site.dynamic_true);
+        let passive_dyn = passive.count(|_, site| site.dynamic_true);
+        let active_dyn = active.count(|_, site| site.dynamic_true);
         assert!(
             active_dyn > passive_dyn,
             "interaction must add dynamic findings: {passive_dyn} -> {active_dyn}"
         );
         // Static findings are unaffected by interaction.
         assert_eq!(
-            passive.count(|s| s.site.static_true),
-            active.count(|s| s.site.static_true)
+            passive.count(|_, site| site.static_true),
+            active.count(|_, site| site.static_true)
         );
     }
 
@@ -1976,7 +1497,7 @@ mod tests {
         let buckets = report.rank_buckets(100);
         assert_eq!(buckets.len(), 8);
         let front_static_total: u32 = buckets.iter().map(|b| b[0]).sum();
-        assert_eq!(front_static_total, report.count(|s| s.front.static_true));
+        assert_eq!(front_static_total, report.count(|front, _| front.static_true));
     }
 
     #[test]
@@ -2051,65 +1572,42 @@ mod tests {
 
     #[test]
     fn checkpoint_lines_roundtrip_and_reject_garbage() {
-        let rec = SiteScanRecord {
-            rank: 17,
-            domain: "w000017.io".into(),
-            categories: vec![Category::News, Category::Other],
-            front: PageFlags { static_true: true, ..PageFlags::default() },
-            site: PageFlags {
-                static_identified: true,
-                static_true: true,
-                ..PageFlags::default()
-            },
-            openwpm_probes: vec![("cheqzone.com".into(), "jsInstruments".into())],
-            third_party_domains: vec!["yandex.ru".into()],
-            first_party_urls: vec!["https://w000017.io/akam/11/x".into()],
-            script_hashes: vec![1, 0xDEAD_BEEF],
-        };
-        let ok_line =
-            checkpoint_line(17, &VisitOutcome::Completed(rec.clone()), 2).unwrap();
-        let (rank, outcome, attempts) = parse_checkpoint_line(&ok_line).unwrap();
-        assert_eq!(rank, 17);
-        assert_eq!(attempts, 2);
-        assert_eq!(outcome.completed().unwrap().domain, rec.domain);
+        let delta = "c:supervisor.visits:1";
+        let ok_line = stream_checkpoint_line(17, "flushed", 2, "00000000deadbeef", 0x1234, delta);
+        let (lines, dropped) = load_stream_checkpoint(&ok_line, 20);
+        assert_eq!(dropped, 0);
+        let [l] = lines.as_slice() else { panic!("one line expected") };
+        assert_eq!((l.rank, l.attempts, l.hwm), (17, 2, 0x1234));
+        assert_eq!(l.entry_hash, Some(0xDEAD_BEEF));
+        assert!(l.failed.is_none());
+        assert_eq!(l.delta, delta);
 
-        let fail_line = checkpoint_line(
-            3,
-            &VisitOutcome::Failed { reason: FailureReason::Timeout, attempts: 3 },
-            3,
-        )
-        .unwrap();
-        let (rank, outcome, _) = parse_checkpoint_line(&fail_line).unwrap();
-        assert_eq!(rank, 3);
-        assert_eq!(
-            outcome,
-            VisitOutcome::Failed { reason: FailureReason::Timeout, attempts: 3 }
-        );
+        let fail_line = stream_checkpoint_line(3, "failed", 3, "timeout", 0x99, "");
+        let (lines, _) = load_stream_checkpoint(&fail_line, 20);
+        assert_eq!(lines[0].failed, Some(FailureReason::Timeout));
+        assert_eq!(lines[0].entry_hash, None);
 
-        assert!(checkpoint_line(5, &VisitOutcome::Interrupted, 0).is_none());
-        assert!(parse_checkpoint_line("").is_none());
-        assert!(parse_checkpoint_line("garbage").is_none());
-        // A torn ok-line (payload truncated mid-record) fails cleanly.
+        // Garbage, an unknown status and a torn line (payload truncated
+        // mid-field, so the checksum no longer matches) are all dropped.
+        let unknown = stream_checkpoint_line(5, "ok", 1, "x", 0x10, "");
         let torn = &ok_line[..ok_line.len() - 20];
-        assert!(parse_checkpoint_line(torn).is_none());
+        for bad in ["", "garbage", unknown.as_str(), torn] {
+            let (lines, dropped) = load_stream_checkpoint(bad, 20);
+            assert!(lines.is_empty(), "{bad:?} must not parse");
+            assert_eq!(dropped, bad.lines().count(), "{bad:?}");
+        }
     }
 
     #[test]
-    fn load_checkpoint_counts_bad_lines_and_out_of_range_ranks() {
-        let rec = Scan::new(ScanConfig::new(20, 3)).run().expect("scan").sites[4].clone();
-        let good = checkpoint_line(4, &VisitOutcome::Completed(rec), 1).unwrap();
-        let out_of_range = checkpoint_line(
-            500,
-            &VisitOutcome::Failed { reason: FailureReason::Panic, attempts: 3 },
-            3,
-        )
-        .unwrap();
-        let contents = format!("{good}\nnot a line\n{out_of_range}\n");
-        let (prior, attempts, dropped) = load_checkpoint(&contents, 20);
-        assert_eq!(prior.iter().filter(|p| p.is_some()).count(), 1);
-        assert!(prior[4].is_some());
-        assert_eq!(attempts[4], 1);
-        assert_eq!(dropped, 2, "torn line + out-of-range rank must be counted");
+    fn checkpoint_loader_counts_bad_lines_and_out_of_range_ranks() {
+        let good = stream_checkpoint_line(4, "flushed", 1, &format!("{:016x}", 7), 0x40, "");
+        let out_of_range = stream_checkpoint_line(500, "failed", 3, "panic", 0x80, "");
+        let bad_delta = stream_checkpoint_line(6, "failed", 3, "panic", 0x90, "not a delta");
+        let contents = format!("{good}\nnot a line\n{out_of_range}\n{bad_delta}\n");
+        let (lines, dropped) = load_stream_checkpoint(&contents, 20);
+        assert_eq!(lines.len(), 1);
+        assert_eq!((lines[0].rank, lines[0].attempts), (4, 1));
+        assert_eq!(dropped, 3, "torn line, out-of-range rank and bad delta must be counted");
     }
 
     #[test]

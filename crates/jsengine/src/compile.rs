@@ -25,6 +25,7 @@
 //! snapshot digest (see `obs::metrics`), because the digest must be
 //! byte-identical with the cache on and off.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -80,12 +81,6 @@ impl CompiledScript {
 
     /// The shared parsed program (the tree-walker's execution artifact).
     pub fn ast(&self) -> &Arc<Program> {
-        &self.program
-    }
-
-    /// The shared parsed program.
-    #[deprecated(note = "use `ast()` (or `chunk()` for the VM backend) on the opaque handle")]
-    pub fn program(&self) -> &Arc<Program> {
         &self.program
     }
 
@@ -156,7 +151,9 @@ impl CompileCache {
     /// Look up `(src, name)`; parse and insert on miss. Parsing happens
     /// outside the shard lock, so a pathological script cannot stall other
     /// workers; concurrent first compiles of the same body may both parse,
-    /// but only one artifact is retained.
+    /// but only the first insert is retained and counted as the miss —
+    /// every loser of the race gets the winner's artifact and counts a
+    /// hit, so misses equal unique bodies exactly.
     pub fn get_or_compile(&self, src: &str, name: &str) -> Result<Arc<CompiledScript>, EngineError> {
         let key = (fnv1a(src.as_bytes()), fnv1a(name.as_bytes()));
         if let Some(cs) = self.shard(key).lock().unwrap().get(&key).cloned() {
@@ -166,22 +163,27 @@ impl CompileCache {
             return Ok(cs);
         }
         let _ph = obs::prof::enter(&obs::prof::COMPILE_MISS);
-        let parsed = Arc::new(CompiledScript {
-            name: Arc::from(name),
-            body_hash: key.0,
-            source_len: src.len(),
-            program: Arc::new(parse(src, name)?),
-            chunk: OnceLock::new(),
-        });
-        let cs = {
+        let parsed = compile(src, name)?;
+        let winner = {
             let mut guard = self.shard(key).lock().unwrap();
-            guard.entry(key).or_insert_with(|| parsed.clone()).clone()
+            match guard.entry(key) {
+                Entry::Occupied(e) => Some(e.get().clone()),
+                Entry::Vacant(e) => {
+                    e.insert(parsed.clone());
+                    None
+                }
+            }
         };
+        if let Some(cs) = winner {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            obs::add("cache.compile.hit", 1);
+            return Ok(cs);
+        }
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(src.len() as u64, Ordering::Relaxed);
         obs::add("cache.compile.miss", 1);
         obs::add("cache.compile.bytes", src.len() as u64);
-        Ok(cs)
+        Ok(parsed)
     }
 
     /// Number of cached unique `(body, name)` artifacts.

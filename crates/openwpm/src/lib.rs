@@ -49,7 +49,7 @@ pub use records::{
     StoreCapture,
 };
 pub use supervisor::{
-    run_supervised, run_supervised_fallible, run_supervised_folding, CrawlOutcome, CrawlSummary,
+    run_supervised, CrawlOutcome, CrawlSummary,
     FailureReason, ItemMeta, RetryPolicy, SupervisorConfig, VisitOutcome,
 };
 pub use wpm_browser::{Browser, PageScript, SiteResponse, VisitSpec, VisitStats};

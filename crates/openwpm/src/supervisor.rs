@@ -188,6 +188,16 @@ impl<R> VisitOutcome<R> {
     pub fn is_completed(&self) -> bool {
         matches!(self, VisitOutcome::Completed(_))
     }
+
+    /// Map a completed item's record; failures and interruptions pass
+    /// through unchanged.
+    pub fn map<U>(self, f: impl FnOnce(R) -> U) -> VisitOutcome<U> {
+        match self {
+            VisitOutcome::Completed(r) => VisitOutcome::Completed(f(r)),
+            VisitOutcome::Failed { reason, attempts } => VisitOutcome::Failed { reason, attempts },
+            VisitOutcome::Interrupted => VisitOutcome::Interrupted,
+        }
+    }
 }
 
 /// Caller-provided identity of one work item, used for fault draws and
@@ -276,13 +286,21 @@ pub struct CrawlOutcome<R> {
 /// Per-item bookkeeping carried back through `run_parallel`.
 struct ItemRun<R> {
     outcome: VisitOutcome<R>,
-    attempts: u64,
+    /// Visit attempts this run (0 when the item was not visited).
+    attempts: u32,
     restarts: u64,
     lost_ms: u64,
-    attempts_final: u32,
     /// Telemetry events buffered during this item's visit scope; written
     /// to the journal in item order by the coordinator.
     trace: Vec<Event>,
+}
+
+impl<R> ItemRun<R> {
+    /// An item determined without a visit (replayed or interrupted); closes
+    /// its telemetry scope.
+    fn unvisited(outcome: VisitOutcome<R>) -> ItemRun<R> {
+        ItemRun { outcome, attempts: 0, restarts: 0, lost_ms: 0, trace: obs::end_scope() }
+    }
 }
 
 /// Supervised parallel execution: fault injection, watchdog timeouts,
@@ -292,71 +310,23 @@ struct ItemRun<R> {
 /// * `meta(item)` names the item and keys its fault draws;
 /// * `init(worker)` builds per-worker browser state; it is re-invoked to
 ///   restart that state after a crash/hang/panic;
-/// * `visit(&mut state, index, &item)` performs one attempt;
+/// * `visit(&mut state, index, &item)` performs one attempt. An `Err`
+///   attempt (e.g. an unparseable visit URL) leaves the browser healthy
+///   and is retried under the same [`RetryPolicy`] as injected faults;
+///   exhausted items surface as [`VisitOutcome::Failed`] with the visit's
+///   reason;
 /// * `prior[i] = Some(outcome)` replays a checkpointed result for item
 ///   `i` without visiting (pass an empty vec for a fresh run);
-/// * `on_complete(index, &outcome, attempts)` fires once per
+/// * `on_complete(index, outcome, attempts)` fires once per
 ///   newly-determined item (not for replayed priors), from worker
-///   threads — checkpoint writers must synchronise internally.
+///   threads, inside the item's still-open telemetry scope — checkpoint
+///   writers must synchronise internally. It takes the full outcome and
+///   returns the form the outcome vector keeps: a streaming crawl flushes
+///   each record to disk here and keeps O(1) bookkeeping, so the outcome
+///   vector's resident size is O(items × size_of::<T>()), not
+///   O(items × size_of::<R>()). Priors arrive in that kept form.
 #[allow(clippy::too_many_arguments)]
-pub fn run_supervised<W, R, S>(
-    items: Vec<W>,
-    workers: usize,
-    cfg: SupervisorConfig,
-    meta: impl Fn(&W) -> ItemMeta + Sync,
-    init: impl Fn(usize) -> S + Sync,
-    visit: impl Fn(&mut S, usize, &W) -> R + Sync,
-    prior: Vec<Option<VisitOutcome<R>>>,
-    on_complete: impl Fn(usize, &VisitOutcome<R>, u32) + Sync,
-) -> CrawlOutcome<R>
-where
-    W: Send,
-    R: Send + Clone,
-{
-    run_supervised_fallible(
-        items,
-        workers,
-        cfg,
-        meta,
-        init,
-        move |state, i, item| Ok(visit(state, i, item)),
-        prior,
-        on_complete,
-    )
-}
-
-/// [`run_supervised`] for visits that can fail with a typed
-/// [`FailureReason`] of their own (e.g. an unparseable visit URL). An
-/// `Err` attempt leaves the browser healthy and is retried under the same
-/// [`RetryPolicy`] as injected faults; exhausted items surface as
-/// [`VisitOutcome::Failed`] with the visit's reason.
-#[allow(clippy::too_many_arguments)]
-pub fn run_supervised_fallible<W, R, S>(
-    items: Vec<W>,
-    workers: usize,
-    cfg: SupervisorConfig,
-    meta: impl Fn(&W) -> ItemMeta + Sync,
-    init: impl Fn(usize) -> S + Sync,
-    visit: impl Fn(&mut S, usize, &W) -> Result<R, FailureReason> + Sync,
-    prior: Vec<Option<VisitOutcome<R>>>,
-    on_complete: impl Fn(usize, &VisitOutcome<R>, u32) + Sync,
-) -> CrawlOutcome<R>
-where
-    W: Send,
-    R: Send + Clone,
-{
-    run_supervised_folding(items, workers, cfg, meta, init, visit, prior, on_complete, |_, r, _| r)
-}
-
-/// [`run_supervised_fallible`] with a *fold*: after `on_complete` fires
-/// for a completed item, `fold(index, record, attempts)` maps the full
-/// record `R` down to the stored type `T` before it enters the outcome
-/// vector. Streaming crawls use this to flush each record to disk in
-/// `on_complete` and keep only O(1) bookkeeping in memory — the outcome
-/// vector's resident size becomes O(items × size_of::<T>()), not
-/// O(items × size_of::<R>()). Priors arrive already folded.
-#[allow(clippy::too_many_arguments)]
-pub fn run_supervised_folding<W, R, T, S>(
+pub fn run_supervised<W, R, T, S>(
     items: Vec<W>,
     workers: usize,
     cfg: SupervisorConfig,
@@ -364,8 +334,7 @@ pub fn run_supervised_folding<W, R, T, S>(
     init: impl Fn(usize) -> S + Sync,
     visit: impl Fn(&mut S, usize, &W) -> Result<R, FailureReason> + Sync,
     prior: Vec<Option<VisitOutcome<T>>>,
-    on_complete: impl Fn(usize, &VisitOutcome<R>, u32) + Sync,
-    fold: impl Fn(usize, R, u32) -> T + Sync,
+    on_complete: impl Fn(usize, VisitOutcome<R>, u32) -> VisitOutcome<T> + Sync,
 ) -> CrawlOutcome<T>
 where
     W: Send,
@@ -414,26 +383,11 @@ where
             if let Some(outcome) = replay {
                 obs::add("checkpoint.replays", 1);
                 obs::emit(Event::new(0, "checkpoint_replay").attr("item", i));
-                return ItemRun {
-                    outcome,
-                    attempts: 0,
-                    restarts: 0,
-                    lost_ms: 0,
-                    attempts_final: 0,
-                    trace: obs::end_scope(),
-                };
+                return ItemRun::unvisited(outcome);
             }
             if !admit {
                 obs::emit(Event::new(0, "interrupted").attr("item", i));
-                on_complete(i, &VisitOutcome::Interrupted, 0);
-                return ItemRun {
-                    outcome: VisitOutcome::Interrupted,
-                    attempts: 0,
-                    restarts: 0,
-                    lost_ms: 0,
-                    attempts_final: 0,
-                    trace: obs::end_scope(),
-                };
+                return ItemRun::unvisited(on_complete(i, VisitOutcome::Interrupted, 0));
             }
             let m = meta(&item);
             obs::add("supervisor.visits", 1);
@@ -576,26 +530,9 @@ where
             );
             // `on_complete` runs inside the still-open visit scope so that
             // checkpoint-write events land in this visit's trace.
-            on_complete(i, &outcome, attempts);
-            // Fold the record down to its stored form only after the
-            // completion hook has seen (and possibly persisted) the full
-            // record.
-            let stored = match outcome {
-                VisitOutcome::Completed(r) => VisitOutcome::Completed(fold(i, r, attempts)),
-                VisitOutcome::Failed { reason, attempts } => {
-                    VisitOutcome::Failed { reason, attempts }
-                }
-                VisitOutcome::Interrupted => VisitOutcome::Interrupted,
-            };
+            let stored = on_complete(i, outcome, attempts);
             drop(visit_span);
-            ItemRun {
-                outcome: stored,
-                attempts: attempts as u64,
-                restarts,
-                lost_ms,
-                attempts_final: attempts,
-                trace: obs::end_scope(),
-            }
+            ItemRun { outcome: stored, attempts, restarts, lost_ms, trace: obs::end_scope() }
         },
     );
 
@@ -611,14 +548,14 @@ where
     let mut outcomes = Vec::with_capacity(n);
     let mut attempts_per_item = Vec::with_capacity(n);
     for run in runs {
-        attempts_per_item.push(run.attempts_final);
-        summary.attempts += run.attempts;
+        attempts_per_item.push(run.attempts);
+        summary.attempts += run.attempts as u64;
         summary.restarts += run.restarts;
         summary.lost_ms += run.lost_ms;
         match &run.outcome {
             VisitOutcome::Completed(_) => {
                 summary.completed += 1;
-                if run.attempts_final > 1 {
+                if run.attempts > 1 {
                     summary.recovered += 1;
                 }
             }
@@ -732,9 +669,9 @@ mod tests {
             SupervisorConfig::default(),
             meta_of,
             |_| (),
-            |_, _, item: &u64| *item,
+            |_, _, item: &u64| Ok(*item),
             prior,
-            |_, _, _| {},
+            keep,
         );
         assert_eq!(
             out.summary.failures_by_reason,
@@ -748,25 +685,23 @@ mod tests {
     }
 
     #[test]
-    fn folding_runner_folds_after_the_completion_hook() {
+    fn completion_hook_sees_the_full_record_and_returns_the_kept_form() {
         let hook_saw = Mutex::new(Vec::new());
-        let out = run_supervised_folding(
+        let out = run_supervised(
             (0..10u64).collect(),
             2,
             SupervisorConfig::default(),
             meta_of,
             |_| (),
-            |_, _, item: &u64| Ok::<Vec<u64>, FailureReason>(vec![*item; 100]),
+            |_, _, item: &u64| Ok(vec![*item; 100]),
             Vec::new(),
-            |i, o: &VisitOutcome<Vec<u64>>, _| {
-                if let Some(r) = o.completed() {
+            |i, o: VisitOutcome<Vec<u64>>, attempts| {
+                assert_eq!(attempts, 1);
+                o.map(|r| {
                     assert_eq!(r.len(), 100, "hook must see the full record");
                     hook_saw.lock().unwrap().push(i);
-                }
-            },
-            |i, r, attempts| {
-                assert_eq!(attempts, 1);
-                (i as u64, r.len() as u64)
+                    (i as u64, r.len() as u64)
+                })
             },
         );
         assert_eq!(out.summary.completed, 10);
@@ -778,6 +713,11 @@ mod tests {
 
     fn meta_of(x: &u64) -> ItemMeta {
         ItemMeta { label: format!("item-{x}"), fault_key: *x, flaky: false }
+    }
+
+    /// Completion hook that keeps every outcome as it is.
+    fn keep<R>(_: usize, o: VisitOutcome<R>, _: u32) -> VisitOutcome<R> {
+        o
     }
 
     fn run_plain(
@@ -793,10 +733,10 @@ mod tests {
             |_| 0u64,
             |state, _, item| {
                 *state += 1;
-                item * 2
+                Ok(item * 2)
             },
             Vec::new(),
-            |_, _, _| {},
+            keep,
         )
     }
 
@@ -824,10 +764,10 @@ mod tests {
                 if item % 10 == 3 {
                     panic!("visit exploded");
                 }
-                *item
+                Ok(*item)
             },
             Vec::new(),
-            |_, _, _| {},
+            keep,
         );
         assert_eq!(out.summary.completed, 45);
         assert_eq!(out.summary.failed, 5);
@@ -932,10 +872,10 @@ mod tests {
             |_| (),
             |_, _, item: &u64| {
                 visits.fetch_add(1, Ordering::Relaxed);
-                *item
+                Ok(*item)
             },
             Vec::new(),
-            |_, _, _| {},
+            keep,
         );
         // The visit ran (work happened) but its result was lost.
         assert_eq!(visits.load(Ordering::Relaxed), 1);
@@ -991,10 +931,10 @@ mod tests {
             |_| (),
             |_, i, item: &u64| {
                 visited.lock().unwrap().push(i);
-                *item
+                Ok(*item)
             },
             prior,
-            |_, _, _| {},
+            keep,
         );
         let mut visited = visited.into_inner().unwrap();
         visited.sort_unstable();
@@ -1023,9 +963,9 @@ mod tests {
             cfg,
             meta_of,
             |_| (),
-            |_, _, item: &u64| *item,
+            |_, _, item: &u64| Ok(*item),
             prior,
-            |_, _, _| {},
+            keep,
         );
         assert_eq!(out.summary.completed, 10);
         assert_eq!(out.summary.interrupted, 10);
@@ -1042,9 +982,12 @@ mod tests {
             SupervisorConfig::default(),
             meta_of,
             |_| (),
-            |_, _, item: &u64| *item,
+            |_, _, item: &u64| Ok(*item),
             prior,
-            |i, _, _| seen.lock().unwrap().push(i),
+            |i, o, _| {
+                seen.lock().unwrap().push(i);
+                o
+            },
         );
         let mut seen = seen.into_inner().unwrap();
         seen.sort_unstable();
@@ -1083,10 +1026,10 @@ mod tests {
             |_| 0u64,
             |state, _, item| {
                 *state += 1;
-                item * 2
+                Ok(item * 2)
             },
             prior,
-            |_, _, _| {},
+            keep,
         );
         assert_eq!(resumed.outcomes, full.outcomes);
         assert_eq!(resumed.summary.completed, full.summary.completed);

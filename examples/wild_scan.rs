@@ -24,7 +24,7 @@ fn main() {
         pct(ut as u64, n as u64)
     );
 
-    let front = report.count(|s| s.front.union_true());
+    let front = report.count(|front, _| front.union_true());
     println!(
         "front page only: {front} sites ({}); subpage crawling adds {} sites (paper: +5 %-points)\n",
         pct(front as u64, n as u64),

@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 
 use gullible::{diff_bundles, site_visit, ReplayBundle, Scan, ScanConfig};
-use openwpm::FaultPlan;
+use openwpm::{CrashPlan, FaultPlan, KillPoint};
 use webgen::Population;
 
 // Every test here runs scans against the process-global obs registry, and
@@ -85,23 +85,41 @@ fn record_then_replay_reproduces_run_byte_for_byte() {
 /// equal the corpus statistics computed independently from the generator
 /// (blobs = unique script bodies, dedup hits = served − unique), and
 /// (b) replay reproduces the per-site records exactly — including runs
-/// with fault weather and budget-interrupted tails.
+/// with fault weather and budget-interrupted recordings, which leave an
+/// open bundle that a second run resumes and seals.
 #[test]
 fn randomized_scans_roundtrip_with_exact_blob_accounting() {
     let _g = lock();
     gullible::obs::reset();
     proplite::run_cases(4, 0xA2C4_11EE, |rng| {
         let n_sites = rng.u32_in(30, 70);
+        let include_subpages = rng.bool();
+        let faults =
+            if rng.bool() { FaultPlan::adversarial(rng.u32_in(1, 9) as u64) } else { FaultPlan::none() };
+        let budget = rng.bool().then_some(n_sites as usize / 2);
         let cfg = ScanConfig {
-            include_subpages: rng.bool(),
-            faults: if rng.bool() { FaultPlan::adversarial(rng.u32_in(1, 9) as u64) } else { FaultPlan::none() },
-            visit_budget: if rng.bool() { Some(n_sites as usize / 2) } else { None },
+            include_subpages,
+            faults,
             ..ScanConfig::new(n_sites, rng.u32_in(1, 1_000) as u64)
         };
         let dir = tmp_dir("prop");
 
+        let mut legs = Vec::new();
+        if let Some(budget) = budget {
+            let partial = Scan::new(ScanConfig { visit_budget: Some(budget), ..cfg })
+                .record(&dir)
+                .run()
+                .expect("budgeted record");
+            assert!(!partial.stream.unwrap().committed, "a budgeted recording stays open");
+            assert_eq!(partial.completion.interrupted, n_sites as usize - budget);
+            assert!(ReplayBundle::open(&dir).is_err(), "an open bundle must refuse replay");
+            legs.push(partial.archive.expect("archive stats"));
+        }
         let recorded = Scan::new(cfg).record(&dir).run().expect("record");
-        let stats = recorded.archive.expect("archive stats");
+        let stream = recorded.stream.unwrap();
+        assert!(stream.committed);
+        assert_eq!(stream.resumed, budget.is_some());
+        legs.push(recorded.archive.expect("archive stats"));
 
         // Independent corpus statistics straight from the generator.
         let mut pop = Population::new(cfg.n_sites, cfg.seed);
@@ -116,9 +134,12 @@ fn randomized_scans_roundtrip_with_exact_blob_accounting() {
                 }
             }
         }
-        assert_eq!(stats.sites as u32, cfg.n_sites);
-        assert_eq!(stats.blobs_written, unique.len() as u64, "blobs = unique script bodies");
-        assert_eq!(stats.dedup_hits, served - unique.len() as u64);
+        // Every site is archived exactly once across the legs.
+        let blobs_written: u64 = legs.iter().map(|s| s.blobs_written).sum();
+        let dedup_hits: u64 = legs.iter().map(|s| s.dedup_hits).sum();
+        assert_eq!(legs.last().unwrap().sites as u32, cfg.n_sites);
+        assert_eq!(blobs_written, unique.len() as u64, "blobs = unique script bodies");
+        assert_eq!(dedup_hits, served - unique.len() as u64);
 
         let replayed = Scan::new(ScanConfig { workers: rng.usize_in(1, 3), ..cfg })
             .replay(&dir)
@@ -127,7 +148,7 @@ fn randomized_scans_roundtrip_with_exact_blob_accounting() {
         assert_eq!(replayed.replay.unwrap().divergences, 0);
         assert_eq!(replayed.sites, recorded.sites);
         assert_eq!(replayed.history, recorded.history);
-        assert_eq!(replayed.completion.interrupted, recorded.completion.interrupted);
+        assert_eq!(replayed.completion.interrupted, 0);
 
         let _ = std::fs::remove_dir_all(&dir);
     });
@@ -210,22 +231,44 @@ fn damaged_bundles_fail_loudly() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The one invalid combination left: crash injection needs a bundle sink,
+/// and a replay source is not one. The guard fires before the (missing)
+/// bundle is opened.
 #[test]
 fn replay_and_record_reject_invalid_mode_combinations() {
-    let _g = lock();
     let dir = tmp_dir("modes");
-    let cfg = ScanConfig::new(10, 1);
-    let err = Scan::new(cfg).replay(&dir).checkpoint(dir.join("ckpt")).run().unwrap_err();
+    let crash = CrashPlan::new(KillPoint::AfterVisit(1));
+    let err = Scan::new(ScanConfig::new(10, 1)).replay(&dir).inject_crash(crash).run().unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    let err = Scan::new(cfg).record(&dir).checkpoint(dir.join("ckpt")).run().unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    let err = Scan::new(cfg)
-        .record(dir.join("rec"))
-        .replay(dir.join("rep"))
+}
+
+/// A replay that records reads its pages from the source bundle, so the
+/// re-recorded bundle reproduces the original site for site.
+#[test]
+fn replay_then_record_reproduces_the_source_bundle() {
+    let _g = lock();
+    gullible::obs::reset();
+    let (dir_a, dir_b) = (tmp_dir("rerecord-a"), tmp_dir("rerecord-b"));
+    let cfg = ScanConfig {
+        faults: FaultPlan::adversarial(9),
+        ..ScanConfig::new(60, 31)
+    };
+    let recorded = Scan::new(cfg).record(&dir_a).run().expect("record a");
+    // The replaying scan's own config is ignored except for `workers`.
+    let rerecorded = Scan::new(ScanConfig { workers: 2, ..ScanConfig::new(1, 1) })
+        .replay(&dir_a)
+        .record(&dir_b)
         .run()
-        .unwrap_err();
-    // Replay wins the dispatch and rejects the combination (no bundle
-    // exists anyway, but the mode check fires first).
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    let _ = std::fs::remove_dir_all(&dir);
+        .expect("replay a, record b");
+    assert_eq!(rerecorded.replay.unwrap().divergences, 0);
+    assert_eq!(rerecorded.sites, recorded.sites);
+
+    let (a, b) = (ReplayBundle::open(&dir_a).unwrap(), ReplayBundle::open(&dir_b).unwrap());
+    let diff = diff_bundles(&a, &b);
+    assert!(diff.is_clean(), "re-recorded bundle diverged: {:?}", diff.deltas.first());
+    assert!(!diff.config_differs);
+    assert_eq!(a.commit.records_digest, b.commit.records_digest);
+    for d in [&dir_a, &dir_b] {
+        let _ = std::fs::remove_dir_all(d);
+    }
 }

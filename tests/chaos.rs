@@ -457,22 +457,44 @@ fn cross_corruption_fails_loudly() {
     assert!(err.contains("committed"), "sealed bundle must refuse, got: {err}");
 }
 
-/// Mode guards: streaming owns its checkpoint; crash injection requires
-/// streaming.
+/// Mode guard: crash injection requires a bundle sink.
 #[test]
 fn stream_mode_guards() {
-    let cfg = ScanConfig::new(4, 1);
-    let err = Scan::new(cfg)
-        .stream_to(tmp_dir("guard-a"))
-        .checkpoint(tmp_dir("guard-a-ck"))
-        .run()
-        .map(|_| ())
-        .unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
-    let err = Scan::new(cfg)
+    let err = Scan::new(ScanConfig::new(4, 1))
         .inject_crash(CrashPlan::new(KillPoint::AfterVisit(1)))
         .run()
         .map(|_| ())
         .unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+}
+
+/// A streamed report keeps no records, yet counts exactly what an
+/// in-memory report of the same config counts (Table 11's front counts).
+#[test]
+fn streamed_and_in_memory_reports_count_the_same_fronts() {
+    let _g = lock();
+    let dir = tmp_dir("front-counts");
+    let cfg = chaos_cfg(150, 17, 2);
+    fresh_registry();
+    let in_memory = Scan::new(cfg).run().expect("in-memory scan");
+    let streamed = Scan::new(cfg).stream_to(&dir).run().expect("streamed scan");
+    gullible::obs::reset();
+    assert!(streamed.sites.is_empty());
+    let fronts = |r: &gullible::ScanReport| {
+        [
+            r.count(|front, _| front.static_true),
+            r.count(|front, _| front.dynamic_true),
+            r.count(|front, _| front.union_true()),
+            r.count(|front, site| site.union_true() && !front.union_true()),
+        ]
+    };
+    let expected = fronts(&in_memory);
+    assert!(expected[2] > 0, "the population must hold front-page detectors");
+    assert_eq!(fronts(&streamed), expected);
+    assert_eq!(
+        expected[2],
+        in_memory.sites.iter().filter(|s| s.front.union_true()).count() as u32,
+        "count must agree with the kept records"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -81,11 +81,10 @@ fn concurrent_compiles_share_one_artifact_per_body() {
 
     let stats = jsengine::cache().stats();
     assert_eq!(stats.entries, 24, "one entry per unique body");
-    // 8 threads × 40 rounds × 24 bodies; racing first compiles may record
-    // a few extra misses (parse happens outside the shard lock), but the
-    // steady state is all hits.
+    // 8 threads × 40 rounds × 24 bodies; a racing first compile that loses
+    // the insert counts a hit, so misses equal unique bodies exactly.
     assert_eq!(stats.hits + stats.misses, 8 * 40 * 24);
-    assert!(stats.misses < 24 + 8, "misses {} not bounded by unique bodies", stats.misses);
+    assert_eq!(stats.misses, 24, "misses must equal unique bodies");
 
     // After the dust settles, everyone gets pointer-identical programs.
     let a = jsengine::compile_cached(&bodies[0], "stress0.js").unwrap();

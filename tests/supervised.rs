@@ -1,22 +1,22 @@
 //! Supervised-crawl guarantees (the robustness additions around Sec. 4's
 //! scan): fault-injected crawls degrade gracefully and report their
 //! completeness, aggregates are deterministic under faults, and a crawl
-//! killed midway resumes from its checkpoint to byte-identical aggregates.
+//! killed midway resumes from its bundle to byte-identical aggregates.
 
 use std::path::PathBuf;
 
 use gullible::scan::{
-    checkpoint_line, decode_site_record, encode_site_record, parse_checkpoint_line, PageFlags,
-    Scan, ScanConfig, SiteScanRecord,
+    decode_site_record, encode_site_record, PageFlags, Scan, ScanConfig, SiteScanRecord,
 };
-use openwpm::{CrawlStatus, FailureReason, FaultPlan, VisitOutcome};
+use gullible::STREAM_CHECKPOINT_FILE;
+use openwpm::{CrawlStatus, FailureReason, FaultPlan};
 use webgen::Category;
 
-fn tmp_checkpoint(tag: &str) -> PathBuf {
-    let path = std::env::temp_dir()
-        .join(format!("gullible-supervised-{tag}-{}.ckpt", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    path
+fn tmp_bundle(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir()
+        .join(format!("gullible-supervised-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
 }
 
 /// The issue's acceptance scenario: a 1,000-site scan under a 5% crash /
@@ -74,7 +74,7 @@ fn faulty_scan_aggregates_are_deterministic() {
 }
 
 /// Kill the crawl midway (deterministically, via the visit budget), resume
-/// from the checkpoint file, and get aggregates identical to a run that
+/// from the recorded bundle, and get aggregates identical to a run that
 /// was never interrupted.
 #[test]
 fn killed_and_resumed_scan_matches_uninterrupted() {
@@ -85,21 +85,25 @@ fn killed_and_resumed_scan_matches_uninterrupted() {
     };
     let uninterrupted = Scan::new(base).run().expect("scan");
 
-    let path = tmp_checkpoint("resume");
+    let dir = tmp_bundle("resume");
     // First leg: budget admits only 120 of 300 sites, rest interrupted.
     let first = Scan::new(ScanConfig { visit_budget: Some(120), ..base })
-        .checkpoint(&path)
+        .record(&dir)
         .run()
         .expect("first leg");
     assert_eq!(first.completion.interrupted, 180);
     assert!(first.completion.completed < uninterrupted.completion.completed);
+    assert!(!first.stream.unwrap().committed, "a budgeted leg leaves the bundle open");
 
-    // Second leg: no budget, resumes the remaining sites from the file.
+    // Second leg: no budget, resumes the remaining sites from the bundle.
     // Everything the measurement reports — site records, per-site history,
     // tables, the coverage line — must be byte-identical to the run that
     // was never interrupted. (Effort telemetry like attempts/restarts is
     // per-process-leg and deliberately not checkpointed.)
-    let resumed = Scan::new(base).checkpoint(&path).run().expect("second leg");
+    let resumed = Scan::new(base).record(&dir).run().expect("second leg");
+    let stream = resumed.stream.unwrap();
+    assert!(stream.resumed && stream.committed, "{stream:?}");
+    assert_eq!(stream.records_replayed, 120);
     assert_eq!(resumed.completion.completed, uninterrupted.completion.completed);
     assert_eq!(resumed.completion.failed, uninterrupted.completion.failed);
     assert_eq!(resumed.completion.interrupted, 0);
@@ -112,32 +116,7 @@ fn killed_and_resumed_scan_matches_uninterrupted() {
     assert_eq!(resumed.table5(), uninterrupted.table5());
     assert_eq!(resumed.table12(), uninterrupted.table12());
     assert_eq!(resumed.coverage_line(), uninterrupted.coverage_line());
-    let _ = std::fs::remove_file(&path);
-}
-
-/// A torn final line (simulating a kill mid-write) is skipped on load and
-/// the affected site is simply re-visited.
-#[test]
-fn torn_checkpoint_line_is_survivable() {
-    let base = ScanConfig { workers: 2, ..ScanConfig::new(150, 31) };
-    let uninterrupted = Scan::new(base).run().expect("scan");
-
-    let path = tmp_checkpoint("torn");
-    Scan::new(ScanConfig { visit_budget: Some(60), ..base })
-        .checkpoint(&path)
-        .run()
-        .expect("first leg");
-    // Tear the last line in half.
-    let contents = std::fs::read_to_string(&path).unwrap();
-    let keep = contents.len() - contents.lines().last().unwrap().len() / 2 - 1;
-    std::fs::write(&path, &contents[..keep]).unwrap();
-
-    let resumed = Scan::new(base).checkpoint(&path).run().expect("second leg");
-    assert_eq!(resumed.completion.completed, uninterrupted.completion.completed);
-    assert_eq!(resumed.completion.interrupted, 0);
-    assert_eq!(resumed.sites, uninterrupted.sites);
-    assert_eq!(resumed.history, uninterrupted.history);
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Checkpoint files are stamped with a format version; files from another
@@ -149,20 +128,20 @@ fn checkpoint_format_version_is_stamped_and_validated() {
     let base = ScanConfig { workers: 2, ..ScanConfig::new(40, 13) };
 
     // A fresh checkpoint leads with the version header.
-    let path = tmp_checkpoint("version");
-    Scan::new(base).checkpoint(&path).run().expect("scan");
+    let dir = tmp_bundle("version");
+    let path = dir.join(STREAM_CHECKPOINT_FILE);
+    Scan::new(ScanConfig { visit_budget: Some(20), ..base })
+        .record(&dir)
+        .run()
+        .expect("scan");
     let contents = std::fs::read_to_string(&path).unwrap();
     let expected = format!("gullible-checkpoint v{}", gullible::CHECKPOINT_FORMAT_VERSION);
     assert_eq!(contents.lines().next(), Some(expected.as_str()));
 
-    // Resuming from it works (header is not mistaken for a site line).
-    let resumed = Scan::new(base).checkpoint(&path).run().expect("resume");
-    assert_eq!(resumed.completion.checkpoint_lines_dropped, 0);
-
     // A future/past version is refused, naming both versions.
     let body = contents.split_once('\n').unwrap().1;
     std::fs::write(&path, format!("gullible-checkpoint v999\n{body}")).unwrap();
-    let err = Scan::new(base).checkpoint(&path).run().unwrap_err();
+    let err = Scan::new(base).record(&dir).run().unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     let msg = err.to_string();
     assert!(msg.contains("v999"), "{msg}");
@@ -170,16 +149,23 @@ fn checkpoint_format_version_is_stamped_and_validated() {
 
     // A pre-versioning file (no header at all) is refused, not restarted.
     std::fs::write(&path, body).unwrap();
-    let err = Scan::new(base).checkpoint(&path).run().unwrap_err();
+    let err = Scan::new(base).record(&dir).run().unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("pre-versioning"), "{err}");
 
     // A mangled header is refused too.
     std::fs::write(&path, format!("gullible-checkpoint vX\n{body}")).unwrap();
-    let err = Scan::new(base).checkpoint(&path).run().unwrap_err();
+    let err = Scan::new(base).record(&dir).run().unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 
-    let _ = std::fs::remove_file(&path);
+    // Restored, the header is not mistaken for a site line: the resume
+    // adopts every line and drops none.
+    std::fs::write(&path, &contents).unwrap();
+    let resumed = Scan::new(base).record(&dir).run().expect("resume");
+    assert_eq!(resumed.completion.checkpoint_lines_dropped, 0);
+    assert_eq!(resumed.stream.unwrap().records_replayed, 20);
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A panic inside a visit step surfaces once, names the *correct* item
@@ -244,18 +230,18 @@ fn checkpoint_resume_with_many_workers_matches_single_worker() {
     };
     let uninterrupted = Scan::new(cfg(1)).run().expect("scan");
 
-    let path = tmp_checkpoint("sched-resume");
+    let dir = tmp_bundle("sched-resume");
     Scan::new(ScanConfig { visit_budget: Some(80), ..cfg(8) })
-        .checkpoint(&path)
+        .record(&dir)
         .run()
         .expect("first leg");
-    let resumed = Scan::new(cfg(3)).checkpoint(&path).run().expect("second leg");
+    let resumed = Scan::new(cfg(3)).record(&dir).run().expect("second leg");
     assert_eq!(resumed.completion.completed, uninterrupted.completion.completed);
     assert_eq!(resumed.completion.failed, uninterrupted.completion.failed);
     assert_eq!(resumed.sites, uninterrupted.sites);
     assert_eq!(resumed.history, uninterrupted.history);
     assert_eq!(resumed.table5(), uninterrupted.table5());
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn arbitrary_record(rng: &mut proplite::Rng) -> SiteScanRecord {
@@ -285,8 +271,8 @@ fn arbitrary_record(rng: &mut proplite::Rng) -> SiteScanRecord {
     }
 }
 
-/// Property: checkpoint serialisation round-trips arbitrary scan records
-/// and whole outcome lines exactly.
+/// Property: the site-record encoding inside bundle entries round-trips
+/// arbitrary scan records exactly.
 #[test]
 fn checkpoint_encoding_roundtrips_arbitrary_records() {
     proplite::run_cases(300, 0xC4EC, |rng| {
@@ -294,12 +280,5 @@ fn checkpoint_encoding_roundtrips_arbitrary_records() {
         let decoded = decode_site_record(&encode_site_record(&rec))
             .expect("encoded record must decode");
         assert_eq!(decoded, rec);
-
-        let attempts = rng.u32_in(1, 5);
-        let outcome = VisitOutcome::Completed(rec);
-        let line = checkpoint_line(rng.u32_in(0, 100_000), &outcome, attempts).unwrap();
-        let (_, parsed, att) = parse_checkpoint_line(&line).expect("line must parse");
-        assert_eq!(parsed, outcome);
-        assert_eq!(att, attempts);
     });
 }
