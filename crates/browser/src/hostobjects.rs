@@ -553,14 +553,13 @@ fn install_fetch(it: &mut Interp, window: ObjId) {
         let t = it.now_ms;
         h.borrow_mut().push_request(url, ResourceType::XmlHttpRequest, t);
         let resp = h.borrow().server_resources.get(&*url_s).cloned();
-        let (status, body) = match resp {
+        let (status, body_rc) = match resp {
             Some(r) => (r.status, r.body),
-            None => (404, String::new()),
+            None => (404, Arc::from("")),
         };
         let robj = it.alloc_object_with_class("Response");
         data(it, robj, "status", Value::Num(status as f64));
         data(it, robj, "ok", Value::Bool(status == 200));
-        let body_rc: Arc<str> = Arc::from(body);
         {
             let body_rc = body_rc.clone();
             method(it, robj, "text", move |it, _this, _args| {
@@ -706,7 +705,7 @@ fn install_node_methods(it: &mut Interp, node_proto: ObjId) {
                     h.borrow_mut().push_request(url, ResourceType::Script, t);
                     let resp = h.borrow().server_resources.get(&*src_s).cloned();
                     if let Some(r) = resp {
-                        let _ = it.eval_in_scope(Value::str(&r.body), &it.global_scope());
+                        let _ = it.eval_in_scope(Value::Str(r.body), &it.global_scope());
                     }
                 } else {
                     let text = it.get_prop(&child, "text")?;

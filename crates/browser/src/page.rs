@@ -131,6 +131,22 @@ impl PageHost {
         }
     }
 
+    /// Whether nothing has happened on this host yet: no traffic,
+    /// listeners, sinks, hooks, frames, cookies, registered ids or CSP
+    /// violations (what a template setup must leave behind).
+    pub(crate) fn is_pristine(&self) -> bool {
+        self.traffic.is_empty()
+            && self.listeners.is_empty()
+            && self.event_sinks.is_empty()
+            && self.frames.is_empty()
+            && self.frame_sync_hooks.is_empty()
+            && self.frame_async_hooks.is_empty()
+            && self.js_cookies.is_empty()
+            && self.elements_by_id.is_empty()
+            && self.server_resources.is_empty()
+            && self.csp_violations == 0
+    }
+
     /// Record the top realm (called once by `install_window`).
     pub fn set_top(&mut self, rw: RealmWindow) {
         self.top = Some(rw);
@@ -187,6 +203,9 @@ pub struct Page {
     pub interp: Interp,
     pub host: PageShared,
     pub top: RealmWindow,
+    /// Interpreter counts of the template setup this page's realm was
+    /// cloned after, if any; [`Page::enable_profiling`] starts from them.
+    pub(crate) profile_base: Option<std::sync::Arc<jsengine::Profile>>,
 }
 
 /// Result of a blocked DOM script injection.
@@ -219,7 +238,7 @@ impl Page {
         let host = Rc::new(RefCell::new(PageHost::new(profile.into(), url, csp)));
         interp.host = Some(host.clone());
         let top = hostobjects::install_window(&mut interp, &host, true);
-        Page { interp, host, top }
+        Page { interp, host, top, profile_base: None }
     }
 
     /// Register a server resource reachable by `fetch` from page scripts.
@@ -231,7 +250,7 @@ impl Page {
                 url: parsed,
                 status: 200,
                 content_type: content_type.to_owned(),
-                body: body.to_owned(),
+                body: body.into(),
             },
         );
     }
@@ -247,9 +266,15 @@ impl Page {
     }
 
     /// Turn on interpreter profiling for this page (op counts, call depth,
-    /// evals). Costs one branch per interpreter step while enabled.
+    /// evals). Costs one branch per interpreter step while enabled. A page
+    /// stamped from a template that ran a setup step starts from the
+    /// setup's counts, so it reports what a page that ran the setup itself
+    /// would.
     pub fn enable_profiling(&mut self) {
-        self.interp.enable_profiling();
+        match &self.profile_base {
+            Some(base) => self.interp.enable_profiling_from((**base).clone()),
+            None => self.interp.enable_profiling(),
+        }
     }
 
     /// Stop profiling and return the page's aggregated interpreter counts.

@@ -9,13 +9,27 @@
 //! holds the installed realm, and [`PageTemplate::instantiate`] clones it,
 //! attaches a fresh host, and re-points the per-page location data.
 //!
-//! Clones are observably identical to scratch-built pages: heap cloning
-//! preserves object ids and property insertion order, and
-//! [`Interp::clone_realm`] resets every piece of transient execution state
-//! to the fresh-realm defaults. The browser manager treats templates as
-//! part of the shared compiled-artifact layer and only uses them when the
-//! process-wide compile cache is enabled, so ablation runs
-//! (`--no-compile-cache`) exercise the rebuild-per-page path.
+//! A template may also run [`PageTemplate::setup`] steps after the build:
+//! page-independent script work that every page would otherwise repeat,
+//! such as the vanilla OpenWPM instrument building its wrapper closures.
+//! Every instance then starts with that work done. A setup script's
+//! closures may capture per-page values (the instrument's event id
+//! `eid`): the template runs with a placeholder, and the embedder
+//! re-binds the real value on each instance with
+//! [`Interp::set_captured_binding`] before any page script runs. That is
+//! the whole contract: a setup may leave per-page values only in bindings
+//! the embedder re-binds, and no host-side state at all.
+//!
+//! Clones are observably identical to scratch-built pages that ran the
+//! same setup: heap cloning preserves object ids and property insertion
+//! order, [`Interp::clone_realm`] deep-copies every captured scope and
+//! carries over the execution counters (steps, PRNG, job sequence), and
+//! the setup's interpreter [`Profile`](jsengine::Profile) seeds each
+//! instance's profiler ([`Page::enable_profiling`]). The browser manager
+//! treats templates as part of the shared compiled-artifact layer and
+//! only uses them when the process-wide compile cache is enabled, so
+//! ablation runs (`--no-compile-cache`) exercise the rebuild-per-page
+//! path.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -26,14 +40,16 @@ use netsim::Url;
 
 use crate::csp::CspPolicy;
 use crate::hostobjects::{install_window, repoint_location};
-use crate::page::{Page, PageHost, RealmWindow};
+use crate::page::{Page, PageHost};
 use crate::profile::FingerprintProfile;
 
 /// A pre-built page realm for one fingerprint profile, cloned per visit.
 pub struct PageTemplate {
     profile: Arc<FingerprintProfile>,
-    interp: Interp,
-    top: RealmWindow,
+    /// The template realm on its build-time host, which only feeds the
+    /// few values `install_window` reads eagerly (profile geometry, fonts
+    /// count, a placeholder URL) and never reaches an instance.
+    page: Page,
 }
 
 impl PageTemplate {
@@ -42,9 +58,6 @@ impl PageTemplate {
     pub fn new(profile: impl Into<Arc<FingerprintProfile>>) -> PageTemplate {
         let profile = profile.into();
         let mut interp = Interp::new();
-        // The build-time host only feeds the few values install_window
-        // reads eagerly (profile geometry, fonts count, a placeholder
-        // URL); it is dropped with this scope and never sees a script.
         let host = Rc::new(RefCell::new(PageHost::new(
             profile.clone(),
             Url::parse("https://template.invalid/").expect("placeholder URL parses"),
@@ -52,8 +65,7 @@ impl PageTemplate {
         )));
         interp.host = Some(host.clone());
         let top = install_window(&mut interp, &host, true);
-        interp.host = None;
-        PageTemplate { profile, interp, top }
+        PageTemplate { profile, page: Page { interp, host, top, profile_base: None } }
     }
 
     /// The profile this template was built for.
@@ -61,15 +73,38 @@ impl PageTemplate {
         &self.profile
     }
 
+    /// Run a setup step on the template page (no CSP), with profiling
+    /// on. The recorded [`Profile`](jsengine::Profile) seeds every
+    /// instance's profiler, so per-page interpreter counts still include
+    /// the setup.
+    ///
+    /// # Panics
+    ///
+    /// If `setup` left host-side state (traffic, listeners, frames,
+    /// cookies, hooks, sinks, CSP violations) or pending jobs, none of
+    /// which an instance could inherit.
+    pub fn setup<R>(&mut self, setup: impl FnOnce(&mut Page) -> R) -> R {
+        self.page.enable_profiling();
+        let out = setup(&mut self.page);
+        let profile = self.page.interp.take_profile().expect("profiling was enabled");
+        assert!(
+            self.page.host.borrow().is_pristine() && !self.page.interp.has_pending_jobs(),
+            "PageTemplate::setup left state an instance cannot inherit"
+        );
+        self.page.profile_base = Some(Arc::new(profile));
+        out
+    }
+
     /// Stamp out a page: clone the realm, attach a fresh [`PageHost`] for
     /// `url`/`csp`, and re-point the location data baked in at build time.
     pub fn instantiate(&self, url: Url, csp: Option<CspPolicy>) -> Page {
-        let mut interp = self.interp.clone_realm();
+        let top = self.page.top;
+        let mut interp = self.page.interp.clone_realm();
         let host = Rc::new(RefCell::new(PageHost::new(self.profile.clone(), url.clone(), csp)));
-        host.borrow_mut().set_top(self.top);
+        host.borrow_mut().set_top(top);
         interp.host = Some(host.clone());
-        repoint_location(&mut interp, self.top, &url);
-        Page { interp, host, top: self.top }
+        repoint_location(&mut interp, top, &url);
+        Page { interp, host, top, profile_base: self.page.profile_base.clone() }
     }
 }
 
@@ -78,6 +113,7 @@ mod tests {
     use super::*;
     use crate::profile::{Os, RunMode};
     use crate::template::{capture_template, diff};
+    use jsengine::Value;
 
     fn profile() -> FingerprintProfile {
         FingerprintProfile::openwpm(Os::Ubuntu1804, RunMode::Regular)
@@ -91,9 +127,64 @@ mod tests {
         let url = Url::parse("https://site042.example/shop").unwrap();
         let tpl = PageTemplate::new(profile());
         let mut cloned = tpl.instantiate(url.clone(), None);
-        let mut scratch = Page::new(profile(), url, None);
+        let mut scratch = Page::new(profile(), url.clone(), None);
         let d = diff(&capture_template(&mut scratch), &capture_template(&mut cloned));
         assert!(d.is_empty(), "clone deviates from scratch build: {d:?}");
+
+        // The same holds after a setup step whose closures capture a
+        // per-page value, once that value is re-bound on the instance.
+        let mut tpl = PageTemplate::new(profile());
+        let wrapper = tpl.setup(|page| {
+            page.run_script((WRAP, "wrap.js")).unwrap();
+            page.run_script(("wrap(window, 'placeholder')", "wrap.js")).unwrap().as_obj().unwrap()
+        });
+        let mut cloned = tpl.instantiate(url.clone(), None);
+        assert!(cloned.interp.set_captured_binding(wrapper, "tag", Value::str("page-7")));
+        let mut scratch = Page::new(profile(), url, None);
+        scratch.run_script((WRAP, "wrap.js")).unwrap();
+        scratch.run_script(("wrap(window, 'page-7')", "wrap.js")).unwrap();
+        assert_eq!(cloned.interp.steps(), scratch.interp.steps());
+        let d = diff(&capture_template(&mut scratch), &capture_template(&mut cloned));
+        assert!(d.is_empty(), "set-up clone deviates from scratch build: {d:?}");
+        let tag = |p: &mut Page| p.run_script(("navigator.platform; window.__tag", "t")).unwrap();
+        assert_eq!(tag(&mut cloned), Value::str("page-7"));
+        assert_eq!(tag(&mut scratch), Value::str("page-7"));
+    }
+
+    /// A miniature script instrument: wraps one accessor with a closure
+    /// capturing a per-page `tag`, and returns the wrapper.
+    const WRAP: &str = "function wrap(w, tag) {
+        var d = Object.getOwnPropertyDescriptor(w.Navigator.prototype, 'platform');
+        var get = function () { w.__tag = tag; return d.get.call(this); };
+        Object.defineProperty(w.Navigator.prototype, 'platform', { get: get, enumerable: true });
+        return get;
+    }";
+
+    /// Instances start from the setup's interpreter counts, so a profiled
+    /// page reports what a page that ran the setup itself would.
+    #[test]
+    fn instances_profile_from_the_setup() {
+        let url = Url::parse("https://a.example/").unwrap();
+        let mut tpl = PageTemplate::new(profile());
+        tpl.setup(|page| page.run_script((WRAP, "wrap.js")).unwrap());
+        let mut cloned = tpl.instantiate(url.clone(), None);
+        let mut scratch = Page::new(profile(), url, None);
+        scratch.enable_profiling();
+        scratch.run_script((WRAP, "wrap.js")).unwrap();
+        cloned.enable_profiling();
+        for p in [&mut scratch, &mut cloned] {
+            p.run_script(("wrap(window, 'x'); navigator.platform", "t")).unwrap();
+        }
+        let (a, b) = (scratch.take_profile().unwrap(), cloned.take_profile().unwrap());
+        assert!(a.ops > 0);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot inherit")]
+    fn setup_must_not_leave_host_state() {
+        let mut tpl = PageTemplate::new(profile());
+        tpl.setup(|page| page.run_script(("navigator.sendBeacon('/x');", "t")).unwrap());
     }
 
     /// The location data must track the instantiation URL, not the

@@ -126,6 +126,44 @@ pub struct Interp {
     pub(crate) vm_stacks: Vec<Vec<Value>>,
 }
 
+/// Deep-copies scope chains for [`Interp::clone_realm`], keyed by the
+/// source scope's address so shared environments stay shared in the copy.
+/// The source scopes outlive the remap (they are borrowed from the source
+/// realm), so an address cannot be reused while it is a key.
+struct ScopeRemap {
+    global: ScopeRef,
+    copies: std::collections::HashMap<*const RefCell<Scope>, ScopeRef>,
+}
+
+impl ScopeRemap {
+    fn new(source_global: &ScopeRef) -> ScopeRemap {
+        let gs = source_global.borrow();
+        let global = Rc::new(RefCell::new(Scope {
+            vars: gs.vars.clone(),
+            parent: None,
+            this_val: gs.this_val.clone(),
+        }));
+        let mut copies = std::collections::HashMap::new();
+        copies.insert(Rc::as_ptr(source_global), global.clone());
+        ScopeRemap { global, copies }
+    }
+
+    fn copy(&mut self, scope: &ScopeRef) -> ScopeRef {
+        if let Some(copy) = self.copies.get(&Rc::as_ptr(scope)) {
+            return copy.clone();
+        }
+        let src = scope.borrow();
+        let parent = src.parent.as_ref().map(|p| self.copy(p));
+        let copy = Rc::new(RefCell::new(Scope {
+            vars: src.vars.clone(),
+            parent,
+            this_val: src.this_val.clone(),
+        }));
+        self.copies.insert(Rc::as_ptr(scope), copy.clone());
+        copy
+    }
+}
+
 impl Default for Interp {
     fn default() -> Self {
         Interp::new()
@@ -190,34 +228,40 @@ impl Interp {
         interp
     }
 
-    /// Duplicate this realm's object graph into a fresh interpreter.
+    /// Duplicate this realm into an independent interpreter that continues
+    /// exactly where this one stands.
     ///
     /// The heap, global object and intrinsics are cloned with object ids
-    /// preserved, and the global scope's bindings are copied; all transient
-    /// execution state — call stack, virtual clock, job queue, step count,
-    /// console, PRNG, profiler, host handle — resets to the [`Interp::new`]
-    /// defaults, so a clone behaves exactly like a freshly-built realm.
+    /// preserved. Every scope reachable from a script closure is deep-copied
+    /// through a pointer-keyed remap: sharing is preserved (two closures
+    /// over one activation still share it in the clone), the global scope
+    /// maps to the clone's global scope, and no mutable scope is ever
+    /// shared between clones or with the source. So a realm that has run
+    /// scripts retaining inner closures — an instrumented template — can be
+    /// stamped out per page.
     ///
-    /// Script functions closed over the *global* scope are re-bound to the
-    /// clone's global scope; closures over inner scopes keep pointing at
-    /// the original's (shared) environments, so a realm should be cloned
-    /// before running scripts that retain such closures. The intended use
-    /// is a host-object template: install the (purely native) embedder
-    /// surface once, then clone per page.
+    /// The execution counters (step count, virtual clock, PRNG state, job
+    /// sequence number), the console and the VM's function-chunk memo carry
+    /// over, so a clone is observably the source continued. The profiler
+    /// and the host handle do not: the embedder attaches its own. The
+    /// engine is re-read from [`crate::vm::default_engine`], so templates
+    /// built before the host picked a backend still produce pages on the
+    /// current one.
+    ///
+    /// # Panics
+    ///
+    /// If the source has pending jobs or live call frames: both would hold
+    /// values a clone could not meaningfully continue.
     pub fn clone_realm(&self) -> Interp {
+        assert!(
+            self.jobs.is_empty() && self.stack.is_empty(),
+            "clone_realm: source realm has pending jobs or live frames"
+        );
         let mut heap = self.heap.clone();
-        let gs = self.global_scope.borrow();
-        let global_scope = Rc::new(RefCell::new(Scope {
-            vars: gs.vars.clone(),
-            parent: None,
-            this_val: gs.this_val.clone(),
-        }));
-        drop(gs);
+        let mut remap = ScopeRemap::new(&self.global_scope);
         for obj in heap.objects_mut() {
             if let Some(Callable::Script { env, .. }) = &mut obj.call {
-                if Rc::ptr_eq(env, &self.global_scope) {
-                    *env = global_scope.clone();
-                }
+                *env = remap.copy(env);
             }
         }
         Interp {
@@ -225,23 +269,49 @@ impl Interp {
             global: self.global,
             intrinsics: self.intrinsics,
             stack: Vec::new(),
-            global_scope,
-            now_ms: 0,
+            global_scope: remap.global,
+            now_ms: self.now_ms,
             jobs: Vec::new(),
-            job_seq: 0,
+            job_seq: self.job_seq,
             step_limit: self.step_limit,
-            steps: 0,
+            steps: self.steps,
             max_depth: self.max_depth,
-            console: Vec::new(),
-            rng_state: 0x9E3779B97F4A7C15,
+            console: self.console.clone(),
+            rng_state: self.rng_state,
             profiler: None,
             host: None,
-            // Re-read at clone time, so templates built before the host
-            // picked a backend still produce pages on the current one.
             engine: crate::vm::default_engine(),
             fn_chunks: self.fn_chunks.clone(),
             vm_stacks: Vec::new(),
         }
+    }
+
+    /// Overwrite the binding `name` in the environment captured by the
+    /// script function `func`: the nearest scope on its chain that binds
+    /// `name` gets `value`. Returns `false` (and changes nothing) when
+    /// `func` is not a script function or no scope on its chain binds
+    /// `name`. Embedders use this to re-bind a per-instance value that a
+    /// template's closures captured (see [`Interp::clone_realm`]).
+    pub fn set_captured_binding(&mut self, func: ObjId, name: &str, value: Value) -> bool {
+        let (Some(Callable::Script { env, .. }), Some(atom)) =
+            (&self.heap.get(func).call, Atom::lookup(name))
+        else {
+            return false;
+        };
+        let mut cur = Some(env.clone());
+        while let Some(s) = cur {
+            if let Some(slot) = s.borrow_mut().vars.get_mut(&atom) {
+                *slot = value;
+                return true;
+            }
+            cur = s.borrow().parent.clone();
+        }
+        false
+    }
+
+    /// Statements executed so far (the unit of the step budget).
+    pub fn steps(&self) -> u64 {
+        self.steps
     }
 
     // ------------------------------------------------------------- public
@@ -926,6 +996,13 @@ impl Interp {
     /// Install the standard counting profiler (replacing any other).
     pub fn enable_profiling(&mut self) {
         self.profiler = Some(Box::<CountingProfiler>::default());
+    }
+
+    /// Install the counting profiler with `base` already counted, so the
+    /// eventual report covers work done before this realm was cloned (a
+    /// template's setup script) as if it had been profiled here.
+    pub fn enable_profiling_from(&mut self, base: Profile) {
+        self.profiler = Some(Box::new(CountingProfiler::resume(base)));
     }
 
     /// Remove the profiler and return its aggregated counts.
@@ -1780,4 +1857,100 @@ pub fn to_uint32(n: f64) -> u32 {
         return 0;
     }
     n.trunc() as i64 as u32
+}
+
+#[cfg(test)]
+mod clone_tests {
+    use super::*;
+    use crate::vm::Engine;
+
+    /// A template whose closures capture an inner activation (`c`) and the
+    /// global scope (`n`).
+    const TEMPLATE: &str = "var n = 0; function mk(){ var c = 0; return { inc: function(){ return ++c + (++n); }, peek: function(){ return c; } }; } var o = mk();";
+
+    fn template(engine: Engine) -> Interp {
+        let mut it = Interp::new();
+        it.engine = engine;
+        it.eval_script(TEMPLATE, "template.js").unwrap();
+        it
+    }
+
+    fn instance(template: &Interp, engine: Engine) -> Interp {
+        let mut it = template.clone_realm();
+        it.engine = engine;
+        it
+    }
+
+    fn num(it: &mut Interp, src: &str) -> f64 {
+        match it.eval_script(src, "probe.js").unwrap() {
+            Value::Num(n) => n,
+            other => panic!("{src} gave {other:?}"),
+        }
+    }
+
+    fn closure(it: &mut Interp, path: &str) -> ObjId {
+        it.eval_script(path, "probe.js").unwrap().as_obj().expect("a function object")
+    }
+
+    #[test]
+    fn clones_do_not_share_captured_scopes() {
+        for engine in [Engine::Tree, Engine::Vm] {
+            let mut tpl = template(engine);
+            let mut a = instance(&tpl, engine);
+            let mut b = instance(&tpl, engine);
+            // Both closures of one clone share one activation of `mk`.
+            assert_eq!(num(&mut a, "o.inc()"), 2.0, "{engine:?}");
+            assert_eq!(num(&mut a, "o.inc()"), 4.0, "{engine:?}");
+            assert_eq!(num(&mut a, "o.peek()"), 2.0, "{engine:?}");
+            assert_eq!(num(&mut a, "n"), 2.0, "{engine:?}");
+            // Clone A's calls are invisible to clone B and to the template.
+            assert_eq!(num(&mut b, "o.peek()"), 0.0, "{engine:?}");
+            assert_eq!(num(&mut b, "n"), 0.0, "{engine:?}");
+            assert_eq!(num(&mut tpl, "o.peek()"), 0.0, "{engine:?}");
+            assert_eq!(num(&mut tpl, "n"), 0.0, "{engine:?}");
+            // And B counts from the template's state, not from A's.
+            assert_eq!(num(&mut b, "o.inc()"), 2.0, "{engine:?}");
+            assert_eq!(num(&mut a, "o.peek() + n"), 4.0, "{engine:?}");
+        }
+    }
+
+    #[test]
+    fn clones_continue_the_templates_step_count() {
+        for engine in [Engine::Tree, Engine::Vm] {
+            let tpl = template(engine);
+            let ran = tpl.steps();
+            assert!(ran > 0, "{engine:?}: the template ran no steps");
+            let mut a = instance(&tpl, engine);
+            assert_eq!(a.steps(), ran, "{engine:?}");
+            a.eval_script("o.inc();", "probe.js").unwrap();
+            assert!(a.steps() > ran);
+            assert_eq!(instance(&tpl, engine).steps(), ran, "{engine:?}");
+        }
+    }
+
+    #[test]
+    fn set_captured_binding_rebinds_one_clone_only() {
+        for engine in [Engine::Tree, Engine::Vm] {
+            let tpl = template(engine);
+            let mut a = instance(&tpl, engine);
+            let mut b = instance(&tpl, engine);
+            let inc = closure(&mut a, "o.inc");
+            assert!(a.set_captured_binding(inc, "c", Value::Num(10.0)));
+            // `peek` closes over the same activation, so it sees the patch.
+            assert_eq!(num(&mut a, "o.peek()"), 10.0, "{engine:?}");
+            assert_eq!(num(&mut b, "o.peek()"), 0.0, "{engine:?}");
+            // Unbound names and non-script functions are refused untouched.
+            assert!(!a.set_captured_binding(inc, "nowhere", Value::Null));
+            let native = closure(&mut a, "Object.keys");
+            assert!(!a.set_captured_binding(native, "c", Value::Null));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "pending jobs")]
+    fn cloning_with_pending_jobs_panics() {
+        let mut it = Interp::new();
+        it.push_job(Value::Undefined, Vec::new(), 0);
+        let _ = it.clone_realm();
+    }
 }

@@ -55,6 +55,17 @@ pub struct CountingProfiler {
     builtins: HashMap<Arc<str>, u64>,
 }
 
+impl CountingProfiler {
+    /// A profiler whose counts start from an earlier report: resuming and
+    /// then counting more work reports the same as having counted all of
+    /// it in one profiler.
+    pub(crate) fn resume(base: Profile) -> CountingProfiler {
+        let mut profile = base;
+        let builtins = std::mem::take(&mut profile.builtins).into_iter().collect();
+        CountingProfiler { profile, builtins }
+    }
+}
+
 impl Profiler for CountingProfiler {
     fn record_step(&mut self) {
         self.profile.ops += 1;
@@ -111,6 +122,34 @@ mod tests {
             vec![(Arc::from("getTime"), 1), (Arc::from("log"), 2)],
             "builtins must be name-sorted with summed counts"
         );
+    }
+
+    /// Counting in two profilers, the second resumed from the first's
+    /// report, reports exactly what one profiler counting everything does.
+    #[test]
+    fn resumed_profiler_equals_one_uninterrupted_profiler() {
+        let log: Arc<str> = Arc::from("log");
+        let get: Arc<str> = Arc::from("get");
+        let first = |p: &mut CountingProfiler| {
+            p.record_steps(5);
+            p.record_call(4);
+            p.record_builtin(&log);
+        };
+        let second = |p: &mut CountingProfiler| {
+            p.record_step();
+            p.record_call(2);
+            p.record_eval();
+            p.record_builtin(&log);
+            p.record_builtin(&get);
+        };
+        let mut whole = CountingProfiler::default();
+        first(&mut whole);
+        second(&mut whole);
+        let mut head = CountingProfiler::default();
+        first(&mut head);
+        let mut tail = CountingProfiler::resume(head.report());
+        second(&mut tail);
+        assert_eq!(tail.report(), whole.report());
     }
 }
 

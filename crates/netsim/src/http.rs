@@ -101,7 +101,9 @@ pub struct HttpResponse {
     /// `Content-Type` header value.
     pub content_type: String,
     /// Response body (script text for scripts; placeholder for media).
-    pub body: String,
+    /// Shared: a script body served with many pages, and the saved copy
+    /// the HTTP instrument keeps of it, alias one allocation.
+    pub body: std::sync::Arc<str>,
 }
 
 impl HttpResponse {
@@ -219,14 +221,14 @@ mod tests {
             url: url("https://x.com/code"),
             status: 200,
             content_type: "text/javascript".into(),
-            body: String::new(),
+            body: "".into(),
         };
         assert!(by_header.looks_like_javascript());
         let by_ext = HttpResponse {
             url: url("https://x.com/lib.js"),
             status: 200,
             content_type: "text/plain".into(),
-            body: String::new(),
+            body: "".into(),
         };
         assert!(by_ext.looks_like_javascript());
         let stealth = HttpResponse {
@@ -247,7 +249,7 @@ mod tests {
             url: url("https://w000001.com/"),
             status: 200,
             content_type: "text/html".into(),
-            body: String::new(),
+            body: "".into(),
         };
         assert!(ok.is_success());
     }

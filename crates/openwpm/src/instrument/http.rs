@@ -81,7 +81,7 @@ mod tests {
         // …but full mode still captures the body (Sec. 6.2.3).
         record_response(&mut store, &stealthy, HttpSaveMode::Full, "p");
         assert_eq!(store.http_responses.len(), 1);
-        assert_eq!(store.http_responses[0].body, "window.secret = 1;");
+        assert_eq!(&*store.http_responses[0].body, "window.secret = 1;");
     }
 
     #[test]

@@ -18,9 +18,11 @@
 //!   hijackable (Listing 2) and the DOM injection is CSP-blockable.
 
 use std::rc::Rc;
+use std::sync::Arc;
 
-use browser::{Page, RealmWindow};
-use jsengine::Value;
+use browser::{CspPolicy, FingerprintProfile, Page, PageTemplate, RealmWindow};
+use jsengine::{ObjId, Property, Slot, Value};
+use netsim::Url;
 
 use crate::instrument::{originating_script, StoreHandle, INSTRUMENT_SCRIPT_NAME};
 use crate::records::{JsCallRecord, JsOperation};
@@ -240,19 +242,30 @@ pub fn install_vintage(
 ) -> bool {
     let id = event_id(seed);
     register_sink(page, id.clone(), store, page_url);
-    // The injected file splits into a constant body (compiled once per
-    // process via the shared cache) and a per-visit trigger carrying the
-    // event id. Only the DOM injection of the body is CSP-gated — a strict
-    // policy still blocks the instrument and emits exactly one csp_report.
+    let injected = inject(page, &id, vintage);
+    arm_frame_hook(page, id);
+    injected
+}
+
+/// Inject the instrument script for event id `id`. The injected file
+/// splits into a constant body (compiled once per process via the shared
+/// cache) and a per-visit trigger carrying the event id. Only the DOM
+/// injection of the body is CSP-gated — a strict policy still blocks the
+/// instrument and emits exactly one csp_report.
+fn inject(page: &mut Page, id: &str, vintage: InstrumentVintage) -> bool {
     let body = instrument_body_vintage(vintage);
     let injected = match jsengine::compile_cached(&body, INSTRUMENT_SCRIPT_NAME) {
         Ok(compiled) => page.dom_inject_script(&compiled).is_ok(),
         Err(_) => false,
     };
     if injected {
-        let _ = page.run_script((instrument_trigger(&id, vintage), INSTRUMENT_SCRIPT_NAME));
+        let _ = page.run_script((instrument_trigger(id, vintage), INSTRUMENT_SCRIPT_NAME));
     }
-    // Frame instrumentation: scheduled, not synchronous.
+    injected
+}
+
+/// Frame instrumentation: scheduled, not synchronous.
+fn arm_frame_hook(page: &mut Page, id: String) {
     let hook: browser::FrameHook = Rc::new(move |it, rw: RealmWindow| {
         let g = Value::Obj(it.global);
         if let Ok(f @ Value::Obj(fid)) = it.get_prop(&g, "getInstrumentJS") {
@@ -262,26 +275,121 @@ pub fn install_vintage(
         }
     });
     page.host.borrow_mut().frame_async_hooks.push(hook);
-    injected
+}
+
+/// Event id the template realm is instrumented with; [`InstrumentedTemplate::bind`]
+/// replaces it with the visit's own id before any page script runs.
+const TEMPLATE_EVENT_ID: &str = "owpm000000000000";
+
+/// A realm template with the (modern) vanilla instrument already run in
+/// it: `getInstrumentJS` sits on `window` and every wrapper closure is
+/// built, all capturing one `eid` binding that holds a placeholder. Pages
+/// stamped from it skip the per-page injection; [`bind`](Self::bind) then
+/// does the host-side rest of [`install`] and re-binds `eid`, which makes
+/// the page indistinguishable from one that ran [`install`] itself.
+///
+/// Only for pages whose CSP permits the injection: on a blocking policy
+/// the instrument must fail visibly (a `csp_report`, no wrappers), so those
+/// pages take a plain template and [`install`].
+pub struct InstrumentedTemplate {
+    template: PageTemplate,
+    /// A wrapper closure whose captured scope chain binds `eid` (the
+    /// instrumented `Document.prototype.createElement`); every wrapper
+    /// shares that one `getInstrumentJS` activation.
+    eid_holder: ObjId,
+}
+
+impl InstrumentedTemplate {
+    /// Build the template realm and run the instrument in it once.
+    pub fn new(profile: impl Into<Arc<FingerprintProfile>>) -> InstrumentedTemplate {
+        let mut template = PageTemplate::new(profile);
+        let eid_holder = template.setup(|page| {
+            assert!(
+                inject(page, TEMPLATE_EVENT_ID, InstrumentVintage::Modern),
+                "the instrument injects into a template page"
+            );
+            match page.interp.heap.get(page.top.document_proto).props.get("createElement") {
+                Some(Property { slot: Slot::Data(Value::Obj(f)), .. }) => *f,
+                _ => panic!("the instrument wraps Document.prototype.createElement"),
+            }
+        });
+        InstrumentedTemplate { template, eid_holder }
+    }
+
+    /// Stamp out an instrumented page for `url`; [`bind`](Self::bind) it
+    /// to its visit before running page scripts.
+    ///
+    /// # Panics
+    ///
+    /// If `csp` blocks inline script injection.
+    pub fn instantiate(&self, url: Url, csp: Option<CspPolicy>) -> Page {
+        assert!(
+            !csp.as_ref().is_some_and(|c| c.blocks_inline_scripts),
+            "a CSP-blocked page must install the instrument per page"
+        );
+        self.template.instantiate(url, csp)
+    }
+
+    /// The per-visit part of [`install`] on a page from this template:
+    /// register the sink, re-bind `eid` to `event_id(seed)` and arm the
+    /// frame hook.
+    pub fn bind(&self, page: &mut Page, seed: u64, store: StoreHandle, page_url: String) {
+        let id = event_id(seed);
+        register_sink(page, id.clone(), store, page_url);
+        assert!(
+            page.interp.set_captured_binding(self.eid_holder, "eid", Value::str(&id)),
+            "the instrument's wrappers capture `eid`"
+        );
+        arm_frame_hook(page, id);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use browser::{CspPolicy, FingerprintProfile, Os, Page, RunMode};
-    use netsim::Url;
+    use browser::{Os, RunMode};
     use std::cell::RefCell;
 
+    fn profile() -> FingerprintProfile {
+        FingerprintProfile::openwpm(Os::Ubuntu1804, RunMode::Regular)
+    }
+
     fn fresh_page(csp: Option<CspPolicy>) -> Page {
-        Page::new(
-            FingerprintProfile::openwpm(Os::Ubuntu1804, RunMode::Regular),
-            Url::parse("https://site.test/").unwrap(),
-            csp,
-        )
+        Page::new(profile(), Url::parse("https://site.test/").unwrap(), csp)
     }
 
     fn fresh_store() -> StoreHandle {
         Rc::new(RefCell::new(crate::records::RecordStore::new()))
+    }
+
+    /// Install the instrument for `seed` both ways a crawl does: a scratch
+    /// page plus [`install`], and — as `Browser::open_page` does under the
+    /// compile cache — a page from the instrumented template plus
+    /// [`InstrumentedTemplate::bind`], or, when `csp` blocks injection, a
+    /// plain-template page plus [`install`]. Yields `(path, page, store,
+    /// installed)` for each.
+    fn both_paths(
+        csp: Option<CspPolicy>,
+        seed: u64,
+        page_url: &str,
+    ) -> Vec<(&'static str, Page, StoreHandle, bool)> {
+        let url = Url::parse("https://site.test/").unwrap();
+        let store = fresh_store();
+        let mut scratch = fresh_page(csp.clone());
+        let ok = install(&mut scratch, seed, store.clone(), page_url.into());
+        let per_page = ("Page::new + install", scratch, store, ok);
+        let store = fresh_store();
+        let templated = if csp.as_ref().is_some_and(|c| c.blocks_inline_scripts) {
+            let mut page = PageTemplate::new(profile()).instantiate(url, csp);
+            let ok = install(&mut page, seed, store.clone(), page_url.into());
+            ("plain template + install", page, store, ok)
+        } else {
+            let tpl = InstrumentedTemplate::new(profile());
+            let mut page = tpl.instantiate(url, csp);
+            tpl.bind(&mut page, seed, store.clone(), page_url.into());
+            ("instrumented template + bind", page, store, true)
+        };
+        vec![per_page, templated]
     }
 
     #[test]
@@ -293,110 +401,105 @@ mod tests {
 
     #[test]
     fn instrument_script_parses_and_records_access() {
-        let mut page = fresh_page(None);
-        let store = fresh_store();
-        assert!(install(&mut page, 42, store.clone(), "https://site.test/".into()));
-        page.run_script(("navigator.userAgent;", "https://site.test/app.js")).unwrap();
-        let recs = store.borrow();
-        assert_eq!(recs.js_calls.len(), 1);
-        let r = &recs.js_calls[0];
-        assert_eq!(r.symbol, "window.navigator.userAgent");
-        assert_eq!(r.operation, JsOperation::Get);
-        assert_eq!(r.script_url, "https://site.test/app.js");
-        assert_eq!(r.page_url, "https://site.test/");
+        for (path, mut page, store, installed) in both_paths(None, 42, "https://site.test/") {
+            assert!(installed, "{path}");
+            page.run_script(("navigator.userAgent;", "https://site.test/app.js")).unwrap();
+            let recs = store.borrow();
+            assert_eq!(recs.js_calls.len(), 1, "{path}");
+            let r = &recs.js_calls[0];
+            assert_eq!(r.symbol, "window.navigator.userAgent", "{path}");
+            assert_eq!(r.operation, JsOperation::Get, "{path}");
+            assert_eq!(r.script_url, "https://site.test/app.js", "{path}");
+            assert_eq!(r.page_url, "https://site.test/", "{path}");
+        }
     }
 
     #[test]
     fn wrapped_apis_still_work() {
-        let mut page = fresh_page(None);
-        let store = fresh_store();
-        install(&mut page, 42, store.clone(), "p".into());
-        let ua = page.run_script(("navigator.userAgent", "s.js")).unwrap();
-        assert!(ua.as_str().unwrap().contains("Firefox"));
-        let el = page
-            .run_script(("document.createElement('div').tagName", "s.js"))
-            .unwrap();
-        assert_eq!(el.as_str().unwrap(), "DIV");
-        let w = page.run_script(("screen.width", "s.js")).unwrap();
-        assert_eq!(w, Value::Num(2560.0));
-        assert!(store.borrow().js_calls.len() >= 3);
+        for (path, mut page, store, _) in both_paths(None, 42, "p") {
+            let ua = page.run_script(("navigator.userAgent", "s.js")).unwrap();
+            assert!(ua.as_str().unwrap().contains("Firefox"), "{path}");
+            let el = page
+                .run_script(("document.createElement('div').tagName", "s.js"))
+                .unwrap();
+            assert_eq!(el.as_str().unwrap(), "DIV", "{path}");
+            let w = page.run_script(("screen.width", "s.js")).unwrap();
+            assert_eq!(w, Value::Num(2560.0), "{path}");
+            assert!(store.borrow().js_calls.len() >= 3, "{path}");
+        }
     }
 
     #[test]
     fn tostring_of_wrapped_function_leaks_wrapper_source() {
         // Paper Listing 1: instrumented functions no longer render as
         // native code.
-        let mut page = fresh_page(None);
-        let store = fresh_store();
-        install(&mut page, 42, store, "p".into());
-        let out = page
-            .run_script(("document.createElement.toString()", "s.js"))
-            .unwrap();
-        let text = out.as_str().unwrap().to_string();
-        assert!(!text.contains("[native code]"), "got: {text}");
-        assert!(text.contains("getOriginatingScriptContext"), "got: {text}");
+        for (path, mut page, _, _) in both_paths(None, 42, "p") {
+            let out = page
+                .run_script(("document.createElement.toString()", "s.js"))
+                .unwrap();
+            let text = out.as_str().unwrap().to_string();
+            assert!(!text.contains("[native code]"), "{path}: got {text}");
+            assert!(text.contains("getOriginatingScriptContext"), "{path}: got {text}");
+        }
     }
 
     #[test]
     fn get_instrument_js_left_on_window() {
-        let mut page = fresh_page(None);
-        let store = fresh_store();
-        install(&mut page, 42, store, "p".into());
-        let v = page.run_script(("typeof window.getInstrumentJS", "s.js")).unwrap();
-        assert_eq!(v.as_str().unwrap(), "function");
+        for (path, mut page, _, _) in both_paths(None, 42, "p") {
+            let v = page.run_script(("typeof window.getInstrumentJS", "s.js")).unwrap();
+            assert_eq!(v.as_str().unwrap(), "function", "{path}");
+        }
     }
 
     #[test]
     fn stack_traces_expose_instrument_frames() {
-        let mut page = fresh_page(None);
-        let store = fresh_store();
-        install(&mut page, 42, store, "p".into());
-        let v = page
-            .run_script((
-                r#"
-                var trace = '';
-                var saved = document.addEventListener;
-                document.addEventListener('x', function () {});
-                try { throw new Error('probe'); } catch (e) { trace = '' + e.stack; }
-                // Accessing an instrumented getter inside a function whose
-                // error we capture mid-wrapper requires the wrapper itself
-                // to throw; instead check the wrapper source directly via a
-                // stack captured during a wrapped call:
-                var captured = '';
-                var orig = document.dispatchEvent;
-                document.dispatchEvent = function (ev) {
-                    captured = ev.detail ? ev.detail.callContext : '';
-                    return orig.call(document, ev);
-                };
-                navigator.userAgent;
-                document.dispatchEvent = orig;
-                captured
-                "#,
-                "https://site.test/attack.js",
-            ))
-            .unwrap();
-        let stack = v.as_str().unwrap().to_string();
-        assert!(
-            stack.contains(INSTRUMENT_SCRIPT_NAME),
-            "wrapper frames missing from: {stack}"
-        );
+        for (path, mut page, _, _) in both_paths(None, 42, "p") {
+            let v = page
+                .run_script((
+                    r#"
+                    var trace = '';
+                    var saved = document.addEventListener;
+                    document.addEventListener('x', function () {});
+                    try { throw new Error('probe'); } catch (e) { trace = '' + e.stack; }
+                    // Accessing an instrumented getter inside a function whose
+                    // error we capture mid-wrapper requires the wrapper itself
+                    // to throw; instead check the wrapper source directly via a
+                    // stack captured during a wrapped call:
+                    var captured = '';
+                    var orig = document.dispatchEvent;
+                    document.dispatchEvent = function (ev) {
+                        captured = ev.detail ? ev.detail.callContext : '';
+                        return orig.call(document, ev);
+                    };
+                    navigator.userAgent;
+                    document.dispatchEvent = orig;
+                    captured
+                    "#,
+                    "https://site.test/attack.js",
+                ))
+                .unwrap();
+            let stack = v.as_str().unwrap().to_string();
+            assert!(
+                stack.contains(INSTRUMENT_SCRIPT_NAME),
+                "{path}: wrapper frames missing from: {stack}"
+            );
+        }
     }
 
     #[test]
     fn prototype_pollution_flattens_ancestor_methods() {
         // Fig. 2: Node.prototype/EventTarget.prototype methods appear as own
         // properties of Document.prototype after instrumentation.
-        let mut page = fresh_page(None);
-        let store = fresh_store();
-        install(&mut page, 42, store, "p".into());
-        let v = page
-            .run_script((
-                "Object.getOwnPropertyNames(Document.prototype).includes('appendChild') && \
-                 Object.getOwnPropertyNames(Document.prototype).includes('addEventListener')",
-                "s.js",
-            ))
-            .unwrap();
-        assert_eq!(v, Value::Bool(true));
+        for (path, mut page, _, _) in both_paths(None, 42, "p") {
+            let v = page
+                .run_script((
+                    "Object.getOwnPropertyNames(Document.prototype).includes('appendChild') && \
+                     Object.getOwnPropertyNames(Document.prototype).includes('addEventListener')",
+                    "s.js",
+                ))
+                .unwrap();
+            assert_eq!(v, Value::Bool(true), "{path}");
+        }
         // An un-instrumented client has them only on the ancestors.
         let mut clean = fresh_page(None);
         let v = clean
@@ -410,13 +513,46 @@ mod tests {
 
     #[test]
     fn csp_blocks_installation() {
-        let mut page = fresh_page(Some(CspPolicy::strict("/csp")));
-        let store = fresh_store();
-        assert!(!install(&mut page, 42, store.clone(), "p".into()));
-        // No instrumentation: accesses unrecorded, window clean.
-        page.run_script(("navigator.userAgent;", "s.js")).unwrap();
-        assert!(store.borrow().js_calls.is_empty());
-        let v = page.run_script(("typeof window.getInstrumentJS", "s.js")).unwrap();
-        assert_eq!(v.as_str().unwrap(), "undefined");
+        for (path, mut page, store, installed) in
+            both_paths(Some(CspPolicy::strict("/csp")), 42, "p")
+        {
+            assert!(!installed, "{path}");
+            // No instrumentation: accesses unrecorded, window clean.
+            page.run_script(("navigator.userAgent;", "s.js")).unwrap();
+            assert!(store.borrow().js_calls.is_empty(), "{path}");
+            let v = page.run_script(("typeof window.getInstrumentJS", "s.js")).unwrap();
+            assert_eq!(v.as_str().unwrap(), "undefined", "{path}");
+        }
+    }
+
+    /// Pages stamped from one template report through their own visit's
+    /// event id: the placeholder never reaches a page.
+    #[test]
+    fn template_pages_dispatch_their_own_event_ids() {
+        let tpl = InstrumentedTemplate::new(profile());
+        let url = Url::parse("https://site.test/").unwrap();
+        let probe = "var seen = ''; var orig = document.dispatchEvent; \
+                     document.dispatchEvent = function (ev) { seen = ev.type; return orig.call(document, ev); }; \
+                     navigator.userAgent; document.dispatchEvent = orig; seen";
+        for seed in [1, 2] {
+            let store = fresh_store();
+            let mut page = tpl.instantiate(url.clone(), None);
+            tpl.bind(&mut page, seed, store.clone(), "p".into());
+            let seen = page.run_script((probe, "s.js")).unwrap();
+            assert_eq!(seen.as_str().unwrap(), event_id(seed));
+            assert_eq!(store.borrow().js_calls.len(), 1, "the sink hears its own id");
+        }
+        assert_ne!(event_id(1), TEMPLATE_EVENT_ID);
+        assert_ne!(event_id(2), TEMPLATE_EVENT_ID);
+    }
+
+    #[test]
+    #[should_panic(expected = "CSP-blocked")]
+    fn instrumented_template_refuses_blocking_csp() {
+        let tpl = InstrumentedTemplate::new(profile());
+        let _ = tpl.instantiate(
+            Url::parse("https://site.test/").unwrap(),
+            Some(CspPolicy::strict("/csp")),
+        );
     }
 }

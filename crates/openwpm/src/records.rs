@@ -136,7 +136,8 @@ pub struct JsCallRecord {
 #[derive(Clone, Debug)]
 pub struct SavedScript {
     pub url: String,
-    pub body: String,
+    /// Shared with the response it was saved from.
+    pub body: std::sync::Arc<str>,
     pub page_url: String,
 }
 

@@ -9,7 +9,8 @@ use browser::{CspPolicy, FingerprintProfile, Page, PageTemplate};
 use netsim::{Cookie, HttpRequest, HttpResponse, ResourceType, Url};
 
 use crate::config::{BrowserConfig, JsInstrumentKind};
-use crate::instrument::{honey, http, stealth, vanilla, watch, StoreHandle};
+use crate::instrument::vanilla::{self, InstrumentedTemplate};
+use crate::instrument::{honey, http, stealth, watch, StoreHandle};
 use crate::records::RecordStore;
 use crate::supervisor::FailureReason;
 
@@ -89,12 +90,26 @@ pub struct Browser {
     visit_key: Option<u64>,
     /// Pages opened under the current visit key.
     key_pages: u64,
-    /// Pre-installed page realm, cloned per visit instead of rebuilt.
-    /// Part of the shared compiled-artifact layer: only consulted while
-    /// the process-wide compile cache is enabled, and rebuilt whenever
-    /// [`Browser::instance`] changes (the profile depends on it).
-    template: Option<PageTemplate>,
-    template_instance: u32,
+    /// Pre-built page realms, cloned per visit instead of rebuilt.
+    templates: RealmTemplates,
+}
+
+/// A browser's page-realm templates (see [`browser::realm`]). Part of the
+/// shared compiled-artifact layer: only consulted while the process-wide
+/// compile cache is enabled, each built on first use, and both dropped
+/// whenever [`Browser::instance`] changes (the profile depends on it).
+#[derive(Default)]
+struct RealmTemplates {
+    /// The instance the templates were built for.
+    instance: u32,
+    /// The bare host-object realm: `Off` and `Stealth` pages, and vanilla
+    /// pages whose CSP blocks the instrument's injection.
+    plain: Option<PageTemplate>,
+    /// The realm with the vanilla instrument already run in it, its
+    /// wrappers capturing a placeholder `eid` that
+    /// [`InstrumentedTemplate::bind`] re-binds per visit: every other
+    /// vanilla page.
+    instrumented: Option<InstrumentedTemplate>,
 }
 
 impl Browser {
@@ -106,8 +121,7 @@ impl Browser {
             visits: 0,
             visit_key: None,
             key_pages: 0,
-            template: None,
-            template_instance: 0,
+            templates: RealmTemplates::default(),
         }
     }
 
@@ -155,14 +169,30 @@ impl Browser {
     pub fn open_page(&mut self, spec: &VisitSpec) -> Result<(Page, VisitStats), FailureReason> {
         self.visits += 1;
         let url = Url::parse(&spec.url).ok_or(FailureReason::BadUrl)?;
-        let mut page = if jsengine::cache_enabled() {
-            // Shared-artifact path: clone the per-instance realm template.
-            if self.template.is_none() || self.template_instance != self.instance {
-                self.template = Some(PageTemplate::new(self.profile()));
-                self.template_instance = self.instance;
+        let shared = jsengine::cache_enabled();
+        // Vanilla pages the instrument can enter start from the realm it
+        // already ran in; only the per-visit binding remains below.
+        let preinstrumented = shared
+            && self.config.js_instrument == JsInstrumentKind::Vanilla
+            && !spec.csp.as_ref().is_some_and(|c| c.blocks_inline_scripts);
+        let mut page = if shared {
+            // Shared-artifact path: clone a per-instance realm template.
+            if self.templates.instance != self.instance {
+                self.templates = RealmTemplates { instance: self.instance, ..Default::default() };
             }
-            let tpl = self.template.as_ref().expect("template built above");
-            tpl.instantiate(url.clone(), spec.csp.clone())
+            if preinstrumented {
+                if self.templates.instrumented.is_none() {
+                    self.templates.instrumented = Some(InstrumentedTemplate::new(self.profile()));
+                }
+                let tpl = self.templates.instrumented.as_ref().expect("template built above");
+                tpl.instantiate(url.clone(), spec.csp.clone())
+            } else {
+                if self.templates.plain.is_none() {
+                    self.templates.plain = Some(PageTemplate::new(self.profile()));
+                }
+                let tpl = self.templates.plain.as_ref().expect("template built above");
+                tpl.instantiate(url.clone(), spec.csp.clone())
+            }
         } else {
             // Ablation path (`--no-compile-cache`): rebuild the realm from
             // scratch for every page, like the pre-cache pipeline did.
@@ -191,6 +221,11 @@ impl Browser {
         }
         let instrumented = match self.config.js_instrument {
             JsInstrumentKind::Off => true,
+            JsInstrumentKind::Vanilla if preinstrumented => {
+                let tpl = self.templates.instrumented.as_ref().expect("page came from it");
+                tpl.bind(&mut page, visit_seed, self.store.clone(), page_url.clone());
+                true
+            }
             JsInstrumentKind::Vanilla => {
                 vanilla::install(&mut page, visit_seed, self.store.clone(), page_url.clone())
             }
@@ -308,7 +343,7 @@ impl Browser {
                             url: u,
                             status: 200,
                             content_type: script.content_type.clone(),
-                            body: script.source.to_string(),
+                            body: script.source.clone(),
                         },
                         mode,
                         &page_url,
@@ -372,7 +407,7 @@ impl Browser {
                                 url: req.url.clone(),
                                 status: 200,
                                 content_type: ctype.clone(),
-                                body: body.clone(),
+                                body: body.as_str().into(),
                             },
                             mode,
                             &page_url,
