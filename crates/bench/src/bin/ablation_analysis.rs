@@ -8,7 +8,7 @@ use gullible::report::{thousands, TextTable};
 use gullible::scan::{Scan, ScanConfig};
 
 fn main() {
-    bench::banner("ablation: analysis methods");
+    let _ctx = bench::banner("ablation: analysis methods");
     let n = bench::n_sites().min(10_000); // ablations run several scans
     let base = ScanConfig { n_sites: n, seed: bench::seed(), workers: bench::workers(), ..ScanConfig::new(n, bench::seed()) };
 

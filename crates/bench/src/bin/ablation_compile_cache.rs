@@ -12,8 +12,10 @@
 
 #![deny(deprecated)]
 
+use std::sync::Arc;
+
 use gullible::{Scan, ScanConfig};
-use gullible::obs;
+use jsengine::CompileCache;
 
 fn scan_cfg() -> ScanConfig {
     // Ablations run the scan three times (warm-up + two measured legs);
@@ -27,31 +29,29 @@ fn scan_cfg() -> ScanConfig {
 
 /// One measured leg: scan with the cache in the given state, returning the
 /// report, the deterministic telemetry digest and the wall time.
-fn leg(cache_on: bool) -> (gullible::ScanReport, u64, std::time::Duration) {
-    obs::reset();
-    // `reset` clears the stats flag; re-arm it so both legs actually
-    // record the metrics whose digest we compare.
-    obs::set_stats(true);
-    jsengine::cache().clear();
-    jsengine::set_cache_enabled(cache_on);
+fn leg(cache_on: bool) -> (gullible::ScanReport, u64, std::time::Duration, jsengine::CacheStats) {
+    // A fresh stats-on context per leg: a cold cache, or none at all.
+    let mut ctx = bench::leg_ctx();
+    ctx.js.cache = cache_on.then(|| Arc::new(CompileCache::new()));
+    let _leg = ctx.enter();
     let t0 = std::time::Instant::now();
     let report = Scan::new(scan_cfg()).run().expect("scan without checkpoint cannot fail");
     let wall = t0.elapsed();
-    let digest = obs::registry().snapshot().digest();
-    (report, digest, wall)
+    let digest = ctx.telemetry.registry().snapshot().digest();
+    let stats = ctx.js.cache.map(|c| c.stats()).unwrap_or_default();
+    (report, digest, wall, stats)
 }
 
 fn main() {
-    bench::banner("ablation: shared script-compilation cache");
+    let _ctx = bench::banner("ablation: shared script-compilation cache");
 
     // Warm-up: fills the webgen materialisation memo (shared by both legs)
     // and faults in lazily-built corpus state, so neither leg pays one-off
     // costs the other doesn't.
     let _ = Scan::new(scan_cfg()).run();
 
-    let (with_cache, digest_on, wall_on) = leg(true);
-    let stats = jsengine::cache().stats();
-    let (without, digest_off, wall_off) = leg(false);
+    let (with_cache, digest_on, wall_on, stats) = leg(true);
+    let (without, digest_off, wall_off, _) = leg(false);
 
     println!("scan with cache:    {wall_on:>10.2?}");
     println!("scan without cache: {wall_off:>10.2?}");

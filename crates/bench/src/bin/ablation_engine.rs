@@ -15,7 +15,6 @@
 
 #![deny(deprecated)]
 
-use gullible::obs;
 use gullible::{Scan, ScanConfig};
 use jsengine::{Engine, Interp};
 
@@ -35,14 +34,13 @@ fn scan_cfg() -> ScanConfig {
 /// One differential leg: a full fixed-seed scan under `engine`, returning
 /// the report and the deterministic telemetry digest.
 fn scan_leg(engine: Engine) -> (gullible::ScanReport, u64) {
-    obs::reset();
-    // `reset` clears the stats flag; re-arm it so both legs actually
-    // record the metrics whose digest we compare.
-    obs::set_stats(true);
-    jsengine::cache().clear();
-    let report =
-        Scan::new(scan_cfg()).engine(engine).run().expect("scan without checkpoint cannot fail");
-    let digest = obs::registry().snapshot().digest();
+    // A fresh stats-on context per leg, so each digest covers exactly its
+    // own scan and each leg starts from a cold cache.
+    let mut ctx = bench::leg_ctx();
+    ctx.js.engine = engine;
+    let _leg = ctx.enter();
+    let report = Scan::new(scan_cfg()).run().expect("scan without checkpoint cannot fail");
+    let digest = ctx.telemetry.registry().snapshot().digest();
     (report, digest)
 }
 
@@ -85,11 +83,9 @@ fn throughput(engine: Engine, visits: u32) -> (f64, f64) {
     if engine == Engine::Vm {
         cs.chunk(); // compile the bytecode outside the timed region
     }
-    // Cloned realms re-read the process-wide default at clone time (so a
-    // host can flip backends after building its template) — arm it for
-    // this leg rather than setting the template's own field.
-    jsengine::set_default_engine(engine);
-    let template = Interp::new();
+    // Cloned realms keep their template's engine.
+    let mut template = Interp::new();
+    template.engine = engine;
     let mut check = template.clone_realm();
     let expected = check.eval_compiled(&cs).expect("hot script runs");
     // Warm-up, then the timed region.
@@ -108,7 +104,7 @@ fn throughput(engine: Engine, visits: u32) -> (f64, f64) {
 }
 
 fn main() {
-    bench::banner("ablation: MiniJS execution backend (tree oracle vs bytecode VM)");
+    let _ctx = bench::banner("ablation: MiniJS execution backend (tree oracle vs bytecode VM)");
 
     // Warm-up scan: fills the webgen materialisation memo and other lazy
     // one-off state shared by both legs.

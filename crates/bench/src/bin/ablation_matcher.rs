@@ -19,9 +19,8 @@
 
 use detect::corpus::{self, Technique};
 use detect::static_analysis::{pattern_matches_with, preprocess, StaticPattern};
-use detect::{match_preprocessed, MatcherKind};
-use gullible::obs;
-use gullible::{Scan, ScanConfig};
+use detect::{match_preprocessed, DetectCtx, MatcherKind};
+use gullible::{CrawlCtx, Scan, ScanConfig};
 
 fn smoke_mode() -> bool {
     std::env::args().any(|a| a == "--smoke")
@@ -36,20 +35,15 @@ fn scan_cfg() -> ScanConfig {
     cfg
 }
 
-/// One differential leg: a full fixed-seed scan with `kind` as the default
-/// match engine, returning the report and the deterministic telemetry
-/// digest. The verdict memo is cleared so this leg actually exercises its
-/// engine instead of replaying the previous leg's cached verdicts.
+/// One differential leg: a full fixed-seed scan under a fresh context on
+/// `kind`, returning the report and the deterministic telemetry digest.
+/// The leg's verdict memo belongs to its engine, so the leg actually
+/// exercises that engine instead of replaying another leg's verdicts.
 fn scan_leg(kind: MatcherKind) -> (gullible::ScanReport, u64) {
-    obs::reset();
-    // `reset` clears the stats flag; re-arm it so both legs actually
-    // record the metrics whose digest we compare.
-    obs::set_stats(true);
-    jsengine::cache().clear();
-    detect::clear_verdict_memo();
-    detect::set_default_matcher(kind);
+    let ctx = CrawlCtx { detect: DetectCtx::new(kind), ..bench::leg_ctx() };
+    let _leg = ctx.enter();
     let report = Scan::new(scan_cfg()).run().expect("scan without checkpoint cannot fail");
-    let digest = obs::registry().snapshot().digest();
+    let digest = ctx.telemetry.registry().snapshot().digest();
     (report, digest)
 }
 
@@ -146,7 +140,7 @@ fn throughput(kind: MatcherKind, pre: &[String], iters: u32) -> (f64, f64) {
 }
 
 fn main() {
-    bench::banner("ablation: static-pattern match engine (naive oracle vs compiled automaton)");
+    let _ctx = bench::banner("ablation: static-pattern match engine (naive oracle vs compiled automaton)");
 
     // Warm-up scan: fills the webgen materialisation memo and other lazy
     // one-off state shared by both legs.
@@ -155,7 +149,6 @@ fn main() {
     // --- differential gate: full scan --------------------------------------
     let (naive_report, naive_digest) = scan_leg(MatcherKind::Naive);
     let (auto_report, auto_digest) = scan_leg(MatcherKind::Automaton);
-    detect::clear_verdict_memo();
 
     let mut ok = true;
     if naive_report.sites != auto_report.sites

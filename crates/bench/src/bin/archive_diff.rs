@@ -11,7 +11,7 @@
 use gullible::{diff_bundles, ReplayBundle};
 
 fn main() {
-    bench::banner("Archive: diff crawl bundles");
+    let _ctx = bench::banner("Archive: diff crawl bundles");
     let args = bench::env::positional_args();
     let [dir_a, dir_b] = args.as_slice() else {
         eprintln!("usage: archive_diff BUNDLE_A BUNDLE_B [--expect-zero]");

@@ -10,7 +10,7 @@ use gullible::report::thousands;
 use gullible::Scan;
 
 fn main() {
-    bench::banner("Archive: record crawl bundle");
+    let _ctx = bench::banner("Archive: record crawl bundle");
     let dir = bench::bundle_dir();
     let report = match Scan::new(bench::scan_config()).record(&dir).run() {
         Ok(r) => r,

@@ -10,7 +10,7 @@
 use gullible::{obs, ReplayBundle, Scan};
 
 fn main() {
-    bench::banner("Archive: replay crawl bundle");
+    let _ctx = bench::banner("Archive: replay crawl bundle");
     let dir = bench::bundle_dir();
     let bundle = match ReplayBundle::open(&dir) {
         Ok(b) => b,
@@ -45,8 +45,9 @@ fn main() {
             bundle.commit.table5
         ));
     }
-    if obs::stats_enabled() && bundle.commit.stats_enabled {
-        let digest = obs::registry().snapshot().digest();
+    let telemetry = obs::Telemetry::current();
+    if telemetry.stats_enabled() && bundle.commit.stats_enabled {
+        let digest = telemetry.registry().snapshot().digest();
         if digest == bundle.commit.telemetry_digest {
             println!("telemetry digest: {digest:016x} (matches record)");
         } else {

@@ -56,7 +56,7 @@ fn child_run(args: &[String]) -> ! {
         seed.parse().expect("seed"),
         workers.parse().expect("workers"),
     );
-    obs::set_stats(true);
+    let _ctx = bench::leg_ctx().enter();
     match Scan::new(cfg).stream_to(dir).run() {
         Ok(_) => std::process::exit(0),
         Err(e) => {
@@ -240,7 +240,7 @@ fn main() {
         }
     }));
 
-    bench::banner(&format!(
+    let _ctx = bench::banner(&format!(
         "chaos: crash→resume equivalence, {sites} sites{}",
         if smoke { " (smoke)" } else { "" }
     ));
@@ -249,8 +249,7 @@ fn main() {
     // must agree with each other too, but the scaling bench owns that
     // claim; here workers=4's bundle is the reference for everyone).
     let ref_dir = tmp_dir("reference");
-    obs::reset();
-    obs::set_stats(true);
+    let ref_ctx = bench::leg_ctx().enter();
     let t0 = std::time::Instant::now();
     let ref_report = Scan::new(chaos_cfg(sites, seed, 4)).stream_to(&ref_dir).run().expect("reference");
     let ref_elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -265,6 +264,7 @@ fn main() {
         "streaming must hold O(workers) records in memory, saw {}",
         ref_stream.peak_records_in_flight
     );
+    drop(ref_ctx);
 
     type MkKill = fn(u32) -> KillPoint;
     let kill_classes: &[(&str, MkKill)] = &[
@@ -283,8 +283,7 @@ fn main() {
             let kill = mk(k.max(1));
             let dir = tmp_dir(&format!("{class}-w{workers}"));
 
-            obs::reset();
-            obs::set_stats(true);
+            let crashed_ctx = bench::leg_ctx().enter();
             let crashed = catch_crash(|| {
                 Scan::new(chaos_cfg(sites, seed, workers))
                     .stream_to(&dir)
@@ -292,9 +291,10 @@ fn main() {
                     .run()
             });
             assert!(crashed.is_none(), "planned kill {kill:?} must crash the crawl");
+            drop(crashed_ctx);
 
-            obs::reset();
-            obs::set_stats(true);
+            // The resume runs as a fresh process would: a fresh context.
+            let _resume_ctx = bench::leg_ctx().enter();
             let t0 = std::time::Instant::now();
             let resumed = Scan::new(chaos_cfg(sites, seed, workers))
                 .stream_to(&dir)
@@ -329,7 +329,6 @@ fn main() {
     }
 
     // One real SIGKILL on a child process, resumed in a fresh process.
-    obs::reset();
     let real = real_kill_case(sites, seed, 4, (sites / 3) as usize, &reference, &ref_dir);
     if !real.matches {
         failures += 1;

@@ -21,7 +21,7 @@ fn own_keys(page: &mut Page, expr: &str) -> String {
 }
 
 fn main() {
-    bench::banner("Figure 2: prototype pollution");
+    let _ctx = bench::banner("Figure 2: prototype pollution");
     let url = Url::parse("https://site.test/").unwrap();
     let mut clean = Page::new(
         FingerprintProfile::openwpm(Os::Ubuntu1804, RunMode::Regular),

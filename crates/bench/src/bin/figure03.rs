@@ -6,7 +6,7 @@ use gullible::report::{pct, thousands};
 use gullible::Scan;
 
 fn main() {
-    bench::banner("Figure 3: front- vs subpage detectors per rank bucket");
+    let _ctx = bench::banner("Figure 3: front- vs subpage detectors per rank bucket");
     let report = Scan::new(bench::scan_config()).run().expect("scan");
     let bucket = (report.n_sites / 20).max(1);
     println!("bucket size: {} ranks\n", thousands(bucket as u64));

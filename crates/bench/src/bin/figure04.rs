@@ -6,7 +6,7 @@ use gullible::report::thousands;
 use gullible::Scan;
 
 fn main() {
-    bench::banner("Figure 4: front-page detectors, static vs dynamic analysis");
+    let _ctx = bench::banner("Figure 4: front-page detectors, static vs dynamic analysis");
     let report = Scan::new(bench::scan_config()).run().expect("scan");
     let bucket = (report.n_sites / 20).max(1);
     println!("bucket size: {} ranks\n", thousands(bucket as u64));

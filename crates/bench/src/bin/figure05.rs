@@ -6,7 +6,7 @@ use gullible::report::TextTable;
 use gullible::Scan;
 
 fn main() {
-    bench::banner("Figure 5: categories of detector sites");
+    let _ctx = bench::banner("Figure 5: categories of detector sites");
     let report = Scan::new(bench::scan_config()).run().expect("scan");
     let (first, third) = report.category_tallies();
     let total_first: u32 = first.values().sum();

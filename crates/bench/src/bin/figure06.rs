@@ -6,7 +6,7 @@ use gullible::report::TextTable;
 use gullible::run_compare;
 
 fn main() {
-    bench::banner("Figure 6: JS-call coverage per API (WPM / WPM_hide)");
+    let _ctx = bench::banner("Figure 6: JS-call coverage per API (WPM / WPM_hide)");
     let report = run_compare(bench::compare_config());
     let cov = report.coverage(0);
     let mut table = TextTable::new("Figure 6 — API call coverage, run 1");

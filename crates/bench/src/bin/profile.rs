@@ -79,22 +79,25 @@ fn main() {
     let seed = bench::seed();
     let workers = bench::workers();
 
-    bench::banner(&format!(
+    let _ctx = bench::banner(&format!(
         "profile: crawl health report, {sites} sites{}",
         if smoke { " (smoke)" } else { "" }
     ));
     let mut failures: Vec<String> = Vec::new();
 
     // ------------------------------------------------ run A: baseline, prof off
+    // Each run starts cold under its own context: equal compile misses
+    // and static scans in both.
     let dir_a = tmp_dir("baseline");
-    obs::reset();
-    obs::set_stats(true);
+    let ctx_a = bench::leg_ctx();
+    let leg_a = ctx_a.enter();
     let t0 = std::time::Instant::now();
     let report_a =
         Scan::new(profile_cfg(sites, seed, workers)).stream_to(&dir_a).run().expect("baseline scan");
     let baseline_ms = t0.elapsed().as_secs_f64() * 1e3;
     let fp_a = fingerprint_of(&report_a, &dir_a);
-    let snap_a = obs::registry().snapshot();
+    let snap_a = ctx_a.telemetry.registry().snapshot();
+    drop(leg_a);
     // Slow-visit threshold for the profiled run: the baseline's p99 visit
     // wall time, so roughly the slowest 1% of visits leave forensics.
     let slow_us = snap_a
@@ -109,17 +112,20 @@ fn main() {
     let forensics = PathBuf::from("BENCH_profile_forensics.jsonl");
     let _ = std::fs::remove_file(&forensics);
     let dir_b = tmp_dir("profiled");
-    obs::reset();
-    obs::set_stats(true);
-    obs::prof::set_mode(obs::prof::Mode::Collapsed);
-    obs::prof::set_slow_visit_us(slow_us);
-    obs::prof::set_forensic_path(Some(&forensics)).expect("open forensic sink");
+    let mut ctx_b = bench::leg_ctx();
+    ctx_b.telemetry = obs::Telemetry::new()
+        .with_stats(true)
+        .with_prof(obs::prof::Mode::Collapsed)
+        .with_slow_visit_us(slow_us)
+        .with_forensics(&forensics)
+        .expect("open forensic sink");
+    let _leg_b = ctx_b.enter();
     let t0 = std::time::Instant::now();
     let report_b =
         Scan::new(profile_cfg(sites, seed, workers)).stream_to(&dir_b).run().expect("profiled scan");
     let profiled_ms = t0.elapsed().as_secs_f64() * 1e3;
     let fp_b = fingerprint_of(&report_b, &dir_b);
-    let snap = obs::registry().snapshot();
+    let snap = ctx_b.telemetry.registry().snapshot();
     let overhead_pct = (profiled_ms / baseline_ms - 1.0) * 100.0;
     println!("profiled:  {sites} sites in {profiled_ms:.1} ms (collapsed mode, recorder armed, {overhead_pct:+.1}% wall)");
 

@@ -22,7 +22,7 @@ use netsim::{CookieParty, ResourceType};
 use stats::descriptive::{fmt_pct, pct_change};
 
 fn main() {
-    bench::banner("full reproduction run");
+    let _ctx = bench::banner("full reproduction run");
     let t0 = std::time::Instant::now();
 
     // ---------- scan-based experiments ----------

@@ -48,24 +48,24 @@ fn main() {
     let worker_counts: &[usize] = if smoke { &[1, 4] } else { &[1, 2, 4, 8] };
     let seed = bench::seed();
 
-    bench::banner(&format!(
+    let _ctx = bench::banner(&format!(
         "scaling sweep: {sites} sites, workers {worker_counts:?}{}",
         if smoke { " (smoke)" } else { "" }
     ));
 
     let mut points: Vec<SweepPoint> = Vec::new();
     for &workers in worker_counts {
-        // Fresh telemetry per point; the sweep needs stats regardless of
+        // A fresh context per point; the sweep needs stats regardless of
         // GULLIBLE_STATS, for the digest and the latency histogram.
-        obs::reset();
-        obs::set_stats(true);
+        let ctx = bench::leg_ctx();
+        let _leg = ctx.enter();
 
         let cfg = ScanConfig { workers, ..ScanConfig::new(sites, seed) };
         let t0 = std::time::Instant::now();
         let report = Scan::new(cfg).run().expect("scan");
         let elapsed = t0.elapsed();
 
-        let snap = obs::registry().snapshot();
+        let snap = ctx.telemetry.registry().snapshot();
         let hist = snap.histograms.get("sched.visit_wall_us").cloned().unwrap_or_default();
         let completed = report.completion.completed;
         let mut fp = format!("{:?}", report.table5());

@@ -6,7 +6,7 @@ use gullible::literature::{studies, tally};
 use gullible::report::TextTable;
 
 fn main() {
-    bench::banner("Table 1: use of OpenWPM in previous studies");
+    let _ctx = bench::banner("Table 1: use of OpenWPM in previous studies");
     let t = tally(&studies());
     let mut table = TextTable::new("Table 1 — measurement characteristics (72 studies)");
     table.header(&["characteristic", "count", "paper"]);

@@ -7,7 +7,7 @@ use gullible::report::TextTable;
 use gullible::surface::{surface, ClientKind};
 
 fn main() {
-    bench::banner("Table 2: fingerprint surface per OS × run mode");
+    let _ctx = bench::banner("Table 2: fingerprint surface per OS × run mode");
     let setups: &[(Os, RunMode)] = &[
         (Os::MacOs1015, RunMode::Regular),
         (Os::MacOs1015, RunMode::Headless),

@@ -6,7 +6,7 @@ use browser::{FingerprintProfile, Os, RunMode};
 use gullible::report::TextTable;
 
 fn main() {
-    bench::banner("Table 3: screen geometry per configuration");
+    let _ctx = bench::banner("Table 3: screen geometry per configuration");
     let mut table = TextTable::new("Table 3 — screen properties");
     table.header(&["OS", "Mode", "Resolution", "Window", "X", "Y", "Offset (x,y)"]);
     let rows: &[(Os, RunMode)] = &[

@@ -6,7 +6,7 @@ use browser::{FingerprintProfile, Os, RunMode};
 use gullible::report::TextTable;
 
 fn main() {
-    bench::banner("Table 4: Ubuntu no-display deviations");
+    let _ctx = bench::banner("Table 4: Ubuntu no-display deviations");
     let mut table = TextTable::new("Table 4 — selected deviations, Ubuntu modes");
     table.header(&["Mode", "WebGL vendor/renderer", "avail{Left, Top}"]);
     for mode in [RunMode::Regular, RunMode::Headless, RunMode::Xvfb, RunMode::Docker] {

@@ -7,7 +7,7 @@ use gullible::report::{pct, thousands, TextTable};
 use gullible::Scan;
 
 fn main() {
-    bench::banner("Table 5: sites with Selenium detectors");
+    let _ctx = bench::banner("Table 5: sites with Selenium detectors");
     let report = Scan::new(bench::scan_config()).run().expect("scan");
     let [(si, st), (di, dt), (ui, ut)] = report.table5();
     let n = report.n_sites as u64;

@@ -6,7 +6,7 @@ use gullible::report::TextTable;
 use gullible::Scan;
 
 fn main() {
-    bench::banner("Table 6: OpenWPM-specific detectors per provider");
+    let _ctx = bench::banner("Table 6: OpenWPM-specific detectors per provider");
     let report = Scan::new(bench::scan_config()).run().expect("scan");
     let t6 = report.table6();
     let mut table = TextTable::new("Table 6 — OpenWPM-specific probes by provider");

@@ -6,7 +6,7 @@ use gullible::report::{thousands, TextTable};
 use gullible::Scan;
 
 fn main() {
-    bench::banner("Table 7: third-party detector hosting domains");
+    let _ctx = bench::banner("Table 7: third-party detector hosting domains");
     let report = Scan::new(bench::scan_config()).run().expect("scan");
     let t7 = report.table7();
     let total: u32 = t7.iter().map(|(_, n)| n).sum();

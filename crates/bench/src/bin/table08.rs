@@ -8,7 +8,7 @@ use netsim::ResourceType;
 use stats::descriptive::{fmt_pct, pct_change};
 
 fn main() {
-    bench::banner("Table 8: HTTP resource types, WPM vs WPM_hide (3 runs)");
+    let _ctx = bench::banner("Table 8: HTTP resource types, WPM vs WPM_hide (3 runs)");
     let report = run_compare(bench::compare_config());
     let (wpm1, hide1) = &report.runs[0];
     let mut table = TextTable::new("Table 8 — requests by resource type");

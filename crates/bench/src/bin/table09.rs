@@ -7,7 +7,7 @@ use gullible::run_compare;
 use stats::descriptive::{fmt_pct, pct_change};
 
 fn main() {
-    bench::banner("Table 9: ad/tracker requests, WPM vs WPM_hide");
+    let _ctx = bench::banner("Table 9: ad/tracker requests, WPM vs WPM_hide");
     let report = run_compare(bench::compare_config());
     let mut table = TextTable::new("Table 9 — requests matching the blocklists");
     table.header(&["run", "EasyList WPM", "EasyList diff", "EasyPrivacy WPM", "EasyPrivacy diff"]);

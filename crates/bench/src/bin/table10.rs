@@ -8,7 +8,7 @@ use netsim::CookieParty;
 use stats::descriptive::{fmt_pct, pct_change};
 
 fn main() {
-    bench::banner("Table 10: cookies, WPM vs WPM_hide");
+    let _ctx = bench::banner("Table 10: cookies, WPM vs WPM_hide");
     let report = run_compare(bench::compare_config());
     let mut table = TextTable::new("Table 10 — cookies per run");
     table.header(&[

@@ -6,7 +6,7 @@ use gullible::report::{pct, thousands, TextTable};
 use gullible::Scan;
 
 fn main() {
-    bench::banner("Table 11: webdriver probing on front pages vs prior work");
+    let _ctx = bench::banner("Table 11: webdriver probing on front pages vs prior work");
     let report = Scan::new(bench::scan_config()).run().expect("scan");
     let front_static = report.count(|front, _| front.static_true);
     let front_dynamic = report.count(|front, _| front.dynamic_true);

@@ -6,7 +6,7 @@ use gullible::report::{thousands, TextTable};
 use gullible::Scan;
 
 fn main() {
-    bench::banner("Table 12: first-party detector attribution");
+    let _ctx = bench::banner("Table 12: first-party detector attribution");
     let report = Scan::new(bench::scan_config()).run().expect("scan");
     let t12 = report.table12();
     let mut table = TextTable::new("Table 12 — first-party detector origins by URL pattern");

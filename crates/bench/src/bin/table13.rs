@@ -7,7 +7,7 @@ use detect::static_analysis::{pattern_matches, preprocess, StaticPattern};
 use gullible::report::TextTable;
 
 fn main() {
-    bench::banner("Table 13: patterns evaluated in static analysis");
+    let _ctx = bench::banner("Table 13: patterns evaluated in static analysis");
     // Evaluation corpus: true detectors in every statically-visible tier,
     // plus benign scripts mentioning 'webdriver'.
     let detectors = [

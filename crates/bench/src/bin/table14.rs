@@ -6,7 +6,7 @@ use gullible::literature::{days_from_civil, firefox_lag, FIREFOX_TIMELINE};
 use gullible::report::TextTable;
 
 fn main() {
-    bench::banner("Table 14: migration to newer Firefox releases");
+    let _ctx = bench::banner("Table 14: migration to newer Firefox releases");
     let mut table = TextTable::new("Table 14 — Firefox / OpenWPM release timeline");
     table.header(&["Firefox", "release date", "OpenWPM", "integration date"]);
     for r in FIREFOX_TIMELINE {

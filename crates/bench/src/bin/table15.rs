@@ -10,7 +10,7 @@ use gullible::literature::{studies, StudyMode};
 use gullible::report::TextTable;
 
 fn main() {
-    bench::banner("Table 15: OpenWPM in literature");
+    let _ctx = bench::banner("Table 15: OpenWPM in literature");
     let mut table = TextTable::new("Table 15 — surveyed studies (flags reconstructed)");
     table.header(&[
         "year", "author", "venue", "mode", "VM", "ck", "http", "js", "scr", "clk", "typ",

@@ -3,7 +3,9 @@
 //! Every regeneration binary and the umbrella `repro` runner read their
 //! configuration from these variables; nothing else in the workspace calls
 //! `std::env::var` for a `GULLIBLE_*` name except [`FaultPlan::from_env`]
-//! (which this module re-wraps as [`fault_plan`]).
+//! (which this module re-wraps as [`fault_plan`]) and the process-default
+//! contexts of `jsengine` and `detect`, which read `GULLIBLE_ENGINE` and
+//! `GULLIBLE_MATCHER` so plain `cargo test` runs can select the oracles.
 //!
 //! | knob                      | type  | default        | meaning |
 //! |---------------------------|-------|----------------|---------|
@@ -21,7 +23,6 @@
 //! | `GULLIBLE_FAULT_BOOST_PM` | u32   | 1000           | failure multiplier on flaky-flagged sites (per-mille) |
 //! | `GULLIBLE_FAULT_SEED`     | u64   | `0xFA017`      | fault-plan seed, independent of the population seed |
 //! | `GULLIBLE_COMPILE_CACHE`  | bool  | 1              | share compiled scripts across workers (`0` disables; ablation) |
-//! | `GULLIBLE_COMPILE_SHARDS` | usize | 16             | mutex stripes in the compile cache (set before first use) |
 //! | `GULLIBLE_ENGINE`         | enum  | `vm`           | MiniJS execution backend: `vm` (bytecode) or `tree` (reference oracle); the `--engine=tree\|vm` CLI flag wins |
 //! | `GULLIBLE_MATCHER`        | enum  | `automaton`    | static-pattern match engine: `automaton` (compiled multi-pattern) or `naive` (per-pattern oracle); the `--matcher=naive\|automaton` CLI flag wins |
 //! | `GULLIBLE_BUNDLE`         | path  | unset          | crawl-bundle directory for `archive_record`/`archive_replay` (positional arg wins); `repro` streams its scan there and resumes it on restart |
@@ -109,18 +110,11 @@ pub fn compile_cache() -> bool {
         && !std::env::args().any(|a| a == "--no-compile-cache")
 }
 
-/// `GULLIBLE_COMPILE_SHARDS` — mutex stripes in the compile cache. Takes
-/// effect only if set before the cache's first use.
-pub fn compile_shards() -> usize {
-    u64_knob("GULLIBLE_COMPILE_SHARDS", 16) as usize
-}
-
 /// `GULLIBLE_ENGINE` / `--engine=tree|vm` — the MiniJS execution backend
-/// (the flag wins over the env var). `jsengine` itself also reads the env
-/// var lazily — a documented exception to the parse-here-only rule, like
-/// [`FaultPlan::from_env`] — so library users outside the bench binaries
-/// get the same default; this function exists so binaries can *arm* the
-/// choice eagerly (and honour the CLI flag) before any realm is built.
+/// (the flag wins over the env var). `jsengine`'s process-default context
+/// also reads the env var, so library users outside the bench binaries
+/// get the same default; this function lets binaries honour the CLI flag
+/// in the context they run under.
 pub fn engine() -> jsengine::Engine {
     let flag = std::env::args().find_map(|a| a.strip_prefix("--engine=").map(str::to_owned));
     let v = flag.or_else(|| std::env::var("GULLIBLE_ENGINE").ok()).unwrap_or_default();
@@ -132,8 +126,7 @@ pub fn engine() -> jsengine::Engine {
 
 /// `GULLIBLE_MATCHER` / `--matcher=naive|automaton` — the static-pattern
 /// match engine (the flag wins over the env var). Like `GULLIBLE_ENGINE`,
-/// `detect` also reads the env var lazily on first use; this function lets
-/// binaries arm the choice eagerly and honour the CLI flag.
+/// `detect`'s process-default context also reads the env var.
 pub fn matcher() -> detect::MatcherKind {
     let flag = std::env::args().find_map(|a| a.strip_prefix("--matcher=").map(str::to_owned));
     let v = flag.or_else(|| std::env::var("GULLIBLE_MATCHER").ok()).unwrap_or_default();

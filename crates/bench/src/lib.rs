@@ -10,20 +10,25 @@
 //! Each binary follows the same frame:
 //!
 //! ```text
-//! bench::banner("Table 5: …");   // prints the run header, arms telemetry
+//! let _ctx = bench::banner("Table 5: …");  // prints the run header, enters the run's context
 //! …regenerate the table…
 //! bench::finish("table05", coverage);  // [stats] summary + provenance footer
 //! ```
 //!
-//! [`banner`] installs the JSONL trace journal when `GULLIBLE_TRACE` is
-//! set and enables stats collection under `GULLIBLE_STATS`; [`finish`]
-//! prints the human `[stats]` summary (when enabled) and always prints the
-//! machine-readable `[provenance]` footer, so every regenerated table
-//! carries its seed, config hash and telemetry digest.
+//! [`banner`] enters the [`CrawlCtx`] the knobs describe:
+//! a JSONL trace journal when `GULLIBLE_TRACE` is set, stats collection
+//! under `GULLIBLE_STATS`, the engine, matcher and compile-cache choice;
+//! [`finish`] prints the human `[stats]` summary (when enabled) and always
+//! prints the machine-readable `[provenance]` footer, so every regenerated
+//! table carries its seed, config hash and telemetry digest.
 
 #![deny(deprecated)]
 
-use gullible::{obs, CompareConfig, ScanConfig};
+use std::sync::Arc;
+
+use detect::DetectCtx;
+use gullible::{obs, CompareConfig, CrawlCtx, CtxGuard, ScanConfig};
+use jsengine::{CompileCache, JsCtx};
 
 pub mod env;
 
@@ -74,59 +79,63 @@ pub fn compare_config() -> CompareConfig {
     cfg
 }
 
-/// Arm the telemetry knobs: install the trace journal when
-/// `GULLIBLE_TRACE` names a path, enable stats under `GULLIBLE_STATS`,
-/// switch on the phase profiler / flight recorder under `GULLIBLE_PROF`,
+/// The telemetry the knobs describe: the trace journal when
+/// `GULLIBLE_TRACE` names a path, stats under `GULLIBLE_STATS`, the phase
+/// profiler / flight recorder under `GULLIBLE_PROF`,
 /// `GULLIBLE_PROF_SLOW_US` and `GULLIBLE_FORENSICS`.
-fn arm_telemetry() {
-    if env::stats() {
-        obs::set_stats(true);
+fn telemetry() -> obs::Telemetry {
+    let mut t = obs::Telemetry::new();
+    if let Some(path) = env::forensics() {
+        match obs::Telemetry::new().with_forensics(&path) {
+            Ok(armed) => t = armed,
+            Err(e) => eprintln!("warning: GULLIBLE_FORENSICS={}: {e}", path.display()),
+        }
     }
     if let Some(path) = env::trace() {
         match obs::Journal::to_file(&path, env::trace_wall()) {
-            Ok(journal) => {
-                obs::install_journal(journal);
-            }
+            Ok(journal) => t = t.with_journal(journal),
             Err(e) => eprintln!("warning: GULLIBLE_TRACE={}: {e}", path.display()),
         }
     }
-    obs::prof::set_mode(env::prof_mode());
-    obs::prof::set_slow_visit_us(env::prof_slow_us());
-    if let Some(path) = env::forensics() {
-        if let Err(e) = obs::prof::set_forensic_path(Some(&path)) {
-            eprintln!("warning: GULLIBLE_FORENSICS={}: {e}", path.display());
-        }
+    t.with_stats(env::stats())
+        .with_prof(env::prof_mode())
+        .with_slow_visit_us(env::prof_slow_us())
+}
+
+/// The crawl context the knobs describe: [`telemetry`], the execution
+/// backend (`GULLIBLE_ENGINE`, `--engine=tree|vm`), the static matcher
+/// (`GULLIBLE_MATCHER`, `--matcher=naive|automaton`) and a fresh compile
+/// cache unless `GULLIBLE_COMPILE_CACHE=0` / `--no-compile-cache`.
+fn crawl_ctx() -> CrawlCtx {
+    CrawlCtx {
+        telemetry: telemetry(),
+        js: JsCtx {
+            engine: env::engine(),
+            cache: env::compile_cache().then(|| Arc::new(CompileCache::new())),
+        },
+        detect: DetectCtx::new(env::matcher()),
     }
 }
 
-/// Apply the compile-cache knobs (`GULLIBLE_COMPILE_CACHE`,
-/// `GULLIBLE_COMPILE_SHARDS`, the `--no-compile-cache` flag). Shard count
-/// only takes effect before the cache's first use, so this runs from
-/// [`banner`], ahead of any script compilation.
-fn arm_compile_cache() {
-    jsengine::set_cache_shards(env::compile_shards());
-    jsengine::set_cache_enabled(env::compile_cache());
+/// A fresh context for one measured leg of a multi-run binary: stats-on
+/// telemetry, an empty compile cache (if the run has one) and verdict
+/// memo, and the engine and matcher of the calling thread's context.
+pub fn leg_ctx() -> CrawlCtx {
+    let run = CrawlCtx::current();
+    CrawlCtx {
+        telemetry: obs::Telemetry::new().with_stats(true),
+        js: JsCtx {
+            engine: run.js.engine,
+            cache: run.js.cache.map(|_| Arc::new(CompileCache::new())),
+        },
+        detect: DetectCtx::new(run.detect.matcher()),
+    }
 }
 
-/// Apply the execution-backend knob (`GULLIBLE_ENGINE`, the
-/// `--engine=tree|vm` flag) before any realm is built, so every
-/// interpreter the binary creates inherits it.
-fn arm_engine() {
-    jsengine::set_default_engine(env::engine());
-}
-
-/// Apply the static-matcher knob (`GULLIBLE_MATCHER`, the
-/// `--matcher=naive|automaton` flag) before any script is classified.
-fn arm_matcher() {
-    detect::set_default_matcher(env::matcher());
-}
-
-/// Print the run header every binary starts with (and arm telemetry).
-pub fn banner(what: &str) {
-    arm_telemetry();
-    arm_compile_cache();
-    arm_engine();
-    arm_matcher();
+/// Print the run header every binary starts with, and enter the run's
+/// context (see `crawl_ctx`) for as long as the returned guard lives.
+pub fn banner(what: &str) -> CtxGuard {
+    let ctx = crawl_ctx();
     let faults = env::fault_plan();
     let weather = if faults.is_inert() {
         String::new()
@@ -137,12 +146,12 @@ pub fn banner(what: &str) {
             faults.seed
         )
     };
-    let cache = if jsengine::cache_enabled() { "" } else { ", compile cache OFF" };
-    let engine = match jsengine::default_engine() {
+    let cache = if ctx.js.cache.is_some() { "" } else { ", compile cache OFF" };
+    let engine = match ctx.js.engine {
         jsengine::Engine::Vm => "",
         jsengine::Engine::Tree => ", engine tree",
     };
-    let matcher = match detect::default_matcher() {
+    let matcher = match ctx.detect.matcher() {
         detect::MatcherKind::Automaton => "",
         detect::MatcherKind::Naive => ", matcher naive",
     };
@@ -152,6 +161,7 @@ pub fn banner(what: &str) {
         env::seed(),
         env::workers()
     );
+    ctx.enter()
 }
 
 /// Hash of the effective run configuration, as carried by provenance
@@ -174,13 +184,14 @@ pub fn run_config_hash() -> u64 {
 /// footer (seed, config hash, telemetry digest, coverage), and flush the
 /// trace journal.
 pub fn finish(bin: &str, coverage: Option<&str>) {
-    let reg = obs::registry();
-    if obs::stats_enabled() {
+    let telemetry = obs::Telemetry::current();
+    let reg = telemetry.registry();
+    if telemetry.stats_enabled() {
         print!("{}", obs::stats::render_summary(reg));
     }
-    if obs::prof::mode() == obs::prof::Mode::Collapsed {
+    if telemetry.prof_mode() == obs::prof::Mode::Collapsed {
         // Flamegraph-ready collapsed stacks: `stack;stack;... self_us`.
-        let collapsed = obs::prof::render_collapsed();
+        let collapsed = telemetry.render_collapsed();
         if !collapsed.is_empty() {
             print!("[prof] collapsed stacks (self µs)\n{collapsed}");
         }
@@ -189,7 +200,7 @@ pub fn finish(bin: &str, coverage: Option<&str>) {
         "{}",
         obs::stats::provenance_footer(bin, env::seed(), run_config_hash(), &reg.snapshot(), coverage)
     );
-    if let Some(journal) = obs::journal() {
+    if let Some(journal) = telemetry.journal() {
         journal.flush();
     }
 }
@@ -252,7 +263,7 @@ pub fn bench_footer(suite: &str) {
     out.push_str(&format!(
         "],\"config\":\"{:016x}\",\"telemetry\":\"{:016x}\"}}",
         run_config_hash(),
-        obs::registry().snapshot().digest()
+        obs::Telemetry::current().registry().snapshot().digest()
     ));
     println!("{out}");
 }

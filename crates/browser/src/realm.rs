@@ -27,9 +27,8 @@
 //! the setup's interpreter [`Profile`](jsengine::Profile) seeds each
 //! instance's profiler ([`Page::enable_profiling`]). The browser manager
 //! treats templates as part of the shared compiled-artifact layer and
-//! only uses them when the process-wide compile cache is enabled, so
-//! ablation runs (`--no-compile-cache`) exercise the rebuild-per-page
-//! path.
+//! only uses them when the crawl context has a compile cache, so ablation
+//! runs (`--no-compile-cache`) exercise the rebuild-per-page path.
 
 use std::cell::RefCell;
 use std::rc::Rc;

@@ -532,6 +532,7 @@ impl StreamRecorder {
         self,
         completion: &CrawlSummary,
         table5: [(u32, u32); 3],
+        telemetry: &obs::Telemetry,
         stats: &mut StreamStats,
     ) -> io::Result<ArchiveStats> {
         if let Some(e) = self.err.into_inner().unwrap_or_else(|e| e.into_inner()) {
@@ -553,8 +554,8 @@ impl StreamRecorder {
             interrupted: completion.interrupted,
             table5,
             records_digest: obs::fnv1a(digest.as_bytes()),
-            telemetry_digest: obs::registry().snapshot().digest(),
-            stats_enabled: obs::stats_enabled(),
+            telemetry_digest: telemetry.registry().snapshot().digest(),
+            stats_enabled: telemetry.stats_enabled(),
         };
         Ok(archive_stats(self.writer.commit(&info.encode())?))
     }

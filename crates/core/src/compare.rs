@@ -135,8 +135,10 @@ pub fn compare_set(pop: &Population) -> Vec<u32> {
     set
 }
 
-/// Run the comparison.
+/// Run the comparison under the calling thread's current
+/// [`CrawlCtx`](crate::CrawlCtx).
 pub fn run_compare(cfg: CompareConfig) -> CompareReport {
+    let ctx = crate::CrawlCtx::current();
     let _phase = obs::phase("compare.runs");
     let pop = Population::new(cfg.n_sites, cfg.seed);
     let set = compare_set(&pop);
@@ -162,8 +164,8 @@ pub fn run_compare(cfg: CompareConfig) -> CompareReport {
             let summaries = run_parallel(
                 set.clone(),
                 cfg.workers,
-                |w| Browser::new(client.config(seed ^ (run as u64) << 32 ^ w as u64)),
-                move |browser, _idx, rank| {
+                |w| (ctx.enter(), Browser::new(client.config(seed ^ (run as u64) << 32 ^ w as u64))),
+                move |(_, browser), _idx, rank| {
                     let plan = pop.plan(rank);
                     visit_one(browser, &plan, run, tag, mem_snapshot.contains(&rank))
                 },

@@ -37,6 +37,7 @@
 pub mod archive;
 pub mod attacks;
 pub mod compare;
+mod ctx;
 pub mod literature;
 pub mod report;
 pub mod scan;
@@ -48,6 +49,7 @@ pub use archive::{
     diff_bundles, ArchiveStats, BundleDiff, CommitInfo, ReplayBundle, ReplayStats, SiteDelta,
 };
 pub use compare::{run_compare, Client, CompareConfig, CompareReport};
+pub use ctx::{CrawlCtx, CtxGuard};
 pub use scan::{
     scan_site_visit, site_visit, Scan, ScanAggregates, ScanConfig, ScanReport, SiteScanRecord,
     SiteVisit, StreamStats, CHECKPOINT_FORMAT_VERSION, STREAM_CHECKPOINT_FILE,

@@ -80,12 +80,13 @@ impl ScanConfig {
         pop
     }
 
-    fn supervisor(&self) -> SupervisorConfig {
+    fn supervisor(&self, capture_metrics: bool) -> SupervisorConfig {
         SupervisorConfig {
             retry: self.retry,
             visit_timeout_ms: self.visit_timeout_ms,
             faults: self.faults,
             visit_budget: self.visit_budget,
+            capture_metrics,
         }
     }
 }
@@ -574,12 +575,15 @@ pub struct StreamStats {
 /// `run` only returns `Err` for bundle I/O failures, a damaged bundle or
 /// checkpoint, or crash injection without a bundle sink; a scan without a
 /// source or sink directory cannot fail.
+///
+/// A scan runs under the [`CrawlCtx`](crate::CrawlCtx) current on the
+/// thread that calls `run`: its telemetry, engine, compile cache, matcher
+/// and verdict memo.
 pub struct Scan<'a> {
     cfg: ScanConfig,
     replay_dir: Option<PathBuf>,
     sink: Option<BundleSink>,
     crash: Option<CrashPlan>,
-    engine: Option<jsengine::Engine>,
     #[allow(clippy::type_complexity)]
     on_complete: Option<Box<dyn Fn(usize, &VisitOutcome<SiteScanRecord>, u32) + Sync + 'a>>,
 }
@@ -597,17 +601,7 @@ type Kept = Option<Box<SiteScanRecord>>;
 
 impl<'a> Scan<'a> {
     pub fn new(cfg: ScanConfig) -> Scan<'a> {
-        Scan { cfg, replay_dir: None, sink: None, crash: None, engine: None, on_complete: None }
-    }
-
-    /// Select the MiniJS execution backend for this scan's realms
-    /// ([`jsengine::Engine::Vm`] by default, or whatever `GULLIBLE_ENGINE`
-    /// says). Both backends are observably identical — per-site records,
-    /// tables and the telemetry digest are byte-for-byte the same — so
-    /// this only changes how fast the interpretation phase runs.
-    pub fn engine(mut self, engine: jsengine::Engine) -> Scan<'a> {
-        self.engine = Some(engine);
-        self
+        Scan { cfg, replay_dir: None, sink: None, crash: None, on_complete: None }
     }
 
     /// Read sites from the committed bundle at `dir` instead of generating
@@ -670,11 +664,7 @@ impl<'a> Scan<'a> {
     /// Execute the session. `Err` only for bundle/checkpoint I/O failures,
     /// damaged bundles or checkpoints, or crash injection without a sink.
     pub fn run(self) -> std::io::Result<ScanReport> {
-        if let Some(engine) = self.engine {
-            // Workers build realms via `Interp::new`/`clone_realm`, which
-            // read the process default.
-            jsengine::set_default_engine(engine);
-        }
+        let ctx = crate::CrawlCtx::current();
         if self.crash.is_some() && self.sink.is_none() {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
@@ -695,11 +685,6 @@ impl<'a> Scan<'a> {
         };
         let keep = self.sink.as_ref().is_none_or(|s| s.keep_records);
 
-        // With a sink, per-visit registry deltas are captured for the
-        // checkpoint lines so a resume can restore exactly the metrics the
-        // adopted visits emitted. The guard turns capture back off even
-        // when an injected crash unwinds through the scan.
-        let _scope_guard = self.sink.as_ref().map(|_| ScopeMetricsGuard::arm());
         let (recorder, prior, prior_attempts, agg, stream) = match &self.sink {
             Some(sink) => {
                 let s = open_sink(&sink.dir, &cfg, keep, self.crash.map(CrashInjector::new))?;
@@ -743,22 +728,28 @@ impl<'a> Scan<'a> {
         let seed = cfg.seed;
         let interact = cfg.simulate_interaction;
         let phase = obs::phase("scan.visits");
+        let ctx = &ctx;
         let crawl = run_supervised(
             (0..cfg.n_sites).collect(),
             cfg.workers,
-            cfg.supervisor(),
+            // With a sink, per-visit registry deltas are captured for the
+            // checkpoint lines so a resume can restore exactly the metrics
+            // the adopted visits emitted.
+            cfg.supervisor(self.sink.is_some()),
             |rank: &u32| source.meta(*rank),
             move |worker| {
                 // Every worker gets the *same* config seed: per-visit
                 // event-id seeds are keyed by site rank (`set_visit_key`
                 // below), so a site's records are identical no matter which
                 // worker visits it — the property the telemetry determinism
-                // tests pin down.
+                // tests pin down. The worker enters the scan's context
+                // before building anything.
+                let entered = ctx.enter();
                 let mut config = BrowserConfig::scanner(seed);
                 config.simulate_interaction = interact;
-                Browser::new(config).with_instance(worker as u32)
+                (entered, Browser::new(config).with_instance(worker as u32))
             },
-            |browser, _idx, rank: &u32| {
+            |(_, browser), _idx, rank: &u32| {
                 browser.set_visit_key(*rank as u64);
                 let visit = source.site_visit(*rank);
                 scan_site_visit(browser, &visit, capture).map(|rec| (rec, Live::new(&gauge)))
@@ -804,7 +795,8 @@ impl<'a> Scan<'a> {
             (Some(recorder), Some(mut stats)) => {
                 completion.checkpoint_lines_dropped = stats.checkpoint_lines_dropped as usize;
                 stats.peak_records_in_flight = gauge.peak.load(Ordering::Relaxed);
-                let archive = recorder.finish(&completion, agg.table5(), &mut stats)?;
+                let archive =
+                    recorder.finish(&completion, agg.table5(), &ctx.telemetry, &mut stats)?;
                 (Some(archive), Some(stats))
             }
             _ => (None, None),
@@ -819,21 +811,6 @@ impl<'a> Scan<'a> {
             aggregates: Some(agg),
             stream,
         })
-    }
-}
-
-struct ScopeMetricsGuard;
-
-impl ScopeMetricsGuard {
-    fn arm() -> ScopeMetricsGuard {
-        obs::set_scope_metrics(true);
-        ScopeMetricsGuard
-    }
-}
-
-impl Drop for ScopeMetricsGuard {
-    fn drop(&mut self) {
-        obs::set_scope_metrics(false);
     }
 }
 

@@ -5,24 +5,30 @@
 //! this covers the full pipeline (instrumented host objects, fault
 //! supervision, record commit order) on top of it.
 
-use gullible::{obs, Scan, ScanConfig};
+use gullible::{obs, CrawlCtx, Scan, ScanConfig};
+use jsengine::Engine;
 
-fn leg(engine: jsengine::Engine, sites: u32, seed: u64) -> (gullible::ScanReport, u64) {
-    obs::reset();
-    obs::set_stats(true); // the digest covers the stats counters
-    jsengine::cache().clear();
+/// A fresh context with stats on.
+fn stats_ctx(prof: obs::prof::Mode) -> CrawlCtx {
+    CrawlCtx { telemetry: obs::Telemetry::new().with_stats(true).with_prof(prof), ..CrawlCtx::new() }
+}
+
+fn leg(engine: Engine, sites: u32, seed: u64) -> (gullible::ScanReport, u64) {
+    let mut ctx = stats_ctx(obs::prof::Mode::Off);
+    ctx.js.engine = engine;
+    let _g = ctx.enter();
     let mut cfg = ScanConfig::new(sites, seed);
     cfg.workers = 1;
-    let report = Scan::new(cfg).engine(engine).run().expect("in-memory scan cannot fail");
-    let digest = obs::registry().snapshot().digest();
+    let report = Scan::new(cfg).run().expect("in-memory scan cannot fail");
+    let digest = ctx.telemetry.registry().snapshot().digest();
     (report, digest)
 }
 
 #[test]
 fn scan_is_byte_identical_across_engines() {
     let (sites, seed) = (150, 42);
-    let (tree, tree_digest) = leg(jsengine::Engine::Tree, sites, seed);
-    let (vm, vm_digest) = leg(jsengine::Engine::Vm, sites, seed);
+    let (tree, tree_digest) = leg(Engine::Tree, sites, seed);
+    let (vm, vm_digest) = leg(Engine::Vm, sites, seed);
 
     assert_eq!(tree.sites, vm.sites, "per-site records diverged");
     assert_eq!(tree.history, vm.history, "crawl history diverged");
@@ -31,4 +37,40 @@ fn scan_is_byte_identical_across_engines() {
         tree_digest, vm_digest,
         "telemetry digest diverged: {tree_digest:016x} vs {vm_digest:016x}"
     );
+}
+
+/// A scan's engine choice ends with the scan: a later scan under a fresh
+/// context runs on the process default engine again, as the profiler's
+/// backend phases show.
+#[test]
+fn engine_choice_does_not_leak_into_later_scans() {
+    let default = jsengine::default_engine();
+    let other = match default {
+        Engine::Vm => Engine::Tree,
+        Engine::Tree => Engine::Vm,
+    };
+    // Times each backend phase was entered.
+    let entered = |snap: &obs::Snapshot, e: Engine| {
+        let def = match e {
+            Engine::Vm => &obs::prof::JS_VM,
+            Engine::Tree => &obs::prof::JS_INTERP,
+        };
+        snap.histograms.get(def.hist_name()).map_or(0, |h| h.count)
+    };
+    let cfg = ScanConfig { workers: 2, ..ScanConfig::new(40, 9) };
+    let mut first = stats_ctx(obs::prof::Mode::On);
+    first.js.engine = other;
+    {
+        let _g = first.enter();
+        Scan::new(cfg).run().expect("scan");
+    }
+    assert!(entered(&first.telemetry.registry().snapshot(), other) > 0);
+
+    // The second context takes its engine from the process default.
+    let second = stats_ctx(obs::prof::Mode::On);
+    let _g = second.enter();
+    Scan::new(cfg).run().expect("scan");
+    let snap = second.telemetry.registry().snapshot();
+    assert!(entered(&snap, default) > 0, "later scan must run on {default:?}");
+    assert_eq!(entered(&snap, other), 0, "{other:?} leaked into the later scan");
 }

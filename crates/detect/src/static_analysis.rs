@@ -22,15 +22,17 @@
 //!   [`pattern_matches`].
 //!
 //! Per-script verdicts are additionally memoised by FNV-64 body hash
-//! ([`classify_memo`]): scripts are shared across sites and subpages, so
-//! each distinct body is preprocessed and scanned once per process. The
+//! ([`DetectCtx::classify_memo`]): scripts are shared across sites and
+//! subpages, so each distinct body is preprocessed and scanned once per
+//! crawl. The
 //! `match.*` metrics (scripts, bytes, candidate/confirmed hits, memo
 //! hit/miss) are digest-excluded like `cache.*` — worker scheduling moves
 //! the memo hit/miss split around, never the verdicts.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::marker::PhantomData;
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use matcher::{CompiledMatcher, PatternDef};
 
@@ -131,46 +133,6 @@ pub enum MatcherKind {
     Automaton,
 }
 
-/// Process-wide default engine: 0 = undecided, 1 = naive, 2 = automaton.
-static MATCHER: AtomicU8 = AtomicU8::new(0);
-
-/// Set the process-wide default match engine, picked up by every
-/// subsequent [`classify`]/[`classify_memo`]/[`pattern_matches`] call.
-pub fn set_default_matcher(k: MatcherKind) {
-    MATCHER.store(
-        match k {
-            MatcherKind::Naive => 1,
-            MatcherKind::Automaton => 2,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The process-wide default match engine. First use consults
-/// `GULLIBLE_MATCHER` (`naive` selects the oracle; anything else, or
-/// unset, the automaton). Like `GULLIBLE_ENGINE` in `jsengine`, this is a
-/// documented exception to the rule that only `bench::env` parses
-/// `GULLIBLE_*` names: the engine must flip for plain `cargo test` runs
-/// too, where the bench knob layer never runs.
-pub fn default_matcher() -> MatcherKind {
-    match MATCHER.load(Ordering::Relaxed) {
-        1 => MatcherKind::Naive,
-        2 => MatcherKind::Automaton,
-        _ => {
-            let k = match std::env::var("GULLIBLE_MATCHER")
-                .ok()
-                .map(|v| v.to_ascii_lowercase())
-                .as_deref()
-            {
-                Some("naive") => MatcherKind::Naive,
-                _ => MatcherKind::Automaton,
-            };
-            set_default_matcher(k);
-            k
-        }
-    }
-}
-
 /// The literal set and anchor guard implementing one Table 13 pattern in
 /// the automaton — the semantic layer that keeps compiled matching in
 /// exact parity with [`StaticPattern::matches`].
@@ -238,9 +200,9 @@ pub fn pattern_matches_with(kind: MatcherKind, pat: StaticPattern, pre: &str) ->
     }
 }
 
-/// [`pattern_matches_with`] under the process default engine.
+/// [`pattern_matches_with`] under the current [`DetectCtx`]'s engine.
 pub fn pattern_matches(pat: StaticPattern, pre: &str) -> bool {
-    pattern_matches_with(default_matcher(), pat, pre)
+    pattern_matches_with(with_current(|c| c.matcher), pat, pre)
 }
 
 /// Preprocess a script: decode `\xNN` / `\uNNNN` escapes and strip
@@ -486,49 +448,144 @@ pub fn classify_with(kind: MatcherKind, src: &str) -> ScriptVerdict {
     }
 }
 
-/// Classify one script under the process default engine (not memoised).
+/// Classify one script under the current [`DetectCtx`]'s engine (not
+/// memoised).
 pub fn classify(src: &str) -> ScriptVerdict {
-    classify_with(default_matcher(), src)
+    classify_with(with_current(|c| c.matcher), src)
 }
+
+// ------------------------------------------------------ detection context
 
 const MEMO_STRIPES: usize = 16;
 
-fn verdict_memo() -> &'static [Mutex<HashMap<u64, ScriptVerdict>>; MEMO_STRIPES] {
-    static MEMO: OnceLock<[Mutex<HashMap<u64, ScriptVerdict>>; MEMO_STRIPES]> = OnceLock::new();
-    MEMO.get_or_init(|| std::array::from_fn(|_| Mutex::new(HashMap::new())))
+type VerdictMemo = [Mutex<HashMap<u64, ScriptVerdict>>; MEMO_STRIPES];
+
+/// One crawl's static-analysis settings: the match engine and the verdict
+/// memo filled under it. The memo lives next to its engine, so verdicts
+/// one engine computed are never served to a crawl running the other.
+///
+/// A thread classifies under the context it [`entered`](DetectCtx::enter),
+/// or under the process default when it entered none. The default uses
+/// the engine `GULLIBLE_MATCHER` names (`naive` selects the oracle; see
+/// `jsengine::JsCtx` for why a library reads it).
+#[derive(Clone)]
+pub struct DetectCtx {
+    matcher: MatcherKind,
+    memo: Arc<VerdictMemo>,
 }
 
-/// Classify one script, memoised by its FNV-64 body hash (the script
-/// identity the scan already computes). Scripts are shared across sites
-/// and subpages, so each distinct body is preprocessed and scanned once
-/// per process; repeats are a map lookup. Verdicts are a deterministic
-/// function of the body, so the memo is invisible in every measured
-/// artifact — only the digest-excluded `match.memo.{hit,miss}` split
-/// moves with scheduling.
+impl Default for DetectCtx {
+    /// The process default engine with an empty memo.
+    fn default() -> DetectCtx {
+        DetectCtx::new(with_default(|d| d.matcher))
+    }
+}
+
+impl DetectCtx {
+    /// `matcher` with an empty verdict memo.
+    pub fn new(matcher: MatcherKind) -> DetectCtx {
+        DetectCtx { matcher, memo: Arc::new(std::array::from_fn(|_| Mutex::default())) }
+    }
+
+    pub fn matcher(&self) -> MatcherKind {
+        self.matcher
+    }
+
+    /// The calling thread's context: the one it entered, else the process
+    /// default.
+    pub fn current() -> DetectCtx {
+        with_current(DetectCtx::clone)
+    }
+
+    /// Make this the calling thread's context until the guard drops.
+    pub fn enter(&self) -> DetectGuard {
+        let prev = CURRENT.with(|c| c.replace(Some(self.clone())));
+        DetectGuard { prev: Some(prev), _not_send: PhantomData }
+    }
+
+    /// Classify one script, memoised by its FNV-64 body hash (the script
+    /// identity the scan already computes). Scripts are shared across
+    /// sites and subpages, so each distinct body is preprocessed and
+    /// scanned once per context; repeats are a map lookup. Verdicts are a
+    /// deterministic function of the body, so the memo is invisible in
+    /// every measured artifact — only the digest-excluded
+    /// `match.memo.{hit,miss}` split moves with scheduling.
+    pub fn classify_memo(&self, src: &str, body_hash: u64) -> ScriptVerdict {
+        let stripe = &self.memo[(body_hash as usize) & (MEMO_STRIPES - 1)];
+        if let Some(v) = stripe.lock().unwrap_or_else(|e| e.into_inner()).get(&body_hash) {
+            obs::add("match.memo.hit", 1);
+            return v.clone();
+        }
+        obs::add("match.memo.miss", 1);
+        // Classify outside the stripe lock; a concurrent miss on the same
+        // body computes the same verdict, and the second insert is a no-op.
+        let v = classify_with(self.matcher, src);
+        stripe.lock().unwrap_or_else(|e| e.into_inner()).insert(body_hash, v.clone());
+        v
+    }
+}
+
+/// Restores the previously current [`DetectCtx`] on drop.
+#[must_use = "the context is current only while the guard lives"]
+pub struct DetectGuard {
+    prev: Option<Option<DetectCtx>>,
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Drop for DetectGuard {
+    fn drop(&mut self) {
+        if let Some(prev) = self.prev.take() {
+            let _exited = CURRENT.with(|c| c.replace(prev));
+        }
+    }
+}
+
+thread_local! {
+    static CURRENT: RefCell<Option<DetectCtx>> = const { RefCell::new(None) };
+}
+
+fn process_default() -> &'static RwLock<DetectCtx> {
+    static DEFAULT: OnceLock<RwLock<DetectCtx>> = OnceLock::new();
+    DEFAULT.get_or_init(|| {
+        let naive = std::env::var("GULLIBLE_MATCHER")
+            .is_ok_and(|v| v.trim().eq_ignore_ascii_case("naive"));
+        RwLock::new(DetectCtx::new(if naive { MatcherKind::Naive } else { MatcherKind::Automaton }))
+    })
+}
+
+fn with_default<R>(f: impl FnOnce(&DetectCtx) -> R) -> R {
+    f(&process_default().read().unwrap_or_else(|e| e.into_inner()))
+}
+
+fn with_current<R>(f: impl FnOnce(&DetectCtx) -> R) -> R {
+    CURRENT.with(|c| match &*c.borrow() {
+        Some(ctx) => f(ctx),
+        None => with_default(f),
+    })
+}
+
+/// [`DetectCtx::classify_memo`] under the current context.
 pub fn classify_memo(src: &str, body_hash: u64) -> ScriptVerdict {
-    let stripe = &verdict_memo()[(body_hash as usize) & (MEMO_STRIPES - 1)];
-    if let Some(v) = stripe.lock().unwrap_or_else(|e| e.into_inner()).get(&body_hash) {
-        obs::add("match.memo.hit", 1);
-        return v.clone();
-    }
-    obs::add("match.memo.miss", 1);
-    // Classify outside the stripe lock; a concurrent miss on the same body
-    // computes the same verdict, and the second insert is a no-op.
-    let v = classify(src);
-    stripe
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .insert(body_hash, v.clone());
-    v
+    with_current(|c| c.classify_memo(src, body_hash))
 }
 
-/// Drop every memoised verdict. Ablations that flip the default engine
-/// mid-process call this between legs so each leg actually exercises its
-/// engine.
-pub fn clear_verdict_memo() {
-    for stripe in verdict_memo() {
-        stripe.lock().unwrap_or_else(|e| e.into_inner()).clear();
+/// Change the process default engine. The default's memo goes with its
+/// engine: switching engines starts an empty one. Threads inside an
+/// entered [`DetectCtx`] are unaffected.
+pub fn set_default_matcher(k: MatcherKind) {
+    let mut d = process_default().write().unwrap_or_else(|e| e.into_inner());
+    if d.matcher != k {
+        *d = DetectCtx::new(k);
     }
+}
+
+/// Empty the process default context's verdict memo.
+pub fn clear_verdict_memo() {
+    with_default(|d| {
+        for stripe in d.memo.iter() {
+            stripe.lock().unwrap_or_else(|e| e.into_inner()).clear();
+        }
+    });
 }
 
 /// Analyse one script with the production pattern set.
@@ -710,5 +767,25 @@ mod tests {
         // …but a commented file with a live probe still matches.
         let src = "/* header */ if (navigator.webdriver) { flag(); }";
         assert!(analyse(src).selenium);
+    }
+
+    #[test]
+    fn memo_belongs_to_its_matcher() {
+        let src = "if (navigator.webdriver) {}";
+        let t = obs::Telemetry::new().with_stats(true);
+        let _t = t.enter();
+        let auto = DetectCtx::new(MatcherKind::Automaton);
+        let naive = DetectCtx::new(MatcherKind::Naive);
+        let a = auto.classify_memo(src, 7);
+        assert_eq!(auto.classify_memo(src, 7), a);
+        {
+            let _g = naive.enter();
+            assert_eq!(DetectCtx::current().matcher(), MatcherKind::Naive);
+            // A different context computes its own verdict, never reusing
+            // the automaton's memo entry.
+            assert_eq!(classify_memo(src, 7), a);
+        }
+        let snap = t.registry().snapshot();
+        assert_eq!((snap.counter("match.memo.hit"), snap.counter("match.memo.miss")), (1, 2));
     }
 }

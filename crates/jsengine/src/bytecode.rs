@@ -167,7 +167,7 @@ pub struct Chunk {
 
 /// A whole compiled script: the top-level chunk plus one pre-compiled chunk
 /// per function definition reachable from it, so a cached script pays
-/// bytecode compilation exactly once process-wide.
+/// bytecode compilation exactly once per cache.
 #[derive(Debug)]
 pub struct ScriptChunk {
     pub top: Chunk,

@@ -1,5 +1,6 @@
 //! Shared script compilation: [`CompiledScript`] handles and the
-//! process-wide, content-hash-keyed [`CompileCache`].
+//! content-hash-keyed [`CompileCache`] a [`JsCtx`](crate::JsCtx) shares
+//! between its workers.
 //!
 //! The scan hot path used to re-lex and re-parse every script body on every
 //! visit and every retry, even though the corpus collapses to far fewer
@@ -7,7 +8,7 @@
 //! 1,535,306 collected scripts dedupe heavily; `ScanReport::script_stats`
 //! models it). Since the [`Program`](crate::ast::Program) AST became
 //! `Arc`-based it is immutable and `Send + Sync`, so one parse can serve
-//! every worker thread for the rest of the process.
+//! every worker thread of a crawl.
 //!
 //! Keys are `(FNV-64(body), FNV-64(script name))`: the script name is baked
 //! into [`FunctionDef::script`](crate::ast::FunctionDef) at parse time and
@@ -27,7 +28,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::ast::Program;
@@ -51,7 +52,7 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// Handles are passed around as `Arc<CompiledScript>` (the cache hands out
 /// one `Arc` per unique `(body, name)`), so the once-compiled
 /// [`ScriptChunk`](crate::bytecode::ScriptChunk) in [`chunk`] is shared by
-/// every worker in the process exactly like the AST is.
+/// every worker sharing the cache exactly like the AST is.
 #[derive(Debug)]
 pub struct CompiledScript {
     name: Arc<str>,
@@ -120,6 +121,9 @@ pub struct CacheStats {
 
 type Shard = Mutex<HashMap<(u64, u64), Arc<CompiledScript>>>;
 
+/// Mutex stripes per [`CompileCache::new`] cache.
+const COMPILE_SHARDS: usize = 16;
+
 /// A sharded (mutex-striped) compilation cache mapping
 /// `(FNV-64(body), FNV-64(name))` to the shared [`CompiledScript`] handle.
 /// Storing the whole handle (not just the `Program`) means the lazily
@@ -132,7 +136,18 @@ pub struct CompileCache {
     bytes: AtomicU64,
 }
 
+impl Default for CompileCache {
+    fn default() -> CompileCache {
+        CompileCache::new()
+    }
+}
+
 impl CompileCache {
+    /// An empty cache with 16 stripes.
+    pub fn new() -> CompileCache {
+        CompileCache::with_shards(COMPILE_SHARDS)
+    }
+
     /// Build a cache with `shards` mutex stripes (clamped to ≥ 1).
     pub fn with_shards(shards: usize) -> CompileCache {
         let n = shards.max(1);
@@ -213,41 +228,6 @@ impl CompileCache {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.bytes.store(0, Ordering::Relaxed);
-    }
-}
-
-static CACHE_ENABLED: AtomicBool = AtomicBool::new(true);
-static CACHE_SHARDS: AtomicUsize = AtomicUsize::new(16);
-static GLOBAL: OnceLock<CompileCache> = OnceLock::new();
-
-/// The process-wide compile cache shared by every scan worker.
-pub fn cache() -> &'static CompileCache {
-    GLOBAL.get_or_init(|| CompileCache::with_shards(CACHE_SHARDS.load(Ordering::Relaxed)))
-}
-
-/// Enable or disable the global cache (the `--no-compile-cache` ablation
-/// and the `GULLIBLE_COMPILE_CACHE` knob). Disabled means
-/// [`compile_cached`] parses directly; results are identical either way.
-pub fn set_cache_enabled(enabled: bool) {
-    CACHE_ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-pub fn cache_enabled() -> bool {
-    CACHE_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Set the global cache's shard count (`GULLIBLE_COMPILE_SHARDS`). Takes
-/// effect only if called before the cache's first use.
-pub fn set_cache_shards(shards: usize) {
-    CACHE_SHARDS.store(shards.max(1), Ordering::Relaxed);
-}
-
-/// Compile through the global cache when enabled, directly otherwise.
-pub fn compile_cached(src: &str, name: &str) -> Result<Arc<CompiledScript>, EngineError> {
-    if cache_enabled() {
-        cache().get_or_compile(src, name)
-    } else {
-        compile(src, name)
     }
 }
 

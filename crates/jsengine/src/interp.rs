@@ -110,8 +110,8 @@ pub struct Interp {
     /// realm reusable as a [`clone_realm`](Interp::clone_realm) template.
     pub host: Option<Rc<dyn std::any::Any>>,
     /// Execution backend for script code (tree-walking oracle or bytecode
-    /// VM). Initialised from [`crate::vm::default_engine`]; hosts may flip
-    /// it per realm before running scripts.
+    /// VM). Initialised from the current [`JsCtx`](crate::JsCtx); hosts may
+    /// flip it per realm before running scripts.
     pub engine: crate::vm::Engine,
     /// Memoised function-body chunks for the VM, keyed by the address of
     /// the pinned [`FunctionDef`] `Arc` (the entry holds the `Arc`, so the
@@ -220,7 +220,7 @@ impl Interp {
             rng_state: 0x9E3779B97F4A7C15,
             profiler: None,
             host: None,
-            engine: crate::vm::default_engine(),
+            engine: crate::ctx::current_engine(),
             fn_chunks: std::collections::HashMap::new(),
             vm_stacks: Vec::new(),
         };
@@ -241,12 +241,10 @@ impl Interp {
     /// stamped out per page.
     ///
     /// The execution counters (step count, virtual clock, PRNG state, job
-    /// sequence number), the console and the VM's function-chunk memo carry
-    /// over, so a clone is observably the source continued. The profiler
-    /// and the host handle do not: the embedder attaches its own. The
-    /// engine is re-read from [`crate::vm::default_engine`], so templates
-    /// built before the host picked a backend still produce pages on the
-    /// current one.
+    /// sequence number), the engine, the console and the VM's
+    /// function-chunk memo carry over, so a clone is observably the source
+    /// continued. The profiler and the host handle do not: the embedder
+    /// attaches its own.
     ///
     /// # Panics
     ///
@@ -280,7 +278,7 @@ impl Interp {
             rng_state: self.rng_state,
             profiler: None,
             host: None,
-            engine: crate::vm::default_engine(),
+            engine: self.engine,
             fn_chunks: self.fn_chunks.clone(),
             vm_stacks: Vec::new(),
         }

@@ -54,6 +54,7 @@ pub mod ast;
 pub mod atom;
 pub mod bytecode;
 pub mod compile;
+mod ctx;
 pub mod error;
 pub mod interp;
 pub mod lexer;
@@ -65,11 +66,9 @@ pub mod vm;
 
 mod builtins;
 
-pub use compile::{
-    cache, cache_enabled, compile, compile_cached, set_cache_enabled, set_cache_shards,
-    CacheStats, CompileCache, CompiledScript, ScriptSource,
-};
-pub use vm::{default_engine, set_default_engine, Engine};
+pub use compile::{compile, CacheStats, CompileCache, CompiledScript, ScriptSource};
+pub use ctx::{cache, compile_cached, default_engine, set_default_engine, JsCtx, JsGuard};
+pub use vm::Engine;
 pub use atom::{Atom, AtomMap};
 pub use error::{EngineError, Thrown};
 pub use interp::{Frame, Interp, NativeFn, ScopeRef};

@@ -1,5 +1,6 @@
 //! The bytecode VM: a stack dispatch loop over [`crate::bytecode::Chunk`]s,
-//! plus the backend-agnostic [`Engine`] selection API.
+//! plus the backend-agnostic [`Engine`] choice (selected per crawl by a
+//! [`JsCtx`](crate::JsCtx)).
 //!
 //! The VM reuses the interpreter's entire runtime — heap, scopes, frames,
 //! builtins, step budget, profiler hooks — and only replaces the *walk*:
@@ -11,7 +12,6 @@
 //! backends byte-identical; see `bytecode.rs` for the compilation contract
 //! and `tests/differential.rs` for the property harness that enforces it.
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use crate::bytecode::{Chunk, Insn};
@@ -31,45 +31,6 @@ pub enum Engine {
     Tree,
     /// Bytecode compiler + stack VM (the default).
     Vm,
-}
-
-/// Process-wide default backend: 0 = undecided, 1 = tree, 2 = vm.
-static ENGINE: AtomicU8 = AtomicU8::new(0);
-
-/// Set the process-wide default engine, picked up by every subsequently
-/// built realm ([`Interp::new`] and [`Interp::clone_realm`] both read it).
-pub fn set_default_engine(e: Engine) {
-    ENGINE.store(
-        match e {
-            Engine::Tree => 1,
-            Engine::Vm => 2,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The process-wide default engine. First use consults `GULLIBLE_ENGINE`
-/// (`tree` selects the oracle; anything else, or unset, the VM). Like
-/// `FaultPlan::from_env`, this is a documented exception to the rule that
-/// only `bench::env` parses `GULLIBLE_*` names: the engine must flip for
-/// plain `cargo test` runs too, where the bench knob layer never runs.
-pub fn default_engine() -> Engine {
-    match ENGINE.load(Ordering::Relaxed) {
-        1 => Engine::Tree,
-        2 => Engine::Vm,
-        _ => {
-            let e = match std::env::var("GULLIBLE_ENGINE")
-                .ok()
-                .map(|v| v.to_ascii_lowercase())
-                .as_deref()
-            {
-                Some("tree") => Engine::Tree,
-                _ => Engine::Vm,
-            };
-            set_default_engine(e);
-            e
-        }
-    }
 }
 
 /// Live `for`-`in` / `for`-`of` iteration state (per chunk activation, so
@@ -510,11 +471,16 @@ mod tests {
 
     #[test]
     fn default_engine_round_trips() {
-        let before = default_engine();
-        set_default_engine(Engine::Tree);
-        assert_eq!(default_engine(), Engine::Tree);
-        set_default_engine(Engine::Vm);
-        assert_eq!(default_engine(), Engine::Vm);
-        set_default_engine(before);
+        // Entering a context selects the engine of every realm built under
+        // it and touches no process state: the default is unchanged after.
+        let before = crate::default_engine();
+        for e in [Engine::Tree, Engine::Vm] {
+            let ctx = crate::JsCtx { engine: e, ..crate::JsCtx::new() };
+            let _g = ctx.enter();
+            assert_eq!(crate::JsCtx::current().engine, e);
+            assert_eq!(Interp::new().engine, e);
+        }
+        assert_eq!(crate::default_engine(), before);
+        assert_eq!(crate::JsCtx::current().engine, before);
     }
 }

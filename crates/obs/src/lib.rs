@@ -10,14 +10,18 @@
 //!    coordinator in item order; timestamps come from the simulated clock,
 //!    never the wall clock (unless explicitly opted in).
 //! 2. **Zero cost when off.** With neither `GULLIBLE_TRACE` nor
-//!    `GULLIBLE_STATS` set, every instrumentation call is one relaxed
-//!    atomic load and a branch.
-//! 3. **Zero dependencies.** Rendering, hashing, and validation are all
+//!    `GULLIBLE_STATS` set, every instrumentation call is one thread-local
+//!    load and a branch.
+//! 3. **No shared state between crawls.** Everything records into the
+//!    calling thread's current [`Telemetry`]; two crawls under two
+//!    telemetries never see each other's metrics.
+//! 4. **Zero dependencies.** Rendering, hashing, and validation are all
 //!    hand-rolled over `std`.
 //!
-//! The typical wiring (done by `bench::banner`): call [`set_stats`] and/or
-//! [`install_journal`] at startup, instrumented code calls [`add`] /
-//! [`observe`] / [`emit`] / [`span`] freely, and the binary prints
+//! The typical wiring (done by `bench::banner`): build a [`Telemetry`]
+//! with stats and/or a journal and [`Telemetry::enter`] it; instrumented
+//! code calls [`add`] / [`observe`] / [`emit`] / [`span`] freely, which
+//! record into the calling thread's current telemetry; the binary prints
 //! [`stats::render_summary`] + [`stats::provenance_footer`] at exit.
 
 mod event;
@@ -26,6 +30,7 @@ mod metrics;
 pub mod prof;
 mod scope;
 pub mod stats;
+mod telemetry;
 pub mod validate;
 
 pub use event::{push_json_string, AttrVal, Event, SpanMark};
@@ -36,11 +41,11 @@ pub use metrics::{
 };
 pub use scope::{
     begin_scope, clock_advance, clock_ms, decode_scope_metrics, end_scope, scope_active,
-    scope_metrics_enabled, set_scope_metrics, take_scope_metrics, ScopeMetrics,
+    take_scope_metrics, ScopeMetrics,
 };
+pub use telemetry::{Telemetry, TelemetryGuard};
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// FNV-1a over bytes — the repo's standard cheap stable hash.
@@ -53,105 +58,57 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-static TRACING: AtomicBool = AtomicBool::new(false);
-static STATS: AtomicBool = AtomicBool::new(false);
-/// `TRACING || STATS`, kept as its own flag so disabled-path calls load
-/// exactly one atomic.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-
-static JOURNAL: RwLock<Option<Arc<Journal>>> = RwLock::new(None);
-
-fn global_registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(Registry::new)
-}
-
-fn recompute_enabled() {
-    ENABLED.store(
-        TRACING.load(Ordering::Relaxed) || STATS.load(Ordering::Relaxed),
-        Ordering::Relaxed,
-    );
-}
-
-/// Is any telemetry live? One relaxed load — the disabled-path check.
+/// Is any telemetry live on this thread? One thread-local load — the
+/// disabled-path check.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    telemetry::flags() & telemetry::ENABLED != 0
 }
 
 #[inline]
 pub fn tracing_enabled() -> bool {
-    TRACING.load(Ordering::Relaxed)
+    telemetry::flags() & telemetry::TRACING != 0
 }
 
-#[inline]
-pub fn stats_enabled() -> bool {
-    STATS.load(Ordering::Relaxed)
-}
-
-/// Turn metric collection on/off (`GULLIBLE_STATS=1`).
-pub fn set_stats(on: bool) {
-    STATS.store(on, Ordering::Relaxed);
-    recompute_enabled();
-}
-
-/// The global metrics registry.
-pub fn registry() -> &'static Registry {
-    global_registry()
-}
-
-/// Install a journal and enable tracing; returns the shared handle.
-pub fn install_journal(j: Journal) -> Arc<Journal> {
-    let j = Arc::new(j);
-    *JOURNAL.write().unwrap() = Some(j.clone());
-    TRACING.store(true, Ordering::Relaxed);
-    recompute_enabled();
-    j
-}
-
-/// The installed journal, if tracing is live.
+/// The current telemetry's journal, if tracing is live.
 pub fn journal() -> Option<Arc<Journal>> {
-    JOURNAL.read().unwrap().clone()
+    telemetry::with_current(|t| t.journal.clone())
 }
 
-/// Remove the installed journal (flushing it) and disable tracing.
-pub fn take_journal() -> Option<Arc<Journal>> {
-    let j = JOURNAL.write().unwrap().take();
-    TRACING.store(false, Ordering::Relaxed);
-    recompute_enabled();
-    if let Some(j) = &j {
-        j.flush();
-    }
-    j
-}
-
-/// Bump a counter (no-op unless telemetry is enabled).
+/// Bump a counter in the current telemetry (no-op unless it is enabled).
 ///
-/// The handle for each name is cached per thread (keyed by the `'static`
-/// string's address), so steady-state increments skip the registry's
-/// `RwLock` entirely and land straight on the calling thread's counter
-/// stripe. Handles stay valid across [`reset`] — reset zeroes counters in
-/// place — so the cache never needs invalidating.
+/// Counter handles are cached per thread, keyed by the registry and the
+/// `'static` name's address, so steady-state increments skip the
+/// registry's `RwLock` entirely and land straight on the calling thread's
+/// counter stripe. The cache follows one registry at a time: a thread
+/// that switches telemetry starts a fresh cache.
 #[inline]
 pub fn add(name: &'static str, delta: u64) {
     if !enabled() {
         return;
     }
     scope::record_add(name, delta);
+    /// `(telemetry id, [(name address, handle)])`.
+    type Handles = (u64, Vec<(*const u8, Arc<ShardedCounter>)>);
     thread_local! {
-        static HANDLES: std::cell::RefCell<Vec<(*const u8, Arc<ShardedCounter>)>> =
-            const { std::cell::RefCell::new(Vec::new()) };
+        static HANDLES: std::cell::RefCell<Handles> = const { std::cell::RefCell::new((0, Vec::new())) };
     }
-    HANDLES.with(|cache| {
-        let key = name.as_ptr();
-        let mut cache = cache.borrow_mut();
-        if let Some((_, c)) = cache.iter().find(|(k, _)| *k == key) {
+    telemetry::with_current(|t| {
+        HANDLES.with(|cache| {
+            let key = name.as_ptr();
+            let (registry, handles) = &mut *cache.borrow_mut();
+            if *registry != t.id {
+                *registry = t.id;
+                handles.clear();
+            }
+            if let Some((_, c)) = handles.iter().find(|(k, _)| *k == key) {
+                c.add(delta);
+                return;
+            }
+            let c = t.registry.counter(name);
             c.add(delta);
-            return;
-        }
-        let c = global_registry().counter(name);
-        c.add(delta);
-        cache.push((key, c));
+            handles.push((key, c));
+        })
     });
 }
 
@@ -159,7 +116,7 @@ pub fn add(name: &'static str, delta: u64) {
 #[inline]
 pub fn gauge_set(name: &'static str, v: i64) {
     if enabled() {
-        global_registry().gauge_set(name, v);
+        telemetry::with_current(|t| t.registry.gauge_set(name, v));
     }
 }
 
@@ -168,11 +125,11 @@ pub fn gauge_set(name: &'static str, v: i64) {
 pub fn observe(name: &'static str, v: u64) {
     if enabled() {
         scope::record_observe(name, v);
-        global_registry().observe(name, v);
+        telemetry::with_current(|t| t.registry.observe(name, v));
     }
 }
 
-/// Re-apply a [`ScopeMetrics::encode`]d metric delta to the global
+/// Re-apply a [`ScopeMetrics::encode`]d metric delta to the current
 /// registry — the crash-resume path's inverse of per-scope capture. Names
 /// arrive as decoded strings, so this goes through the registry's
 /// by-name (interning) lookups. Returns `false` (applying nothing) on a
@@ -184,13 +141,14 @@ pub fn restore_metrics(encoded: &str) -> bool {
     if !enabled() {
         return true;
     }
-    let reg = global_registry();
-    for (kind, name, v) in entries {
-        match kind {
-            'c' => reg.counter_by_name(&name).add(v),
-            _ => reg.histogram_by_name(&name).observe(v),
+    telemetry::with_current(|t| {
+        for (kind, name, v) in entries {
+            match kind {
+                'c' => t.registry.counter_by_name(&name).add(v),
+                _ => t.registry.histogram_by_name(&name).observe(v),
+            }
         }
-    }
+    });
     true
 }
 
@@ -264,71 +222,68 @@ pub fn phase(name: &'static str) -> PhaseGuard {
 impl Drop for PhaseGuard {
     fn drop(&mut self) {
         if enabled() {
-            global_registry().record_timing(self.name, self.started.elapsed());
+            telemetry::with_current(|t| t.registry.record_timing(self.name, self.started.elapsed()));
         }
     }
 }
-
-/// Reset all global telemetry state: metrics zeroed, journal removed,
-/// stats/tracing flags cleared. Tests and multi-run binaries call this at
-/// run boundaries.
-pub fn reset() {
-    global_registry().reset();
-    *JOURNAL.write().unwrap() = None;
-    TRACING.store(false, Ordering::Relaxed);
-    STATS.store(false, Ordering::Relaxed);
-    set_scope_metrics(false);
-    prof::reset_prof();
-    recompute_enabled();
-}
-
-// Tests that touch process-global telemetry state (flags, registry, the
-// scope-metrics gate) share one process; they serialize on this lock —
-// including the scope module's own gate-flipping test.
-#[cfg(test)]
-pub(crate) static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    fn stats_on() -> Telemetry {
+        Telemetry::new().with_stats(true)
     }
 
     #[test]
     fn disabled_calls_are_noops() {
-        let _g = locked();
-        reset();
+        let t = Telemetry::new();
+        let _g = t.enter();
         add("noop.counter", 5);
         observe("noop.hist", 1);
         emit(Event::new(0, "dropped"));
         let s = span("dropped");
         assert!(matches!(s, SpanGuard::Inactive));
         drop(s);
-        assert_eq!(registry().snapshot().counter("noop.counter"), 0);
-        reset();
+        assert_eq!(t.registry().snapshot().counter("noop.counter"), 0);
     }
 
     #[test]
     fn stats_enable_collects_metrics() {
-        let _g = locked();
-        reset();
-        set_stats(true);
-        add("on.counter", 2);
-        assert_eq!(registry().snapshot().counter("on.counter"), 2);
-        reset();
+        let t = stats_on();
+        {
+            let _g = t.enter();
+            add("on.counter", 2);
+        }
+        // Outside the guard the thread records into the inert default.
+        add("on.counter", 40);
+        assert_eq!(t.registry().snapshot().counter("on.counter"), 2);
+        assert_eq!(Telemetry::current().registry().snapshot().counter("on.counter"), 0);
+    }
+
+    #[test]
+    fn nested_contexts_restore_and_keep_separate_handle_caches() {
+        let (a, b) = (stats_on(), stats_on());
+        let _ga = a.enter();
+        add("nest.counter", 1);
+        {
+            let _gb = b.enter();
+            add("nest.counter", 10);
+        }
+        add("nest.counter", 100);
+        assert_eq!(a.registry().snapshot().counter("nest.counter"), 101);
+        assert_eq!(b.registry().snapshot().counter("nest.counter"), 10);
     }
 
     #[test]
     fn journal_routes_scope_and_crawl_events() {
-        let _g = locked();
-        reset();
-        let j = install_journal(Journal::buffer(false));
+        let t = Telemetry::new().with_journal(Journal::buffer(false));
+        let _g = t.enter();
+        let j = t.journal().expect("tracing telemetry has a journal");
         emit(Event::new(0, "run_start").attr("seed", 42u64));
         {
             let _p = phase("scan");
-            begin_scope();
+            begin_scope(false);
             let _v = span("visit");
             clock_advance(3);
             emit(Event::new(0, "fault").attr("kind", "hang"));
@@ -336,7 +291,7 @@ mod tests {
             let events = end_scope();
             j.write_visit_events(0, &events);
         }
-        take_journal();
+        j.flush();
         let text = j.buffer_contents().unwrap();
         let summary = validate::validate_journal(&text).unwrap();
         assert_eq!(summary.scopes, 2, "{text}");
@@ -344,42 +299,40 @@ mod tests {
         assert!(text.contains(r#""scope":"visit:0","ev":"span_open""#), "{text}");
         assert!(text.contains(r#"{"t":3,"scope":"visit:0","ev":"fault","kind":"hang"}"#), "{text}");
         // Phase timing landed in the registry (tracing implies enabled).
-        assert!(registry().timings().iter().any(|(n, _)| n == "scan"));
-        reset();
+        assert!(t.registry().timings().iter().any(|(n, _)| n == "scan"));
     }
 
     #[test]
     fn captured_scope_delta_restores_to_identical_registry_state() {
-        let _g = locked();
-        reset();
-        set_stats(true);
-        set_scope_metrics(true);
+        let t = stats_on();
+        let delta = {
+            let _g = t.enter();
+            begin_scope(true);
+            add("restore.counter", 3);
+            add("restore.counter", 2);
+            observe("restore.hist", 17);
+            observe("restore.hist", 1);
+            let delta = take_scope_metrics().expect("captured");
+            end_scope();
+            delta
+        };
+        let live = t.registry().snapshot();
 
-        begin_scope();
-        add("restore.counter", 3);
-        add("restore.counter", 2);
-        observe("restore.hist", 17);
-        observe("restore.hist", 1);
-        let delta = take_scope_metrics().expect("captured");
-        end_scope();
-        let live = registry().snapshot();
-
-        // A "fresh process": zeroed registry, delta re-applied by name.
-        registry().reset();
+        // A "fresh process": a new registry, the delta re-applied by name.
+        let fresh = stats_on();
+        let _g = fresh.enter();
         assert!(restore_metrics(&delta.encode()));
-        let restored = registry().snapshot();
+        let restored = fresh.registry().snapshot();
         assert_eq!(live.counter("restore.counter"), 5);
         assert_eq!(restored.counters, live.counters);
         assert_eq!(restored.histograms, live.histograms);
         assert_eq!(restored.digest(), live.digest());
 
         assert!(!restore_metrics("garbage-without-structure"));
-        reset();
     }
 
     #[test]
     fn fnv1a_matches_reference_vectors() {
-        let _g = locked();
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
     }

@@ -45,8 +45,8 @@ fn stripe_id() -> usize {
 }
 
 /// A counter whose increments land on a per-thread stripe and whose value
-/// is the fold of all stripes. Handles are cheap to clone and safe to
-/// cache across [`Registry::reset`] (reset zeroes stripes in place).
+/// is the fold of all stripes. Handles are cheap to clone and live as long
+/// as their registry.
 #[derive(Debug)]
 pub struct ShardedCounter {
     stripes: [PaddedU64; COUNTER_STRIPES],
@@ -68,12 +68,6 @@ impl ShardedCounter {
     /// Fold the stripes into the counter's value.
     pub fn sum(&self) -> u64 {
         self.stripes.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
-    }
-
-    fn reset(&self) {
-        for s in &self.stripes {
-            s.0.store(0, Ordering::Relaxed);
-        }
     }
 }
 
@@ -125,14 +119,6 @@ impl Histogram {
             sum: self.sum.load(Ordering::Relaxed),
             buckets,
         }
-    }
-
-    fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
     }
 }
 
@@ -260,8 +246,7 @@ impl Snapshot {
     }
 }
 
-/// The metrics registry. One global instance lives behind
-/// [`crate::registry`]; tests may build private ones.
+/// The metrics registry. Each [`crate::Telemetry`] owns one.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: RwLock<HashMap<&'static str, Arc<ShardedCounter>>>,
@@ -278,8 +263,7 @@ impl Registry {
     }
 
     /// Handle to a named counter (registering it on first use). Callers on
-    /// hot paths should hold the handle rather than re-looking it up; the
-    /// handle stays valid across [`Registry::reset`].
+    /// hot paths should hold the handle rather than re-looking it up.
     pub fn counter(&self, name: &'static str) -> Arc<ShardedCounter> {
         if let Some(c) = self.counters.read().unwrap().get(name) {
             return c.clone();
@@ -372,21 +356,6 @@ impl Registry {
             .collect();
         Snapshot { counters, gauges, histograms }
     }
-
-    /// Zero every metric and drop recorded timings — run boundaries (and
-    /// tests comparing two runs in one process) call this between runs.
-    pub fn reset(&self) {
-        for c in self.counters.read().unwrap().values() {
-            c.reset();
-        }
-        for g in self.gauges.read().unwrap().values() {
-            g.store(0, Ordering::Relaxed);
-        }
-        for h in self.histograms.read().unwrap().values() {
-            h.reset();
-        }
-        self.timings.lock().unwrap().clear();
-    }
 }
 
 #[cfg(test)]
@@ -476,18 +445,6 @@ mod tests {
             }
         });
         assert_eq!(c.sum(), 3_000 * (COUNTER_STRIPES as u64 + 5));
-        c.reset();
-        assert_eq!(c.sum(), 0);
-    }
-
-    #[test]
-    fn counter_handle_survives_reset() {
-        let r = Registry::new();
-        let c = r.counter("persist");
-        c.add(4);
-        r.reset();
-        c.add(2);
-        assert_eq!(r.snapshot().counter("persist"), 2);
     }
 
     #[test]
@@ -537,21 +494,6 @@ mod tests {
         assert!(snap.render().contains("prof.self.visit 1200"));
         assert!(snap.render().contains("histogram prof.visit_us"));
         assert!(!snap.render_deterministic().contains("prof."));
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let r = Registry::new();
-        r.add("c", 5);
-        r.gauge_set("g", -2);
-        r.observe("h", 9);
-        r.record_timing("phase", Duration::from_millis(3));
-        r.reset();
-        let snap = r.snapshot();
-        assert!(snap.counters.is_empty());
-        assert_eq!(snap.gauges.get("g"), Some(&0));
-        assert!(snap.histograms.is_empty());
-        assert!(r.timings().is_empty());
     }
 
     #[test]

@@ -17,22 +17,25 @@
 //!   `obs::emit`, phase transitions, and explicit breadcrumbs). Slow
 //!   visits, typed visit failures, panics, and chaos kills dump the ring
 //!   plus the in-flight phase stack as flat JSONL forensic records to a
-//!   side file (see [`set_forensic_path`]); `validate::validate_forensic`
+//!   side file (see [`Telemetry::with_forensics`]); `validate::validate_forensic`
 //!   checks the schema. The ring is thread-local — recording takes no lock;
 //!   only the rare dump serialises on the sink.
 //!
+//! Both record into the calling thread's current [`Telemetry`], whose
+//! builders set the mode, slow-visit threshold and forensic sink.
+//!
 //! [`NONDETERMINISTIC_PREFIXES`]: crate::NONDETERMINISTIC_PREFIXES
+//! [`Telemetry`]: crate::Telemetry
+//! [`Telemetry::with_forensics`]: crate::Telemetry::with_forensics
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::event::{push_json_string, AttrVal, Event};
+use crate::telemetry::{self, COLLAPSED, FORENSIC, PROF};
 
 // ------------------------------------------------------------------ phases
 
@@ -140,10 +143,6 @@ pub static VISIT_PHASES: &[&PhaseDef] = &[
 
 // ------------------------------------------------------------------- state
 
-static PROF: AtomicBool = AtomicBool::new(false);
-static COLLAPSED: AtomicBool = AtomicBool::new(false);
-static SLOW_VISIT_US: AtomicU64 = AtomicU64::new(0);
-static FORENSIC_ARMED: AtomicBool = AtomicBool::new(false);
 static NEXT_DUMP_ID: AtomicU64 = AtomicU64::new(0);
 static NEXT_WORKER_ID: AtomicU64 = AtomicU64::new(0);
 
@@ -167,47 +166,16 @@ pub fn parse_mode(v: &str) -> Mode {
     }
 }
 
-pub fn set_mode(mode: Mode) {
-    PROF.store(mode != Mode::Off, Ordering::Relaxed);
-    COLLAPSED.store(mode == Mode::Collapsed, Ordering::Relaxed);
-}
-
-/// The current operating mode.
-pub fn mode() -> Mode {
-    if COLLAPSED.load(Ordering::Relaxed) {
-        Mode::Collapsed
-    } else if PROF.load(Ordering::Relaxed) {
-        Mode::On
-    } else {
-        Mode::Off
-    }
-}
-
-/// Is the phase profiler armed? One relaxed load — the disabled-path check.
+/// Is the phase profiler armed on this thread? One thread-local load —
+/// the disabled-path check.
 #[inline]
 pub fn profiling() -> bool {
-    PROF.load(Ordering::Relaxed)
+    telemetry::flags() & PROF != 0
 }
 
-/// Slow-visit threshold in wall-clock microseconds; 0 disables the check.
-pub fn set_slow_visit_us(v: u64) {
-    SLOW_VISIT_US.store(v, Ordering::Relaxed);
-}
-
-#[inline]
+/// The current telemetry's slow-visit threshold in wall-clock µs (0: off).
 pub fn slow_visit_us() -> u64 {
-    SLOW_VISIT_US.load(Ordering::Relaxed)
-}
-
-/// Clear all profiler/recorder configuration (called by [`crate::reset`]).
-/// Dump ids stay monotone across resets so multi-run forensic files remain
-/// unambiguous.
-pub(crate) fn reset_prof() {
-    set_mode(Mode::Off);
-    SLOW_VISIT_US.store(0, Ordering::Relaxed);
-    FORENSIC_ARMED.store(false, Ordering::Relaxed);
-    *sink().lock().unwrap_or_else(|e| e.into_inner()) = None;
-    collapsed_map().lock().unwrap_or_else(|e| e.into_inner()).clear();
+    telemetry::with_current(|t| t.slow_visit_us)
 }
 
 // ----------------------------------------------------------- phase guards
@@ -238,7 +206,7 @@ pub fn enter(def: &'static PhaseDef) -> ProfGuard {
     if !profiling() {
         return ProfGuard { active: false };
     }
-    let path = if COLLAPSED.load(Ordering::Relaxed) {
+    let path = if telemetry::flags() & COLLAPSED != 0 {
         Some(STACK.with(|s| match s.borrow().last().and_then(|f| f.path.as_deref()) {
             Some(parent) => format!("{parent};{}", def.name),
             None => def.name.to_string(),
@@ -273,11 +241,10 @@ impl Drop for ProfGuard {
         crate::observe(frame.def.hist_us, total_us);
         crate::add(frame.def.self_ctr, self_us);
         if let Some(path) = frame.path {
-            *collapsed_map()
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .entry(path)
-                .or_insert(0) += self_us;
+            telemetry::with_current(|t| {
+                *t.collapsed.lock().unwrap_or_else(|e| e.into_inner()).entry(path).or_insert(0) +=
+                    self_us;
+            });
         }
     }
 }
@@ -297,11 +264,6 @@ pub fn current_phase() -> String {
 
 // ------------------------------------------------------- collapsed stacks
 
-fn collapsed_map() -> &'static Mutex<BTreeMap<String, u64>> {
-    static MAP: OnceLock<Mutex<BTreeMap<String, u64>>> = OnceLock::new();
-    MAP.get_or_init(|| Mutex::new(BTreeMap::new()))
-}
-
 /// Fold per-builtin interpreter call counts in as leaf nodes under
 /// `visit;jsengine.interp`. Leaf values are **call counts**, not micros —
 /// natives execute without their own stack frames, so counts are the
@@ -320,35 +282,17 @@ pub fn fold_builtin_counts_under(parent: &str, builtins: &[(std::sync::Arc<str>,
     if !profiling() || builtins.is_empty() {
         return;
     }
-    let reg = crate::registry();
-    for (name, count) in builtins {
-        reg.counter_by_name(&format!("prof.builtin.{name}")).add(*count);
-    }
-    if COLLAPSED.load(Ordering::Relaxed) {
-        let mut map = collapsed_map().lock().unwrap_or_else(|e| e.into_inner());
+    telemetry::with_current(|t| {
         for (name, count) in builtins {
-            *map.entry(format!("{parent};builtin.{name}")).or_insert(0) += count;
+            t.registry.counter_by_name(&format!("prof.builtin.{name}")).add(*count);
         }
-    }
-}
-
-/// Render the collapsed-stack map as flamegraph text: one
-/// `path;to;phase value` line per entry, sorted by path.
-pub fn render_collapsed() -> String {
-    let map = collapsed_map().lock().unwrap_or_else(|e| e.into_inner());
-    let mut out = String::new();
-    for (path, v) in map.iter() {
-        out.push_str(path);
-        out.push(' ');
-        out.push_str(&v.to_string());
-        out.push('\n');
-    }
-    out
-}
-
-/// A single collapsed-stack value (tests and report code).
-pub fn collapsed_value(path: &str) -> Option<u64> {
-    collapsed_map().lock().unwrap_or_else(|e| e.into_inner()).get(path).copied()
+        if t.flags & COLLAPSED != 0 {
+            let mut map = t.collapsed.lock().unwrap_or_else(|e| e.into_inner());
+            for (name, count) in builtins {
+                *map.entry(format!("{parent};builtin.{name}")).or_insert(0) += count;
+            }
+        }
+    });
 }
 
 // ------------------------------------------------------- flight recorder
@@ -390,11 +334,11 @@ impl Ring {
     }
 }
 
-/// Is the flight recorder armed (forensic sink installed)? Callers should
-/// gate any allocation for [`ring_record`] details on this.
+/// Is the flight recorder armed (forensic sink installed) on this thread?
+/// Callers should gate any allocation for [`ring_record`] details on this.
 #[inline]
 pub fn recorder_armed() -> bool {
-    FORENSIC_ARMED.load(Ordering::Relaxed)
+    telemetry::flags() & FORENSIC != 0
 }
 
 /// Record a breadcrumb into this worker's ring. No-op (post-check) when
@@ -448,38 +392,8 @@ fn wall_ms() -> u64 {
 
 // --------------------------------------------------------- forensic sink
 
-fn sink() -> &'static Mutex<Option<(PathBuf, File)>> {
-    static SINK: OnceLock<Mutex<Option<(PathBuf, File)>>> = OnceLock::new();
-    SINK.get_or_init(|| Mutex::new(None))
-}
-
-/// Install (or remove, with `None`) the forensic dump sink. Installing a
-/// sink arms the flight recorder and — because a dump without phase
-/// attribution is blind — arms the phase profiler too if it was off.
-/// Dumps append; pass a fresh path per run for per-run files.
-pub fn set_forensic_path(path: Option<&Path>) -> std::io::Result<()> {
-    let mut guard = sink().lock().unwrap_or_else(|e| e.into_inner());
-    match path {
-        Some(p) => {
-            let file = OpenOptions::new().create(true).append(true).open(p)?;
-            *guard = Some((p.to_path_buf(), file));
-            FORENSIC_ARMED.store(true, Ordering::Relaxed);
-            PROF.store(true, Ordering::Relaxed);
-        }
-        None => {
-            *guard = None;
-            FORENSIC_ARMED.store(false, Ordering::Relaxed);
-        }
-    }
-    Ok(())
-}
-
-/// The installed forensic sink path, if any.
-pub fn forensic_path() -> Option<PathBuf> {
-    sink().lock().unwrap_or_else(|e| e.into_inner()).as_ref().map(|(p, _)| p.clone())
-}
-
-/// Dump this worker's flight-recorder state as one forensic record: a flat
+/// Dump this worker's flight-recorder state into the current telemetry's
+/// forensic sink as one forensic record: a flat
 /// `{"rec":"forensic",...}` header line naming the trigger and the
 /// in-flight phase stack, followed by one `{"rec":"forensic_ring",...}`
 /// line per buffered event (oldest first). Every line is flat JSON —
@@ -528,21 +442,20 @@ pub fn dump_forensic(trigger: &str, attrs: &[(&str, String)]) {
         }
     }
 
-    let mut guard = sink().lock().unwrap_or_else(|e| e.into_inner());
-    if let Some((_, file)) = guard.as_mut() {
-        let _ = file.write_all(out.as_bytes());
-        let _ = file.flush();
-    }
+    telemetry::with_current(|t| {
+        if let Some(file) = &t.sink {
+            let mut file = file.lock().unwrap_or_else(|e| e.into_inner());
+            let _ = file.write_all(out.as_bytes());
+            let _ = file.flush();
+        }
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TEST_LOCK;
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::Telemetry;
+    use std::path::PathBuf;
 
     fn tmp_file(name: &str) -> PathBuf {
         let p = std::env::temp_dir()
@@ -553,22 +466,19 @@ mod tests {
 
     #[test]
     fn guards_are_inert_when_off() {
-        let _g = locked();
-        crate::reset();
+        let t = Telemetry::new();
+        let _g = t.enter();
         {
             let _p = enter(&VISIT);
             assert_eq!(current_phase(), "none");
         }
-        assert!(crate::registry().snapshot().histograms.is_empty());
-        crate::reset();
+        assert!(t.registry().snapshot().histograms.is_empty());
     }
 
     #[test]
     fn nested_phases_attribute_self_time_and_paths() {
-        let _g = locked();
-        crate::reset();
-        crate::set_stats(true);
-        set_mode(Mode::Collapsed);
+        let t = Telemetry::new().with_stats(true).with_prof(Mode::Collapsed);
+        let _g = t.enter();
         {
             let _v = enter(&VISIT);
             std::thread::sleep(std::time::Duration::from_millis(2));
@@ -578,7 +488,7 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
         }
-        let snap = crate::registry().snapshot();
+        let snap = t.registry().snapshot();
         let visit = snap.histograms.get("prof.visit_us").expect("visit histogram");
         let interp = snap.histograms.get("prof.jsengine.interp_us").expect("interp histogram");
         assert_eq!(visit.count, 1);
@@ -588,39 +498,36 @@ mod tests {
         let interp_self = snap.counter("prof.self.jsengine.interp");
         assert!(visit_self < visit.sum, "self {visit_self} must exclude child of {}", visit.sum);
         assert!(interp_self > 0);
-        assert!(collapsed_value("visit").is_some());
-        assert!(collapsed_value("visit;jsengine.interp").is_some());
-        let rendered = render_collapsed();
+        let rendered = t.render_collapsed();
+        assert!(rendered.lines().any(|l| l.starts_with("visit ")), "{rendered}");
         assert!(rendered.contains("visit;jsengine.interp "), "{rendered}");
-        crate::reset();
     }
 
     #[test]
     fn prof_metrics_never_reach_the_digest() {
-        let _g = locked();
-        crate::reset();
-        crate::set_stats(true);
-        let before = crate::registry().snapshot().digest();
-        set_mode(Mode::On);
+        let t = Telemetry::new().with_stats(true).with_prof(Mode::On);
+        let before = t.registry().snapshot().digest();
+        let _g = t.enter();
         {
             let _v = enter(&VISIT);
             let _d = enter(&DETECT_STATIC);
         }
         fold_builtin_counts(&[(std::sync::Arc::from("getTime"), 3)]);
-        let snap = crate::registry().snapshot();
+        let snap = t.registry().snapshot();
         assert_eq!(snap.digest(), before, "prof.* must be digest-invisible");
         assert!(snap.render().contains("prof."), "but still rendered:\n{}", snap.render());
         assert_eq!(snap.counter("prof.builtin.getTime"), 3);
-        crate::reset();
     }
 
     #[test]
     fn ring_wraparound_accounts_for_drops_and_keeps_the_dump() {
-        let _g = locked();
-        crate::reset();
         let path = tmp_file("ring");
-        set_forensic_path(Some(&path)).expect("sink");
+        let t = Telemetry::new().with_forensics(&path).expect("sink");
+        let _g = t.enter();
         assert!(profiling(), "arming forensics must arm the profiler");
+        // The ring is per thread and outlives telemetries: start this
+        // test's history from a clean ring.
+        RING.with(|r| *r.borrow_mut() = Ring::new());
         let extra = 50;
         for i in 0..RING_CAPACITY + extra {
             ring_record("tick", format!("event {i}"));
@@ -641,38 +548,39 @@ mod tests {
         assert!(!text.contains("event 0\""), "oldest event must be gone");
         assert!(text.contains(&format!("event {}", RING_CAPACITY + extra - 1)));
         let _ = std::fs::remove_file(&path);
-        crate::reset();
     }
 
     #[test]
     fn emitted_events_feed_the_ring() {
-        let _g = locked();
-        crate::reset();
         let path = tmp_file("emit");
-        set_forensic_path(Some(&path)).expect("sink");
+        let t = Telemetry::new().with_forensics(&path).expect("sink");
+        let _g = t.enter();
         crate::emit(Event::new(0, "fault").attr("reason", "hang").attr("attempt", 2u32));
         dump_forensic("visit_failed", &[]);
         let text = std::fs::read_to_string(&path).expect("dump file");
         assert!(text.contains(r#""kind":"fault""#), "{text}");
         assert!(text.contains(r#""detail":"reason=hang attempt=2""#), "{text}");
         let _ = std::fs::remove_file(&path);
-        crate::reset();
     }
 
     #[test]
-    fn reset_disarms_everything() {
-        let _g = locked();
-        crate::reset();
-        let path = tmp_file("reset");
-        set_forensic_path(Some(&path)).expect("sink");
-        set_mode(Mode::Collapsed);
-        set_slow_visit_us(123);
-        crate::reset();
+    fn leaving_a_telemetry_disarms_everything() {
+        let path = tmp_file("leave");
+        let t = Telemetry::new()
+            .with_prof(Mode::Collapsed)
+            .with_slow_visit_us(123)
+            .with_forensics(&path)
+            .expect("sink");
+        assert_eq!(t.prof_mode(), Mode::Collapsed);
+        {
+            let _g = t.enter();
+            assert!(profiling() && recorder_armed());
+            assert_eq!(slow_visit_us(), 123);
+        }
+        // Back on the inert default: nothing armed, nothing written.
         assert!(!profiling());
         assert!(!recorder_armed());
         assert_eq!(slow_visit_us(), 0);
-        assert!(forensic_path().is_none());
-        assert!(render_collapsed().is_empty());
         dump_forensic("ignored", &[]);
         assert_eq!(std::fs::read_to_string(&path).unwrap_or_default(), "");
         let _ = std::fs::remove_file(&path);

@@ -12,25 +12,6 @@
 
 use crate::event::{Event, SpanMark};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// When set, every [`crate::add`] / [`crate::observe`] made inside an open
-/// visit scope is *also* recorded into that scope's [`ScopeMetrics`] delta.
-/// The crash-consistent streaming mode persists the delta alongside each
-/// visit's checkpoint line so a resumed process can re-apply exactly the
-/// metrics the lost process already counted. Off by default: one extra
-/// relaxed load on the metric hot path buys zero cost for everyone else.
-static SCOPE_METRICS: AtomicBool = AtomicBool::new(false);
-
-/// Enable/disable per-scope metric delta capture.
-pub fn set_scope_metrics(on: bool) {
-    SCOPE_METRICS.store(on, Ordering::Relaxed);
-}
-
-#[inline]
-pub fn scope_metrics_enabled() -> bool {
-    SCOPE_METRICS.load(Ordering::Relaxed)
-}
 
 /// The metric updates one visit scope produced: summed counter deltas and
 /// the individual histogram observations, in emission order. Counters and
@@ -116,14 +97,19 @@ thread_local! {
 }
 
 /// Open a visit scope on the current thread, discarding any previous one.
-pub fn begin_scope() {
+/// With `capture_metrics`, every [`crate::add`] / [`crate::observe`] made
+/// inside the scope is *also* recorded into the scope's [`ScopeMetrics`]
+/// delta: the crash-consistent streaming mode persists the delta with each
+/// visit's checkpoint line so a resumed process can re-apply exactly the
+/// metrics the lost process already counted.
+pub fn begin_scope(capture_metrics: bool) {
     SCOPE.with(|s| {
         *s.borrow_mut() = Some(ScopeState {
             events: Vec::new(),
             clock_ms: 0,
             span_stack: Vec::new(),
             next_span: 1,
-            metrics: scope_metrics_enabled().then(ScopeMetrics::default),
+            metrics: capture_metrics.then(ScopeMetrics::default),
         })
     });
 }
@@ -134,13 +120,10 @@ pub fn take_scope_metrics() -> Option<ScopeMetrics> {
     SCOPE.with(|s| s.borrow_mut().as_mut().and_then(|st| st.metrics.take()))
 }
 
-/// Record a counter bump into the active scope's delta (gated, no-op
-/// when capture is off or no scope is open).
+/// Record a counter bump into the active scope's delta (no-op when
+/// capture is off or no scope is open).
 #[inline]
 pub(crate) fn record_add(name: &'static str, delta: u64) {
-    if !scope_metrics_enabled() {
-        return;
-    }
     SCOPE.with(|s| {
         if let Some(m) = s.borrow_mut().as_mut().and_then(|st| st.metrics.as_mut()) {
             match m.counters.iter_mut().find(|(n, _)| *n == name) {
@@ -154,9 +137,6 @@ pub(crate) fn record_add(name: &'static str, delta: u64) {
 /// Record a histogram observation into the active scope's delta.
 #[inline]
 pub(crate) fn record_observe(name: &'static str, v: u64) {
-    if !scope_metrics_enabled() {
-        return;
-    }
     SCOPE.with(|s| {
         if let Some(m) = s.borrow_mut().as_mut().and_then(|st| st.metrics.as_mut()) {
             m.observations.push((name, v));
@@ -271,7 +251,7 @@ mod tests {
 
     #[test]
     fn events_buffer_in_order_with_clock() {
-        begin_scope();
+        begin_scope(false);
         assert!(push_event(Event::new(0, "a")).is_none());
         clock_advance(10);
         assert!(push_event(Event::new(0, "b")).is_none());
@@ -290,7 +270,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_balance() {
-        begin_scope();
+        begin_scope(false);
         let a = scope_span_open("outer").unwrap();
         let b = scope_span_open("inner").unwrap();
         scope_span_close(b);
@@ -305,7 +285,7 @@ mod tests {
 
     #[test]
     fn end_scope_closes_dangling_spans() {
-        begin_scope();
+        begin_scope(false);
         let a = scope_span_open("outer").unwrap();
         let b = scope_span_open("inner").unwrap();
         let evs = end_scope();
@@ -315,9 +295,7 @@ mod tests {
 
     #[test]
     fn scope_metrics_capture_encode_and_decode_roundtrip() {
-        let _g = crate::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_scope_metrics(true);
-        begin_scope();
+        begin_scope(true);
         record_add("supervisor.faults", 2);
         record_add("records.js_calls", 10);
         record_add("supervisor.faults", 1);
@@ -326,7 +304,6 @@ mod tests {
         record_add("cache.compile.hit", 9); // nondeterministic: dropped by encode
         let m = take_scope_metrics().expect("capture on");
         let _ = end_scope();
-        set_scope_metrics(false);
 
         assert_eq!(m.counters.iter().find(|(n, _)| *n == "supervisor.faults"), Some(&("supervisor.faults", 3)));
         assert_eq!(m.observations.len(), 2);
@@ -343,10 +320,10 @@ mod tests {
         assert!(decode_scope_metrics("c::3").is_none());
         assert!(decode_scope_metrics("c:name:notanum").is_none());
 
-        // With the gate back off, a fresh scope captures nothing.
-        begin_scope();
+        // A scope opened without capture records nothing.
+        begin_scope(false);
         record_add("ignored", 1);
-        assert!(take_scope_metrics().is_none(), "gate off: nothing captured");
+        assert!(take_scope_metrics().is_none(), "capture off: nothing captured");
         let _ = end_scope();
     }
 
@@ -357,12 +334,9 @@ mod tests {
         // wall-clock counters/histograms the guards emit are excluded from
         // the encoded delta, while instrument counters recorded inside the
         // innermost phase still land in the delta.
-        let _g = crate::TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        crate::reset();
-        crate::set_stats(true);
-        crate::prof::set_mode(crate::prof::Mode::On);
-        set_scope_metrics(true);
-        begin_scope();
+        let t = crate::Telemetry::new().with_stats(true).with_prof(crate::prof::Mode::On);
+        let _g = t.enter();
+        begin_scope(true);
         {
             let _visit = crate::prof::enter(&crate::prof::VISIT);
             crate::add("records.js_calls", 4);
@@ -374,8 +348,6 @@ mod tests {
         }
         let m = take_scope_metrics().expect("capture on");
         let _ = end_scope();
-        set_scope_metrics(false);
-        crate::reset();
 
         // The raw delta saw the prof guards fire...
         assert!(
@@ -393,7 +365,7 @@ mod tests {
 
     #[test]
     fn out_of_order_close_still_balances() {
-        begin_scope();
+        begin_scope(false);
         let a = scope_span_open("outer").unwrap();
         let _b = scope_span_open("inner").unwrap();
         scope_span_close(a); // closes inner first, then outer

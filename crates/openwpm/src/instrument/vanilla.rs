@@ -55,7 +55,7 @@ pub enum InstrumentVintage {
 /// The instrument's constant function body. The per-visit event id is a
 /// *parameter* (`eid`) rather than an embedded literal, which makes this
 /// text identical across every visit and every worker — exactly one parse
-/// per process through the compile cache. The page-visible behaviour is
+/// per crawl through the compile cache. The page-visible behaviour is
 /// unchanged: the id still only travels through the live
 /// `document.dispatchEvent` call, which is how the hijack/fake-data attacks
 /// of Listing 2 learn it.
@@ -129,7 +129,7 @@ function instrumentFingerprintingApis(w, eid) { return getInstrumentJS(w, eid); 
 ";
 
 /// The constant (event-id-free) portion of the injected script for a
-/// vintage. Only one or two unique bodies ever exist per process, so the
+/// vintage. Only one or two unique bodies ever exist per crawl, so the
 /// compile cache reduces instrument parsing to a handful of misses.
 pub fn instrument_body_vintage(vintage: InstrumentVintage) -> String {
     match vintage {
@@ -248,7 +248,7 @@ pub fn install_vintage(
 }
 
 /// Inject the instrument script for event id `id`. The injected file
-/// splits into a constant body (compiled once per process via the shared
+/// splits into a constant body (compiled once per crawl via the shared
 /// cache) and a per-visit trigger carrying the event id. Only the DOM
 /// injection of the body is CSP-gated — a strict policy still blocks the
 /// instrument and emits exactly one csp_report.

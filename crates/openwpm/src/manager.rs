@@ -175,6 +175,11 @@ impl SchedStats {
 /// Returns the results ordered by item index — the scheduler decides which
 /// worker visits which item, but never the order of the output.
 ///
+/// Workers record telemetry into the caller's current
+/// [`obs::Telemetry`]: a crawl's scheduler counters land in that crawl's
+/// registry, and a caller that entered none records into the inert
+/// default.
+///
 /// A panic inside `init` or `step` does not leave the other workers to
 /// finish and then die on a secondary "all items processed" expect with the
 /// real cause lost on another thread's stderr: the first panic is captured
@@ -224,6 +229,7 @@ where
     let abort = AtomicBool::new(false);
     // First captured panic: (item index if inside `step`, message).
     let first_panic: Mutex<Option<(Option<usize>, String)>> = Mutex::new(None);
+    let telemetry = obs::Telemetry::current();
 
     let buffers: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
@@ -235,7 +241,9 @@ where
                 let first_panic = &first_panic;
                 let init = &init;
                 let step = &step;
+                let telemetry = &telemetry;
                 scope.spawn(move || {
+                    let _telemetry = telemetry.enter();
                     let mut out: Vec<(usize, R)> = Vec::new();
                     let mut stats = SchedStats::default();
                     let mut state = match catch_unwind(AssertUnwindSafe(|| init(w))) {

@@ -154,6 +154,10 @@ pub struct SupervisorConfig {
     /// models a crawl killed midway deterministically (by item index, not
     /// by racy scheduling), which is what checkpoint/resume tests need.
     pub visit_budget: Option<usize>,
+    /// Capture each item's metric delta in its visit scope (see
+    /// [`obs::begin_scope`]) for `on_complete` to take — the streaming
+    /// checkpoint persists it so a resume can restore it.
+    pub capture_metrics: bool,
 }
 
 impl Default for SupervisorConfig {
@@ -163,6 +167,7 @@ impl Default for SupervisorConfig {
             visit_timeout_ms: 60_000,
             faults: FaultPlan::none(),
             visit_budget: None,
+            capture_metrics: false,
         }
     }
 }
@@ -379,7 +384,7 @@ where
         workers,
         |w| (w, init(w)),
         |(worker, state), i, (item, replay, admit)| {
-            obs::begin_scope();
+            obs::begin_scope(cfg.capture_metrics);
             if let Some(outcome) = replay {
                 obs::add("checkpoint.replays", 1);
                 obs::emit(Event::new(0, "checkpoint_replay").attr("item", i));

@@ -95,8 +95,8 @@ pub struct Browser {
 }
 
 /// A browser's page-realm templates (see [`browser::realm`]). Part of the
-/// shared compiled-artifact layer: only consulted while the process-wide
-/// compile cache is enabled, each built on first use, and both dropped
+/// shared compiled-artifact layer: only consulted while the crawl context
+/// has a compile cache, each built on first use, and both dropped
 /// whenever [`Browser::instance`] changes (the profile depends on it).
 #[derive(Default)]
 struct RealmTemplates {
@@ -169,7 +169,7 @@ impl Browser {
     pub fn open_page(&mut self, spec: &VisitSpec) -> Result<(Page, VisitStats), FailureReason> {
         self.visits += 1;
         let url = Url::parse(&spec.url).ok_or(FailureReason::BadUrl)?;
-        let shared = jsengine::cache_enabled();
+        let shared = jsengine::JsCtx::current().cache.is_some();
         // Vanilla pages the instrument can enter start from the realm it
         // already ran in; only the per-visit binding remains below.
         let preinstrumented = shared
@@ -356,13 +356,13 @@ impl Browser {
         }
 
         // Execute page scripts in document order, compiling through the
-        // process-wide cache: provider scripts shared across hundreds of
-        // sites (and every supervisor retry of this visit) parse once.
-        // Execution time is attributed to the active backend's phase
-        // (`jsengine.vm` vs `jsengine.interp`); under the VM the lazy
-        // bytecode compile is warmed first so it lands in its own
-        // `jsengine.compile_bc` phase rather than polluting run time.
-        let engine = jsengine::default_engine();
+        // crawl's cache: provider scripts shared across hundreds of sites
+        // (and every supervisor retry of this visit) parse once. Execution
+        // time is attributed to the realm's backend phase (`jsengine.vm`
+        // vs `jsengine.interp`); under the VM the lazy bytecode compile is
+        // warmed first so it lands in its own `jsengine.compile_bc` phase
+        // rather than polluting run time.
+        let engine = page.interp.engine;
         for script in &spec.scripts {
             let ran = jsengine::compile_cached(&script.source, &script.url)
                 .map_err(|_| ())
@@ -460,7 +460,7 @@ impl Browser {
             // Builtin leaves hang under whichever backend phase ran the
             // scripts, so collapsed flamegraphs show identical
             // `builtin.<name>` frames in either mode.
-            let parent = match jsengine::default_engine() {
+            let parent = match page.interp.engine {
                 jsengine::Engine::Vm => "visit;jsengine.vm",
                 jsengine::Engine::Tree => "visit;jsengine.interp",
             };

@@ -8,19 +8,15 @@
 //! bundle must fail loudly, never silently re-measure partial data.
 
 use std::path::PathBuf;
-use std::sync::Mutex;
 
-use gullible::{diff_bundles, site_visit, ReplayBundle, Scan, ScanConfig};
+use gullible::{diff_bundles, obs, site_visit, CrawlCtx, ReplayBundle, Scan, ScanConfig};
 use openwpm::{CrashPlan, FaultPlan, KillPoint};
 use webgen::Population;
 
-// Every test here runs scans against the process-global obs registry, and
-// the digest tests flip global stats on; serialize them all so one test's
-// metrics can't bleed into another's digest.
-static OBS: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    OBS.lock().unwrap_or_else(|e| e.into_inner())
+/// A fresh crawl context with stats on: each leg's digest covers exactly
+/// its own run.
+fn stats_ctx() -> CrawlCtx {
+    CrawlCtx { telemetry: obs::Telemetry::new().with_stats(true), ..CrawlCtx::new() }
 }
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -31,7 +27,6 @@ fn tmp_dir(name: &str) -> PathBuf {
 
 #[test]
 fn record_then_replay_reproduces_run_byte_for_byte() {
-    let _g = lock();
     let dir = tmp_dir("roundtrip");
     let cfg = ScanConfig {
         faults: FaultPlan::adversarial(3),
@@ -39,9 +34,10 @@ fn record_then_replay_reproduces_run_byte_for_byte() {
         ..ScanConfig::new(240, 7)
     };
 
-    gullible::obs::reset();
-    gullible::obs::set_stats(true);
-    let recorded = Scan::new(cfg).record(&dir).run().expect("record");
+    let recorded = {
+        let _g = stats_ctx().enter();
+        Scan::new(cfg).record(&dir).run().expect("record")
+    };
     let stats = recorded.archive.expect("recording run must report archive stats");
     assert_eq!(stats.sites, 240);
     assert!(stats.blobs_written > 0);
@@ -49,12 +45,12 @@ fn record_then_replay_reproduces_run_byte_for_byte() {
 
     // Replay at a different worker count: the bundle carries the recorded
     // config; only parallelism comes from the caller.
-    gullible::obs::reset();
-    gullible::obs::set_stats(true);
-    let replayed =
-        Scan::new(ScanConfig { workers: 1, ..ScanConfig::new(1, 1) }).replay(&dir).run().expect("replay");
-    let replay_digest = gullible::obs::registry().snapshot().digest();
-    gullible::obs::reset();
+    let ctx = stats_ctx();
+    let replayed = {
+        let _g = ctx.enter();
+        Scan::new(ScanConfig { workers: 1, ..ScanConfig::new(1, 1) }).replay(&dir).run().expect("replay")
+    };
+    let replay_digest = ctx.telemetry.registry().snapshot().digest();
 
     let rstats = replayed.replay.expect("replay run must report replay stats");
     assert_eq!(rstats.sites, 240);
@@ -89,8 +85,6 @@ fn record_then_replay_reproduces_run_byte_for_byte() {
 /// open bundle that a second run resumes and seals.
 #[test]
 fn randomized_scans_roundtrip_with_exact_blob_accounting() {
-    let _g = lock();
-    gullible::obs::reset();
     proplite::run_cases(4, 0xA2C4_11EE, |rng| {
         let n_sites = rng.u32_in(30, 70);
         let include_subpages = rng.bool();
@@ -156,8 +150,6 @@ fn randomized_scans_roundtrip_with_exact_blob_accounting() {
 
 #[test]
 fn same_seed_bundles_diff_clean_and_ablations_diff_dirty() {
-    let _g = lock();
-    gullible::obs::reset();
     let cfg = ScanConfig::new(150, 23);
     let (dir_a, dir_b, dir_c) = (tmp_dir("diff-a"), tmp_dir("diff-b"), tmp_dir("diff-c"));
 
@@ -195,8 +187,6 @@ fn same_seed_bundles_diff_clean_and_ablations_diff_dirty() {
 
 #[test]
 fn damaged_bundles_fail_loudly() {
-    let _g = lock();
-    gullible::obs::reset();
     let dir = tmp_dir("damage");
     Scan::new(ScanConfig::new(25, 5)).record(&dir).run().expect("record");
     let manifest = dir.join("manifest.gar");
@@ -246,8 +236,6 @@ fn replay_and_record_reject_invalid_mode_combinations() {
 /// re-recorded bundle reproduces the original site for site.
 #[test]
 fn replay_then_record_reproduces_the_source_bundle() {
-    let _g = lock();
-    gullible::obs::reset();
     let (dir_a, dir_b) = (tmp_dir("rerecord-a"), tmp_dir("rerecord-b"));
     let cfg = ScanConfig {
         faults: FaultPlan::adversarial(9),

@@ -9,18 +9,11 @@
 //! checkpoint/bundle pairs fail loudly instead of resuming quietly.
 
 use std::path::PathBuf;
-use std::sync::Mutex;
 
-use gullible::{diff_bundles, ReplayBundle, Scan, ScanConfig, STREAM_CHECKPOINT_FILE};
+use gullible::{
+    diff_bundles, obs, CrawlCtx, CtxGuard, ReplayBundle, Scan, ScanConfig, STREAM_CHECKPOINT_FILE,
+};
 use openwpm::{catch_crash, CrashPlan, FaultPlan, KillPoint};
-
-// Streaming scans restore per-visit metric deltas into the process-global
-// obs registry and the digest tests flip global stats on; serialize.
-static OBS: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    OBS.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gullible-chaos-{name}-{}", std::process::id()));
@@ -62,18 +55,23 @@ fn fingerprint(report: &gullible::ScanReport, dir: &std::path::Path) -> Fingerpr
     }
 }
 
-fn fresh_registry() {
-    gullible::obs::reset();
-    gullible::obs::set_stats(true);
+/// Enter a fresh stats-on crawl context — a notionally fresh process: its
+/// registry, caches and memo start empty. Each run enters its own; guards
+/// bound in one scope nest, the latest entered being current.
+fn fresh_ctx() -> CtxGuard {
+    stats_ctx(obs::Telemetry::new()).enter()
+}
+
+fn stats_ctx(telemetry: obs::Telemetry) -> CrawlCtx {
+    CrawlCtx { telemetry: telemetry.with_stats(true), ..CrawlCtx::new() }
 }
 
 #[test]
 fn stream_matches_recorded_run_byte_for_byte() {
-    let _g = lock();
     let (sdir, rdir) = (tmp_dir("stream-vs-record"), tmp_dir("stream-vs-record-ref"));
     let cfg = chaos_cfg(180, 11, 4);
 
-    fresh_registry();
+    let _ctx = fresh_ctx();
     let streamed = Scan::new(cfg).stream_to(&sdir).run().expect("stream");
     let stream_fp = fingerprint(&streamed, &sdir);
 
@@ -88,10 +86,9 @@ fn stream_matches_recorded_run_byte_for_byte() {
     assert!(streamed.sites.is_empty(), "streaming keeps no per-site records");
     assert!(streamed.aggregates.is_some());
 
-    fresh_registry();
+    let _ctx = fresh_ctx();
     let recorded = Scan::new(cfg).record(&rdir).run().expect("record");
     let record_fp = fingerprint(&recorded, &rdir);
-    gullible::obs::reset();
 
     // A streamed scan is the same experiment as a classic recorded scan:
     // same tables, same bundle records, same telemetry digest.
@@ -111,7 +108,6 @@ fn stream_matches_recorded_run_byte_for_byte() {
 /// crash → resume ≡ uninterrupted.
 #[test]
 fn crashed_and_resumed_stream_is_byte_identical_to_uninterrupted() {
-    let _g = lock();
     let n = 120u32;
     for (case, &(seed, workers)) in
         [(3u64, 1usize), (4, 4), (5, 4), (6, 1), (7, 4), (8, 4)].iter().enumerate()
@@ -119,7 +115,7 @@ fn crashed_and_resumed_stream_is_byte_identical_to_uninterrupted() {
         // Uninterrupted reference run.
         let ref_dir = tmp_dir(&format!("ref-{case}"));
         let cfg = chaos_cfg(n, seed, workers);
-        fresh_registry();
+        let _ctx = fresh_ctx();
         let reference = Scan::new(cfg).stream_to(&ref_dir).run().expect("reference");
         let ref_fp = fingerprint(&reference, &ref_dir);
 
@@ -127,15 +123,14 @@ fn crashed_and_resumed_stream_is_byte_identical_to_uninterrupted() {
         // the crawl (so the resume always has real work left).
         let dir = tmp_dir(&format!("crash-{case}"));
         let plan = CrashPlan::seeded(seed.wrapping_mul(0x9e37), n / 2);
-        fresh_registry();
+        let _ctx = fresh_ctx();
         let crashed = catch_crash(|| Scan::new(cfg).stream_to(&dir).inject_crash(plan).run());
         assert!(crashed.is_none(), "case {case}: planned kill {plan:?} must crash the crawl");
 
         // Resume in a notionally fresh process.
-        fresh_registry();
+        let _ctx = fresh_ctx();
         let resumed = Scan::new(cfg).stream_to(&dir).run().expect("resume");
         let fp = fingerprint(&resumed, &dir);
-        gullible::obs::reset();
 
         let stream = resumed.stream.expect("stream stats");
         assert!(stream.resumed && stream.committed, "case {case}: {stream:?}");
@@ -165,7 +160,6 @@ fn crashed_and_resumed_stream_is_byte_identical_to_uninterrupted() {
 /// cover all three), including a kill on the very first flush.
 #[test]
 fn every_kill_class_recovers() {
-    let _g = lock();
     let n = 80u32;
     let kills = [
         KillPoint::AfterVisit(1),
@@ -177,20 +171,19 @@ fn every_kill_class_recovers() {
     ];
     let cfg = chaos_cfg(n, 21, 4);
     let ref_dir = tmp_dir("classes-ref");
-    fresh_registry();
+    let _ctx = fresh_ctx();
     let reference = Scan::new(cfg).stream_to(&ref_dir).run().expect("reference");
     let ref_fp = fingerprint(&reference, &ref_dir);
 
     for (i, kill) in kills.into_iter().enumerate() {
         let dir = tmp_dir(&format!("classes-{i}"));
-        fresh_registry();
+        let _ctx = fresh_ctx();
         let crashed =
             catch_crash(|| Scan::new(cfg).stream_to(&dir).inject_crash(CrashPlan::new(kill)).run());
         assert!(crashed.is_none(), "kill {kill:?} must crash");
-        fresh_registry();
+        let _ctx = fresh_ctx();
         let resumed = Scan::new(cfg).stream_to(&dir).run().expect("resume");
         let fp = fingerprint(&resumed, &dir);
-        gullible::obs::reset();
         assert_eq!(fp, ref_fp, "kill {kill:?}: resume diverged");
         let stream = resumed.stream.unwrap();
         match kill {
@@ -235,11 +228,10 @@ fn every_kill_class_recovers() {
 /// not perturb the resumed run's bytes.
 #[test]
 fn chaos_kills_leave_explainable_forensics() {
-    let _g = lock();
     let n = 80u32;
     let cfg = chaos_cfg(n, 21, 4);
     let ref_dir = tmp_dir("forensic-ref");
-    fresh_registry();
+    let _ctx = fresh_ctx();
     let reference = Scan::new(cfg).stream_to(&ref_dir).run().expect("reference");
     let ref_fp = fingerprint(&reference, &ref_dir);
 
@@ -254,16 +246,18 @@ fn chaos_kills_leave_explainable_forensics() {
             .join(format!("gullible-chaos-forensics-{i}-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&dumps);
 
-        // `fresh_registry` resets obs (disarming the recorder), so re-arm
-        // after it — exactly what a crash-investigation run would do.
-        fresh_registry();
-        gullible::obs::prof::set_forensic_path(Some(&dumps)).expect("arm flight recorder");
+        // Arm the flight recorder — exactly what a crash-investigation run
+        // would do.
+        let armed = |what| {
+            stats_ctx(obs::Telemetry::new().with_forensics(&dumps).expect(what)).enter()
+        };
+        let _ctx = armed("arm flight recorder");
         let crashed =
             catch_crash(|| Scan::new(cfg).stream_to(&dir).inject_crash(CrashPlan::new(kill)).run());
         assert!(crashed.is_none(), "kill {kill:?} must crash");
 
         let text = std::fs::read_to_string(&dumps).expect("crash must leave a forensic dump");
-        let summary = gullible::obs::validate::validate_forensic(&text)
+        let summary = obs::validate::validate_forensic(&text)
             .unwrap_or_else(|e| panic!("kill {kill:?}: unparseable forensic dump: {e}"));
         assert!(summary.dumps >= 1, "kill {kill:?}: no forensic dumps");
         let chaos_dump = summary
@@ -280,11 +274,9 @@ fn chaos_kills_leave_explainable_forensics() {
 
         // Resume with the recorder still armed: bytes must match the
         // (recorder-off) reference exactly.
-        fresh_registry();
-        gullible::obs::prof::set_forensic_path(Some(&dumps)).expect("re-arm flight recorder");
+        let _ctx = armed("re-arm flight recorder");
         let resumed = Scan::new(cfg).stream_to(&dir).run().expect("resume");
         let fp = fingerprint(&resumed, &dir);
-        gullible::obs::reset();
         assert_eq!(fp, ref_fp, "kill {kill:?}: armed recorder perturbed the resume");
         let _ = std::fs::remove_file(&dumps);
     }
@@ -293,16 +285,15 @@ fn chaos_kills_leave_explainable_forensics() {
 /// A crawl can crash, resume, crash again, and still converge.
 #[test]
 fn double_crash_still_converges() {
-    let _g = lock();
     let n = 90u32;
     let cfg = chaos_cfg(n, 33, 4);
     let ref_dir = tmp_dir("double-ref");
-    fresh_registry();
+    let _ctx = fresh_ctx();
     let reference = Scan::new(cfg).stream_to(&ref_dir).run().expect("reference");
     let ref_fp = fingerprint(&reference, &ref_dir);
 
     let dir = tmp_dir("double");
-    fresh_registry();
+    let _ctx = fresh_ctx();
     let first = catch_crash(|| {
         Scan::new(cfg)
             .stream_to(&dir)
@@ -310,7 +301,7 @@ fn double_crash_still_converges() {
             .run()
     });
     assert!(first.is_none());
-    fresh_registry();
+    let _ctx = fresh_ctx();
     let second = catch_crash(|| {
         Scan::new(cfg)
             .stream_to(&dir)
@@ -318,10 +309,9 @@ fn double_crash_still_converges() {
             .run()
     });
     assert!(second.is_none(), "second kill fires within the remaining work");
-    fresh_registry();
+    let _ctx = fresh_ctx();
     let resumed = Scan::new(cfg).stream_to(&dir).run().expect("final resume");
     let fp = fingerprint(&resumed, &dir);
-    gullible::obs::reset();
     assert_eq!(fp, ref_fp, "two crashes deep, the crawl still converges");
 }
 
@@ -329,16 +319,15 @@ fn double_crash_still_converges() {
 /// uncommitted bundle that a later unbudgeted run completes and seals.
 #[test]
 fn budgeted_stream_resumes_like_checkpoint() {
-    let _g = lock();
     let n = 60u32;
     let cfg = chaos_cfg(n, 44, 4);
     let ref_dir = tmp_dir("budget-ref");
-    fresh_registry();
+    let _ctx = fresh_ctx();
     let reference = Scan::new(cfg).stream_to(&ref_dir).run().expect("reference");
     let ref_fp = fingerprint(&reference, &ref_dir);
 
     let dir = tmp_dir("budget");
-    fresh_registry();
+    let _ctx = fresh_ctx();
     let partial = Scan::new(ScanConfig { visit_budget: Some(25), ..cfg })
         .stream_to(&dir)
         .run()
@@ -351,10 +340,9 @@ fn budgeted_stream_resumes_like_checkpoint() {
         "an unsealed bundle must refuse to open for replay"
     );
 
-    fresh_registry();
+    let _ctx = fresh_ctx();
     let resumed = Scan::new(cfg).stream_to(&dir).run().expect("resume");
     let fp = fingerprint(&resumed, &dir);
-    gullible::obs::reset();
     assert!(resumed.stream.unwrap().resumed);
     assert_eq!(fp, ref_fp);
 }
@@ -364,13 +352,12 @@ fn budgeted_stream_resumes_like_checkpoint() {
 /// a quiet partial resume.
 #[test]
 fn cross_corruption_fails_loudly() {
-    let _g = lock();
     let n = 50u32;
     let cfg = chaos_cfg(n, 55, 2);
 
     let make_crashed = |name: &str| {
         let dir = tmp_dir(name);
-        fresh_registry();
+        let _ctx = fresh_ctx();
         let crashed = catch_crash(|| {
             Scan::new(cfg)
                 .stream_to(&dir)
@@ -391,7 +378,7 @@ fn cross_corruption_fails_loudly() {
         .map(|(i, l)| if i == 3 { l.replace(['0', '1'], "x") } else { l.to_string() })
         .collect();
     std::fs::write(&manifest, damaged.join("\n") + "\n").unwrap();
-    fresh_registry();
+    let _ctx = fresh_ctx();
     let err = Scan::new(cfg).stream_to(&dir).run().map(|_| ()).unwrap_err().to_string();
     assert!(
         err.contains("trusted prefix") || err.contains("checkpoint"),
@@ -405,7 +392,7 @@ fn cross_corruption_fails_loudly() {
     let pristine = std::fs::read_to_string(&manifest).unwrap();
     let keep: Vec<&str> = pristine.lines().collect();
     std::fs::write(&manifest, keep[..keep.len() - 4].join("\n") + "\n").unwrap();
-    fresh_registry();
+    let _ctx = fresh_ctx();
     let err = Scan::new(cfg).stream_to(&dir).run().map(|_| ()).unwrap_err().to_string();
     assert!(
         err.contains("high-water mark") || err.contains("no bundle entry"),
@@ -417,7 +404,7 @@ fn cross_corruption_fails_loudly() {
     //    reference run exactly (the stale bundle must not leak in).
     let dir = make_crashed("xc-no-ckpt");
     std::fs::remove_file(dir.join(STREAM_CHECKPOINT_FILE)).unwrap();
-    fresh_registry();
+    let _ctx = fresh_ctx();
     let report = Scan::new(cfg).stream_to(&dir).run().expect("fresh start");
     let fp = fingerprint(&report, &dir);
     let stream = report.stream.unwrap();
@@ -425,7 +412,7 @@ fn cross_corruption_fails_loudly() {
     assert_eq!(stream.records_flushed, n as u64);
 
     let ref_dir = tmp_dir("xc-ref");
-    fresh_registry();
+    let _ctx = fresh_ctx();
     let reference = Scan::new(cfg).stream_to(&ref_dir).run().expect("reference");
     assert_eq!(fp, fingerprint(&reference, &ref_dir));
 
@@ -439,10 +426,9 @@ fn cross_corruption_fails_loudly() {
     assert!(lines.len() > 6, "need a middle line to corrupt");
     lines[5] = lines[5].replace(['0', '1', '2'], "z");
     std::fs::write(&ckpt, lines.join("\n") + "\n").unwrap();
-    fresh_registry();
+    let _ctx = fresh_ctx();
     let resumed = Scan::new(cfg).stream_to(&dir).run().expect("resume past corrupt line");
     let fp = fingerprint(&resumed, &dir);
-    gullible::obs::reset();
     let stream = resumed.stream.unwrap();
     assert_eq!(stream.checkpoint_lines_dropped, 1);
     assert!(stream.revisits >= 1, "the dropped line's site must be re-visited");
@@ -450,10 +436,9 @@ fn cross_corruption_fails_loudly() {
 
     // 5. A sealed bundle refuses further streaming (re-running the same
     //    command twice must not scribble on finished results).
-    fresh_registry();
+    let _ctx = fresh_ctx();
     let err =
         Scan::new(cfg).stream_to(&ref_dir).run().map(|_| ()).unwrap_err().to_string();
-    gullible::obs::reset();
     assert!(err.contains("committed"), "sealed bundle must refuse, got: {err}");
 }
 
@@ -472,13 +457,11 @@ fn stream_mode_guards() {
 /// in-memory report of the same config counts (Table 11's front counts).
 #[test]
 fn streamed_and_in_memory_reports_count_the_same_fronts() {
-    let _g = lock();
     let dir = tmp_dir("front-counts");
     let cfg = chaos_cfg(150, 17, 2);
-    fresh_registry();
+    let _ctx = fresh_ctx();
     let in_memory = Scan::new(cfg).run().expect("in-memory scan");
     let streamed = Scan::new(cfg).stream_to(&dir).run().expect("streamed scan");
-    gullible::obs::reset();
     assert!(streamed.sites.is_empty());
     let fronts = |r: &gullible::ScanReport| {
         [

@@ -4,16 +4,14 @@
 //! measured artifact — while staying correct under concurrency and bounded
 //! in growth.
 //!
-//! The cache and the telemetry registry are process-wide; these tests
-//! serialise on one mutex so the parallel test runner cannot interleave
-//! their resets.
+//! Every test owns its cache through its own [`JsCtx`] or [`CrawlCtx`].
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use gullible::obs;
 use gullible::scan::{Scan, ScanConfig};
-
-static SERIAL: Mutex<()> = Mutex::new(());
+use gullible::CrawlCtx;
+use jsengine::JsCtx;
 
 fn scan_cfg() -> ScanConfig {
     let mut cfg = ScanConfig::new(600, 7);
@@ -26,20 +24,19 @@ fn scan_cfg() -> ScanConfig {
 /// per-site records, and a byte-identical telemetry digest.
 #[test]
 fn cache_is_invisible_to_results_and_telemetry() {
-    let _g = SERIAL.lock().unwrap();
     let leg = |cache_on: bool| {
-        obs::reset();
-        obs::set_stats(true);
-        jsengine::cache().clear();
-        jsengine::set_cache_enabled(cache_on);
+        let mut ctx =
+            CrawlCtx { telemetry: obs::Telemetry::new().with_stats(true), ..CrawlCtx::new() };
+        if !cache_on {
+            ctx.js.cache = None;
+        }
+        let _g = ctx.enter();
         let report = Scan::new(scan_cfg()).run().expect("scan");
-        let digest = obs::registry().snapshot().digest();
+        let digest = ctx.telemetry.registry().snapshot().digest();
         (report, digest)
     };
     let (on, digest_on) = leg(true);
     let (off, digest_off) = leg(false);
-    obs::reset();
-    jsengine::set_cache_enabled(true);
 
     assert_eq!(on.table5(), off.table5(), "table 5 must not depend on the cache");
     assert_eq!(on.sites, off.sites, "per-site records must not depend on the cache");
@@ -55,16 +52,17 @@ fn cache_is_invisible_to_results_and_telemetry() {
 /// count bounded by the number of unique bodies (never by call count).
 #[test]
 fn concurrent_compiles_share_one_artifact_per_body() {
-    let _g = SERIAL.lock().unwrap();
-    jsengine::set_cache_enabled(true);
-    jsengine::cache().clear();
+    let ctx = JsCtx::new();
+    let cache = ctx.cache.clone().expect("fresh contexts have a cache");
     let bodies: Arc<Vec<String>> = Arc::new(
         (0..24).map(|i| format!("var stress{i} = {i}; stress{i} + 1;")).collect(),
     );
     let threads: Vec<_> = (0..8)
         .map(|_| {
             let bodies = bodies.clone();
+            let ctx = ctx.clone();
             std::thread::spawn(move || {
+                let _g = ctx.enter();
                 for _round in 0..40 {
                     for (i, body) in bodies.iter().enumerate() {
                         let cs = jsengine::compile_cached(body, &format!("stress{i}.js"))
@@ -79,7 +77,7 @@ fn concurrent_compiles_share_one_artifact_per_body() {
         t.join().expect("stress thread panicked");
     }
 
-    let stats = jsengine::cache().stats();
+    let stats = cache.stats();
     assert_eq!(stats.entries, 24, "one entry per unique body");
     // 8 threads × 40 rounds × 24 bodies; a racing first compile that loses
     // the insert counts a hit, so misses equal unique bodies exactly.
@@ -87,6 +85,7 @@ fn concurrent_compiles_share_one_artifact_per_body() {
     assert_eq!(stats.misses, 24, "misses must equal unique bodies");
 
     // After the dust settles, everyone gets pointer-identical programs.
+    let _g = ctx.enter();
     let a = jsengine::compile_cached(&bodies[0], "stress0.js").unwrap();
     let b = jsengine::compile_cached(&bodies[0], "stress0.js").unwrap();
     assert!(Arc::ptr_eq(a.ast(), b.ast()));
@@ -96,19 +95,18 @@ fn concurrent_compiles_share_one_artifact_per_body() {
 /// bounded by the unique-body count, not the compile count.
 #[test]
 fn growth_is_bounded_by_unique_bodies() {
-    let _g = SERIAL.lock().unwrap();
-    jsengine::set_cache_enabled(true);
-    jsengine::cache().clear();
+    let ctx = JsCtx::new();
+    let cache = ctx.cache.clone().expect("fresh contexts have a cache");
+    let _g = ctx.enter();
     for round in 0..10 {
         for i in 0..20 {
             jsengine::compile_cached(&format!("var g{i} = {i};"), "growth.js")
                 .expect("growth script compiles");
         }
-        let stats = jsengine::cache().stats();
+        let stats = cache.stats();
         assert_eq!(stats.entries, 20, "round {round}: cache grew past the unique-body count");
     }
-    let stats = jsengine::cache().stats();
+    let stats = cache.stats();
     assert_eq!(stats.misses, 20);
     assert_eq!(stats.hits, 9 * 20);
-    jsengine::cache().clear();
 }

@@ -3,17 +3,13 @@
 //! per-pattern oracle, and the FNV-64 verdict memo must actually absorb
 //! the repeated script bodies a multi-subpage scan produces.
 //!
-//! The match engine default, the verdict memo and the telemetry registry
-//! are process-wide; these tests serialise on one mutex so the parallel
-//! test runner cannot interleave their resets.
+//! Every leg runs under its own [`CrawlCtx`], so the match engine, its
+//! verdict memo and the telemetry registry are private to the leg.
 
-use std::sync::Mutex;
-
-use detect::MatcherKind;
+use detect::{DetectCtx, MatcherKind};
 use gullible::obs;
 use gullible::scan::{Scan, ScanConfig};
-
-static SERIAL: Mutex<()> = Mutex::new(());
+use gullible::CrawlCtx;
 
 fn scan_cfg() -> ScanConfig {
     let mut cfg = ScanConfig::new(600, 7);
@@ -21,29 +17,33 @@ fn scan_cfg() -> ScanConfig {
     cfg
 }
 
+/// A fresh context on `kind` with stats on.
+fn ctx(kind: MatcherKind) -> CrawlCtx {
+    CrawlCtx {
+        telemetry: obs::Telemetry::new().with_stats(true),
+        detect: DetectCtx::new(kind),
+        ..CrawlCtx::new()
+    }
+}
+
 /// The headline ablation invariant, at test scale: the same seed scanned
 /// under the naive oracle and the automaton yields identical Table 5
 /// output, identical per-site records, and a byte-identical telemetry
-/// digest.
+/// digest. Each leg classifies with its own engine: the naive leg fills its
+/// own memo rather than reusing the automaton's verdicts.
 #[test]
 fn match_engines_agree_at_scan_scale() {
-    let _g = SERIAL.lock().unwrap();
     let leg = |kind: MatcherKind| {
-        obs::reset();
-        obs::set_stats(true);
-        jsengine::cache().clear();
-        detect::clear_verdict_memo();
-        detect::set_default_matcher(kind);
+        let ctx = ctx(kind);
+        let _g = ctx.enter();
         let report = Scan::new(scan_cfg()).run().expect("scan");
-        let digest = obs::registry().snapshot().digest();
-        (report, digest)
+        (report, ctx.telemetry.registry().snapshot())
     };
-    let (naive, digest_naive) = leg(MatcherKind::Naive);
-    let (auto, digest_auto) = leg(MatcherKind::Automaton);
-    obs::reset();
-    detect::clear_verdict_memo();
-    detect::set_default_matcher(MatcherKind::Automaton);
+    let (auto, snap_auto) = leg(MatcherKind::Automaton);
+    let (naive, snap_naive) = leg(MatcherKind::Naive);
+    let (digest_naive, digest_auto) = (snap_naive.digest(), snap_auto.digest());
 
+    assert!(snap_naive.counter("match.memo.miss") > 0, "the naive leg must classify, not reuse");
     assert_eq!(naive.table5(), auto.table5(), "table 5 must not depend on the match engine");
     assert_eq!(naive.sites, auto.sites, "per-site records must not depend on the match engine");
     assert_eq!(naive.history, auto.history);
@@ -55,15 +55,13 @@ fn match_engines_agree_at_scan_scale() {
 
 /// Identical script bodies fetched on multiple pages (and sites) of one
 /// scan must hit the verdict memo: each distinct body is preprocessed and
-/// matched once per process, every repeat is a map lookup.
+/// matched once per crawl, every repeat is a map lookup.
 #[test]
 fn repeated_bodies_hit_the_verdict_memo() {
-    let _g = SERIAL.lock().unwrap();
-    obs::reset();
-    obs::set_stats(true);
-    detect::clear_verdict_memo();
+    let ctx = ctx(MatcherKind::Automaton);
+    let _g = ctx.enter();
     let report = Scan::new(scan_cfg()).run().expect("scan");
-    let snap = obs::registry().snapshot();
+    let snap = ctx.telemetry.registry().snapshot();
     let hits = snap.counter("match.memo.hit");
     let misses = snap.counter("match.memo.miss");
     let scanned: usize = report.sites.iter().map(|s| s.script_hashes.len()).sum();
@@ -78,9 +76,6 @@ fn repeated_bodies_hit_the_verdict_memo() {
         misses <= hits,
         "shared bodies should dominate: {misses} misses vs {hits} hits"
     );
-    // The memo split renders in [stats] but is digest-excluded.
-    obs::reset();
-    detect::clear_verdict_memo();
 }
 
 /// The `match.*` effort metrics render in the `[stats]` summary but are
@@ -88,16 +83,13 @@ fn repeated_bodies_hit_the_verdict_memo() {
 /// worker scheduling, never the verdicts.
 #[test]
 fn match_metrics_are_digest_excluded() {
-    let _g = SERIAL.lock().unwrap();
-    obs::reset();
-    obs::set_stats(true);
-    let before = obs::registry().snapshot().digest();
+    let ctx = ctx(MatcherKind::Automaton);
+    let _g = ctx.enter();
+    let before = ctx.telemetry.registry().snapshot().digest();
     let _ = detect::classify_memo("if (navigator.webdriver) {}", 0x1234);
     let _ = detect::classify_memo("if (navigator.webdriver) {}", 0x1234);
-    let snap = obs::registry().snapshot();
+    let snap = ctx.telemetry.registry().snapshot();
     assert!(snap.counter("match.scripts") > 0);
     assert_eq!(snap.counter("match.memo.hit"), 1);
     assert_eq!(snap.digest(), before, "match.* metrics must not move the digest");
-    obs::reset();
-    detect::clear_verdict_memo();
 }

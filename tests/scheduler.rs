@@ -7,29 +7,26 @@
 
 use gullible::obs;
 use gullible::scan::{Scan, ScanConfig, ScanReport};
+use gullible::CrawlCtx;
 use openwpm::{run_parallel_chunked, FaultPlan};
 
-/// Tests that touch the global obs registry share one process; serialize
-/// them (same pattern as the obs crate's own tests).
-static OBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn obs_locked() -> std::sync::MutexGuard<'static, ()> {
-    OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+/// A fresh crawl context with stats collection on.
+fn stats_ctx() -> CrawlCtx {
+    CrawlCtx { telemetry: obs::Telemetry::new().with_stats(true), ..CrawlCtx::new() }
 }
 
-/// One full scan with stats collection; returns the report plus the
-/// deterministic metric rendering, and resets global telemetry after.
+/// One full scan with stats collection under its own context; returns the
+/// report plus the deterministic metric rendering.
 fn measured_scan(workers: usize) -> (ScanReport, String) {
-    obs::reset();
-    obs::set_stats(true);
+    let ctx = stats_ctx();
+    let _g = ctx.enter();
     let cfg = ScanConfig {
         workers,
         faults: FaultPlan::adversarial(13),
         ..ScanConfig::new(300, 37)
     };
     let report = Scan::new(cfg).run().expect("scan");
-    let metrics = obs::registry().snapshot().render_deterministic();
-    obs::reset();
+    let metrics = ctx.telemetry.registry().snapshot().render_deterministic();
     (report, metrics)
 }
 
@@ -38,7 +35,6 @@ fn measured_scan(workers: usize) -> (ScanReport, String) {
 /// scheduler's own effort counters (which *do* differ) never leak in.
 #[test]
 fn results_identical_across_worker_counts() {
-    let _g = obs_locked();
     let (base, base_metrics) = measured_scan(1);
     assert_eq!(base.completion.total, 300);
     for workers in [3, 8] {
@@ -61,7 +57,6 @@ fn results_identical_across_worker_counts() {
 /// racy merge could break one without the other).
 #[test]
 fn repeated_runs_identical_at_same_worker_count() {
-    let _g = obs_locked();
     let (a, am) = measured_scan(3);
     let (b, bm) = measured_scan(3);
     assert_eq!(am, bm);
@@ -97,13 +92,13 @@ fn merge_handles_idle_workers() {
     }
 }
 
-/// The scheduler reports its effort through obs: chunk claims always,
-/// steals whenever more than one worker contends for a skewed load.
+/// The scheduler reports its effort through the caller's telemetry: chunk
+/// claims always, steals whenever more than one worker contends for a
+/// skewed load.
 #[test]
 fn scheduler_counters_are_reported() {
-    let _g = obs_locked();
-    obs::reset();
-    obs::set_stats(true);
+    let telemetry = obs::Telemetry::new().with_stats(true);
+    let _g = telemetry.enter();
     run_parallel_chunked(
         (0..200u32).collect::<Vec<_>>(),
         4,
@@ -116,12 +111,11 @@ fn scheduler_counters_are_reported() {
             }
         },
     );
-    let snap = obs::registry().snapshot();
+    let snap = telemetry.registry().snapshot();
     assert!(snap.counter("sched.chunk.claimed") > 0);
     assert_eq!(snap.counter("manager.items"), 200);
     // Steals are scheduling luck — even a skewed load may drain without
     // one on a single core — but the counter must at least be wired.
     let rendered = snap.render();
     assert!(rendered.contains("sched.chunk.claimed"), "{rendered}");
-    obs::reset();
 }

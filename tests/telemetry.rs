@@ -5,21 +5,24 @@
 
 use gullible::obs;
 use gullible::scan::{Scan, ScanConfig};
+use gullible::CrawlCtx;
 use openwpm::FaultPlan;
-use std::sync::Mutex;
 
-// Both tests drive the process-global telemetry registry; serialize.
-static OBS: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    OBS.lock().unwrap_or_else(|e| e.into_inner())
+/// A fresh crawl context tracing into an in-memory journal.
+fn traced_ctx(telemetry: obs::Telemetry) -> (CrawlCtx, std::sync::Arc<obs::Journal>) {
+    let ctx = CrawlCtx {
+        telemetry: telemetry.with_journal(obs::Journal::buffer(false)),
+        ..CrawlCtx::new()
+    };
+    let journal = ctx.telemetry.journal().expect("tracing context");
+    (ctx, journal)
 }
 
-/// One instrumented run: install a buffer journal, scan, return the
-/// journal bytes and the rendered metric snapshot, then reset the global
-/// telemetry state for the next run.
+/// One instrumented run under its own context: scan, return the journal
+/// bytes and the rendered metric snapshot.
 fn traced_scan(workers: usize) -> (String, String) {
-    let journal = obs::install_journal(obs::Journal::buffer(false));
+    let (ctx, journal) = traced_ctx(obs::Telemetry::new());
+    let _g = ctx.enter();
     let cfg = ScanConfig {
         workers,
         faults: FaultPlan::adversarial(7),
@@ -30,10 +33,8 @@ fn traced_scan(workers: usize) -> (String, String) {
     journal.flush();
     let trace = journal.buffer_contents().expect("buffer journal");
     // `render_deterministic` omits the `cache.*` accounting, which varies
-    // with worker interleaving and process-level cache warmth by design.
-    let metrics = obs::registry().snapshot().render_deterministic();
-    obs::take_journal();
-    obs::reset();
+    // with worker interleaving by design.
+    let metrics = ctx.telemetry.registry().snapshot().render_deterministic();
     (trace, metrics)
 }
 
@@ -41,7 +42,6 @@ fn traced_scan(workers: usize) -> (String, String) {
 /// trace journals and metric snapshots, regardless of worker count.
 #[test]
 fn trace_and_metrics_are_worker_count_independent() {
-    let _g = lock();
     let (trace2, metrics2) = traced_scan(2);
     let (trace7, metrics7) = traced_scan(7);
 
@@ -71,18 +71,22 @@ fn trace_and_metrics_are_worker_count_independent() {
 /// metric render, telemetry digest, and fingerprints of the per-site
 /// records and the paper tables.
 fn profiled_scan(profile: bool) -> (String, String, u64, u64, String, String) {
-    obs::reset();
-    let journal = obs::install_journal(obs::Journal::buffer(false));
     let dumps = std::env::temp_dir()
         .join(format!("gullible-telemetry-prof-{}.jsonl", std::process::id()));
-    if profile {
-        obs::prof::set_mode(obs::prof::Mode::Collapsed);
+    let telemetry = if profile {
+        let _ = std::fs::remove_file(&dumps);
         // Threshold of 1 µs: practically every visit dumps a forensic
         // record — the worst case for interference.
-        obs::prof::set_slow_visit_us(1);
-        let _ = std::fs::remove_file(&dumps);
-        obs::prof::set_forensic_path(Some(&dumps)).expect("arm flight recorder");
-    }
+        obs::Telemetry::new()
+            .with_prof(obs::prof::Mode::Collapsed)
+            .with_slow_visit_us(1)
+            .with_forensics(&dumps)
+            .expect("arm flight recorder")
+    } else {
+        obs::Telemetry::new()
+    };
+    let (ctx, journal) = traced_ctx(telemetry);
+    let _g = ctx.enter();
     let cfg = ScanConfig {
         workers: 3,
         faults: FaultPlan::adversarial(7),
@@ -91,7 +95,7 @@ fn profiled_scan(profile: bool) -> (String, String, u64, u64, String, String) {
     let report = Scan::new(cfg).run().expect("scan");
     journal.flush();
     let trace = journal.buffer_contents().expect("buffer journal");
-    let snap = obs::registry().snapshot();
+    let snap = ctx.telemetry.registry().snapshot();
     let out = (
         trace,
         snap.render_deterministic(),
@@ -109,8 +113,6 @@ fn profiled_scan(profile: bool) -> (String, String, u64, u64, String, String) {
         assert!(summary.dumps > 0, "slow-visit threshold of 1µs must dump");
         let _ = std::fs::remove_file(&dumps);
     }
-    obs::take_journal();
-    obs::reset();
     out
 }
 
@@ -120,7 +122,6 @@ fn profiled_scan(profile: bool) -> (String, String, u64, u64, String, String) {
 /// tables are byte-identical to an unprofiled run.
 #[test]
 fn profiler_is_digest_and_record_invisible() {
-    let _g = lock();
     let off = profiled_scan(false);
     let on = profiled_scan(true);
     assert_eq!(off.2, on.2, "profiler perturbed the telemetry digest");
