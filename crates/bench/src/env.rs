@@ -3,9 +3,9 @@
 //! Every regeneration binary and the umbrella `repro` runner read their
 //! configuration from these variables; nothing else in the workspace calls
 //! `std::env::var` for a `GULLIBLE_*` name except [`FaultPlan::from_env`]
-//! (which this module re-wraps as [`fault_plan`]) and the process-default
-//! contexts of `jsengine` and `detect`, which read `GULLIBLE_ENGINE` and
-//! `GULLIBLE_MATCHER` so plain `cargo test` runs can select the oracles.
+//! (which this module re-wraps as [`fault_plan`]) and `jsengine`'s
+//! process-default context, which reads `GULLIBLE_ENGINE` so plain
+//! `cargo test` runs can select the tree-walking oracle.
 //!
 //! | knob                      | type  | default        | meaning |
 //! |---------------------------|-------|----------------|---------|
@@ -22,19 +22,15 @@
 //! | `GULLIBLE_FAULT_HTTP_PM`  | u32   | 0              | transient-HTTP-failure probability (per-mille) |
 //! | `GULLIBLE_FAULT_BOOST_PM` | u32   | 1000           | failure multiplier on flaky-flagged sites (per-mille) |
 //! | `GULLIBLE_FAULT_SEED`     | u64   | `0xFA017`      | fault-plan seed, independent of the population seed |
-//! | `GULLIBLE_COMPILE_CACHE`  | bool  | 1              | share compiled scripts across workers (`0` disables; ablation) |
-//! | `GULLIBLE_ENGINE`         | enum  | `vm`           | MiniJS execution backend: `vm` (bytecode) or `tree` (reference oracle); the `--engine=tree\|vm` CLI flag wins |
-//! | `GULLIBLE_MATCHER`        | enum  | `automaton`    | static-pattern match engine: `automaton` (compiled multi-pattern) or `naive` (per-pattern oracle); the `--matcher=naive\|automaton` CLI flag wins |
+//! | `GULLIBLE_ENGINE`         | enum  | `vm`           | MiniJS execution backend: `vm` (bytecode) or `tree` (reference oracle) |
 //! | `GULLIBLE_BUNDLE`         | path  | unset          | crawl-bundle directory for `archive_record`/`archive_replay` (positional arg wins); `repro` streams its scan there and resumes it on restart |
 //! | `GULLIBLE_PROF`           | mode  | off            | phase profiler: `1` on, `collapsed` also prints a flamegraph-ready collapsed-stack dump |
 //! | `GULLIBLE_PROF_SLOW_US`   | u64   | 0              | slow-visit threshold in µs; visits at/above it dump a forensic record (`0` disables) |
 //! | `GULLIBLE_FORENSICS`      | path  | unset          | append flight-recorder forensic dumps (JSONL) here; arms the profiler |
 //!
 //! Boolean knobs accept `1`, `true`, `yes` or `on` (anything else, or
-//! unset, is off). Default-on boolean knobs (`GULLIBLE_COMPILE_CACHE`)
-//! are instead *disabled* by `0`, `false`, `no` or `off`. Numeric knobs
-//! that fail to parse fall back to their defaults rather than aborting a
-//! long run.
+//! unset, is off). Numeric knobs that fail to parse fall back to their
+//! defaults rather than aborting a long run.
 
 use gullible::obs;
 use openwpm::FaultPlan;
@@ -48,15 +44,6 @@ fn flag_knob(name: &str) -> bool {
     matches!(
         std::env::var(name).unwrap_or_default().to_ascii_lowercase().as_str(),
         "1" | "true" | "yes" | "on"
-    )
-}
-
-/// A boolean knob that defaults to *on*: only an explicit negative value
-/// turns it off.
-fn default_on_knob(name: &str) -> bool {
-    !matches!(
-        std::env::var(name).unwrap_or_default().to_ascii_lowercase().as_str(),
-        "0" | "false" | "no" | "off"
     )
 }
 
@@ -100,40 +87,6 @@ pub fn stats() -> bool {
 /// The `GULLIBLE_FAULT_*` fault plan (see [`FaultPlan::from_env`]).
 pub fn fault_plan() -> FaultPlan {
     FaultPlan::from_env()
-}
-
-/// `GULLIBLE_COMPILE_CACHE` — the shared script-compilation cache, on by
-/// default. The `--no-compile-cache` CLI flag (any binary) also disables
-/// it, for ablations.
-pub fn compile_cache() -> bool {
-    default_on_knob("GULLIBLE_COMPILE_CACHE")
-        && !std::env::args().any(|a| a == "--no-compile-cache")
-}
-
-/// `GULLIBLE_ENGINE` / `--engine=tree|vm` — the MiniJS execution backend
-/// (the flag wins over the env var). `jsengine`'s process-default context
-/// also reads the env var, so library users outside the bench binaries
-/// get the same default; this function lets binaries honour the CLI flag
-/// in the context they run under.
-pub fn engine() -> jsengine::Engine {
-    let flag = std::env::args().find_map(|a| a.strip_prefix("--engine=").map(str::to_owned));
-    let v = flag.or_else(|| std::env::var("GULLIBLE_ENGINE").ok()).unwrap_or_default();
-    match v.trim() {
-        "tree" => jsengine::Engine::Tree,
-        _ => jsengine::Engine::Vm,
-    }
-}
-
-/// `GULLIBLE_MATCHER` / `--matcher=naive|automaton` — the static-pattern
-/// match engine (the flag wins over the env var). Like `GULLIBLE_ENGINE`,
-/// `detect`'s process-default context also reads the env var.
-pub fn matcher() -> detect::MatcherKind {
-    let flag = std::env::args().find_map(|a| a.strip_prefix("--matcher=").map(str::to_owned));
-    let v = flag.or_else(|| std::env::var("GULLIBLE_MATCHER").ok()).unwrap_or_default();
-    match v.trim().to_ascii_lowercase().as_str() {
-        "naive" => detect::MatcherKind::Naive,
-        _ => detect::MatcherKind::Automaton,
-    }
 }
 
 /// `GULLIBLE_BUNDLE` — crawl-bundle directory for the archive binaries
@@ -186,15 +139,6 @@ mod tests {
         assert!(!flag_knob("GULLIBLE_TEST_FLAG"));
         std::env::remove_var("GULLIBLE_TEST_FLAG");
         assert!(!flag_knob("GULLIBLE_TEST_FLAG"));
-
-        for off in ["0", "false", "NO", "Off"] {
-            std::env::set_var("GULLIBLE_TEST_ON", off);
-            assert!(!default_on_knob("GULLIBLE_TEST_ON"), "{off} should disable");
-        }
-        std::env::set_var("GULLIBLE_TEST_ON", "1");
-        assert!(default_on_knob("GULLIBLE_TEST_ON"));
-        std::env::remove_var("GULLIBLE_TEST_ON");
-        assert!(default_on_knob("GULLIBLE_TEST_ON"), "unset must default on");
 
         std::env::set_var("GULLIBLE_TEST_PATH", "/tmp/x.jsonl");
         assert_eq!(path_knob("GULLIBLE_TEST_PATH"), Some(PathBuf::from("/tmp/x.jsonl")));

@@ -15,20 +15,16 @@
 //! bench::finish("table05", coverage);  // [stats] summary + provenance footer
 //! ```
 //!
-//! [`banner`] enters the [`CrawlCtx`] the knobs describe:
-//! a JSONL trace journal when `GULLIBLE_TRACE` is set, stats collection
-//! under `GULLIBLE_STATS`, the engine, matcher and compile-cache choice;
-//! [`finish`] prints the human `[stats]` summary (when enabled) and always
-//! prints the machine-readable `[provenance]` footer, so every regenerated
-//! table carries its seed, config hash and telemetry digest.
+//! [`banner`] enters a fresh [`CrawlCtx`] with the telemetry the knobs
+//! describe: a JSONL trace journal when `GULLIBLE_TRACE` is set, stats
+//! collection under `GULLIBLE_STATS`, the profiler settings; [`finish`]
+//! prints the human `[stats]` summary (when enabled) and always prints
+//! the machine-readable `[provenance]` footer, so every regenerated table
+//! carries its seed, config hash and telemetry digest.
 
 #![deny(deprecated)]
 
-use std::sync::Arc;
-
-use detect::DetectCtx;
 use gullible::{obs, CompareConfig, CrawlCtx, CtxGuard, ScanConfig};
-use jsengine::{CompileCache, JsCtx};
 
 pub mod env;
 
@@ -102,40 +98,17 @@ fn telemetry() -> obs::Telemetry {
         .with_slow_visit_us(env::prof_slow_us())
 }
 
-/// The crawl context the knobs describe: [`telemetry`], the execution
-/// backend (`GULLIBLE_ENGINE`, `--engine=tree|vm`), the static matcher
-/// (`GULLIBLE_MATCHER`, `--matcher=naive|automaton`) and a fresh compile
-/// cache unless `GULLIBLE_COMPILE_CACHE=0` / `--no-compile-cache`.
-fn crawl_ctx() -> CrawlCtx {
-    CrawlCtx {
-        telemetry: telemetry(),
-        js: JsCtx {
-            engine: env::engine(),
-            cache: env::compile_cache().then(|| Arc::new(CompileCache::new())),
-        },
-        detect: DetectCtx::new(env::matcher()),
-    }
-}
-
 /// A fresh context for one measured leg of a multi-run binary: stats-on
-/// telemetry, an empty compile cache (if the run has one) and verdict
-/// memo, and the engine and matcher of the calling thread's context.
+/// telemetry, an empty compile cache and verdict memo.
 pub fn leg_ctx() -> CrawlCtx {
-    let run = CrawlCtx::current();
-    CrawlCtx {
-        telemetry: obs::Telemetry::new().with_stats(true),
-        js: JsCtx {
-            engine: run.js.engine,
-            cache: run.js.cache.map(|_| Arc::new(CompileCache::new())),
-        },
-        detect: DetectCtx::new(run.detect.matcher()),
-    }
+    CrawlCtx { telemetry: obs::Telemetry::new().with_stats(true), ..CrawlCtx::new() }
 }
 
-/// Print the run header every binary starts with, and enter the run's
-/// context (see `crawl_ctx`) for as long as the returned guard lives.
+/// Print the run header every binary starts with, and enter a fresh
+/// context with the telemetry the knobs describe for as long as the
+/// returned guard lives.
 pub fn banner(what: &str) -> CtxGuard {
-    let ctx = crawl_ctx();
+    let ctx = CrawlCtx { telemetry: telemetry(), ..CrawlCtx::new() };
     let faults = env::fault_plan();
     let weather = if faults.is_inert() {
         String::new()
@@ -146,17 +119,12 @@ pub fn banner(what: &str) -> CtxGuard {
             faults.seed
         )
     };
-    let cache = if ctx.js.cache.is_some() { "" } else { ", compile cache OFF" };
     let engine = match ctx.js.engine {
         jsengine::Engine::Vm => "",
         jsengine::Engine::Tree => ", engine tree",
     };
-    let matcher = match ctx.detect.matcher() {
-        detect::MatcherKind::Automaton => "",
-        detect::MatcherKind::Naive => ", matcher naive",
-    };
     println!(
-        "gullible reproduction — {what}\npopulation: {} sites, seed {}, {} workers{weather}{cache}{engine}{matcher}\n",
+        "gullible reproduction — {what}\npopulation: {} sites, seed {}, {} workers{weather}{engine}\n",
         env::sites(),
         env::seed(),
         env::workers()

@@ -26,9 +26,9 @@
 //! carries over the execution counters (steps, PRNG, job sequence), and
 //! the setup's interpreter [`Profile`](jsengine::Profile) seeds each
 //! instance's profiler ([`Page::enable_profiling`]). The browser manager
-//! treats templates as part of the shared compiled-artifact layer and
-//! only uses them when the crawl context has a compile cache, so ablation
-//! runs (`--no-compile-cache`) exercise the rebuild-per-page path.
+//! starts every page from a template; building a page from scratch
+//! ([`Page::new`]) remains the reference the template tests compare
+//! against.
 
 use std::cell::RefCell;
 use std::rc::Rc;

@@ -18,7 +18,7 @@ pub mod static_analysis;
 pub use corpus::Technique;
 pub use dynamic_analysis::{observe, DynamicClass, ScriptObservation};
 pub use static_analysis::{
-    analyse, classify, classify_memo, classify_with, clear_verdict_memo, match_preprocessed,
+    analyse, classify, classify_memo, classify_with, clear_verdict_memo,
     pattern_matches, pattern_matches_with, preprocess, set_default_matcher, DetectCtx, DetectGuard,
     MatcherKind, ScriptVerdict, StaticFinding, StaticPattern,
 };

@@ -424,16 +424,6 @@ fn verdict_automaton(pre: &str) -> ScriptVerdict {
     }
 }
 
-/// Matching-only entry point over *already preprocessed* source — the
-/// timed region of `bench --bin ablation_matcher` (preprocessing is
-/// engine-independent and excluded from the throughput comparison).
-pub fn match_preprocessed(kind: MatcherKind, pre: &str) -> ScriptVerdict {
-    match kind {
-        MatcherKind::Naive => verdict_naive(pre),
-        MatcherKind::Automaton => verdict_automaton(pre),
-    }
-}
-
 /// Classify one script under an explicit engine: preprocess, then one
 /// scan of the production set.
 pub fn classify_with(kind: MatcherKind, src: &str) -> ScriptVerdict {
@@ -466,8 +456,8 @@ type VerdictMemo = [Mutex<HashMap<u64, ScriptVerdict>>; MEMO_STRIPES];
 ///
 /// A thread classifies under the context it [`entered`](DetectCtx::enter),
 /// or under the process default when it entered none. The default uses
-/// the engine `GULLIBLE_MATCHER` names (`naive` selects the oracle; see
-/// `jsengine::JsCtx` for why a library reads it).
+/// the automaton; the naive oracle is reachable only through an explicit
+/// context or [`set_default_matcher`].
 #[derive(Clone)]
 pub struct DetectCtx {
     matcher: MatcherKind,
@@ -546,11 +536,7 @@ thread_local! {
 
 fn process_default() -> &'static RwLock<DetectCtx> {
     static DEFAULT: OnceLock<RwLock<DetectCtx>> = OnceLock::new();
-    DEFAULT.get_or_init(|| {
-        let naive = std::env::var("GULLIBLE_MATCHER")
-            .is_ok_and(|v| v.trim().eq_ignore_ascii_case("naive"));
-        RwLock::new(DetectCtx::new(if naive { MatcherKind::Naive } else { MatcherKind::Automaton }))
-    })
+    DEFAULT.get_or_init(|| RwLock::new(DetectCtx::new(MatcherKind::Automaton)))
 }
 
 fn with_default<R>(f: impl FnOnce(&DetectCtx) -> R) -> R {

@@ -8,9 +8,8 @@
 //! order (so the step budget trips at the identical point), the same frame
 //! line updates, the same heap allocation order, the same error messages,
 //! the same profiler hook sequence. The tree-walking interpreter stays in
-//! the crate as the reference oracle; `tests/engine_differential.rs` and the
-//! `ablation_engine` bench bin hold the two engines to the same telemetry
-//! digest.
+//! the crate as the reference oracle; `tests/engine_differential.rs` holds
+//! the two engines to the same, pinned telemetry digest.
 //!
 //! Step accounting is coalesced: the tree-walker charges one step per
 //! statement and per expression node at evaluation entry, which a naive

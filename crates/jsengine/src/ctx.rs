@@ -4,17 +4,17 @@
 //! A thread uses the context it [`entered`](JsCtx::enter), or the process
 //! default when it entered none. The default runs on the backend
 //! `GULLIBLE_ENGINE` names and shares one process-wide cache
-//! ([`cache`]). Reading the variable here is one of the two documented
-//! exceptions (with `detect`'s `GULLIBLE_MATCHER`) to the rule that only
-//! `bench::env` parses `GULLIBLE_*` names: the oracle must be selectable
-//! for plain `cargo test` runs too, where the bench knob layer never runs.
+//! ([`cache`]). Reading the variable here is the one documented exception
+//! to the rule that only `bench::env` parses `GULLIBLE_*` names: CI runs
+//! the whole `cargo test` suite on the oracle through it, and the bench
+//! knob layer never runs there.
 
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use crate::compile::{compile, CompileCache, CompiledScript};
+use crate::compile::{CompileCache, CompiledScript};
 use crate::error::EngineError;
 use crate::vm::Engine;
 
@@ -23,9 +23,8 @@ use crate::vm::Engine;
 pub struct JsCtx {
     /// Backend of every realm built under this context.
     pub engine: Engine,
-    /// Shared compile cache; `None` parses every script afresh and builds
-    /// every page realm from scratch (the compile-cache ablation).
-    pub cache: Option<Arc<CompileCache>>,
+    /// Compile cache shared by every thread of the crawl.
+    pub cache: Arc<CompileCache>,
 }
 
 impl Default for JsCtx {
@@ -37,7 +36,7 @@ impl Default for JsCtx {
 impl JsCtx {
     /// The process default engine with a fresh, empty cache.
     pub fn new() -> JsCtx {
-        JsCtx { engine: default_engine(), cache: Some(Arc::new(CompileCache::new())) }
+        JsCtx { engine: default_engine(), cache: Arc::new(CompileCache::new()) }
     }
 
     /// The calling thread's context: the one it entered, else the process
@@ -45,7 +44,7 @@ impl JsCtx {
     pub fn current() -> JsCtx {
         CURRENT.with(|c| c.borrow().clone()).unwrap_or_else(|| {
             let d = process_default();
-            JsCtx { engine: d.engine(), cache: Some(Arc::clone(&d.cache)) }
+            JsCtx { engine: d.engine(), cache: Arc::clone(&d.cache) }
         })
     }
 
@@ -129,12 +128,10 @@ pub fn set_default_engine(e: Engine) {
     process_default().engine.store(v, Ordering::Relaxed);
 }
 
-/// Compile through the current context's cache, or directly when it has
-/// none; results are identical either way.
+/// Compile through the current context's cache.
 pub fn compile_cached(src: &str, name: &str) -> Result<Arc<CompiledScript>, EngineError> {
-    CURRENT.with(|c| match c.borrow().as_ref().map(|x| &x.cache) {
-        Some(Some(cache)) => cache.get_or_compile(src, name),
-        Some(None) => compile(src, name),
+    CURRENT.with(|c| match c.borrow().as_ref() {
+        Some(ctx) => ctx.cache.get_or_compile(src, name),
         None => process_default().cache.get_or_compile(src, name),
     })
 }
@@ -161,32 +158,32 @@ mod tests {
 
     #[test]
     fn guards_restore_the_previous_context() {
-        let outer = JsCtx { engine: Engine::Tree, cache: None };
+        let outer = JsCtx { engine: Engine::Tree, ..JsCtx::new() };
         let inner = JsCtx { engine: Engine::Vm, ..JsCtx::new() };
         let _o = outer.enter();
         {
             let _i = inner.enter();
             assert_eq!(current_engine(), Engine::Vm);
-            assert!(JsCtx::current().cache.is_some());
+            assert!(Arc::ptr_eq(&JsCtx::current().cache, &inner.cache));
         }
         assert_eq!(current_engine(), Engine::Tree);
-        assert!(JsCtx::current().cache.is_none());
+        assert!(Arc::ptr_eq(&JsCtx::current().cache, &outer.cache));
     }
 
     #[test]
     fn compile_cached_uses_the_entered_cache_only() {
         let ctx = JsCtx::new();
-        let cache = ctx.cache.clone().expect("fresh contexts have a cache");
         let _g = ctx.enter();
         let a = compile_cached("1 + 1", "ctx.js").unwrap();
         let b = compile_cached("1 + 1", "ctx.js").unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!((cache.stats().misses, cache.stats().hits), (1, 1));
+        assert_eq!((ctx.cache.stats().misses, ctx.cache.stats().hits), (1, 1));
 
-        let uncached = JsCtx { cache: None, ..JsCtx::new() };
-        let _u = uncached.enter();
+        let other = JsCtx::new();
+        let _o = other.enter();
         let c = compile_cached("1 + 1", "ctx.js").unwrap();
-        assert!(!Arc::ptr_eq(&a, &c), "no cache: a fresh parse");
-        assert_eq!(cache.stats().hits, 1);
+        assert!(!Arc::ptr_eq(&a, &c), "another context's cache: a fresh parse");
+        assert_eq!((other.cache.stats().misses, other.cache.stats().hits), (1, 0));
+        assert_eq!(ctx.cache.stats().hits, 1, "the first cache must not see the lookup");
     }
 }

@@ -33,8 +33,8 @@
 //! to be observably identical — per-site records, step budgets, traces and
 //! telemetry digests byte-for-byte — and a differential harness enforces
 //! it; the VM exists purely because the scan's interpretation phase
-//! dominates visit wall time (the `bench` crate's `ablation_engine`
-//! quantifies the speedup).
+//! dominates visit wall time (2.34× visit throughput on an
+//! interpretation-dominated page, recorded in EXPERIMENTS.md).
 //!
 //! ## Quick example
 //!

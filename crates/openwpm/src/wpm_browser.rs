@@ -94,9 +94,8 @@ pub struct Browser {
     templates: RealmTemplates,
 }
 
-/// A browser's page-realm templates (see [`browser::realm`]). Part of the
-/// shared compiled-artifact layer: only consulted while the crawl context
-/// has a compile cache, each built on first use, and both dropped
+/// A browser's page-realm templates (see [`browser::realm`]): every page
+/// starts from one, each is built on first use, and both are dropped
 /// whenever [`Browser::instance`] changes (the profile depends on it).
 #[derive(Default)]
 struct RealmTemplates {
@@ -169,34 +168,25 @@ impl Browser {
     pub fn open_page(&mut self, spec: &VisitSpec) -> Result<(Page, VisitStats), FailureReason> {
         self.visits += 1;
         let url = Url::parse(&spec.url).ok_or(FailureReason::BadUrl)?;
-        let shared = jsengine::JsCtx::current().cache.is_some();
         // Vanilla pages the instrument can enter start from the realm it
         // already ran in; only the per-visit binding remains below.
-        let preinstrumented = shared
-            && self.config.js_instrument == JsInstrumentKind::Vanilla
+        let preinstrumented = self.config.js_instrument == JsInstrumentKind::Vanilla
             && !spec.csp.as_ref().is_some_and(|c| c.blocks_inline_scripts);
-        let mut page = if shared {
-            // Shared-artifact path: clone a per-instance realm template.
-            if self.templates.instance != self.instance {
-                self.templates = RealmTemplates { instance: self.instance, ..Default::default() };
+        if self.templates.instance != self.instance {
+            self.templates = RealmTemplates { instance: self.instance, ..Default::default() };
+        }
+        let mut page = if preinstrumented {
+            if self.templates.instrumented.is_none() {
+                self.templates.instrumented = Some(InstrumentedTemplate::new(self.profile()));
             }
-            if preinstrumented {
-                if self.templates.instrumented.is_none() {
-                    self.templates.instrumented = Some(InstrumentedTemplate::new(self.profile()));
-                }
-                let tpl = self.templates.instrumented.as_ref().expect("template built above");
-                tpl.instantiate(url.clone(), spec.csp.clone())
-            } else {
-                if self.templates.plain.is_none() {
-                    self.templates.plain = Some(PageTemplate::new(self.profile()));
-                }
-                let tpl = self.templates.plain.as_ref().expect("template built above");
-                tpl.instantiate(url.clone(), spec.csp.clone())
-            }
+            let tpl = self.templates.instrumented.as_ref().expect("template built above");
+            tpl.instantiate(url.clone(), spec.csp.clone())
         } else {
-            // Ablation path (`--no-compile-cache`): rebuild the realm from
-            // scratch for every page, like the pre-cache pipeline did.
-            Page::new(self.profile(), url.clone(), spec.csp.clone())
+            if self.templates.plain.is_none() {
+                self.templates.plain = Some(PageTemplate::new(self.profile()));
+            }
+            let tpl = self.templates.plain.as_ref().expect("template built above");
+            tpl.instantiate(url.clone(), spec.csp.clone())
         };
         for (rurl, ctype, body) in &spec.server_resources {
             page.add_server_resource(rurl, ctype, body);

@@ -8,7 +8,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use browser::{capture_template, diff, CspPolicy, FingerprintProfile, Os, Page, RunMode};
-use detect::corpus;
+use detect::corpus::{self, Technique};
 use jsengine::Engine;
 use netsim::{ResourceType, Url};
 use openwpm::instrument::vanilla::{self, InstrumentedTemplate};
@@ -76,28 +76,66 @@ fn template_page_is_observably_identical_to_per_page_install() {
     assert_eq!(calls(&s1), calls(&s2));
 }
 
+/// Every detector and fingerprinter script of the corpus, as served from
+/// a third party.
+fn corpus_scripts() -> Vec<String> {
+    let v = "https://bd.test/v";
+    let mut scripts: Vec<String> =
+        Technique::all().iter().map(|t| corpus::selenium_detector(*t, v)).collect();
+    scripts.extend(
+        Technique::all().iter().map(|t| corpus::openwpm_detector(corpus::OPENWPM_PROPS, *t, v)),
+    );
+    scripts.push(corpus::first_party_detector("/verdict"));
+    scripts.push(corpus::iframe_probe_detector(v));
+    scripts.push(corpus::fingerprint_iterator(v));
+    scripts.push(corpus::canvas_fingerprinter(v));
+    scripts
+}
+
 /// The digest counts per-page interpreter work (`jsengine.ops_per_visit`,
 /// `calls_per_visit`, `max_call_depth`, `evals`) and the step budget sees
 /// the install: both must match the per-page install, whichever engine
-/// runs the page.
+/// runs the page and whatever it runs — a small site script, then each
+/// corpus detector and fingerprinter — as must the recorded JS calls and
+/// the page's traffic.
 #[test]
 fn profile_and_step_count_match_per_page_install_on_both_engines() {
     let tpl = InstrumentedTemplate::new(profile());
     let site = "var n = 0; for (var i = 0; i < 20; i++) { n += navigator.userAgent.length; } \
                 document.createElement('div'); eval('n + 1');";
+    let inputs: Vec<String> = std::iter::once(site.to_string()).chain(corpus_scripts()).collect();
+    let (mut with_calls, mut with_traffic) = (0, 0);
     for engine in [Engine::Tree, Engine::Vm] {
-        let mut scratch = scratch_page(11, &store(), Some(engine));
-        let mut cloned = template_page(&tpl, 11, &store(), Some(engine));
-        assert_eq!(scratch.interp.steps(), cloned.interp.steps(), "{engine:?}: after install");
-        for page in [&mut scratch, &mut cloned] {
-            page.run_script((site, "https://site042.example/app.js")).unwrap();
-            page.advance(60_000);
+        for (i, src) in inputs.iter().enumerate() {
+            let (s1, s2) = (store(), store());
+            let mut scratch = scratch_page(11, &s1, Some(engine));
+            let mut cloned = template_page(&tpl, 11, &s2, Some(engine));
+            let steps = |p: &Page| p.interp.steps();
+            assert_eq!(steps(&scratch), steps(&cloned), "{engine:?} #{i}: after install");
+            let mut results = Vec::new();
+            for page in [&mut scratch, &mut cloned] {
+                let result = page.run_script((src.as_str(), "https://cdn.test/app.js"));
+                results.push(format!("{result:?}"));
+                page.advance(60_000);
+            }
+            assert_eq!(results[0], results[1], "{engine:?} #{i}: script results differ");
+            assert_eq!(steps(&scratch), steps(&cloned), "{engine:?} #{i}: after visit");
+            let (a, b) = (scratch.take_profile().unwrap(), cloned.take_profile().unwrap());
+            assert!(a.ops > 0, "{engine:?} #{i}: {a:?}");
+            if i == 0 {
+                assert_eq!(a.evals, 1, "{engine:?}: {a:?}");
+            }
+            assert_eq!(a, b, "{engine:?} #{i}: interpreter profiles differ");
+            let calls = |s: &StoreHandle| format!("{:?}", s.borrow().js_calls);
+            assert_eq!(calls(&s1), calls(&s2), "{engine:?} #{i}: recorded JS calls differ");
+            let traffic = |p: &Page| format!("{:?}", p.traffic());
+            assert_eq!(traffic(&scratch), traffic(&cloned), "{engine:?} #{i}: traffic differs");
+            with_calls += usize::from(!s1.borrow().js_calls.is_empty());
+            with_traffic += usize::from(!scratch.traffic().is_empty());
         }
-        assert_eq!(scratch.interp.steps(), cloned.interp.steps(), "{engine:?}: after visit");
-        let (a, b) = (scratch.take_profile().unwrap(), cloned.take_profile().unwrap());
-        assert!(a.ops > 0 && a.evals == 1, "{engine:?}: {a:?}");
-        assert_eq!(a, b, "{engine:?}: interpreter profiles differ");
     }
+    assert!(with_calls > 0, "the inputs must reach the instrument");
+    assert!(with_traffic > 0, "the inputs must reach the network");
 }
 
 /// Listing 2's recording attacks learn the event id from a live dispatch;

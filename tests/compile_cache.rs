@@ -1,8 +1,7 @@
-//! Integration tests for the shared script-compilation cache and the
-//! wider shared-artifact layer it gates (realm templates, shared
-//! profiles): the cache must be a *pure* optimisation — invisible in every
-//! measured artifact — while staying correct under concurrency and bounded
-//! in growth.
+//! Integration tests for the shared script-compilation cache: the cache
+//! must be a *pure* optimisation — a warm cache is invisible in every
+//! measured artifact — while staying correct under concurrency and
+//! bounded in growth.
 //!
 //! Every test owns its cache through its own [`JsCtx`] or [`CrawlCtx`].
 
@@ -19,32 +18,34 @@ fn scan_cfg() -> ScanConfig {
     cfg
 }
 
-/// The headline ablation invariant, at test scale: the same seed scanned
-/// with the cache on and off yields identical Table 5 output, identical
-/// per-site records, and a byte-identical telemetry digest.
+/// The same seed scanned from a cold cache and again from the cache the
+/// first scan left warm yields identical Table 5 output, identical
+/// per-site records, and a byte-identical telemetry digest — while the
+/// warm scan compiles nothing.
 #[test]
 fn cache_is_invisible_to_results_and_telemetry() {
-    let leg = |cache_on: bool| {
-        let mut ctx =
-            CrawlCtx { telemetry: obs::Telemetry::new().with_stats(true), ..CrawlCtx::new() };
-        if !cache_on {
-            ctx.js.cache = None;
-        }
+    let leg = |ctx: &CrawlCtx| {
         let _g = ctx.enter();
         let report = Scan::new(scan_cfg()).run().expect("scan");
         let digest = ctx.telemetry.registry().snapshot().digest();
-        (report, digest)
+        (report, digest, ctx.js.cache.stats())
     };
-    let (on, digest_on) = leg(true);
-    let (off, digest_off) = leg(false);
+    let stats_on = || obs::Telemetry::new().with_stats(true);
+    let cold_ctx = CrawlCtx { telemetry: stats_on(), ..CrawlCtx::new() };
+    let (cold, digest_cold, after_cold) = leg(&cold_ctx);
+    let warm_ctx = CrawlCtx { telemetry: stats_on(), js: cold_ctx.js.clone(), ..CrawlCtx::new() };
+    let (warm, digest_warm, after_warm) = leg(&warm_ctx);
 
-    assert_eq!(on.table5(), off.table5(), "table 5 must not depend on the cache");
-    assert_eq!(on.sites, off.sites, "per-site records must not depend on the cache");
-    assert_eq!(on.history, off.history);
+    assert_eq!(cold.table5(), warm.table5(), "table 5 must not depend on the cache");
+    assert_eq!(cold.sites, warm.sites, "per-site records must not depend on the cache");
+    assert_eq!(cold.history, warm.history);
     assert_eq!(
-        digest_on, digest_off,
-        "telemetry digest differs: {digest_on:016x} (cache) vs {digest_off:016x} (no cache)"
+        digest_cold, digest_warm,
+        "telemetry digest differs: {digest_cold:016x} (cold) vs {digest_warm:016x} (warm)"
     );
+    assert!(after_cold.misses > 0, "the cold scan must compile");
+    assert_eq!(after_warm.misses, after_cold.misses, "the warm scan must not compile");
+    assert!(after_warm.hits > after_cold.hits, "the warm scan must hit the cache");
 }
 
 /// Hammer the cache from many threads: every thread compiling the same
@@ -53,7 +54,6 @@ fn cache_is_invisible_to_results_and_telemetry() {
 #[test]
 fn concurrent_compiles_share_one_artifact_per_body() {
     let ctx = JsCtx::new();
-    let cache = ctx.cache.clone().expect("fresh contexts have a cache");
     let bodies: Arc<Vec<String>> = Arc::new(
         (0..24).map(|i| format!("var stress{i} = {i}; stress{i} + 1;")).collect(),
     );
@@ -77,7 +77,7 @@ fn concurrent_compiles_share_one_artifact_per_body() {
         t.join().expect("stress thread panicked");
     }
 
-    let stats = cache.stats();
+    let stats = ctx.cache.stats();
     assert_eq!(stats.entries, 24, "one entry per unique body");
     // 8 threads × 40 rounds × 24 bodies; a racing first compile that loses
     // the insert counts a hit, so misses equal unique bodies exactly.
@@ -96,17 +96,16 @@ fn concurrent_compiles_share_one_artifact_per_body() {
 #[test]
 fn growth_is_bounded_by_unique_bodies() {
     let ctx = JsCtx::new();
-    let cache = ctx.cache.clone().expect("fresh contexts have a cache");
     let _g = ctx.enter();
     for round in 0..10 {
         for i in 0..20 {
             jsengine::compile_cached(&format!("var g{i} = {i};"), "growth.js")
                 .expect("growth script compiles");
         }
-        let stats = cache.stats();
+        let stats = ctx.cache.stats();
         assert_eq!(stats.entries, 20, "round {round}: cache grew past the unique-body count");
     }
-    let stats = cache.stats();
+    let stats = ctx.cache.stats();
     assert_eq!(stats.misses, 20);
     assert_eq!(stats.hits, 9 * 20);
 }
