@@ -71,11 +71,7 @@ struct PhaseRow {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let sites: u32 = if smoke {
-        200
-    } else {
-        std::env::var("GULLIBLE_SITES").ok().and_then(|v| v.parse().ok()).unwrap_or(5_000)
-    };
+    let sites = if smoke { 200 } else { bench::env::sites_or(5_000) };
     let seed = bench::seed();
     let workers = bench::workers();
 

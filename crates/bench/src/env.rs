@@ -9,7 +9,7 @@
 //!
 //! | knob                      | type  | default        | meaning |
 //! |---------------------------|-------|----------------|---------|
-//! | `GULLIBLE_SITES`          | u32   | 20,000         | population size (paper scale: 100,000) |
+//! | `GULLIBLE_SITES`          | u32   | 20,000         | population size (paper scale: 100,000; `profile` defaults to 5,000) |
 //! | `GULLIBLE_SEED`           | u64   | 42             | population seed |
 //! | `GULLIBLE_WORKERS`        | usize | CPU count      | crawl worker threads |
 //! | `GULLIBLE_TRACE`          | path  | unset          | stream the JSONL telemetry journal here |
@@ -53,7 +53,12 @@ fn path_knob(name: &str) -> Option<PathBuf> {
 
 /// `GULLIBLE_SITES` — population size for scan-scale experiments.
 pub fn sites() -> u32 {
-    u64_knob("GULLIBLE_SITES", 20_000) as u32
+    sites_or(20_000)
+}
+
+/// `GULLIBLE_SITES` for a binary with its own default population size.
+pub fn sites_or(default: u32) -> u32 {
+    u64_knob("GULLIBLE_SITES", default.into()) as u32
 }
 
 /// `GULLIBLE_SEED` — population seed.

@@ -178,60 +178,3 @@ pub fn finish(bin: &str, coverage: Option<&str>) {
 pub fn scale_target(paper_count: u64) -> u64 {
     paper_count * env::sites() as u64 / 100_000
 }
-
-/// Results collected by [`timeit`] for the `--stats` JSON footer.
-static BENCH_RESULTS: std::sync::Mutex<Vec<(String, u128, u32)>> =
-    std::sync::Mutex::new(Vec::new());
-
-/// `--stats` mode for the bench harnesses: besides the human-readable
-/// lines, [`bench_footer`] emits one JSON object with every measurement —
-/// redirect it to `BENCH_<suite>.json` to feed performance trajectories.
-pub fn stats_mode() -> bool {
-    std::env::args().any(|a| a == "--stats")
-}
-
-/// Minimal self-timed benchmark runner (the offline build environment has
-/// no criterion): one warm-up call, then `iters` timed iterations.
-pub fn timeit(name: &str, iters: u32, mut f: impl FnMut()) {
-    f();
-    let t0 = std::time::Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    let per = t0.elapsed() / iters;
-    println!("{name:<40} {per:>12.2?}/iter ({iters} iters)");
-    BENCH_RESULTS.lock().unwrap().push((name.to_string(), per.as_nanos(), iters));
-}
-
-/// End-of-suite footer for the bench harnesses. Under `--stats` it prints
-/// a single JSON line with every [`timeit`] measurement plus the run's
-/// config hash and telemetry digest:
-///
-/// ```text
-/// cargo bench --bench engine -- --stats | tail -1 > BENCH_engine.json
-/// ```
-pub fn bench_footer(suite: &str) {
-    if !stats_mode() {
-        return;
-    }
-    let results = BENCH_RESULTS.lock().unwrap();
-    let mut json = String::new();
-    obs::push_json_string(&mut json, suite);
-    let mut out = format!("{{\"suite\":{json},\"results\":[");
-    for (i, (name, ns, iters)) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let mut n = String::new();
-        obs::push_json_string(&mut n, name);
-        out.push_str(&format!(
-            "{{\"name\":{n},\"ns_per_iter\":{ns},\"iters\":{iters}}}"
-        ));
-    }
-    out.push_str(&format!(
-        "],\"config\":\"{:016x}\",\"telemetry\":\"{:016x}\"}}",
-        run_config_hash(),
-        obs::Telemetry::current().registry().snapshot().digest()
-    ));
-    println!("{out}");
-}

@@ -1005,7 +1005,7 @@ impl ScanSource {
 
 /// Gauge of completed [`SiteScanRecord`]s currently alive in memory. A
 /// bundle sink's core claim — peak record memory is O(workers), not
-/// O(sites) — is asserted against `peak` by the chaos bench.
+/// O(sites) — is asserted against `peak` by `tests/chaos.rs`.
 #[derive(Debug, Default)]
 struct InFlight {
     cur: AtomicU64,

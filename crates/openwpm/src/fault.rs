@@ -200,7 +200,7 @@ impl FaultInjector {
 // kill-point; a [`CrashInjector`] realises it in-process by panicking with
 // a sentinel payload that [`catch_crash`] recognises at the top of the
 // crawl — the moral equivalent of SIGKILL, minus the process spawn. The
-// `chaos` bench additionally realises plans as real SIGKILLs on a child
+// `sigkill_resume` test in the `bench` crate SIGKILLs a real crawler
 // process; both paths must leave disk states the resume logic recovers.
 
 /// Where the process dies, counted in *record flushes* (the unit of

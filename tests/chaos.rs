@@ -157,7 +157,8 @@ fn crashed_and_resumed_stream_is_byte_identical_to_uninterrupted() {
 }
 
 /// Every kill class, pinned explicitly (the seeded sweep above may not
-/// cover all three), including a kill on the very first flush.
+/// cover all three), including a kill on the very first flush, at one
+/// worker and at four. Each resume still holds O(workers) records.
 #[test]
 fn every_kill_class_recovers() {
     let n = 80u32;
@@ -169,13 +170,13 @@ fn every_kill_class_recovers() {
         KillPoint::MidBundleAppend(13, 0),
         KillPoint::MidBundleAppend(13, 33),
     ];
-    let cfg = chaos_cfg(n, 21, 4);
     let ref_dir = tmp_dir("classes-ref");
     let _ctx = fresh_ctx();
-    let reference = Scan::new(cfg).stream_to(&ref_dir).run().expect("reference");
+    let reference = Scan::new(chaos_cfg(n, 21, 4)).stream_to(&ref_dir).run().expect("reference");
     let ref_fp = fingerprint(&reference, &ref_dir);
 
-    for (i, kill) in kills.into_iter().enumerate() {
+    for (i, (workers, kill)) in [1, 4].into_iter().flat_map(|w| kills.map(|k| (w, k))).enumerate() {
+        let cfg = chaos_cfg(n, 21, workers);
         let dir = tmp_dir(&format!("classes-{i}"));
         let _ctx = fresh_ctx();
         let crashed =
@@ -184,8 +185,16 @@ fn every_kill_class_recovers() {
         let _ctx = fresh_ctx();
         let resumed = Scan::new(cfg).stream_to(&dir).run().expect("resume");
         let fp = fingerprint(&resumed, &dir);
-        assert_eq!(fp, ref_fp, "kill {kill:?}: resume diverged");
+        assert_eq!(fp, ref_fp, "kill {kill:?} at {workers} workers: resume diverged");
+        assert_eq!(resumed.history, reference.history, "kill {kill:?} at {workers} workers");
+        let (a, b) = (ReplayBundle::open(&dir).unwrap(), ReplayBundle::open(&ref_dir).unwrap());
+        assert!(diff_bundles(&a, &b).is_clean(), "kill {kill:?} at {workers} workers: bundle diff");
         let stream = resumed.stream.unwrap();
+        assert!(
+            stream.peak_records_in_flight <= workers as u64 + 1,
+            "kill {kill:?}: resume with {workers} workers peaked at {} records in flight",
+            stream.peak_records_in_flight
+        );
         match kill {
             // A clean-boundary kill loses nothing: resume replays all K
             // flushed records and re-visits only never-started sites.

@@ -2,7 +2,7 @@
 //! seed, so identical configurations must produce identical results.
 
 use gullible::scan::{Scan, ScanConfig};
-use gullible::{run_compare, CompareConfig};
+use gullible::{obs, run_compare, CompareConfig, CrawlCtx};
 use webgen::Population;
 
 #[test]
@@ -54,12 +54,23 @@ fn comparisons_are_reproducible() {
     }
 }
 
+/// Fault-free half of the worker-count invariant (`tests/scheduler.rs`
+/// holds it under adversarial faults): each leg runs under its own
+/// stats-on context, and tables, records, history and the telemetry
+/// digest all match.
 #[test]
 fn worker_count_does_not_change_results() {
-    let base = ScanConfig { workers: 1, ..ScanConfig::new(300, 77) };
-    let par = ScanConfig { workers: 4, ..base };
-    let r1 = Scan::new(base).run().expect("scan");
-    let r4 = Scan::new(par).run().expect("scan");
+    let scan = |workers| {
+        let ctx = CrawlCtx { telemetry: obs::Telemetry::new().with_stats(true), ..CrawlCtx::new() };
+        let _g = ctx.enter();
+        let report = Scan::new(ScanConfig { workers, ..ScanConfig::new(300, 77) }).run().expect("scan");
+        (report, ctx.telemetry.registry().snapshot().digest())
+    };
+    let (r1, d1) = scan(1);
+    let (r4, d4) = scan(4);
     assert_eq!(r1.table5(), r4.table5());
     assert_eq!(r1.table12(), r4.table12());
+    assert_eq!(r1.sites, r4.sites);
+    assert_eq!(r1.history, r4.history);
+    assert_eq!(d1, d4, "telemetry digest");
 }
