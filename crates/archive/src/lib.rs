@@ -19,9 +19,11 @@
 //!   hash the corpus statistics use), length-prefixed and self-verifying.
 //!
 //! Both files are append-only and flushed per record, so a killed crawl
-//! leaves a readable prefix; [`BundleReader::open`] reports dropped tails
-//! instead of failing. Higher layers decide what payloads mean and
-//! whether an uncommitted bundle is usable.
+//! leaves a readable prefix plus at most one torn line;
+//! [`BundleReader::open`] reports dropped lines instead of failing, and
+//! [`BundleWriter::append_to`] cuts the torn line off and continues. A
+//! line only counts once its trailing newline is on disk. Higher layers
+//! decide what payloads mean and whether an uncommitted bundle is usable.
 //!
 //! All bookkeeping lands under `archive.*` metrics, which are excluded
 //! from the telemetry digest (like `cache.*`): recording a crawl must not
@@ -37,9 +39,10 @@ use std::sync::{Arc, Mutex};
 /// Bundle on-disk format version. Bump on any incompatible change to the
 /// manifest or blob framing; readers refuse other versions with a clear
 /// error instead of mis-parsing.
-pub const BUNDLE_FORMAT_VERSION: u32 = 1;
+pub const BUNDLE_FORMAT_VERSION: u32 = 2;
 
-const MANIFEST_FILE: &str = "manifest.gar";
+/// The manifest's file name inside a bundle directory.
+pub const MANIFEST_FILE: &str = "manifest.gar";
 const BLOBS_FILE: &str = "blobs.gar";
 const MANIFEST_MAGIC: &str = "gullible-bundle";
 const BLOBS_MAGIC: &str = "gullible-blobs";
@@ -62,13 +65,59 @@ fn frame(body: &str) -> String {
     format!("{body}{US}{:016x}", fnv1a(body.as_bytes()))
 }
 
+/// The body of a framed line whose checksum verifies. The checksum is
+/// compared as text, so it only verifies in the exact form [`frame`]
+/// writes: a changed byte anywhere in the line is caught.
 fn unframe(line: &str) -> Option<&str> {
     let (body, sum) = line.rsplit_once(US)?;
-    (u64::from_str_radix(sum, 16).ok()? == fnv1a(body.as_bytes())).then_some(body)
+    (sum == format!("{:016x}", fnv1a(body.as_bytes()))).then_some(body)
 }
 
 fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// Validate a manifest's header line; returns its config payload and the
+/// lines after it.
+fn split_header<'t>(text: &'t str, dir: &Path) -> io::Result<(&'t str, &'t str)> {
+    let (first, body) = text.split_once('\n').unwrap_or((text, ""));
+    let header = unframe(first)
+        .ok_or_else(|| invalid(format!("{}: missing or corrupt bundle header", dir.display())))?;
+    let (magic, config) = header.split_once(US).unwrap_or((header, ""));
+    let version = magic
+        .strip_prefix(MANIFEST_MAGIC)
+        .map(str::trim)
+        .and_then(|v| v.strip_prefix('v'))
+        .and_then(|v| v.parse::<u32>().ok())
+        .ok_or_else(|| invalid(format!("{}: not a bundle manifest", dir.display())))?;
+    if version != BUNDLE_FORMAT_VERSION {
+        return Err(invalid(format!(
+            "{}: bundle format v{version}, this build reads v{BUNDLE_FORMAT_VERSION} — \
+             re-record the bundle with this build",
+            dir.display()
+        )));
+    }
+    Ok((config, body))
+}
+
+/// A manifest line past the header, as read back.
+enum Line<'t> {
+    Entry(&'t str),
+    Commit(&'t str),
+    /// Unterminated, or failing its checksum or framing.
+    Bad,
+}
+
+/// Classify every line of a manifest body, each with its byte length.
+fn manifest_lines(body: &str) -> impl Iterator<Item = (Line<'_>, usize)> {
+    body.split_inclusive('\n').map(|raw| {
+        let line = match raw.strip_suffix('\n').and_then(unframe).and_then(|b| b.split_once(US)) {
+            Some(("s", payload)) => Line::Entry(payload),
+            Some(("c", payload)) => Line::Commit(payload),
+            _ => Line::Bad,
+        };
+        (line, raw.len())
+    })
 }
 
 /// Counters accumulated while writing one bundle.
@@ -93,20 +142,13 @@ struct BlobWriter {
     dedup: u64,
 }
 
-struct ManifestWriter {
-    file: BufWriter<File>,
-    /// Byte length of the manifest after the last flushed line — the
-    /// high-water mark the crash-consistent checkpoint records.
-    len: u64,
-}
-
 /// Writes one bundle: create, then [`put_blob`](BundleWriter::put_blob) /
 /// [`append_entry`](BundleWriter::append_entry) from any thread, then
 /// [`commit`](BundleWriter::commit). Every record is flushed as it is
 /// appended, so a killed run leaves a readable (uncommitted) prefix.
 pub struct BundleWriter {
     dir: PathBuf,
-    manifest: Mutex<ManifestWriter>,
+    manifest: Mutex<BufWriter<File>>,
     blobs: Mutex<BlobWriter>,
     entries: AtomicU64,
 }
@@ -114,24 +156,22 @@ pub struct BundleWriter {
 impl BundleWriter {
     /// Create (or overwrite) the bundle at `dir` with an opaque config
     /// payload in the header. The payload must not contain `\n` or the
-    /// checksum separator.
+    /// checksum separator. The blob store is created first, so a manifest
+    /// that exists always has a store next to it.
     pub fn create(dir: impl Into<PathBuf>, config: &str) -> io::Result<BundleWriter> {
         let dir = dir.into();
         check_payload(config)?;
         std::fs::create_dir_all(&dir)?;
+        let mut blobs = BufWriter::new(File::create(dir.join(BLOBS_FILE))?);
+        writeln!(blobs, "{BLOBS_MAGIC} v{BUNDLE_FORMAT_VERSION}")?;
+        blobs.flush()?;
         let mut manifest = BufWriter::new(File::create(dir.join(MANIFEST_FILE))?);
         let header = frame(&format!("{MANIFEST_MAGIC} v{BUNDLE_FORMAT_VERSION}{US}{config}"));
         writeln!(manifest, "{header}")?;
         manifest.flush()?;
-        let mut blobs = BufWriter::new(File::create(dir.join(BLOBS_FILE))?);
-        writeln!(blobs, "{BLOBS_MAGIC} v{BUNDLE_FORMAT_VERSION}")?;
-        blobs.flush()?;
         Ok(BundleWriter {
             dir,
-            manifest: Mutex::new(ManifestWriter {
-                file: manifest,
-                len: header.len() as u64 + 1,
-            }),
+            manifest: Mutex::new(manifest),
             blobs: Mutex::new(BlobWriter {
                 file: blobs,
                 seen: HashSet::new(),
@@ -143,38 +183,28 @@ impl BundleWriter {
         })
     }
 
-    /// Reopen an existing (uncommitted) bundle for appending — the
-    /// crash-resume path. The manifest is truncated to `truncate_to` bytes
-    /// first, dropping any torn tail *and* any flushed-but-unacknowledged
-    /// entries beyond the caller's trusted high-water mark; the blob store
-    /// is truncated to its last verifiable record and its content hashes
-    /// are re-seeded so dedup keeps working across the restart. Fails if
+    /// Reopen an existing, uncommitted bundle for appending — the
+    /// crash-resume path. A final manifest line that does not verify is the
+    /// append a killed run was in the middle of: the manifest is truncated
+    /// to the last intact line before it. The blob store is truncated to
+    /// its last verifiable record and its content hashes are re-seeded so
+    /// dedup keeps working across the restart. Fails with `InvalidData` if
     /// the header is damaged, the recorded config differs from
     /// `expected_config` (resuming under a different configuration would
-    /// silently mix experiments), or `truncate_to` does not land on a line
-    /// boundary within the file.
+    /// silently mix experiments), the bundle is already committed, or a
+    /// line that does not verify is followed by any other line — damage
+    /// inside the durable prefix is corruption, not a tear.
     ///
     /// The returned writer's entry count continues from the surviving
     /// prefix; blob write/dedup counters restart at zero (they describe
     /// this process's work).
-    pub fn append_to(
-        dir: impl Into<PathBuf>,
-        expected_config: &str,
-        truncate_to: u64,
-    ) -> io::Result<BundleWriter> {
+    pub fn append_to(dir: impl Into<PathBuf>, expected_config: &str) -> io::Result<BundleWriter> {
         let dir = dir.into();
         let manifest_path = dir.join(MANIFEST_FILE);
         let text = std::fs::read_to_string(&manifest_path).map_err(|e| {
             io::Error::new(e.kind(), format!("{}: {e}", manifest_path.display()))
         })?;
-        let mut lines = text.lines();
-        let header = lines.next().and_then(unframe).ok_or_else(|| {
-            invalid(format!("{}: missing or corrupt bundle header", dir.display()))
-        })?;
-        let (magic, config) = header.split_once(US).unwrap_or((header, ""));
-        if !magic.starts_with(MANIFEST_MAGIC) {
-            return Err(invalid(format!("{}: not a bundle manifest", dir.display())));
-        }
+        let (config, body) = split_header(&text, &dir)?;
         if config != expected_config {
             return Err(invalid(format!(
                 "{}: bundle was recorded under a different configuration — \
@@ -182,37 +212,31 @@ impl BundleWriter {
                 dir.display()
             )));
         }
-        let header_len = text.lines().next().map(|l| l.len() as u64 + 1).unwrap_or(0);
-        if truncate_to < header_len || truncate_to > text.len() as u64 {
-            return Err(invalid(format!(
-                "{}: high-water mark {truncate_to} outside manifest (len {})",
-                dir.display(),
-                text.len()
-            )));
-        }
-        if text.as_bytes()[..truncate_to as usize].last() != Some(&b'\n') {
-            return Err(invalid(format!(
-                "{}: high-water mark {truncate_to} is not a line boundary",
-                dir.display()
-            )));
-        }
-        // Validate and count the surviving entries; the trusted prefix
-        // must be wholly intact (its lines were checksummed and the HWM
-        // says they were all flushed).
         let mut kept_entries = 0u64;
-        for line in text[header_len as usize..truncate_to as usize].lines() {
-            match unframe(line).and_then(|body| body.split_once(US)) {
-                Some(("s", _)) => kept_entries += 1,
-                _ => {
+        let mut intact_end = text.len() - body.len();
+        let mut lines = manifest_lines(body).enumerate().peekable();
+        while let Some((i, (line, len))) = lines.next() {
+            match line {
+                Line::Entry(_) => kept_entries += 1,
+                Line::Commit(_) => {
                     return Err(invalid(format!(
-                        "{}: corrupt entry inside trusted prefix (before byte {truncate_to})",
+                        "{}: bundle is already committed — refusing to append to a sealed bundle",
                         dir.display()
                     )))
                 }
+                Line::Bad if lines.peek().is_none() => break,
+                Line::Bad => {
+                    return Err(invalid(format!(
+                        "{}: manifest line {} is corrupt but later lines are intact",
+                        dir.display(),
+                        i + 2
+                    )))
+                }
             }
+            intact_end += len;
         }
         let mut manifest = OpenOptions::new().read(true).write(true).open(&manifest_path)?;
-        manifest.set_len(truncate_to)?;
+        manifest.set_len(intact_end as u64)?;
         manifest.seek(SeekFrom::End(0))?;
 
         // Truncate the blob store to its verified prefix and re-seed the
@@ -227,10 +251,7 @@ impl BundleWriter {
 
         Ok(BundleWriter {
             dir,
-            manifest: Mutex::new(ManifestWriter {
-                file: BufWriter::new(manifest),
-                len: truncate_to,
-            }),
+            manifest: Mutex::new(BufWriter::new(manifest)),
             blobs: Mutex::new(BlobWriter {
                 file: BufWriter::new(blob_file),
                 seen: blobs.keys().copied().collect(),
@@ -273,38 +294,28 @@ impl BundleWriter {
 
     /// Append one opaque entry line (checksummed) to the manifest and
     /// flush it. Entries from worker threads land in completion order;
-    /// readers must not rely on file order. Returns the manifest's byte
-    /// length after the flush — the high-water mark a crash-consistent
-    /// checkpoint can record to mark this entry (and everything before
-    /// it) as durably on disk.
-    pub fn append_entry(&self, payload: &str) -> io::Result<u64> {
+    /// readers must not rely on file order.
+    pub fn append_entry(&self, payload: &str) -> io::Result<()> {
         check_payload(payload)?;
         if obs::prof::recorder_armed() {
             obs::prof::ring_record("entry", format!("len={}", payload.len()));
         }
         let line = frame(&format!("s{US}{payload}"));
         let mut m = self.manifest.lock().unwrap();
-        writeln!(m.file, "{line}")?;
-        m.file.flush()?;
-        m.len += line.len() as u64 + 1;
-        let hwm = m.len;
+        writeln!(m, "{line}")?;
+        m.flush()?;
         drop(m);
         self.entries.fetch_add(1, Ordering::Relaxed);
         obs::add("archive.write.entries", 1);
-        Ok(hwm)
+        Ok(())
     }
 
-    /// Manifest byte length after the last flushed line.
-    pub fn manifest_len(&self) -> u64 {
-        self.manifest.lock().unwrap().len
-    }
-
-    /// Crash-test hook: write the first `keep_bytes` bytes of what
-    /// [`BundleWriter::append_entry`] would have written for `payload`
-    /// (no trailing newline) and flush — the on-disk state of a process
-    /// killed at byte `keep_bytes` of an entry append. The internal
-    /// high-water mark is *not* advanced, mirroring a real crash: the
-    /// dying process never acknowledged the write.
+    /// Crash-test hook: write the first `keep_bytes` bytes of the line
+    /// [`BundleWriter::append_entry`] would have written for `payload` and
+    /// flush — the on-disk state of a process killed at byte `keep_bytes`
+    /// of an entry append. `keep_bytes` is capped at the line's length
+    /// minus one: a torn write never reaches the newline that completes
+    /// the line.
     pub fn append_entry_torn(&self, payload: &str, keep_bytes: usize) -> io::Result<()> {
         check_payload(payload)?;
         if obs::prof::recorder_armed() {
@@ -313,8 +324,8 @@ impl BundleWriter {
         let line = frame(&format!("s{US}{payload}"));
         let keep = keep_bytes.min(line.len());
         let mut m = self.manifest.lock().unwrap();
-        m.file.write_all(&line.as_bytes()[..keep])?;
-        m.file.flush()?;
+        m.write_all(&line.as_bytes()[..keep])?;
+        m.flush()?;
         Ok(())
     }
 
@@ -335,9 +346,9 @@ impl BundleWriter {
         check_payload(payload)?;
         let stats = self.stats();
         let mut m = self.manifest.into_inner().unwrap();
-        writeln!(m.file, "{}", frame(&format!("c{US}{payload}")))?;
-        m.file.flush()?;
-        m.file.get_ref().sync_all()?;
+        writeln!(m, "{}", frame(&format!("c{US}{payload}")))?;
+        m.flush()?;
+        m.get_ref().sync_all()?;
         let mut file = self.blobs.into_inner().unwrap().file;
         file.flush()?;
         file.get_ref().sync_all()?;
@@ -362,12 +373,6 @@ pub struct BundleReader {
     pub config: String,
     /// Entry payloads, in file (completion) order.
     pub entries: Vec<String>,
-    /// Byte offset of the end of each entry's line (inclusive of its
-    /// newline), parallel to `entries` — lets a resume compare entries
-    /// against a checkpointed manifest high-water mark.
-    pub entry_ends: Vec<u64>,
-    /// Total manifest byte length as read.
-    pub manifest_len: u64,
     /// Commit payload; `None` for a torn (uncommitted) bundle.
     pub commit: Option<String>,
     /// Content-addressed blob store: FNV-64 hash → body.
@@ -389,47 +394,19 @@ impl BundleReader {
         let manifest = std::fs::read_to_string(dir.join(MANIFEST_FILE)).map_err(|e| {
             io::Error::new(e.kind(), format!("{}: {e}", dir.join(MANIFEST_FILE).display()))
         })?;
-        let mut lines = manifest.lines();
-        let header = lines
-            .next()
-            .and_then(unframe)
-            .ok_or_else(|| invalid(format!("{}: missing or corrupt bundle header", dir.display())))?;
-        let (magic, config) = header.split_once(US).unwrap_or((header, ""));
-        let version = magic
-            .strip_prefix(MANIFEST_MAGIC)
-            .map(str::trim)
-            .and_then(|v| v.strip_prefix('v'))
-            .and_then(|v| v.parse::<u32>().ok())
-            .ok_or_else(|| invalid(format!("{}: not a bundle manifest", dir.display())))?;
-        if version != BUNDLE_FORMAT_VERSION {
-            return Err(invalid(format!(
-                "{}: bundle format v{version}, this build reads v{BUNDLE_FORMAT_VERSION} — \
-                 re-record the bundle with this build",
-                dir.display()
-            )));
-        }
+        let (config, body) = split_header(&manifest, dir)?;
         let mut entries = Vec::new();
-        let mut entry_ends = Vec::new();
         let mut commit = None;
         let mut dropped = 0usize;
-        // Track each line's end offset by hand; only lines written whole
-        // (with their trailing newline) can validate, so `+ 1` is exact
-        // for every line that lands in `entry_ends`.
-        let mut pos = manifest.lines().next().map(|l| l.len() as u64 + 1).unwrap_or(0);
-        for line in lines {
-            let end = pos + line.len() as u64 + 1;
-            match unframe(line).and_then(|body| body.split_once(US)) {
-                Some(("s", payload)) => {
-                    entries.push(payload.to_string());
-                    entry_ends.push(end);
-                }
-                Some(("c", payload)) => commit = Some(payload.to_string()),
-                _ => {
+        for (line, _) in manifest_lines(body) {
+            match line {
+                Line::Entry(payload) => entries.push(payload.to_string()),
+                Line::Commit(payload) => commit = Some(payload.to_string()),
+                Line::Bad => {
                     dropped += 1;
                     obs::add("archive.read.dropped_lines", 1);
                 }
             }
-            pos = end;
         }
         obs::add("archive.read.entries", entries.len() as u64);
 
@@ -438,8 +415,6 @@ impl BundleReader {
         Ok(BundleReader {
             config: config.to_string(),
             entries,
-            entry_ends,
-            manifest_len: manifest.len() as u64,
             commit,
             blobs,
             dropped_lines: dropped,
@@ -643,7 +618,7 @@ mod tests {
         let err = BundleReader::open(&dir).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let msg = err.to_string();
-        assert!(msg.contains("v99") && msg.contains("v1"), "{msg}");
+        assert!(msg.contains("v99") && msg.contains(&format!("v{BUNDLE_FORMAT_VERSION}")), "{msg}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -679,55 +654,39 @@ mod tests {
     }
 
     #[test]
-    fn append_entry_reports_line_boundary_high_water_marks() {
-        let dir = tmpdir("hwm");
-        let w = BundleWriter::create(&dir, "c").unwrap();
-        let header_len = w.manifest_len();
-        let h1 = w.append_entry("one").unwrap();
-        let h2 = w.append_entry("two").unwrap();
-        assert!(header_len < h1 && h1 < h2);
-        assert_eq!(w.manifest_len(), h2);
-        w.commit("done").unwrap();
-
-        let r = BundleReader::open(&dir).unwrap();
-        assert_eq!(r.entry_ends, vec![h1, h2]);
-        assert!(r.manifest_len > h2, "commit line lies beyond the last entry");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn torn_append_then_resume_truncates_and_continues() {
-        let dir = tmpdir("resume");
-        let w = BundleWriter::create(&dir, "c").unwrap();
-        w.put_blob("shared body").unwrap();
-        w.append_entry("one").unwrap();
-        let hwm = w.append_entry("two").unwrap();
-        // The process dies at byte 7 of the third entry's append.
-        w.append_entry_torn("three", 7).unwrap();
-        drop(w);
+        // The process dies at byte 7 of the third entry's append, or with
+        // all of it but the newline on disk: either way the line is torn.
+        for keep in [7, usize::MAX] {
+            let dir = tmpdir("resume");
+            let w = BundleWriter::create(&dir, "c").unwrap();
+            w.put_blob("shared body").unwrap();
+            w.append_entry("one").unwrap();
+            w.append_entry("two").unwrap();
+            w.append_entry_torn("three", keep).unwrap();
+            drop(w);
 
-        let r = BundleReader::open(&dir).unwrap();
-        assert_eq!(r.entries.len(), 2, "torn tail must not parse");
-        assert_eq!(r.dropped_lines, 1);
-        assert!(r.manifest_len > hwm);
+            let r = BundleReader::open(&dir).unwrap();
+            assert_eq!(r.entries, vec!["one", "two"], "torn tail must not parse (keep {keep})");
+            assert_eq!(r.dropped_lines, 1);
 
-        // Resume: truncate to the checkpointed HWM, finish the crawl.
-        let w = BundleWriter::append_to(&dir, "c", hwm).unwrap();
-        assert_eq!(w.manifest_len(), hwm);
-        let dup = w.put_blob("shared body").unwrap();
-        assert_eq!(dup, fnv1a(b"shared body"), "dedup set re-seeded across restart");
-        w.append_entry("three").unwrap();
-        let stats = w.commit("done").unwrap();
-        assert_eq!(stats.entries, 3, "count continues from the surviving prefix");
-        assert_eq!(stats.blobs_written, 0);
-        assert_eq!(stats.dedup_hits, 1);
+            // Resume: the torn line is cut off, the crawl finishes.
+            let w = BundleWriter::append_to(&dir, "c").unwrap();
+            let dup = w.put_blob("shared body").unwrap();
+            assert_eq!(dup, fnv1a(b"shared body"), "dedup set re-seeded across restart");
+            w.append_entry("three").unwrap();
+            let stats = w.commit("done").unwrap();
+            assert_eq!(stats.entries, 3, "count continues from the surviving prefix");
+            assert_eq!(stats.blobs_written, 0);
+            assert_eq!(stats.dedup_hits, 1);
 
-        let r = BundleReader::open(&dir).unwrap();
-        assert_eq!(r.entries, vec!["one", "two", "three"]);
-        assert_eq!(r.dropped_lines, 0);
-        assert_eq!(r.commit.as_deref(), Some("done"));
-        assert_eq!(r.blobs.len(), 1);
-        std::fs::remove_dir_all(&dir).unwrap();
+            let r = BundleReader::open(&dir).unwrap();
+            assert_eq!(r.entries, vec!["one", "two", "three"]);
+            assert_eq!(r.dropped_lines, 0);
+            assert_eq!(r.commit.as_deref(), Some("done"));
+            assert_eq!(r.blobs.len(), 1);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]
@@ -735,7 +694,7 @@ mod tests {
         let dir = tmpdir("resume-blobs");
         let w = BundleWriter::create(&dir, "c").unwrap();
         w.put_blob("first body").unwrap();
-        let hwm = w.append_entry("one").unwrap();
+        w.append_entry("one").unwrap();
         w.put_blob("second body cut short").unwrap();
         drop(w);
         // Tear the blob store mid-way through the second body.
@@ -743,7 +702,7 @@ mod tests {
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 6]).unwrap();
 
-        let w = BundleWriter::append_to(&dir, "c", hwm).unwrap();
+        let w = BundleWriter::append_to(&dir, "c").unwrap();
         let h = w.put_blob("fresh body").unwrap();
         w.append_entry("two").unwrap();
         w.commit("done").unwrap();
@@ -757,20 +716,31 @@ mod tests {
     }
 
     #[test]
-    fn resume_rejects_config_mismatch_and_bad_marks() {
+    fn resume_rejects_config_mismatch_sealed_and_corrupt_manifests() {
         let dir = tmpdir("resume-guards");
         let w = BundleWriter::create(&dir, "c").unwrap();
-        let hwm = w.append_entry("one").unwrap();
+        w.append_entry("one").unwrap();
+        w.append_entry("two").unwrap();
         drop(w);
+        let path = dir.join(MANIFEST_FILE);
+        let pristine = std::fs::read_to_string(&path).unwrap();
 
-        let err = BundleWriter::append_to(&dir, "other-config", hwm).map(|_| ()).unwrap_err();
+        let err = BundleWriter::append_to(&dir, "other-config").map(|_| ()).unwrap_err();
         assert!(err.to_string().contains("different configuration"), "{err}");
-        let err = BundleWriter::append_to(&dir, "c", hwm - 1).map(|_| ()).unwrap_err();
-        assert!(err.to_string().contains("line boundary"), "{err}");
-        let err = BundleWriter::append_to(&dir, "c", hwm + 999).map(|_| ()).unwrap_err();
-        assert!(err.to_string().contains("outside manifest"), "{err}");
-        let err = BundleWriter::append_to(&dir, "c", 0).map(|_| ()).unwrap_err();
-        assert!(err.to_string().contains("outside manifest"), "{err}");
+
+        // A bad line followed by an intact one is corruption, not a tear,
+        // and the file is left as it was.
+        let damaged = pristine.replacen("one", "onE", 1);
+        std::fs::write(&path, &damaged).unwrap();
+        let err = BundleWriter::append_to(&dir, "c").map(|_| ()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("corrupt"), "{err}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), damaged);
+
+        std::fs::write(&path, &pristine).unwrap();
+        BundleWriter::append_to(&dir, "c").unwrap().commit("done").unwrap();
+        let err = BundleWriter::append_to(&dir, "c").map(|_| ()).unwrap_err();
+        assert!(err.to_string().contains("already committed"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

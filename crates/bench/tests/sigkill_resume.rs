@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use gullible::{diff_bundles, ReplayBundle, STREAM_CHECKPOINT_FILE};
+use gullible::{diff_bundles, ReplayBundle};
 
 const SITES: usize = 150;
 
@@ -46,13 +46,14 @@ fn repro(bundle: &Path) -> Command {
     cmd
 }
 
-/// Wait until the child's checkpoint holds `records` flushed records
-/// (after its header line), then SIGKILL it.
-fn kill_after(mut child: Child, ckpt: &Path, records: usize) {
+/// Wait until the child's bundle manifest holds `records` intact entries,
+/// then SIGKILL it. A line is intact once its newline is on disk, so the
+/// entries are the complete lines after the header.
+fn kill_after(mut child: Child, manifest: &Path, records: usize) {
     let deadline = Instant::now() + Duration::from_secs(120);
     loop {
-        let lines = std::fs::read_to_string(ckpt).map(|c| c.lines().count()).unwrap_or(0);
-        if lines > records {
+        let lines = std::fs::read(manifest).map(|m| m.iter().filter(|b| **b == b'\n').count());
+        if lines.unwrap_or(0) > records {
             break;
         }
         if let Ok(Some(status)) = child.try_wait() {
@@ -75,7 +76,7 @@ fn sigkilled_repro_resumes_byte_identical() {
         repro(&ref_dir).stdout(Stdio::null()).spawn().expect("spawn reference repro");
 
     let victim = repro(&dir).stdout(Stdio::null()).spawn().expect("spawn repro");
-    kill_after(victim, &dir.join(STREAM_CHECKPOINT_FILE), SITES / 3);
+    kill_after(victim, &dir.join("manifest.gar"), SITES / 3);
     assert!(
         ReplayBundle::open(&dir).is_err(),
         "the kill landed after the bundle was sealed; nothing was resumed"

@@ -13,7 +13,7 @@
 //!   the page structure (URLs, CSP, dwell, static subresources), the
 //!   typed [`VisitOutcome`], the attempt count, and a [`StoreCapture`]
 //!   fingerprint of every instrument record the visit produced. Each
-//!   entry is acknowledged by a checkpoint line, so the same bundle is
+//!   entry also carries the visit's metrics delta, so the same bundle is
 //!   the crawl's output, its checkpoint and a later replay's input.
 //! * **Replay** — `Scan::new(cfg).replay(dir)` re-runs the *entire*
 //!   pipeline (jsengine execution, instruments, detect static+dynamic
@@ -29,9 +29,7 @@
 //! All bookkeeping lands in `archive.*` metrics, which are excluded from
 //! the telemetry digest — recording must not perturb provenance.
 
-use std::collections::{BTreeSet, HashMap};
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
+use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -54,7 +52,7 @@ use crate::scan::{
 // site-record encoding uses RS/GS/FS (`\x1e`..`\x1c`).
 // The archive's own nesting levels take the low control characters, which
 // cannot occur in generated domains, URLs, script bodies or properties.
-const F: char = '\x01'; // between site-entry fields
+const F: char = '\x01'; // between site-entry fields, and before the metrics delta
 const PAGE: char = '\x02'; // between pages
 const PF: char = '\x03'; // between page fields
 const LIST: char = '\x1d'; // between list elements (GS, as elsewhere)
@@ -94,9 +92,10 @@ pub struct CommitInfo {
     /// Table 5 of the recording run: (static, dynamic, union) ×
     /// (identified, true).
     pub table5: [(u32, u32); 3],
-    /// FNV-64 folded over every site entry's line hash in rank order —
+    /// FNV-64 folded over every site entry's hash in rank order —
     /// order-independent of worker scheduling, sensitive to any byte of
-    /// any record.
+    /// any record. The metrics delta after an entry is not hashed, so the
+    /// digest is the same with stats on or off.
     pub records_digest: u64,
     /// Telemetry digest of the recording run at commit time
     /// (`obs::Snapshot::digest`, which excludes `cache.*`/`archive.*`).
@@ -365,21 +364,22 @@ fn bundle_config(cfg: &ScanConfig) -> String {
 }
 
 struct StreamState {
-    ckpt: BufWriter<File>,
     line_hashes: Vec<Option<u64>>,
     flushed: u64,
 }
 
 /// Crash-consistent incremental recorder: each determined visit is
-/// appended to the bundle manifest and then acknowledged with one
-/// checkpoint line carrying the manifest high-water mark, so at every
-/// instant the durable state is `trusted bundle prefix + (maybe) one torn
-/// tail`. Worker threads flush concurrently; the entry-append → line-write
-/// pair is serialised so high-water marks are monotone in checkpoint-file
-/// order. Its hook runs on worker threads and has no error path, so I/O
-/// errors are latched and surfaced at [`StreamRecorder::finish`]. Locks
-/// recover from poisoning (`into_inner`) because an injected crash unwinds
-/// through them by design.
+/// appended to the bundle manifest as one checksummed line, `entry F
+/// delta`, where `delta` is the visit's registry-metrics delta. At every
+/// instant the durable state is `intact lines + (maybe) one torn tail`,
+/// and the manifest is the checkpoint: [`StreamRecorder::resume`] adopts
+/// every intact line. Worker threads flush concurrently; appends are
+/// serialised with the crash injector's bookkeeping so nothing reaches
+/// disk after a planned kill. Its hook runs on worker threads and has no
+/// error path, so I/O errors are latched and surfaced at
+/// [`StreamRecorder::finish`]. Locks recover from poisoning
+/// (`into_inner`) because an injected crash unwinds through them by
+/// design.
 pub(crate) struct StreamRecorder {
     writer: BundleWriter,
     injector: Option<CrashInjector>,
@@ -387,53 +387,75 @@ pub(crate) struct StreamRecorder {
     err: Mutex<Option<io::Error>>,
 }
 
+/// One site a resumed sink adopts from its bundle instead of re-visiting.
+pub(crate) struct Adopted {
+    pub(crate) rank: u32,
+    pub(crate) attempts: u32,
+    pub(crate) outcome: VisitOutcome<SiteScanRecord>,
+    /// The visit's registry-metrics delta, re-applied on adoption.
+    pub(crate) delta: String,
+}
+
 impl StreamRecorder {
     pub(crate) fn create(
         dir: &Path,
         cfg: &ScanConfig,
-        ckpt: File,
         injector: Option<CrashInjector>,
     ) -> io::Result<StreamRecorder> {
         let writer = BundleWriter::create(dir, &bundle_config(cfg))?;
-        Ok(Self::with_writer(writer, ckpt, vec![None; cfg.n_sites as usize], injector))
+        Ok(Self::with_writer(writer, vec![None; cfg.n_sites as usize], injector))
     }
 
-    /// Reopen a partial bundle for appending, truncating everything past
-    /// the checkpointed high-water mark, with the trusted entries' hashes
-    /// pre-seeded so the final commit digest covers adopted ranks too.
+    /// Reopen the partial bundle at `dir` for appending and adopt every
+    /// site it holds. Returns the recorder (with the adopted entries'
+    /// hashes pre-seeded, so the commit digest covers them), the adopted
+    /// sites in manifest order, and how many torn tail lines were cut off
+    /// (0 or 1). A sealed bundle, another configuration, damage before the
+    /// last line, and an intact line that does not decode are all
+    /// `InvalidData` errors.
     pub(crate) fn resume(
         dir: &Path,
         cfg: &ScanConfig,
-        truncate_to: u64,
-        ckpt: File,
-        line_hashes: Vec<Option<u64>>,
         injector: Option<CrashInjector>,
-    ) -> io::Result<StreamRecorder> {
-        let writer = BundleWriter::append_to(dir, &bundle_config(cfg), truncate_to)?;
-        Ok(Self::with_writer(writer, ckpt, line_hashes, injector))
+    ) -> io::Result<(StreamRecorder, Vec<Adopted>, u64)> {
+        let reader = BundleReader::open(dir)?;
+        let writer = BundleWriter::append_to(dir, &bundle_config(cfg))?;
+        let n = cfg.n_sites as usize;
+        let mut line_hashes = vec![None; n];
+        let mut adopted = Vec::with_capacity(reader.entries.len());
+        for (i, payload) in reader.entries.iter().enumerate() {
+            let (hash, site) = adopt(payload, &reader, n).ok_or_else(|| {
+                invalid(format!("{}: manifest entry {} does not decode", dir.display(), i + 1))
+            })?;
+            if line_hashes[site.rank as usize].replace(hash).is_some() {
+                return Err(invalid(format!(
+                    "{}: manifest holds two entries for rank {}",
+                    dir.display(),
+                    site.rank
+                )));
+            }
+            adopted.push(site);
+        }
+        let recorder = Self::with_writer(writer, line_hashes, injector);
+        Ok((recorder, adopted, reader.dropped_lines as u64))
     }
 
     fn with_writer(
         writer: BundleWriter,
-        ckpt: File,
         line_hashes: Vec<Option<u64>>,
         injector: Option<CrashInjector>,
     ) -> StreamRecorder {
         StreamRecorder {
             writer,
             injector,
-            state: Mutex::new(StreamState {
-                ckpt: BufWriter::new(ckpt),
-                line_hashes,
-                flushed: 0,
-            }),
+            state: Mutex::new(StreamState { line_hashes, flushed: 0 }),
             err: Mutex::new(None),
         }
     }
 
     /// Durably persist one determined visit of the pages in `visit` (the
     /// completion hook). Interruptions are never flushed: an interrupted
-    /// rank simply has no checkpoint line and is re-visited on resume.
+    /// rank simply has no entry and is re-visited on resume.
     pub(crate) fn flush(
         &self,
         rank: u32,
@@ -487,11 +509,8 @@ impl StreamRecorder {
             pages.join(&PAGE.to_string())
         );
         let hash = obs::fnv1a(entry.as_bytes());
+        let line = format!("{entry}{F}{delta}");
         drop(encode_ph);
-        let (line_status, line_payload) = match outcome {
-            VisitOutcome::Failed { reason, .. } => ("failed", reason.as_str().to_string()),
-            _ => ("flushed", format!("{hash:016x}")),
-        };
         // Death is always delivered while still holding the lock: the
         // unwind releases it, and every other worker's next `begin_flush`
         // (also under the lock) dies fast — so, exactly like a SIGKILL,
@@ -499,22 +518,12 @@ impl StreamRecorder {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let action = self.injector.as_ref().and_then(|i| i.begin_flush());
         if let Some(KillPoint::MidBundleAppend(_, keep)) = action {
-            self.writer.append_entry_torn(&entry, keep)?;
+            self.writer.append_entry_torn(&line, keep)?;
             self.injector.as_ref().unwrap().die();
         }
-        let hwm = self.writer.append_entry(&entry)?;
+        self.writer.append_entry(&line)?;
         st.line_hashes[rank as usize] = Some(hash);
         st.flushed += 1;
-        let line =
-            crate::scan::stream_checkpoint_line(rank, line_status, attempts, &line_payload, hwm, delta);
-        if let Some(KillPoint::MidCheckpointLine(_, keep)) = action {
-            let keep = keep.min(line.len());
-            st.ckpt.write_all(&line.as_bytes()[..keep])?;
-            st.ckpt.flush()?;
-            self.injector.as_ref().unwrap().die();
-        }
-        writeln!(st.ckpt, "{line}")?;
-        st.ckpt.flush()?;
         if let Some(KillPoint::AfterVisit(_)) = action {
             self.injector.as_ref().unwrap().die();
         }
@@ -561,80 +570,31 @@ impl StreamRecorder {
     }
 }
 
-/// One bundle entry inside the checkpointed (trusted) prefix.
-pub(crate) struct TrustedEntry {
-    pub(crate) hash: u64,
-    pub(crate) status: String,
-    pub(crate) payload: String,
-}
-
-/// What a partial bundle yields for resume: entries the checkpoint vouches
-/// for, ranks whose entries landed but whose checkpoint line did not
-/// (orphans — re-visited), and how many tail lines were discarded.
-pub(crate) struct StreamHarvest {
-    pub(crate) trusted: HashMap<u32, TrustedEntry>,
-    pub(crate) orphan_ranks: BTreeSet<u32>,
-    pub(crate) tail_dropped: u64,
-}
-
-/// Read a partial bundle back for resume. Everything at or below
-/// `max_hwm` (the highest manifest offset any surviving checkpoint line
-/// acknowledged) must be intact — corruption there means the storage
-/// lied about durability and is a hard error, not a recoverable tear.
-/// Entries past the mark are unacknowledged: decodable ones surface as
-/// orphans to re-visit, torn ones are counted and dropped.
-pub(crate) fn harvest_stream(dir: &Path, cfg: &ScanConfig, max_hwm: u64) -> io::Result<StreamHarvest> {
-    let reader = BundleReader::open(dir)?;
-    if reader.commit.is_some() {
-        return Err(invalid(format!(
-            "{}: bundle is already committed — resume refuses to append to a sealed bundle",
-            dir.display()
-        )));
+/// Decode one intact manifest line of a partial bundle: the entry's hash
+/// and the site it records. `None` if the entry or its delta does not
+/// decode, the rank is out of range, or the status is not one a recorder
+/// writes.
+fn adopt(payload: &str, reader: &BundleReader, n_sites: usize) -> Option<(u64, Adopted)> {
+    let (entry, delta) = split_delta(payload)?;
+    obs::decode_scope_metrics(delta)?;
+    let (rank, site) = decode_entry(entry, reader)?;
+    if rank as usize >= n_sites {
+        return None;
     }
-    if reader.config != bundle_config(cfg) {
-        return Err(invalid(format!(
-            "{}: bundle was recorded under a different configuration — refusing to resume into it",
-            dir.display()
-        )));
-    }
-    if max_hwm > reader.manifest_len {
-        return Err(invalid(format!(
-            "{}: checkpoint high-water mark {max_hwm} is beyond the manifest ({} bytes) — \
-             the bundle was truncated after the checkpoint was written",
-            dir.display(),
-            reader.manifest_len
-        )));
-    }
-    let mut harvest = StreamHarvest {
-        trusted: HashMap::new(),
-        orphan_ranks: BTreeSet::new(),
-        tail_dropped: reader.dropped_lines as u64,
+    let attempts = site.attempts.parse().ok()?;
+    let outcome = match site.status.as_str() {
+        "ok" => VisitOutcome::Completed(decode_site_record(&site.payload)?),
+        "failed" => VisitOutcome::Failed { reason: FailureReason::parse(&site.payload)?, attempts },
+        _ => return None,
     };
-    for (i, entry) in reader.entries.iter().enumerate() {
-        let decoded = decode_entry(entry, &reader);
-        if reader.entry_ends[i] <= max_hwm {
-            let (rank, site) = decoded.ok_or_else(|| {
-                invalid(format!(
-                    "{}: corrupt site entry inside the checkpointed prefix",
-                    dir.display()
-                ))
-            })?;
-            harvest.trusted.insert(
-                rank,
-                TrustedEntry {
-                    hash: obs::fnv1a(entry.as_bytes()),
-                    status: site.status,
-                    payload: site.payload,
-                },
-            );
-        } else if let Some((rank, _)) = decoded {
-            harvest.tail_dropped += 1;
-            harvest.orphan_ranks.insert(rank);
-        } else {
-            harvest.tail_dropped += 1;
-        }
-    }
-    Ok(harvest)
+    let adopted = Adopted { rank, attempts, outcome, delta: delta.to_string() };
+    Some((obs::fnv1a(entry.as_bytes()), adopted))
+}
+
+/// Split a manifest payload into its site entry and the visit's metrics
+/// delta (which never contains `F`).
+fn split_delta(payload: &str) -> Option<(&str, &str)> {
+    payload.rsplit_once(F)
 }
 
 // --- replay ----------------------------------------------------------------
@@ -761,8 +721,10 @@ impl ReplayBundle {
         let n = cfg.n_sites as usize;
         let mut sites: Vec<Option<ReplaySite>> = (0..n).map(|_| None).collect();
         let mut digest_parts: Vec<Option<String>> = vec![None; n];
-        for entry in &reader.entries {
-            let (rank, site) = decode_entry(entry, &reader)
+        for payload in &reader.entries {
+            let decoded = split_delta(payload)
+                .and_then(|(entry, _)| Some((entry, decode_entry(entry, &reader)?)));
+            let (entry, (rank, site)) = decoded
                 .ok_or_else(|| invalid(format!("{}: corrupt site entry", dir.display())))?;
             if rank as usize >= n {
                 return Err(invalid(format!(

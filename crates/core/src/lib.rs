@@ -52,6 +52,6 @@ pub use compare::{run_compare, Client, CompareConfig, CompareReport};
 pub use ctx::{CrawlCtx, CtxGuard};
 pub use scan::{
     scan_site_visit, site_visit, Scan, ScanAggregates, ScanConfig, ScanReport, SiteScanRecord,
-    SiteVisit, StreamStats, CHECKPOINT_FORMAT_VERSION, STREAM_CHECKPOINT_FILE,
+    SiteVisit, StreamStats,
 };
 pub use surface::{surface, validate, ClientKind, SurfaceReport};

@@ -8,7 +8,6 @@
 //! Figures 3–5.
 
 use std::collections::{BTreeMap, HashSet};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -24,8 +23,7 @@ use openwpm::{
 use webgen::{visit_spec, Category, PageKind, Population, SitePlan};
 
 use crate::archive::{
-    harvest_stream, take_capture, ArchiveStats, ReplayBundle, ReplayStats, StreamRecorder,
-    Verifier,
+    take_capture, ArchiveStats, ReplayBundle, ReplayStats, StreamRecorder, Verifier,
 };
 
 /// Scan configuration.
@@ -533,20 +531,15 @@ impl ScanAggregates {
 /// Recovery and memory statistics for a scan with a bundle sink.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StreamStats {
-    /// A prior checkpoint was found and at least one line survived.
+    /// The sink reopened a partial bundle instead of starting one.
     pub resumed: bool,
-    /// Records adopted from the trusted bundle prefix without re-visiting.
+    /// Records adopted from the bundle's intact lines without re-visiting.
     pub records_replayed: u64,
     /// Records flushed to the bundle by this run.
     pub records_flushed: u64,
-    /// Checkpoint lines discarded as torn or corrupt.
-    pub checkpoint_lines_dropped: u64,
-    /// Bundle manifest lines past the checkpointed high-water mark
-    /// (unacknowledged appends, discarded on resume).
+    /// Torn manifest tail lines cut off on resume (0 or 1): the append a
+    /// killed run was in the middle of. Its site is re-visited.
     pub bundle_tail_dropped: u64,
-    /// Sites whose work was lost in the crash and had to be re-visited
-    /// (orphaned bundle entries + trusted entries missing their line).
-    pub revisits: u64,
     /// High-water mark of completed records simultaneously alive in
     /// memory — bounded by the worker count, not the site count.
     pub peak_records_in_flight: u64,
@@ -572,8 +565,8 @@ pub struct StreamStats {
 /// let report = Scan::new(cfg).replay("bundle").run()?;
 /// ```
 ///
-/// `run` only returns `Err` for bundle I/O failures, a damaged bundle or
-/// checkpoint, or crash injection without a bundle sink; a scan without a
+/// `run` only returns `Err` for bundle I/O failures, a damaged bundle, or
+/// crash injection without a bundle sink; a scan without a
 /// source or sink directory cannot fail.
 ///
 /// A scan runs under the [`CrawlCtx`](crate::CrawlCtx) current on the
@@ -628,11 +621,11 @@ impl<'a> Scan<'a> {
     /// record fingerprint is archived, flushing each completed record the
     /// moment it is determined and then *dropping it* — peak record memory
     /// is bounded by the worker count, not the site count. The bundle
-    /// doubles as the checkpoint: each flushed record is acknowledged by
-    /// one line in `<dir>/scan.ckpt` carrying the bundle's high-water
-    /// mark. Whenever `dir` already holds a checkpoint, the run resumes:
-    /// it trusts exactly the acknowledged prefix, discards any torn tail,
-    /// and re-visits only in-flight sites. The resumed run's per-site
+    /// doubles as the checkpoint: each manifest entry also carries the
+    /// visit's metrics delta. Whenever `dir` already holds a partial
+    /// bundle, the run resumes: it adopts every intact entry, cuts off a
+    /// torn final line, and re-visits only the sites without an entry. A
+    /// damaged line anywhere else is an error. The resumed run's per-site
     /// records, tables and telemetry digest are byte-identical to an
     /// uninterrupted run. Once every site is determined the bundle is
     /// sealed with the run's Table 5 and telemetry digest; a sealed bundle
@@ -661,8 +654,8 @@ impl<'a> Scan<'a> {
         self
     }
 
-    /// Execute the session. `Err` only for bundle/checkpoint I/O failures,
-    /// damaged bundles or checkpoints, or crash injection without a sink.
+    /// Execute the session. `Err` only for bundle I/O failures, damaged
+    /// bundles, or crash injection without a sink.
     pub fn run(self) -> std::io::Result<ScanReport> {
         let ctx = crate::CrawlCtx::current();
         if self.crash.is_some() && self.sink.is_none() {
@@ -733,7 +726,7 @@ impl<'a> Scan<'a> {
             (0..cfg.n_sites).collect(),
             cfg.workers,
             // With a sink, per-visit registry deltas are captured for the
-            // checkpoint lines so a resume can restore exactly the metrics
+            // manifest entries so a resume can restore exactly the metrics
             // the adopted visits emitted.
             cfg.supervisor(self.sink.is_some()),
             |rank: &u32| source.meta(*rank),
@@ -765,7 +758,7 @@ impl<'a> Scan<'a> {
             let rank = i as u32;
             let url = source.front_url(rank);
             // Adopted sites report 0 attempts this run; fall back to the
-            // checkpointed count so a resumed history matches the original.
+            // recorded count so a resumed history matches the original.
             let attempts = if crawl.attempts[i] > 0 {
                 crawl.attempts[i]
             } else {
@@ -793,7 +786,7 @@ impl<'a> Scan<'a> {
         let mut completion = crawl.summary;
         let (archive, stream) = match (recorder, stream) {
             (Some(recorder), Some(mut stats)) => {
-                completion.checkpoint_lines_dropped = stats.checkpoint_lines_dropped as usize;
+                completion.bundle_lines_dropped = stats.bundle_tail_dropped as usize;
                 stats.peak_records_in_flight = gauge.peak.load(Ordering::Relaxed);
                 let archive =
                     recorder.finish(&completion, agg.table5(), &ctx.telemetry, &mut stats)?;
@@ -824,8 +817,10 @@ struct OpenSink {
     stats: StreamStats,
 }
 
-/// Open the bundle sink at `dir`, resuming whenever it already holds a
-/// checkpoint with at least one intact line.
+/// Open the bundle sink at `dir`. No manifest, or an empty one, starts a
+/// fresh bundle; any other manifest is resumed: every intact entry is
+/// adopted and its metrics delta re-applied, so only the remaining sites
+/// are visited.
 fn open_sink(
     dir: &Path,
     cfg: &ScanConfig,
@@ -833,110 +828,40 @@ fn open_sink(
     injector: Option<CrashInjector>,
 ) -> std::io::Result<OpenSink> {
     let n = cfg.n_sites as usize;
-    std::fs::create_dir_all(dir)?;
-    let ckpt_path = dir.join(STREAM_CHECKPOINT_FILE);
-    let ckpt_contents = match std::fs::read_to_string(&ckpt_path) {
-        Ok(c) => Some(c),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-        Err(e) => return Err(e),
-    };
-    let (lines, ckpt_dropped) = match &ckpt_contents {
-        Some(c) => load_stream_checkpoint(checkpoint_body(c, &ckpt_path)?, cfg.n_sites),
-        None => (Vec::new(), 0),
-    };
-    if ckpt_dropped > 0 {
-        obs::add("crash.lines_dropped", ckpt_dropped as u64);
-    }
     let mut prior: Vec<Option<VisitOutcome<Kept>>> = (0..n).map(|_| None).collect();
     let mut prior_attempts = vec![0u32; n];
     let mut agg = ScanAggregates::default();
-    let mut stats = StreamStats {
-        resumed: !lines.is_empty(),
-        checkpoint_lines_dropped: ckpt_dropped as u64,
-        ..StreamStats::default()
+    let mut stats = StreamStats::default();
+    let fresh = match std::fs::metadata(dir.join(::archive::MANIFEST_FILE)) {
+        Ok(m) => m.len() == 0,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => true,
+        Err(e) => return Err(e),
     };
-    if lines.is_empty() {
-        // Nothing trusted — a fresh directory, or a checkpoint whose every
-        // line was torn. Start clean: recreate both files (the bundle too,
-        // so a stale partial bundle can't leak in).
-        let ckpt = create_stream_checkpoint(&ckpt_path)?;
-        let recorder = StreamRecorder::create(dir, cfg, ckpt, injector)?;
+    if fresh {
+        let recorder = StreamRecorder::create(dir, cfg, injector)?;
         return Ok(OpenSink { recorder, prior, prior_attempts, agg, stats });
     }
 
-    // The highest manifest offset any surviving line acknowledged bounds
-    // what the bundle is trusted for; everything past it is an
-    // unacknowledged (possibly torn) tail.
-    let max_hwm = lines.iter().map(|l| l.hwm).max().expect("resumed => non-empty");
-    let harvest = harvest_stream(dir, cfg, max_hwm)?;
-    let mut line_hashes: Vec<Option<u64>> = vec![None; n];
-    let mut consumed: HashSet<u32> = HashSet::new();
-    let disagree = |what: String| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, format!("{}: {what}", dir.display()))
-    };
-    for line in &lines {
-        let rank = line.rank as usize;
-        let Some(entry) = harvest.trusted.get(&line.rank) else {
-            return Err(disagree(format!(
-                "checkpoint line for rank {} has no bundle entry inside the trusted prefix — \
-                 checkpoint and bundle disagree",
-                line.rank
-            )));
-        };
-        match (&line.failed, entry.status.as_str()) {
-            (None, "ok") => {
-                if line.entry_hash != Some(entry.hash) {
-                    return Err(disagree(format!(
-                        "bundle entry for rank {} does not match its checkpoint line (entry \
-                         hash {:016x}, line acknowledges {:016x})",
-                        line.rank,
-                        entry.hash,
-                        line.entry_hash.unwrap_or(0)
-                    )));
-                }
-                let rec = decode_site_record(&entry.payload).ok_or_else(|| {
-                    disagree(format!(
-                        "corrupt site record for rank {} inside the trusted prefix",
-                        line.rank
-                    ))
-                })?;
-                agg.add(&rec);
-                prior[rank] = Some(VisitOutcome::Completed(keep.then(|| Box::new(rec))));
-            }
-            (Some(reason), "failed") => {
-                prior[rank] =
-                    Some(VisitOutcome::Failed { reason: reason.clone(), attempts: line.attempts });
-            }
-            (_, other) => {
-                return Err(disagree(format!(
-                    "status mismatch for rank {} — checkpoint says {}, bundle entry says {other}",
-                    line.rank,
-                    if line.failed.is_some() { "failed" } else { "flushed" },
-                )));
-            }
-        }
-        prior_attempts[rank] = line.attempts;
-        line_hashes[rank] = Some(entry.hash);
-        obs::restore_metrics(&line.delta);
-        consumed.insert(line.rank);
+    let (recorder, adopted, tail_dropped) = StreamRecorder::resume(dir, cfg, injector)?;
+    stats.resumed = true;
+    stats.bundle_tail_dropped = tail_dropped;
+    for site in adopted {
+        let rank = site.rank as usize;
+        obs::restore_metrics(&site.delta);
+        prior_attempts[rank] = site.attempts;
+        prior[rank] = Some(site.outcome.map(|rec| {
+            agg.add(&rec);
+            keep.then(|| Box::new(rec))
+        }));
         stats.records_replayed += 1;
     }
-    let revisits = harvest.orphan_ranks.len() as u64
-        + harvest.trusted.keys().filter(|r| !consumed.contains(r)).count() as u64;
-    stats.bundle_tail_dropped = harvest.tail_dropped;
-    stats.revisits = revisits;
     obs::add("crash.resume", 1);
-    obs::add("crash.tail_dropped", harvest.tail_dropped);
-    obs::add("crash.revisits", revisits);
+    obs::add("crash.tail_dropped", tail_dropped);
     obs::emit(
         obs::Event::new(0, "stream_resume")
             .attr("replayed", stats.records_replayed as usize)
-            .attr("lines_dropped", ckpt_dropped)
-            .attr("tail_dropped", harvest.tail_dropped as usize)
-            .attr("revisits", revisits as usize),
+            .attr("tail_dropped", tail_dropped as usize),
     );
-    let ckpt = std::fs::OpenOptions::new().append(true).open(&ckpt_path)?;
-    let recorder = StreamRecorder::resume(dir, cfg, max_hwm, ckpt, line_hashes, injector)?;
     Ok(OpenSink { recorder, prior, prior_attempts, agg, stats })
 }
 
@@ -1033,86 +958,15 @@ impl Drop for Live {
     }
 }
 
-// --- checkpoint serialisation ---------------------------------------------
+// --- site-record encoding -------------------------------------------------
 //
-// The checkpoint a bundle sink keeps next to its manifest holds one line
-// per determined site. ASCII control characters separate fields (they
-// cannot occur in generated domains, URLs or property names): US (\x1f)
-// between top-level fields, RS (\x1e) between record fields, GS (\x1d)
-// between list elements, FS (\x1c) inside pairs.
-//
-// Each line carries six US-separated body fields plus a checksum:
-//
-//   <rank> US <status> US <attempts> US <payload> US <hwm> US <delta> US <checksum>
-//
-// where status/payload is one of
-//
-//   flushed <fnv1a of the bundle entry, 016x>
-//   failed  <failure reason>
-//
-// `hwm` is the bundle-manifest high-water mark (016x) the line
-// acknowledges and `delta` the visit's captured registry metrics.
-//
-// Interrupted sites are not written — resuming re-visits them. A torn
-// final line (crawl killed mid-write) fails its checksum and is skipped,
-// so that site is simply re-visited too.
+// ASCII control characters separate fields (they cannot occur in
+// generated domains, URLs or property names): RS (\x1e) between record
+// fields, GS (\x1d) between list elements, FS (\x1c) inside pairs.
 
-const US: char = '\x1f';
 const RS: char = '\x1e';
 const GS: char = '\x1d';
 const FS: char = '\x1c';
-
-/// Checkpoint file format version. Bumped whenever the line encoding
-/// changes incompatibly; v3 introduced the high-water-mark and
-/// metrics-delta fields that make resume possible. A version mismatch is a
-/// hard error — a file of another format would otherwise parse as "all
-/// lines torn" and the crawl would quietly start over, exactly the kind
-/// of silent degradation the paper warns about.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 3;
-
-const CHECKPOINT_MAGIC: &str = "gullible-checkpoint v";
-
-fn checkpoint_header() -> String {
-    format!("{CHECKPOINT_MAGIC}{CHECKPOINT_FORMAT_VERSION}")
-}
-
-/// Validate a checkpoint file's header line and return the body (the
-/// site lines). Empty files are fine (fresh checkpoint); a missing or
-/// mismatched header is a hard, descriptive error.
-fn checkpoint_body<'s>(contents: &'s str, path: &Path) -> std::io::Result<&'s str> {
-    if contents.is_empty() {
-        return Ok(contents);
-    }
-    let (first, body) = contents.split_once('\n').unwrap_or((contents, ""));
-    let Some(v) = first.strip_prefix(CHECKPOINT_MAGIC) else {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!(
-                "{}: not a v{CHECKPOINT_FORMAT_VERSION} checkpoint (missing \
-                 '{CHECKPOINT_MAGIC}N' header) — written by a pre-versioning build? \
-                 Delete it or re-crawl with a matching build.",
-                path.display()
-            ),
-        ));
-    };
-    let version: u32 = v.trim().parse().map_err(|_| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("{}: corrupt checkpoint header {first:?}", path.display()),
-        )
-    })?;
-    if version != CHECKPOINT_FORMAT_VERSION {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!(
-                "{}: checkpoint format v{version} but this build reads \
-                 v{CHECKPOINT_FORMAT_VERSION} — resume with the matching build or re-crawl",
-                path.display()
-            ),
-        ));
-    }
-    Ok(body)
-}
 
 fn flags_encode(f: &PageFlags) -> String {
     [f.static_identified, f.static_true, f.dynamic_identified, f.dynamic_true]
@@ -1198,141 +1052,6 @@ pub fn decode_site_record(s: &str) -> Option<SiteScanRecord> {
             .map(|h| u64::from_str_radix(h, 16).ok())
             .collect::<Option<Vec<u64>>>()?,
     })
-}
-
-/// One checkpoint line acknowledging the bundle append that ended at
-/// manifest offset `hwm`, carrying the visit's captured registry-metrics
-/// delta. A torn write can truncate a line at a point where the prefix
-/// still *parses* (e.g. mid-way through the delta), so every line ends
-/// with an FNV-1a checksum of its body.
-pub(crate) fn stream_checkpoint_line(
-    rank: u32,
-    status: &str,
-    attempts: u32,
-    payload: &str,
-    hwm: u64,
-    delta: &str,
-) -> String {
-    let body = format!("{rank}{US}{status}{US}{attempts}{US}{payload}{US}{hwm:016x}{US}{delta}");
-    format!("{body}{US}{:016x}", obs::fnv1a(body.as_bytes()))
-}
-
-/// The six body fields of a checksum-verified checkpoint line. None of the
-/// payload encodings ever contain US, so a plain split is exact.
-struct CheckpointFields<'s> {
-    rank: u32,
-    status: &'s str,
-    attempts: u32,
-    payload: &'s str,
-    hwm: &'s str,
-    delta: &'s str,
-}
-
-fn checkpoint_fields(line: &str) -> Option<CheckpointFields<'_>> {
-    let (body, sum) = line.rsplit_once(US)?;
-    if u64::from_str_radix(sum, 16).ok()? != obs::fnv1a(body.as_bytes()) {
-        return None;
-    }
-    let parts: Vec<&str> = body.split(US).collect();
-    let [rank, status, attempts, payload, hwm, delta] = parts.as_slice() else {
-        return None;
-    };
-    Some(CheckpointFields {
-        rank: rank.parse().ok()?,
-        status,
-        attempts: attempts.parse().ok()?,
-        payload,
-        hwm,
-        delta,
-    })
-}
-
-/// The checkpoint file a bundle sink keeps inside its bundle directory.
-pub const STREAM_CHECKPOINT_FILE: &str = "scan.ckpt";
-
-/// One surviving line of a checkpoint.
-struct StreamLine {
-    rank: u32,
-    /// `None` for a flushed (completed) record, `Some` for a typed failure.
-    failed: Option<FailureReason>,
-    attempts: u32,
-    /// The bundle-entry hash a `flushed` line acknowledges.
-    entry_hash: Option<u64>,
-    /// Manifest high-water mark after this line's append.
-    hwm: u64,
-    /// Captured registry-metrics delta of the visit.
-    delta: String,
-}
-
-/// Load a checkpoint body. Lines that are torn, corrupt, out-of-range, or
-/// carry an undecodable metrics delta are dropped and counted — the
-/// affected sites are re-visited; nothing is trusted on spec.
-fn load_stream_checkpoint(contents: &str, n_sites: u32) -> (Vec<StreamLine>, usize) {
-    let mut lines = Vec::new();
-    let mut dropped = 0usize;
-    for (lineno, line) in contents.lines().enumerate() {
-        let parsed = checkpoint_fields(line).and_then(|f| {
-            if f.rank >= n_sites {
-                return None;
-            }
-            let hwm = u64::from_str_radix(f.hwm, 16).ok()?;
-            obs::decode_scope_metrics(f.delta)?;
-            match f.status {
-                "flushed" => Some(StreamLine {
-                    rank: f.rank,
-                    failed: None,
-                    attempts: f.attempts,
-                    entry_hash: Some(u64::from_str_radix(f.payload, 16).ok()?),
-                    hwm,
-                    delta: f.delta.to_string(),
-                }),
-                "failed" => Some(StreamLine {
-                    rank: f.rank,
-                    failed: Some(FailureReason::decode(f.payload)),
-                    attempts: f.attempts,
-                    entry_hash: None,
-                    hwm,
-                    delta: f.delta.to_string(),
-                }),
-                _ => None,
-            }
-        });
-        match parsed {
-            Some(l) => lines.push(l),
-            None => {
-                dropped += 1;
-                obs::add("checkpoint.lines_dropped", 1);
-                obs::add("crash.checkpoint.torn", 1);
-                obs::emit(
-                    obs::Event::new(0, "checkpoint_dropped_line")
-                        .attr("line", lineno + 1)
-                        .attr("cause", "torn_or_corrupt"),
-                );
-            }
-        }
-    }
-    (lines, dropped)
-}
-
-/// Write the version header to `<path>.tmp`, sync, and rename into
-/// place: after a kill at any instant the file either doesn't exist or
-/// has a complete, valid header.
-fn write_checkpoint_header_atomic(path: &Path) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    let mut f = std::fs::File::create(&tmp)?;
-    writeln!(f, "{}", checkpoint_header())?;
-    f.sync_all()?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
-}
-
-/// Create (or reset) a checkpoint and open it for appending.
-/// Always truncates: this path is only taken when nothing in the
-/// directory is trusted, and a stale torn checkpoint must not survive
-/// into the fresh run.
-fn create_stream_checkpoint(path: &Path) -> std::io::Result<std::fs::File> {
-    write_checkpoint_header_atomic(path)?;
-    std::fs::OpenOptions::new().append(true).open(path)
 }
 
 #[cfg(test)]
@@ -1547,60 +1266,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn checkpoint_lines_roundtrip_and_reject_garbage() {
-        let delta = "c:supervisor.visits:1";
-        let ok_line = stream_checkpoint_line(17, "flushed", 2, "00000000deadbeef", 0x1234, delta);
-        let (lines, dropped) = load_stream_checkpoint(&ok_line, 20);
-        assert_eq!(dropped, 0);
-        let [l] = lines.as_slice() else { panic!("one line expected") };
-        assert_eq!((l.rank, l.attempts, l.hwm), (17, 2, 0x1234));
-        assert_eq!(l.entry_hash, Some(0xDEAD_BEEF));
-        assert!(l.failed.is_none());
-        assert_eq!(l.delta, delta);
-
-        let fail_line = stream_checkpoint_line(3, "failed", 3, "timeout", 0x99, "");
-        let (lines, _) = load_stream_checkpoint(&fail_line, 20);
-        assert_eq!(lines[0].failed, Some(FailureReason::Timeout));
-        assert_eq!(lines[0].entry_hash, None);
-
-        // Garbage, an unknown status and a torn line (payload truncated
-        // mid-field, so the checksum no longer matches) are all dropped.
-        let unknown = stream_checkpoint_line(5, "ok", 1, "x", 0x10, "");
-        let torn = &ok_line[..ok_line.len() - 20];
-        for bad in ["", "garbage", unknown.as_str(), torn] {
-            let (lines, dropped) = load_stream_checkpoint(bad, 20);
-            assert!(lines.is_empty(), "{bad:?} must not parse");
-            assert_eq!(dropped, bad.lines().count(), "{bad:?}");
-        }
-    }
-
-    #[test]
-    fn checkpoint_loader_counts_bad_lines_and_out_of_range_ranks() {
-        let good = stream_checkpoint_line(4, "flushed", 1, &format!("{:016x}", 7), 0x40, "");
-        let out_of_range = stream_checkpoint_line(500, "failed", 3, "panic", 0x80, "");
-        let bad_delta = stream_checkpoint_line(6, "failed", 3, "panic", 0x90, "not a delta");
-        let contents = format!("{good}\nnot a line\n{out_of_range}\n{bad_delta}\n");
-        let (lines, dropped) = load_stream_checkpoint(&contents, 20);
-        assert_eq!(lines.len(), 1);
-        assert_eq!((lines[0].rank, lines[0].attempts), (4, 1));
-        assert_eq!(dropped, 3, "torn line, out-of-range rank and bad delta must be counted");
-    }
-
+    // The manifest is the checkpoint: its dropped lines are the dropped
+    // checkpoint lines.
     #[test]
     fn dropped_checkpoint_lines_surface_on_the_coverage_line() {
         let mut summary = CrawlSummary {
             total: 10,
             completed: 10,
-            checkpoint_lines_dropped: 3,
+            bundle_lines_dropped: 1,
             ..Default::default()
         };
         assert!(
-            summary.coverage_line().ends_with("; 3 checkpoint lines dropped"),
+            summary.coverage_line().ends_with("; 1 bundle lines dropped"),
             "{}",
             summary.coverage_line()
         );
-        summary.checkpoint_lines_dropped = 0;
-        assert!(!summary.coverage_line().contains("checkpoint"));
+        summary.bundle_lines_dropped = 0;
+        assert!(!summary.coverage_line().contains("dropped"));
     }
 }

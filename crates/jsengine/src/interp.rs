@@ -16,7 +16,7 @@ use crate::atom::{Atom, AtomMap};
 use crate::error::{EngineError, Thrown};
 use crate::object::{Callable, Heap, JsObject, ObjId, Property, Slot};
 use crate::parser::parse;
-use crate::profiler::{CountingProfiler, Profile, Profiler};
+use crate::profiler::{CountingProfiler, Profile};
 use crate::value::Value;
 
 /// Native function signature. Receives the interpreter, the `this` value and
@@ -103,7 +103,7 @@ pub struct Interp {
     /// Deterministic PRNG state for `Math.random` (xorshift64*).
     pub rng_state: u64,
     /// Opt-in profiling hooks; `None` costs one branch per hook site.
-    pub profiler: Option<Box<dyn Profiler>>,
+    pub profiler: Option<Box<CountingProfiler>>,
     /// Opaque embedder state. The browser crate attaches its per-page host
     /// here so native functions can reach it *at call time* instead of
     /// capturing it at install time — which is what makes an installed
@@ -991,7 +991,7 @@ impl Interp {
         self.steps = 0;
     }
 
-    /// Install the standard counting profiler (replacing any other).
+    /// Install a fresh counting profiler (replacing any other).
     pub fn enable_profiling(&mut self) {
         self.profiler = Some(Box::<CountingProfiler>::default());
     }

@@ -3,9 +3,9 @@
 //! The scan visits ~100K sites through this interpreter, so its hot loop
 //! cannot afford unconditional accounting beyond the step budget it already
 //! pays. Profiling therefore hangs off `Interp.profiler`, an
-//! `Option<Box<dyn Profiler>>` that is `None` unless a host (the browser
-//! crate, driven by telemetry knobs) enables it — the disabled cost is a
-//! single `if let` branch per hook site.
+//! `Option<Box<CountingProfiler>>` that is `None` unless a host (the
+//! browser crate, driven by telemetry knobs) enables it — the disabled cost
+//! is a single `if let` branch per hook site.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -25,30 +25,9 @@ pub struct Profile {
     pub builtins: Vec<(Arc<str>, u64)>,
 }
 
-/// Hooks the interpreter invokes when profiling is enabled. All methods
-/// default to no-ops so partial profilers stay small.
-pub trait Profiler {
-    fn record_step(&mut self) {}
-    /// `n` coalesced steps at once (the bytecode VM batches charges for
-    /// pure nodes). Equivalent to `n` `record_step` calls; the default
-    /// loops so partial profilers only implement one of the two.
-    fn record_steps(&mut self, n: u32) {
-        for _ in 0..n {
-            self.record_step();
-        }
-    }
-    fn record_call(&mut self, _depth: usize) {}
-    fn record_eval(&mut self) {}
-    /// A native (builtin) function is about to run; `name` is the
-    /// interned name the host registered it under.
-    fn record_builtin(&mut self, _name: &Arc<str>) {}
-    fn report(&self) -> Profile {
-        Profile::default()
-    }
-}
-
-/// The standard profiler: counts ops, calls, evals, peak depth, and
-/// per-builtin native dispatches.
+/// The interpreter's profiler: counts ops, calls, evals, peak depth, and
+/// per-builtin native dispatches. Its `record_*` methods are the hooks the
+/// interpreter invokes when profiling is enabled.
 #[derive(Debug, Default)]
 pub struct CountingProfiler {
     profile: Profile,
@@ -64,33 +43,36 @@ impl CountingProfiler {
         let builtins = std::mem::take(&mut profile.builtins).into_iter().collect();
         CountingProfiler { profile, builtins }
     }
-}
 
-impl Profiler for CountingProfiler {
-    fn record_step(&mut self) {
+    pub fn record_step(&mut self) {
         self.profile.ops += 1;
     }
 
-    fn record_steps(&mut self, n: u32) {
+    /// `n` coalesced steps at once (the bytecode VM batches charges for
+    /// pure nodes); equivalent to `n` [`record_step`](Self::record_step)
+    /// calls.
+    pub fn record_steps(&mut self, n: u32) {
         self.profile.ops += n as u64;
     }
 
-    fn record_call(&mut self, depth: usize) {
+    pub fn record_call(&mut self, depth: usize) {
         self.profile.calls += 1;
         if depth > self.profile.max_depth {
             self.profile.max_depth = depth;
         }
     }
 
-    fn record_eval(&mut self) {
+    pub fn record_eval(&mut self) {
         self.profile.evals += 1;
     }
 
-    fn record_builtin(&mut self, name: &Arc<str>) {
+    /// A native (builtin) function is about to run; `name` is the
+    /// interned name the host registered it under.
+    pub fn record_builtin(&mut self, name: &Arc<str>) {
         *self.builtins.entry(Arc::clone(name)).or_insert(0) += 1;
     }
 
-    fn report(&self) -> Profile {
+    pub fn report(&self) -> Profile {
         let mut profile = self.profile.clone();
         profile.builtins = self.builtins.iter().map(|(n, c)| (Arc::clone(n), *c)).collect();
         profile.builtins.sort_by(|a, b| a.0.cmp(&b.0));

@@ -11,7 +11,7 @@
 //!   path also accumulates into a flamegraph-style collapsed-stack map.
 //!   All `prof.*` metrics carry a [`NONDETERMINISTIC_PREFIXES`] prefix, so
 //!   they render in `[stats]` but never reach the telemetry digest or the
-//!   streaming checkpoint metric deltas — profiling on vs off is
+//!   metric deltas in bundle manifest entries — profiling on vs off is
 //!   byte-identical where it matters.
 //! * **Flight recorder** — a per-worker ring buffer of recent events (every
 //!   `obs::emit`, phase transitions, and explicit breadcrumbs). Slow

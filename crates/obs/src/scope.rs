@@ -34,7 +34,7 @@ impl ScopeMetrics {
     /// Compact single-line encoding: `c:name:value` / `o:name:value`
     /// entries joined by `;`. Metric names are dotted identifiers, so the
     /// separators never collide; the result contains no newline and no
-    /// checkpoint separator bytes. Metrics under
+    /// bundle separator bytes. Metrics under
     /// [`crate::NONDETERMINISTIC_PREFIXES`] are skipped — they are
     /// excluded from the telemetry digest, so restoring them would only
     /// falsify accounting the digest never sees.
@@ -61,7 +61,7 @@ impl ScopeMetrics {
 
 /// Parse a [`ScopeMetrics::encode`] string into owned
 /// `(kind, name, value)` entries (`kind` is `'c'` or `'o'`). `None` on any
-/// malformed entry — callers treat that as a damaged checkpoint field.
+/// malformed entry — callers treat that as a damaged bundle entry.
 pub fn decode_scope_metrics(s: &str) -> Option<Vec<(char, String, u64)>> {
     if s.is_empty() {
         return Some(Vec::new());
@@ -100,8 +100,8 @@ thread_local! {
 /// With `capture_metrics`, every [`crate::add`] / [`crate::observe`] made
 /// inside the scope is *also* recorded into the scope's [`ScopeMetrics`]
 /// delta: the crash-consistent streaming mode persists the delta with each
-/// visit's checkpoint line so a resumed process can re-apply exactly the
-/// metrics the lost process already counted.
+/// visit's bundle manifest entry so a resumed process can re-apply exactly
+/// the metrics the lost process already counted.
 pub fn begin_scope(capture_metrics: bool) {
     SCOPE.with(|s| {
         *s.borrow_mut() = Some(ScopeState {

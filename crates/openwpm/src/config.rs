@@ -122,16 +122,6 @@ impl BrowserConfig {
             ..BrowserConfig::vanilla(seed)
         }
     }
-
-    /// A plain (un-instrumented) automated browser.
-    pub fn bare(seed: u64) -> BrowserConfig {
-        BrowserConfig {
-            js_instrument: JsInstrumentKind::Off,
-            http_instrument: None,
-            cookie_instrument: false,
-            ..BrowserConfig::vanilla(seed)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -146,8 +136,5 @@ mod tests {
         let s = BrowserConfig::stealth(1);
         assert_eq!(s.js_instrument, JsInstrumentKind::Stealth);
         assert!(s.stealth.mask_webdriver);
-        let b = BrowserConfig::bare(1);
-        assert_eq!(b.js_instrument, JsInstrumentKind::Off);
-        assert!(b.http_instrument.is_none());
     }
 }

@@ -208,15 +208,11 @@ impl FaultInjector {
 /// count.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KillPoint {
-    /// Die immediately after the `K`-th record is fully flushed (bundle
-    /// entry + checkpoint line both on disk) — the clean-boundary crash.
+    /// Die immediately after the `K`-th record's bundle manifest entry is
+    /// fully on disk — the clean-boundary crash.
     AfterVisit(u32),
     /// Die during the `K`-th flush, after writing only `keep` bytes of
-    /// the checkpoint line (the bundle entry is already durable): the
-    /// torn-checkpoint-line crash.
-    MidCheckpointLine(u32, usize),
-    /// Die during the `K`-th flush, after writing only `keep` bytes of
-    /// the bundle manifest entry (no checkpoint line at all): the
+    /// the bundle manifest entry (at most all of it but its newline): the
     /// torn-bundle-append crash.
     MidBundleAppend(u32, usize),
 }
@@ -225,16 +221,13 @@ impl KillPoint {
     /// The flush ordinal (1-based) this kill-point fires on.
     pub fn flush_ordinal(&self) -> u32 {
         match self {
-            KillPoint::AfterVisit(k)
-            | KillPoint::MidCheckpointLine(k, _)
-            | KillPoint::MidBundleAppend(k, _) => *k,
+            KillPoint::AfterVisit(k) | KillPoint::MidBundleAppend(k, _) => *k,
         }
     }
 
     pub fn class_name(&self) -> &'static str {
         match self {
             KillPoint::AfterVisit(_) => "post_visit",
-            KillPoint::MidCheckpointLine(_, _) => "mid_checkpoint",
             KillPoint::MidBundleAppend(_, _) => "mid_bundle_append",
         }
     }
@@ -252,16 +245,15 @@ impl CrashPlan {
     }
 
     /// Derive a kill-point from a seed: class, flush ordinal in
-    /// `[1, max_flush]`, and (for the torn classes) a partial-write length
-    /// in `[0, 40)` bytes — enough to land anywhere from "nothing written"
-    /// to "most of the line written".
+    /// `[1, max_flush]`, and (for the torn class) a partial-write length
+    /// in `[0, 40)` bytes — from "nothing written" to "rank, domain and
+    /// more written".
     pub fn seeded(seed: u64, max_flush: u32) -> CrashPlan {
         let h = splitmix(seed ^ 0xC4A5_11ED_DEAD_BEEF);
         let k = (splitmix(h) % max_flush.max(1) as u64) as u32 + 1;
         let keep = (splitmix(h ^ 1) % 40) as usize;
-        let kill = match h % 3 {
+        let kill = match h % 2 {
             0 => KillPoint::AfterVisit(k),
-            1 => KillPoint::MidCheckpointLine(k, keep),
             _ => KillPoint::MidBundleAppend(k, keep),
         };
         CrashPlan { kill }
@@ -443,7 +435,7 @@ mod tests {
             assert!((1..=100).contains(&k), "{p:?}");
             classes.insert(p.kill.class_name());
         }
-        assert_eq!(classes.len(), 3, "60 seeds must hit every kill class: {classes:?}");
+        assert_eq!(classes.len(), 2, "60 seeds must hit every kill class: {classes:?}");
     }
 
     #[test]

@@ -235,8 +235,8 @@ pub struct CrawlSummary {
     pub restarts: u64,
     /// Simulated milliseconds lost to faults: timeouts plus backoff.
     pub lost_ms: u64,
-    /// Torn or corrupted checkpoint lines dropped during resume.
-    pub checkpoint_lines_dropped: usize,
+    /// Torn bundle manifest lines cut off during resume.
+    pub bundle_lines_dropped: usize,
 }
 
 impl CrawlSummary {
@@ -267,11 +267,8 @@ impl CrawlSummary {
         if self.interrupted > 0 {
             line.push_str(&format!("; {} interrupted", self.interrupted));
         }
-        if self.checkpoint_lines_dropped > 0 {
-            line.push_str(&format!(
-                "; {} checkpoint lines dropped",
-                self.checkpoint_lines_dropped
-            ));
+        if self.bundle_lines_dropped > 0 {
+            line.push_str(&format!("; {} bundle lines dropped", self.bundle_lines_dropped));
         }
         line
     }

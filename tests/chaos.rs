@@ -2,17 +2,15 @@
 //! reliability lesson, applied to the crawler itself).
 //!
 //! The contract under test: a streamed scan that is killed at an
-//! arbitrary point — after a clean flush, mid-checkpoint-line, or
-//! mid-bundle-append — and then resumed produces per-site records,
-//! Table 5 and a telemetry digest *byte-identical* to an uninterrupted
-//! run, at any worker count; and deliberately cross-corrupted
-//! checkpoint/bundle pairs fail loudly instead of resuming quietly.
+//! arbitrary point — after a clean flush or mid-bundle-append — or whose
+//! manifest is cut at any byte, and then resumed, produces per-site
+//! records, Table 5 and a telemetry digest *byte-identical* to an
+//! uninterrupted run, at any worker count; and a manifest damaged before
+//! its last line fails loudly instead of resuming quietly.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use gullible::{
-    diff_bundles, obs, CrawlCtx, CtxGuard, ReplayBundle, Scan, ScanConfig, STREAM_CHECKPOINT_FILE,
-};
+use gullible::{diff_bundles, obs, CrawlCtx, CtxGuard, ReplayBundle, Scan, ScanConfig};
 use openwpm::{catch_crash, CrashPlan, FaultPlan, KillPoint};
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -144,31 +142,32 @@ fn crashed_and_resumed_stream_is_byte_identical_to_uninterrupted() {
         let (a, b) = (ReplayBundle::open(&dir).unwrap(), ReplayBundle::open(&ref_dir).unwrap());
         assert!(diff_bundles(&a, &b).is_clean(), "case {case}: bundles must diff clean");
 
-        // The torn classes must actually have left damage behind for at
-        // least some cases; the recovery counters make that visible.
-        match plan.kill {
-            KillPoint::MidCheckpointLine(..) => assert!(
-                stream.checkpoint_lines_dropped > 0 || stream.revisits > 0,
-                "case {case}: mid-line kill left no visible damage"
-            ),
-            KillPoint::MidBundleAppend(..) | KillPoint::AfterVisit(_) => {}
+        // A torn append must actually have left damage behind; the
+        // recovery counter makes it visible.
+        if let KillPoint::MidBundleAppend(_, keep) = plan.kill {
+            assert_eq!(stream.bundle_tail_dropped, (keep > 0) as u64, "case {case}: {plan:?}");
         }
     }
 }
 
+/// A torn append's `keep` is capped at the line's length minus one, so
+/// this writes every byte of the entry line but its newline.
+const ALL_BUT_NEWLINE: usize = usize::MAX;
+
 /// Every kill class, pinned explicitly (the seeded sweep above may not
-/// cover all three), including a kill on the very first flush, at one
-/// worker and at four. Each resume still holds O(workers) records.
+/// cover both), including a kill on the very first flush and torn appends
+/// at both boundaries (one byte written; all but the newline written), at
+/// one worker and at four. Each resume still holds O(workers) records.
 #[test]
 fn every_kill_class_recovers() {
     let n = 80u32;
     let kills = [
         KillPoint::AfterVisit(1),
         KillPoint::AfterVisit(20),
-        KillPoint::MidCheckpointLine(7, 0),
-        KillPoint::MidCheckpointLine(7, 25),
         KillPoint::MidBundleAppend(13, 0),
+        KillPoint::MidBundleAppend(13, 1),
         KillPoint::MidBundleAppend(13, 33),
+        KillPoint::MidBundleAppend(13, ALL_BUT_NEWLINE),
     ];
     let ref_dir = tmp_dir("classes-ref");
     let _ctx = fresh_ctx();
@@ -200,31 +199,18 @@ fn every_kill_class_recovers() {
             // flushed records and re-visits only never-started sites.
             KillPoint::AfterVisit(k) => {
                 assert_eq!(stream.records_replayed, k as u64, "kill {kill:?}");
-                assert_eq!(stream.checkpoint_lines_dropped, 0, "kill {kill:?}");
                 assert_eq!(stream.bundle_tail_dropped, 0, "kill {kill:?}");
+                assert_eq!(resumed.completion.bundle_lines_dropped, 0, "kill {kill:?}");
             }
-            // A torn checkpoint line loses exactly that line (with
-            // `keep == 0` nothing of it ever hit disk, so the file just
-            // ends early); either way its bundle entry is unacknowledged
-            // and the site re-visited.
-            KillPoint::MidCheckpointLine(k, keep) => {
-                assert_eq!(stream.records_replayed, k as u64 - 1, "kill {kill:?}");
-                assert_eq!(
-                    stream.checkpoint_lines_dropped,
-                    if keep > 0 { 1 } else { 0 },
-                    "kill {kill:?}"
-                );
-                assert_eq!(stream.revisits, 1, "kill {kill:?}");
-            }
-            // A torn bundle append never got a checkpoint line: the torn
-            // manifest tail is discarded wholesale (with `keep == 0` the
-            // append died before writing a single byte).
+            // A torn append loses exactly its own line, which is cut off
+            // (with `keep == 0` the append died before writing a single
+            // byte, so the manifest just ends early) and its site
+            // re-visited.
             KillPoint::MidBundleAppend(k, keep) => {
-                let torn = if keep > 0 { 1 } else { 0 };
+                let torn = (keep > 0) as u64;
                 assert_eq!(stream.records_replayed, k as u64 - 1, "kill {kill:?}");
-                assert_eq!(stream.checkpoint_lines_dropped, 0, "kill {kill:?}");
                 assert_eq!(stream.bundle_tail_dropped, torn, "kill {kill:?}");
-                assert_eq!(stream.revisits, 0, "kill {kill:?}");
+                assert_eq!(resumed.completion.bundle_lines_dropped, torn as usize, "kill {kill:?}");
             }
         }
     }
@@ -246,7 +232,7 @@ fn chaos_kills_leave_explainable_forensics() {
 
     let kills = [
         KillPoint::AfterVisit(9),
-        KillPoint::MidCheckpointLine(7, 14),
+        KillPoint::MidBundleAppend(7, 14),
         KillPoint::MidBundleAppend(11, 6),
     ];
     for (i, kill) in kills.into_iter().enumerate() {
@@ -306,7 +292,7 @@ fn double_crash_still_converges() {
     let first = catch_crash(|| {
         Scan::new(cfg)
             .stream_to(&dir)
-            .inject_crash(CrashPlan::new(KillPoint::MidCheckpointLine(10, 12)))
+            .inject_crash(CrashPlan::new(KillPoint::MidBundleAppend(10, 12)))
             .run()
     });
     assert!(first.is_none());
@@ -356,29 +342,60 @@ fn budgeted_stream_resumes_like_checkpoint() {
     assert_eq!(fp, ref_fp);
 }
 
-/// Cross-corruption matrix: mismatched checkpoint/bundle pairs must be
-/// hard errors (or clean fresh starts where nothing is trusted) — never
-/// a quiet partial resume.
+/// The partial bundle a stream killed by `AfterVisit(k)` leaves behind.
+fn crashed_bundle(cfg: ScanConfig, name: &str, k: u32) -> PathBuf {
+    let dir = tmp_dir(name);
+    let _ctx = fresh_ctx();
+    let crashed = catch_crash(|| {
+        Scan::new(cfg)
+            .stream_to(&dir)
+            .inject_crash(CrashPlan::new(KillPoint::AfterVisit(k)))
+            .run()
+    });
+    assert!(crashed.is_none());
+    dir
+}
+
+/// Copy a bundle directory's files into a fresh `to`.
+fn copy_bundle(from: &Path, to: &Path) {
+    let _ = std::fs::remove_dir_all(to);
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, to.join(path.file_name().unwrap())).unwrap();
+    }
+}
+
+/// A manifest entry line with its payload rewritten by `edit` and its
+/// checksum recomputed, so the line itself verifies.
+fn reframed(line: &str, edit: &dyn Fn(&str) -> String) -> String {
+    let (body, _) = line.rsplit_once('\x1f').unwrap();
+    let payload = body.strip_prefix("s\x1f").expect("an entry line");
+    let body = format!("s\x1f{}", edit(payload));
+    format!("{body}\x1f{:016x}", obs::fnv1a(body.as_bytes()))
+}
+
+/// Byte offset just past each manifest line (the header's first).
+fn line_ends(manifest: &[u8]) -> Vec<usize> {
+    manifest.iter().enumerate().filter(|(_, b)| **b == b'\n').map(|(i, _)| i + 1).collect()
+}
+
+/// Corruption matrix for the one log: damage before the last line and an
+/// intact line that does not decode are hard errors, a cut at any line
+/// boundary converges, and a sealed bundle refuses more writes — never a
+/// quiet partial resume.
 #[test]
 fn cross_corruption_fails_loudly() {
     let n = 50u32;
     let cfg = chaos_cfg(n, 55, 2);
+    let ref_dir = tmp_dir("xc-ref");
+    let _ctx = fresh_ctx();
+    let reference = Scan::new(cfg).stream_to(&ref_dir).run().expect("reference");
+    let ref_fp = fingerprint(&reference, &ref_dir);
 
-    let make_crashed = |name: &str| {
-        let dir = tmp_dir(name);
-        let _ctx = fresh_ctx();
-        let crashed = catch_crash(|| {
-            Scan::new(cfg)
-                .stream_to(&dir)
-                .inject_crash(CrashPlan::new(KillPoint::AfterVisit(12)))
-                .run()
-        });
-        assert!(crashed.is_none());
-        dir
-    };
-
-    // 1. Damage a bundle entry inside the trusted prefix: hard error.
-    let dir = make_crashed("xc-damaged-entry");
+    // 1. A corrupt non-final line is a hard error, and the resume writes
+    //    nothing: the damaged manifest is left as it was.
+    let dir = crashed_bundle(cfg, "xc-damaged-entry", 12);
     let manifest = dir.join("manifest.gar");
     let pristine = std::fs::read_to_string(&manifest).unwrap();
     let damaged: Vec<String> = pristine
@@ -386,69 +403,107 @@ fn cross_corruption_fails_loudly() {
         .enumerate()
         .map(|(i, l)| if i == 3 { l.replace(['0', '1'], "x") } else { l.to_string() })
         .collect();
-    std::fs::write(&manifest, damaged.join("\n") + "\n").unwrap();
+    let damaged = damaged.join("\n") + "\n";
+    std::fs::write(&manifest, &damaged).unwrap();
     let _ctx = fresh_ctx();
-    let err = Scan::new(cfg).stream_to(&dir).run().map(|_| ()).unwrap_err().to_string();
-    assert!(
-        err.contains("trusted prefix") || err.contains("checkpoint"),
-        "damaged trusted entry must be loud, got: {err}"
-    );
+    let err = Scan::new(cfg).stream_to(&dir).run().map(|_| ()).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("corrupt"), "damaged entry must be loud, got: {err}");
+    assert_eq!(std::fs::read_to_string(&manifest).unwrap(), damaged);
 
-    // 2. Truncate the manifest below the checkpointed high-water mark:
-    //    the storage reneged on acknowledged durability — hard error.
-    let dir = make_crashed("xc-truncated");
-    let manifest = dir.join("manifest.gar");
-    let pristine = std::fs::read_to_string(&manifest).unwrap();
-    let keep: Vec<&str> = pristine.lines().collect();
-    std::fs::write(&manifest, keep[..keep.len() - 4].join("\n") + "\n").unwrap();
-    let _ctx = fresh_ctx();
-    let err = Scan::new(cfg).stream_to(&dir).run().map(|_| ()).unwrap_err().to_string();
-    assert!(
-        err.contains("high-water mark") || err.contains("no bundle entry"),
-        "truncated-below-hwm manifest must be loud, got: {err}"
-    );
+    // 2. So is an intact line whose delta or entry does not decode: here
+    //    re-checksummed lines with a garbled delta and an out-of-range rank.
+    let garbled = |p: &str| format!("{}\x01not a delta", p.rsplit_once('\x01').unwrap().0);
+    let out_of_range = |p: &str| format!("{n}\x01{}", p.split_once('\x01').unwrap().1);
+    for edit in [&garbled as &dyn Fn(&str) -> String, &out_of_range] {
+        let lines: Vec<String> = pristine
+            .lines()
+            .enumerate()
+            .map(|(i, l)| if i == 3 { reframed(l, edit) } else { l.to_string() })
+            .collect();
+        std::fs::write(&manifest, lines.join("\n") + "\n").unwrap();
+        let _ctx = fresh_ctx();
+        let err = Scan::new(cfg).stream_to(&dir).run().map(|_| ()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("does not decode"), "{err}");
+    }
 
-    // 3. Delete the checkpoint but keep the stale partial bundle: nothing
-    //    is trusted, so the run starts fresh — and still matches a
-    //    reference run exactly (the stale bundle must not leak in).
-    let dir = make_crashed("xc-no-ckpt");
-    std::fs::remove_file(dir.join(STREAM_CHECKPOINT_FILE)).unwrap();
-    let _ctx = fresh_ctx();
-    let report = Scan::new(cfg).stream_to(&dir).run().expect("fresh start");
-    let fp = fingerprint(&report, &dir);
-    let stream = report.stream.unwrap();
-    assert!(!stream.resumed && stream.committed);
-    assert_eq!(stream.records_flushed, n as u64);
+    // 3. A manifest cut at any line boundary is a shorter intact prefix:
+    //    the resume adopts what is left, re-visits the rest and converges.
+    let crashed = crashed_bundle(cfg, "xc-crashed", 12);
+    let pristine = std::fs::read(crashed.join("manifest.gar")).unwrap();
+    let ends = line_ends(&pristine);
+    assert_eq!(ends.len(), 13, "header plus 12 entries");
+    for (adopted, &end) in ends.iter().enumerate() {
+        let dir = tmp_dir(&format!("xc-cut-{adopted}"));
+        copy_bundle(&crashed, &dir);
+        std::fs::write(dir.join("manifest.gar"), &pristine[..end]).unwrap();
+        let _ctx = fresh_ctx();
+        let resumed = Scan::new(cfg).stream_to(&dir).run().expect("resume after a cut");
+        let stream = resumed.stream.unwrap();
+        assert_eq!(stream.records_replayed, adopted as u64);
+        assert_eq!(stream.bundle_tail_dropped, 0);
+        assert_eq!(fingerprint(&resumed, &dir), ref_fp, "cut after {adopted} entries");
+        assert_eq!(resumed.history, reference.history, "cut after {adopted} entries");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
-    let ref_dir = tmp_dir("xc-ref");
-    let _ctx = fresh_ctx();
-    let reference = Scan::new(cfg).stream_to(&ref_dir).run().expect("reference");
-    assert_eq!(fp, fingerprint(&reference, &ref_dir));
-
-    // 4. Corrupt a checkpoint line in the *middle* of the file: that line
-    //    is dropped and counted, its site re-visited, and the result still
-    //    converges.
-    let dir = make_crashed("xc-midline");
-    let ckpt = dir.join(STREAM_CHECKPOINT_FILE);
-    let pristine = std::fs::read_to_string(&ckpt).unwrap();
-    let mut lines: Vec<String> = pristine.lines().map(String::from).collect();
-    assert!(lines.len() > 6, "need a middle line to corrupt");
-    lines[5] = lines[5].replace(['0', '1', '2'], "z");
-    std::fs::write(&ckpt, lines.join("\n") + "\n").unwrap();
-    let _ctx = fresh_ctx();
-    let resumed = Scan::new(cfg).stream_to(&dir).run().expect("resume past corrupt line");
-    let fp = fingerprint(&resumed, &dir);
-    let stream = resumed.stream.unwrap();
-    assert_eq!(stream.checkpoint_lines_dropped, 1);
-    assert!(stream.revisits >= 1, "the dropped line's site must be re-visited");
-    assert_eq!(fp, fingerprint(&reference, &ref_dir));
-
-    // 5. A sealed bundle refuses further streaming (re-running the same
+    // 4. A sealed bundle refuses further streaming (re-running the same
     //    command twice must not scribble on finished results).
     let _ctx = fresh_ctx();
     let err =
         Scan::new(cfg).stream_to(&ref_dir).run().map(|_| ()).unwrap_err().to_string();
     assert!(err.contains("committed"), "sealed bundle must refuse, got: {err}");
+}
+
+/// The one log's corruption property: over random kill points, a manifest
+/// truncated at any byte past its header resumes to exactly the
+/// uninterrupted run, and one flipped byte in any entry line before the
+/// last is an `InvalidData` error, never a panic or a quiet resume.
+#[test]
+fn truncated_manifest_converges_and_flipped_byte_fails() {
+    let n = 60u32;
+    let cfg = chaos_cfg(n, 61, 2);
+    let ref_dir = tmp_dir("prop-ref");
+    let _ctx = fresh_ctx();
+    let reference = Scan::new(cfg).stream_to(&ref_dir).run().expect("reference");
+    let ref_fp = fingerprint(&reference, &ref_dir);
+    let ref_bundle = ReplayBundle::open(&ref_dir).unwrap();
+
+    let mut case = 0;
+    proplite::run_cases(64, 0x0E10_C0DE, |rng| {
+        case += 1;
+        let k = rng.u32_in(2, n);
+        let crashed = crashed_bundle(cfg, &format!("prop-crashed-{case}"), k);
+        let pristine = std::fs::read(crashed.join("manifest.gar")).unwrap();
+        let ends = line_ends(&pristine);
+
+        // Flip one byte inside an entry line that has a line after it.
+        let dir = tmp_dir(&format!("prop-flip-{case}"));
+        copy_bundle(&crashed, &dir);
+        let line = rng.usize_in(1, ends.len() - 1);
+        let at = rng.usize_in(ends[line - 1], ends[line] - 1);
+        let mut flipped = pristine.clone();
+        flipped[at] ^= rng.u32_in(1, 256) as u8;
+        std::fs::write(dir.join("manifest.gar"), &flipped).unwrap();
+        let _ctx = fresh_ctx();
+        let err = Scan::new(cfg).stream_to(&dir).run().map(|_| ()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "k {k}, byte {at}: {err}");
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // Truncate at a random byte past the header, then resume.
+        let cut = rng.usize_in(ends[0], pristine.len() + 1);
+        std::fs::write(crashed.join("manifest.gar"), &pristine[..cut]).unwrap();
+        let _ctx = fresh_ctx();
+        let resumed = Scan::new(cfg).stream_to(&crashed).run().expect("resume after a cut");
+        let at_boundary = ends.contains(&cut);
+        assert_eq!(resumed.stream.unwrap().bundle_tail_dropped, !at_boundary as u64, "cut {cut}");
+        assert_eq!(fingerprint(&resumed, &crashed), ref_fp, "k {k}, cut {cut}");
+        assert_eq!(resumed.history, reference.history, "k {k}, cut {cut}");
+        let bundle = ReplayBundle::open(&crashed).unwrap();
+        assert!(diff_bundles(&bundle, &ref_bundle).is_clean(), "k {k}, cut {cut}: bundle diff");
+        let _ = std::fs::remove_dir_all(&crashed);
+    });
 }
 
 /// Mode guard: crash injection requires a bundle sink.

@@ -58,14 +58,14 @@ fn oracle_scan(start: &Barrier) -> Outcome {
 }
 
 /// Scan (b): the VM and the automaton, streamed to `dir`, killed by a torn
-/// checkpoint line, then resumed under a fresh context as a new process
+/// bundle append, then resumed under a fresh context as a new process
 /// would be. One worker, so the bundle's bytes are deterministic too.
 fn crashed_stream(dir: &Path, start: &Barrier) -> Outcome {
     let cfg = ScanConfig { workers: 1, faults: FaultPlan::adversarial(8), ..ScanConfig::new(90, 23) };
     start.wait();
     {
         let _g = ctx(Engine::Vm, MatcherKind::Automaton).enter();
-        let kill = CrashPlan::new(KillPoint::MidCheckpointLine(30, 11));
+        let kill = CrashPlan::new(KillPoint::MidBundleAppend(30, 11));
         let crashed = catch_crash(|| Scan::new(cfg).stream_to(dir).inject_crash(kill).run());
         assert!(crashed.is_none(), "the planned kill must crash the crawl");
     }

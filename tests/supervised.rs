@@ -8,7 +8,6 @@ use std::path::PathBuf;
 use gullible::scan::{
     decode_site_record, encode_site_record, PageFlags, Scan, ScanConfig, SiteScanRecord,
 };
-use gullible::STREAM_CHECKPOINT_FILE;
 use openwpm::{CrawlStatus, FailureReason, FaultPlan};
 use webgen::Category;
 
@@ -119,50 +118,55 @@ fn killed_and_resumed_scan_matches_uninterrupted() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Checkpoint files are stamped with a format version; files from another
-/// version (or from before versioning existed) are refused with a clear
-/// error instead of being mis-parsed as "all lines torn" — which would
-/// silently restart the crawl from zero.
+/// A manifest header line framed as the bundle writer frames it.
+fn header_line(version: &str, config: &str) -> String {
+    let body = format!("gullible-bundle {version}\x1f{config}");
+    format!("{body}\x1f{:016x}", gullible::obs::fnv1a(body.as_bytes()))
+}
+
+/// The bundle a scan checkpoints into is stamped with a format version;
+/// manifests of another version are refused with a clear error instead of
+/// being mis-parsed — which could silently restart the crawl from zero or
+/// adopt entries this build cannot read.
 #[test]
 fn checkpoint_format_version_is_stamped_and_validated() {
     let base = ScanConfig { workers: 2, ..ScanConfig::new(40, 13) };
 
-    // A fresh checkpoint leads with the version header.
+    // A fresh bundle's manifest leads with the version header.
     let dir = tmp_bundle("version");
-    let path = dir.join(STREAM_CHECKPOINT_FILE);
+    let path = dir.join(archive::MANIFEST_FILE);
     Scan::new(ScanConfig { visit_budget: Some(20), ..base })
         .record(&dir)
         .run()
         .expect("scan");
     let contents = std::fs::read_to_string(&path).unwrap();
-    let expected = format!("gullible-checkpoint v{}", gullible::CHECKPOINT_FORMAT_VERSION);
-    assert_eq!(contents.lines().next(), Some(expected.as_str()));
+    let (header, body) = contents.split_once('\n').unwrap();
+    assert_eq!(archive::BUNDLE_FORMAT_VERSION, 2);
+    let current = format!("v{}", archive::BUNDLE_FORMAT_VERSION);
+    let config = header.split('\x1f').nth(1).expect("header carries the scan config");
+    assert_eq!(header, header_line(&current, config));
 
-    // A future/past version is refused, naming both versions.
-    let body = contents.split_once('\n').unwrap().1;
-    std::fs::write(&path, format!("gullible-checkpoint v999\n{body}")).unwrap();
-    let err = Scan::new(base).record(&dir).run().unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    let msg = err.to_string();
-    assert!(msg.contains("v999"), "{msg}");
-    assert!(msg.contains(&format!("v{}", gullible::CHECKPOINT_FORMAT_VERSION)), "{msg}");
+    // A past or future version is refused, naming both versions.
+    for other in ["v1", "v999"] {
+        std::fs::write(&path, format!("{}\n{body}", header_line(other, config))).unwrap();
+        let err = Scan::new(base).record(&dir).run().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains(other) && msg.contains(&current), "{msg}");
+    }
 
-    // A pre-versioning file (no header at all) is refused, not restarted.
-    std::fs::write(&path, body).unwrap();
-    let err = Scan::new(base).record(&dir).run().unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    assert!(err.to_string().contains("pre-versioning"), "{err}");
-
-    // A mangled header is refused too.
-    std::fs::write(&path, format!("gullible-checkpoint vX\n{body}")).unwrap();
-    let err = Scan::new(base).record(&dir).run().unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    // A mangled header is refused too, checksummed or not.
+    for mangled in [header_line("vX", config), header.replacen("gullible", "gulible", 1)] {
+        std::fs::write(&path, format!("{mangled}\n{body}")).unwrap();
+        let err = Scan::new(base).record(&dir).run().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{mangled:?}");
+    }
 
     // Restored, the header is not mistaken for a site line: the resume
-    // adopts every line and drops none.
+    // adopts every entry and drops none.
     std::fs::write(&path, &contents).unwrap();
     let resumed = Scan::new(base).record(&dir).run().expect("resume");
-    assert_eq!(resumed.completion.checkpoint_lines_dropped, 0);
+    assert_eq!(resumed.completion.bundle_lines_dropped, 0);
     assert_eq!(resumed.stream.unwrap().records_replayed, 20);
 
     let _ = std::fs::remove_dir_all(&dir);
