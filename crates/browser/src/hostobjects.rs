@@ -62,7 +62,7 @@ fn idl_getter(
         let Some(id) = this.as_obj() else {
             return Err(it.throw_error(ErrorKind::Type, "'get' called on incompatible receiver"));
         };
-        if it.heap.get(id).class.as_ref() != expected_class {
+        if it.heap.get(id).class != expected_class {
             return Err(it.throw_error(
                 ErrorKind::Type,
                 &format!("'get {name}' called on an object that does not implement interface {expected_class}"),
@@ -589,7 +589,7 @@ pub fn make_thenable(it: &mut Interp, resolved: Value) -> Value {
             };
             // Flatten thenables like real `then` does.
             if let Value::Obj(id) = &next {
-                if it.heap.get(*id).class.as_ref() == "Promise" {
+                if it.heap.get(*id).class == "Promise" {
                     return Ok(next);
                 }
             }
@@ -647,7 +647,7 @@ fn install_canvas_methods(it: &mut Interp, canvas_proto: ObjId) {
         let Some(id) = this.as_obj() else {
             return Err(it.throw_error(ErrorKind::Type, "getContext on non-canvas"));
         };
-        if it.heap.get(id).class.as_ref() != "HTMLCanvasElement" {
+        if it.heap.get(id).class != "HTMLCanvasElement" {
             return Err(it.throw_error(ErrorKind::Type, "getContext on non-canvas"));
         }
         let kind = string_arg(it, args, 0)?;
@@ -684,8 +684,7 @@ fn install_node_methods(it: &mut Interp, node_proto: ObjId) {
             return Err(it.throw_error(ErrorKind::Type, "appendChild requires a node"));
         };
         let h = host_of(it);
-        let class = it.heap.get(child_id).class.clone();
-        match class.as_ref() {
+        match it.heap.get(child_id).class {
             "HTMLIFrameElement" => {
                 // Attaching an iframe creates its browsing context — a
                 // pristine window object, instrumented only if a (sync or

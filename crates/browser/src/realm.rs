@@ -20,6 +20,12 @@
 //! the whole contract: a setup may leave per-page values only in bindings
 //! the embedder re-binds, and no host-side state at all.
 //!
+//! A template freezes its heap ([`jsengine::object::Heap::freeze`]) after
+//! the build and after each setup, so every instance shares the
+//! template's objects and copies only those it writes: instantiating and
+//! dropping a page costs the objects the page touches, not the ~300 of
+//! the template.
+//!
 //! Clones are observably identical to scratch-built pages that ran the
 //! same setup: heap cloning preserves object ids and property insertion
 //! order, [`Interp::clone_realm`] deep-copies every captured scope and
@@ -64,6 +70,7 @@ impl PageTemplate {
         )));
         interp.host = Some(host.clone());
         let top = install_window(&mut interp, &host, true);
+        interp.heap.freeze();
         PageTemplate { profile, page: Page { interp, host, top, profile_base: None } }
     }
 
@@ -91,6 +98,7 @@ impl PageTemplate {
             "PageTemplate::setup left state an instance cannot inherit"
         );
         self.page.profile_base = Some(Arc::new(profile));
+        self.page.interp.heap.freeze();
         out
     }
 
@@ -177,6 +185,17 @@ mod tests {
         let (a, b) = (scratch.take_profile().unwrap(), cloned.take_profile().unwrap());
         assert!(a.ops > 0);
         assert_eq!(a, b);
+    }
+
+    /// Instances share the template's objects only while its heap is
+    /// frozen; a template that skipped a freeze would hand every page a
+    /// full copy without any other test noticing.
+    #[test]
+    fn template_heap_is_frozen_after_build_and_setup() {
+        let mut tpl = PageTemplate::new(profile());
+        assert!(tpl.page.interp.heap.is_frozen());
+        tpl.setup(|page| page.run_script((WRAP, "wrap.js")).unwrap());
+        assert!(tpl.page.interp.heap.is_frozen());
     }
 
     #[test]

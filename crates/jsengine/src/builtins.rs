@@ -250,8 +250,8 @@ fn install_object_proto(interp: &mut Interp) {
     });
     method(interp, proto, "toString", |it, this, _args| {
         let class = match this.as_obj() {
-            Some(id) => it.heap.get(id).class.clone(),
-            None => Arc::from("Object"),
+            Some(id) => it.heap.get(id).class,
+            None => "Object",
         };
         Ok(Value::str(format!("[object {class}]")))
     });

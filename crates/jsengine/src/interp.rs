@@ -232,13 +232,18 @@ impl Interp {
     /// exactly where this one stands.
     ///
     /// The heap, global object and intrinsics are cloned with object ids
-    /// preserved. Every scope reachable from a script closure is deep-copied
-    /// through a pointer-keyed remap: sharing is preserved (two closures
-    /// over one activation still share it in the clone), the global scope
-    /// maps to the clone's global scope, and no mutable scope is ever
-    /// shared between clones or with the source. So a realm that has run
-    /// scripts retaining inner closures — an instrumented template — can be
-    /// stamped out per page.
+    /// preserved. The heap clone shares the source's
+    /// [frozen](crate::object::Heap::freeze) base and copies only its
+    /// overlay, so a clone of a frozen realm costs the objects written
+    /// since the freeze plus the script closures, not the whole heap; each
+    /// clone copies a base object on its own first write to it. Every scope
+    /// reachable from a script closure is deep-copied through a
+    /// pointer-keyed remap (which copies those closures into the clone's
+    /// overlay): sharing is preserved (two closures over one activation
+    /// still share it in the clone), the global scope maps to the clone's
+    /// global scope, and no mutable scope is ever shared between clones or
+    /// with the source. So a realm that has run scripts retaining inner
+    /// closures — an instrumented template — can be stamped out per page.
     ///
     /// The execution counters (step count, virtual clock, PRNG state, job
     /// sequence number), the engine, the console and the VM's
@@ -257,11 +262,11 @@ impl Interp {
         );
         let mut heap = self.heap.clone();
         let mut remap = ScopeRemap::new(&self.global_scope);
-        for obj in heap.objects_mut() {
+        heap.for_each_script_mut(|obj| {
             if let Some(Callable::Script { env, .. }) = &mut obj.call {
                 *env = remap.copy(env);
             }
-        }
+        });
         Interp {
             heap,
             global: self.global,
@@ -547,7 +552,7 @@ impl Interp {
         self.heap.alloc(JsObject::plain(Some(self.intrinsics.object_proto)))
     }
 
-    pub fn alloc_object_with_class(&mut self, class: &str) -> ObjId {
+    pub fn alloc_object_with_class(&mut self, class: &'static str) -> ObjId {
         self.heap.alloc(JsObject::with_class(Some(self.intrinsics.object_proto), class))
     }
 

@@ -8,6 +8,7 @@
 //! its artefacts observable to scripts in exactly the ways the paper
 //! describes.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::ast::FunctionDef;
@@ -172,7 +173,7 @@ pub struct JsObject {
     /// Internal class tag: `"Object"`, `"Function"`, `"Array"`, `"Error"`,
     /// and host classes such as `"Navigator"`, `"Window"`, `"HTMLElement"`.
     /// Host accessors use it to validate `this` (illegal-invocation errors).
-    pub class: Arc<str>,
+    pub class: &'static str,
     /// Dense backing store for arrays.
     pub elements: Option<Vec<Value>>,
     /// Host-attached opaque id; the browser crate uses it to link element
@@ -182,11 +183,11 @@ pub struct JsObject {
 
 impl JsObject {
     pub fn plain(proto: Option<ObjId>) -> JsObject {
-        JsObject { proto, class: Arc::from("Object"), ..Default::default() }
+        JsObject { proto, class: "Object", ..Default::default() }
     }
 
-    pub fn with_class(proto: Option<ObjId>, class: &str) -> JsObject {
-        JsObject { proto, class: Arc::from(class), ..Default::default() }
+    pub fn with_class(proto: Option<ObjId>, class: &'static str) -> JsObject {
+        JsObject { proto, class, ..Default::default() }
     }
 
     pub fn is_callable(&self) -> bool {
@@ -198,14 +199,35 @@ impl JsObject {
     }
 }
 
+/// Marks a base object with no private copy in [`Heap::slot`].
+const NO_COPY: u32 = u32::MAX;
+
 /// The object heap. A plain growing arena: pages are short-lived and the
 /// whole realm is dropped after a visit, so no GC is needed (this mirrors
-/// how the reproduction uses one realm per page load). Cloning a heap
-/// duplicates every object while preserving ids — the basis of
-/// [`Interp::clone_realm`](crate::interp::Interp::clone_realm).
+/// how the reproduction uses one realm per page load).
+///
+/// A heap is a frozen base segment plus a private overlay. The base is
+/// shared by every clone of the heap and never written; the first
+/// [`get_mut`](Heap::get_mut) of a base object copies it into the overlay,
+/// and [`alloc`](Heap::alloc) appends past the base. So cloning a heap
+/// costs the overlay only, ids stay stable across clones, and a page
+/// stamped from a [`freeze`](Heap::freeze)d template pays for the objects
+/// it writes, not for the template's size — the basis of
+/// [`Interp::clone_realm`](crate::interp::Interp::clone_realm). A heap
+/// that was never frozen keeps every object past its (empty) base and
+/// clones in full.
 #[derive(Clone, Debug, Default)]
 pub struct Heap {
-    objects: Vec<JsObject>,
+    /// Frozen objects, ids `0..base.len()`, shared with every clone.
+    base: Rc<[JsObject]>,
+    /// Ids of the script-callable objects in `base`.
+    base_scripts: Rc<[u32]>,
+    /// Per base id, the index of its private copy in `copies` or
+    /// [`NO_COPY`]; empty until the first write to a base object.
+    slot: Vec<u32>,
+    copies: Vec<JsObject>,
+    /// Objects allocated since the last freeze, ids from `base.len()`.
+    tail: Vec<JsObject>,
 }
 
 impl Heap {
@@ -214,32 +236,92 @@ impl Heap {
     }
 
     pub fn alloc(&mut self, obj: JsObject) -> ObjId {
-        let id = ObjId(self.objects.len() as u32);
-        self.objects.push(obj);
+        let id = ObjId(self.len() as u32);
+        self.tail.push(obj);
         id
     }
 
+    #[inline]
     pub fn get(&self, id: ObjId) -> &JsObject {
-        &self.objects[id.0 as usize]
+        let i = id.0 as usize;
+        match self.base.get(i) {
+            Some(frozen) => match self.slot.get(i) {
+                Some(&c) if c != NO_COPY => &self.copies[c as usize],
+                _ => frozen,
+            },
+            None => &self.tail[i - self.base.len()],
+        }
     }
 
+    /// Mutable access; a base object is copied into the overlay once, on
+    /// its first write.
     pub fn get_mut(&mut self, id: ObjId) -> &mut JsObject {
-        &mut self.objects[id.0 as usize]
+        let i = id.0 as usize;
+        let Some(frozen) = self.base.get(i) else {
+            return &mut self.tail[i - self.base.len()];
+        };
+        if self.slot.is_empty() {
+            self.slot = vec![NO_COPY; self.base.len()];
+        }
+        if self.slot[i] == NO_COPY {
+            self.slot[i] = self.copies.len() as u32;
+            self.copies.push(frozen.clone());
+        }
+        &mut self.copies[self.slot[i] as usize]
     }
 
-    /// Mutable iteration over every object (realm cloning re-binds
-    /// script-function environments with this).
-    pub fn objects_mut(&mut self) -> impl Iterator<Item = &mut JsObject> {
-        self.objects.iter_mut()
+    /// Fold the overlay and the tail into a new shared base. Ids, property
+    /// order and [`len`](Heap::len) are unchanged; clones made afterwards
+    /// share every object until they write it.
+    pub fn freeze(&mut self) {
+        let mut objects: Vec<JsObject> = match Rc::get_mut(&mut self.base) {
+            Some(owned) => owned.iter_mut().map(std::mem::take).collect(),
+            None => self.base.to_vec(),
+        };
+        for (i, &c) in self.slot.iter().enumerate() {
+            if c != NO_COPY {
+                objects[i] = std::mem::take(&mut self.copies[c as usize]);
+            }
+        }
+        objects.append(&mut self.tail);
+        self.base_scripts = (0..objects.len() as u32).filter(|&i| is_script(&objects[i as usize])).collect();
+        self.base = objects.into();
+        self.slot = Vec::new();
+        self.copies = Vec::new();
+    }
+
+    /// True when every object sits in the shared base: nothing was
+    /// written or allocated since the last [`freeze`](Heap::freeze).
+    pub fn is_frozen(&self) -> bool {
+        self.copies.is_empty() && self.tail.is_empty()
+    }
+
+    /// Apply `f` to every script-callable object exactly once, copying
+    /// base ones into the overlay (realm cloning re-binds their
+    /// environments with this).
+    pub fn for_each_script_mut(&mut self, mut f: impl FnMut(&mut JsObject)) {
+        // Copies first: they shadow their base objects, so the base pass
+        // below skips those and its own fresh copies are not revisited.
+        self.copies.iter_mut().filter(|o| is_script(o)).for_each(&mut f);
+        for &i in self.base_scripts.clone().iter() {
+            if self.slot.get(i as usize).is_none_or(|&c| c == NO_COPY) {
+                f(self.get_mut(ObjId(i)));
+            }
+        }
+        self.tail.iter_mut().filter(|o| is_script(o)).for_each(f);
     }
 
     pub fn len(&self) -> usize {
-        self.objects.len()
+        self.base.len() + self.tail.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
+        self.len() == 0
     }
+}
+
+fn is_script(obj: &JsObject) -> bool {
+    matches!(obj.call, Some(Callable::Script { .. }))
 }
 
 #[cfg(test)]
@@ -279,8 +361,137 @@ mod tests {
     fn heap_alloc_get() {
         let mut h = Heap::new();
         let id = h.alloc(JsObject::plain(None));
-        assert_eq!(h.get(id).class.as_ref(), "Object");
+        assert_eq!(h.get(id).class, "Object");
         h.get_mut(id).props.insert(Arc::from("k"), Property::data(Value::Bool(true)));
         assert!(h.get(id).props.contains("k"));
+    }
+
+    /// An object tagged through `host_data`, so tests can tell objects
+    /// apart after they move between base, overlay and tail.
+    fn tagged(tag: u32) -> JsObject {
+        JsObject { host_data: Some(tag), ..JsObject::plain(None) }
+    }
+
+    fn script(tag: u32) -> JsObject {
+        let def = FunctionDef {
+            name: Arc::from(format!("f{tag}")),
+            params: Vec::new(),
+            body: Arc::from(Vec::new()),
+            source: Arc::from("function(){}"),
+            script: Arc::from("t.js"),
+            line: 1,
+            is_arrow: false,
+        };
+        let env = Rc::new(std::cell::RefCell::new(crate::interp::Scope {
+            vars: AtomMap::default(),
+            parent: None,
+            this_val: None,
+        }));
+        JsObject { call: Some(Callable::Script { def: Arc::new(def), env }), ..tagged(tag) }
+    }
+
+    fn tags(h: &Heap) -> Vec<Option<u32>> {
+        (0..h.len() as u32).map(|i| h.get(ObjId(i)).host_data).collect()
+    }
+
+    fn keys(h: &Heap, id: ObjId) -> Vec<String> {
+        h.get(id).props.keys().map(|k| k.to_string()).collect()
+    }
+
+    #[test]
+    fn ids_stay_stable_across_the_base_tail_boundary() {
+        let mut h = Heap::new();
+        let before: Vec<ObjId> = (0..3).map(|t| h.alloc(tagged(t))).collect();
+        h.freeze();
+        let after: Vec<ObjId> = (3..5).map(|t| h.alloc(tagged(t))).collect();
+        let ids: Vec<u32> = before.iter().chain(&after).map(|id| id.0).collect();
+        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
+        assert_eq!(h.len(), 5);
+        assert_eq!(tags(&h), (0..5).map(Some).collect::<Vec<_>>());
+        h.get_mut(ObjId(2)).host_data = Some(20);
+        h.get_mut(ObjId(4)).host_data = Some(40);
+        assert_eq!(tags(&h), vec![Some(0), Some(1), Some(20), Some(3), Some(40)]);
+    }
+
+    #[test]
+    fn a_base_object_is_copied_once() {
+        let mut h = Heap::new();
+        let id = h.alloc(tagged(0));
+        h.alloc(tagged(1));
+        h.freeze();
+        h.get_mut(id).props.insert(Arc::from("a"), Property::data(Value::Num(1.0)));
+        h.get_mut(id).props.insert(Arc::from("b"), Property::data(Value::Num(2.0)));
+        assert_eq!(h.copies.len(), 1);
+        assert_eq!(keys(&h, id), vec!["a", "b"]);
+        assert!(h.base[id.0 as usize].props.is_empty(), "the shared base was written");
+    }
+
+    #[test]
+    fn writes_through_a_clone_stay_in_that_clone() {
+        let mut tpl = Heap::new();
+        let id = tpl.alloc(tagged(0));
+        tpl.get_mut(id).props.insert(Arc::from("k"), Property::data(Value::Num(0.0)));
+        tpl.freeze();
+        let (mut a, b) = (tpl.clone(), tpl.clone());
+        a.get_mut(id).props.insert(Arc::from("only_a"), Property::data(Value::Null));
+        a.get_mut(id).host_data = Some(9);
+        a.alloc(tagged(1));
+        for other in [&tpl, &b] {
+            assert_eq!(keys(other, id), vec!["k"]);
+            assert_eq!(tags(other), vec![Some(0)]);
+        }
+        assert_eq!(keys(&a, id), vec!["k", "only_a"]);
+        assert_eq!(tags(&a), vec![Some(9), Some(1)]);
+    }
+
+    #[test]
+    fn freeze_keeps_ids_property_order_and_len() {
+        let mut h = Heap::new();
+        for t in 0..4 {
+            let id = h.alloc(tagged(t));
+            for k in ["z", "a", "m"].iter().skip(t as usize % 3) {
+                h.get_mut(id).props.insert(Arc::from(*k), Property::data(Value::Num(t.into())));
+            }
+        }
+        h.freeze();
+        // Leave state in every segment: overlay copies and a tail.
+        h.get_mut(ObjId(1)).props.insert(Arc::from("b"), Property::data(Value::Null));
+        h.get_mut(ObjId(3)).props.remove("m");
+        h.alloc(tagged(4));
+        let snapshot = |h: &Heap| -> Vec<(Option<u32>, Vec<String>)> {
+            (0..h.len() as u32).map(|i| (h.get(ObjId(i)).host_data, keys(h, ObjId(i)))).collect()
+        };
+        assert!(!h.is_frozen());
+        let before = snapshot(&h);
+        let shared = h.clone();
+        h.freeze();
+        assert_eq!(h.len(), 5);
+        assert_eq!(snapshot(&h), before);
+        assert!(h.is_frozen());
+        // A clone made before the freeze still owns its own view.
+        assert_eq!(snapshot(&shared), before);
+    }
+
+    #[test]
+    fn for_each_script_mut_visits_every_script_once() {
+        let mut h = Heap::new();
+        h.alloc(script(0)); // base, written before the walk
+        h.alloc(script(1)); // base, untouched
+        h.alloc(tagged(2)); // base, not a script
+        h.freeze();
+        h.get_mut(ObjId(0)).props.insert(Arc::from("w"), Property::data(Value::Null));
+        h.alloc(script(3)); // tail
+        h.alloc(tagged(4));
+        let tpl = h.clone();
+        let mut seen = Vec::new();
+        h.for_each_script_mut(|obj| {
+            seen.push(obj.host_data.unwrap());
+            obj.host_data = Some(100 + obj.host_data.unwrap());
+        });
+        seen.sort();
+        assert_eq!(seen, vec![0, 1, 3]);
+        assert_eq!(tags(&h), vec![Some(100), Some(101), Some(2), Some(103), Some(4)]);
+        assert_eq!(tags(&tpl), (0..5).map(Some).collect::<Vec<_>>());
+        assert_eq!(keys(&h, ObjId(0)), vec!["w"], "the overlay copy was not the one visited");
     }
 }
