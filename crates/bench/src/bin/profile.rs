@@ -7,8 +7,8 @@
 //! two runs. It then attributes the profiled run's visit wall clock to the
 //! fixed phase tree (webgen materialise → compile cache → jsengine interp →
 //! detect → archive encode/flush), checks the self times partition the
-//! visit total, and reports slowest-visit forensics plus cache/steal/flush
-//! effort counters.
+//! visit total, and reports slowest-visit forensics plus compile-cache and
+//! archive effort counters.
 //!
 //! Output: a human phase table plus `BENCH_profile.json` and the forensic
 //! dumps in `BENCH_profile_forensics.jsonl`. Exits non-zero if the
@@ -230,8 +230,6 @@ fn main() {
     let effort: Vec<(&str, u64)> = vec![
         ("compile_hits", snap.counter("cache.compile.hit")),
         ("compile_misses", snap.counter("cache.compile.miss")),
-        ("steals", snap.counter("sched.steal")),
-        ("idle_spins", snap.counter("sched.idle_spins")),
         ("archive_entries", snap.counter("archive.write.entries")),
         ("archive_blobs", snap.counter("archive.write.blobs")),
         ("checkpoint_writes", snap.counter("checkpoint.writes")),

@@ -3,9 +3,8 @@
 //! variable names.
 //!
 //! Before atoms, every property access re-hashed an owned string and every
-//! scope-chain step hashed it again; under the work-stealing crawl
-//! scheduler those lookups are the JS engine's hottest shared-nothing
-//! path. An [`Atom`] is interned once and then compared and hashed as a
+//! scope-chain step hashed it again; on every crawl worker those
+//! lookups are the JS engine's hottest shared-nothing path. An [`Atom`] is interned once and then compared and hashed as a
 //! bare integer ([`AtomMap`] hashes the id with one multiply).
 //!
 //! The interner mirrors the [`CompileCache`](crate::compile::CompileCache)

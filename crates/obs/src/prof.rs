@@ -100,12 +100,9 @@ phase_def!(
 phase_def!(DETECT_DYNAMIC, "detect.dynamic", "prof.detect.dynamic_us", "prof.self.detect.dynamic");
 phase_def!(ARCHIVE_ENCODE, "archive.encode", "prof.archive.encode_us", "prof.self.archive.encode");
 phase_def!(ARCHIVE_FLUSH, "archive.flush", "prof.archive.flush_us", "prof.self.archive.flush");
-phase_def!(SCHED_IDLE, "sched.idle", "prof.sched.idle_us", "prof.self.sched.idle");
-phase_def!(SCHED_STEAL, "sched.steal", "prof.sched.steal_us", "prof.self.sched.steal");
 
 /// Every phase of the fixed tree, for report/stats iteration. `visit` is
-/// the root; `sched.idle` / `sched.steal` run outside it on the worker
-/// loop.
+/// the root.
 pub static PHASES: &[&PhaseDef] = &[
     &VISIT,
     &WEBGEN_MATERIALISE,
@@ -120,8 +117,6 @@ pub static PHASES: &[&PhaseDef] = &[
     &DETECT_DYNAMIC,
     &ARCHIVE_ENCODE,
     &ARCHIVE_FLUSH,
-    &SCHED_IDLE,
-    &SCHED_STEAL,
 ];
 
 /// Phases nested under `visit` — the set whose self times (plus `visit`'s

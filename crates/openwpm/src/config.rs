@@ -82,10 +82,6 @@ pub struct BrowserConfig {
     /// — an HLISA-style crawl. Default off: Table 1 shows most studies use
     /// no interaction, and the paper's scan did not either.
     pub simulate_interaction: bool,
-    /// Probability (per mille) that the browser crashes during a visit;
-    /// the browser manager restarts it and retries once (the framework's
-    /// crash/recovery behaviour, Fig. 1).
-    pub crash_per_mille: u32,
 }
 
 impl BrowserConfig {
@@ -104,7 +100,6 @@ impl BrowserConfig {
             honey_properties: 0,
             watch_openwpm_props: false,
             simulate_interaction: false,
-            crash_per_mille: 0,
         }
     }
 

@@ -43,7 +43,7 @@ pub use fault::{
     catch_crash, is_crash_panic, CrashInjector, CrashPlan, FaultInjector, FaultKind, FaultPlan,
     KillPoint, CRASH_SENTINEL,
 };
-pub use manager::{run_parallel, run_parallel_chunked};
+pub use manager::run_parallel;
 pub use records::{
     CrawlHistoryRecord, CrawlStatus, JsCallRecord, JsOperation, RecordStore, SavedScript,
     StoreCapture,

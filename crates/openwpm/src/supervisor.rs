@@ -37,7 +37,7 @@ use crate::manager::{panic_message, run_parallel};
 use obs::Event;
 
 /// Why a visit attempt (or a whole site) failed.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FailureReason {
     BrowserCrash,
     /// Visit exceeded the watchdog timeout and was killed.
@@ -51,15 +51,10 @@ pub enum FailureReason {
     BadUrl,
     /// The visit code itself panicked (caught by `catch_unwind`).
     Panic,
-    /// A reason string this build does not recognise — typically a
-    /// checkpoint written by a newer (or older) build. Preserving it as
-    /// data instead of dropping the line keeps resume lossless across
-    /// version skew; the string round-trips through [`FailureReason::as_str`].
-    Unknown(String),
 }
 
 impl FailureReason {
-    pub fn as_str(&self) -> &str {
+    pub fn as_str(self) -> &'static str {
         match self {
             FailureReason::BrowserCrash => "browser_crash",
             FailureReason::Timeout => "timeout",
@@ -68,12 +63,10 @@ impl FailureReason {
             FailureReason::TransientHttp => "transient_http",
             FailureReason::BadUrl => "bad_url",
             FailureReason::Panic => "panic",
-            FailureReason::Unknown(s) => s,
         }
     }
 
-    /// The known (non-[`FailureReason::Unknown`]) reasons, in reporting
-    /// order.
+    /// Every reason, in reporting order.
     pub fn all() -> [FailureReason; 7] {
         [
             FailureReason::BrowserCrash,
@@ -87,17 +80,10 @@ impl FailureReason {
     }
 
     /// Strict inverse of [`FailureReason::as_str`]: only exact canonical
-    /// names of known reasons parse. Same-build artifacts (archive
-    /// bundles) use this — an unrecognised name there means corruption.
+    /// names parse. Bundles use this — an unrecognised name there means
+    /// corruption.
     pub fn parse(s: &str) -> Option<FailureReason> {
         FailureReason::all().into_iter().find(|r| r.as_str() == s)
-    }
-
-    /// Total decode for cross-build artifacts (checkpoints): a name this
-    /// build does not know becomes [`FailureReason::Unknown`] instead of
-    /// being dropped as a torn line.
-    pub fn decode(s: &str) -> FailureReason {
-        FailureReason::parse(s).unwrap_or_else(|| FailureReason::Unknown(s.to_string()))
     }
 
     fn from_fault(kind: FaultKind) -> FailureReason {
@@ -563,21 +549,16 @@ where
             }
             VisitOutcome::Failed { reason, .. } => {
                 summary.failed += 1;
-                *by_reason.entry(reason.clone()).or_insert(0) += 1;
+                *by_reason.entry(*reason).or_insert(0) += 1;
             }
             VisitOutcome::Interrupted => summary.interrupted += 1,
         }
         outcomes.push(run.outcome);
     }
-    // Known reasons in `all()` order, then any `Unknown` reasons (replayed
-    // from cross-build checkpoints) sorted by name for determinism.
     summary.failures_by_reason = FailureReason::all()
         .into_iter()
-        .filter_map(|r| by_reason.remove(&r).map(|n| (r, n)))
+        .filter_map(|r| by_reason.get(&r).map(|&n| (r, n)))
         .collect();
-    let mut unknown: Vec<(FailureReason, usize)> = by_reason.into_iter().collect();
-    unknown.sort_by(|(a, _), (b, _)| a.as_str().cmp(b.as_str()));
-    summary.failures_by_reason.extend(unknown);
     obs::add("supervisor.visits.completed", summary.completed as u64);
     obs::add("supervisor.visits.failed", summary.failed as u64);
     obs::add("supervisor.visits.interrupted", summary.interrupted as u64);
@@ -610,7 +591,7 @@ mod tests {
     #[test]
     fn failure_reason_round_trips_and_rejects_garbage() {
         for r in FailureReason::all() {
-            assert_eq!(FailureReason::parse(r.as_str()), Some(r.clone()), "{}", r.as_str());
+            assert_eq!(FailureReason::parse(r.as_str()), Some(r), "{}", r.as_str());
         }
         proplite::run_cases(2000, 0xFA11, |rng| {
             let s = match rng.u32_in(0, 2) {
@@ -640,50 +621,6 @@ mod tests {
                 ),
             }
         });
-    }
-
-    #[test]
-    fn unknown_reasons_decode_totally_and_round_trip() {
-        assert_eq!(FailureReason::decode("timeout"), FailureReason::Timeout);
-        let u = FailureReason::decode("quantum_decoherence");
-        assert_eq!(u, FailureReason::Unknown("quantum_decoherence".to_string()));
-        assert_eq!(u.as_str(), "quantum_decoherence");
-        assert_eq!(FailureReason::decode(u.as_str()), u);
-        // The strict parser still rejects it — only `decode` is total.
-        assert_eq!(FailureReason::parse("quantum_decoherence"), None);
-    }
-
-    #[test]
-    fn unknown_prior_reasons_tally_after_known_ones() {
-        let mut prior: Vec<Option<VisitOutcome<u64>>> = vec![None; 5];
-        prior[1] = Some(VisitOutcome::Failed {
-            reason: FailureReason::decode("zz_future_reason"),
-            attempts: 2,
-        });
-        prior[2] = Some(VisitOutcome::Failed { reason: FailureReason::Timeout, attempts: 3 });
-        prior[3] = Some(VisitOutcome::Failed {
-            reason: FailureReason::decode("aa_future_reason"),
-            attempts: 1,
-        });
-        let out = run_supervised(
-            (0..5u64).collect(),
-            2,
-            SupervisorConfig::default(),
-            meta_of,
-            |_| (),
-            |_, _, item: &u64| Ok(*item),
-            prior,
-            keep,
-        );
-        assert_eq!(
-            out.summary.failures_by_reason,
-            vec![
-                (FailureReason::Timeout, 1),
-                (FailureReason::Unknown("aa_future_reason".to_string()), 1),
-                (FailureReason::Unknown("zz_future_reason".to_string()), 1),
-            ],
-            "known reasons first, unknowns sorted by name"
-        );
     }
 
     #[test]
@@ -852,6 +789,37 @@ mod tests {
         // 2 attempts × 45 s timeout + 1 backoff of 1 s, per item.
         assert_eq!(out.summary.lost_ms, 3 * (2 * 45_000 + 1_000));
         assert_eq!(out.summary.restarts, 6);
+    }
+
+    #[test]
+    fn browser_crash_restarts_and_retries() {
+        // A plan that only crashes the browser, always.
+        let cfg = SupervisorConfig {
+            faults: FaultPlan { crash_per_mille: 1000, seed: 1, ..FaultPlan::default() },
+            retry: RetryPolicy { max_attempts: 3, ..RetryPolicy::default() },
+            ..SupervisorConfig::default()
+        };
+        let inits = AtomicUsize::new(0);
+        let out = run_supervised(
+            vec![1u64, 2],
+            1,
+            cfg,
+            meta_of,
+            |_| {
+                inits.fetch_add(1, Ordering::Relaxed);
+            },
+            |_, _, item: &u64| Ok(*item),
+            Vec::new(),
+            keep,
+        );
+        let failed = VisitOutcome::Failed { reason: FailureReason::BrowserCrash, attempts: 3 };
+        assert_eq!(out.outcomes, vec![failed.clone(), failed]);
+        assert_eq!(out.summary.failures_by_reason, vec![(FailureReason::BrowserCrash, 2)]);
+        // Every attempt restarts the browser state: one initial build plus
+        // one per attempt. A crash costs no watchdog time, only backoff.
+        assert_eq!(out.summary.restarts, 6);
+        assert_eq!(inits.load(Ordering::Relaxed), 1 + 6);
+        assert_eq!(out.summary.lost_ms, 2 * (1_000 + 2_000));
     }
 
     #[test]

@@ -70,8 +70,6 @@ pub struct VisitStats {
     pub script_errors: usize,
     /// Names of installed honey properties (empty unless configured).
     pub honey_names: Vec<String>,
-    /// Browser crashes encountered (visit was retried after each).
-    pub crashes: u32,
 }
 
 /// An OpenWPM-managed browser. Owns the record store its instruments write
@@ -248,41 +246,14 @@ impl Browser {
             obs::add("instrument.hook_install_failures", 1);
             obs::emit(obs::Event::new(0, "hook_install_failed").attr("page", page_url));
         }
-        Ok((page, VisitStats { instrumented, script_errors: 0, honey_names, crashes: 0 }))
-    }
-
-    /// Visit a page with crash simulation and restart: a crashed visit is
-    /// retried once on a fresh browser state, like OpenWPM's BrowserManager
-    /// recovery loop.
-    pub fn visit(
-        &mut self,
-        spec: &VisitSpec,
-        responder: impl FnOnce(&[HttpRequest]) -> SiteResponse,
-    ) -> Result<VisitStats, FailureReason> {
-        if self.config.crash_per_mille > 0 {
-            // Deterministic crash draw per (seed, visit counter).
-            let draw = {
-                let mut x = self.config.seed ^ (self.visits.wrapping_mul(0x2545_F491_4F6C_DD1D));
-                x ^= x >> 33;
-                x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-                (x % 1000) as u32
-            };
-            if draw < self.config.crash_per_mille {
-                // The crash loses the in-flight visit's page; the store
-                // (crawl database) survives, and the visit is retried.
-                self.visits += 1;
-                let mut stats = self.visit_once(spec, responder)?;
-                stats.crashes += 1;
-                return Ok(stats);
-            }
-        }
-        self.visit_once(spec, responder)
+        Ok((page, VisitStats { instrumented, script_errors: 0, honey_names }))
     }
 
     /// Visit a page: load static resources, run scripts, dwell, then let
     /// `responder` decide the site's adaptive response from the observed
-    /// dynamic traffic (detector beacons etc.).
-    pub fn visit_once(
+    /// dynamic traffic (detector beacons etc.). Browser crashes are the
+    /// supervisor's to inject and recover from (see [`crate::fault`]).
+    pub fn visit(
         &mut self,
         spec: &VisitSpec,
         responder: impl FnOnce(&[HttpRequest]) -> SiteResponse,
@@ -632,79 +603,5 @@ mod tests {
         assert_eq!(v.profile().geometry.screen_width, 2560);
         let s = Browser::new(BrowserConfig::stealth(5));
         assert_eq!(s.profile().geometry.screen_width, 1920);
-    }
-
-    fn crashy_config(seed: u64, per_mille: u32) -> BrowserConfig {
-        let mut c = BrowserConfig::vanilla(seed);
-        c.crash_per_mille = per_mille;
-        c
-    }
-
-    fn instrumented_spec() -> VisitSpec {
-        let mut s = spec("https://crashy.example.com/");
-        s.scripts.push(PageScript {
-            url: "https://crashy.example.com/app.js".into(),
-            source: "var x = navigator.userAgent;".into(),
-            content_type: "text/javascript".into(),
-        });
-        s
-    }
-
-    #[test]
-    fn crashed_visit_is_retried_and_rerecords_page_data() {
-        // crash_per_mille = 1000: the first draw always crashes, so every
-        // visit exercises the retry path.
-        let mut b = Browser::new(crashy_config(7, 1000));
-        let stats =
-            b.visit(&instrumented_spec(), |_| SiteResponse::default()).expect("URL parses");
-        assert_eq!(stats.crashes, 1, "crash must be counted");
-        let store = b.take_store();
-        // The retried visit re-recorded everything the crashed one lost.
-        assert!(store.http_requests.iter().any(|r| r.resource_type == ResourceType::MainFrame));
-        assert_eq!(store.saved_scripts.len(), 1);
-        assert_eq!(store.calls_to(".userAgent").count(), 1);
-    }
-
-    #[test]
-    fn crash_free_visits_report_zero_crashes() {
-        let mut b = Browser::new(crashy_config(7, 0));
-        let stats =
-            b.visit(&instrumented_spec(), |_| SiteResponse::default()).expect("URL parses");
-        assert_eq!(stats.crashes, 0);
-    }
-
-    #[test]
-    fn crash_rate_is_approximately_honoured_over_many_visits() {
-        let mut b = Browser::new(crashy_config(11, 200)); // 20%
-        let mut crashes = 0u32;
-        for _ in 0..300 {
-            crashes += b
-                .visit(&spec("https://crashy.example.com/"), |_| SiteResponse::default())
-                .expect("URL parses")
-                .crashes;
-            b.take_store();
-        }
-        assert!((35..=85).contains(&crashes), "crashes = {crashes} of 300 at 20%");
-    }
-
-    #[test]
-    fn crash_pattern_is_deterministic_per_seed() {
-        let pattern = |seed: u64| -> Vec<u32> {
-            let mut b = Browser::new(crashy_config(seed, 300));
-            (0..100)
-                .map(|_| {
-                    let c = b
-                        .visit(&spec("https://crashy.example.com/"), |_| {
-                            SiteResponse::default()
-                        })
-                        .expect("URL parses")
-                        .crashes;
-                    b.take_store();
-                    c
-                })
-                .collect()
-        };
-        assert_eq!(pattern(42), pattern(42), "same seed, same crashes");
-        assert_ne!(pattern(42), pattern(43), "different seed, different crashes");
     }
 }

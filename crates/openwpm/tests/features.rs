@@ -117,38 +117,6 @@ fn interaction_triggers_hover_gated_detectors() {
 }
 
 #[test]
-fn crash_simulation_recovers_and_records() {
-    let mut cfg = BrowserConfig::vanilla(5);
-    cfg.crash_per_mille = 1000; // crash every visit, retry once
-    let mut b = Browser::new(cfg);
-    let spec = VisitSpec {
-        url: "https://site.test/".into(),
-        dwell_override_s: Some(1),
-        ..Default::default()
-    };
-    let stats = b.visit(&spec, |_| SiteResponse::default()).expect("test URL parses");
-    assert_eq!(stats.crashes, 1);
-    // The retried visit still produced records.
-    let store = b.take_store();
-    assert!(store
-        .http_requests
-        .iter()
-        .any(|r| r.resource_type == netsim::ResourceType::MainFrame));
-}
-
-#[test]
-fn no_crashes_by_default() {
-    let mut b = Browser::new(BrowserConfig::vanilla(5));
-    let spec = VisitSpec {
-        url: "https://site.test/".into(),
-        dwell_override_s: Some(1),
-        ..Default::default()
-    };
-    let stats = b.visit(&spec, |_| SiteResponse::default()).expect("test URL parses");
-    assert_eq!(stats.crashes, 0);
-}
-
-#[test]
 fn multiple_sequential_frames_all_covered_by_stealth() {
     let mut b = Browser::new(BrowserConfig::stealth(6));
     let spec = VisitSpec {

@@ -19,6 +19,9 @@ perfbench/run.py. `--seconds` is the `--seconds` the runs were given.
         --parent p1.txt p2.txt --change c1.txt c2.txt >> BENCH_perf.jsonl
 
     python3 scripts/perf_row.py --self-test
+
+The self-test also checks that every row already in BENCH_perf.jsonl lists
+its triples as `[median, Q1, Q3]`.
 """
 
 import argparse
@@ -101,7 +104,20 @@ def self_test():
         raise AssertionError("runs of different seeds were accepted")
     except SystemExit as e:
         assert "c1 ran ('scan-mem', 9, 5000, 2)" in str(e), e
+    check_committed_rows(os.path.join(ROOT, "BENCH_perf.jsonl"))
     print("perf_row: self-test ok")
+
+
+def check_committed_rows(path):
+    """Every non-null `[median, Q1, Q3]` triple in the committed rows has Q1 <= median <= Q3."""
+    with open(path) as f:
+        for n, line in enumerate(f, 1):
+            for name, sides in json.loads(line)["metrics"].items():
+                for side in ("parent", "change"):
+                    if sides[side] is None:
+                        continue
+                    median, q1, q3 = sides[side]
+                    assert q1 <= median <= q3, f"{path}:{n} {name} {side} {sides[side]} is not [median, Q1, Q3]"
 
 
 def main():

@@ -1,14 +1,14 @@
-//! Work-stealing scheduler guarantees: the scheduler decides *which
-//! worker* visits a site, never *what the crawl reports*. Every artifact —
+//! Scheduler guarantees: the shared work queue decides *which worker*
+//! visits a site, never *what the crawl reports*. Every artifact —
 //! telemetry digest, Table 5, per-site records, crawl history — must be
-//! byte-identical across worker counts, across chunk sizes, and across
-//! repeated runs; and the rank-order merge of per-worker result buffers
-//! must equal the sequential map for any chunking.
+//! byte-identical across worker counts and across repeated runs; and the
+//! rank-order merge of per-worker result buffers must equal the sequential
+//! map.
 
 use gullible::obs;
 use gullible::scan::{Scan, ScanConfig, ScanReport};
 use gullible::CrawlCtx;
-use openwpm::{run_parallel_chunked, FaultPlan};
+use openwpm::{run_parallel, FaultPlan};
 
 /// A fresh crawl context with stats collection on.
 fn stats_ctx() -> CrawlCtx {
@@ -32,7 +32,7 @@ fn measured_scan(workers: usize) -> (ScanReport, String) {
 
 /// The tentpole invariant: worker counts {1, 3, 8} produce identical
 /// telemetry digests, Table 5, per-site records and history — and the
-/// scheduler's own effort counters (which *do* differ) never leak in.
+/// scheduler's own wall-latency metrics (which *do* differ) never leak in.
 #[test]
 fn results_identical_across_worker_counts() {
     let (base, base_metrics) = measured_scan(1);
@@ -48,7 +48,7 @@ fn results_identical_across_worker_counts() {
     }
     assert!(
         !base_metrics.contains("sched."),
-        "scheduler effort counters must be digest-excluded:\n{base_metrics}"
+        "scheduler metrics must be digest-excluded:\n{base_metrics}"
     );
 }
 
@@ -65,20 +65,17 @@ fn repeated_runs_identical_at_same_worker_count() {
     assert_eq!(a.history, b.history);
 }
 
-/// Property: for random item counts, worker counts and chunk sizes, the
-/// rank-order merge of the work-stealing run equals the sequential map.
+/// Property: for random item and worker counts, the rank-order merge of
+/// the parallel run equals the sequential map.
 #[test]
-fn chunked_merge_equals_sequential_map() {
+fn merge_equals_sequential_map() {
     proplite::run_cases(120, 0x5CED, |rng| {
         let n = rng.usize_in(0, 500);
         let workers = rng.usize_in(1, 9);
-        let chunk = rng.usize_in(0, 40); // 0 = auto sizing
         let items: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9E37)).collect();
         let expect: Vec<u64> = items.iter().enumerate().map(|(i, v)| v ^ (i as u64) << 7).collect();
-        let got = run_parallel_chunked(items, workers, chunk, |_| (), |_, i, v: u64| {
-            v ^ (i as u64) << 7
-        });
-        assert_eq!(got, expect, "n={n} workers={workers} chunk={chunk}");
+        let got = run_parallel(items, workers, |_| (), |_, i, v: u64| v ^ (i as u64) << 7);
+        assert_eq!(got, expect, "n={n} workers={workers}");
     });
 }
 
@@ -87,35 +84,19 @@ fn chunked_merge_equals_sequential_map() {
 #[test]
 fn merge_handles_idle_workers() {
     for n in [1usize, 2, 5, 7] {
-        let out = run_parallel_chunked((0..n as u32).collect(), 8, 1, |_| (), |_, _, x: u32| x * 10);
+        let out = run_parallel((0..n as u32).collect(), 8, |_| (), |_, _, x: u32| x * 10);
         assert_eq!(out, (0..n as u32).map(|x| x * 10).collect::<Vec<_>>());
     }
 }
 
-/// The scheduler reports its effort through the caller's telemetry: chunk
-/// claims always, steals whenever more than one worker contends for a
-/// skewed load.
+/// The scheduler reports through the caller's telemetry: one
+/// `manager.items` count and one `sched.visit_wall_us` sample per item.
 #[test]
 fn scheduler_counters_are_reported() {
     let telemetry = obs::Telemetry::new().with_stats(true);
     let _g = telemetry.enter();
-    run_parallel_chunked(
-        (0..200u32).collect::<Vec<_>>(),
-        4,
-        1,
-        |_| (),
-        |_, i, _| {
-            // Skew the seeded ranges so idle workers must steal.
-            if i < 50 {
-                std::thread::sleep(std::time::Duration::from_micros(300));
-            }
-        },
-    );
+    run_parallel((0..200u32).collect::<Vec<_>>(), 4, |_| (), |_, _, x| x);
     let snap = telemetry.registry().snapshot();
-    assert!(snap.counter("sched.chunk.claimed") > 0);
     assert_eq!(snap.counter("manager.items"), 200);
-    // Steals are scheduling luck — even a skewed load may drain without
-    // one on a single core — but the counter must at least be wired.
-    let rendered = snap.render();
-    assert!(rendered.contains("sched.chunk.claimed"), "{rendered}");
+    assert_eq!(snap.histograms["sched.visit_wall_us"].count, 200);
 }

@@ -173,8 +173,8 @@ fn checkpoint_format_version_is_stamped_and_validated() {
 }
 
 /// A panic inside a visit step surfaces once, names the *correct* item
-/// index, and does so at any worker count — the work-stealing scheduler
-/// may route the item to any worker, but never mislabel it.
+/// index, and does so at any worker count — the shared work queue may
+/// route the item to any worker, but never mislabel it.
 #[test]
 fn step_panic_reports_correct_index_at_any_worker_count() {
     for workers in [1usize, 3, 8] {
