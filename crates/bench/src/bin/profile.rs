@@ -7,13 +7,14 @@
 //! two runs. It then attributes the profiled run's visit wall clock to the
 //! fixed phase tree (webgen materialise → compile cache → jsengine interp →
 //! detect → archive encode/flush), checks the self times partition the
-//! visit total, and reports slowest-visit forensics plus compile-cache and
-//! archive effort counters.
+//! visit total, and reports forensics for the slowest 1% of visits plus
+//! compile-cache and archive effort counters.
 //!
 //! Output: a human phase table plus `BENCH_profile.json` and the forensic
 //! dumps in `BENCH_profile_forensics.jsonl`. Exits non-zero if the
 //! profiler perturbs any digest, the phase shares do not sum to the visit
-//! total, or a forensic dump fails schema validation.
+//! total, a forensic dump fails schema validation, or the profiled run
+//! does not write exactly one `slow_visit` dump per kept slow visit.
 //!
 //! ```text
 //! cargo run --release -p bench --bin profile            # 5K sites
@@ -92,16 +93,11 @@ fn main() {
         Scan::new(profile_cfg(sites, seed, workers)).stream_to(&dir_a).run().expect("baseline scan");
     let baseline_ms = t0.elapsed().as_secs_f64() * 1e3;
     let fp_a = fingerprint_of(&report_a, &dir_a);
-    let snap_a = ctx_a.telemetry.registry().snapshot();
     drop(leg_a);
-    // Slow-visit threshold for the profiled run: the baseline's p99 visit
-    // wall time, so roughly the slowest 1% of visits leave forensics.
-    let slow_us = snap_a
-        .histograms
-        .get("sched.visit_wall_us")
-        .map(|h| h.quantile(0.99))
-        .unwrap_or(0)
-        .max(1);
+    // The profiled run keeps forensics for its slowest 1% of visits: a
+    // count, not a wall-clock threshold, so every run writes the same
+    // number of dumps however fast the machine is.
+    let slow_visits = (sites as usize / 100).max(1);
     println!("baseline:  {sites} sites in {baseline_ms:.1} ms (profiler off)");
 
     // ------------------------------------- run B: profiled + flight recorder
@@ -112,7 +108,7 @@ fn main() {
     ctx_b.telemetry = obs::Telemetry::new()
         .with_stats(true)
         .with_prof(obs::prof::Mode::Collapsed)
-        .with_slow_visit_us(slow_us)
+        .with_slow_visits(slow_visits)
         .with_forensics(&forensics)
         .expect("open forensic sink");
     let _leg_b = ctx_b.enter();
@@ -209,6 +205,7 @@ fn main() {
     );
 
     // ------------------------------------------------- slowest-visit forensics
+    ctx_b.telemetry.write_slow_visits();
     let forensic_text = std::fs::read_to_string(&forensics).unwrap_or_default();
     let summary = match obs::validate::validate_forensic(&forensic_text) {
         Ok(s) => s,
@@ -219,11 +216,13 @@ fn main() {
     };
     let slow_dumps = summary.triggers.iter().filter(|(t, _)| t == "slow_visit").count();
     println!(
-        "forensics: {} dump(s), {} ring event(s); {} slow visit(s) at/above {slow_us} µs (baseline p99)",
-        summary.dumps, summary.ring_events, slow_dumps
+        "forensics: {} dump(s), {} ring event(s); {slow_dumps} of the {slow_visits} slowest visit(s)",
+        summary.dumps, summary.ring_events
     );
-    if summary.dumps == 0 {
-        failures.push("no forensic dumps recorded — slow-visit threshold never fired".into());
+    if slow_dumps != slow_visits {
+        failures.push(format!(
+            "expected exactly {slow_visits} slow_visit dump(s), found {slow_dumps}"
+        ));
     }
 
     // ------------------------------------------------------ effort counters
@@ -260,7 +259,7 @@ fn main() {
         ));
     }
     json.push_str(&format!(
-        "],\"slow_threshold_us\":{slow_us},\"forensic_dumps\":{},\"forensic_ring_events\":{},\
+        "],\"slow_visits\":{slow_visits},\"forensic_dumps\":{},\"forensic_ring_events\":{},\
          \"slow_visit_dumps\":{slow_dumps},\"effort\":{{",
         summary.dumps, summary.ring_events
     ));

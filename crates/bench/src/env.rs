@@ -25,7 +25,7 @@
 //! | `GULLIBLE_ENGINE`         | enum  | `vm`           | MiniJS execution backend: `vm` (bytecode) or `tree` (reference oracle) |
 //! | `GULLIBLE_BUNDLE`         | path  | unset          | crawl-bundle directory for `archive_record`/`archive_replay` (positional arg wins); `repro` streams its scan there and resumes it on restart |
 //! | `GULLIBLE_PROF`           | mode  | off            | phase profiler: `1` on, `collapsed` also prints a flamegraph-ready collapsed-stack dump |
-//! | `GULLIBLE_PROF_SLOW_US`   | u64   | 0              | slow-visit threshold in µs; visits at/above it dump a forensic record (`0` disables) |
+//! | `GULLIBLE_PROF_SLOW_VISITS` | usize | 0            | the k slowest visits of the run dump a forensic record, written at its end (`0` disables) |
 //! | `GULLIBLE_FORENSICS`      | path  | unset          | append flight-recorder forensic dumps (JSONL) here; arms the profiler |
 //!
 //! Boolean knobs accept `1`, `true`, `yes` or `on` (anything else, or
@@ -105,9 +105,10 @@ pub fn prof_mode() -> obs::prof::Mode {
     obs::prof::parse_mode(&std::env::var("GULLIBLE_PROF").unwrap_or_default())
 }
 
-/// `GULLIBLE_PROF_SLOW_US` — slow-visit forensic-dump threshold (µs, 0 = off).
-pub fn prof_slow_us() -> u64 {
-    u64_knob("GULLIBLE_PROF_SLOW_US", 0)
+/// `GULLIBLE_PROF_SLOW_VISITS` — how many of the slowest visits leave a
+/// forensic dump (0 = none).
+pub fn prof_slow_visits() -> usize {
+    u64_knob("GULLIBLE_PROF_SLOW_VISITS", 0) as usize
 }
 
 /// `GULLIBLE_FORENSICS` — flight-recorder forensic dump file (JSONL, append).

@@ -78,7 +78,7 @@ pub fn compare_config() -> CompareConfig {
 /// The telemetry the knobs describe: the trace journal when
 /// `GULLIBLE_TRACE` names a path, stats under `GULLIBLE_STATS`, the phase
 /// profiler / flight recorder under `GULLIBLE_PROF`,
-/// `GULLIBLE_PROF_SLOW_US` and `GULLIBLE_FORENSICS`.
+/// `GULLIBLE_PROF_SLOW_VISITS` and `GULLIBLE_FORENSICS`.
 fn telemetry() -> obs::Telemetry {
     let mut t = obs::Telemetry::new();
     if let Some(path) = env::forensics() {
@@ -95,7 +95,7 @@ fn telemetry() -> obs::Telemetry {
     }
     t.with_stats(env::stats())
         .with_prof(env::prof_mode())
-        .with_slow_visit_us(env::prof_slow_us())
+        .with_slow_visits(env::prof_slow_visits())
 }
 
 /// A fresh context for one measured leg of a multi-run binary: stats-on
@@ -150,9 +150,10 @@ pub fn run_config_hash() -> u64 {
 /// Print the run footer every binary ends with: the `[stats]` summary when
 /// `GULLIBLE_STATS` is on, then — always — the one-line `[provenance]`
 /// footer (seed, config hash, telemetry digest, coverage), and flush the
-/// trace journal.
+/// trace journal and the slow-visit forensic dumps.
 pub fn finish(bin: &str, coverage: Option<&str>) {
     let telemetry = obs::Telemetry::current();
+    telemetry.write_slow_visits();
     let reg = telemetry.registry();
     if telemetry.stats_enabled() {
         print!("{}", obs::stats::render_summary(reg));

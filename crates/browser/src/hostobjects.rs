@@ -17,9 +17,10 @@
 //!   `Document.prototype` → `Node.prototype` → `EventTarget.prototype`,
 //!   which is what makes the vanilla instrument's flattening observable
 //!   (Fig. 2);
-//! * the WebGL surface is materialised lazily on the first
+//! * the WebGL surface is materialised lazily on each
 //!   `canvas.getContext('webgl')` call (pages that never probe it don't pay
-//!   for ~2,000 property insertions);
+//!   for ~2,000 properties), as a copy of a property map built once per
+//!   profile ([`crate::WebGlProfile::surface`]);
 //! * `fetch` returns a synchronously-resolving thenable (a deliberate
 //!   simplification — the corpus only chains `.then`).
 
@@ -652,10 +653,10 @@ fn install_canvas_methods(it: &mut Interp, canvas_proto: ObjId) {
         }
         let kind = string_arg(it, args, 0)?;
         if &*kind == "webgl" || &*kind == "experimental-webgl" {
-            let webgl = host_of(it).borrow().profile.webgl.clone();
-            match webgl {
+            let profile = host_of(it).borrow().profile.clone();
+            match &profile.webgl {
                 None => Ok(Value::Null), // headless: no WebGL at all
-                Some(profile) => Ok(Value::Obj(make_webgl_context(it, &profile))),
+                Some(webgl) => Ok(Value::Obj(make_webgl_context(it, webgl))),
             }
         } else {
             Ok(Value::Obj(it.alloc_object_with_class("CanvasRenderingContext2D")))
@@ -742,15 +743,14 @@ fn lookup_element(host: &PageShared, id: &str) -> Option<Value> {
     host.borrow().element_id(id).map(Value::Obj)
 }
 
-/// Materialise a WebGL context for this realm (lazy; see module docs).
+/// Materialise a WebGL context for this realm (lazy; see module docs): a
+/// fresh prototype holding a copy of the profile's prebuilt surface, so
+/// writes to one context's prototype reach no other context or page.
 fn make_webgl_context(it: &mut Interp, profile: &crate::webgl::WebGlProfile) -> ObjId {
-    let proto = it.heap.alloc(JsObject::with_class(
-        Some(it.intrinsics.object_proto),
-        "WebGLRenderingContextPrototype",
-    ));
-    for (name, value) in &profile.props {
-        data(it, proto, name, Value::str(value));
-    }
+    let proto = it.heap.alloc(JsObject {
+        props: profile.surface().clone(),
+        ..JsObject::with_class(Some(it.intrinsics.object_proto), "WebGLRenderingContextPrototype")
+    });
     let vendor = profile.vendor.clone();
     let renderer = profile.renderer.clone();
     method(it, proto, "getParameter", move |_it, _this, args| {

@@ -10,18 +10,41 @@
 //! `WebGLRenderingContext` constant and method names; what matters for the
 //! reproduction is the diff arithmetic and the vendor/renderer strings,
 //! which are verbatim from Table 4.
+//!
+//! A page sees the surface as the own properties of a fresh
+//! `WebGLRenderingContext` prototype per `getContext('webgl')` call. Those
+//! ~2,000 properties are built into a [`PropMap`] once per profile
+//! ([`WebGlProfile::surface`]) and cloned per context, so a call copies
+//! the map instead of allocating and interning every name and value again.
+
+use std::sync::{Arc, OnceLock};
+
+use jsengine::{PropMap, Property, Value};
 
 use crate::profile::Os;
 
 /// A realised WebGL surface.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone)]
 pub struct WebGlProfile {
     /// `UNMASKED_VENDOR_WEBGL`.
     pub vendor: String,
     /// `UNMASKED_RENDERER_WEBGL`.
     pub renderer: String,
     /// Full property surface `(name, value)` as seen by DOM traversal.
-    pub props: Vec<(String, String)>,
+    /// Private, so it cannot drift from `surface` once that is built.
+    props: Vec<(String, String)>,
+    /// `props` as enumerable data properties, built on first use.
+    surface: OnceLock<PropMap>,
+}
+
+impl std::fmt::Debug for WebGlProfile {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WebGlProfile")
+            .field("vendor", &self.vendor)
+            .field("renderer", &self.renderer)
+            .field("props", &self.props)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Number of WebGL properties common to every hardware-accelerated Firefox.
@@ -68,33 +91,22 @@ impl WebGlProfile {
             Os::Ubuntu1804 => ("AMD", "AMD TAHITI"),
             Os::MacOs1015 => ("Apple", "Apple M-series"),
         };
-        WebGlProfile {
-            vendor: vendor.to_owned(),
-            renderer: renderer.to_owned(),
-            props: base_props(os, vendor, renderer, 0),
-        }
+        WebGlProfile::new(vendor, renderer, base_props(os, vendor, renderer, 0))
     }
 
     /// Xvfb: Mesa/X.org software rasteriser (Table 4 row "Xvfb").
     pub fn llvmpipe_mesa(os: Os) -> WebGlProfile {
         let vendor = "Mesa/X.org";
         let renderer = "llvmpipe (LLVM 12.0.0, 256 bits)";
-        WebGlProfile {
-            vendor: vendor.to_owned(),
-            renderer: renderer.to_owned(),
-            props: base_props(os, vendor, renderer, XVFB_CHANGED),
-        }
+        WebGlProfile::new(vendor, renderer, base_props(os, vendor, renderer, XVFB_CHANGED))
     }
 
     /// Docker: VMware-flagged llvmpipe (Table 4 row "Docker").
     pub fn llvmpipe_vmware() -> WebGlProfile {
         let vendor = "VMware, Inc.";
         let renderer = "llvmpipe (LLVM 10.0.0, 256 bits)";
-        WebGlProfile {
-            vendor: vendor.to_owned(),
-            renderer: renderer.to_owned(),
-            props: base_props(Os::Ubuntu1804, vendor, renderer, DOCKER_CHANGED),
-        }
+        let props = base_props(Os::Ubuntu1804, vendor, renderer, DOCKER_CHANGED);
+        WebGlProfile::new(vendor, renderer, props)
     }
 
     /// A Chromium-family surface for detector validation: overlapping
@@ -115,11 +127,38 @@ impl WebGlProfile {
                 props.push((format!("ANGLE_PROP_{i:04}"), format!("angle-const-{i}")));
             }
         }
-        WebGlProfile { vendor: vendor.to_owned(), renderer: renderer.to_owned(), props }
+        WebGlProfile::new(vendor, renderer, props)
+    }
+
+    fn new(vendor: &str, renderer: &str, props: Vec<(String, String)>) -> WebGlProfile {
+        WebGlProfile {
+            vendor: vendor.to_owned(),
+            renderer: renderer.to_owned(),
+            props,
+            surface: OnceLock::new(),
+        }
+    }
+
+    /// The full property surface `(name, value)`, in DOM-traversal order.
+    pub fn props(&self) -> &[(String, String)] {
+        &self.props
     }
 
     pub fn prop_count(&self) -> usize {
         self.props.len()
+    }
+
+    /// The surface as a context prototype's own properties: one enumerable
+    /// data property per `props` entry, in order. Built on the first call
+    /// and shared by every later one; a clone of the profile copies it.
+    pub fn surface(&self) -> &PropMap {
+        self.surface.get_or_init(|| {
+            let mut map = PropMap::new();
+            for (name, value) in &self.props {
+                map.insert(Arc::from(name.as_str()), Property::data(Value::str(value)));
+            }
+            map
+        })
     }
 }
 
@@ -131,6 +170,17 @@ mod tests {
     fn surface_sizes_match_table2() {
         assert_eq!(WebGlProfile::native(Os::MacOs1015).prop_count(), 2037);
         assert_eq!(WebGlProfile::native(Os::Ubuntu1804).prop_count(), 2061);
+    }
+
+    #[test]
+    fn surface_is_built_on_first_use_in_profile_order() {
+        let p = WebGlProfile::native(Os::Ubuntu1804);
+        assert!(p.surface.get().is_none(), "no page asked for WebGL yet");
+        let keys: Vec<&str> = p.surface().keys().map(|k| &**k).collect();
+        let names: Vec<&str> = p.props.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, names);
+        assert!(std::ptr::eq(p.surface(), p.surface()));
+        assert!(p.surface().iter().all(|(_, prop)| prop.enumerable && prop.writable));
     }
 
     #[test]

@@ -16,8 +16,8 @@ use crate::value::{number_to_string, Value};
 ///
 /// This is the one funnel for builtin dispatch — [`Interp::call`] routes
 /// every `Callable::Native` through here for *both* execution backends, so
-/// `GULLIBLE_PROF=collapsed` flamegraphs carry identical `builtin.<name>`
-/// leaves whether the caller was the tree-walker or the bytecode VM.
+/// the profiler's `prof.builtin.<name>` counters are identical whether the
+/// caller was the tree-walker or the bytecode VM.
 pub(crate) fn dispatch_native(
     interp: &mut Interp,
     name: &Arc<str>,

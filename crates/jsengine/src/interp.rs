@@ -858,7 +858,7 @@ impl Interp {
             Callable::Native { name, f } => {
                 // The per-builtin dispatch counter lives in the shared
                 // builtins layer, so both engines record identical
-                // `builtin.<name>` leaves.
+                // `prof.builtin.<name>` counts.
                 crate::builtins::dispatch_native(self, &name, &f, this, args)
             }
             Callable::Script { def, env } => {

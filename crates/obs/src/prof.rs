@@ -14,15 +14,18 @@
 //!   metric deltas in bundle manifest entries — profiling on vs off is
 //!   byte-identical where it matters.
 //! * **Flight recorder** — a per-worker ring buffer of recent events (every
-//!   `obs::emit`, phase transitions, and explicit breadcrumbs). Slow
-//!   visits, typed visit failures, panics, and chaos kills dump the ring
-//!   plus the in-flight phase stack as flat JSONL forensic records to a
-//!   side file (see [`Telemetry::with_forensics`]); `validate::validate_forensic`
-//!   checks the schema. The ring is thread-local — recording takes no lock;
-//!   only the rare dump serialises on the sink.
+//!   `obs::emit`, phase transitions, and explicit breadcrumbs). Typed
+//!   visit failures, panics and chaos kills dump the ring plus the
+//!   in-flight phase stack as flat JSONL forensic records to a side file
+//!   (see [`Telemetry::with_forensics`]); the k slowest visits of a leg
+//!   are captured the same way and written when the leg ends, so their
+//!   count never depends on the machine's speed.
+//!   `validate::validate_forensic` checks the schema. The ring is
+//!   thread-local — recording takes no lock; only the rare dump
+//!   serialises on the sink.
 //!
 //! Both record into the calling thread's current [`Telemetry`], whose
-//! builders set the mode, slow-visit threshold and forensic sink.
+//! builders set the mode, slow-visit count and forensic sink.
 //!
 //! [`NONDETERMINISTIC_PREFIXES`]: crate::NONDETERMINISTIC_PREFIXES
 //! [`Telemetry`]: crate::Telemetry
@@ -35,7 +38,7 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::event::{push_json_string, AttrVal, Event};
-use crate::telemetry::{self, COLLAPSED, FORENSIC, PROF};
+use crate::telemetry::{self, COLLAPSED, ENABLED, FORENSIC, PROF};
 
 // ------------------------------------------------------------------ phases
 
@@ -101,24 +104,6 @@ phase_def!(DETECT_DYNAMIC, "detect.dynamic", "prof.detect.dynamic_us", "prof.sel
 phase_def!(ARCHIVE_ENCODE, "archive.encode", "prof.archive.encode_us", "prof.self.archive.encode");
 phase_def!(ARCHIVE_FLUSH, "archive.flush", "prof.archive.flush_us", "prof.self.archive.flush");
 
-/// Every phase of the fixed tree, for report/stats iteration. `visit` is
-/// the root.
-pub static PHASES: &[&PhaseDef] = &[
-    &VISIT,
-    &WEBGEN_MATERIALISE,
-    &COMPILE_HIT,
-    &COMPILE_MISS,
-    &JS_INTERP,
-    &JS_COMPILE_BC,
-    &JS_VM,
-    &DETECT_STATIC,
-    &DETECT_STATIC_BUILD,
-    &DETECT_STATIC_SCAN,
-    &DETECT_DYNAMIC,
-    &ARCHIVE_ENCODE,
-    &ARCHIVE_FLUSH,
-];
-
 /// Phases nested under `visit` — the set whose self times (plus `visit`'s
 /// own) partition a visit's wall clock.
 pub static VISIT_PHASES: &[&PhaseDef] = &[
@@ -166,11 +151,6 @@ pub fn parse_mode(v: &str) -> Mode {
 #[inline]
 pub fn profiling() -> bool {
     telemetry::flags() & PROF != 0
-}
-
-/// The current telemetry's slow-visit threshold in wall-clock µs (0: off).
-pub fn slow_visit_us() -> u64 {
-    telemetry::with_current(|t| t.slow_visit_us)
 }
 
 // ----------------------------------------------------------- phase guards
@@ -257,35 +237,20 @@ pub fn current_phase() -> String {
     })
 }
 
-// ------------------------------------------------------- collapsed stacks
+// ------------------------------------------------------- builtin counts
 
-/// Fold per-builtin interpreter call counts in as leaf nodes under
-/// `visit;jsengine.interp`. Leaf values are **call counts**, not micros —
-/// natives execute without their own stack frames, so counts are the
-/// finest attribution the engine offers (documented in the collapsed
-/// header the bench prints).
-pub fn fold_builtin_counts(builtins: &[(std::sync::Arc<str>, u64)]) {
-    fold_builtin_counts_under("visit;jsengine.interp", builtins);
-}
-
-/// [`fold_builtin_counts`] with an explicit parent path, so hosts running
-/// the bytecode backend can hang the identical `builtin.<name>` leaves
-/// under `visit;jsengine.vm` instead. The `prof.builtin.*` counters are
-/// engine-agnostic either way — both backends funnel native dispatch
-/// through one shared builtins layer, so the counts line up exactly.
-pub fn fold_builtin_counts_under(parent: &str, builtins: &[(std::sync::Arc<str>, u64)]) {
+/// Add per-builtin interpreter call counts to the `prof.builtin.<name>`
+/// counters. They are counts, not micros — natives execute without their
+/// own phase frames — so they stay out of the collapsed-stack map, whose
+/// values are self µs. Both engine backends funnel native dispatch through
+/// one shared builtins layer, so the counts are engine-agnostic.
+pub fn count_builtins(builtins: &[(std::sync::Arc<str>, u64)]) {
     if !profiling() || builtins.is_empty() {
         return;
     }
     telemetry::with_current(|t| {
         for (name, count) in builtins {
             t.registry.counter_by_name(&format!("prof.builtin.{name}")).add(*count);
-        }
-        if t.flags & COLLAPSED != 0 {
-            let mut map = t.collapsed.lock().unwrap_or_else(|e| e.into_inner());
-            for (name, count) in builtins {
-                *map.entry(format!("{parent};builtin.{name}")).or_insert(0) += count;
-            }
         }
     });
 }
@@ -387,19 +352,13 @@ fn wall_ms() -> u64 {
 
 // --------------------------------------------------------- forensic sink
 
-/// Dump this worker's flight-recorder state into the current telemetry's
-/// forensic sink as one forensic record: a flat
-/// `{"rec":"forensic",...}` header line naming the trigger and the
+/// Render this worker's flight-recorder state as one forensic record: a
+/// flat `{"rec":"forensic",...}` header line naming the trigger and the
 /// in-flight phase stack, followed by one `{"rec":"forensic_ring",...}`
 /// line per buffered event (oldest first). Every line is flat JSON —
-/// `validate::validate_forensic` checks the schema. Safe to call during a
-/// panic unwind (the chaos injector dumps *before* it dies); a poisoned
-/// sink lock is recovered, so a panic dump is never lost.
-pub fn dump_forensic(trigger: &str, attrs: &[(&str, String)]) {
-    if !recorder_armed() {
-        return;
-    }
-    crate::add("prof.forensic.dumps", 1);
+/// `validate::validate_forensic` checks the schema. Dump ids are unique
+/// and follow capture order.
+fn render_dump(trigger: &str, attrs: &[(&str, String)]) -> String {
     let id = NEXT_DUMP_ID.fetch_add(1, Ordering::Relaxed) + 1;
     let phase = current_phase();
     let depth = STACK.with(|s| s.borrow().len());
@@ -436,13 +395,60 @@ pub fn dump_forensic(trigger: &str, attrs: &[(&str, String)]) {
             out.push_str("}\n");
         }
     }
+    out
+}
 
+/// Append a rendered dump to `t`'s forensic sink. A poisoned sink lock is
+/// recovered, so a panic dump is never lost.
+pub(crate) fn write_dump(t: &telemetry::Inner, dump: &str) {
+    let Some(file) = &t.sink else { return };
+    if t.flags & ENABLED != 0 {
+        t.registry.add("prof.forensic.dumps", 1);
+    }
+    let mut file = file.lock().unwrap_or_else(|e| e.into_inner());
+    let _ = file.write_all(dump.as_bytes());
+    let _ = file.flush();
+}
+
+/// Dump this worker's flight-recorder state into the current telemetry's
+/// forensic sink now. Safe to call during a panic unwind (the chaos
+/// injector dumps *before* it dies).
+pub fn dump_forensic(trigger: &str, attrs: &[(&str, String)]) {
+    if !recorder_armed() {
+        return;
+    }
+    let dump = render_dump(trigger, attrs);
+    telemetry::with_current(|t| write_dump(t, &dump));
+}
+
+/// Offer a finished visit to the slow-visit trigger. The current
+/// telemetry keeps a `slow_visit` dump of its k slowest visits
+/// ([`Telemetry::with_slow_visits`]); a visit slower than the fastest one
+/// kept is captured here, on its worker, and evicts that one. The kept
+/// dumps reach the sink when the leg ends
+/// ([`Telemetry::write_slow_visits`]), so a leg of at least k visits
+/// writes exactly k of them.
+///
+/// [`Telemetry::with_slow_visits`]: crate::Telemetry::with_slow_visits
+/// [`Telemetry::write_slow_visits`]: crate::Telemetry::write_slow_visits
+pub fn offer_slow_visit(item: usize, wall_us: u64) {
+    if !recorder_armed() {
+        return;
+    }
     telemetry::with_current(|t| {
-        if let Some(file) = &t.sink {
-            let mut file = file.lock().unwrap_or_else(|e| e.into_inner());
-            let _ = file.write_all(out.as_bytes());
-            let _ = file.flush();
+        if t.slow_visits == 0 {
+            return;
         }
+        let mut kept = t.slowest.lock().unwrap_or_else(|e| e.into_inner());
+        if kept.len() == t.slow_visits {
+            let fastest = (0..kept.len()).min_by_key(|&i| kept[i].0).expect("k > 0");
+            if kept[fastest].0 >= wall_us {
+                return;
+            }
+            kept.swap_remove(fastest);
+        }
+        let attrs = [("item", item.to_string()), ("wall_us", wall_us.to_string())];
+        kept.push((wall_us, render_dump("slow_visit", &attrs)));
     });
 }
 
@@ -507,11 +513,81 @@ mod tests {
             let _v = enter(&VISIT);
             let _d = enter(&DETECT_STATIC);
         }
-        fold_builtin_counts(&[(std::sync::Arc::from("getTime"), 3)]);
+        count_builtins(&[(std::sync::Arc::from("getTime"), 3)]);
         let snap = t.registry().snapshot();
         assert_eq!(snap.digest(), before, "prof.* must be digest-invisible");
         assert!(snap.render().contains("prof."), "but still rendered:\n{}", snap.render());
         assert_eq!(snap.counter("prof.builtin.getTime"), 3);
+    }
+
+    #[test]
+    fn builtin_counts_stay_out_of_the_collapsed_map() {
+        let t = Telemetry::new().with_stats(true).with_prof(Mode::Collapsed);
+        let _g = t.enter();
+        {
+            let _v = enter(&VISIT);
+            count_builtins(&[(std::sync::Arc::from("defineProperty"), 692_145)]);
+        }
+        assert_eq!(t.registry().snapshot().counter("prof.builtin.defineProperty"), 692_145);
+        let rendered = t.render_collapsed();
+        assert!(rendered.starts_with("visit "), "{rendered}");
+        assert!(!rendered.contains("builtin"), "counts are not self µs:\n{rendered}");
+    }
+
+    /// `wall_us` of every `slow_visit` dump in `text`, in file order.
+    fn slow_visit_walls(text: &str) -> Vec<u64> {
+        text.lines()
+            .filter(|l| l.contains(r#""trigger":"slow_visit""#))
+            .map(|l| {
+                let tail = &l[l.find(r#""wall_us":""#).expect("wall_us attr") + 11..];
+                tail[..tail.find('"').unwrap()].parse().unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn slow_visit_trigger_keeps_exactly_the_k_slowest() {
+        let path = tmp_file("topk");
+        let t = Telemetry::new().with_slow_visits(3).with_forensics(&path).expect("sink");
+        {
+            let _g = t.enter();
+            for (item, us) in [5u64, 1, 9, 3, 7, 9, 2, 8, 4].into_iter().enumerate() {
+                let _v = enter(&VISIT);
+                ring_record("page", format!("item {item}"));
+                offer_slow_visit(item, us);
+            }
+            // Nothing reaches the sink before the leg ends.
+            assert_eq!(std::fs::read_to_string(&path).unwrap_or_default(), "");
+        }
+        t.write_slow_visits();
+        let text = std::fs::read_to_string(&path).expect("dump file");
+        let summary = crate::validate::validate_forensic(&text).expect("parseable dumps");
+        assert_eq!(summary.dumps, 3);
+        assert!(summary.triggers.iter().all(|(t, p)| t == "slow_visit" && p == "visit"));
+        // Slowest first; a tie with the fastest kept visit does not evict it.
+        assert_eq!(slow_visit_walls(&text), [9, 9, 8]);
+        assert!(text.contains(r#""item":"2""#) && text.contains(r#""item":"5""#), "{text}");
+        // Each dump holds its visit's ring as it was on arrival: item 7's
+        // breadcrumb is there, the later item 8's is in no kept dump.
+        assert!(text.contains(r#""detail":"item 7""#), "{text}");
+        assert!(!text.contains(r#""detail":"item 8""#), "{text}");
+        // Writing ends the leg: a second write adds nothing.
+        t.write_slow_visits();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+
+        // Fewer visits than k: every one is kept.
+        let short = tmp_file("topk-short");
+        let t = Telemetry::new().with_slow_visits(5).with_forensics(&short).expect("sink");
+        {
+            let _g = t.enter();
+            offer_slow_visit(0, 40);
+            offer_slow_visit(1, 60);
+        }
+        t.write_slow_visits();
+        let text = std::fs::read_to_string(&short).expect("dump file");
+        assert_eq!(slow_visit_walls(&text), [60, 40]);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&short);
     }
 
     #[test]
@@ -563,20 +639,20 @@ mod tests {
         let path = tmp_file("leave");
         let t = Telemetry::new()
             .with_prof(Mode::Collapsed)
-            .with_slow_visit_us(123)
+            .with_slow_visits(3)
             .with_forensics(&path)
             .expect("sink");
         assert_eq!(t.prof_mode(), Mode::Collapsed);
         {
             let _g = t.enter();
             assert!(profiling() && recorder_armed());
-            assert_eq!(slow_visit_us(), 123);
         }
-        // Back on the inert default: nothing armed, nothing written.
+        // Back on the inert default: nothing armed, nothing kept or written.
         assert!(!profiling());
         assert!(!recorder_armed());
-        assert_eq!(slow_visit_us(), 0);
         dump_forensic("ignored", &[]);
+        offer_slow_visit(0, 1_000);
+        t.write_slow_visits();
         assert_eq!(std::fs::read_to_string(&path).unwrap_or_default(), "");
         let _ = std::fs::remove_file(&path);
     }

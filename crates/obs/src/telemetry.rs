@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::journal::Journal;
 use crate::metrics::Registry;
-use crate::prof::Mode;
+use crate::prof::{write_dump, Mode};
 
 pub(crate) const STATS: u8 = 1;
 pub(crate) const TRACING: u8 = 2;
@@ -41,13 +41,27 @@ pub(crate) struct Inner {
     /// apart even when one is freed and another allocated in its place.
     pub(crate) id: u64,
     pub(crate) flags: u8,
-    pub(crate) slow_visit_us: u64,
+    /// How many of the slowest visits keep a forensic dump (0: none).
+    pub(crate) slow_visits: usize,
+    /// The slowest visits so far, `(wall µs, rendered dump)`, at most
+    /// `slow_visits`.
+    pub(crate) slowest: Mutex<Vec<(u64, String)>>,
     pub(crate) registry: Registry,
     pub(crate) journal: Option<Arc<Journal>>,
     /// Forensic dump sink.
     pub(crate) sink: Option<Mutex<File>>,
-    /// Collapsed-stack map (`path;to;phase` → self µs or call count).
+    /// Collapsed-stack map (`path;to;phase` → self µs).
     pub(crate) collapsed: Mutex<BTreeMap<String, u64>>,
+}
+
+impl Inner {
+    fn write_slow_visits(&self) {
+        let mut kept = std::mem::take(&mut *self.slowest.lock().unwrap_or_else(|e| e.into_inner()));
+        kept.sort_by_key(|(wall_us, _)| std::cmp::Reverse(*wall_us));
+        for (_, dump) in &kept {
+            write_dump(self, dump);
+        }
+    }
 }
 
 impl Default for Telemetry {
@@ -63,7 +77,8 @@ impl Telemetry {
         Telemetry(Arc::new(Inner {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             flags: 0,
-            slow_visit_us: 0,
+            slow_visits: 0,
+            slowest: Mutex::new(Vec::new()),
             registry: Registry::new(),
             journal: None,
             sink: None,
@@ -106,10 +121,19 @@ impl Telemetry {
         })
     }
 
-    /// Slow-visit forensic threshold in wall-clock µs; 0 disables it
-    /// (`GULLIBLE_PROF_SLOW_US`).
-    pub fn with_slow_visit_us(self, us: u64) -> Telemetry {
-        self.configure(|t| t.slow_visit_us = us)
+    /// Keep a forensic dump of the `k` slowest visits (by wall clock) and
+    /// write them when the leg ends; 0 disables it
+    /// (`GULLIBLE_PROF_SLOW_VISITS`). Only an armed flight recorder
+    /// ([`Telemetry::with_forensics`]) captures them.
+    pub fn with_slow_visits(self, k: usize) -> Telemetry {
+        self.configure(|t| t.slow_visits = k)
+    }
+
+    /// End the slow-visit leg: write the kept dumps, slowest first, to
+    /// the forensic sink and forget them. A leg that is never ended
+    /// writes none of them.
+    pub fn write_slow_visits(&self) {
+        self.0.write_slow_visits();
     }
 
     /// Append flight-recorder dumps to `path` (`GULLIBLE_FORENSICS`). Arms

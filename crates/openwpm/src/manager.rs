@@ -116,13 +116,7 @@ where
                                 if let Some(t0) = t0 {
                                     let us = t0.elapsed().as_micros() as u64;
                                     obs::observe("sched.visit_wall_us", us);
-                                    let slow = obs::prof::slow_visit_us();
-                                    if slow > 0 && us >= slow {
-                                        obs::prof::dump_forensic(
-                                            "slow_visit",
-                                            &[("item", i.to_string()), ("wall_us", us.to_string())],
-                                        );
-                                    }
+                                    obs::prof::offer_slow_visit(i, us);
                                 }
                                 drop(visit_guard);
                                 obs::add("manager.items", 1);

@@ -418,14 +418,7 @@ impl Browser {
             after.report_delta(&before);
         }
         if let Some(profile) = page.take_profile() {
-            // Builtin leaves hang under whichever backend phase ran the
-            // scripts, so collapsed flamegraphs show identical
-            // `builtin.<name>` frames in either mode.
-            let parent = match page.interp.engine {
-                jsengine::Engine::Vm => "visit;jsengine.vm",
-                jsengine::Engine::Tree => "visit;jsengine.interp",
-            };
-            obs::prof::fold_builtin_counts_under(parent, &profile.builtins);
+            obs::prof::count_builtins(&profile.builtins);
             obs::observe("jsengine.ops_per_visit", profile.ops);
             obs::observe("jsengine.calls_per_visit", profile.calls);
             obs::observe("jsengine.max_call_depth", profile.max_depth as u64);

@@ -75,11 +75,11 @@ fn profiled_scan(profile: bool) -> (String, String, u64, u64, String, String) {
         .join(format!("gullible-telemetry-prof-{}.jsonl", std::process::id()));
     let telemetry = if profile {
         let _ = std::fs::remove_file(&dumps);
-        // Threshold of 1 µs: practically every visit dumps a forensic
-        // record — the worst case for interference.
+        // More slow visits kept than there are visits: every visit dumps
+        // a forensic record — the worst case for interference.
         obs::Telemetry::new()
             .with_prof(obs::prof::Mode::Collapsed)
-            .with_slow_visit_us(1)
+            .with_slow_visits(1_000)
             .with_forensics(&dumps)
             .expect("arm flight recorder")
     } else {
@@ -108,9 +108,12 @@ fn profiled_scan(profile: bool) -> (String, String, u64, u64, String, String) {
         // The profiler itself must have seen the run (the comparison would
         // be vacuous otherwise) and left parseable forensics behind.
         assert!(snap.counter("prof.self.visit") > 0, "profiler armed but recorded nothing");
+        ctx.telemetry.write_slow_visits();
         let text = std::fs::read_to_string(&dumps).expect("forensic dumps");
         let summary = obs::validate::validate_forensic(&text).expect("parseable forensics");
-        assert!(summary.dumps > 0, "slow-visit threshold of 1µs must dump");
+        let slow = summary.triggers.iter().filter(|(t, _)| t == "slow_visit").count() as u64;
+        let visits = snap.histograms.get("sched.visit_wall_us").map_or(0, |h| h.count);
+        assert!(visits > 0 && slow == visits, "{slow} slow-visit dumps for {visits} visits");
         let _ = std::fs::remove_file(&dumps);
     }
     out
