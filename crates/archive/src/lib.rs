@@ -29,6 +29,7 @@
 //! from the telemetry digest (like `cache.*`): recording a crawl must not
 //! perturb its provenance.
 
+use obs::fnv1a;
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
@@ -50,16 +51,6 @@ const BLOBS_MAGIC: &str = "gullible-blobs";
 /// Separator between a manifest line's body and its checksum (cannot occur
 /// in payloads — [`BundleWriter::append_entry`] rejects it).
 const US: char = '\x1f';
-
-/// FNV-1a 64-bit — the workspace's standard content hash.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h
-}
 
 fn frame(body: &str) -> String {
     format!("{body}{US}{:016x}", fnv1a(body.as_bytes()))

@@ -2,8 +2,7 @@
 //!
 //! Every regeneration binary and the umbrella `repro` runner read their
 //! configuration from these variables; nothing else in the workspace calls
-//! `std::env::var` for a `GULLIBLE_*` name except [`FaultPlan::from_env`]
-//! (which this module re-wraps as [`fault_plan`]) and `jsengine`'s
+//! `std::env::var` for a `GULLIBLE_*` name except `jsengine`'s
 //! process-default context, which reads `GULLIBLE_ENGINE` so plain
 //! `cargo test` runs can select the tree-walking oracle.
 //!
@@ -20,7 +19,7 @@
 //! | `GULLIBLE_FAULT_NAV_PM`   | u32   | 0              | navigation-error probability (per-mille) |
 //! | `GULLIBLE_FAULT_TAB_PM`   | u32   | 0              | mid-visit tab-crash probability (per-mille) |
 //! | `GULLIBLE_FAULT_HTTP_PM`  | u32   | 0              | transient-HTTP-failure probability (per-mille) |
-//! | `GULLIBLE_FAULT_BOOST_PM` | u32   | 1000           | failure multiplier on flaky-flagged sites (per-mille) |
+//! | `GULLIBLE_FAULT_BOOST_PM` | u32   | 4000           | failure multiplier on flaky-flagged sites (per-mille) |
 //! | `GULLIBLE_FAULT_SEED`     | u64   | `0xFA017`      | fault-plan seed, independent of the population seed |
 //! | `GULLIBLE_ENGINE`         | enum  | `vm`           | MiniJS execution backend: `vm` (bytecode) or `tree` (reference oracle) |
 //! | `GULLIBLE_BUNDLE`         | path  | unset          | crawl-bundle directory for `archive_record`/`archive_replay` (positional arg wins); `repro` streams its scan there and resumes it on restart |
@@ -29,14 +28,15 @@
 //! | `GULLIBLE_FORENSICS`      | path  | unset          | append flight-recorder forensic dumps (JSONL) here; arms the profiler |
 //!
 //! Boolean knobs accept `1`, `true`, `yes` or `on` (anything else, or
-//! unset, is off). Numeric knobs that fail to parse fall back to their
-//! defaults rather than aborting a long run.
+//! unset, is off). Numeric knobs are parsed as the type in the table; a
+//! value that fails to parse, or does not fit that type, falls back to
+//! the default rather than aborting a long run (or wrapping around).
 
 use gullible::obs;
 use openwpm::FaultPlan;
 use std::path::PathBuf;
 
-fn u64_knob(name: &str, default: u64) -> u64 {
+fn num_knob<T: std::str::FromStr>(name: &str, default: T) -> T {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
@@ -58,20 +58,17 @@ pub fn sites() -> u32 {
 
 /// `GULLIBLE_SITES` for a binary with its own default population size.
 pub fn sites_or(default: u32) -> u32 {
-    u64_knob("GULLIBLE_SITES", default.into()) as u32
+    num_knob("GULLIBLE_SITES", default)
 }
 
 /// `GULLIBLE_SEED` — population seed.
 pub fn seed() -> u64 {
-    u64_knob("GULLIBLE_SEED", 42)
+    num_knob("GULLIBLE_SEED", 42)
 }
 
 /// `GULLIBLE_WORKERS` — crawl worker threads.
 pub fn workers() -> usize {
-    u64_knob(
-        "GULLIBLE_WORKERS",
-        std::thread::available_parallelism().map(|n| n.get() as u64).unwrap_or(4),
-    ) as usize
+    num_knob("GULLIBLE_WORKERS", std::thread::available_parallelism().map_or(4, |n| n.get()))
 }
 
 /// `GULLIBLE_TRACE` — destination for the JSONL telemetry journal.
@@ -89,9 +86,19 @@ pub fn stats() -> bool {
     flag_knob("GULLIBLE_STATS")
 }
 
-/// The `GULLIBLE_FAULT_*` fault plan (see [`FaultPlan::from_env`]).
+/// The `GULLIBLE_FAULT_*` fault plan; unset knobs keep [`FaultPlan`]'s
+/// defaults, except the seed.
 pub fn fault_plan() -> FaultPlan {
-    FaultPlan::from_env()
+    let d = FaultPlan::default();
+    FaultPlan {
+        crash_per_mille: num_knob("GULLIBLE_FAULT_CRASH_PM", 0),
+        hang_per_mille: num_knob("GULLIBLE_FAULT_HANG_PM", 0),
+        nav_error_per_mille: num_knob("GULLIBLE_FAULT_NAV_PM", 0),
+        tab_crash_per_mille: num_knob("GULLIBLE_FAULT_TAB_PM", 0),
+        http_flaky_per_mille: num_knob("GULLIBLE_FAULT_HTTP_PM", 0),
+        flaky_site_boost_pm: num_knob("GULLIBLE_FAULT_BOOST_PM", d.flaky_site_boost_pm),
+        seed: num_knob("GULLIBLE_FAULT_SEED", 0xFA_017),
+    }
 }
 
 /// `GULLIBLE_BUNDLE` — crawl-bundle directory for the archive binaries
@@ -108,7 +115,7 @@ pub fn prof_mode() -> obs::prof::Mode {
 /// `GULLIBLE_PROF_SLOW_VISITS` — how many of the slowest visits leave a
 /// forensic dump (0 = none).
 pub fn prof_slow_visits() -> usize {
-    u64_knob("GULLIBLE_PROF_SLOW_VISITS", 0) as usize
+    num_knob("GULLIBLE_PROF_SLOW_VISITS", 0)
 }
 
 /// `GULLIBLE_FORENSICS` — flight-recorder forensic dump file (JSONL, append).
@@ -131,11 +138,21 @@ mod tests {
     #[test]
     fn knob_parsing() {
         std::env::set_var("GULLIBLE_TEST_U64", "17");
-        assert_eq!(u64_knob("GULLIBLE_TEST_U64", 3), 17);
+        assert_eq!(num_knob("GULLIBLE_TEST_U64", 3u64), 17);
         std::env::set_var("GULLIBLE_TEST_U64", "not a number");
-        assert_eq!(u64_knob("GULLIBLE_TEST_U64", 3), 3);
+        assert_eq!(num_knob("GULLIBLE_TEST_U64", 3u64), 3);
         std::env::remove_var("GULLIBLE_TEST_U64");
-        assert_eq!(u64_knob("GULLIBLE_TEST_U64", 3), 3);
+        assert_eq!(num_knob("GULLIBLE_TEST_U64", 3u64), 3);
+
+        // Out of range for the knob's own type: the default, not a
+        // wrapped-around value (2^32 + 1 would narrow to 1 site).
+        std::env::set_var("GULLIBLE_TEST_U32", "4294967297");
+        assert_eq!(num_knob("GULLIBLE_TEST_U32", 20_000u32), 20_000);
+        std::env::set_var("GULLIBLE_TEST_U32", "4294967295");
+        assert_eq!(num_knob("GULLIBLE_TEST_U32", 20_000u32), u32::MAX);
+        std::env::set_var("GULLIBLE_TEST_U32", "-1");
+        assert_eq!(num_knob("GULLIBLE_TEST_U32", 20_000u32), 20_000);
+        std::env::remove_var("GULLIBLE_TEST_U32");
 
         for on in ["1", "true", "YES", "On"] {
             std::env::set_var("GULLIBLE_TEST_FLAG", on);

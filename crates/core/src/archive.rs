@@ -576,7 +576,7 @@ impl StreamRecorder {
 /// writes.
 fn adopt(payload: &str, reader: &BundleReader, n_sites: usize) -> Option<(u64, Adopted)> {
     let (entry, delta) = split_delta(payload)?;
-    obs::decode_scope_metrics(delta)?;
+    obs::ScopeMetrics::decode(delta)?;
     let (rank, site) = decode_entry(entry, reader)?;
     if rank as usize >= n_sites {
         return None;

@@ -78,13 +78,12 @@ impl ScanConfig {
         pop
     }
 
-    fn supervisor(&self, capture_metrics: bool) -> SupervisorConfig {
+    fn supervisor(&self) -> SupervisorConfig {
         SupervisorConfig {
             retry: self.retry,
             visit_timeout_ms: self.visit_timeout_ms,
             faults: self.faults,
             visit_budget: self.visit_budget,
-            capture_metrics,
         }
     }
 }
@@ -690,10 +689,11 @@ impl<'a> Scan<'a> {
         let gauge = Arc::new(InFlight::default());
         let user = self.on_complete;
         let complete = |rank: usize, outcome: VisitOutcome<(SiteScanRecord, Live)>, attempts| {
-            // Take the visit's registry delta first: everything the visit
+            // Read the visit's metrics delta first: everything the visit
             // emitted, and none of the flush's own (digest-excluded)
-            // bookkeeping below.
-            let delta = obs::take_scope_metrics().map(|m| m.encode()).unwrap_or_default();
+            // bookkeeping below, which joins the delta afterwards and
+            // reaches the registry with it when the scope closes.
+            let delta = obs::scope_metrics().encode();
             let site_capture = take_capture();
             // The liveness token stays alive until the record has been
             // flushed and either kept or dropped.
@@ -725,10 +725,7 @@ impl<'a> Scan<'a> {
         let crawl = run_supervised(
             (0..cfg.n_sites).collect(),
             cfg.workers,
-            // With a sink, per-visit registry deltas are captured for the
-            // manifest entries so a resume can restore exactly the metrics
-            // the adopted visits emitted.
-            cfg.supervisor(self.sink.is_some()),
+            cfg.supervisor(),
             |rank: &u32| source.meta(*rank),
             move |worker| {
                 // Every worker gets the *same* config seed: per-visit

@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-use crate::compile::fnv1a;
+use obs::fnv1a;
 
 /// Interner stripes; like the compile cache, enough that a worker fleet
 /// rarely collides on first-intern of distinct names.

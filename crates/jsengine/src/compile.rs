@@ -26,6 +26,7 @@
 //! snapshot digest (see `obs::metrics`), because the digest must be
 //! byte-identical with the cache on and off.
 
+use obs::fnv1a;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -34,17 +35,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::ast::Program;
 use crate::error::EngineError;
 use crate::parser::parse;
-
-/// FNV-1a over bytes — the same content-identity hash the scan's corpus
-/// statistics use.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h
-}
 
 /// An opaque, shared compiled-script handle: the parse artifact, the
 /// identity it was compiled under, and a lazily-populated bytecode slot.

@@ -14,16 +14,7 @@
 
 use crate::http::{HttpRequest, HttpResponse, ResourceType};
 use crate::url::Url;
-
-/// FNV-1a 64-bit — the workspace's standard content hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h
-}
+use obs::fnv1a;
 
 impl ResourceType {
     /// Inverse of [`ResourceType::as_str`]. Returns `None` for unknown

@@ -1,6 +1,7 @@
 //! Crawl telemetry for the gullible pipeline: structured spans and a JSONL
-//! event journal on the *simulated* crawl clock, a lock-free metrics
-//! registry, and provenance reporting for every generated table.
+//! event journal on the *simulated* crawl clock, a metrics registry fed
+//! one visit delta at a time, and provenance reporting for every generated
+//! table.
 //!
 //! Design constraints, in priority order:
 //!
@@ -8,7 +9,9 @@
 //!    and metric snapshots regardless of worker count. Events from worker
 //!    threads are buffered in per-thread [`scope`]s and written by the
 //!    coordinator in item order; timestamps come from the simulated clock,
-//!    never the wall clock (unless explicitly opted in).
+//!    never the wall clock (unless explicitly opted in). Metrics recorded
+//!    inside a scope reach the registry as one delta when it closes — the
+//!    same delta a bundle persists and a resumed run merges back.
 //! 2. **Zero cost when off.** With neither `GULLIBLE_TRACE` nor
 //!    `GULLIBLE_STATS` set, every instrumentation call is one thread-local
 //!    load and a branch.
@@ -35,22 +38,26 @@ pub mod validate;
 
 pub use event::{push_json_string, AttrVal, Event, SpanMark};
 pub use journal::Journal;
-pub use metrics::{
-    bucket_of, Histogram, HistogramSnapshot, Registry, ShardedCounter, Snapshot,
-    COUNTER_STRIPES, NONDETERMINISTIC_PREFIXES,
-};
+pub use metrics::{bucket_of, HistogramSnapshot, Registry, Snapshot, NONDETERMINISTIC_PREFIXES};
 pub use scope::{
-    begin_scope, clock_advance, clock_ms, decode_scope_metrics, end_scope, scope_active,
-    take_scope_metrics, ScopeMetrics,
+    begin_scope, clock_advance, clock_ms, scope_active, scope_metrics, ScopeGuard, ScopeMetrics,
 };
 pub use telemetry::{Telemetry, TelemetryGuard};
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// FNV-1a over bytes — the repo's standard cheap stable hash.
+/// FNV-1a over bytes — the workspace's one cheap stable content hash.
+#[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_fold(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue an [`fnv1a`] fold from state `h` over more bytes:
+/// `fnv1a_fold(fnv1a(a), b) == fnv1a(a ++ b)`.
+#[inline]
+pub fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -75,80 +82,42 @@ pub fn journal() -> Option<Arc<Journal>> {
     telemetry::with_current(|t| t.journal.clone())
 }
 
-/// Bump a counter in the current telemetry (no-op unless it is enabled).
-///
-/// Counter handles are cached per thread, keyed by the registry and the
-/// `'static` name's address, so steady-state increments skip the
-/// registry's `RwLock` entirely and land straight on the calling thread's
-/// counter stripe. The cache follows one registry at a time: a thread
-/// that switches telemetry starts a fresh cache.
+/// Bump a counter (no-op unless telemetry is enabled): in the open visit
+/// scope's delta, else straight in the current telemetry's registry.
 #[inline]
 pub fn add(name: &'static str, delta: u64) {
-    if !enabled() {
-        return;
-    }
-    scope::record_add(name, delta);
-    /// `(telemetry id, [(name address, handle)])`.
-    type Handles = (u64, Vec<(*const u8, Arc<ShardedCounter>)>);
-    thread_local! {
-        static HANDLES: std::cell::RefCell<Handles> = const { std::cell::RefCell::new((0, Vec::new())) };
-    }
-    telemetry::with_current(|t| {
-        HANDLES.with(|cache| {
-            let key = name.as_ptr();
-            let (registry, handles) = &mut *cache.borrow_mut();
-            if *registry != t.id {
-                *registry = t.id;
-                handles.clear();
-            }
-            if let Some((_, c)) = handles.iter().find(|(k, _)| *k == key) {
-                c.add(delta);
-                return;
-            }
-            let c = t.registry.counter(name);
-            c.add(delta);
-            handles.push((key, c));
-        })
-    });
-}
-
-/// Set a gauge (no-op unless telemetry is enabled).
-#[inline]
-pub fn gauge_set(name: &'static str, v: i64) {
     if enabled() {
-        telemetry::with_current(|t| t.registry.gauge_set(name, v));
+        add_named(Cow::Borrowed(name), delta);
     }
 }
 
-/// Record a histogram observation (no-op unless telemetry is enabled).
+/// [`add`] without the enabled check, for names built at run time.
+pub(crate) fn add_named(name: Cow<'static, str>, delta: u64) {
+    if let Some(name) = scope::record_add(name, delta) {
+        telemetry::with_current(|t| t.registry.add(&name, delta));
+    }
+}
+
+/// Record a histogram observation (no-op unless telemetry is enabled): in
+/// the open visit scope's delta, else straight in the registry.
 #[inline]
 pub fn observe(name: &'static str, v: u64) {
-    if enabled() {
-        scope::record_observe(name, v);
+    if enabled() && !scope::record_observe(name, v) {
         telemetry::with_current(|t| t.registry.observe(name, v));
     }
 }
 
-/// Re-apply a [`ScopeMetrics::encode`]d metric delta to the current
-/// registry — the crash-resume path's inverse of per-scope capture. Names
-/// arrive as decoded strings, so this goes through the registry's
-/// by-name (interning) lookups. Returns `false` (applying nothing) on a
+/// Merge a [`ScopeMetrics::encode`]d delta into the current registry the
+/// way a closing visit scope merges its own — the crash-resume path for a
+/// visit adopted from a bundle. Returns `false` (applying nothing) on a
 /// malformed encoding; no-op when telemetry is disabled.
 pub fn restore_metrics(encoded: &str) -> bool {
-    let Some(entries) = decode_scope_metrics(encoded) else {
+    let Some(delta) = ScopeMetrics::decode(encoded) else {
         return false;
     };
-    if !enabled() {
-        return true;
+    if enabled() {
+        telemetry::with_current(|t| t.registry.merge(&delta));
     }
-    telemetry::with_current(|t| {
-        for (kind, name, v) in entries {
-            match kind {
-                'c' => t.registry.counter_by_name(&name).add(v),
-                _ => t.registry.histogram_by_name(&name).observe(v),
-            }
-        }
-    });
     true
 }
 
@@ -262,7 +231,7 @@ mod tests {
     }
 
     #[test]
-    fn nested_contexts_restore_and_keep_separate_handle_caches() {
+    fn nested_contexts_restore_and_keep_separate_registries() {
         let (a, b) = (stats_on(), stats_on());
         let _ga = a.enter();
         add("nest.counter", 1);
@@ -283,12 +252,12 @@ mod tests {
         emit(Event::new(0, "run_start").attr("seed", 42u64));
         {
             let _p = phase("scan");
-            begin_scope(false);
+            let scope = begin_scope();
             let _v = span("visit");
             clock_advance(3);
             emit(Event::new(0, "fault").attr("kind", "hang"));
             drop(_v);
-            let events = end_scope();
+            let events = scope.end();
             j.write_visit_events(0, &events);
         }
         j.flush();
@@ -307,13 +276,13 @@ mod tests {
         let t = stats_on();
         let delta = {
             let _g = t.enter();
-            begin_scope(true);
+            let scope = begin_scope();
             add("restore.counter", 3);
             add("restore.counter", 2);
             observe("restore.hist", 17);
             observe("restore.hist", 1);
-            let delta = take_scope_metrics().expect("captured");
-            end_scope();
+            let delta = scope_metrics();
+            let _ = scope.end();
             delta
         };
         let live = t.registry().snapshot();
@@ -332,8 +301,55 @@ mod tests {
     }
 
     #[test]
+    fn scope_metrics_reach_the_registry_only_when_the_scope_ends() {
+        let t = stats_on();
+        let _g = t.enter();
+        // Outside any scope, metrics land in the registry at once.
+        add("sched.items", 1);
+        assert_eq!(t.registry().snapshot().counter("sched.items"), 1);
+
+        let scope = begin_scope();
+        add("records.js_calls", 4);
+        add("prof.self.visit", 900);
+        observe("jsengine.ops_per_visit", 64);
+        observe("jsengine.ops_per_visit", 3);
+        let before_end = t.registry().snapshot();
+        assert_eq!(before_end.counter("records.js_calls"), 0, "{}", before_end.render());
+        assert!(before_end.histograms.is_empty(), "{}", before_end.render());
+        let delta = scope_metrics();
+        let _ = scope.end();
+        let live = t.registry().snapshot();
+        assert_eq!(live.counter("records.js_calls"), 4);
+        assert_eq!(live.counter("prof.self.visit"), 900);
+        assert_eq!(live.histograms["jsengine.ops_per_visit"].count, 2);
+
+        // A scope that unwinds still merges what it counted.
+        let unwound = std::panic::catch_unwind(|| {
+            let _scope = begin_scope();
+            add("records.js_calls", 1);
+            panic!("killed mid-visit");
+        });
+        assert!(unwound.is_err());
+        assert!(!scope_active());
+        assert_eq!(t.registry().snapshot().counter("records.js_calls"), 5);
+
+        // A resumed run merges the encoded delta through the same path: a
+        // fresh registry given each visit's delta holds the same
+        // deterministic state.
+        let fresh = stats_on();
+        let _f = fresh.enter();
+        assert!(restore_metrics(&delta.encode()));
+        assert!(restore_metrics("c:records.js_calls:1"));
+        assert_eq!(
+            fresh.registry().snapshot().render_deterministic(),
+            t.registry().snapshot().render_deterministic()
+        );
+    }
+
+    #[test]
     fn fnv1a_matches_reference_vectors() {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a_fold(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
     }
 }

@@ -1,75 +1,27 @@
-//! The metrics registry: named counters, gauges and log-bucketed
-//! histograms with atomic, lock-free hot paths.
+//! The metrics registry: named counters and log-bucketed histograms
+//! behind one lock.
 //!
-//! Registration takes a write lock once per metric name; after that every
-//! update is a single atomic RMW on a shared `Arc`. Counters are
-//! additionally **striped**: a [`ShardedCounter`] spreads increments over
-//! cache-line-padded stripes (one picked per thread) so eight workers
-//! bumping `manager.items` don't serialise on one cache line; stripes are
-//! folded back into a single value at snapshot time, so the `BTreeMap`
-//! snapshot API and the telemetry digest are unchanged. Snapshots render
-//! into `BTreeMap`s so their text form (and hence the digest printed in
-//! provenance footers) is byte-stable across runs: counters and histograms
-//! are pure sums, so a deterministic workload produces the same snapshot
-//! no matter how many worker threads updated them.
+//! Inside a visit scope, [`crate::add`] and [`crate::observe`] touch only
+//! the scope's thread-local [`ScopeMetrics`] delta; the registry takes the
+//! whole delta in one [`Registry::merge`] when the scope closes, and a
+//! resumed bundle entry's delta goes through that same merge
+//! ([`crate::restore_metrics`]). So a worker takes the lock once per visit,
+//! not once per update; only code outside any scope (crawl-level counters,
+//! the scheduler's own metrics) writes the registry directly. Snapshots
+//! render into `BTreeMap`s so their text form (and hence the digest
+//! printed in provenance footers) is byte-stable across runs: counters and
+//! histograms are pure sums, so a deterministic workload produces the same
+//! snapshot no matter how many worker threads updated them or in which
+//! order their deltas merged.
 //!
 //! Wall-clock phase timings are deliberately kept in a separate side table
 //! ([`Registry::timings`]) that is *excluded* from [`Snapshot`] and its
 //! digest: wall time is never deterministic, and the digest must be.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use crate::scope::ScopeMetrics;
+use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
-
-/// Stripes per [`ShardedCounter`] — enough that a typical worker fleet
-/// maps to distinct stripes, small enough to stay cheap to fold.
-pub const COUNTER_STRIPES: usize = 16;
-
-/// One cache line worth of counter, so neighbouring stripes never
-/// false-share.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct PaddedU64(AtomicU64);
-
-/// Round-robin stripe assignment: each thread picks a stripe once and
-/// keeps it for life, so a worker's increments always hit the same line.
-static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-
-fn stripe_id() -> usize {
-    thread_local! {
-        static STRIPE: usize =
-            NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % COUNTER_STRIPES;
-    }
-    STRIPE.with(|s| *s)
-}
-
-/// A counter whose increments land on a per-thread stripe and whose value
-/// is the fold of all stripes. Handles are cheap to clone and live as long
-/// as their registry.
-#[derive(Debug)]
-pub struct ShardedCounter {
-    stripes: [PaddedU64; COUNTER_STRIPES],
-}
-
-impl Default for ShardedCounter {
-    fn default() -> ShardedCounter {
-        ShardedCounter { stripes: std::array::from_fn(|_| PaddedU64::default()) }
-    }
-}
-
-impl ShardedCounter {
-    /// Bump this thread's stripe.
-    #[inline]
-    pub fn add(&self, delta: u64) {
-        self.stripes[stripe_id()].0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Fold the stripes into the counter's value.
-    pub fn sum(&self) -> u64 {
-        self.stripes.iter().map(|s| s.0.load(Ordering::Relaxed)).sum()
-    }
-}
 
 /// Number of log2 buckets in a histogram (values are u64, so 65 covers
 /// zero plus every power-of-two magnitude).
@@ -78,19 +30,15 @@ pub const HISTOGRAM_BUCKETS: usize = 65;
 /// A log-bucketed histogram: bucket `0` counts zeros, bucket `k` counts
 /// values in `[2^(k-1), 2^k)`.
 #[derive(Debug)]
-pub struct Histogram {
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    count: AtomicU64,
-    sum: AtomicU64,
+struct Histogram {
+    buckets: [u64; HISTOGRAM_BUCKETS],
+    count: u64,
+    sum: u64,
 }
 
 impl Default for Histogram {
     fn default() -> Histogram {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
+        Histogram { buckets: [0; HISTOGRAM_BUCKETS], count: 0, sum: 0 }
     }
 }
 
@@ -100,25 +48,16 @@ pub fn bucket_of(v: u64) -> usize {
 }
 
 impl Histogram {
-    pub fn observe(&self, v: u64) {
-        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
+    fn observe(&mut self, v: u64) {
+        self.buckets[bucket_of(v)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
     }
 
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let buckets: Vec<(usize, u64)> = self
-            .buckets
-            .iter()
-            .enumerate()
-            .map(|(i, b)| (i, b.load(Ordering::Relaxed)))
-            .filter(|(_, n)| *n > 0)
-            .collect();
-        HistogramSnapshot {
-            count: self.count.load(Ordering::Relaxed),
-            sum: self.sum.load(Ordering::Relaxed),
-            buckets,
-        }
+    fn snapshot(&self) -> HistogramSnapshot {
+        let buckets: Vec<(usize, u64)> =
+            self.buckets.iter().copied().enumerate().filter(|(_, n)| *n > 0).collect();
+        HistogramSnapshot { count: self.count, sum: self.sum, buckets }
     }
 }
 
@@ -170,7 +109,6 @@ impl HistogramSnapshot {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
-    pub gauges: BTreeMap<String, i64>,
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
@@ -200,11 +138,6 @@ impl Snapshot {
         for (name, v) in &self.counters {
             if include(name) {
                 out.push_str(&format!("counter {name} {v}\n"));
-            }
-        }
-        for (name, v) in &self.gauges {
-            if include(name) {
-                out.push_str(&format!("gauge {name} {v}\n"));
             }
         }
         for (name, h) in &self.histograms {
@@ -247,13 +180,33 @@ impl Snapshot {
 
 /// The metrics registry. Each [`crate::Telemetry`] owns one.
 #[derive(Debug, Default)]
-pub struct Registry {
-    counters: RwLock<HashMap<&'static str, Arc<ShardedCounter>>>,
-    gauges: RwLock<HashMap<&'static str, Arc<AtomicI64>>>,
-    histograms: RwLock<HashMap<&'static str, Arc<Histogram>>>,
+pub struct Registry(Mutex<Metrics>);
+
+#[derive(Debug, Default)]
+struct Metrics {
+    counters: BTreeMap<String, u64>,
+    histograms: BTreeMap<String, Histogram>,
     /// Wall-clock phase timings `(name, duration)`, in completion order.
     /// Non-deterministic by nature; excluded from snapshots and digests.
-    timings: Mutex<Vec<(String, Duration)>>,
+    timings: Vec<(String, Duration)>,
+}
+
+impl Metrics {
+    fn add(&mut self, name: &str, delta: u64) {
+        match self.counters.get_mut(name) {
+            Some(v) => *v = v.wrapping_add(delta),
+            None => {
+                self.counters.insert(name.to_string(), delta);
+            }
+        }
+    }
+
+    fn observe(&mut self, name: &str, v: u64) {
+        match self.histograms.get_mut(name) {
+            Some(h) => h.observe(v),
+            None => self.histograms.entry(name.to_string()).or_default().observe(v),
+        }
+    }
 }
 
 impl Registry {
@@ -261,105 +214,60 @@ impl Registry {
         Registry::default()
     }
 
-    /// Handle to a named counter (registering it on first use). Callers on
-    /// hot paths should hold the handle rather than re-looking it up.
-    pub fn counter(&self, name: &'static str) -> Arc<ShardedCounter> {
-        if let Some(c) = self.counters.read().unwrap().get(name) {
-            return c.clone();
+    /// The maps. A poisoned lock is recovered: an unwinding visit scope
+    /// merges from its guard's drop, where a second panic would abort.
+    fn lock(&self) -> MutexGuard<'_, Metrics> {
+        self.0.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    pub fn add(&self, name: &str, delta: u64) {
+        self.lock().add(name, delta);
+    }
+
+    pub fn observe(&self, name: &str, v: u64) {
+        self.lock().observe(name, v);
+    }
+
+    /// Apply one visit scope's delta under a single lock: how a closing
+    /// scope and a resumed bundle entry both reach the registry.
+    pub fn merge(&self, delta: &ScopeMetrics) {
+        let mut m = self.lock();
+        for (name, v) in &delta.counters {
+            m.add(name, *v);
         }
-        self.counters.write().unwrap().entry(name).or_default().clone()
-    }
-
-    pub fn gauge(&self, name: &'static str) -> Arc<AtomicI64> {
-        if let Some(g) = self.gauges.read().unwrap().get(name) {
-            return g.clone();
+        for (name, v) in &delta.observations {
+            m.observe(name, *v);
         }
-        self.gauges.write().unwrap().entry(name).or_default().clone()
-    }
-
-    pub fn histogram(&self, name: &'static str) -> Arc<Histogram> {
-        if let Some(h) = self.histograms.read().unwrap().get(name) {
-            return h.clone();
-        }
-        self.histograms.write().unwrap().entry(name).or_default().clone()
-    }
-
-    /// [`Registry::counter`] for a name that is not a `'static` literal —
-    /// the crash-resume path restores metric deltas whose names arrive as
-    /// strings decoded from a checkpoint. Lookup is content-based (so the
-    /// handle is shared with literal-keyed callers); a genuinely new name
-    /// is interned once. The metric namespace is small and closed, so the
-    /// leak is bounded.
-    pub fn counter_by_name(&self, name: &str) -> Arc<ShardedCounter> {
-        if let Some(c) = self.counters.read().unwrap().get(name) {
-            return c.clone();
-        }
-        let interned: &'static str = Box::leak(name.to_string().into_boxed_str());
-        self.counters.write().unwrap().entry(interned).or_default().clone()
-    }
-
-    /// [`Registry::histogram`] by string name; see [`Registry::counter_by_name`].
-    pub fn histogram_by_name(&self, name: &str) -> Arc<Histogram> {
-        if let Some(h) = self.histograms.read().unwrap().get(name) {
-            return h.clone();
-        }
-        let interned: &'static str = Box::leak(name.to_string().into_boxed_str());
-        self.histograms.write().unwrap().entry(interned).or_default().clone()
-    }
-
-    pub fn add(&self, name: &'static str, delta: u64) {
-        self.counter(name).add(delta);
-    }
-
-    pub fn gauge_set(&self, name: &'static str, v: i64) {
-        self.gauge(name).store(v, Ordering::Relaxed);
-    }
-
-    pub fn observe(&self, name: &'static str, v: u64) {
-        self.histogram(name).observe(v);
     }
 
     /// Record a completed wall-clock phase timing.
     pub fn record_timing(&self, name: &str, d: Duration) {
-        self.timings.lock().unwrap().push((name.to_string(), d));
+        self.lock().timings.push((name.to_string(), d));
     }
 
     pub fn timings(&self) -> Vec<(String, Duration)> {
-        self.timings.lock().unwrap().clone()
+        self.lock().timings.clone()
     }
 
     /// Freeze the deterministic metrics into an ordered snapshot.
     pub fn snapshot(&self) -> Snapshot {
-        let counters = self
-            .counters
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.sum()))
-            .filter(|(_, v)| *v > 0)
-            .collect();
-        let gauges = self
-            .gauges
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.load(Ordering::Relaxed)))
-            .collect();
-        let histograms = self
-            .histograms
-            .read()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.snapshot()))
-            .filter(|(_, h)| h.count > 0)
-            .collect();
-        Snapshot { counters, gauges, histograms }
+        let m = self.lock();
+        Snapshot {
+            counters: m
+                .counters
+                .iter()
+                .filter(|(_, v)| **v > 0)
+                .map(|(k, v)| (k.clone(), *v))
+                .collect(),
+            histograms: m.histograms.iter().map(|(k, h)| (k.clone(), h.snapshot())).collect(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn bucket_boundaries() {
@@ -419,31 +327,13 @@ mod tests {
             for _ in 0..8 {
                 let r = r.clone();
                 s.spawn(move || {
-                    let c = r.counter("spam");
                     for _ in 0..10_000 {
-                        c.add(1);
+                        r.add("spam", 1);
                     }
                 });
             }
         });
         assert_eq!(r.snapshot().counter("spam"), 80_000);
-    }
-
-    #[test]
-    fn sharded_counter_folds_across_threads() {
-        // More threads than stripes: every stripe gets reused, and the
-        // fold must still be exact.
-        let c = ShardedCounter::default();
-        std::thread::scope(|s| {
-            for _ in 0..(COUNTER_STRIPES + 5) {
-                s.spawn(|| {
-                    for _ in 0..1_000 {
-                        c.add(3);
-                    }
-                });
-            }
-        });
-        assert_eq!(c.sum(), 3_000 * (COUNTER_STRIPES as u64 + 5));
     }
 
     #[test]
@@ -532,19 +422,6 @@ mod tests {
         assert!(snap.render().contains("checkpoint.writes 120"));
         assert!(!snap.render_deterministic().contains("crash."));
         assert!(!snap.render_deterministic().contains("checkpoint."));
-    }
-
-    #[test]
-    fn by_name_handles_alias_literal_keyed_metrics() {
-        let r = Registry::new();
-        r.add("aliased.counter", 3);
-        let dynamic = String::from("aliased.") + "counter";
-        r.counter_by_name(&dynamic).add(4);
-        assert_eq!(r.snapshot().counter("aliased.counter"), 7);
-        let hname = String::from("aliased.") + "hist";
-        r.histogram_by_name(&hname).observe(9);
-        r.observe("aliased.hist", 9);
-        assert_eq!(r.snapshot().histograms["aliased.hist"].count, 2);
     }
 
     #[test]

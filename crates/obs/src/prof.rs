@@ -43,8 +43,8 @@ use crate::telemetry::{self, COLLAPSED, ENABLED, FORENSIC, PROF};
 // ------------------------------------------------------------------ phases
 
 /// One node of the fixed phase tree: the display name plus the interned
-/// metric names its guard records into (kept `'static` so the hot-path
-/// counter/histogram handle caches apply).
+/// metric names its guard records into (kept `'static` so a visit scope's
+/// delta borrows them rather than allocating).
 pub struct PhaseDef {
     pub name: &'static str,
     hist_us: &'static str,
@@ -243,16 +243,17 @@ pub fn current_phase() -> String {
 /// counters. They are counts, not micros — natives execute without their
 /// own phase frames — so they stay out of the collapsed-stack map, whose
 /// values are self µs. Both engine backends funnel native dispatch through
-/// one shared builtins layer, so the counts are engine-agnostic.
+/// one shared builtins layer, so the counts are engine-agnostic. The names
+/// are built at run time, so the open visit scope's delta carries them
+/// owned; like every metric counted inside a scope they reach the registry
+/// when it closes.
 pub fn count_builtins(builtins: &[(std::sync::Arc<str>, u64)]) {
-    if !profiling() || builtins.is_empty() {
+    if !profiling() {
         return;
     }
-    telemetry::with_current(|t| {
-        for (name, count) in builtins {
-            t.registry.counter_by_name(&format!("prof.builtin.{name}")).add(*count);
-        }
-    });
+    for (name, count) in builtins {
+        crate::add_named(format!("prof.builtin.{name}").into(), *count);
+    }
 }
 
 // ------------------------------------------------------- flight recorder

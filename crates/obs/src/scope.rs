@@ -9,21 +9,32 @@
 //! back through the ordered results of `run_parallel`, and the coordinator
 //! writes them to the journal in item order. Which OS thread ran which item
 //! becomes invisible.
+//!
+//! Metrics follow the same rule: inside a scope, [`crate::add`] and
+//! [`crate::observe`] record only into the scope's [`ScopeMetrics`] delta,
+//! and closing the scope merges that delta into the current telemetry's
+//! registry — the one way a visit's metrics reach it, and the way a
+//! resumed bundle entry's recorded delta reaches it too.
 
 use crate::event::{Event, SpanMark};
+use std::borrow::Cow;
 use std::cell::RefCell;
+use std::marker::PhantomData;
 
 /// The metric updates one visit scope produced: summed counter deltas and
 /// the individual histogram observations, in emission order. Counters and
-/// observations are order-independent sums, so re-applying a delta on a
-/// resumed run reconstructs the same registry state the crashed run had.
+/// observations are order-independent sums, so merging a delta recorded
+/// by a crashed run reconstructs the same registry state the crashed run
+/// had. Names are the `'static` literals of [`crate::add`] callers, or
+/// owned for the few metrics named at run time
+/// ([`crate::prof::count_builtins`]) and for decoded deltas.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ScopeMetrics {
     /// `(counter name, summed delta)`, first-touch order.
-    pub counters: Vec<(&'static str, u64)>,
+    pub counters: Vec<(Cow<'static, str>, u64)>,
     /// `(histogram name, value)` — one entry per observation so bucket
     /// shapes and sums restore exactly.
-    pub observations: Vec<(&'static str, u64)>,
+    pub observations: Vec<(Cow<'static, str>, u64)>,
 }
 
 impl ScopeMetrics {
@@ -57,31 +68,30 @@ impl ScopeMetrics {
         }
         out
     }
-}
 
-/// Parse a [`ScopeMetrics::encode`] string into owned
-/// `(kind, name, value)` entries (`kind` is `'c'` or `'o'`). `None` on any
-/// malformed entry — callers treat that as a damaged bundle entry.
-pub fn decode_scope_metrics(s: &str) -> Option<Vec<(char, String, u64)>> {
-    if s.is_empty() {
-        return Some(Vec::new());
-    }
-    let mut out = Vec::new();
-    for entry in s.split(';') {
-        let mut parts = entry.splitn(3, ':');
-        let kind = match parts.next()? {
-            "c" => 'c',
-            "o" => 'o',
-            _ => return None,
-        };
-        let name = parts.next()?;
-        let value: u64 = parts.next()?.parse().ok()?;
-        if name.is_empty() {
-            return None;
+    /// Parse a [`ScopeMetrics::encode`] string. `None` on any malformed
+    /// entry — callers treat that as a damaged bundle entry.
+    pub fn decode(s: &str) -> Option<ScopeMetrics> {
+        let mut out = ScopeMetrics::default();
+        if s.is_empty() {
+            return Some(out);
         }
-        out.push((kind, name.to_string(), value));
+        for entry in s.split(';') {
+            let mut parts = entry.splitn(3, ':');
+            let list = match parts.next()? {
+                "c" => &mut out.counters,
+                "o" => &mut out.observations,
+                _ => return None,
+            };
+            let name = parts.next()?;
+            let value: u64 = parts.next()?.parse().ok()?;
+            if name.is_empty() {
+                return None;
+            }
+            list.push((Cow::Owned(name.to_string()), value));
+        }
+        Some(out)
     }
-    Some(out)
 }
 
 struct ScopeState {
@@ -89,7 +99,7 @@ struct ScopeState {
     clock_ms: u64,
     span_stack: Vec<u32>,
     next_span: u32,
-    metrics: Option<ScopeMetrics>,
+    metrics: ScopeMetrics,
 }
 
 thread_local! {
@@ -97,70 +107,99 @@ thread_local! {
 }
 
 /// Open a visit scope on the current thread, discarding any previous one.
-/// With `capture_metrics`, every [`crate::add`] / [`crate::observe`] made
-/// inside the scope is *also* recorded into the scope's [`ScopeMetrics`]
-/// delta: the crash-consistent streaming mode persists the delta with each
-/// visit's bundle manifest entry so a resumed process can re-apply exactly
-/// the metrics the lost process already counted.
-pub fn begin_scope(capture_metrics: bool) {
+/// Every [`crate::add`] / [`crate::observe`] made inside it records into
+/// the scope's [`ScopeMetrics`] delta, which reaches the registry when the
+/// scope closes: by [`ScopeGuard::end`], or by the guard's drop when the
+/// visit unwinds (a chaos kill), so no metric a visit counted is lost.
+pub fn begin_scope() -> ScopeGuard {
     SCOPE.with(|s| {
         *s.borrow_mut() = Some(ScopeState {
             events: Vec::new(),
             clock_ms: 0,
             span_stack: Vec::new(),
             next_span: 1,
-            metrics: capture_metrics.then(ScopeMetrics::default),
+            metrics: ScopeMetrics::default(),
         })
     });
+    ScopeGuard { _not_send: PhantomData }
 }
 
-/// Take the active scope's captured metric delta (leaving it empty).
-/// `None` when no scope is open or capture is off.
-pub fn take_scope_metrics() -> Option<ScopeMetrics> {
-    SCOPE.with(|s| s.borrow_mut().as_mut().and_then(|st| st.metrics.take()))
+/// The open visit scope of this thread; closes it on drop. Not `Send`: a
+/// scope closes on the thread that opened it.
+#[must_use = "the scope closes when the guard drops"]
+pub struct ScopeGuard {
+    _not_send: PhantomData<*const ()>,
 }
 
-/// Record a counter bump into the active scope's delta (no-op when
-/// capture is off or no scope is open).
+impl ScopeGuard {
+    /// Close the scope: merge its metrics delta into the current
+    /// telemetry's registry and return its buffered events. Unclosed
+    /// spans are closed implicitly, innermost first, so journals always
+    /// balance.
+    pub fn end(self) -> Vec<Event> {
+        close()
+    }
+}
+
+impl Drop for ScopeGuard {
+    fn drop(&mut self) {
+        close();
+    }
+}
+
+/// Close this thread's scope, if one is still open (see [`ScopeGuard::end`]).
+fn close() -> Vec<Event> {
+    let Some(mut st) = SCOPE.with(|s| s.borrow_mut().take()) else {
+        return Vec::new();
+    };
+    while let Some(id) = st.span_stack.pop() {
+        st.events.push(Event {
+            t_ms: st.clock_ms,
+            ev: "span_close",
+            span: Some(SpanMark::Close { id }),
+            attrs: Vec::new(),
+        });
+    }
+    if !st.metrics.is_empty() {
+        crate::telemetry::with_current(|t| t.registry.merge(&st.metrics));
+    }
+    st.events
+}
+
+/// A copy of the open scope's metrics delta so far (empty outside a
+/// scope). Reading leaves the delta in place: it still merges into the
+/// registry when the scope closes.
+pub fn scope_metrics() -> ScopeMetrics {
+    SCOPE.with(|s| s.borrow().as_ref().map(|st| st.metrics.clone()).unwrap_or_default())
+}
+
+/// Record a counter bump into the open scope's delta. Hands the name back
+/// when no scope is open, for the caller to write the registry directly.
 #[inline]
-pub(crate) fn record_add(name: &'static str, delta: u64) {
-    SCOPE.with(|s| {
-        if let Some(m) = s.borrow_mut().as_mut().and_then(|st| st.metrics.as_mut()) {
-            match m.counters.iter_mut().find(|(n, _)| *n == name) {
+pub(crate) fn record_add(name: Cow<'static, str>, delta: u64) -> Option<Cow<'static, str>> {
+    SCOPE.with(|s| match s.borrow_mut().as_mut() {
+        Some(st) => {
+            let counters = &mut st.metrics.counters;
+            match counters.iter_mut().find(|(n, _)| *n == name) {
                 Some((_, v)) => *v += delta,
-                None => m.counters.push((name, delta)),
+                None => counters.push((name, delta)),
             }
+            None
         }
-    });
+        None => Some(name),
+    })
 }
 
-/// Record a histogram observation into the active scope's delta.
+/// Record a histogram observation into the open scope's delta; `false`
+/// when no scope is open.
 #[inline]
-pub(crate) fn record_observe(name: &'static str, v: u64) {
-    SCOPE.with(|s| {
-        if let Some(m) = s.borrow_mut().as_mut().and_then(|st| st.metrics.as_mut()) {
-            m.observations.push((name, v));
+pub(crate) fn record_observe(name: &'static str, v: u64) -> bool {
+    SCOPE.with(|s| match s.borrow_mut().as_mut() {
+        Some(st) => {
+            st.metrics.observations.push((Cow::Borrowed(name), v));
+            true
         }
-    });
-}
-
-/// Close the current thread's scope and return its buffered events
-/// (empty if no scope was active). Unclosed spans are closed implicitly,
-/// innermost first, so journals always balance.
-pub fn end_scope() -> Vec<Event> {
-    SCOPE.with(|s| {
-        let Some(mut st) = s.borrow_mut().take() else {
-            return Vec::new();
-        };
-        while let Some(id) = st.span_stack.pop() {
-            st.events.push(Event {
-                t_ms: st.clock_ms,
-                ev: "span_close",
-                span: Some(SpanMark::Close { id }),
-                attrs: Vec::new(),
-            });
-        }
-        st.events
+        None => false,
     })
 }
 
@@ -251,11 +290,11 @@ mod tests {
 
     #[test]
     fn events_buffer_in_order_with_clock() {
-        begin_scope(false);
+        let scope = begin_scope();
         assert!(push_event(Event::new(0, "a")).is_none());
         clock_advance(10);
         assert!(push_event(Event::new(0, "b")).is_none());
-        let evs = end_scope();
+        let evs = scope.end();
         assert_eq!(evs.len(), 2);
         assert_eq!((evs[0].ev, evs[0].t_ms), ("a", 0));
         assert_eq!((evs[1].ev, evs[1].t_ms), ("b", 10));
@@ -270,12 +309,12 @@ mod tests {
 
     #[test]
     fn spans_nest_and_balance() {
-        begin_scope(false);
+        let scope = begin_scope();
         let a = scope_span_open("outer").unwrap();
         let b = scope_span_open("inner").unwrap();
         scope_span_close(b);
         scope_span_close(a);
-        let evs = end_scope();
+        let evs = scope.end();
         assert_eq!(evs.len(), 4);
         assert_eq!(evs[0].span, Some(SpanMark::Open { id: a, parent: 0 }));
         assert_eq!(evs[1].span, Some(SpanMark::Open { id: b, parent: a }));
@@ -285,46 +324,52 @@ mod tests {
 
     #[test]
     fn end_scope_closes_dangling_spans() {
-        begin_scope(false);
+        let scope = begin_scope();
         let a = scope_span_open("outer").unwrap();
         let b = scope_span_open("inner").unwrap();
-        let evs = end_scope();
+        let evs = scope.end();
         assert_eq!(evs[2].span, Some(SpanMark::Close { id: b }));
         assert_eq!(evs[3].span, Some(SpanMark::Close { id: a }));
     }
 
     #[test]
     fn scope_metrics_capture_encode_and_decode_roundtrip() {
-        begin_scope(true);
-        record_add("supervisor.faults", 2);
-        record_add("records.js_calls", 10);
-        record_add("supervisor.faults", 1);
-        record_observe("jsengine.ops_per_visit", 64);
-        record_observe("jsengine.ops_per_visit", 64);
-        record_add("cache.compile.hit", 9); // nondeterministic: dropped by encode
-        let m = take_scope_metrics().expect("capture on");
-        let _ = end_scope();
+        let scope = begin_scope();
+        for (name, v) in [("supervisor.faults", 2), ("records.js_calls", 10)] {
+            assert!(record_add(Cow::Borrowed(name), v).is_none());
+        }
+        assert!(record_add(Cow::Borrowed("supervisor.faults"), 1).is_none());
+        assert!(record_observe("jsengine.ops_per_visit", 64));
+        assert!(record_observe("jsengine.ops_per_visit", 64));
+        // Nondeterministic: dropped by encode.
+        assert!(record_add(Cow::Borrowed("cache.compile.hit"), 9).is_none());
+        let m = scope_metrics();
+        assert_eq!(scope_metrics(), m, "reading leaves the delta in place");
+        drop(scope);
 
-        assert_eq!(m.counters.iter().find(|(n, _)| *n == "supervisor.faults"), Some(&("supervisor.faults", 3)));
+        assert_eq!(m.counters[0], (Cow::Borrowed("supervisor.faults"), 3));
         assert_eq!(m.observations.len(), 2);
         let enc = m.encode();
-        assert!(!enc.contains("cache."), "{enc}");
-        let dec = decode_scope_metrics(&enc).expect("decode");
-        assert_eq!(dec.len(), 4, "{enc}");
-        assert!(dec.contains(&('c', "supervisor.faults".to_string(), 3)));
-        assert!(dec.contains(&('o', "jsengine.ops_per_visit".to_string(), 64)));
+        assert_eq!(
+            enc,
+            "c:supervisor.faults:3;c:records.js_calls:10;\
+             o:jsengine.ops_per_visit:64;o:jsengine.ops_per_visit:64"
+        );
+        let dec = ScopeMetrics::decode(&enc).expect("decode");
+        assert_eq!(dec.counters.len() + dec.observations.len(), 4, "{enc}");
+        assert_eq!(dec.encode(), enc);
 
-        assert_eq!(decode_scope_metrics("").unwrap(), Vec::new());
-        assert!(decode_scope_metrics("x:bad:1").is_none());
-        assert!(decode_scope_metrics("c:name").is_none());
-        assert!(decode_scope_metrics("c::3").is_none());
-        assert!(decode_scope_metrics("c:name:notanum").is_none());
+        assert_eq!(ScopeMetrics::decode("").unwrap(), ScopeMetrics::default());
+        assert!(ScopeMetrics::decode("x:bad:1").is_none());
+        assert!(ScopeMetrics::decode("c:name").is_none());
+        assert!(ScopeMetrics::decode("c::3").is_none());
+        assert!(ScopeMetrics::decode("c:name:notanum").is_none());
 
-        // A scope opened without capture records nothing.
-        begin_scope(false);
-        record_add("ignored", 1);
-        assert!(take_scope_metrics().is_none(), "capture off: nothing captured");
-        let _ = end_scope();
+        // Outside a scope nothing is captured: the name comes back for the
+        // caller to write the registry directly.
+        assert_eq!(record_add(Cow::Borrowed("ignored"), 1), Some(Cow::Borrowed("ignored")));
+        assert!(!record_observe("ignored", 1));
+        assert!(scope_metrics().is_empty());
     }
 
     #[test]
@@ -336,7 +381,7 @@ mod tests {
         // innermost phase still land in the delta.
         let t = crate::Telemetry::new().with_stats(true).with_prof(crate::prof::Mode::On);
         let _g = t.enter();
-        begin_scope(true);
+        let scope = begin_scope();
         {
             let _visit = crate::prof::enter(&crate::prof::VISIT);
             crate::add("records.js_calls", 4);
@@ -346,8 +391,8 @@ mod tests {
                 crate::observe("jsengine.ops_per_visit", 128);
             }
         }
-        let m = take_scope_metrics().expect("capture on");
-        let _ = end_scope();
+        let m = scope_metrics();
+        let _ = scope.end();
 
         // The raw delta saw the prof guards fire...
         assert!(
@@ -358,18 +403,16 @@ mod tests {
         // ...but the persisted encoding carries only deterministic state.
         let enc = m.encode();
         assert!(!enc.contains("prof."), "{enc}");
-        let dec = decode_scope_metrics(&enc).expect("decode");
-        assert!(dec.contains(&('c', "records.js_calls".to_string(), 7)), "{enc}");
-        assert!(dec.contains(&('o', "jsengine.ops_per_visit".to_string(), 128)), "{enc}");
+        assert_eq!(enc, "c:records.js_calls:7;o:jsengine.ops_per_visit:128");
     }
 
     #[test]
     fn out_of_order_close_still_balances() {
-        begin_scope(false);
+        let scope = begin_scope();
         let a = scope_span_open("outer").unwrap();
         let _b = scope_span_open("inner").unwrap();
         scope_span_close(a); // closes inner first, then outer
-        let evs = end_scope();
+        let evs = scope.end();
         assert_eq!(evs.len(), 4);
         assert!(matches!(evs[2].span, Some(SpanMark::Close { .. })));
         assert_eq!(evs[3].span, Some(SpanMark::Close { id: a }));

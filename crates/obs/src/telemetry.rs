@@ -16,7 +16,6 @@ use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::marker::PhantomData;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::journal::Journal;
@@ -37,9 +36,6 @@ pub(crate) const FORENSIC: u8 = 16;
 pub struct Telemetry(Arc<Inner>);
 
 pub(crate) struct Inner {
-    /// Process-unique, so per-thread handle caches can tell registries
-    /// apart even when one is freed and another allocated in its place.
-    pub(crate) id: u64,
     pub(crate) flags: u8,
     /// How many of the slowest visits keep a forensic dump (0: none).
     pub(crate) slow_visits: usize,
@@ -73,9 +69,7 @@ impl Default for Telemetry {
 impl Telemetry {
     /// A fresh telemetry with everything off and an empty registry.
     pub fn new() -> Telemetry {
-        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
         Telemetry(Arc::new(Inner {
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             flags: 0,
             slow_visits: 0,
             slowest: Mutex::new(Vec::new()),

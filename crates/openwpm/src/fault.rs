@@ -98,41 +98,20 @@ impl FaultPlan {
         }
     }
 
-    /// Total injected fault probability per attempt, in per mille.
+    /// Total injected fault probability per attempt, in per mille
+    /// (saturating: rates near `u32::MAX` must not wrap to an inert plan).
     pub fn total_per_mille(&self) -> u32 {
         self.crash_per_mille
-            + self.hang_per_mille
-            + self.nav_error_per_mille
-            + self.tab_crash_per_mille
-            + self.http_flaky_per_mille
+            .saturating_add(self.hang_per_mille)
+            .saturating_add(self.nav_error_per_mille)
+            .saturating_add(self.tab_crash_per_mille)
+            .saturating_add(self.http_flaky_per_mille)
     }
 
     /// A plan with every rate at zero injects nothing; the supervisor can
     /// skip the draw entirely.
     pub fn is_inert(&self) -> bool {
         self.total_per_mille() == 0
-    }
-
-    /// Read a plan from `GULLIBLE_FAULT_*` environment knobs:
-    /// `GULLIBLE_FAULT_CRASH_PM`, `GULLIBLE_FAULT_HANG_PM`,
-    /// `GULLIBLE_FAULT_NAV_PM`, `GULLIBLE_FAULT_TAB_PM`,
-    /// `GULLIBLE_FAULT_HTTP_PM`, `GULLIBLE_FAULT_BOOST_PM`,
-    /// `GULLIBLE_FAULT_SEED`. Unset knobs keep their defaults.
-    pub fn from_env() -> FaultPlan {
-        fn knob(name: &str, default: u64) -> u64 {
-            std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
-        }
-        let d = FaultPlan::default();
-        FaultPlan {
-            crash_per_mille: knob("GULLIBLE_FAULT_CRASH_PM", 0) as u32,
-            hang_per_mille: knob("GULLIBLE_FAULT_HANG_PM", 0) as u32,
-            nav_error_per_mille: knob("GULLIBLE_FAULT_NAV_PM", 0) as u32,
-            tab_crash_per_mille: knob("GULLIBLE_FAULT_TAB_PM", 0) as u32,
-            http_flaky_per_mille: knob("GULLIBLE_FAULT_HTTP_PM", 0) as u32,
-            flaky_site_boost_pm: knob("GULLIBLE_FAULT_BOOST_PM", d.flaky_site_boost_pm as u64)
-                as u32,
-            seed: knob("GULLIBLE_FAULT_SEED", 0xFA_017),
-        }
     }
 }
 
@@ -353,6 +332,10 @@ mod tests {
         for key in 0..1000 {
             assert_eq!(inj.draw(key, 1, true), None);
         }
+        // Rates whose sum overflows `u32` are not inert.
+        let plan = FaultPlan { crash_per_mille: u32::MAX, hang_per_mille: 1, ..FaultPlan::none() };
+        assert_eq!(plan.total_per_mille(), u32::MAX);
+        assert_eq!(FaultInjector::new(plan).draw(0, 1, false), Some(FaultKind::BrowserCrash));
     }
 
     #[test]

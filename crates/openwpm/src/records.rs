@@ -332,9 +332,9 @@ impl StoreCapture {
     pub fn of(store: &RecordStore) -> StoreCapture {
         let mut h = obs::fnv1a(store.render_sql_dump().as_bytes());
         for resp in &store.http_responses {
-            h = fnv_fold(h, netsim::wire::encode_response(resp).as_bytes());
+            h = obs::fnv1a_fold(h, netsim::wire::encode_response(resp).as_bytes());
         }
-        h = fnv_fold(h, store.malformed_events.to_string().as_bytes());
+        h = obs::fnv1a_fold(h, store.malformed_events.to_string().as_bytes());
         StoreCapture {
             js_calls: store.js_calls.len() as u64,
             http_requests: store.http_requests.len() as u64,
@@ -390,15 +390,6 @@ impl StoreCapture {
             + self.cookies
             + self.crawl_history
     }
-}
-
-/// Continue an FNV-1a fold over more bytes.
-fn fnv_fold(mut h: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -140,10 +140,6 @@ pub struct SupervisorConfig {
     /// models a crawl killed midway deterministically (by item index, not
     /// by racy scheduling), which is what checkpoint/resume tests need.
     pub visit_budget: Option<usize>,
-    /// Capture each item's metric delta in its visit scope (see
-    /// [`obs::begin_scope`]) for `on_complete` to take — the streaming
-    /// checkpoint persists it so a resume can restore it.
-    pub capture_metrics: bool,
 }
 
 impl Default for SupervisorConfig {
@@ -153,7 +149,6 @@ impl Default for SupervisorConfig {
             visit_timeout_ms: 60_000,
             faults: FaultPlan::none(),
             visit_budget: None,
-            capture_metrics: false,
         }
     }
 }
@@ -286,8 +281,8 @@ struct ItemRun<R> {
 impl<R> ItemRun<R> {
     /// An item determined without a visit (replayed or interrupted); closes
     /// its telemetry scope.
-    fn unvisited(outcome: VisitOutcome<R>) -> ItemRun<R> {
-        ItemRun { outcome, attempts: 0, restarts: 0, lost_ms: 0, trace: obs::end_scope() }
+    fn unvisited(outcome: VisitOutcome<R>, scope: obs::ScopeGuard) -> ItemRun<R> {
+        ItemRun { outcome, attempts: 0, restarts: 0, lost_ms: 0, trace: scope.end() }
     }
 }
 
@@ -367,15 +362,17 @@ where
         workers,
         |w| (w, init(w)),
         |(worker, state), i, (item, replay, admit)| {
-            obs::begin_scope(cfg.capture_metrics);
+            // Dropped without `end` only when the visit unwinds (a chaos
+            // kill): the scope still merges the metrics it counted.
+            let scope = obs::begin_scope();
             if let Some(outcome) = replay {
                 obs::add("checkpoint.replays", 1);
                 obs::emit(Event::new(0, "checkpoint_replay").attr("item", i));
-                return ItemRun::unvisited(outcome);
+                return ItemRun::unvisited(outcome, scope);
             }
             if !admit {
                 obs::emit(Event::new(0, "interrupted").attr("item", i));
-                return ItemRun::unvisited(on_complete(i, VisitOutcome::Interrupted, 0));
+                return ItemRun::unvisited(on_complete(i, VisitOutcome::Interrupted, 0), scope);
             }
             let m = meta(&item);
             obs::add("supervisor.visits", 1);
@@ -520,7 +517,7 @@ where
             // checkpoint-write events land in this visit's trace.
             let stored = on_complete(i, outcome, attempts);
             drop(visit_span);
-            ItemRun { outcome: stored, attempts, restarts, lost_ms, trace: obs::end_scope() }
+            ItemRun { outcome: stored, attempts, restarts, lost_ms, trace: scope.end() }
         },
     );
 

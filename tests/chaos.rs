@@ -76,6 +76,11 @@ fn stream_matches_recorded_run_byte_for_byte() {
     let stream = streamed.stream.expect("streamed report carries stream stats");
     assert!(stream.committed && !stream.resumed);
     assert_eq!(stream.records_flushed, 180);
+    // Every flush is counted: the completion hook reads the visit's
+    // metrics delta without draining it, so the flush's own bookkeeping,
+    // recorded after that read, still reaches the registry.
+    let snap = obs::Telemetry::current().registry().snapshot();
+    assert_eq!(snap.counter("checkpoint.writes"), stream.records_flushed);
     assert!(
         stream.peak_records_in_flight <= cfg.workers as u64 + 1,
         "streaming must hold O(workers) records, saw peak {}",
