@@ -104,10 +104,26 @@ pub fn leg_ctx() -> CrawlCtx {
     CrawlCtx { telemetry: obs::Telemetry::new().with_stats(true), ..CrawlCtx::new() }
 }
 
+/// Make a closed stdout end the process quietly with status 0. `print!`
+/// panics when the reader has gone away (`table05 | head -4`); that is
+/// not a failure of the run, so it gets no panic report. Every other
+/// panic still goes to the hook installed before.
+fn exit_quietly_on_closed_stdout() {
+    let report = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let msg = info.payload().downcast_ref::<String>().map_or("", String::as_str);
+        if msg.starts_with("failed printing to stdout") && msg.contains("Broken pipe") {
+            std::process::exit(0);
+        }
+        report(info);
+    }));
+}
+
 /// Print the run header every binary starts with, and enter a fresh
 /// context with the telemetry the knobs describe for as long as the
 /// returned guard lives.
 pub fn banner(what: &str) -> CtxGuard {
+    exit_quietly_on_closed_stdout();
     let ctx = CrawlCtx { telemetry: telemetry(), ..CrawlCtx::new() };
     let faults = env::fault_plan();
     let weather = if faults.is_inert() {

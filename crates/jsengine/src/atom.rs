@@ -11,9 +11,14 @@
 //! idiom: a striped global table (shard picked by FNV of the name) so
 //! concurrent realms on different worker threads rarely contend, fronted
 //! by a per-thread positive cache so steady-state interning takes no lock
-//! at all. Ids are append-only and never freed — the id space is bounded
-//! by the number of *distinct* names a crawl ever uses (a few hundred for
-//! the synthetic corpus), not by visit count. Interp realms are `!Send`,
+//! at all. Ids are append-only and never freed, so only names that a
+//! corpus shares across pages may be interned: builtin and host property
+//! names, script identifiers and member names. Then the id space is
+//! bounded by the crawl's vocabulary (about 2,300 names for the synthetic
+//! corpus, most of them Table 2's WebGL surface), not by visit count. A
+//! name drawn fresh for each page, such as a honey property, goes in as a
+//! page-local key ([`PropMap::insert_local`](crate::PropMap::insert_local))
+//! and never reaches the interner. Interp realms are `!Send`,
 //! but atom ids are global: an atom interned on one worker names the same
 //! string on every other, so maps keyed by [`Atom`] stay meaningful if a
 //! structure is ever serialised across workers.
@@ -86,7 +91,9 @@ impl Atom {
 
     /// The atom for `name` if it was ever interned, without interning it.
     /// `None` is a definitive miss: every map keyed by [`Atom`] interns on
-    /// insert, so a never-interned name cannot be a key anywhere.
+    /// insert, so a never-interned name cannot be a key of one (a
+    /// [`PropMap`](crate::PropMap) keeps page-local keys beside its atom
+    /// index).
     pub fn lookup(name: &str) -> Option<Atom> {
         CACHE.with(|c| {
             if let Some(&a) = c.borrow().get(name) {
@@ -111,6 +118,13 @@ impl Atom {
     /// The raw id (diagnostics, tests).
     pub fn as_u32(self) -> u32 {
         self.0
+    }
+
+    /// How many names the process has interned so far (tests check that
+    /// a crawl keeps this bounded by its corpus vocabulary).
+    #[doc(hidden)]
+    pub fn interned_count() -> usize {
+        global().names.read().expect("atom names lock poisoned").len()
     }
 }
 

@@ -59,13 +59,20 @@ impl Property {
 ///
 /// The side index is keyed by interned [`Atom`]s, so a lookup hashes the
 /// property name at most once (through the interner's per-thread cache)
-/// and probes on a `u32` — string hashing is off the proto-chain walk. A
-/// miss in [`Atom::lookup`] is a definitive absence: every insert interns
-/// its key, so a never-interned name can't be in any map's index.
+/// and probes on a `u32` — string hashing is off the proto-chain walk.
+/// [`insert`](PropMap::insert) interns its key. A page-local key (one
+/// that no other page shares, such as a honey property name) goes in
+/// through [`insert_local`](PropMap::insert_local) instead: it is never
+/// interned, and lookups that miss the index compare it by string, so the
+/// interner stays bounded by the names a crawl's corpus uses.
 #[derive(Clone, Debug, Default)]
 pub struct PropMap {
     entries: Vec<(Arc<str>, Property)>,
     index: AtomMap<usize>,
+    /// Positions of the entries added by `insert_local`. A boxed slice,
+    /// not a `Vec`, because nearly every map has none and every object
+    /// carries a map.
+    local: Option<Box<[usize]>>,
 }
 
 impl PropMap {
@@ -74,8 +81,12 @@ impl PropMap {
     }
 
     fn slot_of(&self, key: &str) -> Option<usize> {
-        let atom = Atom::lookup(key)?;
-        self.index.get(&atom).copied()
+        let indexed = Atom::lookup(key).and_then(|atom| self.index.get(&atom).copied());
+        indexed.or_else(|| self.local_slot(key))
+    }
+
+    fn local_slot(&self, key: &str) -> Option<usize> {
+        self.local.as_deref()?.iter().copied().find(|&i| &*self.entries[i].0 == key)
     }
 
     pub fn get(&self, key: &str) -> Option<&Property> {
@@ -96,6 +107,10 @@ impl PropMap {
     /// Insert or overwrite, preserving the original insertion position on
     /// overwrite (as JavaScript engines do).
     pub fn insert(&mut self, key: Arc<str>, prop: Property) {
+        if let Some(i) = self.local_slot(&key) {
+            self.entries[i].1 = prop;
+            return;
+        }
         let atom = Atom::intern_arc(&key);
         if let Some(&i) = self.index.get(&atom) {
             self.entries[i].1 = prop;
@@ -105,20 +120,40 @@ impl PropMap {
         }
     }
 
+    /// [`insert`](PropMap::insert) for a page-local key: the same order and
+    /// overwrite semantics, but the key is never interned.
+    pub fn insert_local(&mut self, key: Arc<str>, prop: Property) {
+        if let Some(i) = self.slot_of(&key) {
+            self.entries[i].1 = prop;
+        } else {
+            let mut local = self.local.take().map(Vec::from).unwrap_or_default();
+            local.push(self.entries.len());
+            self.local = Some(local.into_boxed_slice());
+            self.entries.push((key, prop));
+        }
+    }
+
     /// Delete a property. Returns whether it existed. O(n) — deletes are
     /// rare (only the instrumentation clean-up path uses them).
     pub fn remove(&mut self, key: &str) -> bool {
-        let Some(atom) = Atom::lookup(key) else { return false };
-        if let Some(i) = self.index.remove(&atom) {
-            self.entries.remove(i);
-            // Reindex everything after the removed slot.
-            for (j, (k, _)) in self.entries.iter().enumerate().skip(i) {
-                self.index.insert(Atom::intern_arc(k), j);
+        let Some(removed) = self.slot_of(key) else { return false };
+        self.entries.remove(removed);
+        // Drop the removed slot and shift every later one down.
+        let keep = |i: &mut usize| match (*i).cmp(&removed) {
+            std::cmp::Ordering::Less => true,
+            std::cmp::Ordering::Equal => false,
+            std::cmp::Ordering::Greater => {
+                *i -= 1;
+                true
             }
-            true
-        } else {
-            false
+        };
+        self.index.retain(|_, i| keep(i));
+        if let Some(local) = self.local.take() {
+            let mut local = Vec::from(local);
+            local.retain_mut(keep);
+            self.local = (!local.is_empty()).then(|| local.into_boxed_slice());
         }
+        true
     }
 
     pub fn keys(&self) -> impl Iterator<Item = &Arc<str>> {
@@ -355,6 +390,67 @@ mod tests {
         let keys: Vec<&str> = m.keys().map(|k| &**k).collect();
         assert_eq!(keys, vec!["x", "z", "w"]);
         assert!(matches!(m.get("w").unwrap().slot, Slot::Data(Value::Num(n)) if n == 3.0));
+    }
+
+    /// Random `insert`/`insert_local`/`remove`/`get` sequences agree with a
+    /// naive ordered list on key order, lookups, overwrite-in-place and
+    /// removal. Two keys are only ever inserted locally, so they must stay
+    /// un-interned.
+    #[test]
+    fn propmap_agrees_with_a_naive_ordered_list() {
+        const SHARED: [&str; 5] = ["a", "b", "c", "d", "e"];
+        const LOCAL_ONLY: [&str; 2] = ["_propmap_local_q", "_propmap_local_r"];
+        let value_of = |p: &Property| match p.slot {
+            Slot::Data(Value::Num(n)) => n,
+            _ => unreachable!("only numeric data properties are inserted"),
+        };
+        proplite::run_cases(300, 0x9A0B, |rng| {
+            let mut map = PropMap::new();
+            let mut model: Vec<(String, f64)> = Vec::new();
+            for step in 0..rng.usize_in(1, 40) {
+                let local_only = rng.u64_in(0, 4) == 0;
+                let key = match local_only {
+                    true => LOCAL_ONLY[rng.usize_in(0, 2)],
+                    false => SHARED[rng.usize_in(0, 5)],
+                };
+                let v = step as f64;
+                match rng.u64_in(0, 4) {
+                    0 | 1 => {
+                        if local_only || rng.bool() {
+                            map.insert_local(Arc::from(key), Property::data(Value::Num(v)));
+                        } else {
+                            map.insert(Arc::from(key), Property::data(Value::Num(v)));
+                        }
+                        match model.iter_mut().find(|(k, _)| k == key) {
+                            Some(entry) => entry.1 = v,
+                            None => model.push((key.to_owned(), v)),
+                        }
+                    }
+                    2 => {
+                        let pos = model.iter().position(|(k, _)| k == key);
+                        assert_eq!(map.remove(key), pos.is_some(), "remove({key})");
+                        if let Some(i) = pos {
+                            model.remove(i);
+                        }
+                    }
+                    _ => {
+                        let want = model.iter().find(|(k, _)| k == key).map(|e| e.1);
+                        assert_eq!(map.get(key).map(value_of), want, "get({key})");
+                    }
+                }
+                let got: Vec<(String, f64)> = map.iter().map(|(k, p)| (k.to_string(), value_of(p))).collect();
+                assert_eq!(got, model, "order and values after step {step}");
+                for key in SHARED.iter().chain(&LOCAL_ONLY) {
+                    let want = model.iter().find(|(k, _)| k == key).map(|e| e.1);
+                    assert_eq!(map.get(key).map(value_of), want, "get({key}) after step {step}");
+                    assert_eq!(map.contains(key), want.is_some());
+                }
+                assert_eq!(map.len(), model.len());
+            }
+        });
+        for key in LOCAL_ONLY {
+            assert_eq!(Atom::lookup(key), None, "{key} was interned");
+        }
     }
 
     #[test]

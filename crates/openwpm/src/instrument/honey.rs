@@ -52,9 +52,10 @@ fn install_on_realm(
     let it = &mut page.interp;
     for i in 0..count {
         let name = honey_name(seed, i);
+        let key: Arc<str> = Arc::from(name.as_str());
         for (target, scope) in [(rw.navigator, "navigator"), (rw.window, "window")] {
             let store = store.clone();
-            let symbol = format!("{HONEY_SYMBOL_PREFIX}{scope}.{name}");
+            let key_in_getter = key.clone();
             let getter = it.alloc_native_fn(&name, move |it, _this, _args| {
                 let script = it
                     .stack
@@ -62,7 +63,7 @@ fn install_on_realm(
                     .map(|f| f.script.to_string())
                     .unwrap_or_else(|| "unknown".into());
                 store.borrow_mut().js_calls.push(JsCallRecord {
-                    symbol: symbol.clone(),
+                    symbol: format!("{HONEY_SYMBOL_PREFIX}{scope}.{key_in_getter}"),
                     operation: JsOperation::Get,
                     value: String::new(),
                     script_url: script,
@@ -71,8 +72,10 @@ fn install_on_realm(
                 });
                 Ok(Value::Undefined)
             });
-            it.heap.get_mut(target).props.insert(
-                Arc::from(name.as_str()),
+            // Each page draws its own names: keep them out of the
+            // process-wide atom interner.
+            it.heap.get_mut(target).props.insert_local(
+                key.clone(),
                 Property {
                     slot: Slot::Accessor { get: Some(getter), set: None },
                     enumerable: true,
@@ -165,6 +168,46 @@ mod tests {
         let hits = hits_for_script(&store.borrow(), &names, "https://bd.test/detect.js");
         assert_eq!(hits.hits, 0);
         assert!(!hits.is_iterator());
+    }
+
+    /// Honey names are page-local keys, never interned; scripts see them
+    /// exactly as they see interned properties. The twin page re-inserts
+    /// the same properties, in the same order, through the interning path.
+    #[test]
+    fn local_honey_keys_behave_like_interned_properties() {
+        let (mut local, _store, names) = setup(3);
+        let (mut twin, _twin_store, _) = setup(3);
+        for target in [twin.top.navigator, twin.top.window] {
+            let props = &mut twin.interp.heap.get_mut(target).props;
+            let honey: Vec<Property> = names.iter().map(|n| props.get(n).unwrap().clone()).collect();
+            for (name, prop) in names.iter().zip(honey) {
+                assert!(props.remove(name));
+                props.insert(Arc::from(name.as_str()), prop);
+            }
+        }
+        let script = format!(
+            "var n = '{}', m = '{}', out = [];
+             function keys(o) {{
+               var k = Object.keys(o);
+               return k.indexOf(n) + '/' + k.indexOf(m) + '/' + k.length;
+             }}
+             out.push(n in navigator); out.push(navigator.hasOwnProperty(n)); out.push(keys(navigator));
+             navigator[n] = 5; out.push(typeof navigator[n]);
+             Object.defineProperty(navigator, n, {{ value: 7, enumerable: true, writable: true }});
+             out.push(navigator[n]); out.push(keys(navigator));
+             navigator[n] = 8; out.push(navigator[n]);
+             out.push(delete navigator[n]); out.push(n in navigator); out.push(navigator.hasOwnProperty(n));
+             out.push(keys(navigator));
+             navigator[n] = 9; out.push(keys(navigator));
+             delete window[m]; out.push(m in window); out.push(window.hasOwnProperty(n));
+             out.join('|')",
+            names[0], names[1]
+        );
+        let run = |page: &mut Page| page.run_script((script.as_str(), "https://fp.test/probe.js")).unwrap();
+        let got = run(&mut local);
+        assert_eq!(got, run(&mut twin));
+        let want = "true|true|0/1/3|undefined|7|0/1/3|8|true|false|false|-1/0/2|2/0/3|false|true";
+        assert_eq!(got, Value::str(want));
     }
 
     #[test]
