@@ -29,6 +29,8 @@
 //! from the telemetry digest (like `cache.*`): recording a crawl must not
 //! perturb its provenance.
 
+#![forbid(unsafe_code)]
+
 use obs::fnv1a;
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};

@@ -23,6 +23,7 @@
 //! carries its seed, config hash and telemetry digest.
 
 #![deny(deprecated)]
+#![forbid(unsafe_code)]
 
 use gullible::{obs, CompareConfig, CrawlCtx, CtxGuard, ScanConfig};
 

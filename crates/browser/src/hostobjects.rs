@@ -288,18 +288,17 @@ pub fn install_window(it: &mut Interp, host: &PageShared, is_top: bool) -> Realm
             Ok(Value::Obj(make_element_with_canvas(it, hep, cvp, &tag)))
         });
         let body_id = body;
+        // Pages in the simulation have no parsed static HTML, so every
+        // lookup answers <body> and verbatim PoC listings work. The argument
+        // is still converted: a `toString` on it is observable and costs
+        // steps.
         method(it, document_proto, "getElementById", move |it, _this, args| {
-            let id = string_arg(it, args, 0)?;
-            let h = host_of(it);
-            Ok(lookup_element(&h, &id).unwrap_or(Value::Obj(body_id)))
+            string_arg(it, args, 0)?;
+            Ok(Value::Obj(body_id))
         });
         method(it, document_proto, "querySelector", move |it, _this, args| {
-            let sel = string_arg(it, args, 0)?;
-            let id = sel.trim_start_matches('#');
-            // Pages in the simulation have no parsed static HTML; selector
-            // misses fall back to <body> so verbatim PoC listings work.
-            let h = host_of(it);
-            Ok(lookup_element(&h, id).unwrap_or(Value::Obj(body_id)))
+            string_arg(it, args, 0)?;
+            Ok(Value::Obj(body_id))
         });
         method(it, document_proto, "write", move |it, _this, args| {
             let html = string_arg(it, args, 0)?;
@@ -737,10 +736,6 @@ fn install_element_methods(it: &mut Interp, element_proto: ObjId) {
         it.get_prop(&this, &name)
     });
     method(it, element_proto, "remove", |_it, _this, _args| Ok(Value::Undefined));
-}
-
-fn lookup_element(host: &PageShared, id: &str) -> Option<Value> {
-    host.borrow().element_id(id).map(Value::Obj)
 }
 
 /// Materialise a WebGL context for this realm (lazy; see module docs): a

@@ -19,6 +19,8 @@
 //! instruments Firefox: by DOM script injection (vanilla, detectable and
 //! attackable) or via privileged native hooks (the hardened `WPM_hide`).
 
+#![forbid(unsafe_code)]
+
 pub mod csp;
 pub mod hostobjects;
 pub mod page;

@@ -102,8 +102,6 @@ pub struct PageHost {
     pub epoch_base_ms: u64,
     /// The top realm, set once during installation.
     top: Option<RealmWindow>,
-    /// Elements registered by `setAttribute('id', …)`.
-    elements_by_id: HashMap<String, ObjId>,
 }
 
 impl PageHost {
@@ -127,12 +125,11 @@ impl PageHost {
             js_cookies: Vec::new(),
             epoch_base_ms: 1_655_000_000_000, // mid-June 2022, the crawl window
             top: None,
-            elements_by_id: HashMap::new(),
         }
     }
 
     /// Whether nothing has happened on this host yet: no traffic,
-    /// listeners, sinks, hooks, frames, cookies, registered ids or CSP
+    /// listeners, sinks, hooks, frames, cookies, server resources or CSP
     /// violations (what a template setup must leave behind).
     pub(crate) fn is_pristine(&self) -> bool {
         self.traffic.is_empty()
@@ -142,7 +139,6 @@ impl PageHost {
             && self.frame_sync_hooks.is_empty()
             && self.frame_async_hooks.is_empty()
             && self.js_cookies.is_empty()
-            && self.elements_by_id.is_empty()
             && self.server_resources.is_empty()
             && self.csp_violations == 0
     }
@@ -158,14 +154,6 @@ impl PageHost {
 
     pub fn top_window(&self) -> Option<ObjId> {
         self.top.map(|t| t.window)
-    }
-
-    pub fn register_element_id(&mut self, id: String, obj: ObjId) {
-        self.elements_by_id.insert(id, obj);
-    }
-
-    pub fn element_id(&self, id: &str) -> Option<ObjId> {
-        self.elements_by_id.get(id).copied()
     }
 
     /// Resolve a possibly relative URL against the page.

@@ -315,6 +315,30 @@ fn csp_only_blocks_injection_not_page_scripts() {
 }
 
 #[test]
+fn element_lookups_answer_body_after_converting_their_argument() {
+    let mut p = page();
+    let v = p
+        .run_script((
+            r#"
+            var el = document.createElement('div');
+            el.setAttribute('id', 'x');
+            var conversions = 0;
+            var key = { toString: function () { conversions++; return 'x'; } };
+            [
+                document.getElementById(key) === document.body,
+                document.querySelector(key) === document.body,
+                document.getElementById('x') === document.body,
+                document.querySelector('#x') === document.body,
+                conversions
+            ].join(',')
+            "#,
+            "t",
+        ))
+        .unwrap();
+    assert_eq!(v.as_str().unwrap(), "true,true,true,true,2");
+}
+
+#[test]
 fn storage_roundtrip() {
     let mut p = page();
     let v = p

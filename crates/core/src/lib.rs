@@ -34,6 +34,8 @@
 //! assert!(!identified);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod archive;
 pub mod attacks;
 pub mod compare;

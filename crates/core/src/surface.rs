@@ -223,10 +223,6 @@ impl SurfaceReport {
                 .any(|(p, _, subj)| *p == "typeof getInstrumentJS" && subj == "function"),
         )
     }
-
-    pub fn total_deviations(&self) -> usize {
-        self.probe_deviations.len() + self.template.total()
-    }
 }
 
 /// Compute the fingerprint surface of `kind` on `(os, mode)` against a

@@ -11,6 +11,8 @@
 //! * [`dynamic_analysis`] — classification of recorded JavaScript calls
 //!   with honey-property iterator filtering (Sec. 4.1.3).
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod dynamic_analysis;
 pub mod static_analysis;

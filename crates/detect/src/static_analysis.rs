@@ -446,10 +446,6 @@ pub fn classify(src: &str) -> ScriptVerdict {
 
 // ------------------------------------------------------ detection context
 
-const MEMO_STRIPES: usize = 16;
-
-type VerdictMemo = [Mutex<HashMap<u64, ScriptVerdict>>; MEMO_STRIPES];
-
 /// One crawl's static-analysis settings: the match engine and the verdict
 /// memo filled under it. The memo lives next to its engine, so verdicts
 /// one engine computed are never served to a crawl running the other.
@@ -461,7 +457,7 @@ type VerdictMemo = [Mutex<HashMap<u64, ScriptVerdict>>; MEMO_STRIPES];
 #[derive(Clone)]
 pub struct DetectCtx {
     matcher: MatcherKind,
-    memo: Arc<VerdictMemo>,
+    memo: Arc<Mutex<HashMap<u64, ScriptVerdict>>>,
 }
 
 impl Default for DetectCtx {
@@ -474,7 +470,7 @@ impl Default for DetectCtx {
 impl DetectCtx {
     /// `matcher` with an empty verdict memo.
     pub fn new(matcher: MatcherKind) -> DetectCtx {
-        DetectCtx { matcher, memo: Arc::new(std::array::from_fn(|_| Mutex::default())) }
+        DetectCtx { matcher, memo: Arc::default() }
     }
 
     pub fn matcher(&self) -> MatcherKind {
@@ -501,16 +497,15 @@ impl DetectCtx {
     /// every measured artifact — only the digest-excluded
     /// `match.memo.{hit,miss}` split moves with scheduling.
     pub fn classify_memo(&self, src: &str, body_hash: u64) -> ScriptVerdict {
-        let stripe = &self.memo[(body_hash as usize) & (MEMO_STRIPES - 1)];
-        if let Some(v) = stripe.lock().unwrap_or_else(|e| e.into_inner()).get(&body_hash) {
+        if let Some(v) = self.memo.lock().unwrap_or_else(|e| e.into_inner()).get(&body_hash) {
             obs::add("match.memo.hit", 1);
             return v.clone();
         }
         obs::add("match.memo.miss", 1);
-        // Classify outside the stripe lock; a concurrent miss on the same
+        // Classify outside the lock; a concurrent miss on the same
         // body computes the same verdict, and the second insert is a no-op.
         let v = classify_with(self.matcher, src);
-        stripe.lock().unwrap_or_else(|e| e.into_inner()).insert(body_hash, v.clone());
+        self.memo.lock().unwrap_or_else(|e| e.into_inner()).insert(body_hash, v.clone());
         v
     }
 }
@@ -567,11 +562,7 @@ pub fn set_default_matcher(k: MatcherKind) {
 
 /// Empty the process default context's verdict memo.
 pub fn clear_verdict_memo() {
-    with_default(|d| {
-        for stripe in d.memo.iter() {
-            stripe.lock().unwrap_or_else(|e| e.into_inner()).clear();
-        }
-    });
+    with_default(|d| d.memo.lock().unwrap_or_else(|e| e.into_inner()).clear());
 }
 
 /// Analyse one script with the production pattern set.

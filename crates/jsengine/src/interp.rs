@@ -991,11 +991,6 @@ impl Interp {
         }
     }
 
-    /// Reset the step budget (between page loads).
-    pub fn reset_steps(&mut self) {
-        self.steps = 0;
-    }
-
     /// Install a fresh counting profiler (replacing any other).
     pub fn enable_profiling(&mut self) {
         self.profiler = Some(Box::<CountingProfiler>::default());

@@ -50,6 +50,8 @@
 //! `window`, `navigator` and `document` onto the global object and register
 //! native functions that close over host state.
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod atom;
 pub mod bytecode;

@@ -104,10 +104,6 @@ impl Value {
         }
     }
 
-    pub fn is_undefined(&self) -> bool {
-        matches!(self, Value::Undefined)
-    }
-
     pub fn is_nullish(&self) -> bool {
         matches!(self, Value::Undefined | Value::Null)
     }

@@ -30,6 +30,8 @@
 //!   build time (`δ(s, c)` is precomputed through the failure chain), so
 //!   the scan loop is exactly one table load per input byte.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 
 /// Positional guard a candidate hit must satisfy before its pattern counts
@@ -134,11 +136,6 @@ pub struct CompiledMatcher {
     /// premultiplied by `n_classes`, so the scan loop's per-byte step is a
     /// single add + load with no multiply on the critical load-to-load
     /// dependency chain.
-    ///
-    /// Invariant (the scan loop's unchecked indexing relies on it): every
-    /// entry is `state * n_classes` for a valid state, so `entry + class <
-    /// table.len()` for any `class < n_classes`, and every value in
-    /// `classes` is `< n_classes`.
     table: Vec<u32>,
     /// Byte → transition-column class (0 = "in no literal", returns to root).
     classes: [u8; 256],
@@ -151,16 +148,6 @@ pub struct CompiledMatcher {
     /// Output sets for states `out_start..`, indexed by `state - out_start`.
     out_lits: Vec<Vec<u16>>,
     lits: Vec<Lit>,
-    n_patterns: usize,
-    /// Longest literal in bytes — the segment-overlap bound for the
-    /// interleaved scan.
-    max_lit: usize,
-    /// A byte that occurs in *every* literal (the rarest such byte by
-    /// typical script-text frequency), if one exists. No literal can end
-    /// more than `max_lit - 1` bytes past an occurrence of this byte, so
-    /// a haystack where it is sparse is scanned by skipping between
-    /// occurrences instead of walking the DFA over every byte.
-    rare: Option<u8>,
 }
 
 impl CompiledMatcher {
@@ -293,24 +280,6 @@ impl CompiledMatcher {
         // Premultiply every entry by the class count: states become row
         // offsets and the scan step needs no multiply.
         let table: Vec<u32> = table.iter().map(|&t| t as u32 * n_classes as u32).collect();
-        let max_lit = lit_bytes.iter().map(|b| b.len()).max().unwrap_or(0);
-
-        // A byte required by every literal licenses the skip scan; among
-        // the candidates, prefer the one least common in script text.
-        let mut required = [true; 256];
-        for bytes in &lit_bytes {
-            let mut present = [false; 256];
-            for &b in *bytes {
-                present[b as usize] = true;
-            }
-            for (r, p) in required.iter_mut().zip(present.iter()) {
-                *r &= *p;
-            }
-        }
-        let rare = (0u16..256)
-            .map(|b| b as u8)
-            .filter(|&b| required[b as usize])
-            .min_by_key(|&b| commonness(b));
 
         CompiledMatcher {
             table,
@@ -320,65 +289,25 @@ impl CompiledMatcher {
             out_row_start: out_start * n_classes,
             out_lits,
             lits,
-            n_patterns: patterns.len(),
-            max_lit,
-            rare,
         }
-    }
-
-    /// Number of patterns in the compiled set.
-    pub fn pattern_count(&self) -> usize {
-        self.n_patterns
-    }
-
-    /// Number of literals the automaton tracks.
-    pub fn literal_count(&self) -> usize {
-        self.lits.len()
-    }
-
-    /// Number of DFA states (trie size after closure).
-    pub fn state_count(&self) -> usize {
-        self.table.len() / self.n_classes
     }
 
     /// Scan `haystack` once, confirming every candidate against its
-    /// pattern's anchor. Every occurrence of every literal is visited (the
-    /// candidate/confirmed stats are a deterministic function of the
-    /// haystack), so verdicts — and accounting — do not depend on pattern
-    /// order or early exits.
-    ///
-    /// Three strategies, all producing byte-identical masks and stats:
-    ///
-    /// - short haystacks: one sequential DFA walk;
-    /// - long haystacks where the set's required byte is sparse: skip
-    ///   between occurrences of that byte (no literal can end outside a
-    ///   `max_lit`-window after one) and walk the DFA only inside those
-    ///   windows;
-    /// - long haystacks otherwise: split into segments walked by
-    ///   interleaved independent state chains — a single chain serialises
-    ///   on one load-to-load dependency per byte, several chains pipeline.
-    ///
-    /// Every non-sequential walk starts `max_lit - 1` bytes before the
-    /// range it reports, so its DFA state is exact at every reported
-    /// position; reported ranges partition the haystack, so the union
-    /// equals a single sequential pass exactly.
+    /// pattern's anchor. One sequential DFA walk visits every occurrence of
+    /// every literal (the candidate/confirmed stats are a deterministic
+    /// function of the haystack), so verdicts — and accounting — do not
+    /// depend on pattern order or early exits.
     pub fn scan(&self, haystack: &str) -> MatchSet {
         let bytes = haystack.as_bytes();
         let mut out = MatchSet { mask: 0, stats: ScanStats::default() };
-        if bytes.len() < LONG_SCAN_MIN {
-            self.scan_segment(bytes, 0, 0, bytes.len(), &mut out);
-        } else if let Some(rare) = self.rare.filter(|&rb| rare_is_sparse(rb, bytes)) {
-            self.scan_prefiltered(bytes, rare, &mut out);
-        } else {
-            self.scan_interleaved(bytes, &mut out);
+        let mut s = 0usize;
+        for (i, &b) in bytes.iter().enumerate() {
+            s = self.table[s + self.classes[b as usize] as usize] as usize;
+            if s >= self.out_row_start {
+                self.report(bytes, i, s, &mut out);
+            }
         }
         out
-    }
-
-    /// One DFA step: the add + load on the critical path.
-    #[inline(always)]
-    fn step(&self, s: usize, b: u8) -> usize {
-        self.table[s + self.classes[b as usize] as usize] as usize
     }
 
     /// Record every literal ending at `end` (row offset `s` is an output
@@ -395,153 +324,7 @@ impl CompiledMatcher {
             }
         }
     }
-
-    /// Walk the DFA over `bytes[lead..to]`, reporting only occurrences
-    /// ending at or after `from` (earlier ends belong to the previous
-    /// segment). `lead` must trail `from` by at least `max_lit - 1` bytes
-    /// so the state is exact for every reported position.
-    fn scan_segment(&self, bytes: &[u8], lead: usize, from: usize, to: usize, out: &mut MatchSet) {
-        let mut s = 0usize;
-        for i in lead..to {
-            s = self.step(s, bytes[i]);
-            if s >= self.out_row_start && i >= from {
-                self.report(bytes, i, s, out);
-            }
-        }
-    }
-
-    fn scan_interleaved(&self, bytes: &[u8], out: &mut MatchSet) {
-        const LANES: usize = 8;
-        let n = bytes.len();
-        let q = n / LANES;
-        let overlap = self.max_lit.saturating_sub(1);
-        let mut from = [0usize; LANES];
-        let mut end = [0usize; LANES];
-        let mut pos = [0usize; LANES];
-        let mut st = [0u32; LANES];
-        for l in 0..LANES {
-            from[l] = q * l;
-            end[l] = if l + 1 == LANES { n } else { q * (l + 1) };
-            pos[l] = from[l].saturating_sub(overlap);
-        }
-        // Main loop: the shortest lane's step count (lane 0 has no
-        // lead-in), LANES independent chains per iteration. The inner loop
-        // fully unrolls; `pos`/`st` live in registers.
-        let steps = (0..LANES).map(|l| end[l] - pos[l]).min().unwrap_or(0);
-        let table = &self.table[..];
-        let out_row = self.out_row_start as u32;
-        for _ in 0..steps {
-            for l in 0..LANES {
-                let i = pos[l];
-                // SAFETY: `i < end[l] <= n` for each of the `steps`
-                // iterations, and `st[l] + class` is in bounds by the
-                // table invariant (every entry is a premultiplied row
-                // offset; every class is `< n_classes`).
-                let b = unsafe { *bytes.get_unchecked(i) };
-                let c = self.classes[b as usize] as usize;
-                let s = unsafe { *table.get_unchecked(st[l] as usize + c) };
-                st[l] = s;
-                if s >= out_row && i >= from[l] {
-                    self.report(bytes, i, s as usize, out);
-                }
-                pos[l] = i + 1;
-            }
-        }
-        // Remainders (lead-in imbalance plus the `n % LANES` tail).
-        for l in 0..LANES {
-            let mut s = st[l] as usize;
-            for i in pos[l]..end[l] {
-                s = self.step(s, bytes[i]);
-                if s >= self.out_row_start && i >= from[l] {
-                    self.report(bytes, i, s, out);
-                }
-            }
-        }
-    }
-
-    /// Skip scan for haystacks where the set's required byte is sparse.
-    ///
-    /// A literal ending at `e` spans `[e - len + 1, e]` and contains the
-    /// required byte, so every possible end lies in `[t, t + max_lit - 1]`
-    /// for some occurrence `t`. Occurrence windows are merged into maximal
-    /// runs and each run is walked with the usual `max_lit - 1` lead-in;
-    /// everything between runs is skipped at `find_byte` speed. Runs
-    /// partition the set of possible ends, so mask and stats are exactly
-    /// those of a full sequential walk.
-    fn scan_prefiltered(&self, bytes: &[u8], rare: u8, out: &mut MatchSet) {
-        let w = self.max_lit;
-        let n = bytes.len();
-        let mut next = find_byte(rare, bytes, 0);
-        while let Some(t) = next {
-            let run_from = t;
-            let mut run_to = (t + w).min(n);
-            next = find_byte(rare, bytes, t + 1);
-            while let Some(t2) = next {
-                if t2 > run_to {
-                    break;
-                }
-                run_to = (t2 + w).min(n);
-                next = find_byte(rare, bytes, t2 + 1);
-            }
-            self.scan_segment(bytes, run_from.saturating_sub(w - 1), run_from, run_to, out);
-        }
-    }
 }
-
-/// Position of the first `needle` byte at or after `from`, scanning 16
-/// bytes per iteration (SWAR zero-byte detection) — the skip loop of the
-/// prefiltered scan.
-fn find_byte(needle: u8, hay: &[u8], from: usize) -> Option<usize> {
-    const LO: u64 = 0x0101_0101_0101_0101;
-    const HI: u64 = 0x8080_8080_8080_8080;
-    #[inline(always)]
-    fn zero_byte(x: u64) -> u64 {
-        x.wrapping_sub(LO) & !x & HI
-    }
-    let from = from.min(hay.len());
-    let pat = LO.wrapping_mul(needle as u64);
-    let mut chunks = hay[from..].chunks_exact(16);
-    let mut off = from;
-    for c in &mut chunks {
-        let a = zero_byte(u64::from_le_bytes(c[..8].try_into().unwrap()) ^ pat);
-        let b = zero_byte(u64::from_le_bytes(c[8..].try_into().unwrap()) ^ pat);
-        if a | b != 0 {
-            let byte = if a != 0 {
-                a.trailing_zeros() / 8
-            } else {
-                8 + b.trailing_zeros() / 8
-            };
-            return Some(off + byte as usize);
-        }
-        off += 16;
-    }
-    chunks.remainder().iter().position(|&b| b == needle).map(|i| off + i)
-}
-
-/// Decide between the skip scan and the interleaved walk by sampling the
-/// required byte's density at the front of the haystack. Deterministic in
-/// the haystack bytes, and never observable in results — both paths are
-/// exact.
-fn rare_is_sparse(rare: u8, bytes: &[u8]) -> bool {
-    let probe = &bytes[..bytes.len().min(2048)];
-    probe.iter().filter(|&&b| b == rare).count() * 64 < probe.len()
-}
-
-/// Approximate commonness of a byte in script text (lower = rarer,
-/// bytes not listed at all are the rarest); used only to pick the best
-/// required byte for the skip scan.
-fn commonness(b: u8) -> u32 {
-    const COMMON: &[u8] = b" etaonisrhldcumfpgwybvkxjqz.,;:()[]{}'\"=+-_$0123456789";
-    match COMMON.iter().position(|&c| c.eq_ignore_ascii_case(&b)) {
-        Some(i) => COMMON.len() as u32 - i as u32,
-        None => 0,
-    }
-}
-
-/// Below this length a haystack is scanned by one sequential chain — the
-/// skip-scan and interleaving setup isn't worth it for typical inline
-/// scripts.
-const LONG_SCAN_MIN: usize = 4096;
 
 /// Evaluate `lit`'s anchor for an occurrence ending at byte `end` (the
 /// index of the occurrence's last byte).
@@ -756,59 +539,21 @@ mod tests {
         });
     }
 
-    /// The long-haystack strategies (interleaved lanes when the required
-    /// byte is dense, skip scan when it is sparse) are exactly equivalent
-    /// to one sequential DFA walk — mask and stats both. The filler
-    /// alphabet steers the dispatch: one variant is free of `r` (the
-    /// required byte of this set), the other is dense in it.
+    /// Occurrences separated by long literal-free gaps, and occurrences
+    /// that abut one another, each report exactly once.
     #[test]
-    fn long_haystack_paths_match_sequential_walk() {
-        let m = set(&[
-            PatternDef::substring("webdriver"),
-            PatternDef::substring("jsInstruments"),
-            PatternDef::undelimited("webdriver", b"_-"),
-        ]);
-        assert_eq!(m.rare, Some(b'r'), "set has a required byte for the skip scan");
-        proplite::run_cases(60, 0x4A13, |rng| {
-            let filler = if rng.bool() { "xyq tuv" } else { "xrq trv" };
-            let mut hay = String::new();
-            while hay.len() < 6000 {
-                match rng.usize_in(0, 6) {
-                    0 => hay.push_str("webdriver"),
-                    1 => hay.push_str("_webdriver-"),
-                    2 => hay.push_str("jsInstruments"),
-                    3 => hay.push_str("webdrive"),
-                    4 => hay.push_str("jsInstrument"),
-                    _ => {
-                        let pad = rng.string_of(filler, 1, 40);
-                        hay.push_str(&pad);
-                    }
-                }
-            }
-            let got = m.scan(&hay);
-            let mut want = MatchSet { mask: 0, stats: ScanStats::default() };
-            m.scan_segment(hay.as_bytes(), 0, 0, hay.len(), &mut want);
-            assert_eq!(got, want, "split-scan strategies must equal the sequential walk");
-        });
-    }
-
-    /// The skip scan sees matches whose literals only brush the rare-byte
-    /// windows: a run's lead-in and merged neighbouring windows.
-    #[test]
-    fn skip_scan_catches_matches_at_run_boundaries() {
+    fn isolated_and_abutting_matches_each_report() {
         let m = set(&[PatternDef::substring("webdriver")]);
-        // Sparse haystack: filler has no 'r' at all, so every occurrence
-        // sits in its own skip-scan run.
+        // Filler gaps long enough to hold no occurrence near the next one.
         let gap = "xv wq ".repeat(1000);
         let hay = format!("webdriver{gap}webdriver{gap}webdriver");
         let r = m.scan(&hay);
         assert!(r.matched(0));
         assert_eq!(r.stats.candidate_hits, 3);
         assert_eq!(r.stats.confirmed_hits, 3);
-        // Two occurrences close enough that their windows merge into one
-        // run must still both report.
+        // Two back-to-back occurrences must both report.
         let hay = format!("{gap}webdriverwebdriver{gap}");
         let r = m.scan(&hay);
-        assert_eq!(r.stats.candidate_hits, 2, "merged-run occurrences each report");
+        assert_eq!(r.stats.candidate_hits, 2, "abutting occurrences each report");
     }
 }

@@ -17,6 +17,8 @@
 //!
 //! Nothing here does real I/O; determinism of the crawl is the point.
 
+#![forbid(unsafe_code)]
+
 pub mod blocklist;
 pub mod cookies;
 pub mod http;

@@ -27,6 +27,8 @@
 //! record into the calling thread's current telemetry; the binary prints
 //! [`stats::render_summary`] + [`stats::provenance_footer`] at exit.
 
+#![forbid(unsafe_code)]
+
 mod event;
 mod journal;
 mod metrics;

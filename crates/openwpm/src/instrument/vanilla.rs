@@ -150,14 +150,9 @@ pub fn instrument_trigger(event_id: &str, vintage: InstrumentVintage) -> String 
     }
 }
 
-/// Generate the complete injected instrumentation script (body + trigger).
-/// `event_id` is embedded in the source, exactly like OpenWPM's generated
-/// injection.
-pub fn instrument_source(event_id: &str) -> String {
-    instrument_source_vintage(event_id, InstrumentVintage::Modern)
-}
-
-/// Vintage-aware generation (see [`InstrumentVintage`]).
+/// Generate the complete injected instrumentation script (body + trigger)
+/// for `vintage` (see [`InstrumentVintage`]). `event_id` is embedded in the
+/// source, exactly like OpenWPM's generated injection.
 pub fn instrument_source_vintage(event_id: &str, vintage: InstrumentVintage) -> String {
     format!(
         "{}{}\n",

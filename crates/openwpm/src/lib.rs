@@ -30,6 +30,8 @@
 //! retry with exponential backoff, browser restarts, typed failure
 //! records and checkpoint/resume hooks.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod fault;
 pub mod instrument;

@@ -29,7 +29,9 @@ pub struct PageScript {
 
 impl PageScript {
     /// FNV-64 of the body — the script's identity in the corpus statistics,
-    /// the compile cache, and the crawl archive's blob store.
+    /// the verdict memo and the crawl archive's blob store. The compile
+    /// cache keys on this hash *and* the script URL, so one body served
+    /// under per-site URLs is compiled once per URL.
     pub fn content_hash(&self) -> u64 {
         obs::fnv1a(self.source.as_bytes())
     }

@@ -10,6 +10,8 @@
 //! Everything is deterministic: the same harness seed always generates the
 //! same case sequence, so failures reproduce without shrinking.
 
+#![forbid(unsafe_code)]
+
 /// SplitMix64 — a tiny, high-quality, seedable generator.
 #[derive(Clone, Debug)]
 pub struct Rng {

@@ -11,6 +11,8 @@
 //! * small descriptive helpers (mean, median, percentage points) used by the
 //!   table renderers.
 
+#![forbid(unsafe_code)]
+
 pub mod descriptive;
 pub mod ratcliff;
 pub mod wilcoxon;

@@ -13,6 +13,8 @@
 //! analysis pipeline can be validated by re-deriving them end to end.
 //! `site::Targets` documents each constant's derivation.
 
+#![forbid(unsafe_code)]
+
 pub mod behaviour;
 pub mod blocklists;
 pub mod categories;
