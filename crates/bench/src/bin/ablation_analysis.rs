@@ -9,8 +9,8 @@ use gullible::scan::{Scan, ScanConfig};
 
 fn main() {
     let _ctx = bench::banner("ablation: analysis methods");
-    let n = bench::n_sites().min(10_000); // ablations run several scans
-    let base = ScanConfig { n_sites: n, seed: bench::seed(), workers: bench::workers(), ..ScanConfig::new(n, bench::seed()) };
+    let n = bench::env::sites().min(10_000); // ablations run several scans
+    let base = ScanConfig { n_sites: n, seed: bench::env::seed(), workers: bench::env::workers(), ..ScanConfig::new(n, bench::env::seed()) };
 
     let passive = Scan::new(base).run().expect("scan");
     let interactive = Scan::new(ScanConfig { simulate_interaction: true, ..base }).run().expect("scan");

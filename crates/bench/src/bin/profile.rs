@@ -73,8 +73,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let sites = if smoke { 200 } else { bench::env::sites_or(5_000) };
-    let seed = bench::seed();
-    let workers = bench::workers();
+    let seed = bench::env::seed();
+    let workers = bench::env::workers();
 
     let _ctx = bench::banner(&format!(
         "profile: crawl health report, {sites} sites{}",
@@ -94,10 +94,7 @@ fn main() {
     let baseline_ms = t0.elapsed().as_secs_f64() * 1e3;
     let fp_a = fingerprint_of(&report_a, &dir_a);
     drop(leg_a);
-    // The profiled run keeps forensics for its slowest 1% of visits: a
-    // count, not a wall-clock threshold, so every run writes the same
-    // number of dumps however fast the machine is.
-    let slow_visits = (sites as usize / 100).max(1);
+    let slow_visits = bench::env::slow_visits(sites);
     println!("baseline:  {sites} sites in {baseline_ms:.1} ms (profiler off)");
 
     // ------------------------------------- run B: profiled + flight recorder

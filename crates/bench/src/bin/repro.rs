@@ -10,9 +10,10 @@
 //! Set `GULLIBLE_BUNDLE=/path/to/dir` to stream the scan into a crawl
 //! bundle there: records are flushed and dropped as they complete (memory
 //! stays O(workers)), an interrupted run resumes from the bundle, and the
-//! tables come out identical to an uninterrupted run. `GULLIBLE_FAULT_*`
-//! injects crawl faults (see `bench` crate docs); the coverage line under
-//! the scan tables reports the resulting completion rate.
+//! tables come out identical to an uninterrupted run.
+//! `GULLIBLE_FAULTS=adversarial` injects crawl faults (see `bench::env`);
+//! the coverage line under the scan tables reports the resulting
+//! completion rate.
 
 #![deny(deprecated)]
 

@@ -6,35 +6,46 @@
 //! process-default context, which reads `GULLIBLE_ENGINE` so plain
 //! `cargo test` runs can select the tree-walking oracle.
 //!
-//! | knob                      | type  | default        | meaning |
-//! |---------------------------|-------|----------------|---------|
-//! | `GULLIBLE_SITES`          | u32   | 20,000         | population size (paper scale: 100,000; `profile` defaults to 5,000) |
-//! | `GULLIBLE_SEED`           | u64   | 42             | population seed |
-//! | `GULLIBLE_WORKERS`        | usize | CPU count      | crawl worker threads |
-//! | `GULLIBLE_TRACE`          | path  | unset          | stream the JSONL telemetry journal here |
-//! | `GULLIBLE_TRACE_WALL`     | bool  | 0              | add `wall_ms` to journal lines (breaks byte-identity) |
-//! | `GULLIBLE_STATS`          | bool  | 0              | print the `[stats]` crawl summary after each run |
-//! | `GULLIBLE_FAULT_CRASH_PM` | u32   | 0              | browser-crash probability per visit (per-mille) |
-//! | `GULLIBLE_FAULT_HANG_PM`  | u32   | 0              | visit-hang probability (per-mille) |
-//! | `GULLIBLE_FAULT_NAV_PM`   | u32   | 0              | navigation-error probability (per-mille) |
-//! | `GULLIBLE_FAULT_TAB_PM`   | u32   | 0              | mid-visit tab-crash probability (per-mille) |
-//! | `GULLIBLE_FAULT_HTTP_PM`  | u32   | 0              | transient-HTTP-failure probability (per-mille) |
-//! | `GULLIBLE_FAULT_BOOST_PM` | u32   | 4000           | failure multiplier on flaky-flagged sites (per-mille) |
-//! | `GULLIBLE_FAULT_SEED`     | u64   | `0xFA017`      | fault-plan seed, independent of the population seed |
-//! | `GULLIBLE_ENGINE`         | enum  | `vm`           | MiniJS execution backend: `vm` (bytecode) or `tree` (reference oracle) |
-//! | `GULLIBLE_BUNDLE`         | path  | unset          | crawl-bundle directory for `archive_record`/`archive_replay` (positional arg wins); `repro` streams its scan there and resumes it on restart |
-//! | `GULLIBLE_PROF`           | mode  | off            | phase profiler: `1` on, `collapsed` also prints a flamegraph-ready collapsed-stack dump |
-//! | `GULLIBLE_PROF_SLOW_VISITS` | usize | 0            | the k slowest visits of the run dump a forensic record, written at its end (`0` disables) |
-//! | `GULLIBLE_FORENSICS`      | path  | unset          | append flight-recorder forensic dumps (JSONL) here; arms the profiler |
+//! | knob                 | type  | default   | meaning |
+//! |----------------------|-------|-----------|---------|
+//! | `GULLIBLE_SITES`     | u32   | 20,000    | population size (paper scale: 100,000; `profile` defaults to 5,000) |
+//! | `GULLIBLE_SEED`      | u64   | 42        | population seed |
+//! | `GULLIBLE_WORKERS`   | usize | CPU count | crawl worker threads |
+//! | `GULLIBLE_TRACE`     | path  | unset     | stream the JSONL telemetry journal here |
+//! | `GULLIBLE_STATS`     | bool  | 0         | print the `[stats]` crawl summary after each run |
+//! | `GULLIBLE_FAULTS`    | enum  | `off`     | fault weather: `off`, or `adversarial` ([`FaultPlan::adversarial`]: 5% browser crashes, 1% hangs, 1% navigation errors, 0.5% tab crashes, 0.5% transient HTTP failures per attempt) |
+//! | `GULLIBLE_FAULT_SEED`| u64   | `0xFA017` | fault-plan seed, independent of the population seed |
+//! | `GULLIBLE_ENGINE`    | enum  | `vm`      | MiniJS execution backend: `vm` (bytecode) or `tree` (reference oracle) |
+//! | `GULLIBLE_BUNDLE`    | path  | unset     | crawl-bundle directory for `archive_record`/`archive_replay` (positional arg wins); `repro` streams its scan there and resumes it on restart |
+//! | `GULLIBLE_PROF`      | mode  | off       | phase profiler: `1` on, `collapsed` also prints a flamegraph-ready collapsed-stack dump |
+//! | `GULLIBLE_FORENSICS` | path  | unset     | append flight-recorder forensic dumps (JSONL) here; arms the profiler and dumps the [`slow_visits`] slowest visits at the end of the run |
 //!
 //! Boolean knobs accept `1`, `true`, `yes` or `on` (anything else, or
 //! unset, is off). Numeric knobs are parsed as the type in the table; a
 //! value that fails to parse, or does not fit that type, falls back to
 //! the default rather than aborting a long run (or wrapping around).
+//! A `GULLIBLE_*` variable outside this table, or a `GULLIBLE_FAULTS`
+//! value other than the two above, is ignored with a warning
+//! ([`warnings`]): a renamed knob must not quietly change the run.
 
 use gullible::obs;
 use openwpm::FaultPlan;
 use std::path::PathBuf;
+
+/// Every `GULLIBLE_*` name the workspace reads: the table above.
+pub const KNOBS: [&str; 11] = [
+    "GULLIBLE_SITES",
+    "GULLIBLE_SEED",
+    "GULLIBLE_WORKERS",
+    "GULLIBLE_TRACE",
+    "GULLIBLE_STATS",
+    "GULLIBLE_FAULTS",
+    "GULLIBLE_FAULT_SEED",
+    "GULLIBLE_ENGINE",
+    "GULLIBLE_BUNDLE",
+    "GULLIBLE_PROF",
+    "GULLIBLE_FORENSICS",
+];
 
 fn num_knob<T: std::str::FromStr>(name: &str, default: T) -> T {
     std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -76,28 +87,24 @@ pub fn trace() -> Option<PathBuf> {
     path_knob("GULLIBLE_TRACE")
 }
 
-/// `GULLIBLE_TRACE_WALL` — append wall-clock timestamps to journal lines.
-pub fn trace_wall() -> bool {
-    flag_knob("GULLIBLE_TRACE_WALL")
-}
-
 /// `GULLIBLE_STATS` — print the `[stats]` crawl summary.
 pub fn stats() -> bool {
     flag_knob("GULLIBLE_STATS")
 }
 
-/// The `GULLIBLE_FAULT_*` fault plan; unset knobs keep [`FaultPlan`]'s
-/// defaults, except the seed.
+fn faults() -> String {
+    std::env::var("GULLIBLE_FAULTS").unwrap_or_default().to_ascii_lowercase()
+}
+
+/// `GULLIBLE_FAULTS` seeded by `GULLIBLE_FAULT_SEED`: the adversarial
+/// weather, or no faults. A clean plan carries the seed too, so it shows
+/// in the run's config hash either way.
 pub fn fault_plan() -> FaultPlan {
-    let d = FaultPlan::default();
-    FaultPlan {
-        crash_per_mille: num_knob("GULLIBLE_FAULT_CRASH_PM", 0),
-        hang_per_mille: num_knob("GULLIBLE_FAULT_HANG_PM", 0),
-        nav_error_per_mille: num_knob("GULLIBLE_FAULT_NAV_PM", 0),
-        tab_crash_per_mille: num_knob("GULLIBLE_FAULT_TAB_PM", 0),
-        http_flaky_per_mille: num_knob("GULLIBLE_FAULT_HTTP_PM", 0),
-        flaky_site_boost_pm: num_knob("GULLIBLE_FAULT_BOOST_PM", d.flaky_site_boost_pm),
-        seed: num_knob("GULLIBLE_FAULT_SEED", 0xFA_017),
+    let seed = num_knob("GULLIBLE_FAULT_SEED", 0xFA_017);
+    if faults() == "adversarial" {
+        FaultPlan::adversarial(seed)
+    } else {
+        FaultPlan { seed, ..FaultPlan::none() }
     }
 }
 
@@ -112,15 +119,37 @@ pub fn prof_mode() -> obs::prof::Mode {
     obs::prof::parse_mode(&std::env::var("GULLIBLE_PROF").unwrap_or_default())
 }
 
-/// `GULLIBLE_PROF_SLOW_VISITS` — how many of the slowest visits leave a
-/// forensic dump (0 = none).
-pub fn prof_slow_visits() -> usize {
-    num_knob("GULLIBLE_PROF_SLOW_VISITS", 0)
-}
-
 /// `GULLIBLE_FORENSICS` — flight-recorder forensic dump file (JSONL, append).
 pub fn forensics() -> Option<PathBuf> {
     path_knob("GULLIBLE_FORENSICS")
+}
+
+/// How many of a `sites`-visit run's slowest visits leave a forensic
+/// dump: the slowest 1%, at least one. A count rather than a wall-clock
+/// threshold, so every run writes the same number of dumps however fast
+/// the machine is.
+pub fn slow_visits(sites: u32) -> usize {
+    (sites as usize / 100).max(1)
+}
+
+/// One warning per `GULLIBLE_*` variable that is not in [`KNOBS`], and
+/// one for a `GULLIBLE_FAULTS` value that names no weather. Both are
+/// otherwise ignored, so a stale per-kind fault rate from an older
+/// invocation would run a clean crawl without a word.
+pub fn warnings() -> Vec<String> {
+    let mut out: Vec<String> = std::env::vars_os()
+        .filter_map(|(k, _)| k.into_string().ok())
+        .filter(|k| k.starts_with("GULLIBLE_") && !KNOBS.contains(&k.as_str()))
+        .map(|k| format!("warning: {k} is not a knob these binaries read; ignored"))
+        .collect();
+    out.sort();
+    let faults = faults();
+    if !matches!(faults.as_str(), "" | "off" | "adversarial") {
+        out.push(format!(
+            "warning: GULLIBLE_FAULTS={faults} is neither `off` nor `adversarial`; running without faults"
+        ));
+    }
+    out
 }
 
 /// Positional (non-flag) CLI arguments, in order — the archive binaries
@@ -162,6 +191,28 @@ mod tests {
         assert!(!flag_knob("GULLIBLE_TEST_FLAG"));
         std::env::remove_var("GULLIBLE_TEST_FLAG");
         assert!(!flag_knob("GULLIBLE_TEST_FLAG"));
+
+        // The fault weather: a preset, not per-kind rates.
+        assert_eq!(fault_plan(), FaultPlan { seed: 0xFA_017, ..FaultPlan::none() });
+        std::env::set_var("GULLIBLE_FAULTS", "Adversarial");
+        std::env::set_var("GULLIBLE_FAULT_SEED", "7");
+        assert_eq!(fault_plan(), FaultPlan::adversarial(7));
+        assert!(warnings().iter().all(|w| !w.contains("GULLIBLE_FAULT")));
+        std::env::set_var("GULLIBLE_FAULTS", "stormy");
+        assert_eq!(fault_plan(), FaultPlan { seed: 7, ..FaultPlan::none() });
+        assert!(warnings().iter().any(|w| w.contains("GULLIBLE_FAULTS=stormy")));
+        std::env::remove_var("GULLIBLE_FAULTS");
+        std::env::remove_var("GULLIBLE_FAULT_SEED");
+
+        // A name outside the table is reported, not read.
+        std::env::set_var("GULLIBLE_TEST_RENAMED_PM", "50");
+        assert!(warnings().iter().any(|w| w.contains("GULLIBLE_TEST_RENAMED_PM")));
+        std::env::remove_var("GULLIBLE_TEST_RENAMED_PM");
+        assert!(warnings().iter().all(|w| !w.contains("GULLIBLE_TEST_RENAMED_PM")));
+
+        assert_eq!(slow_visits(200), 2);
+        assert_eq!(slow_visits(5_000), 50);
+        assert_eq!(slow_visits(40), 1);
 
         std::env::set_var("GULLIBLE_TEST_PATH", "/tmp/x.jsonl");
         assert_eq!(path_knob("GULLIBLE_TEST_PATH"), Some(PathBuf::from("/tmp/x.jsonl")));

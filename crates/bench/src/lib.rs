@@ -29,23 +29,8 @@ use gullible::{obs, CompareConfig, CrawlCtx, CtxGuard, ScanConfig};
 
 pub mod env;
 
-/// Population size for scan-scale experiments (`GULLIBLE_SITES`).
-pub fn n_sites() -> u32 {
-    env::sites()
-}
-
-/// Population seed (`GULLIBLE_SEED`).
-pub fn seed() -> u64 {
-    env::seed()
-}
-
-/// Worker threads (`GULLIBLE_WORKERS`).
-pub fn workers() -> usize {
-    env::workers()
-}
-
 /// Standard scan configuration from the environment, including the
-/// `GULLIBLE_FAULT_*` fault plan.
+/// `GULLIBLE_FAULTS` fault weather.
 pub fn scan_config() -> ScanConfig {
     let mut cfg = ScanConfig::new(env::sites(), env::seed());
     cfg.workers = env::workers();
@@ -78,25 +63,23 @@ pub fn compare_config() -> CompareConfig {
 
 /// The telemetry the knobs describe: the trace journal when
 /// `GULLIBLE_TRACE` names a path, stats under `GULLIBLE_STATS`, the phase
-/// profiler / flight recorder under `GULLIBLE_PROF`,
-/// `GULLIBLE_PROF_SLOW_VISITS` and `GULLIBLE_FORENSICS`.
+/// profiler under `GULLIBLE_PROF`, and under `GULLIBLE_FORENSICS` the
+/// flight recorder with the run's [`env::slow_visits`] slowest visits.
 fn telemetry() -> obs::Telemetry {
     let mut t = obs::Telemetry::new();
     if let Some(path) = env::forensics() {
         match obs::Telemetry::new().with_forensics(&path) {
-            Ok(armed) => t = armed,
+            Ok(armed) => t = armed.with_slow_visits(env::slow_visits(env::sites())),
             Err(e) => eprintln!("warning: GULLIBLE_FORENSICS={}: {e}", path.display()),
         }
     }
     if let Some(path) = env::trace() {
-        match obs::Journal::to_file(&path, env::trace_wall()) {
+        match obs::Journal::to_file(&path) {
             Ok(journal) => t = t.with_journal(journal),
             Err(e) => eprintln!("warning: GULLIBLE_TRACE={}: {e}", path.display()),
         }
     }
-    t.with_stats(env::stats())
-        .with_prof(env::prof_mode())
-        .with_slow_visits(env::prof_slow_visits())
+    t.with_stats(env::stats()).with_prof(env::prof_mode())
 }
 
 /// A fresh context for one measured leg of a multi-run binary: stats-on
@@ -120,11 +103,15 @@ fn exit_quietly_on_closed_stdout() {
     }));
 }
 
-/// Print the run header every binary starts with, and enter a fresh
-/// context with the telemetry the knobs describe for as long as the
-/// returned guard lives.
+/// Print the run header every binary starts with (and, on stderr, the
+/// [`env::warnings`] about unknown knobs), and enter a fresh context with
+/// the telemetry the knobs describe for as long as the returned guard
+/// lives.
 pub fn banner(what: &str) -> CtxGuard {
     exit_quietly_on_closed_stdout();
+    for warning in env::warnings() {
+        eprintln!("{warning}");
+    }
     let ctx = CrawlCtx { telemetry: telemetry(), ..CrawlCtx::new() };
     let faults = env::fault_plan();
     let weather = if faults.is_inert() {

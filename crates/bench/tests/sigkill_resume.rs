@@ -36,11 +36,7 @@ fn repro(bundle: &Path) -> Command {
         ("GULLIBLE_SEED", "42".into()),
         ("GULLIBLE_WORKERS", "2".into()),
         ("GULLIBLE_STATS", "1".into()),
-        ("GULLIBLE_FAULT_CRASH_PM", "50".into()),
-        ("GULLIBLE_FAULT_HANG_PM", "10".into()),
-        ("GULLIBLE_FAULT_NAV_PM", "10".into()),
-        ("GULLIBLE_FAULT_TAB_PM", "5".into()),
-        ("GULLIBLE_FAULT_HTTP_PM", "5".into()),
+        ("GULLIBLE_FAULTS", "adversarial".into()),
     ]);
     cmd.env("GULLIBLE_BUNDLE", bundle);
     cmd

@@ -360,23 +360,18 @@ pub struct ScanReport {
     /// Verification statistics when the scan was replayed (`Scan::replay`).
     pub replay: Option<ReplayStats>,
     /// Table state, folded from every completed record as it completed;
-    /// every table method reads from here. Always `Some` in a report
-    /// returned by [`Scan::run`].
-    pub aggregates: Option<ScanAggregates>,
+    /// every table method reads from here.
+    pub aggregates: ScanAggregates,
     /// Crash-recovery and memory statistics when the scan had a bundle
     /// sink.
     pub stream: Option<StreamStats>,
 }
 
 impl ScanReport {
-    fn agg(&self) -> &ScanAggregates {
-        self.aggregates.as_ref().expect("Scan::run folds every report's aggregates")
-    }
-
     /// Count completed sites whose `(front page, whole site)` detection
     /// flags satisfy `f`.
     pub fn count(&self, f: impl Fn(&PageFlags, &PageFlags) -> bool) -> u32 {
-        self.agg().count(f)
+        self.aggregates.count(f)
     }
 
     /// The coverage statement printed under every table.
@@ -387,25 +382,25 @@ impl ScanReport {
     /// Table 5 rows: (static, dynamic, union) × (identified, true), over
     /// front + subpages.
     pub fn table5(&self) -> [(u32, u32); 3] {
-        self.agg().table5()
+        self.aggregates.table5()
     }
 
     /// Table 6: OpenWPM-specific probes per provider domain × property.
     pub fn table6(&self) -> BTreeMap<String, BTreeMap<String, u32>> {
-        self.agg().table6.clone()
+        self.aggregates.table6.clone()
     }
 
     /// Table 7: third-party hosting domains by inclusion count (1/site).
     pub fn table7(&self) -> Vec<(String, u32)> {
         let mut v: Vec<(String, u32)> =
-            self.agg().table7.iter().map(|(d, n)| (d.clone(), *n)).collect();
+            self.aggregates.table7.iter().map(|(d, n)| (d.clone(), *n)).collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v
     }
 
     /// Table 12: first-party origin clusters.
     pub fn table12(&self) -> BTreeMap<&'static str, u32> {
-        self.agg().table12.clone()
+        self.aggregates.table12.clone()
     }
 
     /// Fig. 3/4 series: per-1K-rank-bucket counts of
@@ -413,7 +408,7 @@ impl ScanReport {
     pub fn rank_buckets(&self, bucket: u32) -> Vec<[u32; 4]> {
         let nb = self.n_sites.div_ceil(bucket);
         let mut out = vec![[0u32; 4]; nb as usize];
-        for (rank, front, site) in &self.agg().flags {
+        for (rank, front, site) in &self.aggregates.flags {
             let b = &mut out[(rank / bucket) as usize];
             for (i, hit) in
                 [front.static_true, front.dynamic_true, site.static_true, site.dynamic_true]
@@ -429,21 +424,18 @@ impl ScanReport {
     /// Fig. 5: category tallies for first-party vs third-party detector
     /// sites.
     pub fn category_tallies(&self) -> (BTreeMap<&'static str, u32>, BTreeMap<&'static str, u32>) {
-        let agg = self.agg();
-        (agg.cat_first.clone(), agg.cat_third.clone())
+        (self.aggregates.cat_first.clone(), self.aggregates.cat_third.clone())
     }
 
     /// Corpus statistics: `(scripts collected, unique bodies)` — the paper
     /// collected 1,535,306 unique scripts over its crawl.
     pub fn script_stats(&self) -> (u64, u64) {
-        let agg = self.agg();
-        (agg.scripts_total, agg.script_hashes.len() as u64)
+        (self.aggregates.scripts_total, self.aggregates.script_hashes.len() as u64)
     }
 
     /// Total first-party vs third-party detector inclusions (Sec. 4.3).
     pub fn inclusion_totals(&self) -> (u32, u32) {
-        let agg = self.agg();
-        (agg.first_party_inclusions, agg.third_party_inclusions)
+        (self.aggregates.first_party_inclusions, self.aggregates.third_party_inclusions)
     }
 }
 
@@ -798,7 +790,7 @@ impl<'a> Scan<'a> {
             history,
             archive,
             replay: verifier.map(|v| v.stats()),
-            aggregates: Some(agg),
+            aggregates: agg,
             stream,
         })
     }

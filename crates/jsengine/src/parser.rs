@@ -12,6 +12,15 @@ use crate::ast::*;
 use crate::error::EngineError;
 use crate::lexer::{lex, Tok, Token};
 
+/// Deepest nesting a script may have, in parser levels: each recursive
+/// descent (statement, assignment, unary operand, binary right operand)
+/// and each chain link (`a+b`, `.b`, `[i]`, `(…)`, `new`) is one level.
+/// Lowering, both engines and `Drop` recurse on the AST, and a stack
+/// overflow aborts the whole crawler where no `catch_unwind` can catch
+/// it. A script at the limit runs on a 2 MiB thread in a debug build
+/// (`tests/adversarial.rs`); generated page scripts nest 20 levels.
+pub const MAX_NESTING: u32 = 128;
+
 /// Parse a full program.
 pub fn parse(src: &str, script_name: &str) -> Result<Program, EngineError> {
     let tokens = lex(src)
@@ -21,6 +30,8 @@ pub fn parse(src: &str, script_name: &str) -> Result<Program, EngineError> {
         script: Arc::from(script_name),
         tokens,
         pos: 0,
+        depth: 0,
+        height: 0,
     };
     let mut body = Vec::new();
     while !p.at(&Tok::Eof) {
@@ -34,6 +45,11 @@ struct Parser<'a> {
     script: Arc<str>,
     tokens: Vec<Token>,
     pos: usize,
+    /// Nesting levels entered by the recursive descent.
+    depth: u32,
+    /// Deepest level of the tree built so far in the innermost nesting
+    /// level: `depth` plus the chain links under it.
+    height: u32,
 }
 
 impl<'a> Parser<'a> {
@@ -82,6 +98,34 @@ impl<'a> Parser<'a> {
         EngineError::Parse { line: self.line(), message: message.into() }
     }
 
+    /// `level`, or a syntax error once it passes [`MAX_NESTING`].
+    fn budget(&self, level: u32) -> Result<u32, EngineError> {
+        if level > MAX_NESTING {
+            return Err(self.err(format!("script nests deeper than {MAX_NESTING} levels")));
+        }
+        Ok(level)
+    }
+
+    /// Run `parse` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, EngineError>,
+    ) -> Result<T, EngineError> {
+        self.depth = self.budget(self.depth + 1)?;
+        let outer = std::mem::replace(&mut self.height, self.depth);
+        let parsed = parse(self);
+        self.depth -= 1;
+        self.height = self.height.max(outer);
+        parsed
+    }
+
+    /// Account for one link of a loop-built chain: the node about to wrap
+    /// everything parsed so far at this level sits one level above it.
+    fn link(&mut self) -> Result<(), EngineError> {
+        self.height = self.budget(self.height + 1)?;
+        Ok(())
+    }
+
     fn ident(&mut self) -> Result<Arc<str>, EngineError> {
         match self.peek().clone() {
             Tok::Ident(name) => {
@@ -100,6 +144,10 @@ impl<'a> Parser<'a> {
     // ---------------------------------------------------------- statements
 
     fn statement(&mut self) -> Result<Stmt, EngineError> {
+        self.nested(Self::statement_here)
+    }
+
+    fn statement_here(&mut self) -> Result<Stmt, EngineError> {
         match self.peek().clone() {
             Tok::Semi => {
                 self.bump();
@@ -333,6 +381,10 @@ impl<'a> Parser<'a> {
     }
 
     fn assignment(&mut self) -> Result<Expr, EngineError> {
+        self.nested(Self::assignment_here)
+    }
+
+    fn assignment_here(&mut self) -> Result<Expr, EngineError> {
         // Arrow functions: `x => ...` and `(a, b) => ...`.
         if let Some(arrow) = self.try_arrow()? {
             return Ok(arrow);
@@ -476,7 +528,8 @@ impl<'a> Parser<'a> {
             }
             let is_and = self.at(&Tok::AndAnd);
             self.bump();
-            let right = self.binary(prec + 1)?;
+            let right = self.nested(|p| p.binary(prec + 1))?;
+            self.link()?;
             left = match op {
                 Some(op) => Expr::Binary { op, left: Box::new(left), right: Box::new(right) },
                 None => Expr::Logical { and: is_and, left: Box::new(left), right: Box::new(right) },
@@ -486,6 +539,10 @@ impl<'a> Parser<'a> {
     }
 
     fn unary(&mut self) -> Result<Expr, EngineError> {
+        self.nested(Self::unary_here)
+    }
+
+    fn unary_here(&mut self) -> Result<Expr, EngineError> {
         let op = match self.peek() {
             Tok::Minus => Some(UnOp::Neg),
             Tok::Plus => Some(UnOp::Plus),
@@ -515,9 +572,11 @@ impl<'a> Parser<'a> {
         if self.at(&Tok::New) {
             let line = self.line();
             self.bump();
-            let prim = self.primary_for_new()?;
+            // The callee is a member chain without call suffixes.
+            let prim = self.primary()?;
             let callee = self.member_chain(prim)?;
             let args = if self.at(&Tok::LParen) { self.arguments()? } else { Vec::new() };
+            self.link()?;
             let new_expr = Expr::New { callee: Box::new(callee), args, line };
             // Allow member access / calls on the construction result.
             return self.postfix_chain(new_expr);
@@ -528,15 +587,11 @@ impl<'a> Parser<'a> {
         if self.at(&Tok::PlusPlus) || self.at(&Tok::MinusMinus) {
             let inc = self.at(&Tok::PlusPlus);
             self.bump();
+            self.link()?;
             let target = self.as_target(chained)?;
             return Ok(Expr::Update { target, inc, prefix: false });
         }
         Ok(chained)
-    }
-
-    /// For `new`, the callee is a member chain without call suffixes.
-    fn primary_for_new(&mut self) -> Result<Expr, EngineError> {
-        self.primary()
     }
 
     fn member_chain(&mut self, mut base: Expr) -> Result<Expr, EngineError> {
@@ -544,6 +599,7 @@ impl<'a> Parser<'a> {
             if self.at(&Tok::Dot) {
                 let line = self.line();
                 self.bump();
+                self.link()?;
                 let key = self.member_name()?;
                 base = Expr::Member { base: Box::new(base), key, line };
             } else if self.at(&Tok::LBracket) {
@@ -551,6 +607,7 @@ impl<'a> Parser<'a> {
                 self.bump();
                 let index = self.expression()?;
                 self.expect(&Tok::RBracket)?;
+                self.link()?;
                 base = Expr::Index { base: Box::new(base), index: Box::new(index), line };
             } else {
                 return Ok(base);
@@ -565,6 +622,7 @@ impl<'a> Parser<'a> {
             } else if self.at(&Tok::LParen) {
                 let line = self.line();
                 let args = self.arguments()?;
+                self.link()?;
                 base = Expr::Call { callee: Box::new(base), args, line };
             } else {
                 return Ok(base);

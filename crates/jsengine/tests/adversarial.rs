@@ -3,7 +3,8 @@
 //! exactly like a real engine, or the reproduction's attacks would be
 //! theatre.
 
-use jsengine::{eval, Interp, Value};
+use jsengine::parser::{parse, MAX_NESTING};
+use jsengine::{eval, Engine, EngineError, Interp, Value};
 
 fn text(src: &str) -> String {
     match eval(src).unwrap() {
@@ -246,4 +247,74 @@ fn string_conversion_of_objects_uses_custom_tostring() {
         'value: ' + o
     "#;
     assert_eq!(text(src), "value: custom!");
+}
+
+/// `n` levels of a shape that once overflowed the native stack: in the
+/// parser's recursive descent (brackets, functions, blocks, `!`) or, for
+/// the loop-built chains (`+1`, `.b`), in lowering and evaluation.
+fn nest(shape: &str, n: usize) -> String {
+    match shape {
+        "parens" => format!("{}1{}", "(".repeat(n), ")".repeat(n)),
+        "arrays" => format!("{}{}", "[".repeat(n), "]".repeat(n)),
+        "objects" => format!("x = {}1{}", "{a:".repeat(n), "}".repeat(n)),
+        "iifes" => format!("{}{}", "(function(){".repeat(n), "})();".repeat(n)),
+        "blocks" => format!("{}{}", "{".repeat(n), "}".repeat(n)),
+        "nots" => format!("{}1", "!".repeat(n)),
+        "plus" => format!("1{}", "+1".repeat(n)),
+        "members" => format!("var a = {{}}; a.b = a; a{}", ".b".repeat(n)),
+        other => unreachable!("no shape {other}"),
+    }
+}
+
+const SHAPES: [&str; 8] = ["parens", "arrays", "objects", "iifes", "blocks", "nots", "plus", "members"];
+
+/// Run `src` on a thread with a 2 MiB stack, the default for spawned
+/// threads and so for the crawl's workers.
+fn run_on_worker_stack(engine: Engine, src: String) -> Result<Value, EngineError> {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(move || {
+            let mut interp = Interp::new();
+            interp.engine = engine;
+            interp.eval_script(&src, "deep.js")
+        })
+        .unwrap()
+        .join()
+        .unwrap()
+}
+
+#[test]
+fn hostile_nesting_is_a_syntax_error_not_an_abort() {
+    for shape in SHAPES {
+        for engine in [Engine::Vm, Engine::Tree] {
+            match run_on_worker_stack(engine, nest(shape, 100_000)) {
+                Err(EngineError::Parse { message, .. }) => {
+                    assert!(message.contains("nests deeper"), "{shape}, {engine:?}: {message}")
+                }
+                other => panic!("{shape}, {engine:?}: expected a syntax error, got {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn nesting_at_the_budget_parses_lowers_and_runs() {
+    for shape in SHAPES {
+        // The deepest nesting of this shape the budget accepts.
+        let parses = |n: usize| parse(&nest(shape, n), "deep.js").is_ok();
+        let (mut deepest, mut rejected) = (1, MAX_NESTING as usize + 1);
+        assert!(parses(deepest) && !parses(rejected), "{shape}");
+        while rejected - deepest > 1 {
+            let mid = (deepest + rejected) / 2;
+            if parses(mid) {
+                deepest = mid;
+            } else {
+                rejected = mid;
+            }
+        }
+        for engine in [Engine::Vm, Engine::Tree] {
+            let ran = run_on_worker_stack(engine, nest(shape, deepest));
+            assert!(ran.is_ok(), "{shape} x{deepest}, {engine:?}: {ran:?}");
+        }
+    }
 }

@@ -2,11 +2,10 @@
 //!
 //! Every journal line is one JSON object with a *stable* key order:
 //! `t` (simulated-clock milliseconds), `scope`, `ev`, then `span`/`parent`
-//! for span events, then the event's attributes in emission order, then the
-//! optional `wall_ms` (only when wall-clock stamping is enabled — it breaks
-//! byte-for-byte reproducibility and is therefore off by default). Stable
-//! ordering is what makes journals snapshot-testable: two runs of the same
-//! seeded crawl must produce byte-identical files.
+//! for span events, then the event's attributes in emission order. No
+//! field carries wall-clock time. Stable ordering is what makes journals
+//! snapshot-testable: two runs of the same seeded crawl must produce
+//! byte-identical files.
 
 use std::fmt::Write as _;
 
@@ -86,8 +85,8 @@ impl Event {
     }
 
     /// Render the event as one JSON line (no trailing newline) for the
-    /// given scope label, optionally stamped with a wall-clock field.
-    pub fn render(&self, scope: &str, wall_ms: Option<u64>) -> String {
+    /// given scope label.
+    pub fn render(&self, scope: &str) -> String {
         let mut out = String::with_capacity(96);
         let _ = write!(out, "{{\"t\":{},\"scope\":", self.t_ms);
         push_json_string(&mut out, scope);
@@ -115,9 +114,6 @@ impl Event {
                 }
                 AttrVal::S(s) => push_json_string(&mut out, s),
             }
-        }
-        if let Some(w) = wall_ms {
-            let _ = write!(out, ",\"wall_ms\":{w}");
         }
         out.push('}');
         out
@@ -151,7 +147,7 @@ mod tests {
     fn renders_stable_key_order() {
         let ev = Event::new(12, "fault").attr("kind", "hang").attr("attempt", 2u32);
         assert_eq!(
-            ev.render("visit:7", None),
+            ev.render("visit:7"),
             r#"{"t":12,"scope":"visit:7","ev":"fault","kind":"hang","attempt":2}"#
         );
     }
@@ -165,13 +161,13 @@ mod tests {
             attrs: vec![("name", AttrVal::S("visit".into()))],
         };
         assert_eq!(
-            open.render("visit:0", None),
+            open.render("visit:0"),
             r#"{"t":0,"scope":"visit:0","ev":"span_open","span":1,"parent":0,"name":"visit"}"#
         );
         let close =
             Event { t_ms: 5, ev: "span_close", span: Some(SpanMark::Close { id: 1 }), attrs: vec![] };
         assert_eq!(
-            close.render("visit:0", None),
+            close.render("visit:0"),
             r#"{"t":5,"scope":"visit:0","ev":"span_close","span":1}"#
         );
     }
@@ -179,20 +175,13 @@ mod tests {
     #[test]
     fn escapes_strings() {
         let ev = Event::new(0, "note").attr("msg", "a\"b\\c\nd\u{1}");
-        let line = ev.render("crawl", None);
+        let line = ev.render("crawl");
         assert!(line.contains(r#""msg":"a\"b\\c\nd\u0001""#), "{line}");
-    }
-
-    #[test]
-    fn wall_clock_is_optional_and_last() {
-        let ev = Event::new(3, "x").attr("k", 1u64);
-        assert!(ev.render("crawl", Some(99)).ends_with(",\"wall_ms\":99}"));
-        assert!(!ev.render("crawl", None).contains("wall_ms"));
     }
 
     #[test]
     fn negative_attrs_render() {
         let ev = Event::new(0, "gauge").attr("v", -5i64);
-        assert!(ev.render("crawl", None).contains("\"v\":-5"));
+        assert!(ev.render("crawl").contains("\"v\":-5"));
     }
 }

@@ -11,16 +11,15 @@
 //!   by the coordinator *in item order*, which is what makes the file
 //!   byte-identical across worker counts.
 //!
-//! Wall-clock stamping (`wall_ms` field) is opt-in because it breaks
-//! byte-for-byte reproducibility; it exists for humans reading a single
-//! trace, not for comparisons.
+//! Lines carry no wall-clock time: two runs of one seeded crawl write the
+//! same bytes. Wall time lives in the phase profiler and in forensic
+//! dumps, which stamp their own `wall_ms`.
 
 use crate::event::{Event, SpanMark};
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use std::sync::Mutex;
-use std::time::Instant;
 
 enum Sink {
     File(BufWriter<File>),
@@ -37,60 +36,49 @@ struct CrawlState {
 pub struct Journal {
     sink: Mutex<Sink>,
     crawl: Mutex<CrawlState>,
-    wall: bool,
-    start: Instant,
 }
 
 impl Journal {
-    fn new(sink: Sink, wall: bool) -> Journal {
+    fn new(sink: Sink) -> Journal {
         Journal {
             sink: Mutex::new(sink),
             crawl: Mutex::new(CrawlState { seq: 0, span_stack: Vec::new(), next_span: 1 }),
-            wall,
-            start: Instant::now(),
         }
     }
 
     /// Journal streaming to `path` (truncating any existing file).
-    pub fn to_file(path: &Path, wall: bool) -> io::Result<Journal> {
+    pub fn to_file(path: &Path) -> io::Result<Journal> {
         let f = File::create(path)?;
-        Ok(Journal::new(Sink::File(BufWriter::new(f)), wall))
+        Ok(Journal::new(Sink::File(BufWriter::new(f))))
     }
 
     /// In-memory journal; read back with [`Journal::buffer_contents`].
-    pub fn buffer(wall: bool) -> Journal {
-        Journal::new(Sink::Buffer(Vec::new()), wall)
+    pub fn buffer() -> Journal {
+        Journal::new(Sink::Buffer(Vec::new()))
     }
 
-    fn wall_ms(&self) -> Option<u64> {
-        self.wall.then(|| self.start.elapsed().as_millis() as u64)
-    }
-
-    fn write_line(&self, line: &str) {
-        let mut sink = self.sink.lock().unwrap();
-        let res = match &mut *sink {
-            Sink::File(w) => writeln!(w, "{line}"),
-            Sink::Buffer(b) => writeln!(b, "{line}"),
+    /// Append whole lines to the sink. A full disk must not kill the
+    /// crawl; telemetry is best-effort.
+    fn write(&self, lines: &str) {
+        let _ = match &mut *self.sink.lock().unwrap() {
+            Sink::File(w) => w.write_all(lines.as_bytes()),
+            Sink::Buffer(b) => b.write_all(lines.as_bytes()),
         };
-        // A full disk must not kill the crawl; telemetry is best-effort.
-        let _ = res;
     }
 
     /// Write a crawl-scope event; `t` is overwritten with the next logical
     /// sequence number.
     pub fn crawl_event(&self, mut ev: Event) {
-        let wall = self.wall_ms();
         let mut crawl = self.crawl.lock().unwrap();
         ev.t_ms = crawl.seq;
         crawl.seq += 1;
-        let line = ev.render("crawl", wall);
+        let line = ev.render("crawl") + "\n";
         drop(crawl);
-        self.write_line(&line);
+        self.write(&line);
     }
 
     /// Open a crawl-scope span; returns its id for [`Journal::crawl_span_close`].
     pub fn crawl_span_open(&self, name: &'static str) -> u32 {
-        let wall = self.wall_ms();
         let mut crawl = self.crawl.lock().unwrap();
         let id = crawl.next_span;
         crawl.next_span += 1;
@@ -104,21 +92,20 @@ impl Journal {
         }
         .attr("name", name);
         crawl.seq += 1;
-        let line = ev.render("crawl", wall);
+        let line = ev.render("crawl") + "\n";
         drop(crawl);
-        self.write_line(&line);
+        self.write(&line);
         id
     }
 
     /// Close a crawl-scope span, closing any later unclosed spans first so
     /// the journal always balances.
     pub fn crawl_span_close(&self, id: u32) {
-        let wall = self.wall_ms();
         let mut crawl = self.crawl.lock().unwrap();
         if !crawl.span_stack.contains(&id) {
             return;
         }
-        let mut lines = Vec::new();
+        let mut lines = String::new();
         while let Some(top) = crawl.span_stack.pop() {
             let ev = Event {
                 t_ms: crawl.seq,
@@ -127,15 +114,13 @@ impl Journal {
                 attrs: Vec::new(),
             };
             crawl.seq += 1;
-            lines.push(ev.render("crawl", wall));
+            lines += &(ev.render("crawl") + "\n");
             if top == id {
                 break;
             }
         }
         drop(crawl);
-        for line in lines {
-            self.write_line(&line);
-        }
+        self.write(&lines);
     }
 
     /// Write a visit's buffered events under `scope:"visit:<idx>"`. Called
@@ -144,19 +129,13 @@ impl Journal {
         if events.is_empty() {
             return;
         }
-        let wall = self.wall_ms();
         let scope = format!("visit:{visit_idx}");
         let mut out = String::with_capacity(events.len() * 96);
         for ev in events {
-            out.push_str(&ev.render(&scope, wall));
+            out.push_str(&ev.render(&scope));
             out.push('\n');
         }
-        let mut sink = self.sink.lock().unwrap();
-        let res = match &mut *sink {
-            Sink::File(w) => w.write_all(out.as_bytes()),
-            Sink::Buffer(b) => b.write_all(out.as_bytes()),
-        };
-        let _ = res;
+        self.write(&out);
     }
 
     /// Flush buffered output to the underlying file (no-op for buffers).
@@ -181,7 +160,7 @@ mod tests {
 
     #[test]
     fn crawl_events_get_sequential_logical_clock() {
-        let j = Journal::buffer(false);
+        let j = Journal::buffer();
         j.crawl_event(Event::new(999, "a"));
         j.crawl_event(Event::new(999, "b"));
         let text = j.buffer_contents().unwrap();
@@ -192,7 +171,7 @@ mod tests {
 
     #[test]
     fn crawl_spans_nest_and_balance() {
-        let j = Journal::buffer(false);
+        let j = Journal::buffer();
         let a = j.crawl_span_open("scan");
         let b = j.crawl_span_open("classify");
         j.crawl_span_close(b);
@@ -208,7 +187,7 @@ mod tests {
 
     #[test]
     fn close_out_of_order_closes_inner_first() {
-        let j = Journal::buffer(false);
+        let j = Journal::buffer();
         let a = j.crawl_span_open("outer");
         let _b = j.crawl_span_open("inner");
         j.crawl_span_close(a);
@@ -220,18 +199,11 @@ mod tests {
 
     #[test]
     fn visit_events_render_with_scope_label() {
-        let j = Journal::buffer(false);
+        let j = Journal::buffer();
         let evs = vec![Event::new(0, "fault").attr("kind", "hang"), Event::new(7, "retry")];
         j.write_visit_events(3, &evs);
         let text = j.buffer_contents().unwrap();
         assert!(text.contains(r#""scope":"visit:3","ev":"fault""#));
         assert!(text.contains(r#"{"t":7,"scope":"visit:3","ev":"retry"}"#));
-    }
-
-    #[test]
-    fn wall_stamping_adds_field() {
-        let j = Journal::buffer(true);
-        j.crawl_event(Event::new(0, "x"));
-        assert!(j.buffer_contents().unwrap().contains("\"wall_ms\":"));
     }
 }

@@ -9,7 +9,7 @@
 //!    and metric snapshots regardless of worker count. Events from worker
 //!    threads are buffered in per-thread [`scope`]s and written by the
 //!    coordinator in item order; timestamps come from the simulated clock,
-//!    never the wall clock (unless explicitly opted in). Metrics recorded
+//!    never the wall clock. Metrics recorded
 //!    inside a scope reach the registry as one delta when it closes — the
 //!    same delta a bundle persists and a resumed run merges back.
 //! 2. **Zero cost when off.** With neither `GULLIBLE_TRACE` nor
@@ -248,7 +248,7 @@ mod tests {
 
     #[test]
     fn journal_routes_scope_and_crawl_events() {
-        let t = Telemetry::new().with_journal(Journal::buffer(false));
+        let t = Telemetry::new().with_journal(Journal::buffer());
         let _g = t.enter();
         let j = t.journal().expect("tracing telemetry has a journal");
         emit(Event::new(0, "run_start").attr("seed", 42u64));

@@ -116,9 +116,8 @@ impl Telemetry {
     }
 
     /// Keep a forensic dump of the `k` slowest visits (by wall clock) and
-    /// write them when the leg ends; 0 disables it
-    /// (`GULLIBLE_PROF_SLOW_VISITS`). Only an armed flight recorder
-    /// ([`Telemetry::with_forensics`]) captures them.
+    /// write them when the leg ends; 0 disables it. Only an armed flight
+    /// recorder ([`Telemetry::with_forensics`]) captures them.
     pub fn with_slow_visits(self, k: usize) -> Telemetry {
         self.configure(|t| t.slow_visits = k)
     }

@@ -150,17 +150,6 @@ pub fn instrument_trigger(event_id: &str, vintage: InstrumentVintage) -> String 
     }
 }
 
-/// Generate the complete injected instrumentation script (body + trigger)
-/// for `vintage` (see [`InstrumentVintage`]). `event_id` is embedded in the
-/// source, exactly like OpenWPM's generated injection.
-pub fn instrument_source_vintage(event_id: &str, vintage: InstrumentVintage) -> String {
-    format!(
-        "{}{}\n",
-        instrument_body_vintage(vintage),
-        instrument_trigger(event_id, vintage)
-    )
-}
-
 /// Register the content-script side: a privileged listener for the
 /// instrument's event id that writes sanitised records. `page_url` is set
 /// host-side (outside the page), which is why the fake-data attack cannot

@@ -87,7 +87,6 @@ fn stream_matches_recorded_run_byte_for_byte() {
         stream.peak_records_in_flight
     );
     assert!(streamed.sites.is_empty(), "streaming keeps no per-site records");
-    assert!(streamed.aggregates.is_some());
 
     let _ctx = fresh_ctx();
     let recorded = Scan::new(cfg).record(&rdir).run().expect("record");

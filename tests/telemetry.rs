@@ -11,7 +11,7 @@ use openwpm::FaultPlan;
 /// A fresh crawl context tracing into an in-memory journal.
 fn traced_ctx(telemetry: obs::Telemetry) -> (CrawlCtx, std::sync::Arc<obs::Journal>) {
     let ctx = CrawlCtx {
-        telemetry: telemetry.with_journal(obs::Journal::buffer(false)),
+        telemetry: telemetry.with_journal(obs::Journal::buffer()),
         ..CrawlCtx::new()
     };
     let journal = ctx.telemetry.journal().expect("tracing context");
