@@ -23,11 +23,10 @@
 //!
 //! Per-script verdicts are additionally memoised by FNV-64 body hash
 //! ([`DetectCtx::classify_memo`]): scripts are shared across sites and
-//! subpages, so each distinct body is preprocessed and scanned once per
-//! crawl. The
-//! `match.*` metrics (scripts, bytes, candidate/confirmed hits, memo
-//! hit/miss) are digest-excluded like `cache.*` — worker scheduling moves
-//! the memo hit/miss split around, never the verdicts.
+//! subpages, so each distinct body is preprocessed and scanned exactly
+//! once per crawl, also when workers race on it. The `match.*` metrics
+//! (scripts, bytes, candidate/confirmed hits, memo hit/miss) are
+//! digest-excluded like `cache.*`.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -457,7 +456,7 @@ pub fn classify(src: &str) -> ScriptVerdict {
 #[derive(Clone)]
 pub struct DetectCtx {
     matcher: MatcherKind,
-    memo: Arc<Mutex<HashMap<u64, ScriptVerdict>>>,
+    memo: Arc<Mutex<HashMap<u64, Arc<OnceLock<ScriptVerdict>>>>>,
 }
 
 impl Default for DetectCtx {
@@ -494,19 +493,21 @@ impl DetectCtx {
     /// sites and subpages, so each distinct body is preprocessed and
     /// scanned once per context; repeats are a map lookup. Verdicts are a
     /// deterministic function of the body, so the memo is invisible in
-    /// every measured artifact — only the digest-excluded
-    /// `match.memo.{hit,miss}` split moves with scheduling.
+    /// every measured artifact. Classification runs outside the map lock,
+    /// in the body's own once-cell: a worker racing on a body being
+    /// classified waits for that verdict and counts a hit, so the
+    /// `match.*` counters do not move with scheduling.
     pub fn classify_memo(&self, src: &str, body_hash: u64) -> ScriptVerdict {
-        if let Some(v) = self.memo.lock().unwrap_or_else(|e| e.into_inner()).get(&body_hash) {
-            obs::add("match.memo.hit", 1);
-            return v.clone();
-        }
-        obs::add("match.memo.miss", 1);
-        // Classify outside the lock; a concurrent miss on the same
-        // body computes the same verdict, and the second insert is a no-op.
-        let v = classify_with(self.matcher, src);
-        self.memo.lock().unwrap_or_else(|e| e.into_inner()).insert(body_hash, v.clone());
-        v
+        let cell = Arc::clone(
+            self.memo.lock().unwrap_or_else(|e| e.into_inner()).entry(body_hash).or_default(),
+        );
+        let mut missed = false;
+        let v = cell.get_or_init(|| {
+            missed = true;
+            classify_with(self.matcher, src)
+        });
+        obs::add(if missed { "match.memo.miss" } else { "match.memo.hit" }, 1);
+        v.clone()
     }
 }
 

@@ -113,9 +113,6 @@ pub struct FunctionDef {
     /// Verbatim source text of the definition (exactly what `toString`
     /// must return for script functions).
     pub source: Arc<str>,
-    /// Name of the script this function was defined in — surfaces in stack
-    /// traces as `fn@script:line`, the signal Sec. 3.1.4 exploits.
-    pub script: Arc<str>,
     /// Line of the `function` keyword in the defining script.
     pub line: u32,
     /// Arrow functions bind `this` lexically.

@@ -945,7 +945,7 @@ mod tests {
     use crate::parser::parse;
 
     fn compile_src(src: &str) -> ScriptChunk {
-        compile_program(&parse(src, "test.js").unwrap())
+        compile_program(&parse(src).unwrap())
     }
 
     /// Every jump operand must be patched to a real instruction offset —

@@ -10,25 +10,25 @@
 //! `Arc`-based it is immutable and `Send + Sync`, so one parse can serve
 //! every worker thread of a crawl.
 //!
-//! Keys are `(FNV-64(body), FNV-64(script name))`: the script name is baked
-//! into [`FunctionDef::script`](crate::ast::FunctionDef) at parse time and
-//! surfaces in `Error.stack` frames, which the detection pipeline reads for
-//! originating-script attribution — sharing one `Program` across two URLs
-//! with identical bodies would corrupt those stacks. Third-party provider
-//! scripts keep both body *and* URL across hundreds of sites, so the
-//! dedupe the cache exists for still happens.
+//! The cache is keyed by FNV-64 of the body alone, and its artifact — the
+//! parsed program, the lazily lowered bytecode, the body's hash and text
+//! — holds no URL. The URL a script was served under is per-call state:
+//! each [`CompiledScript`] handle pairs it with the shared artifact,
+//! evaluation pushes the top-level frame under it, and every function the
+//! script defines keeps it on its closure (`Callable::Script::script`), so
+//! `Error.stack` frames — which the detection pipeline reads for
+//! originating-script attribution — name the serving URL even though two
+//! URLs share one parse. First-party scripts serve a shared body under a
+//! per-site URL such as `/js/site.js`, so this is what keeps the cache at
+//! one entry per unique body: 499 bodies plus the instrument for a 5K-site
+//! scan (seed 42), however many sites serve them.
 //!
 //! The cache is mutex-striped ([`CompileCache::with_shards`]) so concurrent
 //! scan workers rarely contend, and eviction-free: growth is bounded by the
-//! number of unique `(body, name)` pairs in the workload. That is many more
-//! entries than unique bodies, because first-party scripts serve a shared
-//! body under a per-site name such as `/js/site.js`: a 5K-site scan (seed
-//! 42) holds 6,521 entries for 499 unique bodies, so the cache grows with
-//! the site count. Keying by body alone would need the script name moved
-//! off [`FunctionDef::script`](crate::ast::FunctionDef) onto the closure.
-//! Telemetry lands on the `cache.compile.{hit,miss,bytes}` counters; those
-//! are *excluded* from the snapshot digest (see `obs::metrics`), because
-//! the digest must be byte-identical with the cache on and off.
+//! number of unique bodies in the workload. Telemetry lands on the
+//! `cache.compile.{hit,miss,bytes}` counters; those are *excluded* from the
+//! snapshot digest (see `obs::metrics`), because the digest must be
+//! byte-identical with the cache on and off.
 
 use obs::fnv1a;
 use std::collections::hash_map::Entry;
@@ -40,66 +40,80 @@ use crate::ast::Program;
 use crate::error::EngineError;
 use crate::parser::parse;
 
-/// An opaque, shared compiled-script handle: the parse artifact, the
-/// identity it was compiled under, and a lazily-populated bytecode slot.
-///
-/// Handles are passed around as `Arc<CompiledScript>` (the cache hands out
-/// one `Arc` per unique `(body, name)`), so the once-compiled
-/// [`ScriptChunk`](crate::bytecode::ScriptChunk) in [`chunk`] is shared by
-/// every worker sharing the cache exactly like the AST is.
+/// What one script body compiles to, whatever URL serves it: the parse, a
+/// lazily populated bytecode slot, the body's hash and the body itself.
 #[derive(Debug)]
-pub struct CompiledScript {
-    name: Arc<str>,
+struct Artifact {
     body_hash: u64,
-    source_len: usize,
+    /// The body, compared on every hit: FNV-64 is not collision resistant,
+    /// and a page able to forge a colliding body must not swap its code for
+    /// a script another site serves.
+    source: Box<str>,
     program: Arc<Program>,
     /// Bytecode, compiled on first use by a VM-backend realm (tree-walker
     /// runs never pay for it).
     chunk: OnceLock<Arc<crate::bytecode::ScriptChunk>>,
 }
 
+impl Artifact {
+    fn parse(src: &str) -> Result<Arc<Artifact>, EngineError> {
+        Ok(Arc::new(Artifact {
+            body_hash: fnv1a(src.as_bytes()),
+            source: Box::from(src),
+            program: Arc::new(parse(src)?),
+            chunk: OnceLock::new(),
+        }))
+    }
+}
+
+/// A compiled-script handle: the URL this call serves the script under and
+/// the body's shared artifact.
+///
+/// The cache hands out one handle per call and one artifact per unique
+/// body, so the once-compiled [`ScriptChunk`](crate::bytecode::ScriptChunk)
+/// in [`chunk`](CompiledScript::chunk) is shared by every worker and every
+/// URL exactly like the AST is.
+#[derive(Debug)]
+pub struct CompiledScript {
+    url: Arc<str>,
+    artifact: Arc<Artifact>,
+}
+
 impl CompiledScript {
-    /// The script name (URL) the source was parsed under.
+    /// The script name (URL) this handle evaluates under.
     pub fn name(&self) -> &Arc<str> {
-        &self.name
+        &self.url
     }
 
     /// FNV-64 of the source body.
     pub fn body_hash(&self) -> u64 {
-        self.body_hash
+        self.artifact.body_hash
     }
 
     /// Length of the source body in bytes.
     pub fn source_len(&self) -> usize {
-        self.source_len
+        self.artifact.source.len()
     }
 
     /// The shared parsed program (the tree-walker's execution artifact).
     pub fn ast(&self) -> &Arc<Program> {
-        &self.program
+        &self.artifact.program
     }
 
-    /// The script's bytecode, compiled exactly once per handle no matter
+    /// The body's bytecode, compiled exactly once per artifact no matter
     /// how many realms race here (`OnceLock`); losers of the race drop
     /// their work and share the winner's chunk.
     pub fn chunk(&self) -> &Arc<crate::bytecode::ScriptChunk> {
-        self.chunk.get_or_init(|| {
+        self.artifact.chunk.get_or_init(|| {
             let _ph = obs::prof::enter(&obs::prof::JS_COMPILE_BC);
-            Arc::new(crate::bytecode::compile_program(&self.program))
+            Arc::new(crate::bytecode::compile_program(&self.artifact.program))
         })
     }
 }
 
 /// Compile a script without consulting any cache.
 pub fn compile(src: &str, name: &str) -> Result<Arc<CompiledScript>, EngineError> {
-    let program = Arc::new(parse(src, name)?);
-    Ok(Arc::new(CompiledScript {
-        name: Arc::from(name),
-        body_hash: fnv1a(src.as_bytes()),
-        source_len: src.len(),
-        program,
-        chunk: OnceLock::new(),
-    }))
+    Ok(Arc::new(CompiledScript { url: Arc::from(name), artifact: Artifact::parse(src)? }))
 }
 
 /// Point-in-time cache accounting (also mirrored onto the
@@ -113,16 +127,16 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-type Shard = Mutex<HashMap<(u64, u64), Arc<CompiledScript>>>;
+type Shard = Mutex<HashMap<u64, Arc<Artifact>>>;
 
 /// Mutex stripes per [`CompileCache::new`] cache.
 const COMPILE_SHARDS: usize = 16;
 
-/// A sharded (mutex-striped) compilation cache mapping
-/// `(FNV-64(body), FNV-64(name))` to the shared [`CompiledScript`] handle.
-/// Storing the whole handle (not just the `Program`) means the lazily
-/// compiled bytecode slot is shared across workers too: the second realm to
-/// run a script under the VM backend finds the chunk already populated.
+/// A sharded (mutex-striped) compilation cache mapping FNV-64 of a body to
+/// its shared artifact. Storing the whole artifact (not just the `Program`)
+/// means the lazily compiled bytecode slot is shared across workers too:
+/// the second realm to run a body under the VM backend finds the chunk
+/// already populated.
 pub struct CompileCache {
     shards: Box<[Shard]>,
     hits: AtomicU64,
@@ -153,49 +167,52 @@ impl CompileCache {
         }
     }
 
-    fn shard(&self, key: (u64, u64)) -> &Shard {
-        &self.shards[(key.0 as usize) % self.shards.len()]
+    fn shard(&self, key: u64) -> &Shard {
+        &self.shards[(key as usize) % self.shards.len()]
     }
 
-    /// Look up `(src, name)`; parse and insert on miss. Parsing happens
-    /// outside the shard lock, so a pathological script cannot stall other
-    /// workers; concurrent first compiles of the same body may both parse,
-    /// but only the first insert is retained and counted as the miss —
-    /// every loser of the race gets the winner's artifact and counts a
-    /// hit, so misses equal unique bodies exactly.
+    /// A handle serving `src` under `name`: the body's cached artifact, or
+    /// a fresh parse inserted on miss. Parsing happens outside the shard
+    /// lock, so a pathological script cannot stall other workers;
+    /// concurrent first compiles of the same body may both parse, but only
+    /// the first insert is retained and counted as the miss — every loser
+    /// of the race gets the winner's artifact and counts a hit, so misses
+    /// equal unique bodies exactly.
     pub fn get_or_compile(&self, src: &str, name: &str) -> Result<Arc<CompiledScript>, EngineError> {
-        let key = (fnv1a(src.as_bytes()), fnv1a(name.as_bytes()));
-        if let Some(cs) = self.shard(key).lock().unwrap().get(&key).cloned() {
+        let key = fnv1a(src.as_bytes());
+        let handle = |artifact| Ok(Arc::new(CompiledScript { url: Arc::from(name), artifact }));
+        let cached = self.shard(key).lock().unwrap().get(&key).cloned();
+        if let Some(artifact) = cached.filter(|a| *a.source == *src) {
             let _ph = obs::prof::enter(&obs::prof::COMPILE_HIT);
             self.hits.fetch_add(1, Ordering::Relaxed);
             obs::add("cache.compile.hit", 1);
-            return Ok(cs);
+            return handle(artifact);
         }
         let _ph = obs::prof::enter(&obs::prof::COMPILE_MISS);
-        let parsed = compile(src, name)?;
-        let winner = {
-            let mut guard = self.shard(key).lock().unwrap();
-            match guard.entry(key) {
-                Entry::Occupied(e) => Some(e.get().clone()),
-                Entry::Vacant(e) => {
-                    e.insert(parsed.clone());
-                    None
-                }
+        let parsed = Artifact::parse(src)?;
+        let winner = match self.shard(key).lock().unwrap().entry(key) {
+            Entry::Occupied(e) if *e.get().source == *src => Some(e.get().clone()),
+            // A hash collision: the first body keeps the slot and this one
+            // runs uncached.
+            Entry::Occupied(_) => None,
+            Entry::Vacant(e) => {
+                e.insert(parsed.clone());
+                None
             }
         };
-        if let Some(cs) = winner {
+        if let Some(artifact) = winner {
             self.hits.fetch_add(1, Ordering::Relaxed);
             obs::add("cache.compile.hit", 1);
-            return Ok(cs);
+            return handle(artifact);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(src.len() as u64, Ordering::Relaxed);
         obs::add("cache.compile.miss", 1);
         obs::add("cache.compile.bytes", src.len() as u64);
-        Ok(parsed)
+        handle(parsed)
     }
 
-    /// Number of cached unique `(body, name)` artifacts.
+    /// Number of cached unique-body artifacts.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
     }
@@ -280,26 +297,49 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits_share_one_handle() {
+    fn cache_hits_share_one_artifact() {
         let cache = CompileCache::with_shards(4);
         let a = cache.get_or_compile("1 + 1", "a.js").unwrap();
         let b = cache.get_or_compile("1 + 1", "a.js").unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "hits return the same opaque handle");
-        assert!(Arc::ptr_eq(a.ast(), b.ast()));
+        assert!(Arc::ptr_eq(a.ast(), b.ast()), "hits share the parse");
+        assert!(Arc::ptr_eq(a.chunk(), b.chunk()), "hits share the bytecode");
+        assert_eq!((a.name().as_ref(), b.name().as_ref()), ("a.js", "a.js"));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
         assert_eq!(s.bytes, 5);
     }
 
     #[test]
-    fn distinct_names_do_not_share_artifacts() {
-        // The script name is baked into stack frames; same body under a
-        // different URL must be a distinct artifact.
+    fn distinct_names_share_one_artifact() {
+        // The artifact holds no URL: one body served under two URLs is one
+        // entry, and each handle keeps the URL it was asked for.
         let cache = CompileCache::with_shards(4);
         let a = cache.get_or_compile("function f() { return 1; } f()", "a.js").unwrap();
         let b = cache.get_or_compile("function f() { return 1; } f()", "b.js").unwrap();
-        assert!(!Arc::ptr_eq(a.ast(), b.ast()));
+        assert!(Arc::ptr_eq(a.ast(), b.ast()));
+        assert!(Arc::ptr_eq(a.chunk(), b.chunk()));
+        assert_eq!((a.name().as_ref(), b.name().as_ref()), ("a.js", "b.js"));
+        assert_eq!(cache.len(), 1);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.bytes), (1, 1, 30));
+        // A different body under a known URL is its own entry.
+        let c = cache.get_or_compile("function f() { return 2; } f()", "a.js").unwrap();
+        assert!(!Arc::ptr_eq(a.ast(), c.ast()));
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn a_colliding_hash_never_serves_another_body() {
+        let cache = CompileCache::with_shards(1);
+        let forged = Artifact::parse("1").unwrap();
+        let key = fnv1a(b"2");
+        cache.shard(key).lock().unwrap().insert(key, forged.clone());
+        let cs = cache.get_or_compile("2", "victim.js").unwrap();
+        assert!(!Arc::ptr_eq(cs.ast(), &forged.program));
+        let mut it = crate::Interp::new();
+        assert_eq!(it.eval_compiled(&cs).unwrap(), crate::Value::Num(2.0));
+        assert_eq!(cache.stats().misses, 1, "the colliding body runs uncached");
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

@@ -322,15 +322,15 @@ impl Interp {
     /// Parse and execute `src` as a top-level script named `script_name`.
     /// Returns the value of the final expression statement.
     pub fn eval_script(&mut self, src: &str, script_name: &str) -> Result<Value, EngineError> {
-        let program = parse(src, script_name)?;
+        let program = parse(src)?;
         self.eval_program(&program, &Arc::from(script_name))
     }
 
-    /// Execute a pre-compiled script artifact. The shared
-    /// [`Program`](crate::ast::Program) is never mutated, so one
-    /// [`CompiledScript`](crate::compile::CompiledScript) can serve every
-    /// interpreter in the process. Under the VM backend this reuses the
-    /// script's once-compiled bytecode chunk (compiling it on first use).
+    /// Execute a pre-compiled script under the URL its handle carries. The
+    /// shared [`Program`](crate::ast::Program) is never mutated, so one
+    /// body's artifact can serve every interpreter in the process and every
+    /// URL serving that body. Under the VM backend this reuses the body's
+    /// once-compiled bytecode chunk (compiling it on first use).
     pub fn eval_compiled(
         &mut self,
         compiled: &crate::compile::CompiledScript,
@@ -580,8 +580,12 @@ impl Interp {
         self.heap.alloc(obj)
     }
 
-    /// Allocate a script function closing over `env`.
+    /// Allocate a script function closing over `env`. The function keeps
+    /// the script name of the frame creating it: every frame push (a
+    /// top-level script, a call, an `eval`) precedes the code that defines
+    /// functions, so that is the script whose text holds `def`.
     pub fn alloc_script_fn(&mut self, def: Arc<FunctionDef>, env: ScopeRef) -> ObjId {
+        let script = self.stack.last().map_or_else(|| Arc::from(""), |f| f.script.clone());
         let mut obj = JsObject::with_class(Some(self.intrinsics.function_proto), "Function");
         obj.props.insert(
             Arc::from("name"),
@@ -591,7 +595,7 @@ impl Interp {
                 writable: false,
             },
         );
-        obj.call = Some(Callable::Script { def, env });
+        obj.call = Some(Callable::Script { def, env, script });
         let id = self.heap.alloc(obj);
         // Every script function gets a `prototype` object for `new`.
         let proto_obj = self.alloc_object();
@@ -861,7 +865,7 @@ impl Interp {
                 // `prof.builtin.<name>` counts.
                 crate::builtins::dispatch_native(self, &name, &f, this, args)
             }
-            Callable::Script { def, env } => {
+            Callable::Script { def, env, script } => {
                 let scope = Rc::new(RefCell::new(Scope {
                     vars: AtomMap::default(),
                     parent: Some(env),
@@ -888,7 +892,7 @@ impl Interp {
                 };
                 self.stack.push(Frame {
                     name: display_name,
-                    script: def.script.clone(),
+                    script,
                     line: def.line,
                 });
                 // Hoist inner function declarations (shared by both
@@ -1578,7 +1582,7 @@ impl Interp {
             .last()
             .map(|f| Arc::from(format!("{} > eval", f.script)))
             .unwrap_or_else(|| Arc::from("eval"));
-        let program = match parse(&src, &script_name) {
+        let program = match parse(&src) {
             Ok(p) => p,
             Err(EngineError::Parse { line, message }) => {
                 return Err(self.throw_error(

@@ -183,8 +183,12 @@ pub enum Callable {
     Native { name: Arc<str>, f: NativeFn },
     /// A function defined in MiniJS source. `toString` returns the original
     /// source slice, which is how scripts detect OpenWPM's script-level
-    /// wrappers (Listing 1 of the paper).
-    Script { def: Arc<FunctionDef>, env: ScopeRef },
+    /// wrappers (Listing 1 of the paper). `script` is the URL the defining
+    /// script was served under (`"<url> > eval"` for code run by `eval`):
+    /// the compiled `def` is shared by every URL serving the same body, so
+    /// the closure, not the definition, carries the name its stack frames
+    /// print as `fn@script:line` (the signal Sec. 3.1.4 exploits).
+    Script { def: Arc<FunctionDef>, env: ScopeRef, script: Arc<str> },
 }
 
 impl std::fmt::Debug for Callable {
@@ -474,7 +478,6 @@ mod tests {
             params: Vec::new(),
             body: Arc::from(Vec::new()),
             source: Arc::from("function(){}"),
-            script: Arc::from("t.js"),
             line: 1,
             is_arrow: false,
         };
@@ -483,7 +486,10 @@ mod tests {
             parent: None,
             this_val: None,
         }));
-        JsObject { call: Some(Callable::Script { def: Arc::new(def), env }), ..tagged(tag) }
+        JsObject {
+            call: Some(Callable::Script { def: Arc::new(def), env, script: Arc::from("t.js") }),
+            ..tagged(tag)
+        }
     }
 
     fn tags(h: &Heap) -> Vec<Option<u32>> {

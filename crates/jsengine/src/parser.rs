@@ -22,12 +22,11 @@ use crate::lexer::{lex, Tok, Token};
 pub const MAX_NESTING: u32 = 128;
 
 /// Parse a full program.
-pub fn parse(src: &str, script_name: &str) -> Result<Program, EngineError> {
+pub fn parse(src: &str) -> Result<Program, EngineError> {
     let tokens = lex(src)
         .map_err(|e| EngineError::Parse { line: e.line, message: e.message })?;
     let mut p = Parser {
         src,
-        script: Arc::from(script_name),
         tokens,
         pos: 0,
         depth: 0,
@@ -42,7 +41,6 @@ pub fn parse(src: &str, script_name: &str) -> Result<Program, EngineError> {
 
 struct Parser<'a> {
     src: &'a str,
-    script: Arc<str>,
     tokens: Vec<Token>,
     pos: usize,
     /// Nesting levels entered by the recursive descent.
@@ -471,7 +469,6 @@ impl<'a> Parser<'a> {
             params,
             body: body.into(),
             source,
-            script: self.script.clone(),
             line,
             is_arrow: true,
         }))))
@@ -813,7 +810,6 @@ impl<'a> Parser<'a> {
             params,
             body: body.into(),
             source,
-            script: self.script.clone(),
             line,
             is_arrow: false,
         }))
@@ -825,7 +821,7 @@ mod tests {
     use super::*;
 
     fn ok(src: &str) -> Program {
-        parse(src, "test").unwrap()
+        parse(src).unwrap()
     }
 
     #[test]
@@ -899,7 +895,7 @@ mod tests {
 
     #[test]
     fn parse_error_reports_line() {
-        match parse("var x = 1;\nvar = 2;", "t") {
+        match parse("var x = 1;\nvar = 2;") {
             Err(EngineError::Parse { line, .. }) => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other:?}"),
         }

@@ -301,7 +301,7 @@ fn hostile_nesting_is_a_syntax_error_not_an_abort() {
 fn nesting_at_the_budget_parses_lowers_and_runs() {
     for shape in SHAPES {
         // The deepest nesting of this shape the budget accepts.
-        let parses = |n: usize| parse(&nest(shape, n), "deep.js").is_ok();
+        let parses = |n: usize| parse(&nest(shape, n)).is_ok();
         let (mut deepest, mut rejected) = (1, MAX_NESTING as usize + 1);
         assert!(parses(deepest) && !parses(rejected), "{shape}");
         while rejected - deepest > 1 {

@@ -292,7 +292,8 @@ impl<R> ItemRun<R> {
 ///
 /// * `meta(item)` names the item and keys its fault draws;
 /// * `init(worker)` builds per-worker browser state; it is re-invoked to
-///   restart that state after a crash/hang/panic;
+///   restart that state after a crash/hang/panic, once the old state has
+///   dropped;
 /// * `visit(&mut state, index, &item)` performs one attempt. An `Err`
 ///   attempt (e.g. an unparseable visit URL) leaves the browser healthy
 ///   and is retried under the same [`RetryPolicy`] as injected faults;
@@ -357,10 +358,21 @@ where
     // worker counts (scheduling never reaches the trace).
     obs::emit(Event::new(0, "crawl_start").attr("items", n));
 
+    // A restart drops the old browser state before `init` builds the new
+    // one: the state may hold guards that restore the thread's context on
+    // drop (an entered crawl context), and dropping them after `init` ran
+    // would undo what `init` entered.
+    let restart = |state: &mut Option<S>, worker: usize, restarts: &mut u64| {
+        *state = None;
+        *state = Some(init(worker));
+        *restarts += 1;
+        obs::add("supervisor.restarts", 1);
+        obs::emit(Event::new(0, "browser_restart"));
+    };
     let runs: Vec<ItemRun<T>> = run_parallel(
         work,
         workers,
-        |w| (w, init(w)),
+        |w| (w, Some(init(w))),
         |(worker, state), i, (item, replay, admit)| {
             // Dropped without `end` only when the visit unwinds (a chaos
             // kill): the scope still merges the metrics it counted.
@@ -414,27 +426,16 @@ where
                                     Event::new(0, "watchdog_timeout")
                                         .attr("ms", cfg.visit_timeout_ms),
                                 );
-                                *state = init(*worker);
-                                restarts += 1;
-                                obs::add("supervisor.restarts", 1);
-                                obs::emit(Event::new(0, "browser_restart"));
+                                restart(state, *worker, &mut restarts);
                             }
-                            FaultKind::BrowserCrash => {
-                                *state = init(*worker);
-                                restarts += 1;
-                                obs::add("supervisor.restarts", 1);
-                                obs::emit(Event::new(0, "browser_restart"));
-                            }
+                            FaultKind::BrowserCrash => restart(state, *worker, &mut restarts),
                             FaultKind::TabCrash => {
                                 // The content process dies mid-visit: the
                                 // attempt's work happens and is lost.
                                 let _ = catch_unwind(AssertUnwindSafe(|| {
-                                    visit(state, i, &item)
+                                    visit(live(state), i, &item)
                                 }));
-                                *state = init(*worker);
-                                restarts += 1;
-                                obs::add("supervisor.restarts", 1);
-                                obs::emit(Event::new(0, "browser_restart"));
+                                restart(state, *worker, &mut restarts);
                             }
                             // Navigation and transport errors fail fast
                             // and leave the browser healthy.
@@ -442,7 +443,7 @@ where
                         }
                         reason
                     }
-                    None => match catch_unwind(AssertUnwindSafe(|| visit(state, i, &item))) {
+                    None => match catch_unwind(AssertUnwindSafe(|| visit(live(state), i, &item))) {
                         Ok(Ok(r)) => {
                             drop(attempt_span);
                             break VisitOutcome::Completed(r);
@@ -479,10 +480,7 @@ where
                                     ("attempt", attempts.to_string()),
                                 ],
                             );
-                            *state = init(*worker);
-                            restarts += 1;
-                            obs::add("supervisor.restarts", 1);
-                            obs::emit(Event::new(0, "browser_restart"));
+                            restart(state, *worker, &mut restarts);
                             FailureReason::Panic
                         }
                     },
@@ -571,6 +569,12 @@ where
     CrawlOutcome { outcomes, attempts: attempts_per_item, summary }
 }
 
+/// A worker's browser state. It is `None` only inside a restart, between
+/// dropping the old state and building the new one.
+fn live<S>(state: &mut Option<S>) -> &mut S {
+    state.as_mut().expect("a restart rebuilds the worker state before the next visit")
+}
+
 fn outcome_label<R>(outcome: &VisitOutcome<R>) -> &str {
     match outcome {
         VisitOutcome::Completed(_) => "completed",
@@ -583,7 +587,7 @@ fn outcome_label<R>(outcome: &VisitOutcome<R>) -> &str {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn failure_reason_round_trips_and_rejects_garbage() {
@@ -817,6 +821,39 @@ mod tests {
         assert_eq!(out.summary.restarts, 6);
         assert_eq!(inits.load(Ordering::Relaxed), 1 + 6);
         assert_eq!(out.summary.lost_ms, 2 * (1_000 + 2_000));
+    }
+
+    #[test]
+    fn a_restart_keeps_the_context_init_entered() {
+        // An item whose first attempt crashes the browser and whose second
+        // runs clean.
+        let faults = FaultPlan { crash_per_mille: 500, seed: 3, ..FaultPlan::default() };
+        let injector = FaultInjector::new(faults);
+        let key = (0u64..)
+            .find(|&k| {
+                injector.draw(k, 1, false) == Some(FaultKind::BrowserCrash)
+                    && injector.draw(k, 2, false).is_none()
+            })
+            .unwrap();
+        let cfg = SupervisorConfig { faults, ..SupervisorConfig::default() };
+        let ctx = jsengine::JsCtx::new();
+        let out = run_supervised(
+            vec![key],
+            1,
+            cfg,
+            meta_of,
+            |_| ctx.enter(),
+            |_, _, _: &u64| Ok(Arc::ptr_eq(&jsengine::JsCtx::current().cache, &ctx.cache)),
+            Vec::new(),
+            keep,
+        );
+        assert_eq!(out.summary.restarts, 1);
+        assert_eq!(out.attempts, vec![2]);
+        assert_eq!(
+            out.outcomes,
+            vec![VisitOutcome::Completed(true)],
+            "the visit after the restart must run in the context init entered"
+        );
     }
 
     #[test]

@@ -44,7 +44,7 @@ fn visit_specs_are_well_formed() {
                 assert!(netsim::Url::parse(&s.url).is_some(), "bad url {}", s.url);
                 // Every script in the corpus parses in the engine.
                 assert!(
-                    jsengine::parser::parse(&s.source, &s.url).is_ok(),
+                    jsengine::parser::parse(&s.source).is_ok(),
                     "unparseable script at {}",
                     s.url
                 );

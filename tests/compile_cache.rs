@@ -109,3 +109,39 @@ fn growth_is_bounded_by_unique_bodies() {
     assert_eq!(stats.misses, 20);
     assert_eq!(stats.hits, 9 * 20);
 }
+
+/// The cache keys a script by its body alone: a 400-site scan, where
+/// first-party scripts serve one body under a URL per site, keeps no more
+/// entries than the unique bodies its pages serve, plus the instrument.
+#[test]
+fn a_scan_caches_one_entry_per_unique_body() {
+    use gullible::site_visit;
+    use std::collections::HashSet;
+    use webgen::Population;
+
+    let cfg = ScanConfig { workers: 2, ..ScanConfig::new(400, 7) };
+    let pop = Population::new(cfg.n_sites, cfg.seed);
+    let (mut bodies, mut served) = (HashSet::new(), HashSet::new());
+    for rank in 0..pop.n_sites {
+        for spec in site_visit(&pop.plan(rank), true).pages {
+            for s in spec.scripts {
+                bodies.insert(s.source.clone());
+                served.insert((s.source, s.url));
+            }
+            bodies.extend(spec.server_resources.into_iter().map(|(_, _, body)| body.into()));
+        }
+    }
+    assert!(served.len() > 2 * bodies.len(), "the corpus must serve bodies under many URLs");
+
+    let ctx = CrawlCtx::new();
+    let _g = ctx.enter();
+    Scan::new(cfg).run().expect("400-site scan");
+    let entries = ctx.js.cache.len();
+    assert!(
+        entries <= bodies.len() + 1,
+        "{entries} cache entries for {} unique bodies ({} served (body, URL) pairs)",
+        bodies.len(),
+        served.len()
+    );
+    assert_eq!(ctx.js.cache.stats().misses as usize, entries);
+}
