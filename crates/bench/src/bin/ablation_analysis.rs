@@ -1,6 +1,6 @@
 //! Analysis-method ablation: static-only vs dynamic-only vs combined, with
-//! and without honey properties and interaction — quantifying the design
-//! choices behind Sec. 4.1 of the paper on the same population.
+//! and without the honey filter — quantifying the design choices behind
+//! Sec. 4.1 of the paper on one scan of the population.
 
 #![deny(deprecated)]
 
@@ -9,22 +9,18 @@ use gullible::scan::{Scan, ScanConfig};
 
 fn main() {
     let _ctx = bench::banner("ablation: analysis methods");
-    let n = bench::env::sites().min(10_000); // ablations run several scans
-    let base = ScanConfig { n_sites: n, seed: bench::env::seed(), workers: bench::env::workers(), ..ScanConfig::new(n, bench::env::seed()) };
-
-    let passive = Scan::new(base).run().expect("scan");
-    let interactive = Scan::new(ScanConfig { simulate_interaction: true, ..base }).run().expect("scan");
+    let n = bench::env::sites().min(10_000);
+    let cfg = ScanConfig { workers: bench::env::workers(), ..ScanConfig::new(n, bench::env::seed()) };
+    let report = Scan::new(cfg).run().expect("scan");
 
     let mut table = TextTable::new("analysis-method ablation (detector sites found)");
     table.header(&["pipeline", "sites", "vs combined"]);
-    let combined = passive.count(|_, site| site.union_true());
+    let combined = report.count(|_, site| site.union_true());
     let rows = [
-        ("static only", passive.count(|_, site| site.static_true)),
-        ("dynamic only", passive.count(|_, site| site.dynamic_true)),
+        ("static only", report.count(|_, site| site.static_true)),
+        ("dynamic only", report.count(|_, site| site.dynamic_true)),
         ("combined (the paper's choice)", combined),
-        ("dynamic w/o honey filter (incl. iterator FPs)", passive.count(|_, site| site.dynamic_identified)),
-        ("combined + interaction (HLISA-style)", interactive.count(|_, site| site.union_true())),
-        ("dynamic + interaction", interactive.count(|_, site| site.dynamic_true)),
+        ("dynamic w/o honey filter (incl. iterator FPs)", report.count(|_, site| site.dynamic_identified)),
     ];
     for (label, count) in rows {
         table.row(&[
@@ -36,10 +32,8 @@ fn main() {
     println!("{}", table.render());
     println!(
         "takeaways (mirroring the paper): neither method subsumes the other; the honey filter\n\
-         removes iterator false positives from the dynamic pipeline; simulated interaction\n\
-         recovers hover-gated detectors that are otherwise static-only."
+         removes iterator false positives from the dynamic pipeline."
     );
-    println!("passive   {}", gullible::report::coverage_note(&passive.completion));
-    println!("interactive {}", gullible::report::coverage_note(&interactive.completion));
-    bench::finish("ablation_analysis", Some(&interactive.coverage_line()));
+    println!("{}", gullible::report::coverage_note(&report.completion));
+    bench::finish("ablation_analysis", Some(&report.coverage_line()));
 }

@@ -1,7 +1,10 @@
-//! Umbrella experiment runner: regenerates every table and figure from one
-//! scan and one comparison (so the expensive pipelines run once), printing
-//! everything in paper order. This is what produces the numbers recorded in
-//! EXPERIMENTS.md:
+//! Umbrella experiment runner: regenerates the crawl-based tables and
+//! figures from one scan and one comparison (so the expensive pipelines run
+//! once), in paper order. The scan gives Tables 5, 6, 7, 11 (with Fig. 3)
+//! and 12 and Figs. 4 and 5; the WPM vs WPM_hide comparison gives Tables
+//! 8, 9 and 10 and Fig. 6. Tables 1–4 and 13–15 and Fig. 2 need no crawl;
+//! their own binaries print them. This is what produces the scan and
+//! comparison numbers recorded in EXPERIMENTS.md:
 //!
 //! ```text
 //! GULLIBLE_SITES=100000 cargo run --release -p bench --bin repro

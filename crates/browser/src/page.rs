@@ -308,36 +308,6 @@ impl Page {
         let _ = self.interp.advance_time(ms);
     }
 
-    /// Simulate a user interaction by dispatching a DOM event of `kind`
-    /// (`mouseover`, `click`, `scroll`, …) on the document, through the
-    /// native dispatch path. This is what an HLISA-style interacting
-    /// crawler triggers — hover-gated detectors (present-but-unexecuted
-    /// code, Sec. 4.1) only fire under such interaction.
-    pub fn simulate_interaction(&mut self, kind: &str) {
-        let doc = self.top.document;
-        let listeners = self
-            .host
-            .borrow()
-            .listeners
-            .get(&(doc.0, kind.to_string()))
-            .cloned()
-            .unwrap_or_default();
-        if listeners.is_empty() {
-            return;
-        }
-        let ev = self.interp.alloc_object_with_class("MouseEvent");
-        self.interp
-            .heap
-            .get_mut(ev)
-            .props
-            .insert(std::sync::Arc::from("type"), jsengine::Property::data(Value::str(kind)));
-        for l in listeners {
-            if matches!(&l, Value::Obj(id) if self.interp.heap.get(*id).is_callable()) {
-                let _ = self.interp.call(l, Value::Obj(doc), &[Value::Obj(ev)]);
-            }
-        }
-    }
-
     /// All frames created so far.
     pub fn frames(&self) -> Vec<(RealmWindow, FrameContext)> {
         self.host.borrow().frames.clone()

@@ -287,20 +287,6 @@ fn illegal_invocation_on_prototype_getters() {
 }
 
 #[test]
-fn interaction_fires_document_listeners() {
-    let mut p = page();
-    p.run_script((
-        "var fired = 0; document.addEventListener('mouseover', function () { fired++; });",
-        "t",
-    ))
-    .unwrap();
-    p.simulate_interaction("mouseover");
-    p.simulate_interaction("click"); // no listener: no effect
-    let v = p.run_script(("fired", "t")).unwrap();
-    assert_eq!(v, Value::Num(1.0));
-}
-
-#[test]
 fn csp_only_blocks_injection_not_page_scripts() {
     let mut p = Page::new(
         FingerprintProfile::openwpm(Os::Ubuntu1804, RunMode::Regular),

@@ -38,8 +38,8 @@ use ::archive::{BundleReader, BundleWriter};
 use browser::CspPolicy;
 use netsim::ResourceType;
 use openwpm::{
-    CrashInjector, CrawlSummary, FailureReason, FaultPlan, KillPoint, PageScript, RetryPolicy,
-    StoreCapture, VisitOutcome, VisitSpec,
+    CrashInjector, CrawlSummary, FailureReason, FaultPlan, KillPoint, PageScript, StoreCapture,
+    SupervisorConfig, VisitOutcome, VisitSpec,
 };
 use webgen::Category;
 
@@ -192,17 +192,33 @@ fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
+/// The config-line slots that no experiment varies, with the one value
+/// each holds: every scan is a deep, non-interacting scan under
+/// [`SupervisorConfig::default`]'s retry and watchdog policy. The writer
+/// fills them in and the reader refuses any other value, so the line keeps
+/// its nine slots and a bundle made under another setting cannot replay
+/// as this one.
+fn fixed_slots() -> [(&'static str, String); 4] {
+    let SupervisorConfig { retry: r, visit_timeout_ms, .. } = SupervisorConfig::default();
+    [
+        ("subpages", "1".to_string()),
+        ("interaction", "0".to_string()),
+        ("visit_timeout_ms", visit_timeout_ms.to_string()),
+        ("retry", format!("{},{},{}", r.max_attempts, r.base_backoff_ms, r.max_backoff_ms)),
+    ]
+}
+
 fn encode_config(cfg: &ScanConfig) -> String {
     let f = &cfg.faults;
-    let r = &cfg.retry;
+    let [subpages, interact, timeout, retry] = fixed_slots().map(|(_, value)| value);
     [
         cfg.n_sites.to_string(),
         cfg.seed.to_string(),
-        (cfg.include_subpages as u8).to_string(),
-        (cfg.simulate_interaction as u8).to_string(),
+        subpages,
+        interact,
         cfg.flaky_sites_per_100k.to_string(),
-        cfg.visit_timeout_ms.to_string(),
-        format!("{},{},{}", r.max_attempts, r.base_backoff_ms, r.max_backoff_ms),
+        timeout,
+        retry,
         format!(
             "{},{},{},{},{},{},{}",
             f.crash_per_mille,
@@ -219,42 +235,42 @@ fn encode_config(cfg: &ScanConfig) -> String {
 }
 
 /// Inverse of [`encode_config`]; `workers` stays the replaying caller's
-/// choice because results are worker-count independent.
-fn decode_config(s: &str, workers: usize) -> Option<ScanConfig> {
+/// choice because results are worker-count independent. A fixed slot
+/// holding anything but its one value is an error naming the field.
+fn decode_config(s: &str, workers: usize) -> Result<ScanConfig, String> {
+    let corrupt = || "corrupt config payload".to_string();
     let parts: Vec<&str> = s.split(PAIR).collect();
     let [n_sites, seed, subpages, interact, flaky, timeout, retry, faults, budget] =
         parts.as_slice()
     else {
-        return None;
+        return Err(corrupt());
     };
-    let r: Vec<u64> = retry.split(',').map(|v| v.parse().ok()).collect::<Option<_>>()?;
-    let [max_attempts, base_backoff_ms, max_backoff_ms] = r.as_slice() else { return None };
-    let fp: Vec<u64> = faults.split(',').map(|v| v.parse().ok()).collect::<Option<_>>()?;
-    let [crash, hang, nav, tab, http, boost, fseed] = fp.as_slice() else { return None };
-    Some(ScanConfig {
-        n_sites: n_sites.parse().ok()?,
-        seed: seed.parse().ok()?,
-        workers,
-        include_subpages: *subpages == "1",
-        simulate_interaction: *interact == "1",
-        faults: FaultPlan {
-            crash_per_mille: *crash as u32,
-            hang_per_mille: *hang as u32,
-            nav_error_per_mille: *nav as u32,
-            tab_crash_per_mille: *tab as u32,
-            http_flaky_per_mille: *http as u32,
-            flaky_site_boost_pm: *boost as u32,
-            seed: *fseed,
-        },
-        retry: RetryPolicy {
-            max_attempts: *max_attempts as u32,
-            base_backoff_ms: *base_backoff_ms,
-            max_backoff_ms: *max_backoff_ms,
-        },
-        visit_timeout_ms: timeout.parse().ok()?,
-        flaky_sites_per_100k: flaky.parse().ok()?,
-        visit_budget: if budget.is_empty() { None } else { Some(budget.parse().ok()?) },
-    })
+    for ((field, value), got) in fixed_slots().iter().zip([subpages, interact, timeout, retry]) {
+        if got != value {
+            return Err(format!("config field {field} is {got:?}; every scan runs {value:?}"));
+        }
+    }
+    let decode = || {
+        let fp: Vec<u64> = faults.split(',').map(|v| v.parse().ok()).collect::<Option<_>>()?;
+        let [crash, hang, nav, tab, http, boost, fseed] = fp.as_slice() else { return None };
+        Some(ScanConfig {
+            n_sites: n_sites.parse().ok()?,
+            seed: seed.parse().ok()?,
+            workers,
+            faults: FaultPlan {
+                crash_per_mille: *crash as u32,
+                hang_per_mille: *hang as u32,
+                nav_error_per_mille: *nav as u32,
+                tab_crash_per_mille: *tab as u32,
+                http_flaky_per_mille: *http as u32,
+                flaky_site_boost_pm: *boost as u32,
+                seed: *fseed,
+            },
+            flaky_sites_per_100k: flaky.parse().ok()?,
+            visit_budget: if budget.is_empty() { None } else { Some(budget.parse().ok()?) },
+        })
+    };
+    decode().ok_or_else(corrupt)
 }
 
 /// Encode one page's served content, archiving every body as a blob.
@@ -717,7 +733,7 @@ impl ReplayBundle {
             )));
         }
         let cfg = decode_config(&reader.config, 4)
-            .ok_or_else(|| invalid(format!("{}: corrupt config payload", dir.display())))?;
+            .map_err(|e| invalid(format!("{}: {e}", dir.display())))?;
         let n = cfg.n_sites as usize;
         let mut sites: Vec<Option<ReplaySite>> = (0..n).map(|_| None).collect();
         let mut digest_parts: Vec<Option<String>> = vec![None; n];
@@ -915,4 +931,44 @@ pub fn diff_bundles(a: &ReplayBundle, b: &ReplayBundle) -> BundleDiff {
         });
     }
     diff
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scan::Scan;
+
+    /// `diff_bundles` names every record-field delta of a completed site:
+    /// each capture count, the capture digest and the site record itself.
+    #[test]
+    fn diff_reports_record_field_deltas() {
+        let dir = std::env::temp_dir().join(format!("gullible-diff-fields-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Scan::new(ScanConfig::new(6, 2)).record(&dir).run().expect("record");
+        let a = ReplayBundle::open(&dir).expect("open a");
+        let mut b = ReplayBundle::open(&dir).expect("open b");
+        assert!(diff_bundles(&a, &b).is_clean());
+
+        let site = &mut b.sites[3];
+        let mut cap = site.capture().expect("site 3 completed");
+        cap.js_calls += 1;
+        cap.cookies += 2;
+        cap.digest ^= 1;
+        site.capture = cap.encode();
+        site.payload.push('x');
+        let diff = diff_bundles(&a, &b);
+        assert!(!diff.config_differs);
+        assert_eq!(diff.deltas.len(), 1);
+        let delta = &diff.deltas[0];
+        assert_eq!(delta.rank, 3);
+        let names: Vec<&str> =
+            delta.changes.iter().map(|c| c.split(':').next().unwrap_or(c)).collect();
+        assert_eq!(
+            names,
+            ["records.js_calls", "records.cookies", "records.digest", "site record fields differ"],
+            "{:?}",
+            delta.changes
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

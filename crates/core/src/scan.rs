@@ -17,7 +17,7 @@ use netsim::url::etld1_of;
 use netsim::Url;
 use openwpm::{
     run_supervised, Browser, BrowserConfig, CrashInjector, CrashPlan, CrawlHistoryRecord,
-    CrawlSummary, FailureReason, FaultPlan, ItemMeta, RetryPolicy, SiteResponse,
+    CrawlSummary, FailureReason, FaultPlan, ItemMeta, SiteResponse,
     SupervisorConfig, VisitOutcome, VisitSpec,
 };
 use webgen::{visit_spec, Category, PageKind, Population, SitePlan};
@@ -26,26 +26,18 @@ use crate::archive::{
     take_capture, ArchiveStats, ReplayBundle, ReplayStats, StreamRecorder, Verifier,
 };
 
-/// Scan configuration.
+/// Scan configuration: only what an experiment varies. Every scan is the
+/// paper's deep scan (the front page plus up to three subpages, no
+/// interaction) and retries and times out visits with
+/// [`SupervisorConfig::default`]'s policy.
 #[derive(Clone, Copy, Debug)]
 pub struct ScanConfig {
     pub n_sites: u32,
     pub seed: u64,
     pub workers: usize,
-    /// Also visit up to three subpages (the paper's deep scan).
-    pub include_subpages: bool,
-    /// Simulate user interaction during the dwell (HLISA-style). The
-    /// paper's scan did not; with interaction, hover-gated detectors fire
-    /// and become dynamically visible (an ablation of Sec. 4.1's
-    /// "code that happens not to be executed" limitation).
-    pub simulate_interaction: bool,
     /// Injected crawl weather (crashes, hangs, …). Inert by default, so a
     /// plain scan behaves exactly as an unsupervised one.
     pub faults: FaultPlan,
-    /// Retry/backoff policy for failed visits.
-    pub retry: RetryPolicy,
-    /// Watchdog limit per visit on the simulated clock.
-    pub visit_timeout_ms: u64,
     /// Chronically flaky sites per 100K in the population (see
     /// `webgen::Targets::flaky_per_100k`); the fault injector boosts its
     /// rates on these.
@@ -62,11 +54,7 @@ impl ScanConfig {
             n_sites,
             seed,
             workers: 4,
-            include_subpages: true,
-            simulate_interaction: false,
             faults: FaultPlan::none(),
-            retry: RetryPolicy::default(),
-            visit_timeout_ms: 60_000,
             flaky_sites_per_100k: 0,
             visit_budget: None,
         }
@@ -80,10 +68,9 @@ impl ScanConfig {
 
     fn supervisor(&self) -> SupervisorConfig {
         SupervisorConfig {
-            retry: self.retry,
-            visit_timeout_ms: self.visit_timeout_ms,
             faults: self.faults,
             visit_budget: self.visit_budget,
+            ..SupervisorConfig::default()
         }
     }
 }
@@ -155,8 +142,9 @@ pub struct SiteVisit {
 }
 
 /// Materialise a site's visit from its generated plan: the front page and
-/// (for deep scans) up to three subpages, each with the scan dwell that
-/// covers 500 ms-delayed probes plus the 60 s dwell.
+/// (with `include_subpages`, which every scan passes) up to three
+/// subpages, each with the scan dwell that covers 500 ms-delayed probes
+/// plus the 60 s dwell.
 pub fn site_visit(plan: &SitePlan, include_subpages: bool) -> SiteVisit {
     let mut kinds = vec![PageKind::Front];
     if include_subpages {
@@ -181,21 +169,13 @@ pub fn site_visit(plan: &SitePlan, include_subpages: bool) -> SiteVisit {
     }
 }
 
-/// Scan one site with a scanning browser. A visit spec whose URL does not
-/// parse surfaces as a typed [`FailureReason`] for the supervisor to
-/// record, instead of panicking the worker.
-pub fn scan_site(
-    browser: &mut Browser,
-    plan: &SitePlan,
-    include_subpages: bool,
-) -> Result<SiteScanRecord, FailureReason> {
-    scan_site_visit(browser, &site_visit(plan, include_subpages), false)
-}
-
-/// Scan one materialised [`SiteVisit`] (live or replayed). With `capture`
-/// set, a folded [`openwpm::StoreCapture`] fingerprint of every record the
-/// visit produced is parked in the worker's capture slot for the
-/// bundle recorder and replay verifier to collect.
+/// Scan one materialised [`SiteVisit`] (live or replayed) with a scanning
+/// browser. A visit spec whose URL does not parse surfaces as a typed
+/// [`FailureReason`] for the supervisor to record, instead of panicking
+/// the worker. With `capture` set, a folded [`openwpm::StoreCapture`]
+/// fingerprint of every record the visit produced is parked in the
+/// worker's capture slot for the bundle recorder and replay verifier to
+/// collect.
 pub fn scan_site_visit(
     browser: &mut Browser,
     visit: &SiteVisit,
@@ -214,6 +194,7 @@ pub fn scan_site_visit(
         script_hashes: Vec::new(),
     };
     let mut captures = Vec::new();
+    let honey_total = browser.config.honey_properties as usize;
     for (i, spec) in visit.pages.iter().enumerate() {
         // Flight-recorder breadcrumb: a forensic dump mid-visit names the
         // exact page in flight (detail allocation gated on the recorder).
@@ -225,7 +206,7 @@ pub fn scan_site_visit(
         if capture {
             captures.push(store.capture());
         }
-        let flags = classify_page(&store, &visit.domain, &mut record);
+        let flags = classify_page(&store, &visit.domain, honey_total, &mut record);
         if i == 0 {
             record.front = flags;
         }
@@ -244,9 +225,12 @@ pub fn scan_site_visit(
 }
 
 /// Classify one page's records; appends attribution data to `record`.
+/// `honey_total` is the honey property count of the browser that made
+/// the records, the dynamic classifier's iterator denominator.
 fn classify_page(
     store: &openwpm::RecordStore,
     domain: &str,
+    honey_total: usize,
     record: &mut SiteScanRecord,
 ) -> PageFlags {
     let mut flags = PageFlags::default();
@@ -279,7 +263,6 @@ fn classify_page(
     }
 
     // --- dynamic pipeline over recorded calls ---
-    let honey_total = 10; // the scanner config's honey property count
     for obs in detect::observe(store) {
         let statically_flagged = static_by_url
             .get(obs.script_url.as_str())
@@ -665,7 +648,7 @@ impl<'a> Scan<'a> {
                 let cfg = bundle.scan_config(self.cfg.workers);
                 (cfg, ScanSource::Replay(Arc::clone(&bundle)), Some(Verifier::new(bundle)))
             }
-            None => (self.cfg, ScanSource::live(&self.cfg), None),
+            None => (self.cfg, ScanSource::Live(self.cfg.population()), None),
         };
         let keep = self.sink.as_ref().is_none_or(|s| s.keep_records);
 
@@ -711,7 +694,6 @@ impl<'a> Scan<'a> {
         };
 
         let seed = cfg.seed;
-        let interact = cfg.simulate_interaction;
         let phase = obs::phase("scan.visits");
         let ctx = &ctx;
         let crawl = run_supervised(
@@ -727,9 +709,7 @@ impl<'a> Scan<'a> {
                 // tests pin down. The worker enters the scan's context
                 // before building anything.
                 let entered = ctx.enter();
-                let mut config = BrowserConfig::scanner(seed);
-                config.simulate_interaction = interact;
-                (entered, Browser::new(config).with_instance(worker as u32))
+                (entered, Browser::new(BrowserConfig::scanner(seed)).with_instance(worker as u32))
             },
             |(_, browser), _idx, rank: &u32| {
                 browser.set_visit_key(*rank as u64);
@@ -858,18 +838,14 @@ fn open_sink(
 /// (live) or a recorded crawl bundle (replay). The supervisor, browser,
 /// instruments and detection pipeline run identically either way.
 pub(crate) enum ScanSource {
-    Live { pop: Population, include_subpages: bool },
+    Live(Population),
     Replay(Arc<ReplayBundle>),
 }
 
 impl ScanSource {
-    fn live(cfg: &ScanConfig) -> ScanSource {
-        ScanSource::Live { pop: cfg.population(), include_subpages: cfg.include_subpages }
-    }
-
     fn meta(&self, rank: u32) -> ItemMeta {
         match self {
-            ScanSource::Live { pop, .. } => {
+            ScanSource::Live(pop) => {
                 let plan = pop.plan(rank);
                 ItemMeta {
                     label: plan.front_url().to_string(),
@@ -890,7 +866,7 @@ impl ScanSource {
 
     fn front_url(&self, rank: u32) -> String {
         match self {
-            ScanSource::Live { pop, .. } => pop.plan(rank).front_url().to_string(),
+            ScanSource::Live(pop) => pop.plan(rank).front_url().to_string(),
             ScanSource::Replay(bundle) => bundle
                 .site(rank)
                 .visit
@@ -907,9 +883,7 @@ impl ScanSource {
     /// at Arc-clone cost.
     fn site_visit(&self, rank: u32) -> SiteVisit {
         match self {
-            ScanSource::Live { pop, include_subpages } => {
-                site_visit(&pop.plan(rank), *include_subpages)
-            }
+            ScanSource::Live(pop) => site_visit(&pop.plan(rank), true),
             // Script bodies are `Arc<str>`, so cloning a recorded visit is
             // pointer-cheap.
             ScanSource::Replay(bundle) => bundle.site(rank).visit.clone(),
@@ -1142,27 +1116,45 @@ mod tests {
         assert_eq!(first_party_origin_of("https://a.com/js/bot-check.js"), "SelfBuilt");
     }
 
+    /// The dynamic classifier's iterator denominator is the visiting
+    /// browser's honey count. A script enumerating `navigator` touches
+    /// `webdriver` and all five honey names of a five-honey scanner, so it
+    /// is an iterator, not a detector.
     #[test]
-    fn interaction_surfaces_hover_gated_detectors_dynamically() {
-        // Ablation: an HLISA-style interacting crawl executes the
-        // hover-gated probes that the paper's non-interacting scan could
-        // only find statically.
-        let passive = Scan::new(ScanConfig::new(600, 11)).run().expect("scan");
-        let active = Scan::new(ScanConfig {
-            simulate_interaction: true,
-            ..ScanConfig::new(600, 11)
-        }).run().expect("scan");
-        let passive_dyn = passive.count(|_, site| site.dynamic_true);
-        let active_dyn = active.count(|_, site| site.dynamic_true);
-        assert!(
-            active_dyn > passive_dyn,
-            "interaction must add dynamic findings: {passive_dyn} -> {active_dyn}"
-        );
-        // Static findings are unaffected by interaction.
-        assert_eq!(
-            passive.count(|_, site| site.static_true),
-            active.count(|_, site| site.static_true)
-        );
+    fn honey_count_comes_from_the_browser_config() {
+        let config = BrowserConfig { honey_properties: 5, ..BrowserConfig::scanner(1) };
+        let source = "var seen = []; for (var k in navigator) { seen.push(navigator[k]); }";
+        let visit = SiteVisit {
+            rank: 0,
+            domain: "enum.test".into(),
+            categories: Vec::new(),
+            flaky: false,
+            pages: vec![VisitSpec {
+                url: "https://enum.test/".into(),
+                scripts: vec![openwpm::PageScript {
+                    url: "https://enum.test/enum.js".into(),
+                    source: source.into(),
+                    content_type: "text/javascript".into(),
+                }],
+                dwell_override_s: Some(1),
+                ..VisitSpec::default()
+            }],
+        };
+
+        let mut probe = Browser::new(config.clone());
+        probe.visit(&visit.pages[0], |_| SiteResponse::default()).expect("visit");
+        let observed = detect::observe(&probe.take_store());
+        let enumerator = observed
+            .iter()
+            .find(|o| o.script_url.ends_with("/enum.js"))
+            .expect("the script touched the surface");
+        assert!(enumerator.accessed_webdriver);
+        assert_eq!(enumerator.honey_hits, 5, "every honey name is touched");
+
+        let rec = scan_site_visit(&mut Browser::new(config), &visit, false).expect("scan");
+        assert!(rec.site.dynamic_identified, "webdriver was read");
+        assert!(!rec.site.static_identified, "no static pattern matches the script");
+        assert!(!rec.site.dynamic_true, "an enumeration of every honey name is an iterator");
     }
 
     #[test]
@@ -1213,7 +1205,7 @@ mod tests {
         for h in &report.history {
             if h.status == openwpm::CrawlStatus::Failed {
                 assert!(FailureReason::parse(&h.error).is_some(), "reason {:?}", h.error);
-                assert_eq!(h.attempts, cfg.retry.max_attempts);
+                assert_eq!(h.attempts, cfg.supervisor().retry.max_attempts);
             }
         }
         assert!(report.completion.completion_rate() > 0.9);

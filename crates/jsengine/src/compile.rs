@@ -90,11 +90,6 @@ impl CompiledScript {
         self.artifact.body_hash
     }
 
-    /// Length of the source body in bytes.
-    pub fn source_len(&self) -> usize {
-        self.artifact.source.len()
-    }
-
     /// The shared parsed program (the tree-walker's execution artifact).
     pub fn ast(&self) -> &Arc<Program> {
         &self.artifact.program

@@ -23,6 +23,15 @@ use crate::value::Value;
 /// the argument list. Host crates build these with closures over host state.
 pub type NativeFn = Rc<dyn Fn(&mut Interp, Value, &[Value]) -> Result<Value, Thrown>>;
 
+/// Deepest call stack a script may build, in frames (the top-level script
+/// is one); a call past it throws a catchable `too much recursion`. A
+/// native stack overflow aborts the whole crawler where no `catch_unwind`
+/// can catch it, and a debug build spends up to ~43 KiB of native stack
+/// per frame (`try`/`finally` recursion under the VM, which hands `try` to
+/// the tree-walker), so 24 frames fit a 2 MiB thread with room to spare
+/// (`tests/adversarial.rs`). Crawled pages stay under 8 frames.
+pub const MAX_CALL_DEPTH: usize = 24;
+
 /// A lexical scope. Function-level scoping (`var` semantics).
 ///
 /// Bindings are keyed by interned [`Atom`]s, so walking the scope chain
@@ -96,7 +105,7 @@ pub struct Interp {
     /// 100K-site scan. Generous enough for the full corpus.
     pub step_limit: u64,
     steps: u64,
-    /// Maximum interpreter recursion depth.
+    /// Maximum interpreter recursion depth ([`MAX_CALL_DEPTH`]).
     pub max_depth: usize,
     /// `console.log` output, for tests and diagnostics.
     pub console: Vec<String>,
@@ -215,7 +224,7 @@ impl Interp {
             job_seq: 0,
             step_limit: 20_000_000,
             steps: 0,
-            max_depth: 80,
+            max_depth: MAX_CALL_DEPTH,
             console: Vec::new(),
             rng_state: 0x9E3779B97F4A7C15,
             profiler: None,

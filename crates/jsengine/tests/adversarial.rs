@@ -318,3 +318,28 @@ fn nesting_at_the_budget_parses_lowers_and_runs() {
         }
     }
 }
+
+/// Recursion 1,000 deep through the two costliest call shapes, an operand
+/// (`0 + f()`) and a `try`/`finally`, is stopped by the call-depth limit
+/// (`interp::MAX_CALL_DEPTH`) with a catchable error on a 2 MiB thread,
+/// never by a native stack overflow that aborts the process.
+#[test]
+fn deep_recursion_throws_too_much_recursion_not_an_abort() {
+    let shapes = [
+        "function f(k) { if (k == 0) return 0; return (0 + f(k - 1)); }",
+        "function f(k) { if (k == 0) return 0; try { return f(k - 1); } finally {} }",
+    ];
+    for def in shapes {
+        let src = format!(
+            "{def} var r = 'returned'; try {{ f(1000); }} catch (e) {{ r = String(e); }} r"
+        );
+        for engine in [Engine::Vm, Engine::Tree] {
+            match run_on_worker_stack(engine, src.clone()) {
+                Ok(Value::Str(s)) => {
+                    assert!(s.contains("too much recursion"), "{def}, {engine:?}: {s}")
+                }
+                other => panic!("{def}, {engine:?}: expected a caught error, got {other:?}"),
+            }
+        }
+    }
+}

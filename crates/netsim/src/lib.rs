@@ -29,4 +29,3 @@ pub use blocklist::{Blocklist, BlocklistKind};
 pub use cookies::{Cookie, CookieJar, CookieParty};
 pub use http::{FlakyNetwork, HttpRequest, HttpResponse, ResourceType};
 pub use url::Url;
-pub use wire::ResponseSummary;

@@ -1,7 +1,7 @@
 //! Crawler configuration, mirroring OpenWPM's `BrowserParams` +
 //! `ManagerParams` plus the stealth settings file introduced in Sec. 6.1.5.
 
-use browser::{Os, RunMode, WindowGeometry};
+use browser::WindowGeometry;
 
 /// Which JavaScript instrumentation flavour to deploy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,18 +57,16 @@ impl Default for StealthSettings {
     }
 }
 
-/// Per-browser configuration.
+/// Per-browser configuration: only what the paper's experiments vary. Every
+/// browser runs OpenWPM's regular mode on Ubuntu 18.04, records HTTP with
+/// the JavaScript-only body filter and cookies, dwells 60 s unless the
+/// visit overrides it, and does not interact with the page (Sec. 4.1.2,
+/// 6.3).
 #[derive(Clone, Debug)]
 pub struct BrowserConfig {
-    pub os: Os,
-    pub mode: RunMode,
     pub js_instrument: JsInstrumentKind,
-    pub http_instrument: Option<HttpSaveMode>,
-    pub cookie_instrument: bool,
     /// Stealth settings; only honoured when `js_instrument == Stealth`.
     pub stealth: StealthSettings,
-    /// Seconds to idle on a page after load (the paper uses 60).
-    pub dwell_seconds: u64,
     /// Deterministic seed for event-id generation and honey properties.
     pub seed: u64,
     /// Honey properties per target object for the dynamic analysis
@@ -78,28 +76,18 @@ pub struct BrowserConfig {
     /// (`getInstrumentJS` etc.) — the scanning client of Sec. 4 enables
     /// this to find OpenWPM-specific detectors (Table 6).
     pub watch_openwpm_props: bool,
-    /// Simulate user interaction (mouseover/click/scroll) during the dwell
-    /// — an HLISA-style crawl. Default off: Table 1 shows most studies use
-    /// no interaction, and the paper's scan did not either.
-    pub simulate_interaction: bool,
 }
 
 impl BrowserConfig {
-    /// Vanilla OpenWPM as used in the paper's scan (Sec. 4.1.2): regular
-    /// mode, HTTP + JS + cookie instruments, 60 s dwell.
+    /// Vanilla OpenWPM as used in the paper's scan (Sec. 4.1.2): the
+    /// vanilla JS instrument beside the HTTP and cookie instruments.
     pub fn vanilla(seed: u64) -> BrowserConfig {
         BrowserConfig {
-            os: Os::Ubuntu1804,
-            mode: RunMode::Regular,
             js_instrument: JsInstrumentKind::Vanilla,
-            http_instrument: Some(HttpSaveMode::JavascriptOnly),
-            cookie_instrument: true,
             stealth: StealthSettings::default(),
-            dwell_seconds: 60,
             seed,
             honey_properties: 0,
             watch_openwpm_props: false,
-            simulate_interaction: false,
         }
     }
 
@@ -127,7 +115,8 @@ mod tests {
     fn presets() {
         let v = BrowserConfig::vanilla(1);
         assert_eq!(v.js_instrument, JsInstrumentKind::Vanilla);
-        assert_eq!(v.dwell_seconds, 60);
+        assert_eq!(v.honey_properties, 0);
+        assert_eq!(BrowserConfig::scanner(1).honey_properties, 10);
         let s = BrowserConfig::stealth(1);
         assert_eq!(s.js_instrument, JsInstrumentKind::Stealth);
         assert!(s.stealth.mask_webdriver);

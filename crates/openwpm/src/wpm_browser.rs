@@ -5,14 +5,22 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use browser::{CspPolicy, FingerprintProfile, Page, PageTemplate};
+use browser::{CspPolicy, FingerprintProfile, Os, Page, PageTemplate, RunMode};
 use netsim::{Cookie, HttpRequest, HttpResponse, ResourceType, Url};
 
-use crate::config::{BrowserConfig, JsInstrumentKind};
+use crate::config::{BrowserConfig, HttpSaveMode, JsInstrumentKind};
 use crate::instrument::vanilla::{self, InstrumentedTemplate};
 use crate::instrument::{honey, http, stealth, watch, StoreHandle};
 use crate::records::RecordStore;
 use crate::supervisor::FailureReason;
+
+/// Seconds to idle on a page after load when its [`VisitSpec`] sets no
+/// override (the paper uses 60).
+const DWELL_SECONDS: u64 = 60;
+
+/// The HTTP instrument's body filter: OpenWPM's JavaScript-only default,
+/// which silent delivery evades (Sec. 5.4.2).
+const HTTP_SAVE: HttpSaveMode = HttpSaveMode::JavascriptOnly;
 
 /// One script delivered with a page.
 #[derive(Clone, Debug)]
@@ -49,7 +57,7 @@ pub struct VisitSpec {
     pub server_resources: Vec<(String, String, String)>,
     /// Static subresources of the page (images, css, fonts, ads…).
     pub static_requests: Vec<(String, ResourceType)>,
-    /// Seconds to idle after load; defaults to the config's dwell time.
+    /// Seconds to idle after load; defaults to 60.
     pub dwell_override_s: Option<u64>,
 }
 
@@ -141,7 +149,7 @@ impl Browser {
     /// overrides.
     pub fn profile(&self) -> FingerprintProfile {
         let mut p =
-            FingerprintProfile::openwpm(self.config.os, self.config.mode).with_instance(self.instance);
+            FingerprintProfile::openwpm(Os::Ubuntu1804, RunMode::Regular).with_instance(self.instance);
         if self.config.js_instrument == JsInstrumentKind::Stealth {
             if let Some(g) = self.config.stealth.window_geometry {
                 p.geometry = g;
@@ -299,24 +307,20 @@ impl Browser {
                     method: "GET",
                     time_ms: 0,
                 });
-                if let Some(mode) = self.config.http_instrument {
-                    http::record_response(
-                        &mut self.store.borrow_mut(),
-                        &HttpResponse {
-                            url: u,
-                            status: 200,
-                            content_type: script.content_type.clone(),
-                            body: script.source.clone(),
-                        },
-                        mode,
-                        &page_url,
-                    );
-                }
+                http::record_response(
+                    &mut self.store.borrow_mut(),
+                    &HttpResponse {
+                        url: u,
+                        status: 200,
+                        content_type: script.content_type.clone(),
+                        body: script.source.clone(),
+                    },
+                    HTTP_SAVE,
+                    &page_url,
+                );
             }
         }
-        if self.config.http_instrument.is_some() {
-            http::record_requests(&mut self.store.borrow_mut(), &static_reqs);
-        }
+        http::record_requests(&mut self.store.borrow_mut(), &static_reqs);
 
         // Execute page scripts in document order, compiling through the
         // crawl's cache: provider scripts shared across hundreds of sites
@@ -344,75 +348,62 @@ impl Browser {
         }
 
         // Dwell: drains extension frame injections, setTimeout detectors…
-        let dwell_s = spec.dwell_override_s.unwrap_or(self.config.dwell_seconds);
-        page.advance(dwell_s * 500);
-        if self.config.simulate_interaction {
-            // HLISA-style interaction mid-dwell: hover, scroll, click.
-            for kind in ["mouseover", "scroll", "click"] {
-                page.simulate_interaction(kind);
-            }
-        }
-        page.advance(dwell_s * 500);
+        let dwell_s = spec.dwell_override_s.unwrap_or(DWELL_SECONDS);
+        page.advance(dwell_s * 1000);
 
         // Dynamic traffic (fetches, beacons, csp reports, dynamic scripts).
         let dynamic = page.traffic();
-        if let Some(mode) = self.config.http_instrument {
-            http::record_requests(&mut self.store.borrow_mut(), &dynamic);
-            // Bodies of dynamically-fetched server resources.
-            for req in &dynamic {
-                for (rurl, ctype, body) in &spec.server_resources {
-                    if req.url.to_string() == *rurl
-                        || rurl.ends_with(&format!("{}{}", req.url.host, req.url.path))
-                    {
-                        http::record_response(
-                            &mut self.store.borrow_mut(),
-                            &HttpResponse {
-                                url: req.url.clone(),
-                                status: 200,
-                                content_type: ctype.clone(),
-                                body: body.as_str().into(),
-                            },
-                            mode,
-                            &page_url,
-                        );
-                    }
+        http::record_requests(&mut self.store.borrow_mut(), &dynamic);
+        // Bodies of dynamically-fetched server resources.
+        for req in &dynamic {
+            for (rurl, ctype, body) in &spec.server_resources {
+                if req.url.to_string() == *rurl
+                    || rurl.ends_with(&format!("{}{}", req.url.host, req.url.path))
+                {
+                    http::record_response(
+                        &mut self.store.borrow_mut(),
+                        &HttpResponse {
+                            url: req.url.clone(),
+                            status: 200,
+                            content_type: ctype.clone(),
+                            body: body.as_str().into(),
+                        },
+                        HTTP_SAVE,
+                        &page_url,
+                    );
                 }
             }
         }
 
         // Adaptive phase: the site reacts to what it observed.
         let response = responder(&dynamic);
-        if self.config.http_instrument.is_some() {
-            let extra: Vec<HttpRequest> = response
-                .extra_requests
-                .iter()
-                .filter_map(|(rurl, rt)| {
-                    Url::parse(rurl).map(|u| HttpRequest {
-                        url: u,
-                        page: url.clone(),
-                        resource_type: *rt,
-                        method: "GET",
-                        time_ms: dwell_s * 1000,
-                    })
+        let extra: Vec<HttpRequest> = response
+            .extra_requests
+            .iter()
+            .filter_map(|(rurl, rt)| {
+                Url::parse(rurl).map(|u| HttpRequest {
+                    url: u,
+                    page: url.clone(),
+                    resource_type: *rt,
+                    method: "GET",
+                    time_ms: dwell_s * 1000,
                 })
-                .collect();
-            http::record_requests(&mut self.store.borrow_mut(), &extra);
-        }
-        if self.config.cookie_instrument {
-            self.store.borrow_mut().cookies.extend(response.cookies);
-            // Cookies written via document.cookie are first-party session
-            // cookies from the page's own scripts.
-            let js_cookies = page.host.borrow().js_cookies.clone();
-            for raw in js_cookies {
-                if let Some((name, value)) = raw.split_once('=') {
-                    self.store.borrow_mut().cookies.push(Cookie {
-                        name: name.trim().to_owned(),
-                        value: value.split(';').next().unwrap_or("").trim().to_owned(),
-                        domain: url.host.clone(),
-                        page_domain: url.host.clone(),
-                        expires_in_s: None,
-                    });
-                }
+            })
+            .collect();
+        http::record_requests(&mut self.store.borrow_mut(), &extra);
+        self.store.borrow_mut().cookies.extend(response.cookies);
+        // Cookies written via document.cookie are first-party session
+        // cookies from the page's own scripts.
+        let js_cookies = page.host.borrow().js_cookies.clone();
+        for raw in js_cookies {
+            if let Some((name, value)) = raw.split_once('=') {
+                self.store.borrow_mut().cookies.push(Cookie {
+                    name: name.trim().to_owned(),
+                    value: value.split(';').next().unwrap_or("").trim().to_owned(),
+                    domain: url.host.clone(),
+                    page_domain: url.host.clone(),
+                    expires_in_s: None,
+                });
             }
         }
         if let Some(before) = store_before {
@@ -488,7 +479,6 @@ impl StoreCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::HttpSaveMode;
 
     fn spec(url: &str) -> VisitSpec {
         VisitSpec { url: url.into(), dwell_override_s: Some(1), ..Default::default() }
@@ -565,8 +555,8 @@ mod tests {
 
     #[test]
     fn silent_delivery_bypasses_js_only_http_instrument_in_visit() {
+        assert_eq!(HTTP_SAVE, HttpSaveMode::JavascriptOnly);
         let mut b = Browser::new(BrowserConfig::vanilla(4));
-        assert_eq!(b.config.http_instrument, Some(HttpSaveMode::JavascriptOnly));
         let mut s = spec("https://evil.example.com/");
         s.server_resources.push((
             "https://evil.example.com/cheat".into(),

@@ -1,5 +1,5 @@
 //! Integration tests for framework features: instrument vintages (RQ2),
-//! interaction simulation, crash recovery, and multi-frame instrumentation.
+//! hover-gated detectors, crash recovery, and multi-frame instrumentation.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -101,18 +101,19 @@ fn interaction_triggers_hover_gated_detectors() {
     });
     assert_eq!(beacons, 0, "hover-gated code must stay dormant without interaction");
 
-    // With interaction: the detector fires (and flags the client).
-    let mut cfg = BrowserConfig::vanilla(5);
-    cfg.simulate_interaction = true;
-    let mut interacting = Browser::new(cfg);
-    let mut verdict = None;
-        let _ = interacting.visit(&spec, |traffic| {
-        verdict = traffic
-            .iter()
-            .find(|r| r.resource_type == netsim::ResourceType::Beacon)
-            .map(|r| r.url.query.clone());
-        SiteResponse::default()
-    });
+    // With interaction, here a hover dispatched by a page script between
+    // load and dwell: the detector fires (and flags the client).
+    let mut interacting = Browser::new(BrowserConfig::vanilla(5));
+    let (mut page, _) = interacting.open_page(&spec).expect("page opens");
+    page.run_script((spec.scripts[0].source.as_ref(), "gated.js")).expect("detector loads");
+    page.run_script(("document.dispatchEvent(new CustomEvent('mouseover'));", "hover.js"))
+        .expect("hover dispatches");
+    page.advance(1_000);
+    let verdict = page
+        .traffic()
+        .into_iter()
+        .find(|r| r.resource_type == netsim::ResourceType::Beacon)
+        .map(|r| r.url.query);
     assert_eq!(verdict.as_deref(), Some("bot=1"), "interaction must execute the gated probe");
 }
 

@@ -87,12 +87,10 @@ fn record_then_replay_reproduces_run_byte_for_byte() {
 fn randomized_scans_roundtrip_with_exact_blob_accounting() {
     proplite::run_cases(4, 0xA2C4_11EE, |rng| {
         let n_sites = rng.u32_in(30, 70);
-        let include_subpages = rng.bool();
         let faults =
             if rng.bool() { FaultPlan::adversarial(rng.u32_in(1, 9) as u64) } else { FaultPlan::none() };
         let budget = rng.bool().then_some(n_sites as usize / 2);
         let cfg = ScanConfig {
-            include_subpages,
             faults,
             ..ScanConfig::new(n_sites, rng.u32_in(1, 1_000) as u64)
         };
@@ -121,7 +119,7 @@ fn randomized_scans_roundtrip_with_exact_blob_accounting() {
         let mut served = 0u64;
         let mut unique = std::collections::HashSet::new();
         for rank in 0..cfg.n_sites {
-            for spec in &site_visit(&pop.plan(rank), cfg.include_subpages).pages {
+            for spec in &site_visit(&pop.plan(rank), true).pages {
                 for script in &spec.scripts {
                     served += 1;
                     unique.insert(script.content_hash());
@@ -155,8 +153,8 @@ fn same_seed_bundles_diff_clean_and_ablations_diff_dirty() {
 
     Scan::new(cfg).record(&dir_a).run().expect("record a");
     Scan::new(ScanConfig { workers: 2, ..cfg }).record(&dir_b).run().expect("record b");
-    // The Sec. 6.3 shape: same sites, different client behaviour.
-    Scan::new(ScanConfig { simulate_interaction: true, ..cfg })
+    // Same sites, different crawl weather: some visits are retried.
+    Scan::new(ScanConfig { faults: FaultPlan::adversarial(4), ..cfg })
         .record(&dir_c)
         .run()
         .expect("record c");
@@ -172,12 +170,14 @@ fn same_seed_bundles_diff_clean_and_ablations_diff_dirty() {
 
     let dirty = diff_bundles(&a, &c);
     assert!(dirty.config_differs);
-    assert!(!dirty.is_clean(), "interaction ablation must change some site's records");
+    assert!(!dirty.is_clean(), "fault weather must change some site's outcome");
+    // Retried visits show as attempt deltas; record-field deltas are
+    // covered by `archive::tests::diff_reports_record_field_deltas`.
     assert!(dirty
         .deltas
         .iter()
-        .any(|d| d.changes.iter().any(|c| c.starts_with("records.") || c.contains("record fields"))));
-    // Sites the ablation doesn't touch stay identical.
+        .any(|d| d.changes.iter().any(|c| c.starts_with("attempts:"))));
+    // Sites the weather spares stay identical.
     assert!(dirty.deltas.len() < 150);
 
     for d in [&dir_a, &dir_b, &dir_c] {
@@ -218,6 +218,40 @@ fn damaged_bundles_fail_loudly() {
     std::fs::write(&manifest, &pristine).expect("restore");
     ReplayBundle::open(&dir).expect("pristine bundle must open");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The config line keeps slots for settings no scan varies any more
+/// (subpages, interaction, visit timeout, retry policy). A bundle holding
+/// any other value there, even with a valid checksum, was made by a
+/// different experiment and must be refused, naming the field.
+#[test]
+fn bundles_with_a_non_constant_fixed_config_slot_are_refused() {
+    let dir = tmp_dir("fixed-slots");
+    Scan::new(ScanConfig::new(8, 3)).record(&dir).run().expect("record");
+    let manifest = dir.join("manifest.gar");
+    let pristine = std::fs::read_to_string(&manifest).expect("read manifest");
+    let (header, rest) = pristine.split_once('\n').expect("header line");
+    let (body, _checksum) = header.rsplit_once('\x1f').expect("framed header");
+    let (magic, config) = body.split_once('\x1f').expect("config payload");
+    for (slot, field, value) in [
+        (2, "subpages", "0"),
+        (3, "interaction", "1"),
+        (5, "visit_timeout_ms", "45000"),
+        (6, "retry", "2,1000,30000"),
+    ] {
+        let mut slots: Vec<&str> = config.split('\x1c').collect();
+        assert_ne!(slots[slot], value, "{field} must start at its constant");
+        slots[slot] = value;
+        let body = format!("{magic}\x1f{}", slots.join("\x1c"));
+        let framed = format!("{body}\x1f{:016x}", obs::fnv1a(body.as_bytes()));
+        std::fs::write(&manifest, format!("{framed}\n{rest}")).expect("rewrite header");
+        let err = ReplayBundle::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{field}: {err}");
+        assert!(err.to_string().contains(field), "{field}: {err}");
+    }
+    std::fs::write(&manifest, &pristine).expect("restore");
+    ReplayBundle::open(&dir).expect("pristine bundle must open");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

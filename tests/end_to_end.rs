@@ -46,7 +46,7 @@ fn scan_openwpm_providers_match_assignment() {
     let n = 2_500;
     let seed = 7;
     let pop = Population::new(n, seed);
-    let report = Scan::new(ScanConfig { workers: 2, include_subpages: false, ..ScanConfig::new(n, seed) }).run().expect("scan");
+    let report = Scan::new(ScanConfig { workers: 2, ..ScanConfig::new(n, seed) }).run().expect("scan");
     // Every plan-assigned cheqzone site (plain technique) must be found.
     let t6 = report.table6();
     let planned_cheq = (0..n)
@@ -107,7 +107,7 @@ fn scan_report_internal_consistency() {
 fn first_party_inclusions_subset_of_first_party_sites() {
     let n = 2_000;
     let pop = Population::new(n, 9);
-    let report = Scan::new(ScanConfig { workers: 2, include_subpages: false, ..ScanConfig::new(n, 9) }).run().expect("scan");
+    let report = Scan::new(ScanConfig { workers: 2, ..ScanConfig::new(n, 9) }).run().expect("scan");
     for s in &report.sites {
         if !s.first_party_urls.is_empty() {
             let plan = pop.plan(s.rank);
