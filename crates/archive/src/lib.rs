@@ -303,25 +303,6 @@ impl BundleWriter {
         Ok(())
     }
 
-    /// Crash-test hook: write the first `keep_bytes` bytes of the line
-    /// [`BundleWriter::append_entry`] would have written for `payload` and
-    /// flush — the on-disk state of a process killed at byte `keep_bytes`
-    /// of an entry append. `keep_bytes` is capped at the line's length
-    /// minus one: a torn write never reaches the newline that completes
-    /// the line.
-    pub fn append_entry_torn(&self, payload: &str, keep_bytes: usize) -> io::Result<()> {
-        check_payload(payload)?;
-        if obs::prof::recorder_armed() {
-            obs::prof::ring_record("entry_torn", format!("keep={keep_bytes}"));
-        }
-        let line = frame(&format!("s{US}{payload}"));
-        let keep = keep_bytes.min(line.len());
-        let mut m = self.manifest.lock().unwrap();
-        m.write_all(&line.as_bytes()[..keep])?;
-        m.flush()?;
-        Ok(())
-    }
-
     /// This writer's counters so far.
     pub fn stats(&self) -> WriteStats {
         let b = self.blobs.lock().unwrap();
@@ -656,8 +637,14 @@ mod tests {
             w.put_blob("shared body").unwrap();
             w.append_entry("one").unwrap();
             w.append_entry("two").unwrap();
-            w.append_entry_torn("three", keep).unwrap();
+            w.append_entry("three").unwrap();
             drop(w);
+            // Cut the last line to `keep` bytes, never past its newline.
+            let path = dir.join(MANIFEST_FILE);
+            let bytes = std::fs::read(&path).unwrap();
+            let newline = bytes.len() - 1;
+            let start = bytes[..newline].iter().rposition(|&b| b == b'\n').unwrap() + 1;
+            std::fs::write(&path, &bytes[..start + keep.min(newline - start)]).unwrap();
 
             let r = BundleReader::open(&dir).unwrap();
             assert_eq!(r.entries, vec!["one", "two"], "torn tail must not parse (keep {keep})");

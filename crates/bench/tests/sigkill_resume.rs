@@ -4,8 +4,10 @@
 //! `repro` run byte for byte (records digest, telemetry digest, Table 5,
 //! and a clean per-site bundle diff).
 //!
-//! `tests/chaos.rs` covers every kill class in-process; this is the one
-//! case where nothing survives but the bytes on disk.
+//! `tests/chaos.rs` covers every kill class by writing the partial bundle
+//! it leaves (a budgeted run's manifest, cut at a line or inside one);
+//! this is the one test where a real process dies and nothing survives
+//! but the bytes on disk.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};

@@ -38,8 +38,7 @@ use ::archive::{BundleReader, BundleWriter};
 use browser::CspPolicy;
 use netsim::ResourceType;
 use openwpm::{
-    CrashInjector, CrawlSummary, FailureReason, FaultPlan, KillPoint, PageScript, StoreCapture,
-    SupervisorConfig, VisitOutcome, VisitSpec,
+    CrawlSummary, FailureReason, FaultPlan, PageScript, StoreCapture, VisitOutcome, VisitSpec,
 };
 use webgen::Category;
 
@@ -194,17 +193,17 @@ fn invalid(msg: String) -> io::Error {
 
 /// The config-line slots that no experiment varies, with the one value
 /// each holds: every scan is a deep, non-interacting scan under
-/// [`SupervisorConfig::default`]'s retry and watchdog policy. The writer
+/// the supervisor's constant retry and watchdog policy. The writer
 /// fills them in and the reader refuses any other value, so the line keeps
 /// its nine slots and a bundle made under another setting cannot replay
 /// as this one.
 fn fixed_slots() -> [(&'static str, String); 4] {
-    let SupervisorConfig { retry: r, visit_timeout_ms, .. } = SupervisorConfig::default();
+    use openwpm::supervisor::{BASE_BACKOFF_MS, MAX_ATTEMPTS, MAX_BACKOFF_MS, VISIT_TIMEOUT_MS};
     [
         ("subpages", "1".to_string()),
         ("interaction", "0".to_string()),
-        ("visit_timeout_ms", visit_timeout_ms.to_string()),
-        ("retry", format!("{},{},{}", r.max_attempts, r.base_backoff_ms, r.max_backoff_ms)),
+        ("visit_timeout_ms", VISIT_TIMEOUT_MS.to_string()),
+        ("retry", format!("{MAX_ATTEMPTS},{BASE_BACKOFF_MS},{MAX_BACKOFF_MS}")),
     ]
 }
 
@@ -390,15 +389,13 @@ struct StreamState {
 /// instant the durable state is `intact lines + (maybe) one torn tail`,
 /// and the manifest is the checkpoint: [`StreamRecorder::resume`] adopts
 /// every intact line. Worker threads flush concurrently; appends are
-/// serialised with the crash injector's bookkeeping so nothing reaches
-/// disk after a planned kill. Its hook runs on worker threads and has no
-/// error path, so I/O errors are latched and surfaced at
-/// [`StreamRecorder::finish`]. Locks recover from poisoning
-/// (`into_inner`) because an injected crash unwinds through them by
-/// design.
+/// serialised with the line-hash bookkeeping. Its hook runs on worker
+/// threads and has no error path, so I/O errors are latched and surfaced
+/// at [`StreamRecorder::finish`]. Locks recover from poisoning
+/// (`into_inner`) because a panicking worker unwinds through them, and
+/// the lines already on disk stay a valid checkpoint.
 pub(crate) struct StreamRecorder {
     writer: BundleWriter,
-    injector: Option<CrashInjector>,
     state: Mutex<StreamState>,
     err: Mutex<Option<io::Error>>,
 }
@@ -413,13 +410,9 @@ pub(crate) struct Adopted {
 }
 
 impl StreamRecorder {
-    pub(crate) fn create(
-        dir: &Path,
-        cfg: &ScanConfig,
-        injector: Option<CrashInjector>,
-    ) -> io::Result<StreamRecorder> {
+    pub(crate) fn create(dir: &Path, cfg: &ScanConfig) -> io::Result<StreamRecorder> {
         let writer = BundleWriter::create(dir, &bundle_config(cfg))?;
-        Ok(Self::with_writer(writer, vec![None; cfg.n_sites as usize], injector))
+        Ok(Self::with_writer(writer, vec![None; cfg.n_sites as usize]))
     }
 
     /// Reopen the partial bundle at `dir` for appending and adopt every
@@ -432,7 +425,6 @@ impl StreamRecorder {
     pub(crate) fn resume(
         dir: &Path,
         cfg: &ScanConfig,
-        injector: Option<CrashInjector>,
     ) -> io::Result<(StreamRecorder, Vec<Adopted>, u64)> {
         let reader = BundleReader::open(dir)?;
         let writer = BundleWriter::append_to(dir, &bundle_config(cfg))?;
@@ -452,18 +444,13 @@ impl StreamRecorder {
             }
             adopted.push(site);
         }
-        let recorder = Self::with_writer(writer, line_hashes, injector);
+        let recorder = Self::with_writer(writer, line_hashes);
         Ok((recorder, adopted, reader.dropped_lines as u64))
     }
 
-    fn with_writer(
-        writer: BundleWriter,
-        line_hashes: Vec<Option<u64>>,
-        injector: Option<CrashInjector>,
-    ) -> StreamRecorder {
+    fn with_writer(writer: BundleWriter, line_hashes: Vec<Option<u64>>) -> StreamRecorder {
         StreamRecorder {
             writer,
-            injector,
             state: Mutex::new(StreamState { line_hashes, flushed: 0 }),
             err: Mutex::new(None),
         }
@@ -502,13 +489,6 @@ impl StreamRecorder {
         capture: Option<StoreCapture>,
     ) -> io::Result<()> {
         let _flush_ph = obs::prof::enter(&obs::prof::ARCHIVE_FLUSH);
-        if let Some(inj) = &self.injector {
-            // Once any worker has hit its kill point the process is
-            // notionally dead: nothing more may reach disk.
-            if inj.tripped() {
-                inj.die();
-            }
-        }
         let encode_ph = obs::prof::enter(&obs::prof::ARCHIVE_ENCODE);
         let rf = result_fields(outcome, attempts, capture);
         // Page encoding and blob writes happen outside the serialising
@@ -527,22 +507,10 @@ impl StreamRecorder {
         let hash = obs::fnv1a(entry.as_bytes());
         let line = format!("{entry}{F}{delta}");
         drop(encode_ph);
-        // Death is always delivered while still holding the lock: the
-        // unwind releases it, and every other worker's next `begin_flush`
-        // (also under the lock) dies fast — so, exactly like a SIGKILL,
-        // nothing reaches disk after the kill point.
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let action = self.injector.as_ref().and_then(|i| i.begin_flush());
-        if let Some(KillPoint::MidBundleAppend(_, keep)) = action {
-            self.writer.append_entry_torn(&line, keep)?;
-            self.injector.as_ref().unwrap().die();
-        }
         self.writer.append_entry(&line)?;
         st.line_hashes[rank as usize] = Some(hash);
         st.flushed += 1;
-        if let Some(KillPoint::AfterVisit(_)) = action {
-            self.injector.as_ref().unwrap().die();
-        }
         drop(st);
         obs::add("checkpoint.writes", 1);
         obs::emit(obs::Event::new(0, "checkpoint_write").attr("rank", rank as usize));

@@ -16,9 +16,8 @@ use detect::DynamicClass;
 use netsim::url::etld1_of;
 use netsim::Url;
 use openwpm::{
-    run_supervised, Browser, BrowserConfig, CrashInjector, CrashPlan, CrawlHistoryRecord,
-    CrawlSummary, FailureReason, FaultPlan, ItemMeta, SiteResponse,
-    SupervisorConfig, VisitOutcome, VisitSpec,
+    run_supervised, Browser, BrowserConfig, CrawlHistoryRecord, CrawlSummary, FailureReason,
+    FaultPlan, ItemMeta, SiteResponse, SupervisorConfig, VisitOutcome, VisitSpec,
 };
 use webgen::{visit_spec, Category, PageKind, Population, SitePlan};
 
@@ -28,8 +27,8 @@ use crate::archive::{
 
 /// Scan configuration: only what an experiment varies. Every scan is the
 /// paper's deep scan (the front page plus up to three subpages, no
-/// interaction) and retries and times out visits with
-/// [`SupervisorConfig::default`]'s policy.
+/// interaction) and retries and times out visits with the supervisor's
+/// constant policy ([`openwpm::supervisor::MAX_ATTEMPTS`] and friends).
 #[derive(Clone, Copy, Debug)]
 pub struct ScanConfig {
     pub n_sites: u32,
@@ -39,7 +38,7 @@ pub struct ScanConfig {
     /// plain scan behaves exactly as an unsupervised one.
     pub faults: FaultPlan,
     /// Chronically flaky sites per 100K in the population (see
-    /// `webgen::Targets::flaky_per_100k`); the fault injector boosts its
+    /// `webgen::Population::flaky_per_100k`); the fault injector boosts its
     /// rates on these.
     pub flaky_sites_per_100k: u32,
     /// Visit only the first N not-yet-completed sites, marking the rest
@@ -61,17 +60,14 @@ impl ScanConfig {
     }
 
     pub(crate) fn population(&self) -> Population {
-        let mut pop = Population::new(self.n_sites, self.seed);
-        pop.targets.flaky_per_100k = self.flaky_sites_per_100k;
-        pop
+        Population {
+            flaky_per_100k: self.flaky_sites_per_100k,
+            ..Population::new(self.n_sites, self.seed)
+        }
     }
 
     fn supervisor(&self) -> SupervisorConfig {
-        SupervisorConfig {
-            faults: self.faults,
-            visit_budget: self.visit_budget,
-            ..SupervisorConfig::default()
-        }
+        SupervisorConfig { faults: self.faults, visit_budget: self.visit_budget }
     }
 }
 
@@ -539,9 +535,8 @@ pub struct StreamStats {
 /// let report = Scan::new(cfg).replay("bundle").run()?;
 /// ```
 ///
-/// `run` only returns `Err` for bundle I/O failures, a damaged bundle, or
-/// crash injection without a bundle sink; a scan without a
-/// source or sink directory cannot fail.
+/// `run` only returns `Err` for bundle I/O failures or a damaged bundle; a
+/// scan without a source or sink directory cannot fail.
 ///
 /// A scan runs under the [`CrawlCtx`](crate::CrawlCtx) current on the
 /// thread that calls `run`: its telemetry, engine, compile cache, matcher
@@ -550,7 +545,6 @@ pub struct Scan<'a> {
     cfg: ScanConfig,
     replay_dir: Option<PathBuf>,
     sink: Option<BundleSink>,
-    crash: Option<CrashPlan>,
     #[allow(clippy::type_complexity)]
     on_complete: Option<Box<dyn Fn(usize, &VisitOutcome<SiteScanRecord>, u32) + Sync + 'a>>,
 }
@@ -568,7 +562,7 @@ type Kept = Option<Box<SiteScanRecord>>;
 
 impl<'a> Scan<'a> {
     pub fn new(cfg: ScanConfig) -> Scan<'a> {
-        Scan { cfg, replay_dir: None, sink: None, crash: None, on_complete: None }
+        Scan { cfg, replay_dir: None, sink: None, on_complete: None }
     }
 
     /// Read sites from the committed bundle at `dir` instead of generating
@@ -609,15 +603,6 @@ impl<'a> Scan<'a> {
         self
     }
 
-    /// Chaos testing: kill this process (by unwinding with a recognisable
-    /// panic — see [`openwpm::catch_crash`]) at the planned kill point
-    /// during bundle flushes. Only meaningful with a bundle sink; `run`
-    /// rejects it otherwise.
-    pub fn inject_crash(mut self, plan: CrashPlan) -> Scan<'a> {
-        self.crash = Some(plan);
-        self
-    }
-
     /// Completion callback: fires once per newly-determined site (not for
     /// sites a resumed run adopts from its bundle), from worker threads.
     pub fn on_complete(
@@ -628,17 +613,10 @@ impl<'a> Scan<'a> {
         self
     }
 
-    /// Execute the session. `Err` only for bundle I/O failures, damaged
-    /// bundles, or crash injection without a sink.
+    /// Execute the session. `Err` only for bundle I/O failures or damaged
+    /// bundles.
     pub fn run(self) -> std::io::Result<ScanReport> {
         let ctx = crate::CrawlCtx::current();
-        if self.crash.is_some() && self.sink.is_none() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "Scan::inject_crash requires a bundle sink (Scan::record or Scan::stream_to): \
-                 kill points live in the bundle flush path",
-            ));
-        }
         let (cfg, source, verifier) = match &self.replay_dir {
             Some(dir) => {
                 let bundle = Arc::new(ReplayBundle::open(dir)?);
@@ -654,7 +632,7 @@ impl<'a> Scan<'a> {
 
         let (recorder, prior, prior_attempts, agg, stream) = match &self.sink {
             Some(sink) => {
-                let s = open_sink(&sink.dir, &cfg, keep, self.crash.map(CrashInjector::new))?;
+                let s = open_sink(&sink.dir, &cfg, keep)?;
                 (Some(s.recorder), s.prior, s.prior_attempts, s.agg, Some(s.stats))
             }
             None => (None, Vec::new(), Vec::new(), ScanAggregates::default(), None),
@@ -790,12 +768,7 @@ struct OpenSink {
 /// fresh bundle; any other manifest is resumed: every intact entry is
 /// adopted and its metrics delta re-applied, so only the remaining sites
 /// are visited.
-fn open_sink(
-    dir: &Path,
-    cfg: &ScanConfig,
-    keep: bool,
-    injector: Option<CrashInjector>,
-) -> std::io::Result<OpenSink> {
+fn open_sink(dir: &Path, cfg: &ScanConfig, keep: bool) -> std::io::Result<OpenSink> {
     let n = cfg.n_sites as usize;
     let mut prior: Vec<Option<VisitOutcome<Kept>>> = (0..n).map(|_| None).collect();
     let mut prior_attempts = vec![0u32; n];
@@ -807,11 +780,11 @@ fn open_sink(
         Err(e) => return Err(e),
     };
     if fresh {
-        let recorder = StreamRecorder::create(dir, cfg, injector)?;
+        let recorder = StreamRecorder::create(dir, cfg)?;
         return Ok(OpenSink { recorder, prior, prior_attempts, agg, stats });
     }
 
-    let (recorder, adopted, tail_dropped) = StreamRecorder::resume(dir, cfg, injector)?;
+    let (recorder, adopted, tail_dropped) = StreamRecorder::resume(dir, cfg)?;
     stats.resumed = true;
     stats.bundle_tail_dropped = tail_dropped;
     for site in adopted {
@@ -1205,7 +1178,7 @@ mod tests {
         for h in &report.history {
             if h.status == openwpm::CrawlStatus::Failed {
                 assert!(FailureReason::parse(&h.error).is_some(), "reason {:?}", h.error);
-                assert_eq!(h.attempts, cfg.supervisor().retry.max_attempts);
+                assert_eq!(h.attempts, openwpm::supervisor::MAX_ATTEMPTS);
             }
         }
         assert!(report.completion.completion_rate() > 0.9);

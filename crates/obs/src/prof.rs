@@ -15,7 +15,7 @@
 //!   byte-identical where it matters.
 //! * **Flight recorder** — a per-worker ring buffer of recent events (every
 //!   `obs::emit`, phase transitions, and explicit breadcrumbs). Typed
-//!   visit failures, panics and chaos kills dump the ring plus the
+//!   visit failures and panics dump the ring plus the
 //!   in-flight phase stack as flat JSONL forensic records to a side file
 //!   (see [`Telemetry::with_forensics`]); the k slowest visits of a leg
 //!   are captured the same way and written when the leg ends, so their
@@ -412,8 +412,7 @@ pub(crate) fn write_dump(t: &telemetry::Inner, dump: &str) {
 }
 
 /// Dump this worker's flight-recorder state into the current telemetry's
-/// forensic sink now. Safe to call during a panic unwind (the chaos
-/// injector dumps *before* it dies).
+/// forensic sink now. Safe to call during a panic unwind.
 pub fn dump_forensic(trigger: &str, attrs: &[(&str, String)]) {
     if !recorder_armed() {
         return;

@@ -110,7 +110,7 @@ thread_local! {
 /// Every [`crate::add`] / [`crate::observe`] made inside it records into
 /// the scope's [`ScopeMetrics`] delta, which reaches the registry when the
 /// scope closes: by [`ScopeGuard::end`], or by the guard's drop when the
-/// visit unwinds (a chaos kill), so no metric a visit counted is lost.
+/// visit unwinds out of its worker, so no metric a visit counted is lost.
 pub fn begin_scope() -> ScopeGuard {
     SCOPE.with(|s| {
         *s.borrow_mut() = Some(ScopeState {

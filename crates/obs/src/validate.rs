@@ -464,8 +464,8 @@ mod forensic_tests {
         format!(
             concat!(
                 r#"{{"rec":"forensic","id":{},"wall_ms":12,"worker":0,"#,
-                r#""trigger":"chaos_kill","phase":"visit;archive.flush","#,
-                r#""depth":2,"dropped":0,"ring_len":{}}}"#
+                r#""trigger":"visit_failed","phase":"visit","#,
+                r#""depth":1,"dropped":0,"ring_len":{}}}"#
             ),
             id, ring_len
         )
@@ -483,7 +483,7 @@ mod forensic_tests {
         let s = validate_forensic(&text).unwrap();
         assert_eq!(s.dumps, 2);
         assert_eq!(s.ring_events, 2);
-        assert_eq!(s.triggers[0], ("chaos_kill".to_string(), "visit;archive.flush".to_string()));
+        assert_eq!(s.triggers[0], ("visit_failed".to_string(), "visit".to_string()));
     }
 
     #[test]

@@ -21,6 +21,12 @@
 //!   and is then lost;
 //! * **transient HTTP failure** — the front page answers 503 (see
 //!   [`netsim::http::HttpResponse::service_unavailable`]).
+//!
+//! This models the *web* misbehaving. The *crawler* dying is not injected
+//! at all: a killed crawl leaves only its bundle (a manifest prefix,
+//! perhaps ending in a torn line, and a blob file), so the crash→resume
+//! tests write those states to disk directly, and the `bench` crate's
+//! `sigkill_resume` test kills a real crawler process.
 
 /// One injected failure mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -172,156 +178,6 @@ impl FaultInjector {
     }
 }
 
-// --- process-crash injection (chaos kill-points) ---------------------------
-//
-// Fault injection above models the *web* misbehaving; the chaos harness
-// models the *crawler process* dying. A [`CrashPlan`] names one seeded
-// kill-point; a [`CrashInjector`] realises it in-process by panicking with
-// a sentinel payload that [`catch_crash`] recognises at the top of the
-// crawl — the moral equivalent of SIGKILL, minus the process spawn. The
-// `sigkill_resume` test in the `bench` crate SIGKILLs a real crawler
-// process; both paths must leave disk states the resume logic recovers.
-
-/// Where the process dies, counted in *record flushes* (the unit of
-/// durability in streaming mode), so a plan is meaningful at any worker
-/// count.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KillPoint {
-    /// Die immediately after the `K`-th record's bundle manifest entry is
-    /// fully on disk — the clean-boundary crash.
-    AfterVisit(u32),
-    /// Die during the `K`-th flush, after writing only `keep` bytes of
-    /// the bundle manifest entry (at most all of it but its newline): the
-    /// torn-bundle-append crash.
-    MidBundleAppend(u32, usize),
-}
-
-impl KillPoint {
-    /// The flush ordinal (1-based) this kill-point fires on.
-    pub fn flush_ordinal(&self) -> u32 {
-        match self {
-            KillPoint::AfterVisit(k) | KillPoint::MidBundleAppend(k, _) => *k,
-        }
-    }
-
-    pub fn class_name(&self) -> &'static str {
-        match self {
-            KillPoint::AfterVisit(_) => "post_visit",
-            KillPoint::MidBundleAppend(_, _) => "mid_bundle_append",
-        }
-    }
-}
-
-/// One planned process death.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CrashPlan {
-    pub kill: KillPoint,
-}
-
-impl CrashPlan {
-    pub fn new(kill: KillPoint) -> CrashPlan {
-        CrashPlan { kill }
-    }
-
-    /// Derive a kill-point from a seed: class, flush ordinal in
-    /// `[1, max_flush]`, and (for the torn class) a partial-write length
-    /// in `[0, 40)` bytes — from "nothing written" to "rank, domain and
-    /// more written".
-    pub fn seeded(seed: u64, max_flush: u32) -> CrashPlan {
-        let h = splitmix(seed ^ 0xC4A5_11ED_DEAD_BEEF);
-        let k = (splitmix(h) % max_flush.max(1) as u64) as u32 + 1;
-        let keep = (splitmix(h ^ 1) % 40) as usize;
-        let kill = match h % 2 {
-            0 => KillPoint::AfterVisit(k),
-            _ => KillPoint::MidBundleAppend(k, keep),
-        };
-        CrashPlan { kill }
-    }
-}
-
-/// Marker carried by injected-crash panics so [`catch_crash`] can tell a
-/// planned death from a genuine bug. The supervisor's worker pool wraps
-/// panic payloads in formatted messages, so detection is by substring.
-pub const CRASH_SENTINEL: &str = "__gullible_injected_crash__";
-
-/// Does a panic payload come from a [`CrashInjector`]?
-pub fn is_crash_panic(payload: &(dyn std::any::Any + Send)) -> bool {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        return s.contains(CRASH_SENTINEL);
-    }
-    if let Some(s) = payload.downcast_ref::<String>() {
-        return s.contains(CRASH_SENTINEL);
-    }
-    false
-}
-
-/// Run `f`, absorbing an injected crash: `None` if an injected-crash panic
-/// unwound out of `f`, `Some(result)` otherwise. Any other panic is
-/// re-raised — the harness must never hide real bugs.
-pub fn catch_crash<T>(f: impl FnOnce() -> T) -> Option<T> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        Ok(v) => Some(v),
-        Err(payload) => {
-            if is_crash_panic(payload.as_ref()) {
-                None
-            } else {
-                std::panic::resume_unwind(payload)
-            }
-        }
-    }
-}
-
-/// Runtime state for one [`CrashPlan`]: counts record flushes and says,
-/// per flush, whether (and how) to die. Once tripped, *every* subsequent
-/// guarded operation dies too, so a crawl stops promptly on all workers.
-#[derive(Debug)]
-pub struct CrashInjector {
-    pub plan: CrashPlan,
-    flushes: std::sync::atomic::AtomicU32,
-    tripped: std::sync::atomic::AtomicBool,
-}
-
-impl CrashInjector {
-    pub fn new(plan: CrashPlan) -> CrashInjector {
-        CrashInjector {
-            plan,
-            flushes: std::sync::atomic::AtomicU32::new(0),
-            tripped: std::sync::atomic::AtomicBool::new(false),
-        }
-    }
-
-    /// Called at the start of a record flush. Returns the kill-point if
-    /// *this* flush is the planned one; panics immediately (dying fast)
-    /// if the injector already tripped on another thread.
-    pub fn begin_flush(&self) -> Option<KillPoint> {
-        use std::sync::atomic::Ordering;
-        if self.tripped.load(Ordering::Relaxed) {
-            self.die();
-        }
-        let n = self.flushes.fetch_add(1, Ordering::Relaxed) + 1;
-        (n == self.plan.kill.flush_ordinal()).then_some(self.plan.kill)
-    }
-
-    /// True once the planned death has been delivered.
-    pub fn tripped(&self) -> bool {
-        self.tripped.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Deliver the planned death: mark tripped and unwind with the
-    /// sentinel. The caller must have produced the planned on-disk state
-    /// (full or partial writes) *before* calling.
-    pub fn die(&self) -> ! {
-        self.tripped.store(true, std::sync::atomic::Ordering::Relaxed);
-        // Dump the flight recorder before unwinding: the forensic record
-        // names the in-flight phase so every injected crash is explainable.
-        obs::prof::dump_forensic(
-            "chaos_kill",
-            &[("kill", self.plan.kill.class_name().to_string())],
-        );
-        panic!("{CRASH_SENTINEL} ({})", self.plan.kill.class_name());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -406,42 +262,5 @@ mod tests {
         let differing =
             (0..5_000).filter(|k| a.draw(*k, 1, false) != b.draw(*k, 1, false)).count();
         assert!(differing > 0);
-    }
-
-    #[test]
-    fn seeded_crash_plans_cover_all_classes_and_are_deterministic() {
-        let mut classes = std::collections::HashSet::new();
-        for seed in 0..60u64 {
-            let p = CrashPlan::seeded(seed, 100);
-            assert_eq!(p, CrashPlan::seeded(seed, 100));
-            let k = p.kill.flush_ordinal();
-            assert!((1..=100).contains(&k), "{p:?}");
-            classes.insert(p.kill.class_name());
-        }
-        assert_eq!(classes.len(), 2, "60 seeds must hit every kill class: {classes:?}");
-    }
-
-    #[test]
-    fn injector_fires_on_the_planned_flush_and_stays_tripped() {
-        let inj = CrashInjector::new(CrashPlan::new(KillPoint::AfterVisit(3)));
-        assert_eq!(inj.begin_flush(), None);
-        assert_eq!(inj.begin_flush(), None);
-        assert_eq!(inj.begin_flush(), Some(KillPoint::AfterVisit(3)));
-        assert!(!inj.tripped(), "tripped only once die() delivers");
-        assert!(catch_crash(|| inj.die()).is_none());
-        assert!(inj.tripped());
-        // Every guarded op after the death dies too.
-        assert!(catch_crash(|| inj.begin_flush()).is_none());
-    }
-
-    #[test]
-    fn catch_crash_passes_values_and_rethrows_real_panics() {
-        assert_eq!(catch_crash(|| 42), Some(42));
-        // A crash sentinel wrapped in a formatted worker message (the
-        // supervisor re-wraps payloads) is still recognised.
-        assert!(catch_crash(|| panic!("worker panicked on item 7: {CRASH_SENTINEL} (x)"))
-            .is_none());
-        let real = std::panic::catch_unwind(|| catch_crash(|| panic!("genuine bug")));
-        assert!(real.is_err(), "real panics must propagate");
     }
 }

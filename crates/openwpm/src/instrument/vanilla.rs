@@ -21,7 +21,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use browser::{CspPolicy, FingerprintProfile, Page, PageTemplate, RealmWindow};
-use jsengine::{ObjId, Property, Slot, Value};
+use jsengine::{CompiledScript, ObjId, Property, Slot, Value};
 use netsim::Url;
 
 use crate::instrument::{originating_script, StoreHandle, INSTRUMENT_SCRIPT_NAME};
@@ -238,14 +238,31 @@ pub fn install_vintage(
 /// instrument and emits exactly one csp_report.
 fn inject(page: &mut Page, id: &str, vintage: InstrumentVintage) -> bool {
     let body = instrument_body_vintage(vintage);
-    let injected = match jsengine::compile_cached(&body, INSTRUMENT_SCRIPT_NAME) {
-        Ok(compiled) => page.dom_inject_script(&compiled).is_ok(),
+    match jsengine::compile_cached(&body, INSTRUMENT_SCRIPT_NAME) {
+        Ok(compiled) => inject_compiled(page, &compiled, id, vintage),
         Err(_) => false,
-    };
+    }
+}
+
+/// [`inject`] with the instrument body already compiled.
+fn inject_compiled(
+    page: &mut Page,
+    compiled: &Arc<CompiledScript>,
+    id: &str,
+    vintage: InstrumentVintage,
+) -> bool {
+    let injected = page.dom_inject_script(compiled).is_ok();
     if injected {
         let _ = page.run_script((instrument_trigger(id, vintage), INSTRUMENT_SCRIPT_NAME));
     }
     injected
+}
+
+/// The (modern) instrument body compiled through the current crawl's
+/// compile cache: one cache lookup.
+pub fn compile_instrument() -> Arc<CompiledScript> {
+    jsengine::compile_cached(INSTRUMENT_BODY, INSTRUMENT_SCRIPT_NAME)
+        .expect("the instrument body compiles")
 }
 
 /// Frame instrumentation: scheduled, not synchronous.
@@ -284,12 +301,16 @@ pub struct InstrumentedTemplate {
 }
 
 impl InstrumentedTemplate {
-    /// Build the template realm and run the instrument in it once.
-    pub fn new(profile: impl Into<Arc<FingerprintProfile>>) -> InstrumentedTemplate {
+    /// Build the template realm and run the instrument in it once, from
+    /// its body as [`compile_instrument`] compiled it.
+    pub fn new(
+        profile: impl Into<Arc<FingerprintProfile>>,
+        instrument: &Arc<CompiledScript>,
+    ) -> InstrumentedTemplate {
         let mut template = PageTemplate::new(profile);
         let eid_holder = template.setup(|page| {
             assert!(
-                inject(page, TEMPLATE_EVENT_ID, InstrumentVintage::Modern),
+                inject_compiled(page, instrument, TEMPLATE_EVENT_ID, InstrumentVintage::Modern),
                 "the instrument injects into a template page"
             );
             match page.interp.heap.get(page.top.document_proto).props.get("createElement") {
@@ -368,7 +389,7 @@ mod tests {
             let ok = install(&mut page, seed, store.clone(), page_url.into());
             ("plain template + install", page, store, ok)
         } else {
-            let tpl = InstrumentedTemplate::new(profile());
+            let tpl = InstrumentedTemplate::new(profile(), &compile_instrument());
             let mut page = tpl.instantiate(url, csp);
             tpl.bind(&mut page, seed, store.clone(), page_url.into());
             ("instrumented template + bind", page, store, true)
@@ -513,7 +534,7 @@ mod tests {
     /// event id: the placeholder never reaches a page.
     #[test]
     fn template_pages_dispatch_their_own_event_ids() {
-        let tpl = InstrumentedTemplate::new(profile());
+        let tpl = InstrumentedTemplate::new(profile(), &compile_instrument());
         let url = Url::parse("https://site.test/").unwrap();
         let probe = "var seen = ''; var orig = document.dispatchEvent; \
                      document.dispatchEvent = function (ev) { seen = ev.type; return orig.call(document, ev); }; \
@@ -533,7 +554,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "CSP-blocked")]
     fn instrumented_template_refuses_blocking_csp() {
-        let tpl = InstrumentedTemplate::new(profile());
+        let tpl = InstrumentedTemplate::new(profile(), &compile_instrument());
         let _ = tpl.instantiate(
             Url::parse("https://site.test/").unwrap(),
             Some(CspPolicy::strict("/csp")),

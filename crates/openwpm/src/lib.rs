@@ -41,17 +41,14 @@ pub mod supervisor;
 pub mod wpm_browser;
 
 pub use config::{BrowserConfig, HttpSaveMode, JsInstrumentKind, StealthSettings};
-pub use fault::{
-    catch_crash, is_crash_panic, CrashInjector, CrashPlan, FaultInjector, FaultKind, FaultPlan,
-    KillPoint, CRASH_SENTINEL,
-};
+pub use fault::{FaultInjector, FaultKind, FaultPlan};
 pub use manager::run_parallel;
 pub use records::{
     CrawlHistoryRecord, CrawlStatus, JsCallRecord, JsOperation, RecordStore, SavedScript,
     StoreCapture,
 };
 pub use supervisor::{
-    run_supervised, CrawlOutcome, CrawlSummary,
-    FailureReason, ItemMeta, RetryPolicy, SupervisorConfig, VisitOutcome,
+    run_supervised, CrawlOutcome, CrawlSummary, FailureReason, ItemMeta, SupervisorConfig,
+    VisitOutcome,
 };
 pub use wpm_browser::{Browser, PageScript, SiteResponse, VisitSpec, VisitStats};

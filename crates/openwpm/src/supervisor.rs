@@ -20,8 +20,9 @@
 //!   under any worker count;
 //! * hangs are ended by a simulated-clock watchdog: the visit timeout is
 //!   charged to the crawl clock and the browser restarted;
-//! * retries follow an exponential backoff [`RetryPolicy`] with a per-site
-//!   attempt cap; exhausted sites degrade gracefully into
+//! * retries follow a bounded exponential backoff ([`BASE_BACKOFF_MS`]
+//!   doubling to [`MAX_BACKOFF_MS`]) with a per-site cap of
+//!   [`MAX_ATTEMPTS`]; exhausted sites degrade gracefully into
 //!   [`VisitOutcome::Failed`] with a typed [`FailureReason`];
 //! * a per-item completion callback lets callers checkpoint finished work,
 //!   and a `prior` vector replays checkpointed outcomes without
@@ -97,60 +98,32 @@ impl FailureReason {
     }
 }
 
-/// How often and how patiently a failed visit is retried.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per site (first try included). Must be ≥ 1.
-    pub max_attempts: u32,
-    /// Backoff before retry `k` (1-based) is `base_backoff_ms << (k - 1)`,
-    /// capped at `max_backoff_ms` — classic bounded exponential backoff.
-    pub base_backoff_ms: u64,
-    pub max_backoff_ms: u64,
+/// Total attempts per site, first try included.
+pub const MAX_ATTEMPTS: u32 = 3;
+/// Backoff before retry `k` (1-based) is `BASE_BACKOFF_MS << (k - 1)`,
+/// capped at [`MAX_BACKOFF_MS`] — classic bounded exponential backoff.
+pub const BASE_BACKOFF_MS: u64 = 1_000;
+pub const MAX_BACKOFF_MS: u64 = 30_000;
+/// Watchdog limit per visit on the simulated clock.
+pub const VISIT_TIMEOUT_MS: u64 = 60_000;
+
+/// Simulated backoff charged before retry number `retry` (1-based).
+fn backoff_ms(retry: u32) -> u64 {
+    let shift = (retry.saturating_sub(1)).min(20);
+    (BASE_BACKOFF_MS << shift).min(MAX_BACKOFF_MS)
 }
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy { max_attempts: 3, base_backoff_ms: 1_000, max_backoff_ms: 30_000 }
-    }
-}
-
-impl RetryPolicy {
-    /// No retries at all: one attempt, failures are final.
-    pub fn none() -> RetryPolicy {
-        RetryPolicy { max_attempts: 1, ..RetryPolicy::default() }
-    }
-
-    /// Simulated backoff charged before retry number `retry` (1-based).
-    pub fn backoff_ms(&self, retry: u32) -> u64 {
-        let shift = (retry.saturating_sub(1)).min(20);
-        (self.base_backoff_ms << shift).min(self.max_backoff_ms)
-    }
-}
-
-/// Supervisor knobs. `Copy` so scan configs can embed it with
-/// struct-update syntax.
-#[derive(Clone, Copy, Debug)]
+/// What a crawl varies about its supervision: the fault weather and an
+/// optional visit budget. Retries and the watchdog are the constants
+/// above. `Copy` so scan configs can embed it with struct-update syntax.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct SupervisorConfig {
-    pub retry: RetryPolicy,
-    /// Watchdog limit per visit on the simulated clock.
-    pub visit_timeout_ms: u64,
     pub faults: FaultPlan,
     /// If set, only the first `budget` not-yet-completed items are
     /// visited; the rest come back [`VisitOutcome::Interrupted`]. This
     /// models a crawl killed midway deterministically (by item index, not
     /// by racy scheduling), which is what checkpoint/resume tests need.
     pub visit_budget: Option<usize>,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> SupervisorConfig {
-        SupervisorConfig {
-            retry: RetryPolicy::default(),
-            visit_timeout_ms: 60_000,
-            faults: FaultPlan::none(),
-            visit_budget: None,
-        }
-    }
 }
 
 /// How one supervised item ended.
@@ -296,7 +269,7 @@ impl<R> ItemRun<R> {
 ///   dropped;
 /// * `visit(&mut state, index, &item)` performs one attempt. An `Err`
 ///   attempt (e.g. an unparseable visit URL) leaves the browser healthy
-///   and is retried under the same [`RetryPolicy`] as injected faults;
+///   and is retried under the same policy as injected faults;
 ///   exhausted items surface as [`VisitOutcome::Failed`] with the visit's
 ///   reason;
 /// * `prior[i] = Some(outcome)` replays a checkpointed result for item
@@ -374,8 +347,8 @@ where
         workers,
         |w| (w, Some(init(w))),
         |(worker, state), i, (item, replay, admit)| {
-            // Dropped without `end` only when the visit unwinds (a chaos
-            // kill): the scope still merges the metrics it counted.
+            // Dropped without `end` only when the visit unwinds out of the
+            // worker: the scope still merges the metrics it counted.
             let scope = obs::begin_scope();
             if let Some(outcome) = replay {
                 obs::add("checkpoint.replays", 1);
@@ -420,11 +393,10 @@ where
                             FaultKind::Hang => {
                                 // Watchdog: the visit burns its full
                                 // timeout, then the browser is killed.
-                                lost_ms += cfg.visit_timeout_ms;
-                                obs::clock_advance(cfg.visit_timeout_ms);
+                                lost_ms += VISIT_TIMEOUT_MS;
+                                obs::clock_advance(VISIT_TIMEOUT_MS);
                                 obs::emit(
-                                    Event::new(0, "watchdog_timeout")
-                                        .attr("ms", cfg.visit_timeout_ms),
+                                    Event::new(0, "watchdog_timeout").attr("ms", VISIT_TIMEOUT_MS),
                                 );
                                 restart(state, *worker, &mut restarts);
                             }
@@ -486,7 +458,7 @@ where
                     },
                 };
                 drop(attempt_span);
-                if attempts >= cfg.retry.max_attempts {
+                if attempts >= MAX_ATTEMPTS {
                     obs::prof::dump_forensic(
                         "visit_failed",
                         &[
@@ -497,7 +469,7 @@ where
                     );
                     break VisitOutcome::Failed { reason: failure, attempts };
                 }
-                let backoff = cfg.retry.backoff_ms(attempts);
+                let backoff = backoff_ms(attempts);
                 lost_ms += backoff;
                 obs::clock_advance(backoff);
                 obs::observe("supervisor.backoff_ms", backoff);
@@ -716,20 +688,56 @@ mod tests {
             vec![(FailureReason::Panic, 5)]
         );
         // Each panicking site burned max_attempts and restarted each time.
-        assert_eq!(out.summary.restarts, 5 * cfg.retry.max_attempts as u64);
+        assert_eq!(out.summary.restarts, 5 * MAX_ATTEMPTS as u64);
         for (i, o) in out.outcomes.iter().enumerate() {
             if i % 10 == 3 {
                 assert_eq!(
                     *o,
                     VisitOutcome::Failed {
                         reason: FailureReason::Panic,
-                        attempts: cfg.retry.max_attempts
+                        attempts: MAX_ATTEMPTS
                     }
                 );
             } else {
                 assert!(o.is_completed());
             }
         }
+    }
+
+    #[test]
+    fn failed_visits_leave_explainable_forensics() {
+        let path = std::env::temp_dir()
+            .join(format!("gullible-supervisor-forensics-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let telemetry = obs::Telemetry::new().with_forensics(&path).expect("arm flight recorder");
+        let out = {
+            let _g = telemetry.enter();
+            run_supervised(
+                vec![1u64, 2, 3],
+                2,
+                SupervisorConfig::default(),
+                meta_of,
+                |_| (),
+                |_, _, item: &u64| if *item == 2 { Err(FailureReason::BadUrl) } else { Ok(*item) },
+                Vec::new(),
+                keep,
+            )
+        };
+        let bad_url = VisitOutcome::Failed { reason: FailureReason::BadUrl, attempts: MAX_ATTEMPTS };
+        assert_eq!(out.outcomes[1], bad_url);
+        let text = std::fs::read_to_string(&path).expect("a failed visit must leave a dump");
+        let summary = obs::validate::validate_forensic(&text).expect("parseable forensic dumps");
+        let count = |trigger: &str| summary.triggers.iter().filter(|(t, _)| t == trigger).count();
+        // One `visit_error` per attempt, one `visit_failed` when they run out.
+        assert_eq!(count("visit_error"), MAX_ATTEMPTS as usize, "{:?}", summary.triggers);
+        assert_eq!(count("visit_failed"), 1, "{:?}", summary.triggers);
+        assert_eq!(summary.dumps, MAX_ATTEMPTS as usize + 1);
+        for (trigger, phase) in &summary.triggers {
+            assert!(phase.starts_with("visit"), "{trigger} dumped in phase {phase}");
+        }
+        assert!(text.contains(r#""reason":"bad_url""#), "{text}");
+        assert!(summary.ring_events > 0, "empty flight-recorder ring");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -777,8 +785,6 @@ mod tests {
                 seed: 1,
                 ..FaultPlan::default()
             },
-            retry: RetryPolicy { max_attempts: 2, ..RetryPolicy::default() },
-            visit_timeout_ms: 45_000,
             ..SupervisorConfig::default()
         };
         let out = run_plain(vec![1, 2, 3], 1, cfg);
@@ -787,9 +793,9 @@ mod tests {
             out.summary.failures_by_reason,
             vec![(FailureReason::Timeout, 3)]
         );
-        // 2 attempts × 45 s timeout + 1 backoff of 1 s, per item.
-        assert_eq!(out.summary.lost_ms, 3 * (2 * 45_000 + 1_000));
-        assert_eq!(out.summary.restarts, 6);
+        // 3 attempts × 60 s timeout + backoffs of 1 s and 2 s, per item.
+        assert_eq!(out.summary.lost_ms, 3 * (3 * 60_000 + 1_000 + 2_000));
+        assert_eq!(out.summary.restarts, 9);
     }
 
     #[test]
@@ -797,7 +803,6 @@ mod tests {
         // A plan that only crashes the browser, always.
         let cfg = SupervisorConfig {
             faults: FaultPlan { crash_per_mille: 1000, seed: 1, ..FaultPlan::default() },
-            retry: RetryPolicy { max_attempts: 3, ..RetryPolicy::default() },
             ..SupervisorConfig::default()
         };
         let inits = AtomicUsize::new(0);
@@ -864,7 +869,6 @@ mod tests {
                 seed: 1,
                 ..FaultPlan::default()
             },
-            retry: RetryPolicy::none(),
             ..SupervisorConfig::default()
         };
         let visits = AtomicUsize::new(0);
@@ -881,23 +885,20 @@ mod tests {
             Vec::new(),
             keep,
         );
-        // The visit ran (work happened) but its result was lost.
-        assert_eq!(visits.load(Ordering::Relaxed), 1);
+        // Every attempt's visit ran (work happened) but its result was lost.
+        assert_eq!(visits.load(Ordering::Relaxed), 3);
         assert_eq!(
             out.outcomes[0],
-            VisitOutcome::Failed { reason: FailureReason::TabCrash, attempts: 1 }
+            VisitOutcome::Failed { reason: FailureReason::TabCrash, attempts: 3 }
         );
-        assert_eq!(out.summary.restarts, 1);
+        assert_eq!(out.summary.restarts, 3);
     }
 
     #[test]
     fn backoff_is_bounded_exponential() {
-        let p = RetryPolicy { max_attempts: 10, base_backoff_ms: 100, max_backoff_ms: 1_500 };
-        assert_eq!(p.backoff_ms(1), 100);
-        assert_eq!(p.backoff_ms(2), 200);
-        assert_eq!(p.backoff_ms(3), 400);
-        assert_eq!(p.backoff_ms(5), 1_500); // capped
-        assert_eq!(p.backoff_ms(10), 1_500);
+        let schedule: Vec<u64> = (1..=8).map(backoff_ms).collect();
+        assert_eq!(schedule, [1_000, 2_000, 4_000, 8_000, 16_000, 30_000, 30_000, 30_000]);
+        assert_eq!(backoff_ms(u32::MAX), MAX_BACKOFF_MS);
     }
 
     #[test]

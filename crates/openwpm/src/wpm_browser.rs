@@ -4,8 +4,10 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use browser::{CspPolicy, FingerprintProfile, Os, Page, PageTemplate, RunMode};
+use jsengine::CompiledScript;
 use netsim::{Cookie, HttpRequest, HttpResponse, ResourceType, Url};
 
 use crate::config::{BrowserConfig, HttpSaveMode, JsInstrumentKind};
@@ -37,9 +39,10 @@ pub struct PageScript {
 
 impl PageScript {
     /// FNV-64 of the body — the script's identity in the corpus statistics,
-    /// the verdict memo and the crawl archive's blob store. The compile
-    /// cache keys on this hash *and* the script URL, so one body served
-    /// under per-site URLs is compiled once per URL.
+    /// the verdict memo, the compile cache and the crawl archive's blob
+    /// store. The compile cache keys on the body alone, so one body served
+    /// under per-site URLs is compiled once; the served URL rides on each
+    /// compiled handle.
     pub fn content_hash(&self) -> u64 {
         obs::fnv1a(self.source.as_bytes())
     }
@@ -100,6 +103,11 @@ pub struct Browser {
     key_pages: u64,
     /// Pre-built page realms, cloned per visit instead of rebuilt.
     templates: RealmTemplates,
+    /// A vanilla browser's compiled instrument body, looked up when the
+    /// browser is built: each browser a crawl (re)starts makes exactly one
+    /// compile-cache lookup for it, whether or not it visits anything, and
+    /// its instrumented template is built from this handle.
+    instrument: Option<Arc<CompiledScript>>,
 }
 
 /// A browser's page-realm templates (see [`browser::realm`]): every page
@@ -122,6 +130,8 @@ struct RealmTemplates {
 impl Browser {
     pub fn new(config: BrowserConfig) -> Browser {
         Browser {
+            instrument: (config.js_instrument == JsInstrumentKind::Vanilla)
+                .then(vanilla::compile_instrument),
             config,
             store: Rc::new(RefCell::new(RecordStore::new())),
             instance: 0,
@@ -185,7 +195,10 @@ impl Browser {
         }
         let mut page = if preinstrumented {
             if self.templates.instrumented.is_none() {
-                self.templates.instrumented = Some(InstrumentedTemplate::new(self.profile()));
+                let instrument =
+                    self.instrument.get_or_insert_with(vanilla::compile_instrument).clone();
+                self.templates.instrumented =
+                    Some(InstrumentedTemplate::new(self.profile(), &instrument));
             }
             let tpl = self.templates.instrumented.as_ref().expect("template built above");
             tpl.instantiate(url.clone(), spec.csp.clone())

@@ -63,7 +63,7 @@ fn template_page(
 
 #[test]
 fn template_page_is_observably_identical_to_per_page_install() {
-    let tpl = InstrumentedTemplate::new(profile());
+    let tpl = InstrumentedTemplate::new(profile(), &vanilla::compile_instrument());
     let (s1, s2) = (store(), store());
     let mut scratch = scratch_page(7, &s1, None);
     let mut cloned = template_page(&tpl, 7, &s2, None);
@@ -100,7 +100,7 @@ fn corpus_scripts() -> Vec<String> {
 /// the page's traffic.
 #[test]
 fn profile_and_step_count_match_per_page_install_on_both_engines() {
-    let tpl = InstrumentedTemplate::new(profile());
+    let tpl = InstrumentedTemplate::new(profile(), &vanilla::compile_instrument());
     let site = "var n = 0; for (var i = 0; i < 20; i++) { n += navigator.userAgent.length; } \
                 document.createElement('div'); eval('n + 1');";
     let inputs: Vec<String> = std::iter::once(site.to_string()).chain(corpus_scripts()).collect();
@@ -142,7 +142,7 @@ fn profile_and_step_count_match_per_page_install_on_both_engines() {
 /// on a template page that must be the visit's own id.
 #[test]
 fn recording_attacks_learn_the_per_visit_event_id() {
-    let tpl = InstrumentedTemplate::new(profile());
+    let tpl = InstrumentedTemplate::new(profile(), &vanilla::compile_instrument());
     let both = |seed: u64| {
         let (s1, s2) = (store(), store());
         [
@@ -227,4 +227,26 @@ fn browser_rebuilds_templates_when_instance_changes() {
             "instance {instance}"
         );
     }
+}
+
+/// A freshly built vanilla browser has already looked its instrument up
+/// in the compile cache, and building its instrumented template on the
+/// first visit looks it up no second time. So every browser a crawl
+/// (re)starts makes exactly one lookup for the instrument, and
+/// `cache.compile.hit` does not depend on whether a restarted browser
+/// visited anything.
+#[test]
+fn a_vanilla_browser_looks_up_its_instrument_once_before_any_visit() {
+    let ctx = jsengine::JsCtx::new();
+    let _g = ctx.enter();
+    let lookups = |cache: &jsengine::CompileCache| {
+        let s = cache.stats();
+        (s.hits + s.misses, s.entries)
+    };
+    let browser = Browser::new(BrowserConfig::scanner(5));
+    assert_eq!(lookups(&ctx.cache), (1, 1), "one lookup, for the instrument");
+    let mut browser = browser.with_instance(2);
+    let spec = VisitSpec { url: PAGE_URL.into(), ..VisitSpec::default() };
+    browser.open_page(&spec).unwrap();
+    assert_eq!(lookups(&ctx.cache), (1, 1), "the template reuses the compiled instrument");
 }

@@ -20,63 +20,40 @@ use crate::providers::{
 /// Calibration targets and derived probabilities. All counts are the
 /// paper's, for a 100K population; probabilities are expressed as
 /// per-100K thresholds so they scale to smaller test populations.
-#[derive(Clone, Copy, Debug)]
-pub struct Targets {
+pub struct Targets;
+
+impl Targets {
     /// Hashed (bulk third-party) front-page detector sites.
     /// Front union 13,989 minus 4,223 forced (first-party 3,867 +
     /// OpenWPM-specific 356) ≈ 9,766.
-    pub front_hashed_per_100k: u32,
+    pub const FRONT_HASHED_PER_100K: u32 = 9_766;
     /// Mix within hashed front detector sites (per mille):
     /// both static+dynamic / static-only (hover-gated) / dynamic-only
     /// (constructed). From front counts: static 11,897, dynamic 12,208,
     /// union 13,989 ⇒ 5,918 / 1,781 / 2,067 of 9,766.
-    pub front_both_pm: u32,
-    pub front_static_only_pm: u32,
+    pub const FRONT_BOTH_PM: u32 = 590;
+    pub const FRONT_STATIC_ONLY_PM: u32 = 160;
     /// Subpage-only detector sites: union 18,714 − 13,989 = 4,725 of the
     /// ~86K front-clean sites ⇒ 5.49 per 100.
-    pub sub_extra_per_100k: u32,
+    pub const SUB_EXTRA_PER_100K: u32 = 5_950;
     /// Mix within subpage-only sites: 3,770 / 171 / 784 of 4,725.
-    pub sub_both_pm: u32,
-    pub sub_static_only_pm: u32,
+    pub const SUB_BOTH_PM: u32 = 820;
+    pub const SUB_STATIC_ONLY_PM: u32 = 20;
     /// Benign webdriver-mention sites: naive-pattern false positives.
     /// identified static 32,694 = true 15,838 + p·(100K − 15,838)
     /// ⇒ p ≈ 20.0 per 100.
-    pub benign_mention_per_100k: u32,
+    pub const BENIGN_MENTION_PER_100K: u32 = 20_030;
     /// Iterator (generic fingerprinting) sites: dynamic identified 19,139 =
     /// true 16,762 + q·(100K − 16,762) ⇒ q ≈ 2.86 per 100.
-    pub iterator_per_100k: u32,
+    pub const ITERATOR_PER_100K: u32 = 2_856;
     /// Probability a third-party detector site includes a *second*
     /// provider: 21,325 inclusions ≈ (14,491 hashed sites)(1+x) + 356
     /// ⇒ x ≈ 0.45.
-    pub second_provider_pm: u32,
+    pub const SECOND_PROVIDER_PM: u32 = 450;
     /// Strict-CSP sites (Sec. 6.3.1: 113 of 1,487 ⇒ 7.6 per 100).
-    pub strict_csp_per_100k: u32,
+    pub const STRICT_CSP_PER_100K: u32 = 7_600;
     /// Subpages linked from the landing page (the crawler follows ≤ 3).
-    pub max_subpages: u32,
-    /// Chronically unreliable sites (slow hosts, crash-prone markup):
-    /// the fault injector boosts its rates on these. Zero by default so
-    /// calibrated aggregates are untouched unless a robustness experiment
-    /// opts in.
-    pub flaky_per_100k: u32,
-}
-
-impl Default for Targets {
-    fn default() -> Targets {
-        Targets {
-            front_hashed_per_100k: 9_766,
-            front_both_pm: 590,
-            front_static_only_pm: 160,
-            sub_extra_per_100k: 5_950,
-            sub_both_pm: 820,
-            sub_static_only_pm: 20,
-            benign_mention_per_100k: 20_030,
-            iterator_per_100k: 2_856,
-            second_provider_pm: 450,
-            strict_csp_per_100k: 7_600,
-            max_subpages: 3,
-            flaky_per_100k: 0,
-        }
-    }
+    pub const MAX_SUBPAGES: u32 = 3;
 }
 
 /// The synthetic ranked web.
@@ -84,7 +61,11 @@ impl Default for Targets {
 pub struct Population {
     pub n_sites: u32,
     pub seed: u64,
-    pub targets: Targets,
+    /// Chronically unreliable sites (slow hosts, crash-prone markup) per
+    /// 100K: the fault injector boosts its rates on these. Zero from
+    /// [`Population::new`] so calibrated aggregates are untouched unless a
+    /// robustness experiment opts in.
+    pub flaky_per_100k: u32,
 }
 
 /// Detector configuration of one page class (front or subpage).
@@ -127,7 +108,7 @@ pub struct SitePlan {
     pub iterator: bool,
     pub strict_csp: bool,
     pub cloak: CloakPolicy,
-    /// Chronically unreliable host (see `Targets::flaky_per_100k`).
+    /// Chronically unreliable host (see `Population::flaky_per_100k`).
     pub flaky: bool,
     /// Per-site deterministic seed for content generation.
     pub site_seed: u64,
@@ -163,7 +144,7 @@ fn splitmix(mut x: u64) -> u64 {
 
 impl Population {
     pub fn new(n_sites: u32, seed: u64) -> Population {
-        Population { n_sites, seed, targets: Targets::default() }
+        Population { n_sites, seed, flaky_per_100k: 0 }
     }
 
     fn h(&self, rank: u32, salt: u64) -> u64 {
@@ -185,9 +166,9 @@ impl Population {
 
     /// Front-page detector probability for a rank, per 100K, with the
     /// rank decay of Fig. 4 (top sites deploy bot defences more often).
-    /// Averages to `front_hashed_per_100k` over the population.
+    /// Averages to [`Targets::FRONT_HASHED_PER_100K`] over the population.
     fn front_probability_per_100k(&self, rank: u32) -> u32 {
-        let avg = self.targets.front_hashed_per_100k as f64;
+        let avg = Targets::FRONT_HASHED_PER_100K as f64;
         // decay(r) = 0.64 + 1.2·exp(−r/0.3n); population mean ≈ 0.987.
         let x = rank as f64 / (0.3 * self.n_sites as f64);
         let decay = 0.64 + 1.2 * (-x).exp();
@@ -196,7 +177,6 @@ impl Population {
 
     /// Build the plan for `rank` (1-based).
     pub fn plan(&self, rank: u32) -> SitePlan {
-        let t = &self.targets;
         let n = self.n_sites;
         let site_seed = self.h(rank, 0xBEEF);
 
@@ -251,15 +231,16 @@ impl Population {
         let mut front = PageDetectors::default();
         if front_hit {
             let tdraw = self.draw(rank, 0x7EC4, 1_000_000);
-            let technique = technique_for(tdraw, t.front_both_pm, t.front_static_only_pm);
+            let technique =
+                technique_for(tdraw, Targets::FRONT_BOTH_PM, Targets::FRONT_STATIC_ONLY_PM);
             let pdraw = self.draw(rank, 0x9807, 1000);
             front.third_party.push((third_party_for_draw(pdraw), technique));
-            if self.draw(rank, 0x2ECD, 1000) < t.second_provider_pm {
+            if self.draw(rank, 0x2ECD, 1000) < Targets::SECOND_PROVIDER_PM {
                 let pdraw2 = self.draw(rank, 0x2ECE, 1000);
                 let technique2 = technique_for(
                     self.draw(rank, 0x2ECF, 1_000_000),
-                    t.front_both_pm,
-                    t.front_static_only_pm,
+                    Targets::FRONT_BOTH_PM,
+                    Targets::FRONT_STATIC_ONLY_PM,
                 );
                 let domain2 = third_party_for_draw(pdraw2);
                 if domain2 != front.third_party[0].0 {
@@ -272,17 +253,19 @@ impl Population {
         // subpage-only detectors on otherwise-clean front pages.
         let mut subpage = front.clone();
         let front_any = front_hit || first_party.is_some() || openwpm_provider.is_some();
-        if !front_any && self.draw(rank, 0x50B5, 100_000) < t.sub_extra_per_100k {
+        if !front_any && self.draw(rank, 0x50B5, 100_000) < Targets::SUB_EXTRA_PER_100K {
             let tdraw = self.draw(rank, 0x50B6, 1_000_000);
-            let technique = technique_for(tdraw, t.sub_both_pm, t.sub_static_only_pm);
+            let technique =
+                technique_for(tdraw, Targets::SUB_BOTH_PM, Targets::SUB_STATIC_ONLY_PM);
             let pdraw = self.draw(rank, 0x50B7, 1000);
             subpage.third_party.push((third_party_for_draw(pdraw), technique));
         }
 
-        let benign_mention = self.draw(rank, 0xBE9, 100_000) < t.benign_mention_per_100k;
-        let iterator = self.draw(rank, 0x17E2, 100_000) < t.iterator_per_100k;
-        let strict_csp = self.draw(rank, 0xC59, 100_000) < t.strict_csp_per_100k;
-        let flaky = self.draw(rank, 0xF1A2, 100_000) < t.flaky_per_100k;
+        let benign_mention =
+            self.draw(rank, 0xBE9, 100_000) < Targets::BENIGN_MENTION_PER_100K;
+        let iterator = self.draw(rank, 0x17E2, 100_000) < Targets::ITERATOR_PER_100K;
+        let strict_csp = self.draw(rank, 0xC59, 100_000) < Targets::STRICT_CSP_PER_100K;
+        let flaky = self.draw(rank, 0xF1A2, 100_000) < self.flaky_per_100k;
 
         // --- categories, conditioned on detector deployment (Fig. 5) ---
         let cdraw = self.draw(rank, 0xCA7, 1_000_000);
@@ -310,7 +293,7 @@ impl Population {
 
         // A site can only serve subpage detectors if it has subpages the
         // crawler can reach.
-        let mut subpage_count = self.draw(rank, 0x5BC, t.max_subpages + 1);
+        let mut subpage_count = self.draw(rank, 0x5BC, Targets::MAX_SUBPAGES + 1);
         if !front_any && !subpage.is_empty() {
             subpage_count = subpage_count.max(1);
         }
@@ -466,7 +449,7 @@ mod tests {
             (0..10_000).all(|r| !p.plan(r).flaky),
             "default populations must have no flaky sites"
         );
-        p.targets.flaky_per_100k = 10_000; // 10%
+        p.flaky_per_100k = 10_000; // 10%
         let flaky = (0..10_000).filter(|&r| p.plan(r).flaky).count();
         assert!((800..=1200).contains(&flaky), "flaky = {flaky}");
     }

@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 
 use gullible::{diff_bundles, obs, site_visit, CrawlCtx, ReplayBundle, Scan, ScanConfig};
-use openwpm::{CrashPlan, FaultPlan, KillPoint};
+use openwpm::FaultPlan;
 use webgen::Population;
 
 /// A fresh crawl context with stats on: each leg's digest covers exactly
@@ -114,8 +114,10 @@ fn randomized_scans_roundtrip_with_exact_blob_accounting() {
         legs.push(recorded.archive.expect("archive stats"));
 
         // Independent corpus statistics straight from the generator.
-        let mut pop = Population::new(cfg.n_sites, cfg.seed);
-        pop.targets.flaky_per_100k = cfg.flaky_sites_per_100k;
+        let pop = Population {
+            flaky_per_100k: cfg.flaky_sites_per_100k,
+            ..Population::new(cfg.n_sites, cfg.seed)
+        };
         let mut served = 0u64;
         let mut unique = std::collections::HashSet::new();
         for rank in 0..cfg.n_sites {
@@ -253,17 +255,6 @@ fn bundles_with_a_non_constant_fixed_config_slot_are_refused() {
     std::fs::write(&manifest, &pristine).expect("restore");
     ReplayBundle::open(&dir).expect("pristine bundle must open");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The one invalid combination left: crash injection needs a bundle sink,
-/// and a replay source is not one. The guard fires before the (missing)
-/// bundle is opened.
-#[test]
-fn replay_and_record_reject_invalid_mode_combinations() {
-    let dir = tmp_dir("modes");
-    let crash = CrashPlan::new(KillPoint::AfterVisit(1));
-    let err = Scan::new(ScanConfig::new(10, 1)).replay(&dir).inject_crash(crash).run().unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
 }
 
 /// A replay that records reads its pages from the source bundle, so the

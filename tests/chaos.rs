@@ -1,5 +1,5 @@
-//! Chaos: crash-consistent streaming crawls (ISSUE: the paper's
-//! reliability lesson, applied to the crawler itself).
+//! Chaos: crash-consistent streaming crawls (the paper's reliability
+//! lesson, applied to the crawler itself).
 //!
 //! The contract under test: a streamed scan that is killed at an
 //! arbitrary point — after a clean flush or mid-bundle-append — or whose
@@ -7,11 +7,16 @@
 //! records, Table 5 and a telemetry digest *byte-identical* to an
 //! uninterrupted run, at any worker count; and a manifest damaged before
 //! its last line fails loudly instead of resuming quietly.
+//!
+//! A killed crawl leaves nothing but its bundle: a manifest prefix,
+//! perhaps ending in a torn line, and a blob file. Each test writes that
+//! state directly (see [`Kill`]) and resumes from it; `bench`'s
+//! `sigkill_resume` test kills a real process.
 
 use std::path::{Path, PathBuf};
 
 use gullible::{diff_bundles, obs, CrawlCtx, CtxGuard, ReplayBundle, Scan, ScanConfig};
-use openwpm::{catch_crash, CrashPlan, FaultPlan, KillPoint};
+use openwpm::FaultPlan;
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("gullible-chaos-{name}-{}", std::process::id()));
@@ -62,6 +67,96 @@ fn fresh_ctx() -> CtxGuard {
 
 fn stats_ctx(telemetry: obs::Telemetry) -> CrawlCtx {
     CrawlCtx { telemetry: telemetry.with_stats(true), ..CrawlCtx::new() }
+}
+
+/// Where a crawl died, counted in manifest entries.
+#[derive(Clone, Copy, Debug)]
+enum Kill {
+    /// Right after the `K`-th entry was fully on disk: the clean-boundary
+    /// crash.
+    AfterVisit(u32),
+    /// While appending the `K`-th entry, with only its first `keep` bytes
+    /// on disk (at most all of it but its newline): the torn-append crash.
+    MidBundleAppend(u32, usize),
+}
+
+impl Kill {
+    /// A seeded kill: class, entry ordinal in `[1, max]`, and (for the
+    /// torn class) a partial-write length in `[0, 40)` bytes — from
+    /// "nothing written" to "rank, domain and more written".
+    fn seeded(seed: u64, max: u32) -> Kill {
+        let mut rng = proplite::Rng::new(seed);
+        let k = rng.u32_in(1, max + 1);
+        let keep = rng.usize_in(0, 40);
+        if rng.bool() {
+            Kill::AfterVisit(k)
+        } else {
+            Kill::MidBundleAppend(k, keep)
+        }
+    }
+
+    /// The entry the crawl was writing when it died.
+    fn entry(self) -> u32 {
+        match self {
+            Kill::AfterVisit(k) | Kill::MidBundleAppend(k, _) => k,
+        }
+    }
+}
+
+/// Cut the manifest in `dir` to what `kill` leaves of it: the header and
+/// the first `K` entries, the last of them cut to `keep` bytes for a torn
+/// append. A commit line goes with the cut.
+fn kill_manifest(dir: &Path, kill: Kill) {
+    let path = dir.join("manifest.gar");
+    let bytes = std::fs::read(&path).unwrap();
+    let ends = line_ends(&bytes);
+    let k = kill.entry() as usize;
+    let end = match kill {
+        Kill::AfterVisit(_) => ends[k],
+        Kill::MidBundleAppend(_, keep) => ends[k - 1] + keep.min(ends[k] - 1 - ends[k - 1]),
+    };
+    std::fs::write(&path, &bytes[..end]).unwrap();
+}
+
+/// The bundle a stream killed at `kill` leaves. A `visit_budget: Some(K)`
+/// run writes exactly the first `K` ranks' entries and their blobs, and
+/// no commit line: a clean kill after `K` flushes. A torn kill then cuts
+/// its last entry.
+fn budget_bundle(cfg: ScanConfig, name: &str, kill: Kill) -> PathBuf {
+    let dir = tmp_dir(name);
+    let k = kill.entry();
+    let _ctx = fresh_ctx();
+    let partial = Scan::new(ScanConfig { visit_budget: Some(k as usize), ..cfg })
+        .stream_to(&dir)
+        .run()
+        .expect("budgeted stream");
+    assert_eq!(partial.stream.unwrap().records_flushed, k as u64, "{kill:?}");
+    kill_manifest(&dir, kill);
+    dir
+}
+
+/// The bundle a stream killed at `kill` leaves when its sites completed in
+/// the order `reference` recorded them: a copy of that bundle, cut. Cut
+/// from a multi-worker bundle, this is a multi-worker kill's
+/// scheduling-dependent rank set; the blob file keeps bodies of sites the
+/// cut drops, as the blobs of visits in flight at a kill do.
+fn cut_bundle(reference: &Path, name: &str, kill: Kill) -> PathBuf {
+    let dir = tmp_dir(name);
+    copy_bundle(reference, &dir);
+    kill_manifest(&dir, kill);
+    dir
+}
+
+/// The crash state of a stream at `cfg.workers`. One worker completes
+/// sites in rank order, so a budgeted run makes it; more workers complete
+/// them in scheduling order, so it is cut from `reference`, a complete
+/// bundle those workers wrote.
+fn crashed_bundle(cfg: ScanConfig, reference: &Path, name: &str, kill: Kill) -> PathBuf {
+    if cfg.workers == 1 {
+        budget_bundle(cfg, name, kill)
+    } else {
+        cut_bundle(reference, name, kill)
+    }
 }
 
 #[test]
@@ -121,13 +216,10 @@ fn crashed_and_resumed_stream_is_byte_identical_to_uninterrupted() {
         let reference = Scan::new(cfg).stream_to(&ref_dir).run().expect("reference");
         let ref_fp = fingerprint(&reference, &ref_dir);
 
-        // Crashed run: a seeded kill-point somewhere in the first half of
-        // the crawl (so the resume always has real work left).
-        let dir = tmp_dir(&format!("crash-{case}"));
-        let plan = CrashPlan::seeded(seed.wrapping_mul(0x9e37), n / 2);
-        let _ctx = fresh_ctx();
-        let crashed = catch_crash(|| Scan::new(cfg).stream_to(&dir).inject_crash(plan).run());
-        assert!(crashed.is_none(), "case {case}: planned kill {plan:?} must crash the crawl");
+        // Crashed run: a seeded kill somewhere in the first half of the
+        // crawl (so the resume always has real work left).
+        let plan = Kill::seeded(seed.wrapping_mul(0x9e37), n / 2);
+        let dir = crashed_bundle(cfg, &ref_dir, &format!("crash-{case}"), plan);
 
         // Resume in a notionally fresh process.
         let _ctx = fresh_ctx();
@@ -148,14 +240,14 @@ fn crashed_and_resumed_stream_is_byte_identical_to_uninterrupted() {
 
         // A torn append must actually have left damage behind; the
         // recovery counter makes it visible.
-        if let KillPoint::MidBundleAppend(_, keep) = plan.kill {
+        if let Kill::MidBundleAppend(_, keep) = plan {
             assert_eq!(stream.bundle_tail_dropped, (keep > 0) as u64, "case {case}: {plan:?}");
         }
     }
 }
 
-/// A torn append's `keep` is capped at the line's length minus one, so
-/// this writes every byte of the entry line but its newline.
+/// A torn append's `keep` is capped at the line's length, so this keeps
+/// every byte of the entry line but its newline.
 const ALL_BUT_NEWLINE: usize = usize::MAX;
 
 /// Every kill class, pinned explicitly (the seeded sweep above may not
@@ -166,12 +258,12 @@ const ALL_BUT_NEWLINE: usize = usize::MAX;
 fn every_kill_class_recovers() {
     let n = 80u32;
     let kills = [
-        KillPoint::AfterVisit(1),
-        KillPoint::AfterVisit(20),
-        KillPoint::MidBundleAppend(13, 0),
-        KillPoint::MidBundleAppend(13, 1),
-        KillPoint::MidBundleAppend(13, 33),
-        KillPoint::MidBundleAppend(13, ALL_BUT_NEWLINE),
+        Kill::AfterVisit(1),
+        Kill::AfterVisit(20),
+        Kill::MidBundleAppend(13, 0),
+        Kill::MidBundleAppend(13, 1),
+        Kill::MidBundleAppend(13, 33),
+        Kill::MidBundleAppend(13, ALL_BUT_NEWLINE),
     ];
     let ref_dir = tmp_dir("classes-ref");
     let _ctx = fresh_ctx();
@@ -180,11 +272,7 @@ fn every_kill_class_recovers() {
 
     for (i, (workers, kill)) in [1, 4].into_iter().flat_map(|w| kills.map(|k| (w, k))).enumerate() {
         let cfg = chaos_cfg(n, 21, workers);
-        let dir = tmp_dir(&format!("classes-{i}"));
-        let _ctx = fresh_ctx();
-        let crashed =
-            catch_crash(|| Scan::new(cfg).stream_to(&dir).inject_crash(CrashPlan::new(kill)).run());
-        assert!(crashed.is_none(), "kill {kill:?} must crash");
+        let dir = crashed_bundle(cfg, &ref_dir, &format!("classes-{i}"), kill);
         let _ctx = fresh_ctx();
         let resumed = Scan::new(cfg).stream_to(&dir).run().expect("resume");
         let fp = fingerprint(&resumed, &dir);
@@ -201,16 +289,16 @@ fn every_kill_class_recovers() {
         match kill {
             // A clean-boundary kill loses nothing: resume replays all K
             // flushed records and re-visits only never-started sites.
-            KillPoint::AfterVisit(k) => {
+            Kill::AfterVisit(k) => {
                 assert_eq!(stream.records_replayed, k as u64, "kill {kill:?}");
                 assert_eq!(stream.bundle_tail_dropped, 0, "kill {kill:?}");
                 assert_eq!(resumed.completion.bundle_lines_dropped, 0, "kill {kill:?}");
             }
             // A torn append loses exactly its own line, which is cut off
             // (with `keep == 0` the append died before writing a single
-            // byte, so the manifest just ends early) and its site
+            // byte, so the manifest is the budget-(K−1) one) and its site
             // re-visited.
-            KillPoint::MidBundleAppend(k, keep) => {
+            Kill::MidBundleAppend(k, keep) => {
                 let torn = (keep > 0) as u64;
                 assert_eq!(stream.records_replayed, k as u64 - 1, "kill {kill:?}");
                 assert_eq!(stream.bundle_tail_dropped, torn, "kill {kill:?}");
@@ -220,68 +308,64 @@ fn every_kill_class_recovers() {
     }
 }
 
-/// Every injected crash must leave an *explainable* trace: with the
-/// flight recorder armed, each kill class writes a parseable forensic
-/// dump naming the in-flight phase (all three classes die inside the
-/// record flush, nested under the visit) — and the armed recorder must
-/// not perturb the resumed run's bytes.
+/// A crash-investigation resume runs with the flight recorder armed.
+/// Each site it visits and fails leaves one `visit_failed` dump that
+/// parses and names an in-flight `visit` phase, and the armed recorder
+/// must not perturb the resumed run's bytes. Every site is flaky here, so
+/// the adversarial weather fails some of them.
 #[test]
 fn chaos_kills_leave_explainable_forensics() {
     let n = 80u32;
-    let cfg = chaos_cfg(n, 21, 4);
+    let cfg = ScanConfig { flaky_sites_per_100k: 100_000, ..chaos_cfg(n, 21, 4) };
     let ref_dir = tmp_dir("forensic-ref");
     let _ctx = fresh_ctx();
     let reference = Scan::new(cfg).stream_to(&ref_dir).run().expect("reference");
     let ref_fp = fingerprint(&reference, &ref_dir);
 
-    let kills = [
-        KillPoint::AfterVisit(9),
-        KillPoint::MidBundleAppend(7, 14),
-        KillPoint::MidBundleAppend(11, 6),
-    ];
+    let kills = [Kill::AfterVisit(9), Kill::MidBundleAppend(7, 14), Kill::MidBundleAppend(11, 6)];
     for (i, kill) in kills.into_iter().enumerate() {
-        let dir = tmp_dir(&format!("forensic-{i}"));
+        let dir = cut_bundle(&ref_dir, &format!("forensic-{i}"), kill);
         let dumps = std::env::temp_dir()
             .join(format!("gullible-chaos-forensics-{i}-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&dumps);
 
         // Arm the flight recorder — exactly what a crash-investigation run
-        // would do.
-        let armed = |what| {
-            stats_ctx(obs::Telemetry::new().with_forensics(&dumps).expect(what)).enter()
-        };
-        let _ctx = armed("arm flight recorder");
-        let crashed =
-            catch_crash(|| Scan::new(cfg).stream_to(&dir).inject_crash(CrashPlan::new(kill)).run());
-        assert!(crashed.is_none(), "kill {kill:?} must crash");
-
-        let text = std::fs::read_to_string(&dumps).expect("crash must leave a forensic dump");
-        let summary = obs::validate::validate_forensic(&text)
-            .unwrap_or_else(|e| panic!("kill {kill:?}: unparseable forensic dump: {e}"));
-        assert!(summary.dumps >= 1, "kill {kill:?}: no forensic dumps");
-        let chaos_dump = summary
-            .triggers
-            .iter()
-            .find(|(t, _)| t == "chaos_kill")
-            .unwrap_or_else(|| panic!("kill {kill:?}: no chaos_kill dump in {:?}", summary.triggers));
-        assert!(
-            chaos_dump.1.contains("archive.flush"),
-            "kill {kill:?}: dump must name the in-flight phase, got {:?}",
-            chaos_dump.1
-        );
-        assert!(summary.ring_events > 0, "kill {kill:?}: empty flight-recorder ring");
-
-        // Resume with the recorder still armed: bytes must match the
-        // (recorder-off) reference exactly.
-        let _ctx = armed("re-arm flight recorder");
-        let resumed = Scan::new(cfg).stream_to(&dir).run().expect("resume");
+        // would do — and resume: bytes must match the (recorder-off)
+        // reference exactly.
+        let telemetry = obs::Telemetry::new().with_forensics(&dumps).expect("arm flight recorder");
+        let _ctx = stats_ctx(telemetry).enter();
+        let failed = std::sync::atomic::AtomicUsize::new(0);
+        let resumed = Scan::new(cfg)
+            .stream_to(&dir)
+            .on_complete(|_, outcome, _| {
+                if let openwpm::VisitOutcome::Failed { .. } = outcome {
+                    failed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                }
+            })
+            .run()
+            .expect("resume");
         let fp = fingerprint(&resumed, &dir);
         assert_eq!(fp, ref_fp, "kill {kill:?}: armed recorder perturbed the resume");
+
+        let failed = failed.into_inner();
+        assert!(failed > 0, "kill {kill:?}: the resume must fail some site");
+        let text = std::fs::read_to_string(&dumps).expect("a failed visit must leave a dump");
+        let summary = obs::validate::validate_forensic(&text)
+            .unwrap_or_else(|e| panic!("kill {kill:?}: unparseable forensic dump: {e}"));
+        let visit_failed = summary.triggers.iter().filter(|(t, _)| t == "visit_failed").count();
+        assert_eq!(visit_failed, failed, "kill {kill:?}: {:?}", summary.triggers);
+        for (trigger, phase) in &summary.triggers {
+            assert!(phase.starts_with("visit"), "kill {kill:?}: {trigger} in phase {phase}");
+        }
+        assert!(summary.ring_events > 0, "kill {kill:?}: empty flight-recorder ring");
         let _ = std::fs::remove_file(&dumps);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
-/// A crawl can crash, resume, crash again, and still converge.
+/// A crawl can crash, resume, crash again, and still converge: a torn
+/// kill at entry 10, a resume that is itself torn 15 visits later, then a
+/// final resume.
 #[test]
 fn double_crash_still_converges() {
     let n = 90u32;
@@ -291,27 +375,25 @@ fn double_crash_still_converges() {
     let reference = Scan::new(cfg).stream_to(&ref_dir).run().expect("reference");
     let ref_fp = fingerprint(&reference, &ref_dir);
 
-    let dir = tmp_dir("double");
+    let dir = budget_bundle(cfg, "double", Kill::MidBundleAppend(10, 12));
     let _ctx = fresh_ctx();
-    let first = catch_crash(|| {
-        Scan::new(cfg)
-            .stream_to(&dir)
-            .inject_crash(CrashPlan::new(KillPoint::MidBundleAppend(10, 12)))
-            .run()
-    });
-    assert!(first.is_none());
-    let _ctx = fresh_ctx();
-    let second = catch_crash(|| {
-        Scan::new(cfg)
-            .stream_to(&dir)
-            .inject_crash(CrashPlan::new(KillPoint::MidBundleAppend(15, 5)))
-            .run()
-    });
-    assert!(second.is_none(), "second kill fires within the remaining work");
+    let second = Scan::new(ScanConfig { visit_budget: Some(15), ..cfg })
+        .stream_to(&dir)
+        .run()
+        .expect("budgeted resume");
+    let stream = second.stream.unwrap();
+    assert_eq!((stream.records_replayed, stream.bundle_tail_dropped), (9, 1), "{stream:?}");
+    assert_eq!(stream.records_flushed, 15);
+    assert!(!stream.committed, "the second kill comes within the remaining work");
+    kill_manifest(&dir, Kill::MidBundleAppend(9 + 15, 5));
+
     let _ctx = fresh_ctx();
     let resumed = Scan::new(cfg).stream_to(&dir).run().expect("final resume");
+    let stream = resumed.stream.as_ref().unwrap();
+    assert_eq!((stream.records_replayed, stream.bundle_tail_dropped), (23, 1), "{stream:?}");
     let fp = fingerprint(&resumed, &dir);
     assert_eq!(fp, ref_fp, "two crashes deep, the crawl still converges");
+    assert_eq!(resumed.history, reference.history);
 }
 
 /// Interrupting a stream via `visit_budget` (no crash at all) leaves an
@@ -344,20 +426,6 @@ fn budgeted_stream_resumes_like_checkpoint() {
     let fp = fingerprint(&resumed, &dir);
     assert!(resumed.stream.unwrap().resumed);
     assert_eq!(fp, ref_fp);
-}
-
-/// The partial bundle a stream killed by `AfterVisit(k)` leaves behind.
-fn crashed_bundle(cfg: ScanConfig, name: &str, k: u32) -> PathBuf {
-    let dir = tmp_dir(name);
-    let _ctx = fresh_ctx();
-    let crashed = catch_crash(|| {
-        Scan::new(cfg)
-            .stream_to(&dir)
-            .inject_crash(CrashPlan::new(KillPoint::AfterVisit(k)))
-            .run()
-    });
-    assert!(crashed.is_none());
-    dir
 }
 
 /// Copy a bundle directory's files into a fresh `to`.
@@ -399,7 +467,7 @@ fn cross_corruption_fails_loudly() {
 
     // 1. A corrupt non-final line is a hard error, and the resume writes
     //    nothing: the damaged manifest is left as it was.
-    let dir = crashed_bundle(cfg, "xc-damaged-entry", 12);
+    let dir = budget_bundle(cfg, "xc-damaged-entry", Kill::AfterVisit(12));
     let manifest = dir.join("manifest.gar");
     let pristine = std::fs::read_to_string(&manifest).unwrap();
     let damaged: Vec<String> = pristine
@@ -434,7 +502,7 @@ fn cross_corruption_fails_loudly() {
 
     // 3. A manifest cut at any line boundary is a shorter intact prefix:
     //    the resume adopts what is left, re-visits the rest and converges.
-    let crashed = crashed_bundle(cfg, "xc-crashed", 12);
+    let crashed = budget_bundle(cfg, "xc-crashed", Kill::AfterVisit(12));
     let pristine = std::fs::read(crashed.join("manifest.gar")).unwrap();
     let ends = line_ends(&pristine);
     assert_eq!(ends.len(), 13, "header plus 12 entries");
@@ -478,7 +546,7 @@ fn truncated_manifest_converges_and_flipped_byte_fails() {
     proplite::run_cases(64, 0x0E10_C0DE, |rng| {
         case += 1;
         let k = rng.u32_in(2, n);
-        let crashed = crashed_bundle(cfg, &format!("prop-crashed-{case}"), k);
+        let crashed = budget_bundle(cfg, &format!("prop-crashed-{case}"), Kill::AfterVisit(k));
         let pristine = std::fs::read(crashed.join("manifest.gar")).unwrap();
         let ends = line_ends(&pristine);
 
@@ -508,17 +576,6 @@ fn truncated_manifest_converges_and_flipped_byte_fails() {
         assert!(diff_bundles(&bundle, &ref_bundle).is_clean(), "k {k}, cut {cut}: bundle diff");
         let _ = std::fs::remove_dir_all(&crashed);
     });
-}
-
-/// Mode guard: crash injection requires a bundle sink.
-#[test]
-fn stream_mode_guards() {
-    let err = Scan::new(ScanConfig::new(4, 1))
-        .inject_crash(CrashPlan::new(KillPoint::AfterVisit(1)))
-        .run()
-        .map(|_| ())
-        .unwrap_err();
-    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
 }
 
 /// A streamed report keeps no records, yet counts exactly what an

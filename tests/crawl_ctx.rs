@@ -1,7 +1,7 @@
 //! Crawl-context isolation: a scan's outputs are a function of its own
 //! configuration and [`CrawlCtx`] alone. Two scans running at once on two
 //! threads of one process — an oracle scan in memory, and a streamed scan
-//! that is killed and resumed — produce exactly what each produces when it
+//! that is interrupted, torn and resumed — produce exactly what each produces when it
 //! runs alone: per-site records, Table 5, the telemetry digest (sealed into
 //! the bundle for the streamed scan) and the resumed bundle's bytes.
 
@@ -11,7 +11,7 @@ use std::sync::Barrier;
 use detect::{DetectCtx, MatcherKind};
 use gullible::{obs, CrawlCtx, ReplayBundle, Scan, ScanConfig};
 use jsengine::Engine;
-use openwpm::{catch_crash, CrashPlan, FaultPlan, KillPoint};
+use openwpm::FaultPlan;
 
 /// A fresh stats-on context on `engine` and `matcher`.
 fn ctx(engine: Engine, matcher: MatcherKind) -> CrawlCtx {
@@ -57,17 +57,22 @@ fn oracle_scan(start: &Barrier) -> Outcome {
     }
 }
 
-/// Scan (b): the VM and the automaton, streamed to `dir`, killed by a torn
-/// bundle append, then resumed under a fresh context as a new process
-/// would be. One worker, so the bundle's bytes are deterministic too.
+/// Scan (b): the VM and the automaton, streamed to `dir` for 30 visits,
+/// left as a crash during the 30th entry's append would leave it (that
+/// entry cut to 11 bytes), then resumed under a fresh context as a new
+/// process would be. One worker, so the bundle's bytes are deterministic
+/// too.
 fn crashed_stream(dir: &Path, start: &Barrier) -> Outcome {
     let cfg = ScanConfig { workers: 1, faults: FaultPlan::adversarial(8), ..ScanConfig::new(90, 23) };
     start.wait();
     {
         let _g = ctx(Engine::Vm, MatcherKind::Automaton).enter();
-        let kill = CrashPlan::new(KillPoint::MidBundleAppend(30, 11));
-        let crashed = catch_crash(|| Scan::new(cfg).stream_to(dir).inject_crash(kill).run());
-        assert!(crashed.is_none(), "the planned kill must crash the crawl");
+        let budget = ScanConfig { visit_budget: Some(30), ..cfg };
+        Scan::new(budget).stream_to(dir).run().expect("budgeted stream");
+        let manifest = dir.join("manifest.gar");
+        let bytes = std::fs::read(&manifest).expect("manifest");
+        let last = bytes[..bytes.len() - 1].iter().rposition(|&b| b == b'\n').unwrap() + 1;
+        std::fs::write(&manifest, &bytes[..last + 11]).expect("tear the last entry");
     }
     let _g = ctx(Engine::Vm, MatcherKind::Automaton).enter();
     let report = Scan::new(cfg).stream_to(dir).run().expect("resume");
