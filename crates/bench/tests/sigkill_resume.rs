@@ -9,18 +9,17 @@
 //! this is the one test where a real process dies and nothing survives
 //! but the bytes on disk.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use gullible::{diff_bundles, ReplayBundle};
+use proplite::TempDir;
 
 const SITES: usize = 150;
 
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gullible-sigkill-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn tmp_dir(name: &str) -> TempDir {
+    TempDir::new(&format!("sigkill-{name}"))
 }
 
 /// `repro` streaming a small, fault-ridden scan into `bundle`. The child

@@ -127,16 +127,7 @@ impl<'r> Gen<'r> {
                 ));
                 self.funcs.push((name, arity));
             }
-            6 => {
-                // try/catch exercises the VM's oracle fallback (`TreeStmt`).
-                let thrown = self.rng.string_of("abc", 1, 3);
-                let e = self.expr();
-                let v = self.fresh_var();
-                self.out.push_str(&format!(
-                    "var {v} = 0;\ntry {{ if ({e}) {{ throw new Error('{thrown}'); }} \
-                     {v} = 1; }} catch (err) {{ {v} = err.message; }}\n"
-                ));
-            }
+            6 => self.try_stmt(),
             7 => {
                 let n = self.rng.usize_in(0, 6);
                 let body = self.expr();
@@ -164,6 +155,96 @@ impl<'r> Gen<'r> {
                 ));
             }
         }
+    }
+
+    /// A `try` statement in one of the shapes the VM lowers: `catch`,
+    /// `finally`, nesting, throws from callees, from `catch` and from
+    /// `finally`, jumps and returns through `finally`, `finally` overriding
+    /// a completion, catch-scope captures, and `eval` bodies. Every shape
+    /// records what ran in `log` or a fresh variable.
+    fn try_stmt(&mut self) {
+        let e = self.expr();
+        let v = self.fresh_var();
+        let thrown = self.rng.string_of("abc", 1, 3);
+        let n = self.vars.len();
+        let src = match self.rng.usize_in(0, 11) {
+            0 => format!(
+                "var {v} = 0;\ntry {{ if ({e}) {{ throw new Error('{thrown}'); }} \
+                 {v} = 1; }} catch (err) {{ {v} = err.message; }}\n"
+            ),
+            1 => {
+                // `finally` with or without `catch`, inside another `try`.
+                let catch = if self.rng.bool() { "catch (err) { log.push('c' + err); }" } else { "" };
+                format!(
+                    "var {v} = 0;\ntry {{ try {{ if ({e}) {{ throw '{thrown}'; }} {v} = 1; }} \
+                     {catch} finally {{ log.push('f' + {v}); }} }} catch (e2) {{ {v} = 'o' + e2; }}\n"
+                )
+            }
+            2 => format!(
+                // A throw from a callee, caught by the caller.
+                "function t{n}(p) {{ if (p) {{ throw new Error('t' + p); }} return p; }}\n\
+                 var {v} = 0;\ntry {{ {v} = t{n}({e}); }} catch (err) {{ {v} = 'c' + err.message; }}\n"
+            ),
+            3 => format!(
+                // A throw inside `catch`, then inside `finally`.
+                "var {v} = 0;\ntry {{ try {{ throw 1; }} catch (err) {{ throw '{thrown}' + err; }} \
+                 finally {{ log.push('f'); if ({e}) {{ throw 'fin'; }} }} }} catch (e2) {{ {v} = e2; }}\n"
+            ),
+            4 => {
+                let k = self.rng.usize_in(0, 5);
+                let j = self.rng.usize_in(0, 5);
+                format!(
+                    "var {v} = 0;\nfor (var i{v} = 0; i{v} < 5; i{v}++) {{ try {{ \
+                     if (i{v} == {k}) {{ break; }} if (i{v} == {j}) {{ continue; }} {v} += 1; }} \
+                     finally {{ log.push('f' + i{v}); }} }}\n"
+                )
+            }
+            5 => format!(
+                // `break`/`continue` through `finally` in `for`-`in`.
+                "var {v} = {{ a: 1, b: 2, c: 3 }};\nfor (var k{v} in {v}) {{ try {{ \
+                 if (k{v} == 'b') {{ continue; }} if ({e}) {{ break; }} log.push(k{v}); }} \
+                 finally {{ log.push('f' + k{v}); }} }}\n"
+            ),
+            6 => {
+                let start = self.rng.usize_in(0, 5);
+                format!(
+                    "var {v} = {start};\nwhile ({v} > 0) {{ try {{ {v} -= 1; \
+                     if ({v} == 1) {{ break; }} continue; }} finally {{ log.push('w' + {v}); }} }}\n"
+                )
+            }
+            7 => format!(
+                // `return` through `finally` (and a loop's iteration).
+                "function r{n}(p) {{ for (var q in {{ x: 1 }}) {{ try {{ if (p) {{ return 'r' + q; }} \
+                 log.push('x'); }} finally {{ log.push('rf'); }} }} return 'end'; }}\n\
+                 var {v} = r{n}({e});\n"
+            ),
+            8 => format!(
+                // `finally` overriding a `return` or a throw.
+                "function o{n}(p) {{ try {{ if (p) {{ throw 'o'; }} return 'a'; }} \
+                 finally {{ if ({e}) {{ return 'over'; }} }} }}\n\
+                 var {v} = 0;\ntry {{ {v} = o{n}({e}); }} catch (err) {{ {v} = 'c' + err; }}\n\
+                 for (;;) {{ try {{ throw 'lost'; }} finally {{ break; }} }}\n"
+            ),
+            9 => format!(
+                // A closure over the catch parameter; `var` in a catch body.
+                "var {v} = 0;\ntry {{ throw '{thrown}' + ({e}); }} catch (err) {{ var vc{v} = err; \
+                 {v} = function () {{ return err + vc{v}; }}; }}\n\
+                 log.push({v}() + (typeof vc{v}) + (typeof err));\n"
+            ),
+            _ => {
+                // `eval` of an expression body and of a statement body.
+                let body = if self.rng.bool() {
+                    e.clone()
+                } else {
+                    format!(
+                        "var ev{v} = {e}; try {{ if (ev{v}) {{ return 'er'; }} }} \
+                         finally {{ log.push('ef'); }} ev{v}"
+                    )
+                };
+                format!("var {v} = eval(\"{body}\");\n")
+            }
+        };
+        self.out.push_str(&src);
     }
 
     pub fn program(mut self) -> String {

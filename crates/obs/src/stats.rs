@@ -22,7 +22,9 @@ pub fn config_hash(pairs: &[(&str, String)]) -> u64 {
     crate::fnv1a(rendered.as_bytes())
 }
 
-/// One-line machine-readable provenance footer.
+/// One-line machine-readable provenance footer. A snapshot that recorded
+/// nothing (stats and trace both off) prints `telemetry=off`: the digest
+/// of nothing would only be FNV-1a's offset basis.
 pub fn provenance_footer(
     bin: &str,
     seed: u64,
@@ -30,10 +32,12 @@ pub fn provenance_footer(
     snapshot: &Snapshot,
     coverage: Option<&str>,
 ) -> String {
-    let mut out = format!(
-        "[provenance] bin={bin} seed={seed} config={config:016x} telemetry={:016x}",
-        snapshot.digest()
-    );
+    let mut out = format!("[provenance] bin={bin} seed={seed} config={config:016x} telemetry=");
+    if snapshot.counters.is_empty() && snapshot.histograms.is_empty() {
+        out.push_str("off");
+    } else {
+        let _ = write!(out, "{:016x}", snapshot.digest());
+    }
     if let Some(cov) = coverage {
         let _ = write!(out, " coverage=\"{cov}\"");
     }
@@ -224,8 +228,14 @@ mod tests {
         let snap = reg.snapshot();
         let f = provenance_footer("table05", 42, 0xabcd, &snap, Some("100/100 sites"));
         assert!(f.starts_with("[provenance] bin=table05 seed=42 config=000000000000abcd"));
-        assert!(f.contains("telemetry="));
+        assert!(f.contains(&format!("telemetry={:016x}", snap.digest())));
         assert!(f.ends_with("coverage=\"100/100 sites\""));
+    }
+
+    #[test]
+    fn footer_of_an_empty_registry_says_off() {
+        let f = provenance_footer("table05", 42, 0xabcd, &Registry::new().snapshot(), None);
+        assert!(f.ends_with(" telemetry=off"), "{f}");
     }
 
     #[test]

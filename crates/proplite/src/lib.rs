@@ -9,6 +9,9 @@
 //!
 //! Everything is deterministic: the same harness seed always generates the
 //! same case sequence, so failures reproduce without shrinking.
+//!
+//! It also holds [`TempDir`], the scratch directory the test suites write
+//! bundles into.
 
 #![forbid(unsafe_code)]
 
@@ -153,9 +156,60 @@ pub fn run_cases(cases: usize, seed: u64, mut property: impl FnMut(&mut Rng)) {
     }
 }
 
+/// A scratch directory `<temp>/gullible-<name>-<pid>`, removed when the
+/// guard drops. The process id keeps concurrent test binaries apart; a
+/// leftover of a killed run is cleared before use. The directory itself is
+/// not created: a bundle sink creates its own.
+#[derive(Debug)]
+pub struct TempDir(std::path::PathBuf);
+
+impl TempDir {
+    pub fn new(name: &str) -> TempDir {
+        let dir = std::env::temp_dir().join(format!("gullible-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TempDir(dir)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+impl std::ops::Deref for TempDir {
+    type Target = std::path::Path;
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+impl AsRef<std::path::Path> for TempDir {
+    fn as_ref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+/// So `&TempDir` converts into a `PathBuf`, as sink builders take one.
+impl AsRef<std::ffi::OsStr> for TempDir {
+    fn as_ref(&self) -> &std::ffi::OsStr {
+        self.0.as_os_str()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn temp_dir_is_removed_on_drop() {
+        let dir = TempDir::new("proplite-selftest");
+        std::fs::create_dir_all(dir.join("sub")).unwrap();
+        std::fs::write(dir.join("sub/f"), b"x").unwrap();
+        let path = dir.to_path_buf();
+        drop(dir);
+        assert!(!path.exists());
+    }
 
     #[test]
     fn deterministic_sequences() {

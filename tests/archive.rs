@@ -7,10 +7,10 @@
 //! worker count; two same-seed recordings must diff clean; and a damaged
 //! bundle must fail loudly, never silently re-measure partial data.
 
-use std::path::PathBuf;
 
 use gullible::{diff_bundles, obs, site_visit, CrawlCtx, ReplayBundle, Scan, ScanConfig};
 use openwpm::FaultPlan;
+use proplite::TempDir;
 use webgen::Population;
 
 /// A fresh crawl context with stats on: each leg's digest covers exactly
@@ -19,10 +19,8 @@ fn stats_ctx() -> CrawlCtx {
     CrawlCtx { telemetry: obs::Telemetry::new().with_stats(true), ..CrawlCtx::new() }
 }
 
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gullible-archive-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn tmp_dir(name: &str) -> TempDir {
+    TempDir::new(&format!("archive-{name}"))
 }
 
 #[test]

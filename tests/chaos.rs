@@ -13,15 +13,14 @@
 //! state directly (see [`Kill`]) and resumes from it; `bench`'s
 //! `sigkill_resume` test kills a real process.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use gullible::{diff_bundles, obs, CrawlCtx, CtxGuard, ReplayBundle, Scan, ScanConfig};
 use openwpm::FaultPlan;
+use proplite::TempDir;
 
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("gullible-chaos-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn tmp_dir(name: &str) -> TempDir {
+    TempDir::new(&format!("chaos-{name}"))
 }
 
 fn chaos_cfg(n: u32, seed: u64, workers: usize) -> ScanConfig {
@@ -122,7 +121,7 @@ fn kill_manifest(dir: &Path, kill: Kill) {
 /// run writes exactly the first `K` ranks' entries and their blobs, and
 /// no commit line: a clean kill after `K` flushes. A torn kill then cuts
 /// its last entry.
-fn budget_bundle(cfg: ScanConfig, name: &str, kill: Kill) -> PathBuf {
+fn budget_bundle(cfg: ScanConfig, name: &str, kill: Kill) -> TempDir {
     let dir = tmp_dir(name);
     let k = kill.entry();
     let _ctx = fresh_ctx();
@@ -140,7 +139,7 @@ fn budget_bundle(cfg: ScanConfig, name: &str, kill: Kill) -> PathBuf {
 /// from a multi-worker bundle, this is a multi-worker kill's
 /// scheduling-dependent rank set; the blob file keeps bodies of sites the
 /// cut drops, as the blobs of visits in flight at a kill do.
-fn cut_bundle(reference: &Path, name: &str, kill: Kill) -> PathBuf {
+fn cut_bundle(reference: &Path, name: &str, kill: Kill) -> TempDir {
     let dir = tmp_dir(name);
     copy_bundle(reference, &dir);
     kill_manifest(&dir, kill);
@@ -151,7 +150,7 @@ fn cut_bundle(reference: &Path, name: &str, kill: Kill) -> PathBuf {
 /// sites in rank order, so a budgeted run makes it; more workers complete
 /// them in scheduling order, so it is cut from `reference`, a complete
 /// bundle those workers wrote.
-fn crashed_bundle(cfg: ScanConfig, reference: &Path, name: &str, kill: Kill) -> PathBuf {
+fn crashed_bundle(cfg: ScanConfig, reference: &Path, name: &str, kill: Kill) -> TempDir {
     if cfg.workers == 1 {
         budget_bundle(cfg, name, kill)
     } else {

@@ -5,13 +5,14 @@
 //! runs alone: per-site records, Table 5, the telemetry digest (sealed into
 //! the bundle for the streamed scan) and the resumed bundle's bytes.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Barrier;
 
 use detect::{DetectCtx, MatcherKind};
 use gullible::{obs, CrawlCtx, ReplayBundle, Scan, ScanConfig};
 use jsengine::Engine;
 use openwpm::FaultPlan;
+use proplite::TempDir;
 
 /// A fresh stats-on context on `engine` and `matcher`.
 fn ctx(engine: Engine, matcher: MatcherKind) -> CrawlCtx {
@@ -24,11 +25,8 @@ fn ctx(engine: Engine, matcher: MatcherKind) -> CrawlCtx {
     ctx
 }
 
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("gullible-crawl-ctx-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn tmp_dir(name: &str) -> TempDir {
+    TempDir::new(&format!("crawl-ctx-{name}"))
 }
 
 /// Everything a run must reproduce, byte for byte.
