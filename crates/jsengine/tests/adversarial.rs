@@ -251,7 +251,8 @@ fn string_conversion_of_objects_uses_custom_tostring() {
 
 /// `n` levels of a shape that once overflowed the native stack: in the
 /// parser's recursive descent (brackets, functions, blocks, `!`) or, for
-/// the loop-built chains (`+1`, `.b`), in lowering and evaluation.
+/// the loop-built chains (`+1`, `.b`), in lowering and evaluation; or that
+/// once blew up the bytecode (`finallys`).
 fn nest(shape: &str, n: usize) -> String {
     match shape {
         "parens" => format!("{}1{}", "(".repeat(n), ")".repeat(n)),
@@ -262,11 +263,15 @@ fn nest(shape: &str, n: usize) -> String {
         "nots" => format!("{}1", "!".repeat(n)),
         "plus" => format!("1{}", "+1".repeat(n)),
         "members" => format!("var a = {{}}; a.b = a; a{}", ".b".repeat(n)),
+        // A `try` in each `finally`, left by a `break` from the innermost:
+        // a lowering that copied each `finally` per exit grew as 2^n.
+        "finallys" => format!("for(;;){{{}break;{}}}", "try{}finally{".repeat(n), "}".repeat(n)),
         other => unreachable!("no shape {other}"),
     }
 }
 
-const SHAPES: [&str; 8] = ["parens", "arrays", "objects", "iifes", "blocks", "nots", "plus", "members"];
+const SHAPES: [&str; 9] =
+    ["parens", "arrays", "objects", "iifes", "blocks", "nots", "plus", "members", "finallys"];
 
 /// Run `src` on a thread with a 2 MiB stack, the default for spawned
 /// threads and so for the crawl's workers.
