@@ -31,5 +31,5 @@ fn main() {
          (a) the racy frame injection losing immediate in-frame accesses and (b) prototype \
          pollution leaving element-level Node methods unwrapped."
     );
-    bench::finish("figure06", None);
+    bench::finish("figure06", Some(&report.coverage_line()));
 }

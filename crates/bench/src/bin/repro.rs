@@ -114,7 +114,8 @@ fn main() {
     println!("--- running the WPM vs WPM_hide comparison (Sec. 6.3) ---");
     let t1 = std::time::Instant::now();
     let cmp = run_compare(bench::compare_config());
-    println!("comparison finished in {:.1?} over {} sites × {} runs\n", t1.elapsed(), cmp.compare_set.len(), cmp.runs.len());
+    println!("comparison finished in {:.1?} over {} sites × {} runs", t1.elapsed(), cmp.compare_set.len(), cmp.runs.len());
+    println!("{}\n", cmp.coverage_line());
 
     println!("[Table 8] total requests per run (WPM vs WPM_hide)");
     for (i, (w, h)) in cmp.runs.iter().enumerate() {

@@ -53,5 +53,5 @@ fn main() {
         report.compare_set.len()
     );
     println!("paper totals r1..r3: +1.91% / +3.37% / +5.32%");
-    bench::finish("table08", None);
+    bench::finish("table08", Some(&report.coverage_line()));
 }

@@ -33,5 +33,5 @@ fn main() {
         }
     }
     println!("paper: EasyList diffs +1.64% / +5.64% / +5.81%; p < 0.0001");
-    bench::finish("table09", None);
+    bench::finish("table09", Some(&report.coverage_line()));
 }

@@ -53,5 +53,5 @@ fn main() {
         "paper diffs: 1st +3.33/+3.06/+4.23%; 3rd +5.05/+7.12/+8.11%; tracking \
          +41.70/+52.13/+59.65%"
     );
-    bench::finish("table10", None);
+    bench::finish("table10", Some(&report.coverage_line()));
 }

@@ -4,7 +4,15 @@
 //! Both clients visit every site of the comparison set in three repeated
 //! runs (the paper's r1/r2/r3), synchronised per site. Sites react to the
 //! verdicts their own detector scripts produce; sites that re-identify a
-//! client escalate throttling in later runs. The report reproduces:
+//! client escalate throttling in later runs.
+//!
+//! Each of the six legs (run × client) is one fault-free
+//! [`run_supervised`] crawl over the same site plans, built once per
+//! comparison. A visit that fails anyway (a panic, a bad URL) becomes a
+//! typed failure instead of aborting the comparison; its site is dropped
+//! from all six legs, so the per-site pairs that the Wilcoxon tests and
+//! the tracking-cookie classifier read stay aligned, and
+//! [`CompareReport::coverage_line`] names it. The report reproduces:
 //!
 //! * Table 8 — HTTP requests by resource type, with per-run Diff columns;
 //! * Table 9 — requests matching EasyList / EasyPrivacy;
@@ -14,13 +22,13 @@
 //! * Fig. 6 — per-API call coverage of WPM relative to WPM_hide.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 use netsim::{Cookie, ResourceType};
-use openwpm::manager::run_parallel;
-use openwpm::{Browser, BrowserConfig};
+use openwpm::{run_supervised, Browser, BrowserConfig, FailureReason, ItemMeta};
+use openwpm::{SupervisorConfig, VisitOutcome};
 use stats::{ratcliff_obershelp, wilcoxon_signed_rank, WilcoxonResult};
-use webgen::{behaviour, verdict_from_traffic, visit_spec, PageKind, Population};
+use webgen::{behaviour, verdict_from_traffic, visit_spec, PageKind, Population, SitePlan};
 
 /// Comparison configuration.
 #[derive(Clone, Copy, Debug)]
@@ -115,96 +123,133 @@ impl RunData {
 pub struct CompareReport {
     pub compare_set: Vec<u32>,
     pub runs: Vec<(RunData, RunData)>,
+    /// Sites left out of every run: `(rank, reason)` in rank order, with
+    /// the reason of the first leg whose visit to the site failed.
+    pub dropped: Vec<(u32, FailureReason)>,
 }
 
 /// Select the comparison set: detector sites with first-party bot
 /// management that re-identify clients (the population's cloaking sites),
 /// truncated to the paper's 1,487 scaled to the population size.
 pub fn compare_set(pop: &Population) -> Vec<u32> {
+    compare_plans(pop).iter().map(|plan| plan.rank).collect()
+}
+
+/// The plans of the [`compare_set`] sites, in rank order.
+fn compare_plans(pop: &Population) -> Vec<SitePlan> {
     let limit = ((1487u64 * pop.n_sites as u64) / 100_000).max(8) as usize;
-    let mut set = Vec::new();
-    for rank in 0..pop.n_sites {
-        let plan = pop.plan(rank);
-        if plan.first_party.is_some() && plan.cloak.reidentifies {
-            set.push(rank);
-            if set.len() >= limit {
-                break;
-            }
-        }
-    }
-    set
+    (0..pop.n_sites)
+        .map(|rank| pop.plan(rank))
+        .filter(|plan| plan.first_party.is_some() && plan.cloak.reidentifies)
+        .take(limit)
+        .collect()
 }
 
 /// Run the comparison under the calling thread's current
 /// [`CrawlCtx`](crate::CrawlCtx).
 pub fn run_compare(cfg: CompareConfig) -> CompareReport {
-    let ctx = crate::CrawlCtx::current();
     let _phase = obs::phase("compare.runs");
     let pop = Population::new(cfg.n_sites, cfg.seed);
-    let set = compare_set(&pop);
+    run_legs(cfg, &compare_plans(&pop))
+}
+
+/// Visit `plans` in `cfg.runs` runs × both clients, each of these legs
+/// one supervised crawl. A site whose visit fails in any leg is dropped
+/// from all of them, so the per-site pairs stay aligned.
+fn run_legs(cfg: CompareConfig, plans: &[SitePlan]) -> CompareReport {
     obs::emit(
         obs::Event::new(0, "compare_start")
             .attr("runs", cfg.runs as u64)
-            .attr("compare_set", set.len() as u64),
+            .attr("compare_set", plans.len() as u64),
     );
-    let mut report = CompareReport { compare_set: set.clone(), runs: Vec::new() };
-    // Per-client re-identification memory: site rank → flagged in any
-    // earlier run.
-    let mut memory: HashMap<(u32, u32), bool> = HashMap::new(); // (client_id, rank)
+    // Per client, the ranks that flagged it in an earlier run: those sites
+    // re-identify it.
+    let mut flagged: [HashSet<u32>; 2] = Default::default();
+    let mut dropped: BTreeMap<u32, FailureReason> = BTreeMap::new();
+    let mut legs = Vec::new();
     for run in 1..=cfg.runs {
-        let mut run_pair: Vec<RunData> = Vec::new();
-        for (client_id, client) in [(0u32, Client::Wpm), (1u32, Client::WpmHide)] {
-            let tag = client.tag(cfg.seed);
-            let mem_snapshot: HashSet<u32> = set
-                .iter()
-                .copied()
-                .filter(|r| memory.get(&(client_id, *r)).copied().unwrap_or(false))
-                .collect();
-            let seed = cfg.seed;
-            let summaries = run_parallel(
-                set.clone(),
-                cfg.workers,
-                |w| (ctx.enter(), Browser::new(client.config(seed ^ (run as u64) << 32 ^ w as u64))),
-                move |(_, browser), _idx, rank| {
-                    let plan = pop.plan(rank);
-                    visit_one(browser, &plan, run, tag, mem_snapshot.contains(&rank))
-                },
-            );
+        legs.push([Client::Wpm, Client::WpmHide].map(|client| {
+            let flagged = &mut flagged[client as usize];
+            let outcomes = run_leg(cfg, plans, run, client, flagged);
             obs::add("compare.client_runs", 1);
-            obs::add("compare.visits", summaries.len() as u64);
-            for s in &summaries {
-                if s.flagged {
-                    obs::add("compare.flagged", 1);
-                    memory.insert((client_id, s.rank), true);
+            for (plan, outcome) in plans.iter().zip(&outcomes) {
+                match outcome {
+                    VisitOutcome::Completed(s) if s.flagged => {
+                        obs::add("compare.flagged", 1);
+                        flagged.insert(plan.rank);
+                    }
+                    VisitOutcome::Failed { reason, .. } => {
+                        dropped.entry(plan.rank).or_insert(*reason);
+                    }
+                    // A leg has no visit budget, so nothing is interrupted.
+                    VisitOutcome::Completed(_) | VisitOutcome::Interrupted => {}
                 }
             }
-            run_pair.push(RunData { sites: summaries });
-        }
-        let hide = run_pair.pop().unwrap();
-        let wpm = run_pair.pop().unwrap();
-        report.runs.push((wpm, hide));
+            outcomes
+        }));
     }
-    report
+    let kept = |outcomes: Vec<VisitOutcome<VisitSummary>>| RunData {
+        sites: outcomes
+            .into_iter()
+            .filter_map(|o| match o {
+                VisitOutcome::Completed(s) if !dropped.contains_key(&s.rank) => Some(s),
+                _ => None,
+            })
+            .collect(),
+    };
+    CompareReport {
+        compare_set: plans.iter().map(|plan| plan.rank).collect(),
+        runs: legs.into_iter().map(|[wpm, hide]| (kept(wpm), kept(hide))).collect(),
+        dropped: dropped.into_iter().collect(),
+    }
+}
+
+/// One client's supervised crawl of `plans` in run `run`, fault-free.
+fn run_leg(
+    cfg: CompareConfig,
+    plans: &[SitePlan],
+    run: u32,
+    client: Client,
+    flagged_before: &HashSet<u32>,
+) -> Vec<VisitOutcome<VisitSummary>> {
+    let ctx = crate::CrawlCtx::current();
+    let tag = client.tag(cfg.seed);
+    run_supervised(
+        plans.iter().collect(),
+        cfg.workers,
+        SupervisorConfig::default(),
+        |plan: &&SitePlan| ItemMeta {
+            // Not `front_url`: a label must not panic outside the visit.
+            label: format!("https://{}/", plan.domain),
+            fault_key: plan.rank as u64,
+            flaky: plan.flaky,
+        },
+        |w| (ctx.enter(), Browser::new(client.config(cfg.seed ^ (run as u64) << 32 ^ w as u64))),
+        |(_, browser), _, plan| {
+            visit_one(browser, plan, run, tag, flagged_before.contains(&plan.rank))
+        },
+        Vec::new(),
+        |_, outcome, _| outcome,
+    )
+    .outcomes
 }
 
 /// Visit one site once with one client.
 pub fn visit_one(
     browser: &mut Browser,
-    plan: &webgen::SitePlan,
+    plan: &SitePlan,
     run: u32,
     client_tag: u64,
     flagged_before: bool,
-) -> VisitSummary {
+) -> Result<VisitSummary, FailureReason> {
     let mut spec = visit_spec(plan, PageKind::Front);
     spec.dwell_override_s = Some(61);
     let flagged = Cell::new(false);
-    let stats = browser
-        .visit(&spec, |traffic| {
-            let f = verdict_from_traffic(traffic);
-            flagged.set(f);
-            behaviour::site_response(plan, run, client_tag, f, flagged_before)
-        })
-        .expect("generated plan URLs always parse");
+    let stats = browser.visit(&spec, |traffic| {
+        let f = verdict_from_traffic(traffic);
+        flagged.set(f);
+        behaviour::site_response(plan, run, client_tag, f, flagged_before)
+    })?;
     let store = browser.take_store();
     let easylist = webgen::blocklists::easylist();
     let easyprivacy = webgen::blocklists::easyprivacy();
@@ -230,7 +275,7 @@ pub fn visit_one(
         }
         *summary.js_symbol_counts.entry(rec.symbol.clone()).or_insert(0) += 1;
     }
-    summary
+    Ok(summary)
 }
 
 // ----------------------------------------------------- tracking classifier
@@ -275,6 +320,27 @@ pub fn tracking_cookies_in_run(jars_per_run: &[&[Cookie]], run_idx: usize) -> u6
 }
 
 impl CompareReport {
+    /// One-line coverage statement: the sites kept in every leg, and each
+    /// dropped rank with its reason.
+    pub fn coverage_line(&self) -> String {
+        let total = self.compare_set.len();
+        let kept = total - self.dropped.len();
+        let share = if total == 0 { 100.0 } else { 100.0 * kept as f64 / total as f64 };
+        let mut line = format!(
+            "coverage: {kept}/{total} comparison sites in all {} legs ({share:.1}%)",
+            2 * self.runs.len()
+        );
+        if !self.dropped.is_empty() {
+            let detail: Vec<String> = self
+                .dropped
+                .iter()
+                .map(|(rank, reason)| format!("rank {rank} {}", reason.as_str()))
+                .collect();
+            line.push_str(&format!("; dropped {}", detail.join(", ")));
+        }
+        line
+    }
+
     fn client_runs(&self, client: Client) -> Vec<&RunData> {
         self.runs
             .iter()
@@ -347,6 +413,7 @@ impl CompareReport {
 mod tests {
     use super::*;
     use netsim::CookieParty;
+    use openwpm::supervisor::MAX_ATTEMPTS;
 
     fn small_compare() -> CompareReport {
         run_compare(CompareConfig { n_sites: 4_000, seed: 21, runs: 3, workers: 4 })
@@ -445,6 +512,46 @@ mod tests {
         // prototype pollution (Fig. 2 → Fig. 6).
         if let Some((wpm, hide)) = cov.get("window.document.appendChild") {
             assert!(wpm < hide, "appendChild: wpm {wpm} vs hide {hide}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_visit_drops_its_site_from_every_leg() {
+        let cfg = CompareConfig { n_sites: 1_000, seed: 21, runs: 3, workers: 2 };
+        let plans = compare_plans(&Population::new(cfg.n_sites, cfg.seed));
+        let clean = run_legs(cfg, &plans);
+        assert!(clean.dropped.is_empty());
+        // An empty domain makes `SitePlan::front_url` panic inside
+        // `visit_spec`.
+        let mut bad = plans.clone();
+        bad[2].domain.clear();
+        let rank = bad[2].rank;
+        let leg = run_leg(cfg, &bad, 1, Client::Wpm, &HashSet::new());
+        assert!(
+            matches!(
+                leg[2],
+                VisitOutcome::Failed { reason: FailureReason::Panic, attempts: MAX_ATTEMPTS }
+            ),
+            "{:?}",
+            leg[2]
+        );
+        let report = run_legs(cfg, &bad);
+        assert_eq!(report.dropped, vec![(rank, FailureReason::Panic)]);
+        let coverage = report.coverage_line();
+        assert!(coverage.contains(&format!("dropped rank {rank} panic")), "{coverage}");
+        assert_eq!(report.runs.len(), 3);
+        let legs = |r: &CompareReport| -> Vec<Vec<String>> {
+            r.runs
+                .iter()
+                .flat_map(|(wpm, hide)| [wpm, hide])
+                .map(|leg| leg.sites.iter().map(|s| format!("{s:?}")).collect())
+                .collect()
+        };
+        let bad_site = format!("VisitSummary {{ rank: {rank},");
+        for (with_bad, without) in legs(&report).into_iter().zip(legs(&clean)) {
+            let kept: Vec<String> = without.into_iter().filter(|s| !s.starts_with(&bad_site)).collect();
+            assert_eq!(with_bad.len(), plans.len() - 1, "the site is still in a leg");
+            assert_eq!(with_bad, kept, "the other sites' summaries changed");
         }
     }
 

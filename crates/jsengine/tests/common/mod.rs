@@ -55,7 +55,8 @@ impl<'r> Gen<'r> {
                 format!("({} {} {})", self.expr(), op, self.expr())
             }
             6 => {
-                let op = ["!", "-", "typeof "][self.rng.usize_in(0, 3)];
+                // `- ` keeps a negative operand from lexing as `--`.
+                let op = ["!", "- ", "typeof "][self.rng.usize_in(0, 3)];
                 format!("({}{})", op, self.expr())
             }
             7 => format!("({} ? {} : {})", self.expr(), self.expr(), self.expr()),
@@ -78,6 +79,15 @@ impl<'r> Gen<'r> {
         };
         self.depth -= 1;
         e
+    }
+
+    /// One statement as an `if` or `else` body. What it declares exists
+    /// only when that branch runs, so later code must not reference it.
+    fn branch(&mut self) {
+        let (vars, funcs) = (self.vars.len(), self.funcs.len());
+        self.stmts(1, false);
+        self.vars.truncate(vars);
+        self.funcs.truncate(funcs);
     }
 
     pub fn stmts(&mut self, n: usize, loops_ok: bool) {
@@ -104,10 +114,10 @@ impl<'r> Gen<'r> {
             3 => {
                 let c = self.expr();
                 self.out.push_str(&format!("if ({c}) {{\n"));
-                self.stmts(1, false);
+                self.branch();
                 if self.rng.usize_in(0, 2) == 0 {
                     self.out.push_str("} else {\n");
-                    self.stmts(1, false);
+                    self.branch();
                 }
                 self.out.push_str("}\n");
             }
@@ -145,10 +155,11 @@ impl<'r> Gen<'r> {
                 ));
             }
             _ => {
-                let v = self.fresh_var();
+                // The keys first: an initializer cannot read its own name.
                 let ks: Vec<String> = (0..self.rng.usize_in(1, 4))
                     .map(|i| format!("k{i}: {}", self.expr()))
                     .collect();
+                let v = self.fresh_var();
                 self.out.push_str(&format!("var {v} = {{ {} }};\n", ks.join(", ")));
                 self.out.push_str(&format!(
                     "for (var kk in {v}) {{ log.push(kk + '=' + {v}[kk]); }}\n"

@@ -7,9 +7,11 @@
 //!   number (one tick per event), which is trivially monotone and
 //!   deterministic.
 //! - **visit scopes** (`"scope":"visit:<idx>"`): events buffered on worker
-//!   threads by [`crate::scope`] and handed to [`Journal::write_visit_events`]
+//!   threads by [`crate::scope`] and handed to [`Journal::write_crawl_visits`]
 //!   by the coordinator *in item order*, which is what makes the file
-//!   byte-identical across worker counts.
+//!   byte-identical across worker counts. A journal holding several crawls
+//!   (a scan, then the comparison's legs) names the scopes of its `k`-th
+//!   later crawl `visit:<k>.<idx>`: every scope keeps its own clock.
 //!
 //! Lines carry no wall-clock time: two runs of one seeded crawl write the
 //! same bytes. Wall time lives in the phase profiler and in forensic
@@ -29,6 +31,8 @@ enum Sink {
 
 struct CrawlState {
     seq: u64,
+    /// Crawls whose visits have been written.
+    crawls: u32,
     span_stack: Vec<u32>,
     next_span: u32,
 }
@@ -42,7 +46,7 @@ impl Journal {
     fn new(sink: Sink) -> Journal {
         Journal {
             sink: Mutex::new(sink),
-            crawl: Mutex::new(CrawlState { seq: 0, span_stack: Vec::new(), next_span: 1 }),
+            crawl: Mutex::new(CrawlState { seq: 0, crawls: 0, span_stack: Vec::new(), next_span: 1 }),
         }
     }
 
@@ -123,19 +127,32 @@ impl Journal {
         self.write(&lines);
     }
 
-    /// Write a visit's buffered events under `scope:"visit:<idx>"`. Called
-    /// by the coordinator in item order — never from worker threads.
-    pub fn write_visit_events(&self, visit_idx: usize, events: &[Event]) {
-        if events.is_empty() {
-            return;
+    /// Write one crawl's buffered visit events, visit by visit in item
+    /// order. Called by the coordinator once per crawl — never from worker
+    /// threads. The journal's first crawl names its scopes `visit:<idx>`;
+    /// its `k`-th later crawl names them `visit:<k>.<idx>`, so no scope
+    /// name repeats in a journal that holds several crawls.
+    pub fn write_crawl_visits<'a>(&self, visits: impl IntoIterator<Item = &'a [Event]>) {
+        let crawl = {
+            let mut state = self.crawl.lock().unwrap();
+            state.crawls += 1;
+            state.crawls - 1
+        };
+        for (idx, events) in visits.into_iter().enumerate() {
+            if events.is_empty() {
+                continue;
+            }
+            let scope = match crawl {
+                0 => format!("visit:{idx}"),
+                k => format!("visit:{k}.{idx}"),
+            };
+            let mut out = String::with_capacity(events.len() * 96);
+            for ev in events {
+                out.push_str(&ev.render(&scope));
+                out.push('\n');
+            }
+            self.write(&out);
         }
-        let scope = format!("visit:{visit_idx}");
-        let mut out = String::with_capacity(events.len() * 96);
-        for ev in events {
-            out.push_str(&ev.render(&scope));
-            out.push('\n');
-        }
-        self.write(&out);
     }
 
     /// Flush buffered output to the underlying file (no-op for buffers).
@@ -201,9 +218,15 @@ mod tests {
     fn visit_events_render_with_scope_label() {
         let j = Journal::buffer();
         let evs = vec![Event::new(0, "fault").attr("kind", "hang"), Event::new(7, "retry")];
-        j.write_visit_events(3, &evs);
+        j.write_crawl_visits([&[][..], &[], &[], evs.as_slice()]);
         let text = j.buffer_contents().unwrap();
         assert!(text.contains(r#""scope":"visit:3","ev":"fault""#));
         assert!(text.contains(r#"{"t":7,"scope":"visit:3","ev":"retry"}"#));
+        // A later crawl in the same journal gets scopes of its own.
+        j.write_crawl_visits([&evs[1..]]);
+        j.write_crawl_visits([&evs[1..]]);
+        let text = j.buffer_contents().unwrap();
+        assert!(text.contains(r#"{"t":7,"scope":"visit:1.0","ev":"retry"}"#), "{text}");
+        assert!(text.contains(r#"{"t":7,"scope":"visit:2.0","ev":"retry"}"#), "{text}");
     }
 }

@@ -260,7 +260,7 @@ mod tests {
             emit(Event::new(0, "fault").attr("kind", "hang"));
             drop(_v);
             let events = scope.end();
-            j.write_visit_events(0, &events);
+            j.write_crawl_visits([events.as_slice()]);
         }
         j.flush();
         let text = j.buffer_contents().unwrap();

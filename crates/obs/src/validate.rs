@@ -412,7 +412,7 @@ mod tests {
         let a = j.crawl_span_open("scan");
         j.crawl_event(Event::new(0, "note").attr("k", 1u64));
         j.crawl_span_close(a);
-        j.write_visit_events(0, &[Event::new(0, "fault").attr("kind", "hang")]);
+        j.write_crawl_visits([&[Event::new(0, "fault").attr("kind", "hang")][..]]);
         let summary = validate_journal(&j.buffer_contents().unwrap()).unwrap();
         assert_eq!(summary, ValidateSummary { lines: 4, scopes: 2, spans: 1 });
     }

@@ -42,7 +42,6 @@ pub mod wpm_browser;
 
 pub use config::{BrowserConfig, HttpSaveMode, JsInstrumentKind, StealthSettings};
 pub use fault::{FaultInjector, FaultKind, FaultPlan};
-pub use manager::run_parallel;
 pub use records::{
     CrawlHistoryRecord, CrawlStatus, JsCallRecord, JsOperation, RecordStore, SavedScript,
     StoreCapture,

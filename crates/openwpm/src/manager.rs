@@ -4,7 +4,8 @@
 //! monitors liveliness and restarts crashed browsers. Interpreters here are
 //! `!Send` (single-threaded realms), so parallelism is per-worker: each
 //! worker thread builds its own state (browsers) via `init` and consumes
-//! work items. Results come back in input order.
+//! work items. Results come back in input order. Crawls reach the queue
+//! only through [`crate::run_supervised`].
 //!
 //! # Scheduling
 //!
@@ -57,7 +58,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// real cause lost on another thread's stderr: the first panic is captured
 /// with the item index it occurred on, remaining work is abandoned, and
 /// `run_parallel` re-panics with a message naming the failing item.
-pub fn run_parallel<W, R, S>(
+pub(crate) fn run_parallel<W, R, S>(
     items: Vec<W>,
     workers: usize,
     init: impl Fn(usize) -> S + Sync,
@@ -172,9 +173,9 @@ where
     merged.into_iter().map(|r| r.expect("all items processed")).collect()
 }
 
-/// [`run_parallel`] under the name perfbench calls; `chunk` is ignored.
+/// `run_parallel` under the name perfbench calls; `chunk` is ignored.
 /// It goes at the next benchmark change, when perfbench moves to
-/// `run_parallel`.
+/// `run_supervised`.
 #[doc(hidden)]
 pub fn run_parallel_chunked<W: Send, R: Send, S>(
     items: Vec<W>,
@@ -221,25 +222,30 @@ mod tests {
         assert_eq!(out, vec![11, 21]);
     }
 
+    /// A panic inside a step surfaces once and names the *correct* item
+    /// index at any worker count: the shared queue may route the item to
+    /// any worker, but never mislabel it.
     #[test]
     fn worker_panic_reports_item_index() {
-        let caught = std::panic::catch_unwind(|| {
-            run_parallel(
-                (0..20).collect::<Vec<u32>>(),
-                2,
-                |_| (),
-                |_, i, x: u32| {
-                    if x == 7 {
-                        panic!("synthetic failure");
-                    }
-                    i
-                },
-            )
-        });
-        let payload = caught.expect_err("panic should propagate");
-        let msg = super::panic_message(payload.as_ref());
-        assert!(msg.contains("item 7"), "message was: {msg}");
-        assert!(msg.contains("synthetic failure"), "message was: {msg}");
+        for workers in [1usize, 3, 8] {
+            let caught = std::panic::catch_unwind(|| {
+                run_parallel(
+                    (0..100).collect::<Vec<u32>>(),
+                    workers,
+                    |_| (),
+                    |_, i, x: u32| {
+                        if x == 61 {
+                            panic!("synthetic failure");
+                        }
+                        i
+                    },
+                )
+            });
+            let payload = caught.expect_err("panic should propagate");
+            let msg = super::panic_message(payload.as_ref());
+            assert!(msg.contains("item 61"), "workers={workers}: {msg}");
+            assert!(msg.contains("synthetic failure"), "workers={workers}: {msg}");
+        }
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! rate, so a crawler that dies (or silently skips) on the first flaky
 //! site produces tables that cannot be trusted.
 //!
-//! [`run_supervised`] reproduces that layer on top of
-//! [`run_parallel`](crate::run_parallel):
+//! [`run_supervised`] reproduces that layer on top of the crate's work
+//! queue (`manager::run_parallel`), and is the one public crawl driver:
+//! every scan and every leg of the WPM vs WPM_hide comparison runs
+//! through it.
 //!
 //! * every visit attempt runs under `catch_unwind`, so a panicking visit
 //!   poisons nothing — the worker's browser state is rebuilt and the site
@@ -492,9 +494,7 @@ where
     );
 
     if let Some(journal) = obs::journal() {
-        for (i, run) in runs.iter().enumerate() {
-            journal.write_visit_events(i, &run.trace);
-        }
+        journal.write_crawl_visits(runs.iter().map(|run| run.trace.as_slice()));
     }
 
     let mut summary = CrawlSummary { total: n, ..CrawlSummary::default() };

@@ -2,13 +2,13 @@
 //! visits a site, never *what the crawl reports*. Every artifact —
 //! telemetry digest, Table 5, per-site records, crawl history — must be
 //! byte-identical across worker counts and across repeated runs; and the
-//! rank-order merge of per-worker result buffers must equal the sequential
-//! map.
+//! rank-order merge of per-worker result buffers, as `run_supervised`
+//! returns it, must equal the sequential map.
 
 use gullible::obs;
 use gullible::scan::{Scan, ScanConfig, ScanReport};
 use gullible::CrawlCtx;
-use openwpm::{run_parallel, FaultPlan};
+use openwpm::{run_supervised, FaultPlan, ItemMeta, SupervisorConfig, VisitOutcome};
 
 /// A fresh crawl context with stats collection on.
 fn stats_ctx() -> CrawlCtx {
@@ -65,6 +65,36 @@ fn repeated_runs_identical_at_same_worker_count() {
     assert_eq!(a.history, b.history);
 }
 
+/// `items` through a fault-free `run_supervised` on `workers` workers, the
+/// per-item result being `step(index, item)`; returns the completed
+/// results in item order.
+fn supervised_map<W: Copy + Send + Sync, R: Send + Clone>(
+    items: Vec<W>,
+    workers: usize,
+    step: impl Fn(usize, W) -> R + Sync,
+) -> Vec<R> {
+    let n = items.len();
+    let crawl = run_supervised(
+        items,
+        workers,
+        SupervisorConfig::default(),
+        |_| ItemMeta { label: String::new(), fault_key: 0, flaky: false },
+        |_| (),
+        |_, i, item: &W| Ok(step(i, *item)),
+        Vec::new(),
+        |_, outcome, _| outcome,
+    );
+    assert_eq!(crawl.summary.completed, n);
+    crawl
+        .outcomes
+        .into_iter()
+        .map(|o| match o {
+            VisitOutcome::Completed(r) => r,
+            _ => unreachable!("every item completed"),
+        })
+        .collect()
+}
+
 /// Property: for random item and worker counts, the rank-order merge of
 /// the parallel run equals the sequential map.
 #[test]
@@ -74,7 +104,7 @@ fn merge_equals_sequential_map() {
         let workers = rng.usize_in(1, 9);
         let items: Vec<u64> = (0..n as u64).map(|i| i.wrapping_mul(0x9E37)).collect();
         let expect: Vec<u64> = items.iter().enumerate().map(|(i, v)| v ^ (i as u64) << 7).collect();
-        let got = run_parallel(items, workers, |_| (), |_, i, v: u64| v ^ (i as u64) << 7);
+        let got = supervised_map(items, workers, |i, v: u64| v ^ (i as u64) << 7);
         assert_eq!(got, expect, "n={n} workers={workers}");
     });
 }
@@ -84,19 +114,21 @@ fn merge_equals_sequential_map() {
 #[test]
 fn merge_handles_idle_workers() {
     for n in [1usize, 2, 5, 7] {
-        let out = run_parallel((0..n as u32).collect(), 8, |_| (), |_, _, x: u32| x * 10);
+        let out = supervised_map((0..n as u32).collect(), 8, |_, x: u32| x * 10);
         assert_eq!(out, (0..n as u32).map(|x| x * 10).collect::<Vec<_>>());
     }
 }
 
 /// The scheduler reports through the caller's telemetry: one
-/// `manager.items` count and one `sched.visit_wall_us` sample per item.
+/// `manager.items` count and one `sched.visit_wall_us` sample per item,
+/// next to the supervisor's one visit per item.
 #[test]
 fn scheduler_counters_are_reported() {
     let telemetry = obs::Telemetry::new().with_stats(true);
     let _g = telemetry.enter();
-    run_parallel((0..200u32).collect::<Vec<_>>(), 4, |_| (), |_, _, x| x);
+    supervised_map((0..200u32).collect(), 4, |_, x| x);
     let snap = telemetry.registry().snapshot();
     assert_eq!(snap.counter("manager.items"), 200);
+    assert_eq!(snap.counter("supervisor.visits"), 200);
     assert_eq!(snap.histograms["sched.visit_wall_us"].count, 200);
 }

@@ -5,7 +5,7 @@
 
 use gullible::obs;
 use gullible::scan::{Scan, ScanConfig};
-use gullible::CrawlCtx;
+use gullible::{run_compare, CompareConfig, CrawlCtx};
 use openwpm::FaultPlan;
 
 /// A fresh crawl context tracing into an in-memory journal.
@@ -38,8 +38,35 @@ fn traced_scan(workers: usize) -> (String, String) {
     (trace, metrics)
 }
 
+/// One traced comparison under its own context: the journal bytes and
+/// the rendered metric snapshot.
+fn traced_compare(workers: usize) -> (String, String) {
+    let (ctx, journal) = traced_ctx(obs::Telemetry::new());
+    let _g = ctx.enter();
+    let report = run_compare(CompareConfig { n_sites: 1_000, seed: 42, runs: 3, workers });
+    assert!(report.dropped.is_empty(), "{}", report.coverage_line());
+    journal.flush();
+    let trace = journal.buffer_contents().expect("buffer journal");
+    (trace, ctx.telemetry.registry().snapshot().render_deterministic())
+}
+
+/// Panic with the first line where two journals differ.
+fn assert_same_journal(a: &str, b: &str, what: &str) {
+    if a != b {
+        let diff = a
+            .lines()
+            .zip(b.lines())
+            .enumerate()
+            .find(|(_, (x, y))| x != y)
+            .map(|(i, (x, y))| format!("first divergence at line {}:\n  {x}\n  {y}", i + 1))
+            .unwrap_or_else(|| "journals differ in length".to_string());
+        panic!("{what} journal depends on worker count — {diff}");
+    }
+}
+
 /// Same seed + same adversarial fault plan ⇒ byte-identical simulated-clock
-/// trace journals and metric snapshots, regardless of worker count.
+/// trace journals and metric snapshots, regardless of worker count. The
+/// comparison's six supervised legs hold to the same rule.
 #[test]
 fn trace_and_metrics_are_worker_count_independent() {
     let (trace2, metrics2) = traced_scan(2);
@@ -49,22 +76,39 @@ fn trace_and_metrics_are_worker_count_independent() {
     assert!(metrics2.contains("supervisor.visits"), "metrics must record the crawl");
 
     assert_eq!(metrics2, metrics7, "metric snapshot depends on worker count");
-    if trace2 != trace7 {
-        let diff = trace2
-            .lines()
-            .zip(trace7.lines())
-            .enumerate()
-            .find(|(_, (a, b))| a != b)
-            .map(|(i, (a, b))| format!("first divergence at line {}:\n  {a}\n  {b}", i + 1))
-            .unwrap_or_else(|| "journals differ in length".to_string());
-        panic!("trace journal depends on worker count — {diff}");
-    }
+    assert_same_journal(&trace2, &trace7, "scan");
 
     // The journal is also well-formed: parses, clocks are monotone per
     // scope, spans balance.
     let summary = obs::validate::validate_journal(&trace2).expect("journal validates");
     assert!(summary.lines > 400, "expected per-visit events, got {} lines", summary.lines);
     assert!(summary.spans > 0);
+
+    let (compare1, compare_metrics1) = traced_compare(1);
+    let (compare4, compare_metrics4) = traced_compare(4);
+    assert_eq!(compare_metrics1, compare_metrics4, "comparison metrics depend on worker count");
+    assert_same_journal(&compare1, &compare4, "comparison");
+    let summary = obs::validate::validate_journal(&compare1).expect("comparison journal validates");
+    assert!(compare1.contains(r#""scope":"visit:5.0""#), "six legs, six crawls");
+    assert!(summary.spans > 0);
+}
+
+/// A scan under faults, then a comparison, in one traced context: the
+/// journal holds seven crawls and still validates. A faulty scan's
+/// `visit:0` ends late on its clock (watchdog time and backoff), so a
+/// comparison leg that reused the name would restart that clock at 0.
+#[test]
+fn a_journal_holding_a_scan_and_a_comparison_validates() {
+    let (ctx, journal) = traced_ctx(obs::Telemetry::new());
+    let _g = ctx.enter();
+    let cfg = ScanConfig { workers: 3, faults: FaultPlan::adversarial(7), ..ScanConfig::new(400, 42) };
+    Scan::new(cfg).run().expect("scan");
+    run_compare(CompareConfig { n_sites: 1_000, seed: 42, runs: 3, workers: 3 });
+    journal.flush();
+    let trace = journal.buffer_contents().expect("buffer journal");
+    let summary = obs::validate::validate_journal(&trace).expect("multi-crawl journal validates");
+    assert!(trace.contains(r#""scope":"visit:6.0""#), "a scan and six legs");
+    assert!(summary.scopes > 400);
 }
 
 /// One run for the profiler-invisibility check: trace bytes, deterministic
