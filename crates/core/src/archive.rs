@@ -61,7 +61,7 @@ const PAIR: char = '\x1c'; // inside list elements (FS, as elsewhere)
 /// [`ScanReport::archive`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArchiveStats {
-    /// Sites written to the bundle (completed + failed + interrupted).
+    /// Sites written to the bundle (completed + failed).
     pub sites: u64,
     /// Unique script/resource bodies in the blob store.
     pub blobs_written: u64,
@@ -87,6 +87,8 @@ pub struct ReplayStats {
 pub struct CommitInfo {
     pub completed: usize,
     pub failed: usize,
+    /// Always 0: a sealed run determined every site. The commit line
+    /// keeps the field.
     pub interrupted: usize,
     /// Table 5 of the recording run: (static, dynamic, union) ×
     /// (identified, true).
@@ -193,23 +195,24 @@ fn invalid(msg: String) -> io::Error {
 
 /// The config-line slots that no experiment varies, with the one value
 /// each holds: every scan is a deep, non-interacting scan under
-/// the supervisor's constant retry and watchdog policy. The writer
-/// fills them in and the reader refuses any other value, so the line keeps
-/// its nine slots and a bundle made under another setting cannot replay
-/// as this one.
-fn fixed_slots() -> [(&'static str, String); 4] {
+/// the supervisor's constant retry and watchdog policy, and runs to its
+/// end (an empty per-run visit `budget`). The writer fills them in and the
+/// reader refuses any other value, so the line keeps its nine slots and a
+/// bundle made under another setting cannot replay as this one.
+fn fixed_slots() -> [(&'static str, String); 5] {
     use openwpm::supervisor::{BASE_BACKOFF_MS, MAX_ATTEMPTS, MAX_BACKOFF_MS, VISIT_TIMEOUT_MS};
     [
         ("subpages", "1".to_string()),
         ("interaction", "0".to_string()),
         ("visit_timeout_ms", VISIT_TIMEOUT_MS.to_string()),
         ("retry", format!("{MAX_ATTEMPTS},{BASE_BACKOFF_MS},{MAX_BACKOFF_MS}")),
+        ("budget", String::new()),
     ]
 }
 
 fn encode_config(cfg: &ScanConfig) -> String {
     let f = &cfg.faults;
-    let [subpages, interact, timeout, retry] = fixed_slots().map(|(_, value)| value);
+    let [subpages, interact, timeout, retry, budget] = fixed_slots().map(|(_, value)| value);
     [
         cfg.n_sites.to_string(),
         cfg.seed.to_string(),
@@ -228,7 +231,7 @@ fn encode_config(cfg: &ScanConfig) -> String {
             f.flaky_site_boost_pm,
             f.seed
         ),
-        cfg.visit_budget.map(|b| b.to_string()).unwrap_or_default(),
+        budget,
     ]
     .join(&PAIR.to_string())
 }
@@ -244,7 +247,8 @@ fn decode_config(s: &str, workers: usize) -> Result<ScanConfig, String> {
     else {
         return Err(corrupt());
     };
-    for ((field, value), got) in fixed_slots().iter().zip([subpages, interact, timeout, retry]) {
+    let fixed = [subpages, interact, timeout, retry, budget];
+    for ((field, value), got) in fixed_slots().iter().zip(fixed) {
         if got != value {
             return Err(format!("config field {field} is {got:?}; every scan runs {value:?}"));
         }
@@ -266,7 +270,6 @@ fn decode_config(s: &str, workers: usize) -> Result<ScanConfig, String> {
                 seed: *fseed,
             },
             flaky_sites_per_100k: flaky.parse().ok()?,
-            visit_budget: if budget.is_empty() { None } else { Some(budget.parse().ok()?) },
         })
     };
     decode().ok_or_else(corrupt)
@@ -370,14 +373,6 @@ fn archive_stats(w: ::archive::WriteStats) -> ArchiveStats {
 
 // --- recording -------------------------------------------------------------
 
-/// The config identity a bundle carries. `visit_budget` is a run-level
-/// interruption knob — "stop after N sites this run" — not part of the
-/// experiment: a budgeted partial bundle must be resumable (and
-/// comparable) without it.
-fn bundle_config(cfg: &ScanConfig) -> String {
-    encode_config(&ScanConfig { visit_budget: None, ..*cfg })
-}
-
 struct StreamState {
     line_hashes: Vec<Option<u64>>,
     flushed: u64,
@@ -411,7 +406,7 @@ pub(crate) struct Adopted {
 
 impl StreamRecorder {
     pub(crate) fn create(dir: &Path, cfg: &ScanConfig) -> io::Result<StreamRecorder> {
-        let writer = BundleWriter::create(dir, &bundle_config(cfg))?;
+        let writer = BundleWriter::create(dir, &encode_config(cfg))?;
         Ok(Self::with_writer(writer, vec![None; cfg.n_sites as usize]))
     }
 
@@ -427,7 +422,7 @@ impl StreamRecorder {
         cfg: &ScanConfig,
     ) -> io::Result<(StreamRecorder, Vec<Adopted>, u64)> {
         let reader = BundleReader::open(dir)?;
-        let writer = BundleWriter::append_to(dir, &bundle_config(cfg))?;
+        let writer = BundleWriter::append_to(dir, &encode_config(cfg))?;
         let n = cfg.n_sites as usize;
         let mut line_hashes = vec![None; n];
         let mut adopted = Vec::with_capacity(reader.entries.len());
@@ -457,8 +452,7 @@ impl StreamRecorder {
     }
 
     /// Durably persist one determined visit of the pages in `visit` (the
-    /// completion hook). Interruptions are never flushed: an interrupted
-    /// rank simply has no entry and is re-visited on resume.
+    /// completion hook).
     pub(crate) fn flush(
         &self,
         rank: u32,
@@ -468,9 +462,6 @@ impl StreamRecorder {
         delta: &str,
         capture: Option<StoreCapture>,
     ) {
-        if let VisitOutcome::Interrupted = outcome {
-            return;
-        }
         if let Err(e) = self.try_flush(rank, visit, outcome, attempts, delta, capture) {
             self.err
                 .lock()
@@ -517,10 +508,10 @@ impl StreamRecorder {
         Ok(())
     }
 
-    /// Seal the bundle if every rank was flushed or adopted; a
-    /// budget-interrupted run leaves it uncommitted so a later resume can
-    /// complete it. Records this run's flush count and whether the bundle
-    /// was sealed in `stats`, and returns the writer's statistics.
+    /// Seal the bundle: every rank was flushed by this run or adopted from
+    /// the bundle it resumed. Records this run's flush count in `stats`
+    /// and returns the writer's statistics. A rank with neither is an
+    /// `InvalidData` error naming it, and the bundle stays unsealed.
     pub(crate) fn finish(
         self,
         completion: &CrawlSummary,
@@ -533,9 +524,11 @@ impl StreamRecorder {
         }
         let st = self.state.into_inner().unwrap_or_else(|e| e.into_inner());
         stats.records_flushed = st.flushed;
-        stats.committed = st.line_hashes.iter().all(Option::is_some);
-        if !stats.committed {
-            return Ok(archive_stats(self.writer.stats()));
+        if let Some(rank) = st.line_hashes.iter().position(Option::is_none) {
+            return Err(invalid(format!(
+                "{}: rank {rank} was neither flushed nor adopted — refusing to seal",
+                self.writer.dir().display()
+            )));
         }
         let mut digest = String::new();
         for h in st.line_hashes.iter().flatten() {
@@ -630,7 +623,7 @@ fn decode_entry(payload: &str, reader: &BundleReader) -> Option<(u32, ReplaySite
         "failed" => {
             FailureReason::parse(result)?;
         }
-        "interrupted" => {}
+        // No recorder writes any other status (`interrupted` included).
         _ => return None,
     }
     let pages: Vec<VisitSpec> = if pages_enc.is_empty() {
@@ -937,6 +930,37 @@ mod tests {
             "{:?}",
             delta.changes
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `finish` seals only a bundle holding every rank: with rank 1 of 3
+    /// never flushed it names that rank, and the manifest stays unsealed.
+    #[test]
+    fn finish_refuses_to_seal_with_a_rank_missing() {
+        let dir = std::env::temp_dir().join(format!("gullible-finish-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let recorder = StreamRecorder::create(&dir, &ScanConfig::new(3, 1)).expect("create");
+        let failed = VisitOutcome::Failed { reason: FailureReason::Timeout, attempts: 3 };
+        for rank in [0, 2] {
+            let visit = SiteVisit {
+                rank,
+                domain: format!("s{rank}.test"),
+                categories: Vec::new(),
+                flaky: false,
+                pages: Vec::new(),
+            };
+            recorder.flush(rank, &visit, &failed, 3, "", None);
+        }
+        let mut stats = StreamStats::default();
+        let telemetry = obs::Telemetry::new();
+        let err = recorder
+            .finish(&CrawlSummary::default(), [(0, 0); 3], &telemetry, &mut stats)
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("rank 1 was neither flushed nor adopted"), "{err}");
+        assert_eq!(stats.records_flushed, 2);
+        let reader = BundleReader::open(&dir).expect("the flushed entries stay readable");
+        assert_eq!((reader.entries.len(), reader.commit.as_deref()), (2, None));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

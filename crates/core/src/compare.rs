@@ -25,8 +25,9 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, HashSet};
 
 use netsim::{Cookie, ResourceType};
-use openwpm::{run_supervised, Browser, BrowserConfig, FailureReason, ItemMeta};
-use openwpm::{SupervisorConfig, VisitOutcome};
+use openwpm::{
+    run_supervised, Browser, BrowserConfig, FailureReason, FaultPlan, ItemMeta, VisitOutcome,
+};
 use stats::{ratcliff_obershelp, wilcoxon_signed_rank, WilcoxonResult};
 use webgen::{behaviour, verdict_from_traffic, visit_spec, PageKind, Population, SitePlan};
 
@@ -181,7 +182,6 @@ fn run_legs(cfg: CompareConfig, plans: &[SitePlan]) -> CompareReport {
                     VisitOutcome::Failed { reason, .. } => {
                         dropped.entry(plan.rank).or_insert(*reason);
                     }
-                    // A leg has no visit budget, so nothing is interrupted.
                     VisitOutcome::Completed(_) | VisitOutcome::Interrupted => {}
                 }
             }
@@ -217,15 +217,19 @@ fn run_leg(
     run_supervised(
         plans.iter().collect(),
         cfg.workers,
-        SupervisorConfig::default(),
+        FaultPlan::none(),
         |plan: &&SitePlan| ItemMeta {
             // Not `front_url`: a label must not panic outside the visit.
             label: format!("https://{}/", plan.domain),
             fault_key: plan.rank as u64,
             flaky: plan.flaky,
         },
-        |w| (ctx.enter(), Browser::new(client.config(cfg.seed ^ (run as u64) << 32 ^ w as u64))),
+        // Every worker gets the same seed and each visit is keyed by its
+        // rank, so a site's event ids do not depend on which worker took
+        // it or what that browser visited before.
+        |_| (ctx.enter(), Browser::new(client.config(cfg.seed ^ (run as u64) << 32))),
         |(_, browser), _, plan| {
+            browser.set_visit_key(plan.rank as u64);
             visit_one(browser, plan, run, tag, flagged_before.contains(&plan.rank))
         },
         Vec::new(),

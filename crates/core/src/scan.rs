@@ -17,7 +17,7 @@ use netsim::url::etld1_of;
 use netsim::Url;
 use openwpm::{
     run_supervised, Browser, BrowserConfig, CrawlHistoryRecord, CrawlSummary, FailureReason,
-    FaultPlan, ItemMeta, SiteResponse, SupervisorConfig, VisitOutcome, VisitSpec,
+    FaultPlan, ItemMeta, SiteResponse, VisitOutcome, VisitSpec,
 };
 use webgen::{visit_spec, Category, PageKind, Population, SitePlan};
 
@@ -41,10 +41,6 @@ pub struct ScanConfig {
     /// `webgen::Population::flaky_per_100k`); the fault injector boosts its
     /// rates on these.
     pub flaky_sites_per_100k: u32,
-    /// Visit only the first N not-yet-completed sites, marking the rest
-    /// interrupted — the deterministic "crawl killed midway" model used
-    /// by checkpoint/resume tests.
-    pub visit_budget: Option<usize>,
 }
 
 impl ScanConfig {
@@ -55,7 +51,6 @@ impl ScanConfig {
             workers: 4,
             faults: FaultPlan::none(),
             flaky_sites_per_100k: 0,
-            visit_budget: None,
         }
     }
 
@@ -64,10 +59,6 @@ impl ScanConfig {
             flaky_per_100k: self.flaky_sites_per_100k,
             ..Population::new(self.n_sites, self.seed)
         }
-    }
-
-    fn supervisor(&self) -> SupervisorConfig {
-        SupervisorConfig { faults: self.faults, visit_budget: self.visit_budget }
     }
 }
 
@@ -324,14 +315,14 @@ pub struct ScanReport {
     pub n_sites: u32,
     /// Records of sites whose visits completed, in rank order. Every scan
     /// keeps them except [`Scan::stream_to`], which drops each record once
-    /// it is flushed. Failed or interrupted sites contribute no record —
+    /// it is flushed. Failed sites contribute no record —
     /// they are accounted in `completion` and `history` instead, and every
     /// printed table must carry the coverage denominator (the paper's
     /// completeness lesson).
     pub sites: Vec<SiteScanRecord>,
     /// Crawl completeness rollup.
     pub completion: CrawlSummary,
-    /// Per-site `crawl_history` rows (ok / failed / interrupted).
+    /// Per-site `crawl_history` rows (ok / failed).
     pub history: Vec<CrawlHistoryRecord>,
     /// Bundle statistics of this run's writes when the scan had a bundle
     /// sink ([`Scan::record`] or [`Scan::stream_to`]).
@@ -513,9 +504,6 @@ pub struct StreamStats {
     /// High-water mark of completed records simultaneously alive in
     /// memory — bounded by the worker count, not the site count.
     pub peak_records_in_flight: u64,
-    /// The bundle was sealed (every rank determined). `false` means a
-    /// budget-limited run left work for a future resume.
-    pub committed: bool,
 }
 
 /// One configured scan session — the single entry point for every scan.
@@ -595,9 +583,10 @@ impl<'a> Scan<'a> {
     /// torn final line, and re-visits only the sites without an entry. A
     /// damaged line anywhere else is an error. The resumed run's per-site
     /// records, tables and telemetry digest are byte-identical to an
-    /// uninterrupted run. Once every site is determined the bundle is
-    /// sealed with the run's Table 5 and telemetry digest; a sealed bundle
-    /// refuses further writes.
+    /// uninterrupted run. Every run ends with every site determined, so
+    /// a `run` that returns `Ok` has sealed the bundle with the run's
+    /// Table 5 and telemetry digest; a sealed bundle refuses further
+    /// writes.
     pub fn stream_to(mut self, dir: impl Into<PathBuf>) -> Scan<'a> {
         self.sink = Some(BundleSink { dir: dir.into(), keep_records: false });
         self
@@ -677,7 +666,7 @@ impl<'a> Scan<'a> {
         let crawl = run_supervised(
             (0..cfg.n_sites).collect(),
             cfg.workers,
-            cfg.supervisor(),
+            cfg.faults,
             |rank: &u32| source.meta(*rank),
             move |worker| {
                 // Every worker gets the *same* config seed: per-visit
@@ -724,6 +713,7 @@ impl<'a> Scan<'a> {
                         attempts,
                     ));
                 }
+                // No crawl produces it (ROADMAP item 5).
                 VisitOutcome::Interrupted => {
                     history.push(CrawlHistoryRecord::interrupted(rank as u64, &url));
                 }

@@ -421,7 +421,8 @@ pub fn dump_forensic(trigger: &str, attrs: &[(&str, String)]) {
     telemetry::with_current(|t| write_dump(t, &dump));
 }
 
-/// Offer a finished visit to the slow-visit trigger. The current
+/// Offer a finished visit, item `item` of its crawl labelled `label` (the
+/// site's URL), to the slow-visit trigger. The current
 /// telemetry keeps a `slow_visit` dump of its k slowest visits
 /// ([`Telemetry::with_slow_visits`]); a visit slower than the fastest one
 /// kept is captured here, on its worker, and evicts that one. The kept
@@ -431,7 +432,7 @@ pub fn dump_forensic(trigger: &str, attrs: &[(&str, String)]) {
 ///
 /// [`Telemetry::with_slow_visits`]: crate::Telemetry::with_slow_visits
 /// [`Telemetry::write_slow_visits`]: crate::Telemetry::write_slow_visits
-pub fn offer_slow_visit(item: usize, wall_us: u64) {
+pub fn offer_slow_visit(item: usize, label: &str, wall_us: u64) {
     if !recorder_armed() {
         return;
     }
@@ -447,7 +448,11 @@ pub fn offer_slow_visit(item: usize, wall_us: u64) {
             }
             kept.swap_remove(fastest);
         }
-        let attrs = [("item", item.to_string()), ("wall_us", wall_us.to_string())];
+        let attrs = [
+            ("item", item.to_string()),
+            ("label", label.to_string()),
+            ("wall_us", wall_us.to_string()),
+        ];
         kept.push((wall_us, render_dump("slow_visit", &attrs)));
     });
 }
@@ -554,7 +559,7 @@ mod tests {
             for (item, us) in [5u64, 1, 9, 3, 7, 9, 2, 8, 4].into_iter().enumerate() {
                 let _v = enter(&VISIT);
                 ring_record("page", format!("item {item}"));
-                offer_slow_visit(item, us);
+                offer_slow_visit(item, &format!("https://s{item}.test/"), us);
             }
             // Nothing reaches the sink before the leg ends.
             assert_eq!(std::fs::read_to_string(&path).unwrap_or_default(), "");
@@ -567,6 +572,7 @@ mod tests {
         // Slowest first; a tie with the fastest kept visit does not evict it.
         assert_eq!(slow_visit_walls(&text), [9, 9, 8]);
         assert!(text.contains(r#""item":"2""#) && text.contains(r#""item":"5""#), "{text}");
+        assert!(text.contains(r#""label":"https://s2.test/""#), "{text}");
         // Each dump holds its visit's ring as it was on arrival: item 7's
         // breadcrumb is there, the later item 8's is in no kept dump.
         assert!(text.contains(r#""detail":"item 7""#), "{text}");
@@ -580,8 +586,8 @@ mod tests {
         let t = Telemetry::new().with_slow_visits(5).with_forensics(&short).expect("sink");
         {
             let _g = t.enter();
-            offer_slow_visit(0, 40);
-            offer_slow_visit(1, 60);
+            offer_slow_visit(0, "https://a.test/", 40);
+            offer_slow_visit(1, "https://b.test/", 60);
         }
         t.write_slow_visits();
         let text = std::fs::read_to_string(&short).expect("dump file");
@@ -651,7 +657,7 @@ mod tests {
         assert!(!profiling());
         assert!(!recorder_armed());
         dump_forensic("ignored", &[]);
-        offer_slow_visit(0, 1_000);
+        offer_slow_visit(0, "https://a.test/", 1_000);
         t.write_slow_visits();
         assert_eq!(std::fs::read_to_string(&path).unwrap_or_default(), "");
         let _ = std::fs::remove_file(&path);

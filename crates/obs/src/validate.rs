@@ -279,11 +279,17 @@ pub struct ForensicSummary {
     pub triggers: Vec<(String, String)>,
 }
 
+/// Triggers of dumps taken for one site's visit; each must name its site
+/// in a non-empty `label` (item indices repeat across the crawls of a run).
+const SITE_TRIGGERS: [&str; 4] = ["slow_visit", "visit_error", "visit_panic", "visit_failed"];
+
 /// Validate a flight-recorder forensic dump file (`prof::dump_forensic`
 /// output): every line is flat JSON; each `rec:"forensic"` header carries a
-/// non-empty trigger and in-flight phase plus drop accounting; each header
-/// is followed by exactly `ring_len` `rec:"forensic_ring"` lines with the
-/// same dump id and strictly increasing sequence numbers.
+/// non-empty trigger and in-flight phase plus drop accounting, and a
+/// site-visit trigger's header (`slow_visit`, `visit_error`, `visit_panic`,
+/// `visit_failed`) a non-empty `label`; each header is followed
+/// by exactly `ring_len` `rec:"forensic_ring"` lines with the same dump id
+/// and strictly increasing sequence numbers.
 pub fn validate_forensic(contents: &str) -> Result<ForensicSummary, String> {
     let mut summary = ForensicSummary::default();
     // (dump id, ring lines still expected, last seq seen)
@@ -318,6 +324,12 @@ pub fn validate_forensic(contents: &str) -> Result<ForensicSummary, String> {
                     .and_then(Val::as_str)
                     .filter(|s| !s.is_empty())
                     .ok_or_else(|| format!("line {lineno}: forensic missing 'phase'"))?;
+                if SITE_TRIGGERS.contains(&trigger) {
+                    get("label")
+                        .and_then(Val::as_str)
+                        .filter(|s| !s.is_empty())
+                        .ok_or_else(|| format!("line {lineno}: {trigger} dump missing 'label'"))?;
+                }
                 for key in ["wall_ms", "worker", "depth", "dropped"] {
                     get(key)
                         .and_then(Val::as_num)
@@ -465,7 +477,7 @@ mod forensic_tests {
             concat!(
                 r#"{{"rec":"forensic","id":{},"wall_ms":12,"worker":0,"#,
                 r#""trigger":"visit_failed","phase":"visit","#,
-                r#""depth":1,"dropped":0,"ring_len":{}}}"#
+                r#""depth":1,"dropped":0,"ring_len":{},"label":"https://a.test/"}}"#
             ),
             id, ring_len
         )
@@ -513,5 +525,24 @@ mod forensic_tests {
         let text = r#"{"rec":"forensic","id":1,"trigger":"t","phase":"p"}"#;
         assert!(validate_forensic(text).is_err());
         assert!(validate_forensic(r#"{"rec":"mystery"}"#).unwrap_err().contains("unknown record"));
+    }
+
+    #[test]
+    fn site_dumps_must_name_their_site() {
+        let base = concat!(
+            r#"{"rec":"forensic","id":1,"wall_ms":0,"worker":0,"phase":"visit","#,
+            r#""depth":1,"dropped":0,"ring_len":0"#
+        );
+        for trigger in SITE_TRIGGERS {
+            for label in ["", r#","label":"""#] {
+                let text = format!(r#"{base},"trigger":"{trigger}"{label}}}"#);
+                let err = validate_forensic(&text).unwrap_err();
+                assert!(err.contains(&format!("{trigger} dump missing 'label'")), "{err}");
+            }
+            let text = format!(r#"{base},"trigger":"{trigger}","label":"https://a.test/"}}"#);
+            assert!(validate_forensic(&text).is_ok(), "{trigger}");
+        }
+        // Dumps not taken for one site need none.
+        assert!(validate_forensic(&format!(r#"{base},"trigger":"worker_panic"}}"#)).is_ok());
     }
 }

@@ -47,7 +47,6 @@ pub use records::{
     StoreCapture,
 };
 pub use supervisor::{
-    run_supervised, CrawlOutcome, CrawlSummary, FailureReason, ItemMeta, SupervisorConfig,
-    VisitOutcome,
+    run_supervised, CrawlOutcome, CrawlSummary, FailureReason, ItemMeta, VisitOutcome,
 };
 pub use wpm_browser::{Browser, PageScript, SiteResponse, VisitSpec, VisitStats};

@@ -117,7 +117,6 @@ where
                                 if let Some(t0) = t0 {
                                     let us = t0.elapsed().as_micros() as u64;
                                     obs::observe("sched.visit_wall_us", us);
-                                    obs::prof::offer_slow_visit(i, us);
                                 }
                                 drop(visit_guard);
                                 obs::add("manager.items", 1);

@@ -115,26 +115,15 @@ fn backoff_ms(retry: u32) -> u64 {
     (BASE_BACKOFF_MS << shift).min(MAX_BACKOFF_MS)
 }
 
-/// What a crawl varies about its supervision: the fault weather and an
-/// optional visit budget. Retries and the watchdog are the constants
-/// above. `Copy` so scan configs can embed it with struct-update syntax.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SupervisorConfig {
-    pub faults: FaultPlan,
-    /// If set, only the first `budget` not-yet-completed items are
-    /// visited; the rest come back [`VisitOutcome::Interrupted`]. This
-    /// models a crawl killed midway deterministically (by item index, not
-    /// by racy scheduling), which is what checkpoint/resume tests need.
-    pub visit_budget: Option<usize>,
-}
-
 /// How one supervised item ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum VisitOutcome<R> {
     Completed(R),
     /// All attempts exhausted; the site is skipped, not the crawl.
     Failed { reason: FailureReason, attempts: u32 },
-    /// Never visited — the run stopped (visit budget) before reaching it.
+    /// Never visited. No crawl produces it: every crawl runs to its end.
+    /// It stays only because the benchmark harness matches on it
+    /// (ROADMAP item 5); it goes at the next benchmark change.
     Interrupted,
 }
 
@@ -235,8 +224,7 @@ impl CrawlSummary {
 pub struct CrawlOutcome<R> {
     /// Per-item outcome, in item order.
     pub outcomes: Vec<VisitOutcome<R>>,
-    /// Visit attempts consumed per item this run (0 for replayed priors
-    /// and interrupted items).
+    /// Visit attempts consumed per item this run (0 for replayed priors).
     pub attempts: Vec<u32>,
     pub summary: CrawlSummary,
 }
@@ -253,18 +241,12 @@ struct ItemRun<R> {
     trace: Vec<Event>,
 }
 
-impl<R> ItemRun<R> {
-    /// An item determined without a visit (replayed or interrupted); closes
-    /// its telemetry scope.
-    fn unvisited(outcome: VisitOutcome<R>, scope: obs::ScopeGuard) -> ItemRun<R> {
-        ItemRun { outcome, attempts: 0, restarts: 0, lost_ms: 0, trace: scope.end() }
-    }
-}
-
 /// Supervised parallel execution: fault injection, watchdog timeouts,
 /// retry with backoff, browser restarts, graceful failure records, and
 /// checkpoint/resume hooks.
 ///
+/// * `faults` is the crawl's injected weather ([`FaultPlan::none`] for a
+///   clean crawl);
 /// * `meta(item)` names the item and keys its fault draws;
 /// * `init(worker)` builds per-worker browser state; it is re-invoked to
 ///   restart that state after a crash/hang/panic, once the old state has
@@ -288,7 +270,7 @@ impl<R> ItemRun<R> {
 pub fn run_supervised<W, R, T, S>(
     items: Vec<W>,
     workers: usize,
-    cfg: SupervisorConfig,
+    faults: FaultPlan,
     meta: impl Fn(&W) -> ItemMeta + Sync,
     init: impl Fn(usize) -> S + Sync,
     visit: impl Fn(&mut S, usize, &W) -> Result<R, FailureReason> + Sync,
@@ -298,36 +280,13 @@ pub fn run_supervised<W, R, T, S>(
 where
     W: Send,
     R: Send,
-    T: Send + Clone,
+    T: Send,
 {
     let n = items.len();
-    let injector = FaultInjector::new(cfg.faults);
-    // Resolve up-front which indices actually run: priors replay, and a
-    // visit budget admits only the first `budget` fresh items. Both are
-    // functions of the index alone, never of scheduling.
-    let mut fresh_seen = 0usize;
-    let mut admitted: Vec<bool> = Vec::with_capacity(n);
-    for i in 0..n {
-        let is_fresh = prior.get(i).map(|p| p.is_none()).unwrap_or(true);
-        let admit = match (is_fresh, cfg.visit_budget) {
-            (false, _) => false,
-            (true, Some(budget)) => {
-                fresh_seen += 1;
-                fresh_seen <= budget
-            }
-            (true, None) => true,
-        };
-        admitted.push(admit);
-    }
-
-    let work: Vec<(W, Option<VisitOutcome<T>>, bool)> = items
-        .into_iter()
-        .enumerate()
-        .map(|(i, item)| {
-            let replay = prior.get(i).cloned().flatten();
-            (item, replay, admitted[i])
-        })
-        .collect();
+    let injector = FaultInjector::new(faults);
+    let mut prior = prior.into_iter();
+    let work: Vec<(W, Option<VisitOutcome<T>>)> =
+        items.into_iter().map(|item| (item, prior.next().flatten())).collect();
 
     // No `workers` attribute: the journal must be byte-identical across
     // worker counts (scheduling never reaches the trace).
@@ -348,19 +307,17 @@ where
         work,
         workers,
         |w| (w, Some(init(w))),
-        |(worker, state), i, (item, replay, admit)| {
+        |(worker, state), i, (item, replay)| {
             // Dropped without `end` only when the visit unwinds out of the
             // worker: the scope still merges the metrics it counted.
             let scope = obs::begin_scope();
             if let Some(outcome) = replay {
                 obs::add("checkpoint.replays", 1);
                 obs::emit(Event::new(0, "checkpoint_replay").attr("item", i));
-                return ItemRun::unvisited(outcome, scope);
+                let trace = scope.end();
+                return ItemRun { outcome, attempts: 0, restarts: 0, lost_ms: 0, trace };
             }
-            if !admit {
-                obs::emit(Event::new(0, "interrupted").attr("item", i));
-                return ItemRun::unvisited(on_complete(i, VisitOutcome::Interrupted, 0), scope);
-            }
+            let t0 = obs::prof::recorder_armed().then(std::time::Instant::now);
             let m = meta(&item);
             obs::add("supervisor.visits", 1);
             let visit_span = obs::span("visit");
@@ -435,6 +392,7 @@ where
                                 "visit_error",
                                 &[
                                     ("item", i.to_string()),
+                                    ("label", m.label.clone()),
                                     ("reason", reason.as_str().to_string()),
                                     ("attempt", attempts.to_string()),
                                 ],
@@ -450,6 +408,7 @@ where
                                 "visit_panic",
                                 &[
                                     ("item", i.to_string()),
+                                    ("label", m.label.clone()),
                                     ("panic", msg),
                                     ("attempt", attempts.to_string()),
                                 ],
@@ -465,6 +424,7 @@ where
                         "visit_failed",
                         &[
                             ("item", i.to_string()),
+                            ("label", m.label.clone()),
                             ("reason", failure.as_str().to_string()),
                             ("attempts", attempts.to_string()),
                         ],
@@ -488,6 +448,9 @@ where
             // `on_complete` runs inside the still-open visit scope so that
             // checkpoint-write events land in this visit's trace.
             let stored = on_complete(i, outcome, attempts);
+            if let Some(t0) = t0 {
+                obs::prof::offer_slow_visit(i, &m.label, t0.elapsed().as_micros() as u64);
+            }
             drop(visit_span);
             ItemRun { outcome: stored, attempts, restarts, lost_ms, trace: scope.end() }
         },
@@ -602,7 +565,7 @@ mod tests {
         let out = run_supervised(
             (0..10u64).collect(),
             2,
-            SupervisorConfig::default(),
+            FaultPlan::none(),
             meta_of,
             |_| (),
             |_, _, item: &u64| Ok(vec![*item; 100]),
@@ -635,12 +598,12 @@ mod tests {
     fn run_plain(
         items: Vec<u64>,
         workers: usize,
-        cfg: SupervisorConfig,
+        faults: FaultPlan,
     ) -> CrawlOutcome<u64> {
         run_supervised(
             items,
             workers,
-            cfg,
+            faults,
             meta_of,
             |_| 0u64,
             |state, _, item| {
@@ -654,7 +617,7 @@ mod tests {
 
     #[test]
     fn clean_run_completes_everything() {
-        let out = run_plain((0..100).collect(), 4, SupervisorConfig::default());
+        let out = run_plain((0..100).collect(), 4, FaultPlan::none());
         assert_eq!(out.summary.completed, 100);
         assert_eq!(out.summary.failed, 0);
         assert_eq!(out.summary.completion_rate(), 1.0);
@@ -665,11 +628,10 @@ mod tests {
 
     #[test]
     fn panicking_visits_degrade_to_failed_records() {
-        let cfg = SupervisorConfig::default();
         let out = run_supervised(
             (0..50u64).collect(),
             3,
-            cfg,
+            FaultPlan::none(),
             meta_of,
             |_| (),
             |_, _, item: &u64| {
@@ -715,7 +677,7 @@ mod tests {
             run_supervised(
                 vec![1u64, 2, 3],
                 2,
-                SupervisorConfig::default(),
+                FaultPlan::none(),
                 meta_of,
                 |_| (),
                 |_, _, item: &u64| if *item == 2 { Err(FailureReason::BadUrl) } else { Ok(*item) },
@@ -736,17 +698,15 @@ mod tests {
             assert!(phase.starts_with("visit"), "{trigger} dumped in phase {phase}");
         }
         assert!(text.contains(r#""reason":"bad_url""#), "{text}");
+        assert!(text.contains(r#""label":"item-2""#), "the dumps name their item: {text}");
         assert!(summary.ring_events > 0, "empty flight-recorder ring");
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn injected_faults_retry_and_mostly_recover() {
-        let cfg = SupervisorConfig {
-            faults: FaultPlan::adversarial(99),
-            ..SupervisorConfig::default()
-        };
-        let out = run_plain((0..2000).collect(), 4, cfg);
+        let faults = FaultPlan::adversarial(99);
+        let out = run_plain((0..2000).collect(), 4, faults);
         assert_eq!(out.summary.total, 2000);
         // ~8% of first attempts fault but retries clear most: overall
         // completion must stay high.
@@ -766,12 +726,9 @@ mod tests {
 
     #[test]
     fn outcomes_are_deterministic_across_worker_counts() {
-        let cfg = SupervisorConfig {
-            faults: FaultPlan::adversarial(7),
-            ..SupervisorConfig::default()
-        };
-        let a = run_plain((0..500).collect(), 1, cfg);
-        let b = run_plain((0..500).collect(), 4, cfg);
+        let faults = FaultPlan::adversarial(7);
+        let a = run_plain((0..500).collect(), 1, faults);
+        let b = run_plain((0..500).collect(), 4, faults);
         assert_eq!(a.outcomes, b.outcomes);
         assert_eq!(a.summary, b.summary);
     }
@@ -779,15 +736,12 @@ mod tests {
     #[test]
     fn hang_charges_timeout_and_restarts() {
         // A plan that only hangs, always.
-        let cfg = SupervisorConfig {
-            faults: FaultPlan {
+        let faults = FaultPlan {
                 hang_per_mille: 1000,
                 seed: 1,
                 ..FaultPlan::default()
-            },
-            ..SupervisorConfig::default()
-        };
-        let out = run_plain(vec![1, 2, 3], 1, cfg);
+            };
+        let out = run_plain(vec![1, 2, 3], 1, faults);
         assert_eq!(out.summary.failed, 3);
         assert_eq!(
             out.summary.failures_by_reason,
@@ -801,15 +755,12 @@ mod tests {
     #[test]
     fn browser_crash_restarts_and_retries() {
         // A plan that only crashes the browser, always.
-        let cfg = SupervisorConfig {
-            faults: FaultPlan { crash_per_mille: 1000, seed: 1, ..FaultPlan::default() },
-            ..SupervisorConfig::default()
-        };
+        let faults = FaultPlan { crash_per_mille: 1000, seed: 1, ..FaultPlan::default() };
         let inits = AtomicUsize::new(0);
         let out = run_supervised(
             vec![1u64, 2],
             1,
-            cfg,
+            faults,
             meta_of,
             |_| {
                 inits.fetch_add(1, Ordering::Relaxed);
@@ -840,12 +791,11 @@ mod tests {
                     && injector.draw(k, 2, false).is_none()
             })
             .unwrap();
-        let cfg = SupervisorConfig { faults, ..SupervisorConfig::default() };
-        let ctx = jsengine::JsCtx::new();
+                let ctx = jsengine::JsCtx::new();
         let out = run_supervised(
             vec![key],
             1,
-            cfg,
+            faults,
             meta_of,
             |_| ctx.enter(),
             |_, _, _: &u64| Ok(Arc::ptr_eq(&jsengine::JsCtx::current().cache, &ctx.cache)),
@@ -863,19 +813,16 @@ mod tests {
 
     #[test]
     fn tab_crash_discards_work_and_restarts() {
-        let cfg = SupervisorConfig {
-            faults: FaultPlan {
+        let faults = FaultPlan {
                 tab_crash_per_mille: 1000,
                 seed: 1,
                 ..FaultPlan::default()
-            },
-            ..SupervisorConfig::default()
-        };
+            };
         let visits = AtomicUsize::new(0);
         let out = run_supervised(
             vec![1u64],
             1,
-            cfg,
+            faults,
             meta_of,
             |_| (),
             |_, _, item: &u64| {
@@ -902,24 +849,6 @@ mod tests {
     }
 
     #[test]
-    fn visit_budget_interrupts_the_tail() {
-        let cfg = SupervisorConfig {
-            visit_budget: Some(30),
-            ..SupervisorConfig::default()
-        };
-        let out = run_plain((0..100).collect(), 4, cfg);
-        assert_eq!(out.summary.completed, 30);
-        assert_eq!(out.summary.interrupted, 70);
-        for (i, o) in out.outcomes.iter().enumerate() {
-            if i < 30 {
-                assert!(o.is_completed());
-            } else {
-                assert_eq!(*o, VisitOutcome::Interrupted);
-            }
-        }
-    }
-
-    #[test]
     fn priors_replay_without_revisiting() {
         let visited = Mutex::new(Vec::new());
         let mut prior: Vec<Option<VisitOutcome<u64>>> = vec![None; 10];
@@ -931,7 +860,7 @@ mod tests {
         let out = run_supervised(
             (0..10u64).collect(),
             2,
-            SupervisorConfig::default(),
+            FaultPlan::none(),
             meta_of,
             |_| (),
             |_, i, item: &u64| {
@@ -954,29 +883,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_counts_only_fresh_items() {
-        // 5 priors + budget 5 → items 0..10 all determined, rest interrupted.
-        let prior: Vec<Option<VisitOutcome<u64>>> =
-            (0..20).map(|i| (i < 5).then_some(VisitOutcome::Completed(0))).collect();
-        let cfg = SupervisorConfig {
-            visit_budget: Some(5),
-            ..SupervisorConfig::default()
-        };
-        let out = run_supervised(
-            (0..20u64).collect(),
-            2,
-            cfg,
-            meta_of,
-            |_| (),
-            |_, _, item: &u64| Ok(*item),
-            prior,
-            keep,
-        );
-        assert_eq!(out.summary.completed, 10);
-        assert_eq!(out.summary.interrupted, 10);
-    }
-
-    #[test]
     fn on_complete_fires_for_fresh_items_only() {
         let seen = Mutex::new(Vec::new());
         let mut prior: Vec<Option<VisitOutcome<u64>>> = vec![None; 6];
@@ -984,7 +890,7 @@ mod tests {
         run_supervised(
             (0..6u64).collect(),
             1,
-            SupervisorConfig::default(),
+            FaultPlan::none(),
             meta_of,
             |_| (),
             |_, _, item: &u64| Ok(*item),
@@ -1001,27 +907,16 @@ mod tests {
 
     #[test]
     fn interrupted_then_resumed_equals_uninterrupted() {
-        let faulty = SupervisorConfig {
-            faults: FaultPlan::adversarial(13),
-            ..SupervisorConfig::default()
-        };
+        let faulty = FaultPlan::adversarial(13);
         let full = run_plain((0..200).collect(), 3, faulty);
 
-        // "Kill" after 80 fresh visits...
-        let killed = run_plain(
-            (0..200).collect(),
-            3,
-            SupervisorConfig { visit_budget: Some(80), ..faulty },
-        );
-        assert_eq!(killed.summary.interrupted, 120);
-        // ...checkpoint the determined outcomes, resume with them as prior.
-        let prior: Vec<Option<VisitOutcome<u64>>> = killed
+        // A kill after the first 80 items leaves their outcomes as the
+        // checkpoint; the resume takes them as priors.
+        let prior: Vec<Option<VisitOutcome<u64>>> = full
             .outcomes
             .iter()
-            .map(|o| match o {
-                VisitOutcome::Interrupted => None,
-                other => Some(other.clone()),
-            })
+            .enumerate()
+            .map(|(i, o)| (i < 80).then(|| o.clone()))
             .collect();
         let resumed = run_supervised(
             (0..200u64).collect(),
@@ -1037,6 +932,9 @@ mod tests {
             keep,
         );
         assert_eq!(resumed.outcomes, full.outcomes);
+        // Only the 120 items without a prior were visited.
+        assert!(resumed.attempts[..80].iter().all(|&a| a == 0));
+        assert!(resumed.attempts[80..].iter().all(|&a| a > 0));
         assert_eq!(resumed.summary.completed, full.summary.completed);
         assert_eq!(resumed.summary.failed, full.summary.failed);
         assert_eq!(

@@ -7,7 +7,9 @@
 //! worker count; two same-seed recordings must diff clean; and a damaged
 //! bundle must fail loudly, never silently re-measure partial data.
 
+mod common;
 
+use common::{as_interrupted, crash_state, reframed};
 use gullible::{diff_bundles, obs, site_visit, CrawlCtx, ReplayBundle, Scan, ScanConfig};
 use openwpm::FaultPlan;
 use proplite::TempDir;
@@ -79,37 +81,39 @@ fn record_then_replay_reproduces_run_byte_for_byte() {
 /// equal the corpus statistics computed independently from the generator
 /// (blobs = unique script bodies, dedup hits = served − unique), and
 /// (b) replay reproduces the per-site records exactly — including runs
-/// with fault weather and budget-interrupted recordings, which leave an
-/// open bundle that a second run resumes and seals.
+/// with fault weather and recordings killed halfway (the unsealed bundle
+/// such a kill leaves is built on disk), which a second run resumes and
+/// seals.
 #[test]
 fn randomized_scans_roundtrip_with_exact_blob_accounting() {
     proplite::run_cases(4, 0xA2C4_11EE, |rng| {
         let n_sites = rng.u32_in(30, 70);
         let faults =
             if rng.bool() { FaultPlan::adversarial(rng.u32_in(1, 9) as u64) } else { FaultPlan::none() };
-        let budget = rng.bool().then_some(n_sites as usize / 2);
+        let killed_at = rng.bool().then_some(n_sites / 2);
         let cfg = ScanConfig {
             faults,
             ..ScanConfig::new(n_sites, rng.u32_in(1, 1_000) as u64)
         };
         let dir = tmp_dir("prop");
 
+        // Blobs written by each leg: `(written, dedup hits)`.
         let mut legs = Vec::new();
-        if let Some(budget) = budget {
-            let partial = Scan::new(ScanConfig { visit_budget: Some(budget), ..cfg })
-                .record(&dir)
-                .run()
-                .expect("budgeted record");
-            assert!(!partial.stream.unwrap().committed, "a budgeted recording stays open");
-            assert_eq!(partial.completion.interrupted, n_sites as usize - budget);
-            assert!(ReplayBundle::open(&dir).is_err(), "an open bundle must refuse replay");
-            legs.push(partial.archive.expect("archive stats"));
+        if let Some(k) = killed_at {
+            let complete = tmp_dir("prop-complete");
+            Scan::new(cfg).record(&complete).run().expect("complete record");
+            let killed = crash_state(&cfg, &complete, &dir, k, None);
+            let err = ReplayBundle::open(&dir).unwrap_err().to_string();
+            assert!(err.contains("no commit line"), "an open bundle must refuse replay: {err}");
+            legs.push((killed.blobs_written, killed.dedup_hits));
         }
         let recorded = Scan::new(cfg).record(&dir).run().expect("record");
         let stream = recorded.stream.unwrap();
-        assert!(stream.committed);
-        assert_eq!(stream.resumed, budget.is_some());
-        legs.push(recorded.archive.expect("archive stats"));
+        assert_eq!(stream.resumed, killed_at.is_some());
+        assert_eq!(stream.records_replayed, killed_at.unwrap_or(0) as u64);
+        let archive = recorded.archive.expect("archive stats");
+        legs.push((archive.blobs_written, archive.dedup_hits));
+        assert_eq!(archive.sites as u32, cfg.n_sites);
 
         // Independent corpus statistics straight from the generator.
         let pop = Population {
@@ -127,9 +131,8 @@ fn randomized_scans_roundtrip_with_exact_blob_accounting() {
             }
         }
         // Every site is archived exactly once across the legs.
-        let blobs_written: u64 = legs.iter().map(|s| s.blobs_written).sum();
-        let dedup_hits: u64 = legs.iter().map(|s| s.dedup_hits).sum();
-        assert_eq!(legs.last().unwrap().sites as u32, cfg.n_sites);
+        let blobs_written: u64 = legs.iter().map(|l| l.0).sum();
+        let dedup_hits: u64 = legs.iter().map(|l| l.1).sum();
         assert_eq!(blobs_written, unique.len() as u64, "blobs = unique script bodies");
         assert_eq!(dedup_hits, served - unique.len() as u64);
 
@@ -214,6 +217,18 @@ fn damaged_bundles_fail_loudly() {
         "{err}"
     );
 
+    // An intact, re-checksummed entry recording an `interrupted` visit, a
+    // status no recorder writes.
+    let lines: Vec<String> = pristine
+        .lines()
+        .enumerate()
+        .map(|(i, l)| if i == 3 { reframed(l, &as_interrupted) } else { l.to_string() })
+        .collect();
+    std::fs::write(&manifest, lines.join("\n") + "\n").expect("rewrite entry");
+    let err = ReplayBundle::open(&dir).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("corrupt site entry"), "{err}");
+
     // Restore and verify it opens again (the damage checks are real).
     std::fs::write(&manifest, &pristine).expect("restore");
     ReplayBundle::open(&dir).expect("pristine bundle must open");
@@ -222,7 +237,8 @@ fn damaged_bundles_fail_loudly() {
 }
 
 /// The config line keeps slots for settings no scan varies any more
-/// (subpages, interaction, visit timeout, retry policy). A bundle holding
+/// (subpages, interaction, visit timeout, retry policy, and the per-run
+/// visit budget, which every bundle holds empty). A bundle holding
 /// any other value there, even with a valid checksum, was made by a
 /// different experiment and must be refused, naming the field.
 #[test]
@@ -239,6 +255,7 @@ fn bundles_with_a_non_constant_fixed_config_slot_are_refused() {
         (3, "interaction", "1"),
         (5, "visit_timeout_ms", "45000"),
         (6, "retry", "2,1000,30000"),
+        (8, "budget", "20"),
     ] {
         let mut slots: Vec<&str> = config.split('\x1c').collect();
         assert_ne!(slots[slot], value, "{field} must start at its constant");

@@ -10,11 +10,14 @@
 //!
 //! A killed crawl leaves nothing but its bundle: a manifest prefix,
 //! perhaps ending in a torn line, and a blob file. Each test writes that
-//! state directly (see [`Kill`]) and resumes from it; `bench`'s
-//! `sigkill_resume` test kills a real process.
+//! state directly (see [`Kill`] and `common::crash_state`) and resumes
+//! from it; `bench`'s `sigkill_resume` test kills a real process.
+
+mod common;
 
 use std::path::Path;
 
+use common::{as_interrupted, crash_state, cut_manifest, line_ends, reframed};
 use gullible::{diff_bundles, obs, CrawlCtx, CtxGuard, ReplayBundle, Scan, ScanConfig};
 use openwpm::FaultPlan;
 use proplite::TempDir;
@@ -100,37 +103,30 @@ impl Kill {
             Kill::AfterVisit(k) | Kill::MidBundleAppend(k, _) => k,
         }
     }
+
+    /// How much of that entry reached the disk, if the kill tore it.
+    fn tear(self) -> Option<usize> {
+        match self {
+            Kill::AfterVisit(_) => None,
+            Kill::MidBundleAppend(_, keep) => Some(keep),
+        }
+    }
 }
 
 /// Cut the manifest in `dir` to what `kill` leaves of it: the header and
 /// the first `K` entries, the last of them cut to `keep` bytes for a torn
 /// append. A commit line goes with the cut.
 fn kill_manifest(dir: &Path, kill: Kill) {
-    let path = dir.join("manifest.gar");
-    let bytes = std::fs::read(&path).unwrap();
-    let ends = line_ends(&bytes);
-    let k = kill.entry() as usize;
-    let end = match kill {
-        Kill::AfterVisit(_) => ends[k],
-        Kill::MidBundleAppend(_, keep) => ends[k - 1] + keep.min(ends[k] - 1 - ends[k - 1]),
-    };
-    std::fs::write(&path, &bytes[..end]).unwrap();
+    cut_manifest(dir, kill.entry() as usize, kill.tear());
 }
 
-/// The bundle a stream killed at `kill` leaves. A `visit_budget: Some(K)`
-/// run writes exactly the first `K` ranks' entries and their blobs, and
-/// no commit line: a clean kill after `K` flushes. A torn kill then cuts
-/// its last entry.
-fn budget_bundle(cfg: ScanConfig, name: &str, kill: Kill) -> TempDir {
+/// The bundle a stream killed at `kill` leaves when it had flushed exactly
+/// ranks `0..K`: their entries from `reference`, a complete bundle of
+/// `cfg`, and only their blobs, so a resume appends blobs to the store it
+/// reopens. A torn kill then cuts its last entry.
+fn flushed_bundle(cfg: ScanConfig, reference: &Path, name: &str, kill: Kill) -> TempDir {
     let dir = tmp_dir(name);
-    let k = kill.entry();
-    let _ctx = fresh_ctx();
-    let partial = Scan::new(ScanConfig { visit_budget: Some(k as usize), ..cfg })
-        .stream_to(&dir)
-        .run()
-        .expect("budgeted stream");
-    assert_eq!(partial.stream.unwrap().records_flushed, k as u64, "{kill:?}");
-    kill_manifest(&dir, kill);
+    crash_state(&cfg, reference, &dir, kill.entry(), kill.tear());
     dir
 }
 
@@ -147,12 +143,12 @@ fn cut_bundle(reference: &Path, name: &str, kill: Kill) -> TempDir {
 }
 
 /// The crash state of a stream at `cfg.workers`. One worker completes
-/// sites in rank order, so a budgeted run makes it; more workers complete
-/// them in scheduling order, so it is cut from `reference`, a complete
-/// bundle those workers wrote.
+/// sites in rank order, so it holds ranks `0..K` and their blobs; more
+/// workers complete them in scheduling order, so it is cut from
+/// `reference`, a complete bundle those workers wrote.
 fn crashed_bundle(cfg: ScanConfig, reference: &Path, name: &str, kill: Kill) -> TempDir {
     if cfg.workers == 1 {
-        budget_bundle(cfg, name, kill)
+        flushed_bundle(cfg, reference, name, kill)
     } else {
         cut_bundle(reference, name, kill)
     }
@@ -168,7 +164,7 @@ fn stream_matches_recorded_run_byte_for_byte() {
     let stream_fp = fingerprint(&streamed, &sdir);
 
     let stream = streamed.stream.expect("streamed report carries stream stats");
-    assert!(stream.committed && !stream.resumed);
+    assert!(!stream.resumed);
     assert_eq!(stream.records_flushed, 180);
     // Every flush is counted: the completion hook reads the visit's
     // metrics delta without draining it, so the flush's own bookkeeping,
@@ -226,7 +222,7 @@ fn crashed_and_resumed_stream_is_byte_identical_to_uninterrupted() {
         let fp = fingerprint(&resumed, &dir);
 
         let stream = resumed.stream.expect("stream stats");
-        assert!(stream.resumed && stream.committed, "case {case}: {stream:?}");
+        assert!(stream.resumed, "case {case}: {stream:?}");
         assert!(stream.records_replayed > 0, "case {case}: nothing replayed");
         assert_eq!(
             fp, ref_fp,
@@ -280,6 +276,11 @@ fn every_kill_class_recovers() {
         let (a, b) = (ReplayBundle::open(&dir).unwrap(), ReplayBundle::open(&ref_dir).unwrap());
         assert!(diff_bundles(&a, &b).is_clean(), "kill {kill:?} at {workers} workers: bundle diff");
         let stream = resumed.stream.unwrap();
+        if workers == 1 {
+            // The crash state holds only the flushed sites' blobs: the
+            // resume appends the rest to the store it reopened.
+            assert!(resumed.archive.unwrap().blobs_written > 0, "kill {kill:?}");
+        }
         assert!(
             stream.peak_records_in_flight <= workers as u64 + 1,
             "kill {kill:?}: resume with {workers} workers peaked at {} records in flight",
@@ -295,8 +296,8 @@ fn every_kill_class_recovers() {
             }
             // A torn append loses exactly its own line, which is cut off
             // (with `keep == 0` the append died before writing a single
-            // byte, so the manifest is the budget-(K−1) one) and its site
-            // re-visited.
+            // byte, so the manifest is the one a kill after K−1 flushes
+            // leaves) and its site re-visited.
             Kill::MidBundleAppend(k, keep) => {
                 let torn = (keep > 0) as u64;
                 assert_eq!(stream.records_replayed, k as u64 - 1, "kill {kill:?}");
@@ -363,8 +364,9 @@ fn chaos_kills_leave_explainable_forensics() {
 }
 
 /// A crawl can crash, resume, crash again, and still converge: a torn
-/// kill at entry 10, a resume that is itself torn 15 visits later, then a
-/// final resume.
+/// kill at entry 10, a resume whose own bundle is then torn 15 entries
+/// later (its blob file keeping the bodies of every site it visited, as a
+/// kill with visits in flight leaves it), then a final resume.
 #[test]
 fn double_crash_still_converges() {
     let n = 90u32;
@@ -374,16 +376,12 @@ fn double_crash_still_converges() {
     let reference = Scan::new(cfg).stream_to(&ref_dir).run().expect("reference");
     let ref_fp = fingerprint(&reference, &ref_dir);
 
-    let dir = budget_bundle(cfg, "double", Kill::MidBundleAppend(10, 12));
+    let dir = flushed_bundle(cfg, &ref_dir, "double", Kill::MidBundleAppend(10, 12));
     let _ctx = fresh_ctx();
-    let second = Scan::new(ScanConfig { visit_budget: Some(15), ..cfg })
-        .stream_to(&dir)
-        .run()
-        .expect("budgeted resume");
+    let second = Scan::new(cfg).stream_to(&dir).run().expect("first resume");
     let stream = second.stream.unwrap();
     assert_eq!((stream.records_replayed, stream.bundle_tail_dropped), (9, 1), "{stream:?}");
-    assert_eq!(stream.records_flushed, 15);
-    assert!(!stream.committed, "the second kill comes within the remaining work");
+    assert_eq!(stream.records_flushed, n as u64 - 9);
     kill_manifest(&dir, Kill::MidBundleAppend(9 + 15, 5));
 
     let _ctx = fresh_ctx();
@@ -395,35 +393,26 @@ fn double_crash_still_converges() {
     assert_eq!(resumed.history, reference.history);
 }
 
-/// Interrupting a stream via `visit_budget` (no crash at all) leaves an
-/// uncommitted bundle that a later unbudgeted run completes and seals.
+/// A killed stream's bundle has no commit line: it refuses to open for
+/// replay, and a later run completes and seals it.
 #[test]
-fn budgeted_stream_resumes_like_checkpoint() {
+fn unsealed_bundle_refuses_replay_until_resumed() {
     let n = 60u32;
     let cfg = chaos_cfg(n, 44, 4);
-    let ref_dir = tmp_dir("budget-ref");
+    let ref_dir = tmp_dir("unsealed-ref");
     let _ctx = fresh_ctx();
     let reference = Scan::new(cfg).stream_to(&ref_dir).run().expect("reference");
     let ref_fp = fingerprint(&reference, &ref_dir);
 
-    let dir = tmp_dir("budget");
-    let _ctx = fresh_ctx();
-    let partial = Scan::new(ScanConfig { visit_budget: Some(25), ..cfg })
-        .stream_to(&dir)
-        .run()
-        .expect("budgeted stream");
-    let pstream = partial.stream.unwrap();
-    assert!(!pstream.committed, "budgeted run must leave the bundle unsealed");
-    assert!(partial.completion.interrupted > 0);
-    assert!(
-        ReplayBundle::open(&dir).is_err(),
-        "an unsealed bundle must refuse to open for replay"
-    );
+    let dir = flushed_bundle(cfg, &ref_dir, "unsealed", Kill::AfterVisit(25));
+    let err = ReplayBundle::open(&dir).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(err.to_string().contains("no commit line"), "{err}");
 
     let _ctx = fresh_ctx();
     let resumed = Scan::new(cfg).stream_to(&dir).run().expect("resume");
     let fp = fingerprint(&resumed, &dir);
-    assert!(resumed.stream.unwrap().resumed);
+    assert_eq!(resumed.stream.unwrap().records_replayed, 25);
     assert_eq!(fp, ref_fp);
 }
 
@@ -435,20 +424,6 @@ fn copy_bundle(from: &Path, to: &Path) {
         let path = entry.unwrap().path();
         std::fs::copy(&path, to.join(path.file_name().unwrap())).unwrap();
     }
-}
-
-/// A manifest entry line with its payload rewritten by `edit` and its
-/// checksum recomputed, so the line itself verifies.
-fn reframed(line: &str, edit: &dyn Fn(&str) -> String) -> String {
-    let (body, _) = line.rsplit_once('\x1f').unwrap();
-    let payload = body.strip_prefix("s\x1f").expect("an entry line");
-    let body = format!("s\x1f{}", edit(payload));
-    format!("{body}\x1f{:016x}", obs::fnv1a(body.as_bytes()))
-}
-
-/// Byte offset just past each manifest line (the header's first).
-fn line_ends(manifest: &[u8]) -> Vec<usize> {
-    manifest.iter().enumerate().filter(|(_, b)| **b == b'\n').map(|(i, _)| i + 1).collect()
 }
 
 /// Corruption matrix for the one log: damage before the last line and an
@@ -466,7 +441,7 @@ fn cross_corruption_fails_loudly() {
 
     // 1. A corrupt non-final line is a hard error, and the resume writes
     //    nothing: the damaged manifest is left as it was.
-    let dir = budget_bundle(cfg, "xc-damaged-entry", Kill::AfterVisit(12));
+    let dir = flushed_bundle(cfg, &ref_dir, "xc-damaged-entry", Kill::AfterVisit(12));
     let manifest = dir.join("manifest.gar");
     let pristine = std::fs::read_to_string(&manifest).unwrap();
     let damaged: Vec<String> = pristine
@@ -483,10 +458,11 @@ fn cross_corruption_fails_loudly() {
     assert_eq!(std::fs::read_to_string(&manifest).unwrap(), damaged);
 
     // 2. So is an intact line whose delta or entry does not decode: here
-    //    re-checksummed lines with a garbled delta and an out-of-range rank.
+    //    re-checksummed lines with a garbled delta, an out-of-range rank,
+    //    and the `interrupted` status no recorder writes.
     let garbled = |p: &str| format!("{}\x01not a delta", p.rsplit_once('\x01').unwrap().0);
     let out_of_range = |p: &str| format!("{n}\x01{}", p.split_once('\x01').unwrap().1);
-    for edit in [&garbled as &dyn Fn(&str) -> String, &out_of_range] {
+    for edit in [&garbled as &dyn Fn(&str) -> String, &out_of_range, &as_interrupted] {
         let lines: Vec<String> = pristine
             .lines()
             .enumerate()
@@ -501,7 +477,7 @@ fn cross_corruption_fails_loudly() {
 
     // 3. A manifest cut at any line boundary is a shorter intact prefix:
     //    the resume adopts what is left, re-visits the rest and converges.
-    let crashed = budget_bundle(cfg, "xc-crashed", Kill::AfterVisit(12));
+    let crashed = flushed_bundle(cfg, &ref_dir, "xc-crashed", Kill::AfterVisit(12));
     let pristine = std::fs::read(crashed.join("manifest.gar")).unwrap();
     let ends = line_ends(&pristine);
     assert_eq!(ends.len(), 13, "header plus 12 entries");
@@ -545,7 +521,8 @@ fn truncated_manifest_converges_and_flipped_byte_fails() {
     proplite::run_cases(64, 0x0E10_C0DE, |rng| {
         case += 1;
         let k = rng.u32_in(2, n);
-        let crashed = budget_bundle(cfg, &format!("prop-crashed-{case}"), Kill::AfterVisit(k));
+        let crashed =
+            flushed_bundle(cfg, &ref_dir, &format!("prop-crashed-{case}"), Kill::AfterVisit(k));
         let pristine = std::fs::read(crashed.join("manifest.gar")).unwrap();
         let ends = line_ends(&pristine);
 

@@ -1,9 +1,12 @@
 //! Crawl-context isolation: a scan's outputs are a function of its own
 //! configuration and [`CrawlCtx`] alone. Two scans running at once on two
 //! threads of one process — an oracle scan in memory, and a streamed scan
-//! that is interrupted, torn and resumed — produce exactly what each produces when it
-//! runs alone: per-site records, Table 5, the telemetry digest (sealed into
-//! the bundle for the streamed scan) and the resumed bundle's bytes.
+//! that is recorded, killed, torn and resumed — produce exactly what each
+//! produces when it runs alone: per-site records, Table 5, the telemetry
+//! digest (sealed into the bundle for the streamed scan) and the resumed
+//! bundle's bytes.
+
+mod common;
 
 use std::path::Path;
 use std::sync::Barrier;
@@ -55,28 +58,27 @@ fn oracle_scan(start: &Barrier) -> Outcome {
     }
 }
 
-/// Scan (b): the VM and the automaton, streamed to `dir` for 30 visits,
-/// left as a crash during the 30th entry's append would leave it (that
-/// entry cut to 11 bytes), then resumed under a fresh context as a new
-/// process would be. One worker, so the bundle's bytes are deterministic
-/// too.
-fn crashed_stream(dir: &Path, start: &Barrier) -> Outcome {
+/// Scan (b): the VM and the automaton, streamed to `complete`, then the
+/// state a crash during the 30th entry's append leaves (that entry cut to
+/// 11 bytes) is built from it in `dir` and resumed under a fresh context
+/// as a new process would be. One worker, so the bundle's bytes are
+/// deterministic too.
+fn crashed_stream(complete: &Path, dir: &Path, start: &Barrier) -> Outcome {
     let cfg = ScanConfig { workers: 1, faults: FaultPlan::adversarial(8), ..ScanConfig::new(90, 23) };
     start.wait();
     {
         let _g = ctx(Engine::Vm, MatcherKind::Automaton).enter();
-        let budget = ScanConfig { visit_budget: Some(30), ..cfg };
-        Scan::new(budget).stream_to(dir).run().expect("budgeted stream");
-        let manifest = dir.join("manifest.gar");
-        let bytes = std::fs::read(&manifest).expect("manifest");
-        let last = bytes[..bytes.len() - 1].iter().rposition(|&b| b == b'\n').unwrap() + 1;
-        std::fs::write(&manifest, &bytes[..last + 11]).expect("tear the last entry");
+        Scan::new(cfg).stream_to(complete).run().expect("complete stream");
     }
+    common::crash_state(&cfg, complete, dir, 30, Some(11));
     let _g = ctx(Engine::Vm, MatcherKind::Automaton).enter();
     let report = Scan::new(cfg).stream_to(dir).run().expect("resume");
     let stream = report.stream.expect("stream stats");
-    assert!(stream.resumed && stream.committed, "{stream:?}");
+    assert!(stream.resumed, "{stream:?}");
+    assert_eq!((stream.records_replayed, stream.bundle_tail_dropped), (29, 1), "{stream:?}");
     let bundle = ReplayBundle::open(dir).expect("sealed bundle");
+    let uninterrupted = ReplayBundle::open(complete).expect("complete bundle");
+    assert_eq!(bundle.commit, uninterrupted.commit, "the resume converges");
     let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
         .expect("bundle dir")
         .map(|e| {
@@ -98,21 +100,21 @@ fn crashed_stream(dir: &Path, start: &Barrier) -> Outcome {
 fn concurrent_scans_match_their_solo_runs() {
     let solo = Barrier::new(1);
     let solo_a = oracle_scan(&solo);
-    let solo_dir = tmp_dir("solo");
-    let solo_b = crashed_stream(&solo_dir, &solo);
+    let (solo_complete, solo_dir) = (tmp_dir("solo-complete"), tmp_dir("solo"));
+    let solo_b = crashed_stream(&solo_complete, &solo_dir, &solo);
 
     let both = Barrier::new(2);
-    let dir = tmp_dir("concurrent");
+    let (complete, dir) = (tmp_dir("concurrent-complete"), tmp_dir("concurrent"));
     let (a, b) = std::thread::scope(|s| {
         let a = s.spawn(|| oracle_scan(&both));
-        let b = s.spawn(|| crashed_stream(&dir, &both));
+        let b = s.spawn(|| crashed_stream(&complete, &dir, &both));
         (a.join().expect("scan a"), b.join().expect("scan b"))
     });
 
     assert!(!solo_b.bundle.is_empty());
     assert_eq!(a, solo_a, "the in-memory oracle scan changed when run concurrently");
     assert_eq!(b, solo_b, "the crashed and resumed stream changed when run concurrently");
-    for d in [&solo_dir, &dir] {
+    for d in [&solo_complete, &solo_dir, &complete, &dir] {
         let _ = std::fs::remove_dir_all(d);
     }
 }

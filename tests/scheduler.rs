@@ -8,7 +8,7 @@
 use gullible::obs;
 use gullible::scan::{Scan, ScanConfig, ScanReport};
 use gullible::CrawlCtx;
-use openwpm::{run_supervised, FaultPlan, ItemMeta, SupervisorConfig, VisitOutcome};
+use openwpm::{run_supervised, FaultPlan, ItemMeta, VisitOutcome};
 
 /// A fresh crawl context with stats collection on.
 fn stats_ctx() -> CrawlCtx {
@@ -77,7 +77,7 @@ fn supervised_map<W: Copy + Send + Sync, R: Send + Clone>(
     let crawl = run_supervised(
         items,
         workers,
-        SupervisorConfig::default(),
+        FaultPlan::none(),
         |_| ItemMeta { label: String::new(), fault_key: 0, flaky: false },
         |_| (),
         |_, i, item: &W| Ok(step(i, *item)),

@@ -3,15 +3,17 @@
 //! completeness, aggregates are deterministic under faults, and a crawl
 //! killed midway resumes from its bundle to byte-identical aggregates.
 
+mod common;
+
 use std::path::PathBuf;
 
+use common::crash_state;
 use gullible::scan::{
     decode_site_record, encode_site_record, PageFlags, Scan, ScanConfig, SiteScanRecord,
 };
 use openwpm::supervisor::MAX_ATTEMPTS;
 use openwpm::{
-    run_supervised, CrawlStatus, FailureReason, FaultPlan, ItemMeta, SupervisorConfig,
-    VisitOutcome,
+    run_supervised, CrawlStatus, FailureReason, FaultPlan, ItemMeta, VisitOutcome,
 };
 use webgen::Category;
 
@@ -76,9 +78,9 @@ fn faulty_scan_aggregates_are_deterministic() {
     assert_eq!(a.sites, b.sites);
 }
 
-/// Kill the crawl midway (deterministically, via the visit budget), resume
-/// from the recorded bundle, and get aggregates identical to a run that
-/// was never interrupted.
+/// Kill the crawl midway — the bundle a kill after 120 of 300 flushes
+/// leaves, built on disk — resume from it, and get aggregates identical to
+/// a run that was never interrupted.
 #[test]
 fn killed_and_resumed_scan_matches_uninterrupted() {
     let base = ScanConfig {
@@ -86,27 +88,22 @@ fn killed_and_resumed_scan_matches_uninterrupted() {
         workers: 2,
         ..ScanConfig::new(300, 23)
     };
-    let uninterrupted = Scan::new(base).run().expect("scan");
+    let complete = tmp_bundle("resume-complete");
+    let uninterrupted = Scan::new(base).record(&complete).run().expect("scan");
 
     let dir = tmp_bundle("resume");
-    // First leg: budget admits only 120 of 300 sites, rest interrupted.
-    let first = Scan::new(ScanConfig { visit_budget: Some(120), ..base })
-        .record(&dir)
-        .run()
-        .expect("first leg");
-    assert_eq!(first.completion.interrupted, 180);
-    assert!(first.completion.completed < uninterrupted.completion.completed);
-    assert!(!first.stream.unwrap().committed, "a budgeted leg leaves the bundle open");
+    crash_state(&base, &complete, &dir, 120, None);
 
-    // Second leg: no budget, resumes the remaining sites from the bundle.
-    // Everything the measurement reports — site records, per-site history,
-    // tables, the coverage line — must be byte-identical to the run that
-    // was never interrupted. (Effort telemetry like attempts/restarts is
+    // The resumed run visits only the remaining sites. Everything the
+    // measurement reports — site records, per-site history, tables, the
+    // coverage line — must be byte-identical to the run that was never
+    // interrupted. (Effort telemetry like attempts/restarts is
     // per-process-leg and deliberately not checkpointed.)
     let resumed = Scan::new(base).record(&dir).run().expect("second leg");
     let stream = resumed.stream.unwrap();
-    assert!(stream.resumed && stream.committed, "{stream:?}");
+    assert!(stream.resumed, "{stream:?}");
     assert_eq!(stream.records_replayed, 120);
+    assert_eq!(stream.records_flushed, 180);
     assert_eq!(resumed.completion.completed, uninterrupted.completion.completed);
     assert_eq!(resumed.completion.failed, uninterrupted.completion.failed);
     assert_eq!(resumed.completion.interrupted, 0);
@@ -119,7 +116,9 @@ fn killed_and_resumed_scan_matches_uninterrupted() {
     assert_eq!(resumed.table5(), uninterrupted.table5());
     assert_eq!(resumed.table12(), uninterrupted.table12());
     assert_eq!(resumed.coverage_line(), uninterrupted.coverage_line());
-    let _ = std::fs::remove_dir_all(&dir);
+    for d in [&complete, &dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
 }
 
 /// A manifest header line framed as the bundle writer frames it.
@@ -137,12 +136,11 @@ fn checkpoint_format_version_is_stamped_and_validated() {
     let base = ScanConfig { workers: 2, ..ScanConfig::new(40, 13) };
 
     // A fresh bundle's manifest leads with the version header.
+    let complete = tmp_bundle("version-complete");
+    Scan::new(base).record(&complete).run().expect("scan");
     let dir = tmp_bundle("version");
     let path = dir.join(archive::MANIFEST_FILE);
-    Scan::new(ScanConfig { visit_budget: Some(20), ..base })
-        .record(&dir)
-        .run()
-        .expect("scan");
+    crash_state(&base, &complete, &dir, 20, None);
     let contents = std::fs::read_to_string(&path).unwrap();
     let (header, body) = contents.split_once('\n').unwrap();
     assert_eq!(archive::BUNDLE_FORMAT_VERSION, 2);
@@ -173,7 +171,9 @@ fn checkpoint_format_version_is_stamped_and_validated() {
     assert_eq!(resumed.completion.bundle_lines_dropped, 0);
     assert_eq!(resumed.stream.unwrap().records_replayed, 20);
 
-    let _ = std::fs::remove_dir_all(&dir);
+    for d in [&complete, &dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
 }
 
 /// A panic inside a visit step is caught by the supervisor and recorded
@@ -185,7 +185,7 @@ fn step_panic_reports_correct_index_at_any_worker_count() {
         let crawl = run_supervised(
             (0..100u32).collect::<Vec<_>>(),
             workers,
-            SupervisorConfig::default(),
+            FaultPlan::none(),
             |_| ItemMeta { label: String::new(), fault_key: 0, flaky: false },
             |_| (),
             |_, i, x: &u32| {
@@ -235,8 +235,9 @@ fn fault_outcomes_identical_across_worker_counts() {
 }
 
 /// Checkpoint/resume composes with the scheduler at a high worker count:
-/// interrupt a faulty 8-worker crawl, resume with a different worker
-/// count, and match the uninterrupted single-worker run byte for byte.
+/// kill a faulty 8-worker crawl once it has flushed ranks 0..80, resume
+/// with a different worker count, and match the uninterrupted
+/// single-worker run byte for byte.
 #[test]
 fn checkpoint_resume_with_many_workers_matches_single_worker() {
     let cfg = |workers| ScanConfig {
@@ -246,18 +247,20 @@ fn checkpoint_resume_with_many_workers_matches_single_worker() {
     };
     let uninterrupted = Scan::new(cfg(1)).run().expect("scan");
 
+    let complete = tmp_bundle("sched-resume-complete");
+    Scan::new(cfg(8)).record(&complete).run().expect("8-worker recording");
     let dir = tmp_bundle("sched-resume");
-    Scan::new(ScanConfig { visit_budget: Some(80), ..cfg(8) })
-        .record(&dir)
-        .run()
-        .expect("first leg");
+    crash_state(&cfg(8), &complete, &dir, 80, None);
     let resumed = Scan::new(cfg(3)).record(&dir).run().expect("second leg");
     assert_eq!(resumed.completion.completed, uninterrupted.completion.completed);
     assert_eq!(resumed.completion.failed, uninterrupted.completion.failed);
     assert_eq!(resumed.sites, uninterrupted.sites);
     assert_eq!(resumed.history, uninterrupted.history);
     assert_eq!(resumed.table5(), uninterrupted.table5());
-    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(resumed.stream.unwrap().records_replayed, 80);
+    for d in [&complete, &dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
 }
 
 fn arbitrary_record(rng: &mut proplite::Rng) -> SiteScanRecord {

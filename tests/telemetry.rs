@@ -7,6 +7,7 @@ use gullible::obs;
 use gullible::scan::{Scan, ScanConfig};
 use gullible::{run_compare, CompareConfig, CrawlCtx};
 use openwpm::FaultPlan;
+use webgen::Population;
 
 /// A fresh crawl context tracing into an in-memory journal.
 fn traced_ctx(telemetry: obs::Telemetry) -> (CrawlCtx, std::sync::Arc<obs::Journal>) {
@@ -109,6 +110,70 @@ fn a_journal_holding_a_scan_and_a_comparison_validates() {
     let summary = obs::validate::validate_journal(&trace).expect("multi-crawl journal validates");
     assert!(trace.contains(r#""scope":"visit:6.0""#), "a scan and six legs");
     assert!(summary.scopes > 400);
+}
+
+/// `(trigger, item, label)` of every dump header in a forensic file.
+fn dump_headers(text: &str) -> Vec<(String, usize, String)> {
+    let field = |fields: &[(String, obs::validate::Val)], key: &str| {
+        let val = fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        val.and_then(|v| v.as_str()).unwrap_or_default().to_string()
+    };
+    text.lines()
+        .map(|line| obs::validate::parse_line(line).expect("flat JSON"))
+        .filter(|fields| field(fields, "rec") == "forensic")
+        .map(|f| (field(&f, "trigger"), field(&f, "item").parse().unwrap(), field(&f, "label")))
+        .collect()
+}
+
+/// A scan and a comparison in one context number their items from 0
+/// each, so a forensic dump names its site by URL: every slow-visit and
+/// visit-failure dump of both carries its own site's front-page URL.
+#[test]
+fn forensic_dumps_of_a_scan_and_a_comparison_name_their_sites() {
+    let path = std::env::temp_dir()
+        .join(format!("gullible-telemetry-labels-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    // More slow visits kept than either crawl has: every visit dumps.
+    let telemetry =
+        obs::Telemetry::new().with_slow_visits(1_000).with_forensics(&path).expect("arm");
+    let ctx = CrawlCtx { telemetry, ..CrawlCtx::new() };
+    let _g = ctx.enter();
+
+    // Every site flaky under adversarial weather: some visits fail.
+    let cfg = ScanConfig {
+        workers: 2,
+        faults: FaultPlan::adversarial(7),
+        flaky_sites_per_100k: 100_000,
+        ..ScanConfig::new(60, 42)
+    };
+    let scan = Scan::new(cfg).run().expect("scan");
+    ctx.telemetry.write_slow_visits();
+    let scan_text = std::fs::read_to_string(&path).expect("scan dumps");
+    let compare = run_compare(CompareConfig { n_sites: 300, seed: 42, runs: 1, workers: 2 });
+    ctx.telemetry.write_slow_visits();
+    let text = std::fs::read_to_string(&path).expect("all dumps");
+    obs::validate::validate_forensic(&text).expect("labelled dumps validate");
+
+    let scan_pop = Population { flaky_per_100k: 100_000, ..Population::new(60, 42) };
+    let scan_dumps = dump_headers(&scan_text);
+    let slow = scan_dumps.iter().filter(|(t, ..)| t == "slow_visit").count();
+    assert_eq!(slow, 60, "one slow_visit dump per scan visit");
+    assert!(scan.completion.failed > 0, "the weather must fail some site");
+    let failed = scan_dumps.iter().filter(|(t, ..)| t == "visit_failed").count();
+    assert_eq!(failed, scan.completion.failed);
+    for (trigger, item, label) in &scan_dumps {
+        let rank = *item as u32;
+        assert_eq!(*label, scan_pop.plan(rank).front_url().to_string(), "{trigger} {item}");
+    }
+
+    let compare_pop = Population::new(300, 42);
+    let compare_dumps = dump_headers(&text[scan_text.len()..]);
+    assert_eq!(compare_dumps.len(), 2 * compare.compare_set.len(), "both clients' visits");
+    for (trigger, item, label) in &compare_dumps {
+        let rank = compare.compare_set[*item];
+        assert_eq!(*label, compare_pop.plan(rank).front_url().to_string(), "{trigger} {item}");
+    }
+    let _ = std::fs::remove_file(&path);
 }
 
 /// One run for the profiler-invisibility check: trace bytes, deterministic
