@@ -474,17 +474,12 @@ fn read_blob_records(path: &Path) -> io::Result<(HashMap<u64, Arc<str>>, bool, u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proplite::TempDir;
     use std::sync::atomic::AtomicUsize;
 
-    fn tmpdir(tag: &str) -> PathBuf {
+    fn tmpdir(tag: &str) -> TempDir {
         static N: AtomicUsize = AtomicUsize::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "gullible-archive-{}-{}-{tag}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+        TempDir::new(&format!("archive-{tag}-{}", N.fetch_add(1, Ordering::Relaxed)))
     }
 
     fn sample_bundle(dir: &Path) -> WriteStats {
@@ -518,7 +513,6 @@ mod tests {
         assert_eq!(r.blob(fnv1a(b"var a = 1;")).as_deref(), Some("var a = 1;"));
         assert_eq!(r.dropped_lines, 0);
         assert!(!r.torn_blob_tail);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -538,7 +532,6 @@ mod tests {
         assert_eq!(r.entries.len(), 2, "intact entries survive");
         assert_eq!(r.commit, None, "torn bundle has no commit");
         assert_eq!(r.dropped_lines, 1);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -554,7 +547,6 @@ mod tests {
         assert!(r.torn_blob_tail);
         assert_eq!(r.blobs.len(), 1, "first blob still verifies");
         assert!(r.blob(fnv1a(b"var a = 1;")).is_some());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -575,7 +567,6 @@ mod tests {
         // The flipped blob and everything after it are dropped.
         assert!(r.torn_blob_tail);
         assert_eq!(r.blobs.len(), 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -593,7 +584,6 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let msg = err.to_string();
         assert!(msg.contains("v99") && msg.contains(&format!("v{BUNDLE_FORMAT_VERSION}")), "{msg}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -607,7 +597,6 @@ mod tests {
         std::fs::write(&path, contents).unwrap();
         let err = BundleReader::open(&dir).unwrap_err();
         assert!(err.to_string().contains("header"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -618,7 +607,6 @@ mod tests {
         assert!(w.append_entry("a\x1fb").is_err());
         assert!(w.append_entry("plain").is_ok());
         w.commit("ok").unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -665,7 +653,6 @@ mod tests {
             assert_eq!(r.dropped_lines, 0);
             assert_eq!(r.commit.as_deref(), Some("done"));
             assert_eq!(r.blobs.len(), 1);
-            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 
@@ -692,7 +679,6 @@ mod tests {
         assert_eq!(r.blobs.len(), 2);
         assert!(r.blob(fnv1a(b"first body")).is_some());
         assert!(r.blob(h).is_some());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -721,7 +707,6 @@ mod tests {
         BundleWriter::append_to(&dir, "c").unwrap().commit("done").unwrap();
         let err = BundleWriter::append_to(&dir, "c").map(|_| ()).unwrap_err();
         assert!(err.to_string().contains("already committed"), "{err}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -747,6 +732,5 @@ mod tests {
         let r = BundleReader::open(&dir).unwrap();
         assert_eq!(r.entries.len(), 400);
         assert_eq!(r.blobs.len(), 25);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -22,6 +22,8 @@ fn main() {
     let stats = report.archive.expect("recording run reports archive stats");
     let [(si, st), (di, dt), (ui, ut)] = report.table5();
     println!("table5: static {si}/{st}, dynamic {di}/{dt}, union {ui}/{ut}");
+    // Every number on the `archive:` line is this run's work; a resumed
+    // run names the sites it adopted from the bundle on a line of its own.
     println!(
         "archive: {} sites, {} unique blobs ({} B), {} dedup hits",
         thousands(stats.sites),
@@ -29,6 +31,10 @@ fn main() {
         thousands(stats.blob_bytes),
         thousands(stats.dedup_hits),
     );
+    let stream = report.stream.expect("recording run reports stream stats");
+    if stream.resumed {
+        println!("resumed: {} sites adopted from the bundle", thousands(stream.records_replayed));
+    }
     println!("bundle: {}", dir.display());
     println!("{}", gullible::report::coverage_note(&report.completion));
     bench::finish("archive_record", Some(&report.coverage_line()));

@@ -57,15 +57,17 @@ const PF: char = '\x03'; // between page fields
 const LIST: char = '\x1d'; // between list elements (GS, as elsewhere)
 const PAIR: char = '\x1c'; // inside list elements (FS, as elsewhere)
 
-/// Counters describing what a recording run archived; attached to
-/// [`ScanReport::archive`].
+/// Counters describing what one recording run wrote to its bundle;
+/// attached to [`ScanReport::archive`]. A resumed run counts only its own
+/// work: the sites it adopted from the bundle are
+/// [`StreamStats::records_replayed`](crate::scan::StreamStats::records_replayed).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArchiveStats {
-    /// Sites written to the bundle (completed + failed).
+    /// Sites this run wrote to the bundle (completed + failed).
     pub sites: u64,
-    /// Unique script/resource bodies in the blob store.
+    /// Unique script/resource bodies this run added to the blob store.
     pub blobs_written: u64,
-    /// Bytes of unique blob content.
+    /// Bytes of the unique blob content this run wrote.
     pub blob_bytes: u64,
     /// Blob puts answered by dedup — equals (bodies served − unique
     /// bodies), the corpus-statistics prediction the property test pins.
@@ -362,15 +364,6 @@ fn result_fields(
     format!("{attempts}{F}{status}{F}{payload}{F}{cap}")
 }
 
-fn archive_stats(w: ::archive::WriteStats) -> ArchiveStats {
-    ArchiveStats {
-        sites: w.entries,
-        blobs_written: w.blobs_written,
-        blob_bytes: w.blob_bytes,
-        dedup_hits: w.dedup_hits,
-    }
-}
-
 // --- recording -------------------------------------------------------------
 
 struct StreamState {
@@ -510,7 +503,7 @@ impl StreamRecorder {
 
     /// Seal the bundle: every rank was flushed by this run or adopted from
     /// the bundle it resumed. Records this run's flush count in `stats`
-    /// and returns the writer's statistics. A rank with neither is an
+    /// and returns what this run wrote. A rank with neither is an
     /// `InvalidData` error naming it, and the bundle stays unsealed.
     pub(crate) fn finish(
         self,
@@ -543,7 +536,13 @@ impl StreamRecorder {
             telemetry_digest: telemetry.registry().snapshot().digest(),
             stats_enabled: telemetry.stats_enabled(),
         };
-        Ok(archive_stats(self.writer.commit(&info.encode())?))
+        let w = self.writer.commit(&info.encode())?;
+        Ok(ArchiveStats {
+            sites: st.flushed,
+            blobs_written: w.blobs_written,
+            blob_bytes: w.blob_bytes,
+            dedup_hits: w.dedup_hits,
+        })
     }
 }
 
@@ -903,8 +902,7 @@ mod tests {
     /// each capture count, the capture digest and the site record itself.
     #[test]
     fn diff_reports_record_field_deltas() {
-        let dir = std::env::temp_dir().join(format!("gullible-diff-fields-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = proplite::TempDir::new("diff-fields");
         Scan::new(ScanConfig::new(6, 2)).record(&dir).run().expect("record");
         let a = ReplayBundle::open(&dir).expect("open a");
         let mut b = ReplayBundle::open(&dir).expect("open b");
@@ -930,15 +928,13 @@ mod tests {
             "{:?}",
             delta.changes
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// `finish` seals only a bundle holding every rank: with rank 1 of 3
     /// never flushed it names that rank, and the manifest stays unsealed.
     #[test]
     fn finish_refuses_to_seal_with_a_rank_missing() {
-        let dir = std::env::temp_dir().join(format!("gullible-finish-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = proplite::TempDir::new("finish");
         let recorder = StreamRecorder::create(&dir, &ScanConfig::new(3, 1)).expect("create");
         let failed = VisitOutcome::Failed { reason: FailureReason::Timeout, attempts: 3 };
         for rank in [0, 2] {
@@ -961,6 +957,5 @@ mod tests {
         assert_eq!(stats.records_flushed, 2);
         let reader = BundleReader::open(&dir).expect("the flushed entries stay readable");
         assert_eq!((reader.entries.len(), reader.commit.as_deref()), (2, None));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

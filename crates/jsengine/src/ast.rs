@@ -1,6 +1,6 @@
 //! Abstract syntax tree for the MiniJS subset.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Binary operators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -104,7 +104,7 @@ pub enum Expr {
 
 /// A function definition shared between the AST and function objects (so
 /// `Function.prototype.toString` can return the verbatim source slice).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct FunctionDef {
     /// Function name; empty for anonymous functions.
     pub name: Arc<str>,
@@ -117,6 +117,10 @@ pub struct FunctionDef {
     pub line: u32,
     /// Arrow functions bind `this` lexically.
     pub is_arrow: bool,
+    /// The body's bytecode, lowered by the compile of the script that
+    /// defines it; the VM reads it through [`FunctionDef::chunk`], never
+    /// `body`.
+    pub(crate) chunk: OnceLock<crate::bytecode::Chunk>,
 }
 
 /// Statements.

@@ -1,9 +1,16 @@
 //! The bytecode compiler: flat instruction encoding for MiniJS.
 //!
-//! [`compile_program`] lowers a parsed [`Program`] into a [`ScriptChunk`] —
-//! one [`Chunk`] for the top-level statement list plus one per function
-//! definition reachable from it — which [`crate::vm::run_chunk`] executes in
-//! a stack dispatch loop. The compiler's contract is *observational
+//! [`compile_program`] lowers a parsed [`Program`] into the [`Chunk`] of
+//! its top-level statement list, and lowers the body of every function
+//! definition reachable from it into that definition's own chunk
+//! ([`FunctionDef::chunk`]), so a compiled script's bytecode lives on its
+//! AST and is shared by every realm that runs it.
+//! [`crate::vm::run_chunk`] executes a chunk in a stack dispatch loop and
+//! never reads a statement: function-declaration hoisting is compiled in
+//! as [`Insn::Hoist`] at the start of every root and block, and a call
+//! reads only the callee definition's header and chunk.
+//!
+//! The compiler's contract is *observational
 //! byte-identity with the tree-walker*: the same step charges in the same
 //! order (so the step budget trips at the identical point), the same frame
 //! line updates, the same heap allocation order, the same error messages,
@@ -73,7 +80,8 @@ pub enum Insn {
     /// Pop a value and declare `names[i]` in the current scope.
     Declare(u32),
     /// Allocate `fns[i]` as a function object and declare it in the current
-    /// scope — block-entry hoisting, re-run on every entry like the oracle.
+    /// scope — hoisting at the start of a root or block, re-run on every
+    /// entry like the oracle.
     Hoist(u32),
     /// Allocate `fns[i]` as a function object closing over the current
     /// scope and push it.
@@ -202,15 +210,6 @@ pub struct Handler {
     pub completions: u32,
 }
 
-/// A whole compiled script: the top-level chunk plus one pre-compiled chunk
-/// per function definition reachable from it, so a cached script pays
-/// bytecode compilation exactly once per cache.
-#[derive(Debug)]
-pub struct ScriptChunk {
-    pub top: Chunk,
-    pub fns: Vec<(Arc<FunctionDef>, Arc<Chunk>)>,
-}
-
 /// Compilation mode: the top level of a script completes with its `last`
 /// expression value and swallows stray `return`/`break`/`continue`; a
 /// function body completes with `undefined` unless a `return` runs; an
@@ -222,47 +221,34 @@ enum Mode {
     Eval,
 }
 
-/// Compile a parsed program into its top-level chunk plus the chunks of
-/// every transitively reachable function definition.
-pub fn compile_program(program: &Program) -> ScriptChunk {
-    compile_root_chunk(program, Mode::Top)
+/// Compile a parsed program into its top-level chunk, lowering every
+/// function definition reachable from it onto the definition itself.
+pub fn compile_program(program: &Program) -> Chunk {
+    compile_stmts(&program.body, Mode::Top)
 }
 
 /// Compile the body of an `eval` call (see [`compile_program`]).
-pub fn compile_eval(program: &Program) -> ScriptChunk {
-    compile_root_chunk(program, Mode::Eval)
+pub fn compile_eval(program: &Program) -> Chunk {
+    compile_stmts(&program.body, Mode::Eval)
 }
 
-fn compile_root_chunk(program: &Program, mode: Mode) -> ScriptChunk {
-    let mut fns = Vec::new();
-    let top = compile_stmts(&program.body, mode, &mut fns);
-    ScriptChunk { top, fns }
+impl FunctionDef {
+    /// The body's bytecode. The compile of the defining script lowers it;
+    /// a function no compile reached (one defined while its realm ran the
+    /// tree-walker) is lowered here on its first call.
+    pub fn chunk(&self) -> &Chunk {
+        self.chunk.get_or_init(|| compile_stmts(&self.body, Mode::Fn))
+    }
 }
 
-/// Compile one function body (used lazily for a function no compiled
-/// script seeded, e.g. one defined while its realm ran the tree-walker).
-pub fn compile_function(def: &Arc<FunctionDef>) -> Chunk {
-    let mut fns = Vec::new();
-    compile_stmts(&def.body, Mode::Fn, &mut fns)
-}
-
-fn compile_stmts(
-    body: &[Stmt],
-    mode: Mode,
-    out_fns: &mut Vec<(Arc<FunctionDef>, Arc<Chunk>)>,
-) -> Chunk {
+/// Lower a root statement list, then each function it defines that is not
+/// lowered yet (and, through it, the functions that one defines).
+fn compile_stmts(body: &[Stmt], mode: Mode) -> Chunk {
     let mut c = Compiler::new(mode);
     c.compile_root(body);
     let chunk = c.finish();
-    // Collect every function definition reachable from this chunk and
-    // compile its body too (recursively), so a cached script carries the
-    // bytecode for all its functions.
     for def in &chunk.fns {
-        if out_fns.iter().any(|(d, _)| Arc::ptr_eq(d, def)) {
-            continue;
-        }
-        let inner = compile_stmts(&def.body, Mode::Fn, out_fns);
-        out_fns.push((def.clone(), Arc::new(inner)));
+        def.chunk();
     }
     chunk
 }
@@ -518,10 +504,10 @@ impl Compiler {
 
     // ------------------------------------------------------------- roots
 
-    /// Compile a root statement list (program top level or function body).
-    /// Function-declaration hoisting at this level is performed by the
-    /// shared interpreter code (`eval_program` / `Interp::call`), not here.
+    /// Compile a root statement list (program top level, function body or
+    /// `eval` body): hoist its function declarations, then its statements.
     fn compile_root(&mut self, body: &[Stmt]) {
+        self.hoist(body);
         for stmt in body {
             let next = self.new_label();
             self.root_next = Some(next);
@@ -546,13 +532,8 @@ impl Compiler {
         // Mirrors the oracle's `exec_stmt` entry charge.
         self.charge(1);
         match stmt {
-            Stmt::Empty => {}
-            // Hoisting happens in shared interpreter code (roots) or via
-            // block-entry `Hoist` insns; registering the def here (no code
-            // emitted) keeps its body chunk precompiled with the script.
-            Stmt::FunctionDecl(d) => {
-                self.fn_idx(d);
-            }
+            // Declarations are hoisted on entry to their root or block.
+            Stmt::Empty | Stmt::FunctionDecl(_) => {}
             Stmt::Expr(e) => {
                 self.expr(e);
                 self.emit(Insn::Pop);
@@ -741,18 +722,25 @@ impl Compiler {
         self.ctx.pop();
     }
 
-    /// Compile a nested block: hoist its function declarations (on every
-    /// entry, like the oracle's `exec_block`), then its statements.
+    /// Compile a nested block: hoist its function declarations, then its
+    /// statements.
     fn block(&mut self, stmts: &[Stmt]) {
+        self.hoist(stmts);
+        for s in stmts {
+            self.stmt(s);
+        }
+    }
+
+    /// Declare the function declarations of a root or block in the current
+    /// scope, in source order and charging nothing, on every entry — like
+    /// the oracle's hoisting loops.
+    fn hoist(&mut self, stmts: &[Stmt]) {
         for s in stmts {
             if let Stmt::FunctionDecl(d) = s {
                 let i = self.fn_idx(d);
                 self.flush();
                 self.emit(Insn::Hoist(i));
             }
-        }
-        for s in stmts {
-            self.stmt(s);
         }
     }
 
@@ -1096,7 +1084,7 @@ mod tests {
     use super::*;
     use crate::parser::parse;
 
-    fn compile_src(src: &str) -> ScriptChunk {
+    fn compile_src(src: &str) -> Chunk {
         compile_program(&parse(src).unwrap())
     }
 
@@ -1138,25 +1126,69 @@ mod tests {
              var t = total ? 'y' : (total && 'n');
              t",
         );
-        assert_patched(&chunk.top);
-        assert!(chunk.top.insns.iter().any(|i| matches!(i, Insn::JumpIfFalsy(_))));
-        assert!(chunk.top.insns.iter().any(|i| matches!(i, Insn::JumpFalsyKeep(_))));
+        assert_patched(&chunk);
+        assert!(chunk.insns.iter().any(|i| matches!(i, Insn::JumpIfFalsy(_))));
+        assert!(chunk.insns.iter().any(|i| matches!(i, Insn::JumpFalsyKeep(_))));
+    }
+
+    /// Every definition reachable from `chunk`, with the chunk it was
+    /// lowered to, outermost first.
+    fn lowered(chunk: &Chunk, out: &mut Vec<(Arc<FunctionDef>, *const Chunk)>) {
+        for def in &chunk.fns {
+            let body = def.chunk.get().expect("lowered by the script's compile");
+            assert_patched(body);
+            out.push((def.clone(), body));
+            lowered(body, out);
+        }
     }
 
     #[test]
-    fn function_chunks_are_collected_transitively() {
-        let chunk = compile_src(
+    fn compiling_a_script_lowers_every_nested_definition_once() {
+        let program = parse(
             "function outer(x) {
                  var inner = function (y) { return y + 1; };
-                 return inner(x) + (function () { return 2; })();
+                 function later() { return 3; }
+                 return inner(x) + (function () { return 2; })() + later();
              }
              outer(1)",
-        );
-        // outer + inner + the IIFE.
-        assert_eq!(chunk.fns.len(), 3);
-        for (_, c) in &chunk.fns {
-            assert_patched(c);
+        )
+        .unwrap();
+        let top = compile_program(&program);
+        assert!(matches!(top.insns[0], Insn::Hoist(0)), "root hoisting is compiled in");
+        let mut defs = Vec::new();
+        lowered(&top, &mut defs);
+        // outer, then inner, the hoisted `later` and the IIFE inside it.
+        let names: Vec<&str> = defs.iter().map(|(d, _)| &*d.name).collect();
+        assert_eq!(names, ["outer", "later", "", ""]);
+        // A second compile of the same program lowers its top level again
+        // and no definition twice.
+        compile_program(&program);
+        for (def, at) in &defs {
+            assert!(std::ptr::eq(def.chunk(), *at), "{} lowered twice", def.name);
         }
+    }
+
+    #[test]
+    fn a_cloned_realm_runs_its_template_chunk() {
+        use crate::object::Callable;
+        use crate::Value;
+        let cs = crate::compile::compile("function f(n) { return n + 1; }", "t.js").unwrap();
+        let mut template = crate::Interp::new();
+        template.engine = crate::vm::Engine::Vm;
+        template.eval_compiled(&cs).unwrap();
+        let mut page = template.clone_realm();
+        let mut ran = Vec::new();
+        for it in [&mut template, &mut page] {
+            let f = it.get_prop(&Value::Obj(it.global), "f").unwrap();
+            let Some(Callable::Script { def, .. }) = &it.heap.get(f.as_obj().unwrap()).call else {
+                panic!("f is a script function");
+            };
+            let def = def.clone();
+            assert_eq!(it.call(f, Value::Undefined, &[Value::Num(1.0)]).unwrap(), Value::Num(2.0));
+            ran.push(def.chunk() as *const Chunk);
+        }
+        assert!(std::ptr::eq(ran[0], ran[1]), "one chunk per definition, not per realm");
+        assert!(std::ptr::eq(ran[0], cs.chunk().fns[0].chunk()));
     }
 
     #[test]
@@ -1164,7 +1196,7 @@ mod tests {
         // `Chunk` keeps no statement: a `try` is instructions plus a
         // handler whose range covers the body and lands in the catch block.
         let chunk = compile_src("try { var x = 1; } catch (e) { x = 2; }");
-        let top = &chunk.top;
+        let top = &chunk;
         assert_patched(top);
         assert_eq!(top.handlers.len(), 1);
         let h = &top.handlers[0];
@@ -1183,7 +1215,7 @@ mod tests {
         let chunk = compile_src(
             "for (;;) { try { if (a) { break; } h(); } finally { g(); } }",
         );
-        let top = &chunk.top;
+        let top = &chunk;
         assert_patched(top);
         let calls = top.insns.iter().filter(|i| matches!(i, Insn::CallVal { .. })).count();
         assert_eq!(calls, 2);
@@ -1208,7 +1240,7 @@ mod tests {
             "}".repeat(depth)
         );
         let chunk = compile_src(&src);
-        let (_, body) = &chunk.fns[0];
+        let body = chunk.fns[0].chunk();
         assert_patched(body);
         let calls = body.insns.iter().filter(|i| matches!(i, Insn::CallVal { .. })).count();
         assert_eq!(calls, depth + 1);
@@ -1218,14 +1250,13 @@ mod tests {
     #[test]
     fn steps_are_coalesced_without_empty_charges() {
         let chunk = compile_src("1 + 2 * 3");
-        for insn in &chunk.top.insns {
+        for insn in &chunk.insns {
             if let Insn::Step(n) = insn {
                 assert!(*n > 0, "Step(0) emitted");
             }
         }
         // Three literals and two operator nodes = five coalesced charges.
         let total: u32 = chunk
-            .top
             .insns
             .iter()
             .map(|i| if let Insn::Step(n) = i { *n } else { 0 })
@@ -1236,8 +1267,8 @@ mod tests {
     #[test]
     fn for_in_lowers_to_iterator_instructions() {
         let chunk = compile_src("var o = {a: 1}; for (var k in o) { k; }");
-        assert_patched(&chunk.top);
-        let has = |f: fn(&Insn) -> bool| chunk.top.insns.iter().any(f);
+        assert_patched(&chunk);
+        let has = |f: fn(&Insn) -> bool| chunk.insns.iter().any(f);
         assert!(has(|i| matches!(i, Insn::IterKeys(_))));
         assert!(has(|i| matches!(i, Insn::IterNext { .. })));
         assert!(has(|i| matches!(i, Insn::IterEnd)));

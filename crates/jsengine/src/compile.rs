@@ -11,8 +11,10 @@
 //! every worker thread of a crawl.
 //!
 //! The cache is keyed by FNV-64 of the body alone, and its artifact — the
-//! parsed program, the lazily lowered bytecode, the body's hash and text
-//! — holds no URL. The URL a script was served under is per-call state:
+//! parsed program, the lazily lowered bytecode of its top level (each
+//! function's bytecode lives on its [`FunctionDef`](crate::ast::FunctionDef)
+//! in that program), the body's hash and text — holds no URL. The URL a
+//! script was served under is per-call state:
 //! each [`CompiledScript`] handle pairs it with the shared artifact,
 //! evaluation pushes the top-level frame under it, and every function the
 //! script defines keeps it on its closure (`Callable::Script::script`), so
@@ -41,7 +43,8 @@ use crate::error::EngineError;
 use crate::parser::parse;
 
 /// What one script body compiles to, whatever URL serves it: the parse, a
-/// lazily populated bytecode slot, the body's hash and the body itself.
+/// lazily populated bytecode slot for its top level, the body's hash and
+/// the body itself.
 #[derive(Debug)]
 struct Artifact {
     body_hash: u64,
@@ -50,9 +53,10 @@ struct Artifact {
     /// a script another site serves.
     source: Box<str>,
     program: Arc<Program>,
-    /// Bytecode, compiled on first use by a VM-backend realm (tree-walker
-    /// runs never pay for it).
-    chunk: OnceLock<Arc<crate::bytecode::ScriptChunk>>,
+    /// Top-level bytecode, compiled on first use by a VM-backend realm
+    /// (tree-walker runs never pay for it); the same compile lowers every
+    /// function in `program`.
+    chunk: OnceLock<crate::bytecode::Chunk>,
 }
 
 impl Artifact {
@@ -70,9 +74,8 @@ impl Artifact {
 /// the body's shared artifact.
 ///
 /// The cache hands out one handle per call and one artifact per unique
-/// body, so the once-compiled [`ScriptChunk`](crate::bytecode::ScriptChunk)
-/// in [`chunk`](CompiledScript::chunk) is shared by every worker and every
-/// URL exactly like the AST is.
+/// body, so the once-compiled bytecode in [`chunk`](CompiledScript::chunk)
+/// is shared by every worker and every URL exactly like the AST is.
 #[derive(Debug)]
 pub struct CompiledScript {
     url: Arc<str>,
@@ -95,13 +98,14 @@ impl CompiledScript {
         &self.artifact.program
     }
 
-    /// The body's bytecode, compiled exactly once per artifact no matter
-    /// how many realms race here (`OnceLock`); losers of the race drop
-    /// their work and share the winner's chunk.
-    pub fn chunk(&self) -> &Arc<crate::bytecode::ScriptChunk> {
+    /// The body's top-level bytecode, compiled exactly once per artifact
+    /// no matter how many realms race here (`OnceLock`: the others wait
+    /// and share the winner's chunk). The same compile lowers the script's
+    /// functions onto their definitions.
+    pub fn chunk(&self) -> &crate::bytecode::Chunk {
         self.artifact.chunk.get_or_init(|| {
             let _ph = obs::prof::enter(&obs::prof::JS_COMPILE_BC);
-            Arc::new(crate::bytecode::compile_program(&self.artifact.program))
+            crate::bytecode::compile_program(&self.artifact.program)
         })
     }
 }
@@ -297,7 +301,7 @@ mod tests {
         let a = cache.get_or_compile("1 + 1", "a.js").unwrap();
         let b = cache.get_or_compile("1 + 1", "a.js").unwrap();
         assert!(Arc::ptr_eq(a.ast(), b.ast()), "hits share the parse");
-        assert!(Arc::ptr_eq(a.chunk(), b.chunk()), "hits share the bytecode");
+        assert!(std::ptr::eq(a.chunk(), b.chunk()), "hits share the bytecode");
         assert_eq!((a.name().as_ref(), b.name().as_ref()), ("a.js", "a.js"));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
@@ -312,7 +316,7 @@ mod tests {
         let a = cache.get_or_compile("function f() { return 1; } f()", "a.js").unwrap();
         let b = cache.get_or_compile("function f() { return 1; } f()", "b.js").unwrap();
         assert!(Arc::ptr_eq(a.ast(), b.ast()));
-        assert!(Arc::ptr_eq(a.chunk(), b.chunk()));
+        assert!(std::ptr::eq(a.chunk(), b.chunk()));
         assert_eq!((a.name().as_ref(), b.name().as_ref()), ("a.js", "b.js"));
         assert_eq!(cache.len(), 1);
         let s = cache.stats();
@@ -340,23 +344,23 @@ mod tests {
     #[test]
     fn racing_realms_share_one_lazily_compiled_chunk() {
         // Two threads hitting the cold bytecode slot of one handle must end
-        // up with the same chunk — the loser of the `OnceLock` race drops
-        // its compile and adopts the winner's.
+        // up with the same chunk — the loser of the `OnceLock` race waits
+        // for the winner's compile and adopts it.
         let cs = compile("function f(n) { return n + 1; } f(1)", "race.js").unwrap();
         let barrier = std::sync::Barrier::new(2);
         let (a, b) = std::thread::scope(|s| {
             let ta = s.spawn(|| {
                 barrier.wait();
-                Arc::as_ptr(cs.chunk()) as usize
+                cs.chunk() as *const _ as usize
             });
             let tb = s.spawn(|| {
                 barrier.wait();
-                Arc::as_ptr(cs.chunk()) as usize
+                cs.chunk() as *const _ as usize
             });
             (ta.join().unwrap(), tb.join().unwrap())
         });
         assert_eq!(a, b, "both realms must observe the same compiled chunk");
-        assert_eq!(a, Arc::as_ptr(cs.chunk()) as usize);
+        assert_eq!(a, cs.chunk() as *const _ as usize);
     }
 
     #[test]

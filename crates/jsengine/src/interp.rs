@@ -123,13 +123,6 @@ pub struct Interp {
     /// VM). Initialised from the current [`JsCtx`](crate::JsCtx); hosts may
     /// flip it per realm before running scripts.
     pub engine: crate::vm::Engine,
-    /// Memoised function-body chunks for the VM, keyed by the address of
-    /// the pinned [`FunctionDef`] `Arc` (the entry holds the `Arc`, so the
-    /// address cannot be reused while the memo lives). Seeded from a cached
-    /// script's, raw source's or `eval` body's
-    /// [`ScriptChunk`](crate::bytecode::ScriptChunk); functions born
-    /// outside one compile lazily on first call.
-    fn_chunks: std::collections::HashMap<usize, (Arc<FunctionDef>, Arc<crate::bytecode::Chunk>)>,
     /// Spare value stacks for [`crate::vm::run_chunk`] activations, so a
     /// VM function call does not pay a heap allocation per invocation
     /// (recursion depth bounds the pool size).
@@ -231,7 +224,6 @@ impl Interp {
             profiler: None,
             host: None,
             engine: crate::ctx::current_engine(),
-            fn_chunks: std::collections::HashMap::new(),
             vm_stacks: Vec::new(),
         };
         crate::builtins::install(&mut interp);
@@ -256,10 +248,11 @@ impl Interp {
     /// closures — an instrumented template — can be stamped out per page.
     ///
     /// The execution counters (step count, virtual clock, PRNG state, job
-    /// sequence number), the engine, the console and the VM's
-    /// function-chunk memo carry over, so a clone is observably the source
-    /// continued. The profiler and the host handle do not: the embedder
-    /// attaches its own.
+    /// sequence number), the engine and the console carry over, so a clone
+    /// is observably the source continued. The profiler and the host
+    /// handle do not: the embedder attaches its own. Function bytecode
+    /// needs no copy: it lives on each [`FunctionDef`], which the clone's
+    /// closures share with the source's.
     ///
     /// # Panics
     ///
@@ -294,7 +287,6 @@ impl Interp {
             profiler: None,
             host: None,
             engine: self.engine,
-            fn_chunks: self.fn_chunks.clone(),
             vm_stacks: Vec::new(),
         }
     }
@@ -346,11 +338,7 @@ impl Interp {
         compiled: &crate::compile::CompiledScript,
     ) -> Result<Value, EngineError> {
         match self.engine {
-            crate::vm::Engine::Vm => {
-                let chunks = compiled.chunk().clone();
-                let program = compiled.ast().clone();
-                self.eval_program_vm(&chunks, &program, compiled.name())
-            }
+            crate::vm::Engine::Vm => self.eval_program_vm(compiled.chunk(), compiled.name()),
             crate::vm::Engine::Tree => {
                 let program = compiled.ast().clone();
                 self.eval_program_tree(&program, compiled.name())
@@ -388,8 +376,8 @@ impl Interp {
             crate::vm::Engine::Vm => {
                 // Uncached path: compile on the spot. Cached scripts come
                 // through `eval_compiled`, which reuses the shared chunk.
-                let chunks = crate::bytecode::compile_program(program);
-                self.eval_program_vm(&chunks, program, script_name)
+                let chunk = crate::bytecode::compile_program(program);
+                self.eval_program_vm(&chunk, script_name)
             }
             crate::vm::Engine::Tree => self.eval_program_tree(program, script_name),
         }
@@ -436,58 +424,23 @@ impl Interp {
         }
     }
 
-    /// Bytecode backend for [`eval_program`](Interp::eval_program): same
-    /// frame, hoisting and error paths as the oracle, with the statement
-    /// walk replaced by [`crate::vm::run_chunk`].
+    /// Bytecode backend for [`eval_program`](Interp::eval_program): the
+    /// oracle's frame and error paths around [`crate::vm::run_chunk`]; the
+    /// chunk hoists the script's function declarations itself.
     fn eval_program_vm(
         &mut self,
-        chunks: &crate::bytecode::ScriptChunk,
-        program: &crate::ast::Program,
+        chunk: &crate::bytecode::Chunk,
         script_name: &Arc<str>,
     ) -> Result<Value, EngineError> {
-        self.seed_fn_chunks(chunks);
         self.stack.push(Frame {
             name: Arc::from("(toplevel)"),
             script: script_name.clone(),
             line: 1,
         });
         let scope = self.global_scope.clone();
-        // Hoist function declarations (identical to the oracle).
-        for stmt in &program.body {
-            if let Stmt::FunctionDecl(def) = stmt {
-                let f = self.alloc_script_fn(def.clone(), scope.clone());
-                self.define_global(def.name.clone(), Value::Obj(f));
-            }
-        }
-        let r = crate::vm::run_chunk(self, &chunks.top, &scope);
+        let r = crate::vm::run_chunk(self, chunk, &scope);
         self.stack.pop();
         r.map_err(|t| self.thrown_to_error(t))
-    }
-
-    /// Seed the function-chunk memo from a compiled script, so calls skip
-    /// the lazy compile.
-    fn seed_fn_chunks(&mut self, chunks: &crate::bytecode::ScriptChunk) {
-        for (def, chunk) in &chunks.fns {
-            self.fn_chunks
-                .entry(Arc::as_ptr(def) as usize)
-                .or_insert_with(|| (def.clone(), chunk.clone()));
-        }
-    }
-
-    /// The VM chunk for a function body: memo hit, else compile lazily
-    /// (a function defined while the realm ran the tree-walker has no
-    /// seeded chunk).
-    pub(crate) fn function_chunk(
-        &mut self,
-        def: &Arc<FunctionDef>,
-    ) -> Arc<crate::bytecode::Chunk> {
-        let key = Arc::as_ptr(def) as usize;
-        if let Some((_, chunk)) = self.fn_chunks.get(&key) {
-            return chunk.clone();
-        }
-        let chunk = Arc::new(crate::bytecode::compile_function(def));
-        self.fn_chunks.insert(key, (def.clone(), chunk.clone()));
-        chunk
     }
 
     /// Execute all pending jobs that are due at or before the (advanced)
@@ -910,18 +863,17 @@ impl Interp {
                     script,
                     line: def.line,
                 });
-                // Hoist inner function declarations (shared by both
-                // engines, so allocation order is identical).
-                for stmt in def.body.iter() {
-                    if let Stmt::FunctionDecl(d) = stmt {
-                        let f = self.alloc_script_fn(d.clone(), scope.clone());
-                        scope.borrow_mut().vars.insert(Atom::intern_arc(&d.name), Value::Obj(f));
-                    }
-                }
                 let result = if self.engine == crate::vm::Engine::Vm {
-                    let chunk = self.function_chunk(&def);
-                    crate::vm::run_chunk(self, &chunk, &scope)
+                    crate::vm::run_chunk(self, def.chunk(), &scope)
                 } else {
+                    // Hoist inner function declarations (the VM's chunk
+                    // starts with the same declarations as `Hoist`s).
+                    for stmt in def.body.iter() {
+                        if let Stmt::FunctionDecl(d) = stmt {
+                            let f = self.alloc_script_fn(d.clone(), scope.clone());
+                            self.declare(&scope, d.name.clone(), Value::Obj(f));
+                        }
+                    }
                     let mut result = Ok(Value::Undefined);
                     for stmt in def.body.iter() {
                         match self.exec_stmt(stmt, &scope) {
@@ -1244,47 +1196,33 @@ impl Interp {
         }
     }
 
+    /// Resolve `name` on the scope chain, then on the global object. A
+    /// never-interned name can't be bound in any scope (declaration interns
+    /// it), so the chain walk is skipped entirely for it.
     pub(crate) fn lookup_ident(&mut self, scope: &ScopeRef, name: &str) -> Option<Value> {
-        // A never-interned name can't be bound in any scope (declaration
-        // interns it), so the chain walk is skipped entirely for it.
-        if let Some(atom) = Atom::lookup(name) {
-            let mut cur = Some(scope.clone());
-            while let Some(s) = cur {
-                let b = s.borrow();
-                if let Some(v) = b.vars.get(&atom) {
-                    return Some(v.clone());
-                }
-                cur = b.parent.clone();
-            }
+        match Atom::lookup(name) {
+            Some(atom) => self.lookup_ident_fast(scope, atom, name),
+            None => self.lookup_global(name),
         }
-        // Fall back to global object properties (host objects live there).
+    }
+
+    /// Assign `name` where the scope chain binds it, else on the global
+    /// object (see [`Self::lookup_ident`]).
+    pub(crate) fn assign_ident(&mut self, scope: &ScopeRef, name: &str, v: Value) -> Result<(), Thrown> {
+        match Atom::lookup(name) {
+            Some(atom) => self.assign_ident_fast(scope, atom, name, v),
+            None => self.set_prop(&Value::Obj(self.global), name, v),
+        }
+    }
+
+    /// The scope chain's fallback: global object properties (host objects
+    /// live there).
+    fn lookup_global(&mut self, name: &str) -> Option<Value> {
         let g = self.global;
-        let obj = self.heap.get(g);
-        if obj.props.contains(name) {
+        if self.heap.get(g).props.contains(name) {
             return self.get_from_object(g, Value::Obj(g), name).ok();
         }
         None
-    }
-
-    pub(crate) fn assign_ident(&mut self, scope: &ScopeRef, name: &str, v: Value) -> Result<(), Thrown> {
-        if let Some(atom) = Atom::lookup(name) {
-            let mut cur = Some(scope.clone());
-            while let Some(s) = cur {
-                {
-                    let mut b = s.borrow_mut();
-                    if let Some(slot) = b.vars.get_mut(&atom) {
-                        *slot = v;
-                        return Ok(());
-                    }
-                }
-                let parent = s.borrow().parent.clone();
-                cur = parent;
-            }
-        }
-        // Undeclared assignment creates/overwrites a global property (which
-        // may hit a setter — e.g. an instrumented global accessor).
-        let g = Value::Obj(self.global);
-        self.set_prop(&g, name, v)
     }
 
     /// [`Self::lookup_ident`] with the atom pre-interned (the VM stores
@@ -1310,12 +1248,7 @@ impl Interp {
             }
             cur = b.parent.clone();
         }
-        let g = self.global;
-        let obj = self.heap.get(g);
-        if obj.props.contains(name) {
-            return self.get_from_object(g, Value::Obj(g), name).ok();
-        }
-        None
+        self.lookup_global(name)
     }
 
     /// [`Self::assign_ident`] with the atom pre-interned; see
@@ -1347,8 +1280,9 @@ impl Interp {
             let parent = s.borrow().parent.clone();
             cur = parent;
         }
-        let g = Value::Obj(self.global);
-        self.set_prop(&g, name, v)
+        // Undeclared assignment creates/overwrites a global property (which
+        // may hit a setter — e.g. an instrumented global accessor).
+        self.set_prop(&Value::Obj(self.global), name, v)
     }
 
     /// [`Self::declare`] with the atom pre-interned (non-global scopes skip
@@ -1611,16 +1545,15 @@ impl Interp {
         };
         self.stack.push(Frame { name: Arc::from("eval"), script: script_name, line: 1 });
         let r = (|| {
+            if self.engine == crate::vm::Engine::Vm {
+                let chunk = crate::bytecode::compile_eval(&program);
+                return crate::vm::run_chunk(self, &chunk, scope);
+            }
             for stmt in &program.body {
                 if let Stmt::FunctionDecl(def) = stmt {
                     let f = self.alloc_script_fn(def.clone(), scope.clone());
                     self.declare(scope, def.name.clone(), Value::Obj(f));
                 }
-            }
-            if self.engine == crate::vm::Engine::Vm {
-                let chunks = crate::bytecode::compile_eval(&program);
-                self.seed_fn_chunks(&chunks);
-                return crate::vm::run_chunk(self, &chunks.top, scope);
             }
             let mut last = Value::Undefined;
             for stmt in &program.body {

@@ -480,6 +480,7 @@ mod tests {
             source: Arc::from("function(){}"),
             line: 1,
             is_arrow: false,
+            chunk: Default::default(),
         };
         let env = Rc::new(std::cell::RefCell::new(crate::interp::Scope {
             vars: AtomMap::default(),

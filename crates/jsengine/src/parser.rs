@@ -471,6 +471,7 @@ impl<'a> Parser<'a> {
             source,
             line,
             is_arrow: true,
+            chunk: Default::default(),
         }))))
     }
 
@@ -812,6 +813,7 @@ impl<'a> Parser<'a> {
             source,
             line,
             is_arrow: false,
+            chunk: Default::default(),
         }))
     }
 }

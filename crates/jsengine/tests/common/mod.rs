@@ -125,18 +125,7 @@ impl<'r> Gen<'r> {
                 let e = self.expr();
                 self.out.push_str(&format!("log.push('' + ({e}));\n"));
             }
-            5 => {
-                // A function definition plus (sometimes) an immediate call.
-                let name = format!("f{}", self.funcs.len());
-                let arity = self.rng.usize_in(0, 3);
-                let params: Vec<String> = (0..arity).map(|i| format!("p{i}")).collect();
-                let body_ret = self.expr();
-                self.out.push_str(&format!(
-                    "function {name}({}) {{ return {body_ret}; }}\n",
-                    params.join(", ")
-                ));
-                self.funcs.push((name, arity));
-            }
+            5 => self.function_decl(),
             6 => self.try_stmt(),
             7 => {
                 let n = self.rng.usize_in(0, 6);
@@ -166,6 +155,41 @@ impl<'r> Gen<'r> {
                 ));
             }
         }
+    }
+
+    /// A function declaration in one of the shapes hoisting must get right:
+    /// declared before its first call, called before its declaration, with
+    /// a body that calls an inner declaration before declaring it, or an
+    /// `eval` body that calls its own declaration first.
+    fn function_decl(&mut self) {
+        let name = format!("f{}", self.funcs.len());
+        let arity = self.rng.usize_in(0, 3);
+        let params = (0..arity).map(|i| format!("p{i}")).collect::<Vec<_>>().join(", ");
+        let body_ret = self.expr();
+        let decl = match self.rng.usize_in(0, 4) {
+            0 => format!("function {name}({params}) {{ return {body_ret}; }}\n"),
+            1 => {
+                let args: Vec<String> = (0..arity).map(|_| self.expr()).collect();
+                let v = self.fresh_var();
+                format!(
+                    "var {v} = {name}({});\nfunction {name}({params}) {{ return {body_ret}; }}\n",
+                    args.join(", ")
+                )
+            }
+            2 => format!(
+                "function {name}({params}) {{ return h{name}(); \
+                 function h{name}() {{ return {body_ret}; }} }}\n"
+            ),
+            _ => {
+                let v = self.fresh_var();
+                format!(
+                    "function {name}({params}) {{ return {body_ret}; }}\n\
+                     var {v} = eval(\"e{name}(); function e{name}() {{ return {body_ret}; }}\");\n"
+                )
+            }
+        };
+        self.out.push_str(&decl);
+        self.funcs.push((name, arity));
     }
 
     /// A `try` statement in one of the shapes the VM lowers: `catch`,

@@ -461,13 +461,10 @@ pub fn offer_slow_visit(item: usize, label: &str, wall_us: u64) {
 mod tests {
     use super::*;
     use crate::Telemetry;
-    use std::path::PathBuf;
+    use proplite::TempDir;
 
-    fn tmp_file(name: &str) -> PathBuf {
-        let p = std::env::temp_dir()
-            .join(format!("gullible-prof-{name}-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        p
+    fn tmp_file(name: &str) -> TempDir {
+        TempDir::new(&format!("prof-{name}"))
     }
 
     #[test]
@@ -592,8 +589,6 @@ mod tests {
         t.write_slow_visits();
         let text = std::fs::read_to_string(&short).expect("dump file");
         assert_eq!(slow_visit_walls(&text), [60, 40]);
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&short);
     }
 
     #[test]
@@ -624,7 +619,6 @@ mod tests {
         assert!(text.contains(&format!("\"dropped\":{}", extra + 1)), "{text}");
         assert!(!text.contains("event 0\""), "oldest event must be gone");
         assert!(text.contains(&format!("event {}", RING_CAPACITY + extra - 1)));
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -637,7 +631,6 @@ mod tests {
         let text = std::fs::read_to_string(&path).expect("dump file");
         assert!(text.contains(r#""kind":"fault""#), "{text}");
         assert!(text.contains(r#""detail":"reason=hang attempt=2""#), "{text}");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -660,6 +653,5 @@ mod tests {
         offer_slow_visit(0, "https://a.test/", 1_000);
         t.write_slow_visits();
         assert_eq!(std::fs::read_to_string(&path).unwrap_or_default(), "");
-        let _ = std::fs::remove_file(&path);
     }
 }

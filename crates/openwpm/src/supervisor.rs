@@ -668,9 +668,7 @@ mod tests {
 
     #[test]
     fn failed_visits_leave_explainable_forensics() {
-        let path = std::env::temp_dir()
-            .join(format!("gullible-supervisor-forensics-{}.jsonl", std::process::id()));
-        let _ = std::fs::remove_file(&path);
+        let path = proplite::TempDir::new("supervisor-forensics");
         let telemetry = obs::Telemetry::new().with_forensics(&path).expect("arm flight recorder");
         let out = {
             let _g = telemetry.enter();
@@ -700,7 +698,6 @@ mod tests {
         assert!(text.contains(r#""reason":"bad_url""#), "{text}");
         assert!(text.contains(r#""label":"item-2""#), "the dumps name their item: {text}");
         assert!(summary.ring_events > 0, "empty flight-recorder ring");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -156,24 +156,29 @@ pub fn run_cases(cases: usize, seed: u64, mut property: impl FnMut(&mut Rng)) {
     }
 }
 
-/// A scratch directory `<temp>/gullible-<name>-<pid>`, removed when the
-/// guard drops. The process id keeps concurrent test binaries apart; a
-/// leftover of a killed run is cleared before use. The directory itself is
-/// not created: a bundle sink creates its own.
+/// A scratch path `<temp>/gullible-<name>-<pid>`, removed when the guard
+/// drops, whether something made a directory or a single file there. The
+/// process id keeps concurrent test binaries apart; a leftover of a killed
+/// run is cleared before use. Nothing is created: a bundle sink creates
+/// its own directory, a forensic recorder its own file.
 #[derive(Debug)]
 pub struct TempDir(std::path::PathBuf);
 
 impl TempDir {
     pub fn new(name: &str) -> TempDir {
-        let dir = std::env::temp_dir().join(format!("gullible-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        TempDir(dir)
+        let dir = TempDir(std::env::temp_dir().join(format!("gullible-{name}-{}", std::process::id())));
+        dir.remove();
+        dir
+    }
+
+    fn remove(&self) {
+        let _ = std::fs::remove_dir_all(&self.0).or_else(|_| std::fs::remove_file(&self.0));
     }
 }
 
 impl Drop for TempDir {
     fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
+        self.remove();
     }
 }
 
@@ -208,6 +213,11 @@ mod tests {
         std::fs::write(dir.join("sub/f"), b"x").unwrap();
         let path = dir.to_path_buf();
         drop(dir);
+        assert!(!path.exists());
+        let file = TempDir::new("proplite-selftest-file");
+        std::fs::write(&*file, b"x").unwrap();
+        let path = file.to_path_buf();
+        drop(file);
         assert!(!path.exists());
     }
 

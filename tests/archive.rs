@@ -113,7 +113,7 @@ fn randomized_scans_roundtrip_with_exact_blob_accounting() {
         assert_eq!(stream.records_replayed, killed_at.unwrap_or(0) as u64);
         let archive = recorded.archive.expect("archive stats");
         legs.push((archive.blobs_written, archive.dedup_hits));
-        assert_eq!(archive.sites as u32, cfg.n_sites);
+        assert_eq!(archive.sites + stream.records_replayed, cfg.n_sites as u64);
 
         // Independent corpus statistics straight from the generator.
         let pop = Population {
@@ -147,6 +147,27 @@ fn randomized_scans_roundtrip_with_exact_blob_accounting() {
 
         let _ = std::fs::remove_dir_all(&dir);
     });
+}
+
+/// A recording resumed from a bundle cut after 100 of its 200 entries
+/// reports only its own work: the 100 sites it wrote, and blob counts
+/// that add up with the first leg's to an uninterrupted recording's. The
+/// 100 sites it adopted are counted apart.
+#[test]
+fn a_resumed_recording_counts_only_its_own_work() {
+    let cfg = ScanConfig::new(200, 42);
+    let complete = tmp_dir("own-work-complete");
+    let whole = Scan::new(cfg).record(&complete).run().expect("record").archive.unwrap();
+    let dir = tmp_dir("own-work");
+    let first = crash_state(&cfg, &complete, &dir, 100, None);
+    let resumed = Scan::new(cfg).record(&dir).run().expect("resume");
+    let (archive, stream) = (resumed.archive.unwrap(), resumed.stream.unwrap());
+    assert_eq!((stream.resumed, stream.records_replayed, stream.records_flushed), (true, 100, 100));
+    assert_eq!(archive.sites, 100, "{archive:?}");
+    assert_eq!(archive.blobs_written + first.blobs_written, whole.blobs_written);
+    assert_eq!(archive.blob_bytes + first.blob_bytes, whole.blob_bytes);
+    assert_eq!(archive.dedup_hits + first.dedup_hits, whole.dedup_hits);
+    assert_eq!(whole.sites, 200);
 }
 
 #[test]

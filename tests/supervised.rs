@@ -5,7 +5,7 @@
 
 mod common;
 
-use std::path::PathBuf;
+use proplite::TempDir;
 
 use common::crash_state;
 use gullible::scan::{
@@ -17,11 +17,8 @@ use openwpm::{
 };
 use webgen::Category;
 
-fn tmp_bundle(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir()
-        .join(format!("gullible-supervised-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn tmp_bundle(tag: &str) -> TempDir {
+    TempDir::new(&format!("supervised-{tag}"))
 }
 
 /// The issue's acceptance scenario: a 1,000-site scan under a 5% crash /
@@ -116,9 +113,6 @@ fn killed_and_resumed_scan_matches_uninterrupted() {
     assert_eq!(resumed.table5(), uninterrupted.table5());
     assert_eq!(resumed.table12(), uninterrupted.table12());
     assert_eq!(resumed.coverage_line(), uninterrupted.coverage_line());
-    for d in [&complete, &dir] {
-        let _ = std::fs::remove_dir_all(d);
-    }
 }
 
 /// A manifest header line framed as the bundle writer frames it.
@@ -171,9 +165,6 @@ fn checkpoint_format_version_is_stamped_and_validated() {
     assert_eq!(resumed.completion.bundle_lines_dropped, 0);
     assert_eq!(resumed.stream.unwrap().records_replayed, 20);
 
-    for d in [&complete, &dir] {
-        let _ = std::fs::remove_dir_all(d);
-    }
 }
 
 /// A panic inside a visit step is caught by the supervisor and recorded
@@ -258,9 +249,6 @@ fn checkpoint_resume_with_many_workers_matches_single_worker() {
     assert_eq!(resumed.history, uninterrupted.history);
     assert_eq!(resumed.table5(), uninterrupted.table5());
     assert_eq!(resumed.stream.unwrap().records_replayed, 80);
-    for d in [&complete, &dir] {
-        let _ = std::fs::remove_dir_all(d);
-    }
 }
 
 fn arbitrary_record(rng: &mut proplite::Rng) -> SiteScanRecord {
