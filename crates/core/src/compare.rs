@@ -261,7 +261,7 @@ pub fn visit_one(
         rank: plan.rank,
         flagged: flagged.get(),
         instrument_blocked: !stats.instrumented,
-        cookies: store.cookies.clone(),
+        cookies: store.cookies,
         ..Default::default()
     };
     for req in &store.http_requests {
@@ -273,11 +273,11 @@ pub fn visit_one(
             summary.easyprivacy_hits += 1;
         }
     }
-    for rec in &store.js_calls {
+    for rec in store.js_calls {
         if rec.symbol.starts_with("honey:") {
             continue;
         }
-        *summary.js_symbol_counts.entry(rec.symbol.clone()).or_insert(0) += 1;
+        *summary.js_symbol_counts.entry(rec.symbol).or_insert(0) += 1;
     }
     Ok(summary)
 }

@@ -7,9 +7,26 @@
 //! (`||tracker.io^`) and path substrings (`/pixel.gif`). Both are
 //! implemented here along with a parser for that sub-syntax, so the
 //! synthetic lists are written in genuine EasyList notation.
+//!
+//! A parsed list is compiled for matching. Domain anchors go into a set of
+//! lowercase domains; a host matches when the whole host, or any suffix of
+//! it that starts right after a `.`, is in the set. That is one hash probe
+//! per label and no allocation (the host is lowercased into a copy only if
+//! it holds an ASCII uppercase byte).
+//!
+//! The rule "a host matches when its eTLD+1 is an anchored domain" needs
+//! no probe of its own: [`etld1_of`](crate::url::etld1_of) always returns
+//! the whole host or one of its dot-aligned suffixes, so that rule is
+//! implied by the two above. The naive per-rule loop that checked all
+//! three survives as the differential oracle in `tests/properties.rs`.
+//!
+//! Path substrings are tested with `str::contains`. Each generated list has
+//! exactly one path rule, so an automaton (`matcher::CompiledMatcher`)
+//! would add a crate dependency to speed up a single substring search.
+
+use std::collections::HashSet;
 
 use crate::http::HttpRequest;
-use crate::url::etld1_of;
 
 /// Which list a rule came from — ads (EasyList) vs trackers (EasyPrivacy).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -18,19 +35,15 @@ pub enum BlocklistKind {
     EasyPrivacy,
 }
 
-#[derive(Clone, Debug)]
-enum Rule {
-    /// `||domain^` — matches the domain and all subdomains.
-    DomainAnchor(String),
-    /// `/substring` — matches anywhere in the path.
-    PathSubstring(String),
-}
-
-/// A parsed filter list.
+/// A parsed filter list, compiled for matching.
 #[derive(Clone, Debug)]
 pub struct Blocklist {
     pub kind: BlocklistKind,
-    rules: Vec<Rule>,
+    /// `||domain^` anchors, lowercase: each matches the domain and all its
+    /// subdomains.
+    domains: HashSet<String>,
+    /// `/substring` rules: each matches anywhere in the path.
+    paths: Vec<String>,
 }
 
 impl Blocklist {
@@ -38,7 +51,8 @@ impl Blocklist {
     /// (`!`), element-hiding rules (`##`) and empty lines are skipped, as a
     /// real consumer of the lists would for network-layer matching.
     pub fn parse(kind: BlocklistKind, text: &str) -> Blocklist {
-        let mut rules = Vec::new();
+        let mut domains = HashSet::new();
+        let mut paths = Vec::new();
         for line in text.lines() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('!') || line.contains("##") {
@@ -47,41 +61,33 @@ impl Blocklist {
             if let Some(rest) = line.strip_prefix("||") {
                 let domain = rest.trim_end_matches('^').to_ascii_lowercase();
                 if !domain.is_empty() {
-                    rules.push(Rule::DomainAnchor(domain));
+                    domains.insert(domain);
                 }
             } else if line.starts_with('/') {
-                rules.push(Rule::PathSubstring(line.to_owned()));
+                paths.push(line.to_owned());
             }
         }
-        Blocklist { kind, rules }
+        Blocklist { kind, domains, paths }
     }
 
+    /// Distinct domain anchors plus path rules.
     pub fn rule_count(&self) -> usize {
-        self.rules.len()
+        self.domains.len() + self.paths.len()
     }
 
     /// Does any rule match this request?
     pub fn matches(&self, req: &HttpRequest) -> bool {
-        let host = req.url.host.to_ascii_lowercase();
-        let host_etld1 = etld1_of(&host);
-        for rule in &self.rules {
-            match rule {
-                Rule::DomainAnchor(domain) => {
-                    if host == *domain
-                        || host.ends_with(&format!(".{domain}"))
-                        || host_etld1 == *domain
-                    {
-                        return true;
-                    }
-                }
-                Rule::PathSubstring(sub) => {
-                    if req.url.path.contains(sub.as_str()) {
-                        return true;
-                    }
-                }
-            }
-        }
-        false
+        let host = req.url.host.as_str();
+        let lowered;
+        let host = if host.bytes().any(|b| b.is_ascii_uppercase()) {
+            lowered = host.to_ascii_lowercase();
+            lowered.as_str()
+        } else {
+            host
+        };
+        self.domains.contains(host)
+            || host.match_indices('.').any(|(i, _)| self.domains.contains(&host[i + 1..]))
+            || self.paths.iter().any(|sub| req.url.path.contains(sub.as_str()))
     }
 }
 

@@ -7,7 +7,7 @@
 //! `gullible::compare::cookies` because it needs the Ratcliff-Obershelp
 //! similarity from the `stats` crate.
 
-use crate::url::etld1_of;
+use crate::url::etld1_span;
 
 /// First- or third-party attribution of a cookie with respect to the page
 /// that was being visited when it was set.
@@ -32,7 +32,7 @@ pub struct Cookie {
 
 impl Cookie {
     pub fn party(&self) -> CookieParty {
-        if etld1_of(&self.domain) == etld1_of(&self.page_domain) {
+        if etld1_span(&self.domain).eq_ignore_ascii_case(etld1_span(&self.page_domain)) {
             CookieParty::First
         } else {
             CookieParty::Third

@@ -77,23 +77,29 @@ impl Url {
     }
 }
 
-/// eTLD+1 of a bare hostname.
+/// eTLD+1 of a bare hostname, lowercase.
 pub fn etld1_of(host: &str) -> String {
-    let host = host.to_ascii_lowercase();
-    let labels: Vec<&str> = host.split('.').collect();
-    if labels.len() <= 2 {
-        return host;
+    etld1_span(host).to_ascii_lowercase()
+}
+
+/// eTLD+1 of a bare hostname, borrowed from it in its own case: the whole
+/// host, or the suffix of it that starts right after a `.`. Public
+/// suffixes match ASCII-case-insensitively, so
+/// `etld1_span(h).to_ascii_lowercase() == etld1_span(&h.to_ascii_lowercase())`.
+pub fn etld1_span(host: &str) -> &str {
+    let ends_with = |suffix: &str| {
+        let at = host.len().checked_sub(suffix.len());
+        at.is_some_and(|at| host.as_bytes()[at..].eq_ignore_ascii_case(suffix.as_bytes()))
+    };
+    let labels = match MULTI_LABEL_SUFFIXES.iter().find(|suffix| ends_with(suffix)) {
+        Some(suffix) => suffix.split('.').count() + 1,
+        None => 2,
+    };
+    // The last `labels` labels, or the whole host when it has no more.
+    match host.rmatch_indices('.').nth(labels - 1) {
+        Some((dot, _)) => &host[dot + 1..],
+        None => host,
     }
-    for suffix in MULTI_LABEL_SUFFIXES {
-        if host.ends_with(suffix) {
-            let suffix_labels = suffix.split('.').count();
-            if labels.len() > suffix_labels {
-                return labels[labels.len() - suffix_labels - 1..].join(".");
-            }
-            return host;
-        }
-    }
-    labels[labels.len() - 2..].join(".")
 }
 
 impl fmt::Display for Url {
@@ -136,6 +142,9 @@ mod tests {
         assert_eq!(etld1_of("example.com"), "example.com");
         assert_eq!(etld1_of("a.b.c.tracker.net"), "tracker.net");
         assert_eq!(etld1_of("com"), "com");
+        assert_eq!(etld1_of("a..b"), ".b");
+        assert_eq!(etld1_of("cdn.Tracker.com"), "tracker.com");
+        assert_eq!(etld1_span("cdn.Tracker.com"), "Tracker.com");
     }
 
     #[test]
@@ -144,6 +153,8 @@ mod tests {
         assert_eq!(etld1_of("example.co.uk"), "example.co.uk");
         assert_eq!(etld1_of("user.github.io"), "user.github.io");
         assert_eq!(etld1_of("deep.sub.example.com.au"), "example.com.au");
+        assert_eq!(etld1_of("x.bco.uk"), "x.bco.uk");
+        assert_eq!(etld1_span("WWW.Example.CO.UK"), "Example.CO.UK");
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! and tracker host pools (Table 9's methodology: "use the EasyList and
 //! EasyPrivacy blocklists to identify trackers").
 
+use std::sync::OnceLock;
+
 use netsim::{Blocklist, BlocklistKind};
 
 use crate::behaviour::{AD_DOMAINS, TRACKER_DOMAINS};
@@ -26,13 +28,17 @@ pub fn easyprivacy_text() -> String {
     out
 }
 
-/// Parse both lists.
-pub fn easylist() -> Blocklist {
-    Blocklist::parse(BlocklistKind::EasyList, &easylist_text())
+/// The parsed EasyList. Both lists are constants of the population, so each
+/// is parsed once per process.
+pub fn easylist() -> &'static Blocklist {
+    static LIST: OnceLock<Blocklist> = OnceLock::new();
+    LIST.get_or_init(|| Blocklist::parse(BlocklistKind::EasyList, &easylist_text()))
 }
 
-pub fn easyprivacy() -> Blocklist {
-    Blocklist::parse(BlocklistKind::EasyPrivacy, &easyprivacy_text())
+/// The parsed EasyPrivacy, parsed once per process like [`easylist`].
+pub fn easyprivacy() -> &'static Blocklist {
+    static LIST: OnceLock<Blocklist> = OnceLock::new();
+    LIST.get_or_init(|| Blocklist::parse(BlocklistKind::EasyPrivacy, &easyprivacy_text()))
 }
 
 #[cfg(test)]
@@ -65,6 +71,12 @@ mod tests {
         assert!(list.matches(&req("https://yandex.ru/collect/t1.bin")));
         assert!(list.matches(&req("https://metrics.example/x.gif")));
         assert!(!list.matches(&req("https://jsdelivr.net/lib.js")));
+    }
+
+    #[test]
+    fn lists_are_parsed_once() {
+        assert!(std::ptr::eq(easylist(), easylist()));
+        assert!(std::ptr::eq(easyprivacy(), easyprivacy()));
     }
 
     #[test]
