@@ -75,7 +75,9 @@ pub struct PageHost {
     /// every page of a browser instance presents the same profile — the
     /// browser builds it once and hands each page a reference.
     pub profile: std::sync::Arc<FingerprintProfile>,
-    pub page_url: Url,
+    /// The page's URL, shared (`Arc`) with every request record of the
+    /// visit.
+    pub page_url: std::sync::Arc<Url>,
     pub csp: Option<CspPolicy>,
     /// Count of CSP violations triggered (each also emits a `csp_report`
     /// request when the policy has a report endpoint).
@@ -107,7 +109,7 @@ pub struct PageHost {
 impl PageHost {
     pub(crate) fn new(
         profile: std::sync::Arc<FingerprintProfile>,
-        page_url: Url,
+        page_url: std::sync::Arc<Url>,
         csp: Option<CspPolicy>,
     ) -> PageHost {
         PageHost {
@@ -223,7 +225,7 @@ impl Page {
         csp: Option<CspPolicy>,
     ) -> Page {
         let mut interp = Interp::new();
-        let host = Rc::new(RefCell::new(PageHost::new(profile.into(), url, csp)));
+        let host = Rc::new(RefCell::new(PageHost::new(profile.into(), url.into(), csp)));
         interp.host = Some(host.clone());
         let top = hostobjects::install_window(&mut interp, &host, true);
         Page { interp, host, top, profile_base: None }

@@ -65,7 +65,7 @@ impl PageTemplate {
         let mut interp = Interp::new();
         let host = Rc::new(RefCell::new(PageHost::new(
             profile.clone(),
-            Url::parse("https://template.invalid/").expect("placeholder URL parses"),
+            Arc::new(Url::parse("https://template.invalid/").expect("placeholder URL parses")),
             None,
         )));
         interp.host = Some(host.clone());
@@ -104,7 +104,10 @@ impl PageTemplate {
 
     /// Stamp out a page: clone the realm, attach a fresh [`PageHost`] for
     /// `url`/`csp`, and re-point the location data baked in at build time.
-    pub fn instantiate(&self, url: Url, csp: Option<CspPolicy>) -> Page {
+    /// The URL is accepted owned or pre-shared (`Arc`); the page's request
+    /// records share it.
+    pub fn instantiate(&self, url: impl Into<Arc<Url>>, csp: Option<CspPolicy>) -> Page {
+        let url = url.into();
         let top = self.page.top;
         let mut interp = self.page.interp.clone_realm();
         let host = Rc::new(RefCell::new(PageHost::new(self.profile.clone(), url.clone(), csp)));

@@ -100,7 +100,7 @@ mod tests {
     fn req(target: &str) -> HttpRequest {
         HttpRequest {
             url: Url::parse(target).unwrap(),
-            page: Url::parse("https://site.example.com/").unwrap(),
+            page: Url::parse("https://site.example.com/").unwrap().into(),
             resource_type: ResourceType::Script,
             method: "GET",
             time_ms: 0,

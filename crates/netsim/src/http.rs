@@ -1,6 +1,7 @@
 //! HTTP request/response records and the `webRequest` resource taxonomy.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::url::Url;
 
@@ -78,8 +79,9 @@ impl fmt::Display for ResourceType {
 #[derive(Clone, Debug)]
 pub struct HttpRequest {
     pub url: Url,
-    /// The top-level page the request belongs to.
-    pub page: Url,
+    /// The top-level page the request belongs to, shared by every request
+    /// of one visit.
+    pub page: Arc<Url>,
     pub resource_type: ResourceType,
     pub method: &'static str,
     /// Virtual time of the request (ms since crawl start).
@@ -199,7 +201,7 @@ mod tests {
     fn third_party_detection() {
         let req = HttpRequest {
             url: url("https://tracker.io/pixel.gif"),
-            page: url("https://news.example.com/"),
+            page: url("https://news.example.com/").into(),
             resource_type: ResourceType::Image,
             method: "GET",
             time_ms: 0,
@@ -207,7 +209,7 @@ mod tests {
         assert!(req.is_third_party());
         let own = HttpRequest {
             url: url("https://static.example.com/app.js"),
-            page: url("https://news.example.com/"),
+            page: url("https://news.example.com/").into(),
             resource_type: ResourceType::Script,
             method: "GET",
             time_ms: 0,

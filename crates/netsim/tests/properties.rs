@@ -87,7 +87,7 @@ fn blocklist_domain_anchor_semantics() {
         let list = Blocklist::parse(BlocklistKind::EasyList, &format!("||{domain}^\n"));
         let req = |h: &str| HttpRequest {
             url: Url::parse(&format!("https://{h}/x")).unwrap(),
-            page: Url::parse("https://page.org/").unwrap(),
+            page: Url::parse("https://page.org/").unwrap().into(),
             resource_type: ResourceType::Script,
             method: "GET",
             time_ms: 0,
@@ -258,7 +258,7 @@ fn compiled_blocklist_matches_naive_oracle() {
                     path: format!("/{}", rng.string_of("abcdefs/lot.", 0, 12)),
                     query: String::new(),
                 },
-                page: Url::parse("https://page.org/").unwrap(),
+                page: Url::parse("https://page.org/").unwrap().into(),
                 resource_type: ResourceType::Script,
                 method: "GET",
                 time_ms: 0,

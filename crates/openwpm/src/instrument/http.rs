@@ -13,9 +13,9 @@ use netsim::{HttpRequest, HttpResponse};
 use crate::config::HttpSaveMode;
 use crate::records::{RecordStore, SavedScript};
 
-/// Record observed requests.
-pub fn record_requests(store: &mut RecordStore, requests: &[HttpRequest]) {
-    store.http_requests.extend_from_slice(requests);
+/// Record observed requests, moving them into the store.
+pub fn record_requests(store: &mut RecordStore, mut requests: Vec<HttpRequest>) {
+    store.http_requests.append(&mut requests);
 }
 
 /// Record one response according to the save mode.

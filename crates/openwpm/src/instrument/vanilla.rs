@@ -327,7 +327,7 @@ impl InstrumentedTemplate {
     /// # Panics
     ///
     /// If `csp` blocks inline script injection.
-    pub fn instantiate(&self, url: Url, csp: Option<CspPolicy>) -> Page {
+    pub fn instantiate(&self, url: impl Into<Arc<Url>>, csp: Option<CspPolicy>) -> Page {
         assert!(
             !csp.as_ref().is_some_and(|c| c.blocks_inline_scripts),
             "a CSP-blocked page must install the instrument per page"

@@ -553,7 +553,7 @@ mod tests {
         store.js_calls.push(rec("v"));
         store.http_requests.push(HttpRequest {
             url: netsim::Url::parse("https://cdn.a.com/x.js").unwrap(),
-            page: netsim::Url::parse("https://a.com/").unwrap(),
+            page: netsim::Url::parse("https://a.com/").unwrap().into(),
             resource_type: netsim::ResourceType::Script,
             method: "GET",
             time_ms: 5,

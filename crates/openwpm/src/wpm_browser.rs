@@ -70,7 +70,8 @@ pub struct VisitSpec {
 #[derive(Clone, Debug, Default)]
 pub struct SiteResponse {
     pub cookies: Vec<Cookie>,
-    pub extra_requests: Vec<(String, ResourceType)>,
+    /// Requests the page makes after the site's verdict, recorded as given.
+    pub extra_requests: Vec<(Url, ResourceType)>,
 }
 
 /// Outcome statistics of one visit.
@@ -185,7 +186,7 @@ impl Browser {
     /// failure (recorded by the supervisor), not a worker crash.
     pub fn open_page(&mut self, spec: &VisitSpec) -> Result<(Page, VisitStats), FailureReason> {
         self.visits += 1;
-        let url = Url::parse(&spec.url).ok_or(FailureReason::BadUrl)?;
+        let url = Arc::new(Url::parse(&spec.url).ok_or(FailureReason::BadUrl)?);
         // Vanilla pages the instrument can enter start from the realm it
         // already ran in; only the per-visit binding remains below.
         let preinstrumented = self.config.js_instrument == JsInstrumentKind::Vanilla
@@ -282,44 +283,34 @@ impl Browser {
         responder: impl FnOnce(&[HttpRequest]) -> SiteResponse,
     ) -> Result<VisitStats, FailureReason> {
         let (mut page, mut stats) = self.open_page(spec)?;
-        let url = Url::parse(&spec.url).ok_or(FailureReason::BadUrl)?;
+        // The page's own URL: every request record of the visit shares it.
+        let url = page.host.borrow().page_url.clone();
         let page_url = url.to_string();
         let store_before = if obs::enabled() {
             Some(StoreCounts::of(&self.store.borrow()))
         } else {
             None
         };
+        let request = |target: Url, resource_type: ResourceType, time_ms: u64| HttpRequest {
+            url: target,
+            page: url.clone(),
+            resource_type,
+            method: "GET",
+            time_ms,
+        };
 
         // Static load: main frame plus declared subresources.
-        let mut static_reqs = vec![HttpRequest {
-            url: url.clone(),
-            page: url.clone(),
-            resource_type: ResourceType::MainFrame,
-            method: "GET",
-            time_ms: 0,
-        }];
+        let mut static_reqs = vec![request(Url::clone(&url), ResourceType::MainFrame, 0)];
         for (rurl, rt) in &spec.static_requests {
             if let Some(u) = Url::parse(rurl) {
-                static_reqs.push(HttpRequest {
-                    url: u,
-                    page: url.clone(),
-                    resource_type: *rt,
-                    method: "GET",
-                    time_ms: 0,
-                });
+                static_reqs.push(request(u, *rt, 0));
             }
         }
         // Script subresources are requests too, and their bodies flow
         // through the HTTP instrument's save filter.
         for script in &spec.scripts {
             if let Some(u) = Url::parse(&script.url) {
-                static_reqs.push(HttpRequest {
-                    url: u.clone(),
-                    page: url.clone(),
-                    resource_type: ResourceType::Script,
-                    method: "GET",
-                    time_ms: 0,
-                });
+                static_reqs.push(request(u.clone(), ResourceType::Script, 0));
                 http::record_response(
                     &mut self.store.borrow_mut(),
                     &HttpResponse {
@@ -333,7 +324,7 @@ impl Browser {
                 );
             }
         }
-        http::record_requests(&mut self.store.borrow_mut(), &static_reqs);
+        http::record_requests(&mut self.store.borrow_mut(), static_reqs);
 
         // Execute page scripts in document order, compiling through the
         // crawl's cache: provider scripts shared across hundreds of sites
@@ -364,10 +355,10 @@ impl Browser {
         let dwell_s = spec.dwell_override_s.unwrap_or(DWELL_SECONDS);
         page.advance(dwell_s * 1000);
 
-        // Dynamic traffic (fetches, beacons, csp reports, dynamic scripts).
-        let dynamic = page.traffic();
-        http::record_requests(&mut self.store.borrow_mut(), &dynamic);
-        // Bodies of dynamically-fetched server resources.
+        // Dynamic traffic (fetches, beacons, csp reports, dynamic scripts),
+        // taken out of the page. Bodies of dynamically-fetched server
+        // resources first.
+        let dynamic = std::mem::take(&mut page.host.borrow_mut().traffic);
         for req in &dynamic {
             for (rurl, ctype, body) in &spec.server_resources {
                 if req.url.to_string() == *rurl
@@ -388,29 +379,24 @@ impl Browser {
             }
         }
 
-        // Adaptive phase: the site reacts to what it observed.
+        // Adaptive phase: the site reacts to what it observed. The dynamic
+        // requests are recorded after it runs, ahead of its own.
         let response = responder(&dynamic);
-        let extra: Vec<HttpRequest> = response
+        let extra = response
             .extra_requests
-            .iter()
-            .filter_map(|(rurl, rt)| {
-                Url::parse(rurl).map(|u| HttpRequest {
-                    url: u,
-                    page: url.clone(),
-                    resource_type: *rt,
-                    method: "GET",
-                    time_ms: dwell_s * 1000,
-                })
-            })
+            .into_iter()
+            .map(|(u, rt)| request(u, rt, dwell_s * 1000))
             .collect();
-        http::record_requests(&mut self.store.borrow_mut(), &extra);
-        self.store.borrow_mut().cookies.extend(response.cookies);
+        let mut store = self.store.borrow_mut();
+        http::record_requests(&mut store, dynamic);
+        http::record_requests(&mut store, extra);
+        store.cookies.extend(response.cookies);
         // Cookies written via document.cookie are first-party session
         // cookies from the page's own scripts.
-        let js_cookies = page.host.borrow().js_cookies.clone();
+        let js_cookies = std::mem::take(&mut page.host.borrow_mut().js_cookies);
         for raw in js_cookies {
             if let Some((name, value)) = raw.split_once('=') {
-                self.store.borrow_mut().cookies.push(Cookie {
+                store.cookies.push(Cookie {
                     name: name.trim().to_owned(),
                     value: value.split(';').next().unwrap_or("").trim().to_owned(),
                     domain: url.host.clone(),
@@ -419,6 +405,7 @@ impl Browser {
                 });
             }
         }
+        drop(store);
         if let Some(before) = store_before {
             let after = StoreCounts::of(&self.store.borrow());
             after.report_delta(&before);
@@ -593,6 +580,38 @@ mod tests {
             !store.saved_scripts.iter().any(|s| s.url.contains("/cheat")),
             "silently delivered code must evade the JS-only filter"
         );
+    }
+
+    #[test]
+    fn request_records_share_the_page_url() {
+        let mut b = Browser::new(BrowserConfig::vanilla(6));
+        let mut s = spec("https://shop.example.com/");
+        s.static_requests.push(("https://cdn.example.net/logo.png".into(), ResourceType::Image));
+        s.scripts.push(PageScript {
+            url: "https://shop.example.com/app.js".into(),
+            source: "navigator.sendBeacon('https://bd.example.net/verdict?bot=0');".into(),
+            content_type: "text/javascript".into(),
+        });
+        let mut own = None;
+        b.visit(&s, |traffic| {
+            // Dynamic requests are pushed by the page host, with its URL.
+            own = traffic.first().map(|r| r.page.clone());
+            let ad = Url::parse("https://ads.example.org/slot0.png").unwrap();
+            SiteResponse { extra_requests: vec![(ad, ResourceType::Image)], ..Default::default() }
+        })
+        .unwrap();
+        let own = own.expect("the beacon reached the responder");
+        let store = b.take_store();
+        let count = |rt: ResourceType| {
+            store.http_requests.iter().filter(|r| r.resource_type == rt).count()
+        };
+        assert_eq!(count(ResourceType::MainFrame), 1);
+        assert_eq!(count(ResourceType::Script), 1);
+        assert_eq!(count(ResourceType::Beacon), 1);
+        assert_eq!(count(ResourceType::Image), 2, "static and adaptive");
+        for r in &store.http_requests {
+            assert!(Arc::ptr_eq(&r.page, &own), "{} holds its own page URL", r.url);
+        }
     }
 
     #[test]

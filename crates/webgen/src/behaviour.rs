@@ -12,7 +12,7 @@
 //! and (b) small client-local rotation noise on volatile resource classes
 //! (ad rotation — the `media` row of Table 8 is noisy in the paper too).
 
-use netsim::{Cookie, ResourceType};
+use netsim::{Cookie, ResourceType, Url};
 use openwpm::SiteResponse;
 
 use crate::site::SitePlan;
@@ -225,7 +225,10 @@ pub fn site_response(
                 DomainClass::Tracker => format!("/collect/t{k}.{}", ext(p.rt)),
                 _ => format!("/static/r{k}.{}", ext(p.rt)),
             };
-            resp.extra_requests.push((format!("https://{host}{path}"), p.rt));
+            // Built typed: every host is a lowercase literal or site
+            // domain, so this is what `Url::parse` of the rendered URL gives.
+            let url = Url { scheme: "https".to_owned(), host, path, query: String::new() };
+            resp.extra_requests.push((url, p.rt));
         }
     }
 
@@ -374,7 +377,7 @@ mod tests {
         let ads = r
             .extra_requests
             .iter()
-            .filter(|(u, _)| AD_DOMAINS.iter().any(|d| u.contains(d)))
+            .filter(|(u, _)| AD_DOMAINS.contains(&u.host.as_str()))
             .count();
         let total = r.extra_requests.len();
         assert!(total > 50, "total {total}");
@@ -391,8 +394,8 @@ mod tests {
         let mut bot_total = 0usize;
         for r in 0..100 {
             let p = pop.plan(r);
-            let is_adtracker = |u: &str| {
-                AD_DOMAINS.iter().chain(TRACKER_DOMAINS).any(|d| u.contains(d))
+            let is_adtracker = |u: &Url| {
+                AD_DOMAINS.iter().chain(TRACKER_DOMAINS).any(|d| u.host == *d)
             };
             let h = site_response(&p, 1, 0xAAAA, false, false);
             let b = site_response(&p, 1, 0xAAAA, true, false);

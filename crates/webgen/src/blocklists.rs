@@ -49,7 +49,7 @@ mod tests {
     fn req(target: &str) -> HttpRequest {
         HttpRequest {
             url: Url::parse(target).unwrap(),
-            page: Url::parse("https://w000001.com/").unwrap(),
+            page: Url::parse("https://w000001.com/").unwrap().into(),
             resource_type: ResourceType::Image,
             method: "GET",
             time_ms: 0,

@@ -250,7 +250,7 @@ mod tests {
         use netsim::{ResourceType, Url};
         let req = |q: &str, rt: ResourceType| HttpRequest {
             url: Url::parse(&format!("https://bd.test/v?{q}")).unwrap(),
-            page: Url::parse("https://s.test/").unwrap(),
+            page: Url::parse("https://s.test/").unwrap().into(),
             resource_type: rt,
             method: "POST",
             time_ms: 0,

@@ -73,7 +73,9 @@ fn flagged_clients_never_receive_more() {
     });
 }
 
-/// All generated request URLs parse and carry a host.
+/// Every typed request URL the responder builds is what parsing its
+/// rendered form gives back, with a non-empty lowercase host, for every
+/// run and for unflagged, flagged and escalated clients.
 #[test]
 fn generated_requests_have_valid_urls() {
     run_cases(64, 0x3EB9, |rng: &mut Rng| {
@@ -81,14 +83,20 @@ fn generated_requests_have_valid_urls() {
         let rank = rng.u32_in(0, 500);
         let pop = Population::new(500, seed);
         let plan = pop.plan(rank);
-        let resp = behaviour::site_response(&plan, 1, 0xBBBB, false, false);
-        for (url, _) in &resp.extra_requests {
-            let parsed = netsim::Url::parse(url);
-            assert!(parsed.is_some(), "bad url: {url}");
-        }
-        for c in &resp.cookies {
-            assert!(!c.domain.is_empty());
-            assert!(!c.name.is_empty());
+        for run in 1..=3 {
+            for (flagged_now, flagged_before) in [(false, false), (true, false), (true, true)] {
+                let resp = behaviour::site_response(&plan, run, 0xBBBB, flagged_now, flagged_before);
+                for (url, _) in &resp.extra_requests {
+                    let rendered = url.to_string();
+                    assert_eq!(netsim::Url::parse(&rendered).as_ref(), Some(url), "{rendered}");
+                    assert!(!url.host.is_empty(), "{rendered}");
+                    assert_eq!(url.host, url.host.to_ascii_lowercase(), "{rendered}");
+                }
+                for c in &resp.cookies {
+                    assert!(!c.domain.is_empty());
+                    assert!(!c.name.is_empty());
+                }
+            }
         }
     });
 }
