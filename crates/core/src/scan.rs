@@ -511,7 +511,10 @@ pub struct StreamStats {
 /// bundle after [`Scan::replay`]) and may write them to a bundle *sink*
 /// ([`Scan::record`] or [`Scan::stream_to`]):
 ///
-/// ```ignore
+/// ```no_run
+/// # use gullible::{Scan, ScanConfig};
+/// # fn main() -> std::io::Result<()> {
+/// # let cfg = ScanConfig::new(1_000, 42);
 /// // In memory:
 /// let report = Scan::new(cfg).run()?;
 /// // Streamed to a crash-consistent bundle, resumable by running again:
@@ -521,6 +524,8 @@ pub struct StreamStats {
 ///     .run()?;
 /// // Re-measured from the bundle:
 /// let report = Scan::new(cfg).replay("bundle").run()?;
+/// # Ok(())
+/// # }
 /// ```
 ///
 /// `run` only returns `Err` for bundle I/O failures or a damaged bundle; a

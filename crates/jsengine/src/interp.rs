@@ -361,12 +361,13 @@ impl Interp {
 
     /// Execute an already-parsed top-level program under `script_name`.
     ///
-    /// This is the single backend dispatch point: everything above it —
-    /// [`eval_script`](Interp::eval_script),
-    /// [`eval_source`](Interp::eval_source), `Page::run_script`, the visit
-    /// loop — is engine-agnostic, and the [`Engine`](crate::vm::Engine)
-    /// chosen here (plus the matching branch in [`Interp::call`]) decides
-    /// how statements actually execute.
+    /// This is the uncached top-level path ([`eval_script`](Interp::eval_script)
+    /// and raw [`eval_source`](Interp::eval_source) scripts). It is one of
+    /// the places that match on the [`Engine`](crate::vm::Engine), not the
+    /// only one: [`eval_compiled`](Interp::eval_compiled), which every
+    /// cached crawl script takes, dispatches on its own, as do
+    /// [`Interp::call`] for function bodies and direct `eval`. Everything
+    /// above them — `Page::run_script`, the visit loop — is engine-agnostic.
     pub fn eval_program(
         &mut self,
         program: &crate::ast::Program,
