@@ -3,9 +3,9 @@
 //! Every table and figure of the paper has a binary in `src/bin/` that
 //! regenerates it against the synthetic population. Scale, seed, fault
 //! weather and telemetry are all controlled by `GULLIBLE_*` environment
-//! variables, documented (with types and defaults) in [`env`] — the one
-//! module that parses them. The same binaries therefore drive both quick
-//! looks and the full paper-scale runs recorded in EXPERIMENTS.md.
+//! variables, documented (with types and defaults) in [`env`](mod@env) —
+//! the one module that parses them. The same binaries therefore drive both
+//! quick looks and the full paper-scale runs recorded in EXPERIMENTS.md.
 //!
 //! Each binary follows the same frame:
 //!

@@ -193,9 +193,6 @@ pub struct Page {
     pub interp: Interp,
     pub host: PageShared,
     pub top: RealmWindow,
-    /// Interpreter counts of the template setup this page's realm was
-    /// cloned after, if any; [`Page::enable_profiling`] starts from them.
-    pub(crate) profile_base: Option<std::sync::Arc<jsengine::Profile>>,
 }
 
 /// Result of a blocked DOM script injection.
@@ -228,7 +225,7 @@ impl Page {
         let host = Rc::new(RefCell::new(PageHost::new(profile.into(), url.into(), csp)));
         interp.host = Some(host.clone());
         let top = hostobjects::install_window(&mut interp, &host, true);
-        Page { interp, host, top, profile_base: None }
+        Page { interp, host, top }
     }
 
     /// Register a server resource reachable by `fetch` from page scripts.
@@ -253,23 +250,6 @@ impl Page {
     /// the latter; there is no duplicate method pair.
     pub fn run_script(&mut self, script: impl Into<ScriptSource>) -> Result<Value, EngineError> {
         self.interp.eval_source(&script.into())
-    }
-
-    /// Turn on interpreter profiling for this page (op counts, call depth,
-    /// evals). Costs one branch per interpreter step while enabled. A page
-    /// stamped from a template that ran a setup step starts from the
-    /// setup's counts, so it reports what a page that ran the setup itself
-    /// would.
-    pub fn enable_profiling(&mut self) {
-        match &self.profile_base {
-            Some(base) => self.interp.enable_profiling_from((**base).clone()),
-            None => self.interp.enable_profiling(),
-        }
-    }
-
-    /// Stop profiling and return the page's aggregated interpreter counts.
-    pub fn take_profile(&mut self) -> Option<jsengine::Profile> {
-        self.interp.take_profile()
     }
 
     /// Inject a script into the page the way a content script does via the

@@ -29,12 +29,12 @@
 //! Clones are observably identical to scratch-built pages that ran the
 //! same setup: heap cloning preserves object ids and property insertion
 //! order, [`Interp::clone_realm`] deep-copies every captured scope and
-//! carries over the execution counters (steps, PRNG, job sequence), and
-//! the setup's interpreter [`Profile`](jsengine::Profile) seeds each
-//! instance's profiler ([`Page::enable_profiling`]). The browser manager
-//! starts every page from a template; building a page from scratch
-//! ([`Page::new`]) remains the reference the template tests compare
-//! against.
+//! carries over the execution counters (the interpreter
+//! [`Profile`](jsengine::Profile) counts, PRNG, job sequence), so a page
+//! reports the setup's work as if it had run the setup itself. The
+//! browser manager starts every page from a template; building a page
+//! from scratch ([`Page::new`]) remains the reference the template tests
+//! compare against.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -71,7 +71,7 @@ impl PageTemplate {
         interp.host = Some(host.clone());
         let top = install_window(&mut interp, &host, true);
         interp.heap.freeze();
-        PageTemplate { profile, page: Page { interp, host, top, profile_base: None } }
+        PageTemplate { profile, page: Page { interp, host, top } }
     }
 
     /// The profile this template was built for.
@@ -79,10 +79,9 @@ impl PageTemplate {
         &self.profile
     }
 
-    /// Run a setup step on the template page (no CSP), with profiling
-    /// on. The recorded [`Profile`](jsengine::Profile) seeds every
-    /// instance's profiler, so per-page interpreter counts still include
-    /// the setup.
+    /// Run a setup step on the template page (no CSP). Every instance
+    /// starts from the interpreter counts it leaves, so per-page counts
+    /// include the setup.
     ///
     /// # Panics
     ///
@@ -90,14 +89,11 @@ impl PageTemplate {
     /// cookies, hooks, sinks, CSP violations) or pending jobs, none of
     /// which an instance could inherit.
     pub fn setup<R>(&mut self, setup: impl FnOnce(&mut Page) -> R) -> R {
-        self.page.enable_profiling();
         let out = setup(&mut self.page);
-        let profile = self.page.interp.take_profile().expect("profiling was enabled");
         assert!(
             self.page.host.borrow().is_pristine() && !self.page.interp.has_pending_jobs(),
             "PageTemplate::setup left state an instance cannot inherit"
         );
-        self.page.profile_base = Some(Arc::new(profile));
         self.page.interp.heap.freeze();
         out
     }
@@ -114,7 +110,7 @@ impl PageTemplate {
         host.borrow_mut().set_top(top);
         interp.host = Some(host.clone());
         repoint_location(&mut interp, top, &url);
-        Page { interp, host, top, profile_base: self.page.profile_base.clone() }
+        Page { interp, host, top }
     }
 }
 
@@ -170,23 +166,26 @@ mod tests {
         return get;
     }";
 
-    /// Instances start from the setup's interpreter counts, so a profiled
-    /// page reports what a page that ran the setup itself would.
+    /// Instances start from the setup's interpreter counts, so a page
+    /// reports what a page that ran the setup itself would, builtin
+    /// dispatches included while the phase profiler runs.
     #[test]
     fn instances_profile_from_the_setup() {
+        let t = obs::Telemetry::new().with_prof(obs::prof::Mode::On);
+        let _g = t.enter();
         let url = Url::parse("https://a.example/").unwrap();
         let mut tpl = PageTemplate::new(profile());
+        let built = tpl.page.interp.profile();
+        assert_eq!(built, jsengine::Profile::default(), "a build runs no script");
         tpl.setup(|page| page.run_script((WRAP, "wrap.js")).unwrap());
         let mut cloned = tpl.instantiate(url.clone(), None);
         let mut scratch = Page::new(profile(), url, None);
-        scratch.enable_profiling();
         scratch.run_script((WRAP, "wrap.js")).unwrap();
-        cloned.enable_profiling();
         for p in [&mut scratch, &mut cloned] {
             p.run_script(("wrap(window, 'x'); navigator.platform", "t")).unwrap();
         }
-        let (a, b) = (scratch.take_profile().unwrap(), cloned.take_profile().unwrap());
-        assert!(a.ops > 0);
+        let (a, b) = (scratch.interp.profile(), cloned.interp.profile());
+        assert!(a.ops > 0 && !a.builtins.is_empty(), "{a:?}");
         assert_eq!(a, b);
     }
 

@@ -58,8 +58,9 @@ const LIST: char = '\x1d'; // between list elements (GS, as elsewhere)
 const PAIR: char = '\x1c'; // inside list elements (FS, as elsewhere)
 
 /// Counters describing what one recording run wrote to its bundle;
-/// attached to [`ScanReport::archive`]. A resumed run counts only its own
-/// work: the sites it adopted from the bundle are
+/// attached to [`ScanReport::archive`](crate::scan::ScanReport::archive).
+/// A resumed run counts only its own work: the sites it adopted from the
+/// bundle are
 /// [`StreamStats::records_replayed`](crate::scan::StreamStats::records_replayed).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArchiveStats {
@@ -74,7 +75,8 @@ pub struct ArchiveStats {
     pub dedup_hits: u64,
 }
 
-/// Counters describing a replay run; attached to [`ScanReport::replay`].
+/// Counters describing a replay run; attached to
+/// [`ScanReport::replay`](crate::scan::ScanReport::replay).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReplayStats {
     /// Sites re-measured from the bundle.
@@ -695,6 +697,15 @@ impl ReplayBundle {
         let cfg = decode_config(&reader.config, 4)
             .map_err(|e| invalid(format!("{}: {e}", dir.display())))?;
         let n = cfg.n_sites as usize;
+        // A sealed bundle holds one entry per rank: count them before
+        // sizing anything from the config line's `n_sites`.
+        if reader.entries.len() != n {
+            return Err(invalid(format!(
+                "{}: bundle is missing sites: {} entries for n_sites={n}",
+                dir.display(),
+                reader.entries.len()
+            )));
+        }
         let mut sites: Vec<Option<ReplaySite>> = (0..n).map(|_| None).collect();
         let mut digest_parts: Vec<Option<String>> = vec![None; n];
         for payload in &reader.entries {
@@ -957,5 +968,55 @@ mod tests {
         assert_eq!(stats.records_flushed, 2);
         let reader = BundleReader::open(&dir).expect("the flushed entries stay readable");
         assert_eq!((reader.entries.len(), reader.commit.as_deref()), (2, None));
+    }
+
+    /// Seal a bundle whose config line claims `n_sites` sites, holding a
+    /// failed visit of rank 0 flushed `entries` times.
+    fn forge_sealed_bundle(dir: &Path, n_sites: u32, entries: usize) {
+        let cfg = ScanConfig { n_sites, ..ScanConfig::new(1, 1) };
+        let writer = BundleWriter::create(dir, &encode_config(&cfg)).expect("create");
+        let recorder = StreamRecorder::with_writer(writer, vec![None]);
+        let visit = SiteVisit {
+            rank: 0,
+            domain: "s0.test".into(),
+            categories: Vec::new(),
+            flaky: false,
+            pages: Vec::new(),
+        };
+        let failed = VisitOutcome::Failed { reason: FailureReason::Timeout, attempts: 3 };
+        for _ in 0..entries {
+            recorder.flush(0, &visit, &failed, 3, "", None);
+        }
+        let telemetry = obs::Telemetry::new();
+        let mut stats = StreamStats::default();
+        recorder
+            .finish(&CrawlSummary::default(), [(0, 0); 3], &telemetry, &mut stats)
+            .expect("seal");
+    }
+
+    /// A sealed bundle whose config line claims `u32::MAX` sites but that
+    /// holds one entry is refused before anything is sized from the claim.
+    #[test]
+    fn open_refuses_an_n_sites_the_entries_do_not_back() {
+        let dir = proplite::TempDir::new("forged-n-sites");
+        forge_sealed_bundle(&dir, u32::MAX, 1);
+        let err = ReplayBundle::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("missing site"), "{err}");
+    }
+
+    /// Two entries for one rank are refused, though the commit line's
+    /// records digest matches the later one; with one entry the same
+    /// bundle opens.
+    #[test]
+    fn open_refuses_a_rank_recorded_twice() {
+        let sound = proplite::TempDir::new("forged-sound");
+        forge_sealed_bundle(&sound, 1, 1);
+        assert_eq!(ReplayBundle::open(&sound).expect("one entry per rank").n_sites(), 1);
+        let dir = proplite::TempDir::new("forged-duplicate");
+        forge_sealed_bundle(&dir, 1, 2);
+        let err = ReplayBundle::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("2 entries for n_sites=1"), "{err}");
     }
 }

@@ -13,10 +13,12 @@
 //! a per-thread positive cache so re-interning a name this thread has seen
 //! takes no lock. The cache is positive only, so every [`Atom::lookup`] of
 //! a name that was never interned takes a shard lock. That is the common
-//! locked path: a 5K-site scan (seed 42, 2 workers) makes about 254,000
-//! lookup misses, about 51 per site, nearly all for page-local honey names
-//! (about 125,000 distinct names, each looked up about twice), while
-//! `intern_global` runs about 4,600 times (about 2,316 names per worker).
+//! locked path: a 5K-site scan (seed 42, 2 workers) makes 253,852 lookup
+//! misses, about 51 per site and linear in sites (509,142 at 10K). All
+//! but a handful are page-local honey names (125,268 of the 125,271
+//! distinct missed names, each looked up about twice), while
+//! `intern_global` runs 4,603 times: about once per worker thread for
+//! each of the 2,316 names the crawl interns.
 //! Ids are append-only and never freed, so only names that a corpus shares
 //! across pages may be interned: builtin and host property names, script
 //! identifiers and member names. Then the id space is bounded by the

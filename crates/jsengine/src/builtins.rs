@@ -12,7 +12,8 @@ use crate::interp::{ErrorKind, Interp};
 use crate::object::{Callable, ObjId, Property, Slot};
 use crate::value::{number_to_string, Value};
 
-/// Invoke a native function, recording the per-builtin dispatch count.
+/// Invoke a native function, counting the dispatch per builtin name while
+/// the phase profiler runs.
 ///
 /// This is the one funnel for builtin dispatch — [`Interp::call`] routes
 /// every `Callable::Native` through here for *both* execution backends, so
@@ -25,8 +26,8 @@ pub(crate) fn dispatch_native(
     this: Value,
     args: &[Value],
 ) -> Result<Value, crate::error::Thrown> {
-    if let Some(p) = &mut interp.profiler {
-        p.record_builtin(name);
+    if obs::prof::profiling() {
+        *interp.builtin_calls.entry(Arc::clone(name)).or_insert(0) += 1;
     }
     f(interp, this, args)
 }

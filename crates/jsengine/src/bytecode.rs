@@ -5,7 +5,7 @@
 //! definition reachable from it into that definition's own chunk
 //! ([`FunctionDef::chunk`]), so a compiled script's bytecode lives on its
 //! AST and is shared by every realm that runs it.
-//! [`crate::vm::run_chunk`] executes a chunk in a stack dispatch loop and
+//! The VM's `run_chunk` executes a chunk in a stack dispatch loop and
 //! never reads a statement: function-declaration hoisting is compiled in
 //! as [`Insn::Hoist`] at the start of every root and block, and a call
 //! reads only the callee definition's header and chunk.
@@ -14,7 +14,7 @@
 //! byte-identity with the tree-walker*: the same step charges in the same
 //! order (so the step budget trips at the identical point), the same frame
 //! line updates, the same heap allocation order, the same error messages,
-//! the same profiler hook sequence. The tree-walking interpreter stays in
+//! the same call and eval counts. The tree-walking interpreter stays in
 //! the crate as the reference oracle; `tests/engine_differential.rs` holds
 //! the two engines to the same, pinned telemetry digest.
 //!

@@ -6,7 +6,7 @@
 //! visit and every retry, even though the corpus collapses to far fewer
 //! unique bodies than delivered scripts (the paper's Sec. 4.2 statistic —
 //! 1,535,306 collected scripts dedupe heavily; `ScanReport::script_stats`
-//! models it). Since the [`Program`](crate::ast::Program) AST became
+//! models it). Since the [`Program`] AST became
 //! `Arc`-based it is immutable and `Send + Sync`, so one parse can serve
 //! every worker thread of a crawl.
 //!

@@ -8,6 +8,7 @@
 //! queued jobs).
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -16,7 +17,7 @@ use crate::atom::{Atom, AtomMap};
 use crate::error::{EngineError, Thrown};
 use crate::object::{Callable, Heap, JsObject, ObjId, Property, Slot};
 use crate::parser::parse;
-use crate::profiler::{CountingProfiler, Profile};
+use crate::profiler::Profile;
 use crate::value::Value;
 
 /// Native function signature. Receives the interpreter, the `this` value and
@@ -106,14 +107,21 @@ pub struct Interp {
     /// 100K-site scan. Generous enough for the full corpus.
     pub step_limit: u64,
     steps: u64,
+    /// Function calls dispatched (script and native), `eval()` runs, and
+    /// the deepest call stack reached: with `steps`, the counts
+    /// [`Interp::profile`] reports.
+    calls: u64,
+    evals: u64,
+    peak_depth: usize,
+    /// Native dispatches per builtin name, counted only while the phase
+    /// profiler runs (`obs::prof::profiling`), its one reader.
+    pub(crate) builtin_calls: HashMap<Arc<str>, u64>,
     /// Maximum interpreter recursion depth ([`MAX_CALL_DEPTH`]).
     pub max_depth: usize,
     /// `console.log` output, for tests and diagnostics.
     pub console: Vec<String>,
     /// Deterministic PRNG state for `Math.random` (xorshift64*).
     pub rng_state: u64,
-    /// Opt-in profiling hooks; `None` costs one branch per hook site.
-    pub profiler: Option<Box<CountingProfiler>>,
     /// Opaque embedder state. The browser crate attaches its per-page host
     /// here so native functions can reach it *at call time* instead of
     /// capturing it at install time — which is what makes an installed
@@ -135,7 +143,7 @@ pub struct Interp {
 /// realm), so an address cannot be reused while it is a key.
 struct ScopeRemap {
     global: ScopeRef,
-    copies: std::collections::HashMap<*const RefCell<Scope>, ScopeRef>,
+    copies: HashMap<*const RefCell<Scope>, ScopeRef>,
 }
 
 impl ScopeRemap {
@@ -146,7 +154,7 @@ impl ScopeRemap {
             parent: None,
             this_val: gs.this_val.clone(),
         }));
-        let mut copies = std::collections::HashMap::new();
+        let mut copies = HashMap::new();
         copies.insert(Rc::as_ptr(source_global), global.clone());
         ScopeRemap { global, copies }
     }
@@ -218,10 +226,13 @@ impl Interp {
             job_seq: 0,
             step_limit: 20_000_000,
             steps: 0,
+            calls: 0,
+            evals: 0,
+            peak_depth: 0,
+            builtin_calls: HashMap::new(),
             max_depth: MAX_CALL_DEPTH,
             console: Vec::new(),
             rng_state: 0x9E3779B97F4A7C15,
-            profiler: None,
             host: None,
             engine: crate::ctx::current_engine(),
             vm_stacks: Vec::new(),
@@ -247,12 +258,12 @@ impl Interp {
     /// with the source. So a realm that has run scripts retaining inner
     /// closures — an instrumented template — can be stamped out per page.
     ///
-    /// The execution counters (step count, virtual clock, PRNG state, job
-    /// sequence number), the engine and the console carry over, so a clone
-    /// is observably the source continued. The profiler and the host
-    /// handle do not: the embedder attaches its own. Function bytecode
-    /// needs no copy: it lives on each [`FunctionDef`], which the clone's
-    /// closures share with the source's.
+    /// The execution counters (the [`profile`](Interp::profile) counts,
+    /// virtual clock, PRNG state, job sequence number), the engine and the
+    /// console carry over, so a clone is observably the source continued.
+    /// The host handle does not: the embedder attaches its own. Function
+    /// bytecode needs no copy: it lives on each [`FunctionDef`], which the
+    /// clone's closures share with the source's.
     ///
     /// # Panics
     ///
@@ -281,10 +292,13 @@ impl Interp {
             job_seq: self.job_seq,
             step_limit: self.step_limit,
             steps: self.steps,
+            calls: self.calls,
+            evals: self.evals,
+            peak_depth: self.peak_depth,
+            builtin_calls: self.builtin_calls.clone(),
             max_depth: self.max_depth,
             console: self.console.clone(),
             rng_state: self.rng_state,
-            profiler: None,
             host: None,
             engine: self.engine,
             vm_stacks: Vec::new(),
@@ -319,6 +333,21 @@ impl Interp {
         self.steps
     }
 
+    /// A snapshot of this realm's interpreter counts, template work
+    /// included when the realm is a [`clone_realm`](Interp::clone_realm).
+    pub fn profile(&self) -> Profile {
+        let mut builtins: Vec<(Arc<str>, u64)> =
+            self.builtin_calls.iter().map(|(n, c)| (Arc::clone(n), *c)).collect();
+        builtins.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        Profile {
+            ops: self.steps,
+            calls: self.calls,
+            evals: self.evals,
+            max_depth: self.peak_depth,
+            builtins,
+        }
+    }
+
     // ------------------------------------------------------------- public
 
     /// Parse and execute `src` as a top-level script named `script_name`.
@@ -329,10 +358,10 @@ impl Interp {
     }
 
     /// Execute a pre-compiled script under the URL its handle carries. The
-    /// shared [`Program`](crate::ast::Program) is never mutated, so one
-    /// body's artifact can serve every interpreter in the process and every
-    /// URL serving that body. Under the VM backend this reuses the body's
-    /// once-compiled bytecode chunk (compiling it on first use).
+    /// shared [`Program`] is never mutated, so one body's artifact can
+    /// serve every interpreter in the process and every URL serving that
+    /// body. Under the VM backend this reuses the body's once-compiled
+    /// bytecode chunk (compiling it on first use).
     pub fn eval_compiled(
         &mut self,
         compiled: &crate::compile::CompiledScript,
@@ -824,9 +853,8 @@ impl Interp {
         if self.stack.len() >= self.max_depth {
             return Err(Thrown::new(Value::str("InternalError: too much recursion"), "too much recursion"));
         }
-        if let Some(p) = &mut self.profiler {
-            p.record_call(self.stack.len() + 1);
-        }
+        self.calls += 1;
+        self.peak_depth = self.peak_depth.max(self.stack.len() + 1);
         match callable {
             Callable::Native { name, f } => {
                 // The per-builtin dispatch counter lives in the shared
@@ -933,9 +961,6 @@ impl Interp {
 
     fn charge_step(&mut self) -> Result<(), Thrown> {
         self.steps += 1;
-        if let Some(p) = &mut self.profiler {
-            p.record_step();
-        }
         if self.steps > self.step_limit {
             Err(Thrown::new(Value::str("InternalError: step budget exceeded"), "step budget exceeded"))
         } else {
@@ -951,9 +976,6 @@ impl Interp {
     pub(crate) fn charge_steps(&mut self, n: u32) -> Result<(), Thrown> {
         if self.steps + n as u64 <= self.step_limit {
             self.steps += n as u64;
-            if let Some(p) = &mut self.profiler {
-                p.record_steps(n);
-            }
             Ok(())
         } else {
             for _ in 0..n {
@@ -961,23 +983,6 @@ impl Interp {
             }
             Ok(())
         }
-    }
-
-    /// Install a fresh counting profiler (replacing any other).
-    pub fn enable_profiling(&mut self) {
-        self.profiler = Some(Box::<CountingProfiler>::default());
-    }
-
-    /// Install the counting profiler with `base` already counted, so the
-    /// eventual report covers work done before this realm was cloned (a
-    /// template's setup script) as if it had been profiled here.
-    pub fn enable_profiling_from(&mut self, base: Profile) {
-        self.profiler = Some(Box::new(CountingProfiler::resume(base)));
-    }
-
-    /// Remove the profiler and return its aggregated counts.
-    pub fn take_profile(&mut self) -> Option<Profile> {
-        self.profiler.take().map(|p| p.report())
     }
 
     // ---------------------------------------------------------- statements
@@ -1526,9 +1531,7 @@ impl Interp {
     /// root `return` returns its value, as in the oracle's loop below.
     pub fn eval_in_scope(&mut self, code: Value, scope: &ScopeRef) -> Result<Value, Thrown> {
         let Value::Str(src) = code else { return Ok(code) };
-        if let Some(p) = &mut self.profiler {
-            p.record_eval();
-        }
+        self.evals += 1;
         let script_name: Arc<str> = self
             .stack
             .last()
@@ -1872,17 +1875,29 @@ mod clone_tests {
         }
     }
 
+    /// A clone starts from every count the template reached (steps, calls,
+    /// evals, peak depth and, while profiling, builtin dispatches), and a
+    /// clone's own work moves neither the template nor a sibling clone.
     #[test]
-    fn clones_continue_the_templates_step_count() {
+    fn clones_continue_the_templates_counts() {
+        let t = obs::Telemetry::new().with_prof(obs::prof::Mode::On);
+        let _g = t.enter();
         for engine in [Engine::Tree, Engine::Vm] {
-            let tpl = template(engine);
-            let ran = tpl.steps();
-            assert!(ran > 0, "{engine:?}: the template ran no steps");
+            let mut tpl = template(engine);
+            tpl.eval_script("eval('o.peek()'); Object.keys(o);", "setup.js").unwrap();
+            let ran = tpl.profile();
+            assert!(ran.ops > 0 && ran.calls > 0 && ran.max_depth > 0, "{engine:?}: {ran:?}");
+            assert_eq!(ran.evals, 1, "{engine:?}");
+            assert!(ran.builtins.iter().any(|(n, _)| &**n == "keys"), "{engine:?}: {ran:?}");
             let mut a = instance(&tpl, engine);
-            assert_eq!(a.steps(), ran, "{engine:?}");
-            a.eval_script("o.inc();", "probe.js").unwrap();
-            assert!(a.steps() > ran);
-            assert_eq!(instance(&tpl, engine).steps(), ran, "{engine:?}");
+            assert_eq!(a.profile(), ran, "{engine:?}");
+            a.eval_script("o.inc(); eval('n'); Object.keys(o);", "probe.js").unwrap();
+            let after = a.profile();
+            assert!(after.ops > ran.ops && after.calls > ran.calls, "{engine:?}: {after:?}");
+            assert_eq!(after.evals, 2, "{engine:?}");
+            assert_ne!(after.builtins, ran.builtins, "{engine:?}");
+            assert_eq!(tpl.profile(), ran, "{engine:?}");
+            assert_eq!(instance(&tpl, engine).profile(), ran, "{engine:?}");
         }
     }
 

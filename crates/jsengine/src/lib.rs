@@ -74,7 +74,7 @@ pub use vm::Engine;
 pub use atom::{Atom, AtomMap};
 pub use error::{EngineError, Thrown};
 pub use interp::{Frame, Interp, NativeFn, ScopeRef};
-pub use profiler::{CountingProfiler, Profile};
+pub use profiler::Profile;
 pub use object::{Callable, JsObject, ObjId, PropMap, Property, Slot};
 pub use value::Value;
 

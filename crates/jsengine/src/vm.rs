@@ -3,8 +3,8 @@
 //! [`JsCtx`](crate::JsCtx)).
 //!
 //! The VM reuses the interpreter's entire runtime — heap, scopes, frames,
-//! builtins, step budget, profiler hooks — and only replaces the *walk*:
-//! where the tree-walker recurses over the AST, [`run_chunk`] advances a
+//! builtins, step budget, interpreter counts — and only replaces the *walk*:
+//! where the tree-walker recurses over the AST, `run_chunk` advances a
 //! program counter over flat instructions. Everything observable (error
 //! objects and messages, `Error.stack` lines, heap allocation order, step
 //! charges, per-builtin dispatch counts) is routed through the same

@@ -27,17 +27,19 @@ fn observe(engine: Engine, src: &str) -> Observation {
     observe_with_budget(engine, src, Interp::new().step_limit)
 }
 
-/// [`observe`] under a step budget of `limit`.
+/// [`observe`] under a step budget of `limit`. The phase profiler runs,
+/// so the profile's per-builtin dispatch counts are compared too.
 fn observe_with_budget(engine: Engine, src: &str, limit: u64) -> Observation {
+    let t = obs::Telemetry::new().with_prof(obs::prof::Mode::On);
+    let _g = t.enter();
     let mut it = Interp::new();
     it.engine = engine;
     it.step_limit = limit;
-    it.enable_profiling();
     let outcome = match it.eval_script(src, "diff.js") {
         Ok(v) => Ok(format!("{v:?}")),
         Err(e) => Err(e.to_string()),
     };
-    Observation { outcome, profile: it.take_profile().expect("profiler was enabled") }
+    Observation { outcome, profile: it.profile() }
 }
 
 fn assert_engines_agree(src: &str) {

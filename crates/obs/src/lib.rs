@@ -7,9 +7,9 @@
 //!
 //! 1. **Determinism.** A seeded crawl must produce byte-identical journals
 //!    and metric snapshots regardless of worker count. Events from worker
-//!    threads are buffered in per-thread [`scope`]s and written by the
-//!    coordinator in item order; timestamps come from the simulated clock,
-//!    never the wall clock. Metrics recorded
+//!    threads are buffered in per-thread scopes ([`begin_scope`]) and
+//!    written by the coordinator in item order; timestamps come from the
+//!    simulated clock, never the wall clock. Metrics recorded
 //!    inside a scope reach the registry as one delta when it closes — the
 //!    same delta a bundle persists and a resumed run merges back.
 //! 2. **Zero cost when off.** With neither `GULLIBLE_TRACE` nor

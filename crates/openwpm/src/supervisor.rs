@@ -264,8 +264,8 @@ struct ItemRun<R> {
 ///   writers must synchronise internally. It takes the full outcome and
 ///   returns the form the outcome vector keeps: a streaming crawl flushes
 ///   each record to disk here and keeps O(1) bookkeeping, so the outcome
-///   vector's resident size is O(items × size_of::<T>()), not
-///   O(items × size_of::<R>()). Priors arrive in that kept form.
+///   vector's resident size is `O(items × size_of::<T>())`, not
+///   `O(items × size_of::<R>())`. Priors arrive in that kept form.
 #[allow(clippy::too_many_arguments)]
 pub fn run_supervised<W, R, T, S>(
     items: Vec<W>,

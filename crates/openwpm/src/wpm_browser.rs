@@ -228,9 +228,6 @@ impl Browser {
             }
             None => self.config.seed ^ self.visits.wrapping_mul(0x9E37_79B9),
         };
-        if obs::enabled() {
-            page.enable_profiling();
-        }
         let instrumented = match self.config.js_instrument {
             JsInstrumentKind::Off => true,
             JsInstrumentKind::Vanilla if preinstrumented => {
@@ -410,7 +407,8 @@ impl Browser {
             let after = StoreCounts::of(&self.store.borrow());
             after.report_delta(&before);
         }
-        if let Some(profile) = page.take_profile() {
+        if obs::enabled() {
+            let profile = page.interp.profile();
             obs::prof::count_builtins(&profile.builtins);
             obs::observe("jsengine.ops_per_visit", profile.ops);
             obs::observe("jsengine.calls_per_visit", profile.calls);

@@ -37,7 +37,6 @@ fn scratch_page(seed: u64, store: &StoreHandle, engine: Option<Engine>) -> Page 
     let mut page = Page::new(profile(), Url::parse(PAGE_URL).unwrap(), None);
     if let Some(e) = engine {
         page.interp.engine = e;
-        page.enable_profiling();
     }
     assert!(vanilla::install(&mut page, seed, store.clone(), PAGE_URL.into()));
     finish_scanner_install(&mut page, seed, store);
@@ -54,7 +53,6 @@ fn template_page(
     let mut page = tpl.instantiate(Url::parse(PAGE_URL).unwrap(), None);
     if let Some(e) = engine {
         page.interp.engine = e;
-        page.enable_profiling();
     }
     tpl.bind(&mut page, seed, store.clone(), PAGE_URL.into());
     finish_scanner_install(&mut page, seed, store);
@@ -97,9 +95,12 @@ fn corpus_scripts() -> Vec<String> {
 /// the install: both must match the per-page install, whichever engine
 /// runs the page and whatever it runs — a small site script, then each
 /// corpus detector and fingerprinter — as must the recorded JS calls and
-/// the page's traffic.
+/// the page's traffic. The phase profiler runs from the template's build
+/// on, so the per-builtin dispatch counts are compared too.
 #[test]
 fn profile_and_step_count_match_per_page_install_on_both_engines() {
+    let t = obs::Telemetry::new().with_prof(obs::prof::Mode::On);
+    let _g = t.enter();
     let tpl = InstrumentedTemplate::new(profile(), &vanilla::compile_instrument());
     let site = "var n = 0; for (var i = 0; i < 20; i++) { n += navigator.userAgent.length; } \
                 document.createElement('div'); eval('n + 1');";
@@ -120,8 +121,8 @@ fn profile_and_step_count_match_per_page_install_on_both_engines() {
             }
             assert_eq!(results[0], results[1], "{engine:?} #{i}: script results differ");
             assert_eq!(steps(&scratch), steps(&cloned), "{engine:?} #{i}: after visit");
-            let (a, b) = (scratch.take_profile().unwrap(), cloned.take_profile().unwrap());
-            assert!(a.ops > 0, "{engine:?} #{i}: {a:?}");
+            let (a, b) = (scratch.interp.profile(), cloned.interp.profile());
+            assert!(a.ops > 0 && !a.builtins.is_empty(), "{engine:?} #{i}: {a:?}");
             if i == 0 {
                 assert_eq!(a.evals, 1, "{engine:?}: {a:?}");
             }
